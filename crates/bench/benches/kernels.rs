@@ -10,7 +10,7 @@
 //! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rtm_sparse::{BspcMatrix, CscMatrix, CsrMatrix};
+use rtm_sparse::{BspcMatrix, CscMatrix, CsrMatrix, SparseKernel};
 use rtm_tensor::gemm;
 use rtm_tensor::Matrix;
 use std::hint::black_box;

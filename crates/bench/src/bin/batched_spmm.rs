@@ -9,7 +9,7 @@
 //! For each format (BSPC, CSR, dense) × thread count {1, 4} × batch width
 //! b ∈ {1, 2, 4, 8, 16}, the 1024×1024 BSP-patterned matrix at 10×
 //! compression is applied to a lane-major `[cols × b]` input through the
-//! parallel engine's SpMM path (`spmm_bspc_into` / `spmm_csr_into` /
+//! parallel engine's SpMM path (the generic `Executor::spmm_into` /
 //! `gemm_dense_into`). Reported per row:
 //!
 //! * `wall_us` — one batched pass over all `b` lanes;
@@ -26,7 +26,7 @@
 
 use rtm_bench::{bsp_matrix, emit_bench_report, json_row, quick_requested, time_us, JsonValue};
 use rtm_exec::Executor;
-use rtm_sparse::{BspcMatrix, CsrMatrix};
+use rtm_sparse::{BspcMatrix, CsrMatrix, Precision, SparseKernel};
 use rtm_tensor::rng::StdRng;
 
 const STRIPES: usize = 8;
@@ -66,27 +66,19 @@ fn main() {
             let xs = &xs_all[..cols_dim * b];
             let mut ys = vec![0.0f32; rows_dim * b];
 
-            let wall = time_us(iters(b), || {
-                exec.spmm_bspc_into(&bspc, xs, b, &mut ys)
-                    .expect("shapes match");
-            });
-            rows.push(Row {
-                format: "bspc",
-                threads,
-                b,
-                wall_us: wall,
-            });
-
-            let wall = time_us(iters(b), || {
-                exec.spmm_csr_into(&csr, xs, b, &mut ys)
-                    .expect("shapes match");
-            });
-            rows.push(Row {
-                format: "csr",
-                threads,
-                b,
-                wall_us: wall,
-            });
+            let formats: [&dyn SparseKernel; 2] = [&bspc, &csr];
+            for k in formats {
+                let wall = time_us(iters(b), || {
+                    exec.spmm_into(k, Precision::F32, xs, b, &mut ys)
+                        .expect("shapes match");
+                });
+                rows.push(Row {
+                    format: k.tag(),
+                    threads,
+                    b,
+                    wall_us: wall,
+                });
+            }
 
             let wall = time_us(dense_iters(b), || {
                 exec.gemm_dense_into(&dense, xs, b, &mut ys)

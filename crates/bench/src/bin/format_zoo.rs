@@ -31,7 +31,7 @@
 
 use rtm_bench::{bsp_matrix, emit_bench_report, json_row, quick_requested, time_us, JsonValue};
 use rtm_compiler::plan::StorageFormat;
-use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix, Footprint, Precision};
+use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix, Footprint, Precision, SparseKernel};
 use rtm_tensor::rng::StdRng;
 use rtm_tensor::Matrix;
 
@@ -83,13 +83,17 @@ enum Encoded {
 }
 
 impl Encoded {
-    fn tag(&self) -> &'static str {
+    fn kernel(&self) -> &dyn SparseKernel {
         match self {
-            Encoded::Bspc(_) => "bspc",
-            Encoded::Csr(_) => "csr",
-            Encoded::Bbs(_) => "bbs",
-            Encoded::Csb(_) => "csb",
+            Encoded::Bspc(m) => m,
+            Encoded::Csr(m) => m,
+            Encoded::Bbs(m) => m,
+            Encoded::Csb(m) => m,
         }
+    }
+
+    fn tag(&self) -> &'static str {
+        self.kernel().tag()
     }
 
     fn bytes(&self, prec: Precision) -> usize {
@@ -102,21 +106,15 @@ impl Encoded {
     }
 
     fn spmv(&self, prec: Precision, x: &[f32], y: &mut [f32]) {
-        match self {
-            Encoded::Bspc(m) => m.spmv_prec_into(prec, x, y).expect("shapes match"),
-            Encoded::Csr(m) => m.spmv_prec_into(prec, x, y).expect("shapes match"),
-            Encoded::Bbs(m) => m.spmv_prec_into(prec, x, y).expect("shapes match"),
-            Encoded::Csb(m) => m.spmv_prec_into(prec, x, y).expect("shapes match"),
-        }
+        self.kernel()
+            .spmv_prec_into(prec, x, y)
+            .expect("shapes match");
     }
 
     fn spmm(&self, prec: Precision, xs: &[f32], lanes: usize, ys: &mut [f32]) {
-        match self {
-            Encoded::Bspc(m) => m.spmm_prec_into(prec, xs, lanes, ys).expect("shapes match"),
-            Encoded::Csr(m) => m.spmm_prec_into(prec, xs, lanes, ys).expect("shapes match"),
-            Encoded::Bbs(m) => m.spmm_prec_into(prec, xs, lanes, ys).expect("shapes match"),
-            Encoded::Csb(m) => m.spmm_prec_into(prec, xs, lanes, ys).expect("shapes match"),
-        }
+        self.kernel()
+            .spmm_prec_into(prec, xs, lanes, ys)
+            .expect("shapes match");
     }
 }
 

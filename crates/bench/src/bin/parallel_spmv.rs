@@ -17,8 +17,8 @@
 //! Dependency-free: std + workspace crates only.
 
 use rtm_bench::{bsp_matrix, emit_bench_report, json_row, quick_requested, time_us, JsonValue};
-use rtm_exec::{bspc_rows_into, csr_rows_into, dense_rows_into, Executor, Partition};
-use rtm_sparse::{BspcMatrix, CsrMatrix};
+use rtm_exec::{dense_rows_into, Executor, Partition};
+use rtm_sparse::{Activations, BspcMatrix, CsrMatrix, Precision, SparseKernel};
 use rtm_tensor::rng::StdRng;
 
 const STRIPES: usize = 8;
@@ -73,11 +73,12 @@ fn main() {
         let x: Vec<f32> = (0..cols_dim).map(|_| rng.gen_f32() * 2.0 - 1.0).collect();
         let mut y = vec![0.0f32; rows_dim];
 
-        let bspc_serial = time_us(sparse_iters, || {
-            bspc.spmv_into(&x, &mut y).expect("shapes match");
-        });
-        let csr_serial = time_us(sparse_iters, || {
-            csr.spmv_into(&x, &mut y).expect("shapes match");
+        let formats: [&dyn SparseKernel; 2] = [&bspc, &csr];
+        let [bspc_serial, csr_serial] = formats.map(|k| {
+            time_us(sparse_iters, || {
+                k.spmv_prec_into(Precision::F32, &x, &mut y)
+                    .expect("shapes match");
+            })
         });
         let dense_serial = time_us(dense_iters, || {
             dense_rows_into(&dense, &x, 0..rows_dim, &mut y, 0);
@@ -89,48 +90,36 @@ fn main() {
         for &threads in &THREADS {
             let exec = Executor::new(threads);
 
-            // BSPC.
-            let wall = time_us(sparse_iters, || {
-                exec.spmv_bspc_into(&bspc, &x, &mut y)
-                    .expect("shapes match");
-            });
-            let part = exec.partition_bspc(&bspc);
-            let kept = bspc.kept_rows().to_vec();
-            let cp = critical_path_us(&part, sparse_iters, |i| {
-                let c = &part.chunks()[i];
-                let base = kept[c.start] as usize;
-                bspc_rows_into(&bspc, &x, c.start..c.end, &mut y[base..], base);
-            });
-            rows.push(Row {
-                format: "bspc",
-                compression: rate,
-                threads,
-                chunks: part.len(),
-                imbalance: part.imbalance(),
-                serial_us: bspc_serial,
-                wall_us: wall,
-                critical_path_us: cp,
-            });
-
-            // CSR.
-            let wall = time_us(sparse_iters, || {
-                exec.spmv_csr_into(&csr, &x, &mut y).expect("shapes match");
-            });
-            let part = exec.partition_csr(&csr);
-            let cp = critical_path_us(&part, sparse_iters, |i| {
-                let c = &part.chunks()[i];
-                csr_rows_into(&csr, &x, c.start..c.end, &mut y[c.start..], c.start);
-            });
-            rows.push(Row {
-                format: "csr",
-                compression: rate,
-                threads,
-                chunks: part.len(),
-                imbalance: part.imbalance(),
-                serial_us: csr_serial,
-                wall_us: wall,
-                critical_path_us: cp,
-            });
+            // BSPC and CSR through the one generic entry; a chunk's busy
+            // work is the format's own row-range kernel on its unit range.
+            for (k, serial_us) in [(formats[0], bspc_serial), (formats[1], csr_serial)] {
+                let wall = time_us(sparse_iters, || {
+                    exec.spmv_into(k, Precision::F32, &x, &mut y)
+                        .expect("shapes match");
+                });
+                let part = exec.partition(k);
+                let cp = critical_path_us(&part, sparse_iters, |i| {
+                    let c = &part.chunks()[i];
+                    let base = k.unit_first_row(c.start);
+                    k.rows_into(
+                        Activations::F32(&x),
+                        1,
+                        c.start..c.end,
+                        &mut y[base..],
+                        base,
+                    );
+                });
+                rows.push(Row {
+                    format: k.tag(),
+                    compression: rate,
+                    threads,
+                    chunks: part.len(),
+                    imbalance: part.imbalance(),
+                    serial_us,
+                    wall_us: wall,
+                    critical_path_us: cp,
+                });
+            }
 
             // Dense (compression applies only to the sparse formats; the
             // dense kernel is the same matrix with explicit zeros).

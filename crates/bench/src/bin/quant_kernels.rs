@@ -19,7 +19,7 @@
 //! Dependency-free: std + workspace crates only.
 
 use rtm_bench::{bsp_matrix, emit_bench_report, json_row, quick_requested, time_us, JsonValue};
-use rtm_sparse::{BspcMatrix, CsrMatrix, Footprint, Precision};
+use rtm_sparse::{BspcMatrix, CsrMatrix, Footprint, Precision, SparseKernel};
 use rtm_tensor::rng::StdRng;
 
 const STRIPES: usize = 8;

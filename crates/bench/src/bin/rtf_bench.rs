@@ -16,8 +16,8 @@
 //! network is then recompiled at each precision and, per decoder:
 //!
 //! - **per-stream RTF**: each held-out utterance is forwarded and its
-//!   logits pushed frame-by-frame through a fresh [`Decoder`]
-//!   (`rtm_speech::Decoder`), timed end to end; RTF = wall / audio.
+//!   logits pushed frame-by-frame through a fresh
+//!   [`rtm_speech::Decoder`], timed end to end; RTF = wall / audio.
 //!   The frame index of the first non-empty partial gives
 //!   latency-to-first-symbol (audio position, ms).
 //! - **per-batch RTF**: the same utterances through a

@@ -19,7 +19,7 @@
 //! Dependency-free: std + workspace crates only.
 
 use rtm_bench::{bsp_matrix, emit_bench_report, json_row, quick_requested, time_us, JsonValue};
-use rtm_sparse::{BspcMatrix, CsrMatrix};
+use rtm_sparse::{BspcMatrix, CsrMatrix, Precision, SparseKernel};
 use rtm_tensor::gemm;
 use rtm_tensor::rng::StdRng;
 use rtm_tensor::simd::{self, SimdPolicy, Variant};
@@ -74,7 +74,8 @@ fn main() {
             });
 
             let us = time_us(scale(200), || {
-                bspc.spmv_into(&x, &mut y).expect("shapes match");
+                bspc.spmv_prec_into(Precision::F32, &x, &mut y)
+                    .expect("shapes match");
             });
             rows.push(Row {
                 kernel: "bspc_spmv",
@@ -85,7 +86,8 @@ fn main() {
             });
 
             let us = time_us(scale(200), || {
-                csr.spmv_into(&x, &mut y).expect("shapes match");
+                csr.spmv_prec_into(Precision::F32, &x, &mut y)
+                    .expect("shapes match");
             });
             rows.push(Row {
                 kernel: "csr_spmv",

@@ -100,7 +100,7 @@ fn main() {
         on_samples.push(time_phase(TraceConfig::on()));
         // Read before the next phase resets the registry: sanity evidence
         // the instrumentation actually ran during the traced rounds.
-        spmv_calls = rtm_trace::global().counter(rtm_trace::key::SPMV_BSPC);
+        spmv_calls = rtm_trace::global().counter(rtm_trace::key::KERNEL_BSPC.spmv[0]);
         eprintln!(
             "round {round}: off {:.1} us, on {:.1} us",
             off_samples[round], on_samples[round]

@@ -400,9 +400,6 @@ pub struct FormatCost {
     pub seconds: f64,
 }
 
-/// Boxed timing sweep borrowing the shared activation buffer.
-type SweepFn<'a> = Box<dyn Fn(&mut [f32]) + 'a>;
-
 /// Times the real serial kernels of every candidate `format` on the
 /// *actual* layer matrix `w` — not a synthetic proxy — at precision
 /// `precision`, and returns one [`FormatCost`] per format (mean of
@@ -425,7 +422,7 @@ pub fn measure_format_costs(
     batch: usize,
     iters: usize,
 ) -> Vec<FormatCost> {
-    use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix};
+    use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix, SparseKernel};
     // Mirrors measure_precision_costs: each candidate's measured cost lands
     // as a `tuner.format_cost_us.<fmt>.<prec>` gauge under one span.
     let _span = rtm_trace::span("tuner.measure_format_costs");
@@ -439,91 +436,44 @@ pub fn measure_format_costs(
         .map(|_| rng.gen_f32() * 2.0 - 1.0)
         .collect();
     let mut ys = vec![0.0f32; rows * batch];
+    fn boxed<K: SparseKernel + 'static, E>(k: Result<K, E>) -> Option<Box<dyn SparseKernel>> {
+        k.ok().map(|k| Box::new(k) as Box<dyn SparseKernel>)
+    }
     formats
         .iter()
         .map(|&format| {
-            // One boxed sweep closure per format so the timing loop below
-            // is shared — every branch runs the same serial entry the
-            // runtime dispatches to.
-            let xs = &xs;
-            let sweep: Option<SweepFn<'_>> =
-                match format {
-                    StorageFormat::Dense => {
-                        let a = w.clone();
-                        Some(Box::new(move |ys: &mut [f32]| {
-                            if batch == 1 {
-                                rtm_tensor::gemm::gemv_into(&a, xs, ys).expect("shapes agree");
-                            } else {
-                                rtm_tensor::gemm::gemv_batch_into(&a, xs, batch, ys)
-                                    .expect("shapes agree");
-                            }
-                        }))
-                    }
-                    StorageFormat::Csr => {
-                        let m = CsrMatrix::from_dense(w);
-                        Some(Box::new(move |ys: &mut [f32]| {
-                            if batch == 1 {
-                                m.spmv_prec_into(precision, xs, ys).expect("shapes agree");
-                            } else {
-                                m.spmm_prec_into(precision, xs, batch, ys)
-                                    .expect("shapes agree");
-                            }
-                        }))
-                    }
-                    StorageFormat::Bspc => {
-                        BspcMatrix::from_dense(w, stripes, blocks)
-                            .ok()
-                            .map(|m| -> SweepFn<'_> {
-                                Box::new(move |ys: &mut [f32]| {
-                                    if batch == 1 {
-                                        m.spmv_prec_into(precision, xs, ys).expect("shapes agree");
-                                    } else {
-                                        m.spmm_prec_into(precision, xs, batch, ys)
-                                            .expect("shapes agree");
-                                    }
-                                })
-                            })
-                    }
-                    StorageFormat::Bbs => BbsMatrix::from_dense(w, blocks.min(cols.max(1)))
-                        .ok()
-                        .map(|m| -> SweepFn<'_> {
-                            Box::new(move |ys: &mut [f32]| {
-                                if batch == 1 {
-                                    m.spmv_prec_into(precision, xs, ys).expect("shapes agree");
-                                } else {
-                                    m.spmm_prec_into(precision, xs, batch, ys)
-                                        .expect("shapes agree");
-                                }
-                            })
-                        }),
-                    StorageFormat::Csb => CsbMatrix::from_dense(
-                        w,
-                        rows.div_ceil(stripes).max(1),
-                        cols.div_ceil(blocks).max(1),
-                    )
-                    .ok()
-                    .map(|m| -> SweepFn<'_> {
-                        Box::new(move |ys: &mut [f32]| {
-                            if batch == 1 {
-                                m.spmv_prec_into(precision, xs, ys).expect("shapes agree");
-                            } else {
-                                m.spmm_prec_into(precision, xs, batch, ys)
-                                    .expect("shapes agree");
-                            }
-                        })
-                    }),
-                };
-            let seconds = match sweep {
-                None => f64::INFINITY,
-                Some(sweep) => {
-                    sweep(&mut ys); // warm-up
-                    let t0 = std::time::Instant::now();
-                    for _ in 0..iters {
-                        sweep(&mut ys);
-                        std::hint::black_box(&ys);
-                    }
-                    t0.elapsed().as_secs_f64() / iters as f64
+            // Every sparse candidate is swept through the serial entry of
+            // the one kernel contract — the function the runtime runs,
+            // serial or pooled. Dense has no sparse encoding and keeps its
+            // gemv arm.
+            let encoded: Option<Box<dyn SparseKernel>> = match format {
+                StorageFormat::Dense => None,
+                StorageFormat::Csr => Some(Box::new(CsrMatrix::from_dense(w))),
+                StorageFormat::Bspc => boxed(BspcMatrix::from_dense(w, stripes, blocks)),
+                StorageFormat::Bbs => boxed(BbsMatrix::from_dense(w, blocks.min(cols.max(1)))),
+                StorageFormat::Csb => boxed(CsbMatrix::from_dense(
+                    w,
+                    rows.div_ceil(stripes).max(1),
+                    cols.div_ceil(blocks).max(1),
+                )),
+            };
+            let sweep = |ys: &mut [f32]| match (&encoded, batch) {
+                (Some(k), 1) => k.spmv_prec_into(precision, &xs, ys),
+                (Some(k), _) => k.spmm_prec_into(precision, &xs, batch, ys),
+                (None, 1) => rtm_tensor::gemm::gemv_into(w, &xs, ys),
+                (None, _) => rtm_tensor::gemm::gemv_batch_into(w, &xs, batch, ys),
+            };
+            // Formats whose encoder rejected the matrix lose the search.
+            let seconds = if encoded.is_none() && format != StorageFormat::Dense {
+                f64::INFINITY
+            } else {
+                sweep(&mut ys).expect("shapes agree"); // warm-up
+                let t0 = std::time::Instant::now();
+                for _ in 0..iters {
+                    sweep(&mut ys).expect("shapes agree");
+                    std::hint::black_box(&ys);
                 }
+                t0.elapsed().as_secs_f64() / iters as f64
             };
             let cost = FormatCost {
                 format,

@@ -17,20 +17,22 @@
 //!   space (balancing nonzeros, not rows), derivable directly from a
 //!   `ReorderPlan`'s pattern groups, with the *measured* imbalance factor
 //!   the device model consumes;
-//! * [`spmv`] — lock-free parallel SpMV for BSPC, CSR and dense behind the
-//!   [`Executor`] handle: per-thread disjoint `&mut` output slices, and a
-//!   blocked BSPC inner kernel that gathers each stripe's shared column
-//!   stream once per chunk (redundant-load elimination).
+//! * [`spmv`] — the [`Executor`] handle: one lock-free pooled driver for
+//!   every format implementing [`rtm_sparse::SparseKernel`]
+//!   ([`Executor::spmv_into`], [`Executor::spmm_into`]) — per-thread
+//!   disjoint `&mut` output slices, each chunk running the format's own
+//!   row-range kernel;
+//! * [`dense`] — the unpruned GEMV/GEMM baseline on the same chunk loop.
 //!
-//! Every parallel path accumulates in the same order as its serial
-//! counterpart, so results are bit-identical for all thread counts — the
+//! A chunk runs the very function the serial entry runs over the whole
+//! range, so results are bit-identical for all thread counts — the
 //! equivalence tests in this crate and `tests/parallel_exec.rs` pin that.
 //!
 //! # Example
 //!
 //! ```
 //! use rtm_exec::Executor;
-//! use rtm_sparse::BspcMatrix;
+//! use rtm_sparse::{BspcMatrix, Precision, SparseKernel};
 //! use rtm_tensor::Matrix;
 //!
 //! let w = Matrix::from_fn(8, 8, |r, c| if c % 2 == r / 4 { 1.0 } else { 0.0 });
@@ -38,27 +40,27 @@
 //! let x: Vec<f32> = (0..8).map(|i| i as f32).collect();
 //!
 //! let exec = Executor::new(4);
-//! let parallel = exec.spmv_bspc(&m, &x).unwrap();
+//! let mut parallel = vec![0.0; 8];
+//! exec.spmv_into(&m, Precision::F32, &x, &mut parallel).unwrap();
 //! assert_eq!(parallel, m.spmv(&x).unwrap());
 //! ```
 
+pub mod dense;
 pub mod error;
 pub mod partition;
 pub mod pool;
 pub mod spmv;
 
+pub use dense::{dense_rows_batch_into, dense_rows_into};
 pub use error::ExecError;
 pub use partition::{Chunk, Partition};
 pub use pool::{Task, WorkerPool};
-pub use spmv::{
-    bspc_rows_batch_into, bspc_rows_into, csr_rows_batch_into, csr_rows_into,
-    dense_rows_batch_into, dense_rows_into, Executor,
-};
+pub use spmv::Executor;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix, Precision};
+    use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix, Precision, SparseKernel};
     use rtm_tensor::rng::StdRng;
     use rtm_tensor::Matrix;
 
@@ -107,22 +109,117 @@ mod tests {
         (0..cols).map(|_| rng.gen_f32() * 2.0 - 1.0).collect()
     }
 
+    /// Lane counts the batched sweep covers: 1, the partial vector widths
+    /// around the 8-lane register, one full register and a partial batch
+    /// above it.
+    const LANES: [usize; 7] = [1, 2, 3, 4, 7, 8, 12];
+
+    const PRECISIONS: [Precision; 3] = [Precision::F32, Precision::F16, Precision::Int8];
+
+    fn pools() -> Vec<Executor> {
+        THREADS.iter().map(|&t| Executor::new(t)).collect()
+    }
+
+    fn pooled_spmv<K: SparseKernel>(exec: &Executor, k: &K, x: &[f32]) -> Vec<f32> {
+        // A dirty buffer: every output row must be written or zero-filled.
+        let mut y = vec![f32::NAN; k.rows()];
+        exec.spmv_into(k, Precision::F32, x, &mut y).unwrap();
+        y
+    }
+
+    /// Checks serial SpMV against an oracle that shares no code with the
+    /// kernels: the scalar-u1 dot of each row of `dense` (what
+    /// `gemm::gemv` computes under `RTM_SIMD=off`). A `column_ordered`
+    /// format accumulates a row's terms as one chain in ascending column
+    /// order — the oracle's order, zeros aside — so the simd contract
+    /// applies: exact under the scalar variants, within 4 ULPs at the
+    /// accumulation magnitude under the vector one. Otherwise (CSB sums
+    /// per-block partials) the classical reorder bound `2·nnz` ULPs holds.
+    fn assert_matches_dense(
+        y: &[f32],
+        dense: &Matrix,
+        x: &[f32],
+        column_ordered: bool,
+        what: &str,
+    ) {
+        use rtm_tensor::simd::{self, Variant};
+        for (r, &got) in y.iter().enumerate() {
+            let row = dense.row(r);
+            let want = simd::dot_variant(Variant::ScalarU1, row, x);
+            let mag: f32 = row.iter().zip(x).map(|(&w, &xc)| (w * xc).abs()).sum();
+            let nnz = row.iter().filter(|&&w| w != 0.0).count();
+            let ulps = match (column_ordered, simd::active_variant()) {
+                (true, Variant::Vector) => 4.0,
+                (true, _) => 0.0,
+                (false, _) => 2.0 * nnz.max(1) as f32,
+            };
+            assert!(
+                (got - want).abs() <= ulps * simd::ulp_at(mag),
+                "{what} row {r}: {got} vs dense {want} ({ulps} ulps at {mag})"
+            );
+        }
+    }
+
+    /// The one equivalence check every format runs, swept over precision ×
+    /// lanes × thread counts: serial f32/f16 SpMV against the independent
+    /// dense oracle; pooled SpMV bit-identical to serial; every lane of
+    /// the serial SpMM bit-identical to the serial SpMV of its column; and
+    /// pooled SpMM bit-identical to serial SpMM.
+    fn check<K: SparseKernel>(k: &K, dense: &Matrix, column_ordered: bool, seed: u64) {
+        let (rows, cols) = (k.rows(), k.cols());
+        let execs = pools();
+        let x = input(cols, seed + 100);
+        for prec in PRECISIONS {
+            let what = format!("{} {prec:?} seed {seed}", k.tag());
+            let mut serial = vec![f32::NAN; rows];
+            k.spmv_prec_into(prec, &x, &mut serial).unwrap();
+            match prec {
+                Precision::F32 => assert_matches_dense(&serial, dense, &x, column_ordered, &what),
+                // Decoding f16 is exact: the f16 kernel is the f32 kernel
+                // on f16-rounded weights.
+                Precision::F16 => {
+                    let rounded = dense.map(rtm_tensor::f16::quantize_f16);
+                    assert_matches_dense(&serial, &rounded, &x, column_ordered, &what);
+                }
+                // Int8 error bounds are format-specific (scale
+                // granularity) and pinned by the rtm-sparse unit tests.
+                Precision::Int8 => {}
+            }
+            for exec in &execs {
+                let mut y = vec![f32::NAN; rows];
+                exec.spmv_into(k, prec, &x, &mut y).unwrap();
+                assert_eq!(y, serial, "{what} t={}", exec.threads());
+            }
+            for b in LANES {
+                let xs = input(cols * b, seed + 200 + b as u64);
+                let mut serial_mm = vec![f32::NAN; rows * b];
+                k.spmm_prec_into(prec, &xs, b, &mut serial_mm).unwrap();
+                for j in 0..b {
+                    let col: Vec<f32> = (0..cols).map(|c| xs[c * b + j]).collect();
+                    let mut want = vec![f32::NAN; rows];
+                    k.spmv_prec_into(prec, &col, &mut want).unwrap();
+                    for r in 0..rows {
+                        assert_eq!(
+                            serial_mm[r * b + j],
+                            want[r],
+                            "{what} b={b} lane {j} row {r}"
+                        );
+                    }
+                }
+                for exec in &execs {
+                    let mut ys = vec![f32::NAN; rows * b];
+                    exec.spmm_into(k, prec, &xs, b, &mut ys).unwrap();
+                    assert_eq!(ys, serial_mm, "{what} b={b} t={}", exec.threads());
+                }
+            }
+        }
+    }
+
     #[test]
     fn bspc_parallel_matches_serial_bit_exact() {
         for seed in 0..5u64 {
             let w = bsp_random(64, 48, 4, 4, 0.3, 0.8, seed);
-            let m = BspcMatrix::from_dense(&w, 4, 4).unwrap();
-            let x = input(48, seed + 100);
-            let serial = m.spmv(&x).unwrap();
-            for threads in THREADS {
-                let exec = Executor::new(threads);
-                let par = exec.spmv_bspc(&m, &x).unwrap();
-                assert_eq!(par, serial, "seed {seed}, {threads} threads");
-                // And the into-variant over a dirty buffer.
-                let mut y = vec![f32::NAN; 64];
-                exec.spmv_bspc_into(&m, &x, &mut y).unwrap();
-                assert_eq!(y, serial);
-            }
+            check(&BspcMatrix::from_dense(&w, 4, 4).unwrap(), &w, true, seed);
         }
     }
 
@@ -130,17 +227,23 @@ mod tests {
     fn csr_parallel_matches_serial_bit_exact() {
         for seed in 0..5u64 {
             let w = bsp_random(57, 33, 3, 3, 0.4, 0.7, seed);
-            let m = CsrMatrix::from_dense(&w);
-            let x = input(33, seed + 7);
-            let serial = m.spmv(&x).unwrap();
-            for threads in THREADS {
-                let exec = Executor::new(threads);
-                assert_eq!(
-                    exec.spmv_csr(&m, &x).unwrap(),
-                    serial,
-                    "seed {seed}, {threads} threads"
-                );
-            }
+            check(&CsrMatrix::from_dense(&w), &w, true, seed);
+        }
+    }
+
+    #[test]
+    fn bbs_parallel_matches_serial_every_precision() {
+        for seed in 0..3u64 {
+            let w = bsp_random(61, 47, 3, 3, 0.35, 0.8, seed);
+            check(&BbsMatrix::from_dense(&w, 4).unwrap(), &w, true, seed);
+        }
+    }
+
+    #[test]
+    fn csb_parallel_matches_serial_every_precision() {
+        for seed in 0..3u64 {
+            let w = bsp_random(53, 39, 3, 3, 0.35, 0.8, seed);
+            check(&CsbMatrix::from_dense(&w, 6, 5).unwrap(), &w, false, seed);
         }
     }
 
@@ -155,101 +258,33 @@ mod tests {
             let serial: Vec<f32> = (0..41)
                 .map(|r| rtm_tensor::simd::dot(w.row(r), &x))
                 .collect();
-            for threads in THREADS {
-                let exec = Executor::new(threads);
-                assert_eq!(exec.gemv_dense(&w, &x).unwrap(), serial, "seed {seed}");
+            for exec in pools() {
+                let mut y = vec![f32::NAN; 41];
+                exec.gemv_dense_into(&w, &x, &mut y).unwrap();
+                assert_eq!(y, serial, "seed {seed}");
             }
         }
     }
 
     #[test]
     fn batched_spmm_lanes_match_serial_spmv_bit_exact() {
-        // The batched engine's contract: for every format and thread count,
-        // lane j of the parallel SpMM equals the *serial* SpMV of lane j's
-        // column, bit for bit.
+        // The dense member of the batched engine's contract (the sparse
+        // formats run it inside `check`): for every thread count, lane j
+        // of the pooled GEMM equals the serial GEMV of lane j's column.
         for seed in 0..3u64 {
             let w = bsp_random(64, 48, 4, 4, 0.3, 0.8, seed);
-            let m = BspcMatrix::from_dense(&w, 4, 4).unwrap();
-            let c = CsrMatrix::from_dense(&w);
             for b in [1usize, 3, 8] {
                 let xs = input(48 * b, seed + 200);
-                let serial_bspc = m.spmm(&xs, b).unwrap();
-                for threads in THREADS {
-                    let exec = Executor::new(threads);
-                    let mut ys = vec![f32::NAN; 64 * b];
-                    exec.spmm_bspc_into(&m, &xs, b, &mut ys).unwrap();
-                    assert_eq!(ys, serial_bspc, "bspc seed {seed} b={b} t={threads}");
-                    let mut yc = vec![f32::NAN; 64 * b];
-                    exec.spmm_csr_into(&c, &xs, b, &mut yc).unwrap();
-                    assert_eq!(yc, c.spmm(&xs, b).unwrap(), "csr seed {seed} b={b}");
+                for exec in pools() {
                     let mut yd = vec![f32::NAN; 64 * b];
                     exec.gemm_dense_into(&w, &xs, b, &mut yd).unwrap();
                     for j in 0..b {
                         let col: Vec<f32> = (0..48).map(|i| xs[i * b + j]).collect();
-                        let want = m.spmv(&col).unwrap();
+                        let mut want = vec![f32::NAN; 64];
+                        rtm_tensor::gemm::gemv_into(&w, &col, &mut want).unwrap();
                         for r in 0..64 {
-                            assert_eq!(ys[r * b + j], want[r], "lane {j} row {r}");
+                            assert_eq!(yd[r * b + j], want[r], "lane {j} row {r}");
                         }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bbs_parallel_matches_serial_every_precision() {
-        for seed in 0..3u64 {
-            let w = bsp_random(61, 47, 3, 3, 0.35, 0.8, seed);
-            let m = BbsMatrix::from_dense(&w, 4).unwrap();
-            let x = input(47, seed + 11);
-            for prec in [Precision::F32, Precision::F16, Precision::Int8] {
-                let mut serial = vec![0.0f32; 61];
-                m.spmv_prec_into(prec, &x, &mut serial).unwrap();
-                for threads in THREADS {
-                    let exec = Executor::new(threads);
-                    let mut y = vec![f32::NAN; 61];
-                    exec.spmv_bbs_prec_into(&m, prec, &x, &mut y).unwrap();
-                    assert_eq!(y, serial, "seed {seed} {prec:?} t={threads}");
-                }
-                for b in [1usize, 3, 8] {
-                    let xs = input(47 * b, seed + 300);
-                    let mut sm = vec![0.0f32; 61 * b];
-                    m.spmm_prec_into(prec, &xs, b, &mut sm).unwrap();
-                    for threads in THREADS {
-                        let exec = Executor::new(threads);
-                        let mut ys = vec![f32::NAN; 61 * b];
-                        exec.spmm_bbs_prec_into(&m, prec, &xs, b, &mut ys).unwrap();
-                        assert_eq!(ys, sm, "seed {seed} {prec:?} b={b} t={threads}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn csb_parallel_matches_serial_every_precision() {
-        for seed in 0..3u64 {
-            let w = bsp_random(53, 39, 3, 3, 0.35, 0.8, seed);
-            let m = CsbMatrix::from_dense(&w, 6, 5).unwrap();
-            let x = input(39, seed + 17);
-            for prec in [Precision::F32, Precision::F16, Precision::Int8] {
-                let mut serial = vec![0.0f32; 53];
-                m.spmv_prec_into(prec, &x, &mut serial).unwrap();
-                for threads in THREADS {
-                    let exec = Executor::new(threads);
-                    let mut y = vec![f32::NAN; 53];
-                    exec.spmv_csb_prec_into(&m, prec, &x, &mut y).unwrap();
-                    assert_eq!(y, serial, "seed {seed} {prec:?} t={threads}");
-                }
-                for b in [1usize, 3, 8] {
-                    let xs = input(39 * b, seed + 400);
-                    let mut sm = vec![0.0f32; 53 * b];
-                    m.spmm_prec_into(prec, &xs, b, &mut sm).unwrap();
-                    for threads in THREADS {
-                        let exec = Executor::new(threads);
-                        let mut ys = vec![f32::NAN; 53 * b];
-                        exec.spmm_csb_prec_into(&m, prec, &xs, b, &mut ys).unwrap();
-                        assert_eq!(ys, sm, "seed {seed} {prec:?} b={b} t={threads}");
                     }
                 }
             }
@@ -262,13 +297,22 @@ mod tests {
         let bb = BbsMatrix::from_dense(&w, 2).unwrap();
         let cb = CsbMatrix::from_dense(&w, 2, 2).unwrap();
         let exec = Executor::new(4);
-        assert_eq!(exec.spmv_bbs(&bb, &[1.0; 8]).unwrap(), vec![0.0; 8]);
-        assert_eq!(exec.spmv_csb(&cb, &[1.0; 8]).unwrap(), vec![0.0; 8]);
-        assert!(exec.spmv_bbs(&bb, &[0.0; 7]).is_err());
-        assert!(exec.spmv_csb(&cb, &[0.0; 7]).is_err());
+        assert_eq!(pooled_spmv(&exec, &bb, &[1.0; 8]), vec![0.0; 8]);
+        assert_eq!(pooled_spmv(&exec, &cb, &[1.0; 8]), vec![0.0; 8]);
+        let mut y = vec![0.0; 8];
+        assert!(exec
+            .spmv_into(&bb, Precision::F32, &[0.0; 7], &mut y)
+            .is_err());
+        assert!(exec
+            .spmv_into(&cb, Precision::F32, &[0.0; 7], &mut y)
+            .is_err());
         let mut bad = vec![0.0; 9];
-        assert!(exec.spmm_bbs_into(&bb, &[0.0; 8], 1, &mut bad).is_err());
-        assert!(exec.spmm_csb_into(&cb, &[0.0; 8], 1, &mut bad).is_err());
+        assert!(exec
+            .spmm_into(&bb, Precision::F32, &[0.0; 8], 1, &mut bad)
+            .is_err());
+        assert!(exec
+            .spmm_into(&cb, Precision::F32, &[0.0; 8], 1, &mut bad)
+            .is_err());
     }
 
     #[test]
@@ -284,10 +328,8 @@ mod tests {
         let m = BspcMatrix::from_dense(&w, 4, 4).unwrap();
         let x = input(16, 3);
         let serial = m.spmv(&x).unwrap();
-        for threads in THREADS {
-            let exec = Executor::new(threads);
-            let mut y = vec![f32::NAN; 16];
-            exec.spmv_bspc_into(&m, &x, &mut y).unwrap();
+        for exec in pools() {
+            let y = pooled_spmv(&exec, &m, &x);
             assert_eq!(y, serial);
             assert!(y[8..].iter().all(|&v| v == 0.0), "pruned rows zeroed");
         }
@@ -301,11 +343,11 @@ mod tests {
         let m = BspcMatrix::from_dense(&w, 1, 1).unwrap();
         let x = input(32, 9);
         let serial = m.spmv(&x).unwrap();
-        for threads in THREADS {
-            let exec = Executor::new(threads);
-            assert_eq!(exec.spmv_bspc(&m, &x).unwrap(), serial);
-            if threads > 1 {
-                let p = exec.partition_bspc(&m);
+        for exec in pools() {
+            assert_eq!(pooled_spmv(&exec, &m, &x), serial);
+            if exec.threads() > 1 {
+                let p = exec.partition(&m);
+                assert_eq!(p, exec.partition_bspc(&m), "the forward is the generic one");
                 assert!(p.len() > 1, "chunking must split inside the group");
                 assert!((p.imbalance() - 1.0).abs() < 0.5);
             }
@@ -318,11 +360,12 @@ mod tests {
         let m = BspcMatrix::from_dense(&w, 1, 2).unwrap();
         let c = CsrMatrix::from_dense(&w);
         let x = input(12, 4);
-        let serial = m.spmv(&x).unwrap();
         let exec = Executor::new(8);
-        assert_eq!(exec.spmv_bspc(&m, &x).unwrap(), serial);
-        assert_eq!(exec.spmv_csr(&c, &x).unwrap(), c.spmv(&x).unwrap());
-        assert_eq!(exec.gemv_dense(&w, &x).unwrap().len(), 3);
+        assert_eq!(pooled_spmv(&exec, &m, &x), m.spmv(&x).unwrap());
+        assert_eq!(pooled_spmv(&exec, &c, &x), c.spmv(&x).unwrap());
+        let mut y = vec![f32::NAN; 3];
+        exec.gemv_dense_into(&w, &x, &mut y).unwrap();
+        assert!(y.iter().all(|v| v.is_finite()));
     }
 
     #[test]
@@ -331,16 +374,15 @@ mod tests {
         let w = Matrix::zeros(8, 8);
         let m = BspcMatrix::from_dense(&w, 2, 2).unwrap();
         let x = vec![1.0f32; 8];
-        for threads in THREADS {
-            let exec = Executor::new(threads);
-            assert_eq!(exec.spmv_bspc(&m, &x).unwrap(), vec![0.0; 8]);
+        for exec in pools() {
+            assert_eq!(pooled_spmv(&exec, &m, &x), vec![0.0; 8]);
         }
         // Zero-row matrix.
         let empty = Matrix::zeros(0, 4);
         let ec = CsrMatrix::from_dense(&empty);
         let exec = Executor::new(4);
-        assert!(exec.spmv_csr(&ec, &[0.0; 4]).unwrap().is_empty());
-        assert!(exec.gemv_dense(&empty, &[0.0; 4]).unwrap().is_empty());
+        assert!(pooled_spmv(&exec, &ec, &[0.0; 4]).is_empty());
+        exec.gemv_dense_into(&empty, &[0.0; 4], &mut []).unwrap();
     }
 
     #[test]
@@ -348,9 +390,14 @@ mod tests {
         let w = bsp_random(8, 8, 2, 2, 0.5, 1.0, 1);
         let m = BspcMatrix::from_dense(&w, 2, 2).unwrap();
         let exec = Executor::new(2);
-        assert!(exec.spmv_bspc(&m, &[0.0; 7]).is_err());
+        let mut y = vec![0.0; 8];
+        assert!(exec
+            .spmv_bspc_prec_into(&m, Precision::F32, &[0.0; 7], &mut y)
+            .is_err());
         let mut y = vec![0.0; 9];
-        assert!(exec.spmv_bspc_into(&m, &[0.0; 8], &mut y).is_err());
+        assert!(exec
+            .spmv_into(&m, Precision::F32, &[0.0; 8], &mut y)
+            .is_err());
     }
 
     #[test]
@@ -362,7 +409,7 @@ mod tests {
             let w = bsp_random(rows, 24, 2, 3, 0.4, 0.9, seed);
             let m = BspcMatrix::from_dense(&w, 2, 3).unwrap();
             let x = input(24, seed);
-            assert_eq!(exec.spmv_bspc(&m, &x).unwrap(), m.spmv(&x).unwrap());
+            assert_eq!(pooled_spmv(&exec, &m, &x), m.spmv(&x).unwrap());
         }
     }
 }

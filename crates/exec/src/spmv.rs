@@ -1,223 +1,32 @@
-//! Parallel SpMV/GEMV kernels and the [`Executor`] front-end.
+//! The [`Executor`] front-end: one pooled driver for every
+//! [`SparseKernel`].
 //!
 //! Three design rules, all from the paper's mobile runtime (§IV-B):
 //!
 //! 1. **Reorder-driven chunking.** Work is partitioned by cost (nonzeros),
-//!    not by row count, over the kept-row space — for BSPC the stripes
-//!    *are* the pattern groups the reorder produces, so contiguous
-//!    kept-row chunks are exactly "similar-pattern rows → one chunk per
-//!    thread".
+//!    not by row count, over the format's partition units — for BSPC the
+//!    units are kept rows and the stripes *are* the pattern groups the
+//!    reorder produces, so contiguous chunks are exactly "similar-pattern
+//!    rows → one chunk per thread".
 //! 2. **No locks on the hot path.** Chunk boundaries in the (ascending)
-//!    kept-row space map to disjoint, ascending output ranges, so each
-//!    thread receives its own `&mut` slice of `y` via `split_at_mut` and
-//!    the batch needs no synchronization beyond completion.
-//! 3. **Redundant-load elimination.** Within a chunk, all rows of a stripe
-//!    share one column stream; the kernel gathers the needed `x` values
-//!    into a dense scratch once per stripe run and every row then reads
-//!    unit-stride — the Rust realization of the paper's load redundancy
-//!    elimination.
-//!
-//! The chunk kernels ([`bspc_rows_into`], [`csr_rows_into`],
-//! [`dense_rows_into`]) are public so benchmarks can time a chunk's busy
-//! work in isolation; each accumulates in the same order as the serial
-//! `spmv`, so parallel results are bit-identical to serial ones.
+//!    unit space map to disjoint, ascending output ranges, so each thread
+//!    receives its own `&mut` slice of `y` via `split_at_mut` and the
+//!    batch needs no synchronization beyond completion.
+//! 3. **One kernel.** The executor owns no arithmetic: a chunk runs the
+//!    format's own row-range kernel ([`SparseKernel::rows_into`]) — the
+//!    function the serial entries run over the whole range — behind the
+//!    shared prologue [`rtm_sparse::kernel::drive`]. Results are therefore
+//!    bit-identical to serial ones for every thread count, and a 1-thread
+//!    executor *is* the serial path.
 
 use crate::error::ExecError;
 use crate::partition::Partition;
 use crate::pool::{Task, WorkerPool};
-use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix, Precision};
-use rtm_tensor::Matrix;
-
-/// Computes `y[r] = A[r] · x` for the kept rows `kept_range` of a BSPC
-/// matrix, writing into `y[r - y_base]`. Rows outside the range — and
-/// pruned rows inside it — are left untouched, so the caller zero-fills.
-///
-/// This is the blocked inner kernel: for each run of kept rows sharing a
-/// stripe, the stripe's shared column stream is gathered from `x` into a
-/// dense scratch once, then every row of the run does a unit-stride dot.
-pub fn bspc_rows_into(
-    m: &BspcMatrix,
-    x: &[f32],
-    kept_range: std::ops::Range<usize>,
-    y: &mut [f32],
-    y_base: usize,
-) {
-    let stripe_h = m.stripe_height();
-    let kept = m.kept_rows();
-    let values = m.values();
-    let variant = rtm_tensor::simd::active_variant();
-    let mut gathered: Vec<f32> = Vec::new();
-    let mut k = kept_range.start;
-    while k < kept_range.end {
-        let s = kept[k] as usize / stripe_h;
-        let mut run_end = k + 1;
-        while run_end < kept_range.end && kept[run_end] as usize / stripe_h == s {
-            run_end += 1;
-        }
-        let cols = m.stripe_kept_cols(s);
-        gathered.clear();
-        gathered.extend(cols.iter().map(|&c| x[c as usize]));
-        for kk in k..run_end {
-            let off = m.row_offset(kk);
-            let vals = &values[off..off + cols.len()];
-            // Unit-stride simd dot over the gathered stripe inputs. The
-            // vector realization groups lanes exactly like the indexed dot
-            // of the serial `BspcMatrix::spmv_into`, so parallel results
-            // stay bit-identical to serial ones under every SimdPolicy.
-            y[kept[kk] as usize - y_base] = rtm_tensor::simd::dot_variant(variant, vals, &gathered);
-        }
-        k = run_end;
-    }
-}
-
-/// Computes `y[r] = A[r] · x` for CSR rows `rows`, writing into
-/// `y[r - y_base]`. Every row in the range is written (empty rows get 0).
-pub fn csr_rows_into(
-    m: &CsrMatrix,
-    x: &[f32],
-    rows: std::ops::Range<usize>,
-    y: &mut [f32],
-    y_base: usize,
-) {
-    let row_ptr = m.row_ptr();
-    let col_idx = m.col_idx();
-    let values = m.values();
-    let variant = rtm_tensor::simd::active_variant();
-    for r in rows {
-        let start = row_ptr[r] as usize;
-        let end = row_ptr[r + 1] as usize;
-        y[r - y_base] = rtm_tensor::simd::indexed_dot_variant(
-            variant,
-            &values[start..end],
-            &col_idx[start..end],
-            x,
-        );
-    }
-}
-
-/// Computes `y[r] = A[r] · x` for dense rows `rows`, writing into
-/// `y[r - y_base]`.
-pub fn dense_rows_into(
-    m: &Matrix,
-    x: &[f32],
-    rows: std::ops::Range<usize>,
-    y: &mut [f32],
-    y_base: usize,
-) {
-    let variant = rtm_tensor::simd::active_variant();
-    for r in rows {
-        y[r - y_base] = rtm_tensor::simd::dot_variant(variant, m.row(r), x);
-    }
-}
-
-/// Computes `ys[(r - y_base)·b + j] = A[r] · X[:, j]` for the kept rows
-/// `kept_range` of a BSPC matrix over `b` interleaved input lanes
-/// (`xs[c·b + j]`). Rows outside the range — and pruned rows inside it —
-/// are left untouched, so the caller zero-fills.
-///
-/// Mirrors [`bspc_rows_into`]: per stripe run, the shared column stream is
-/// gathered into a lane-major `[len × b]` scratch **once**, then every row
-/// of the run does a unit-stride batched dot. The batched dense dot shares
-/// the batched indexed dot's lane structure, so each lane is bit-identical
-/// to the serial `BspcMatrix::spmm_into` — and hence to the serial SpMV of
-/// that lane's column — under every `SimdPolicy`.
-pub fn bspc_rows_batch_into(
-    m: &BspcMatrix,
-    xs: &[f32],
-    b: usize,
-    kept_range: std::ops::Range<usize>,
-    ys: &mut [f32],
-    y_base: usize,
-) {
-    let stripe_h = m.stripe_height();
-    let kept = m.kept_rows();
-    let values = m.values();
-    let variant = rtm_tensor::simd::active_variant();
-    let mut gathered: Vec<f32> = Vec::new();
-    let mut k = kept_range.start;
-    while k < kept_range.end {
-        let s = kept[k] as usize / stripe_h;
-        let mut run_end = k + 1;
-        while run_end < kept_range.end && kept[run_end] as usize / stripe_h == s {
-            run_end += 1;
-        }
-        let cols = m.stripe_kept_cols(s);
-        gathered.clear();
-        for &c in cols {
-            let base = c as usize * b;
-            gathered.extend_from_slice(&xs[base..base + b]);
-        }
-        for (kk, &row) in kept.iter().enumerate().take(run_end).skip(k) {
-            let off = m.row_offset(kk);
-            let vals = &values[off..off + cols.len()];
-            let out_base = (row as usize - y_base) * b;
-            rtm_tensor::simd::dot_batch_variant(
-                variant,
-                vals,
-                &gathered,
-                b,
-                &mut ys[out_base..out_base + b],
-            );
-        }
-        k = run_end;
-    }
-}
-
-/// Computes `ys[(r - y_base)·b + j] = A[r] · X[:, j]` for CSR rows `rows`
-/// over `b` interleaved input lanes. Every row in the range is written
-/// (empty rows get 0).
-pub fn csr_rows_batch_into(
-    m: &CsrMatrix,
-    xs: &[f32],
-    b: usize,
-    rows: std::ops::Range<usize>,
-    ys: &mut [f32],
-    y_base: usize,
-) {
-    let row_ptr = m.row_ptr();
-    let col_idx = m.col_idx();
-    let values = m.values();
-    let variant = rtm_tensor::simd::active_variant();
-    for r in rows {
-        let start = row_ptr[r] as usize;
-        let end = row_ptr[r + 1] as usize;
-        let out_base = (r - y_base) * b;
-        rtm_tensor::simd::indexed_dot_batch_variant(
-            variant,
-            &values[start..end],
-            &col_idx[start..end],
-            xs,
-            b,
-            &mut ys[out_base..out_base + b],
-        );
-    }
-}
-
-/// Computes `ys[(r - y_base)·b + j] = A[r] · X[:, j]` for dense rows `rows`
-/// over `b` interleaved input lanes.
-pub fn dense_rows_batch_into(
-    m: &Matrix,
-    xs: &[f32],
-    b: usize,
-    rows: std::ops::Range<usize>,
-    ys: &mut [f32],
-    y_base: usize,
-) {
-    let variant = rtm_tensor::simd::active_variant();
-    for r in rows {
-        let out_base = (r - y_base) * b;
-        rtm_tensor::simd::dot_batch_variant(
-            variant,
-            m.row(r),
-            xs,
-            b,
-            &mut ys[out_base..out_base + b],
-        );
-    }
-}
+use rtm_sparse::kernel::{drive, KernelOp, RangeKernel};
+use rtm_sparse::{BspcMatrix, Precision, SparseKernel};
 
 /// The parallel execution engine: a persistent [`WorkerPool`] plus the
-/// format-specific parallel SpMV entry points.
+/// generic pooled SpMV/SpMM entry points.
 ///
 /// An `Executor` is created once (threads match the target's core count —
 /// the paper's Kryo 485 has 4 big + 4 LITTLE cores) and reused across
@@ -276,65 +85,107 @@ impl Executor {
         self.pool.worker_busy_ns()
     }
 
-    /// The cost-balanced kept-row partition this engine would use for `m`
+    /// The cost-balanced partition of `k`'s units this engine would use
     /// (exposed for benchmarks and the device model's measured-imbalance
     /// path).
-    pub fn partition_bspc(&self, m: &BspcMatrix) -> Partition {
-        let stripe_h = m.stripe_height();
-        let costs: Vec<usize> = m
-            .kept_rows()
-            .iter()
-            .map(|&r| m.stripe_kept_cols(r as usize / stripe_h).len())
-            .collect();
+    pub fn partition<K: SparseKernel + ?Sized>(&self, k: &K) -> Partition {
+        self.balanced(k.units(), |u| k.unit_cost(u))
+    }
+
+    fn balanced(&self, units: usize, cost: impl Fn(usize) -> usize) -> Partition {
+        let costs: Vec<usize> = (0..units).map(cost).collect();
         Partition::balanced(&costs, self.threads())
     }
 
-    /// The cost-balanced row partition for a CSR matrix.
-    pub fn partition_csr(&self, m: &CsrMatrix) -> Partition {
-        let costs: Vec<usize> = (0..m.rows()).map(|r| m.row_nnz(r)).collect();
-        Partition::balanced(&costs, self.threads())
-    }
-
-    /// Fans a BSPC row-range kernel out over the cost-balanced kept-row
-    /// partition. `kernel(range, slice, base)` computes output rows
-    /// `[base, …)` of the kept slots `range` into `slice` (lane-major when
-    /// `lane_width > 1`). Chunk boundaries in the ascending kept-row space
-    /// map to disjoint output ranges, handed out via `split_at_mut` — the
-    /// lock-free scheme every precision shares.
-    fn run_bspc_chunks<F>(
+    /// Pooled SpMV `y = A x` at storage precision `prec` for any format.
+    /// Bit-identical to [`SparseKernel::spmv_prec_into`] for every thread
+    /// count: the chunks run the same row-range kernel (same per-row
+    /// accumulation order), and int8 quantizes the activation vector
+    /// **once** — every chunk shares the codes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError::Shape`] when `x.len() != k.cols()` or
+    /// `y.len() != k.rows()` (nothing is dispatched), and
+    /// [`ExecError::WorkerPanicked`] if a chunk panics.
+    pub fn spmv_into<K: SparseKernel + ?Sized>(
         &self,
-        m: &BspcMatrix,
+        k: &K,
+        prec: Precision,
+        x: &[f32],
         y: &mut [f32],
+    ) -> Result<(), ExecError> {
+        drive(k, KernelOp::Spmv, prec, x, 1, y, |kernel, y| {
+            let first_row = |u| k.unit_first_row(u);
+            self.run_chunks(k.units(), |u| k.unit_cost(u), first_row, 1, y, kernel)
+        })
+    }
+
+    /// Pooled SpMM over `b` lane-major input lanes into a `[rows × b]`
+    /// lane-major buffer. Partitioning is the SpMV partition — a unit's
+    /// cost scales by `b` uniformly, so it stays optimal — and each chunk
+    /// receives all `b` lanes of its rows. Bit-identical to
+    /// [`SparseKernel::spmm_prec_into`] for every thread count, and
+    /// therefore lane-for-lane to `b` serial SpMV runs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError::Shape`] when `xs.len() != k.cols() * b` or
+    /// `ys.len() != k.rows() * b`, and [`ExecError::WorkerPanicked`] if a
+    /// chunk panics.
+    pub fn spmm_into<K: SparseKernel + ?Sized>(
+        &self,
+        k: &K,
+        prec: Precision,
+        xs: &[f32],
+        b: usize,
+        ys: &mut [f32],
+    ) -> Result<(), ExecError> {
+        drive(k, KernelOp::Spmm, prec, xs, b, ys, |kernel, ys| {
+            let first_row = |u| k.unit_first_row(u);
+            self.run_chunks(k.units(), |u| k.unit_cost(u), first_row, b, ys, kernel)
+        })
+    }
+
+    /// Fans a row-range kernel out over the cost-balanced partition of
+    /// `units` partition units — the one chunk loop of the engine. Unit
+    /// `u` costs `cost(u)` and writes output rows from `first_row(u)` up to
+    /// the next unit's first row; `kernel(range, slice, base)` computes the
+    /// output rows of units `range` into `slice` (lane-major when
+    /// `lane_width > 1`), which starts at row `base`.
+    ///
+    /// Chunk `i` owns output rows `[first_row(chunk_i.start),
+    /// first_row(chunk_{i+1}.start))` (chunk 0 extends down to row 0, the
+    /// last chunk up to the end of `y`). Units ascend, so the ranges are
+    /// disjoint and ordered and are handed out via `split_at_mut` — the
+    /// lock-free scheme every format and precision shares.
+    pub(crate) fn run_chunks(
+        &self,
+        units: usize,
+        cost: impl Fn(usize) -> usize,
+        first_row: impl Fn(usize) -> usize,
         lane_width: usize,
-        kernel: F,
-    ) -> Result<(), ExecError>
-    where
-        F: Fn(std::ops::Range<usize>, &mut [f32], usize) + Send + Sync,
-    {
-        let kept = m.kept_rows();
+        y: &mut [f32],
+        kernel: &RangeKernel<'_>,
+    ) -> Result<(), ExecError> {
         if self.threads() == 1 {
-            kernel(0..kept.len(), y, 0);
+            kernel(0..units, y, 0);
             return Ok(());
         }
-        let partition = self.partition_bspc(m);
-        if partition.len() <= 1 {
-            kernel(0..kept.len(), y, 0);
-            return Ok(());
-        }
-        // Chunk i owns output rows [boundary_i, boundary_{i+1}), where a
-        // boundary is the first kept row of the chunk (chunk 0 extends to
-        // row 0; the last chunk extends to m.rows()). Kept rows ascend, so
-        // the ranges are disjoint and ordered.
+        let partition = self.balanced(units, cost);
         let chunks = partition.chunks();
-        let kernel = &kernel;
+        if chunks.len() <= 1 {
+            kernel(0..units, y, 0);
+            return Ok(());
+        }
         let mut tasks: Vec<Task<'_>> = Vec::with_capacity(chunks.len());
+        let rows = y.len() / lane_width;
         let mut tail: &mut [f32] = y;
         let mut base = 0usize;
         for (i, chunk) in chunks.iter().enumerate() {
-            let end = if i + 1 < chunks.len() {
-                kept[chunks[i + 1].start] as usize
-            } else {
-                m.rows()
+            let end = match chunks.get(i + 1) {
+                Some(next) => first_row(next.start),
+                None => rows,
             };
             let (slice, rest) = tail.split_at_mut((end - base) * lane_width);
             let range = chunk.start..chunk.end;
@@ -346,104 +197,12 @@ impl Executor {
         self.pool.run(tasks)
     }
 
-    /// Fans a CSR row-range kernel out over the cost-balanced row
-    /// partition (see [`run_bspc_chunks`](Executor::run_bspc_chunks) for
-    /// the conventions; CSR chunks own their row range directly).
-    fn run_csr_chunks<F>(
-        &self,
-        m: &CsrMatrix,
-        y: &mut [f32],
-        lane_width: usize,
-        kernel: F,
-    ) -> Result<(), ExecError>
-    where
-        F: Fn(std::ops::Range<usize>, &mut [f32], usize) + Send + Sync,
-    {
-        if self.threads() == 1 {
-            kernel(0..m.rows(), y, 0);
-            return Ok(());
-        }
-        let partition = self.partition_csr(m);
-        if partition.len() <= 1 {
-            kernel(0..m.rows(), y, 0);
-            return Ok(());
-        }
-        let chunks = partition.chunks();
-        let kernel = &kernel;
-        let mut tasks: Vec<Task<'_>> = Vec::with_capacity(chunks.len());
-        let mut tail: &mut [f32] = y;
-        for chunk in chunks {
-            let (slice, rest) = tail.split_at_mut((chunk.end - chunk.start) * lane_width);
-            let range = chunk.start..chunk.end;
-            let base = chunk.start;
-            tasks.push(Box::new(move || kernel(range, slice, base)));
-            tail = rest;
-        }
-        self.pool.run(tasks)
-    }
-
-    /// Parallel BSPC SpMV, allocating the output.
+    /// [`Executor::spmv_into`] under its pre-trait per-format name (a
+    /// one-line forward to the generic driver).
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError::Shape`] when `x.len() != m.cols()`.
-    pub fn spmv_bspc(&self, m: &BspcMatrix, x: &[f32]) -> Result<Vec<f32>, ExecError> {
-        let mut y = vec![0.0f32; m.rows()];
-        self.spmv_bspc_into(m, x, &mut y)?;
-        Ok(y)
-    }
-
-    /// Parallel BSPC SpMV into a caller-provided buffer. Bit-identical to
-    /// [`BspcMatrix::spmv_into`] for every thread count (same per-row
-    /// accumulation order).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Shape`] when `x.len() != m.cols()` or
-    /// `y.len() != m.rows()`.
-    pub fn spmv_bspc_into(
-        &self,
-        m: &BspcMatrix,
-        x: &[f32],
-        y: &mut [f32],
-    ) -> Result<(), ExecError> {
-        if x.len() != m.cols() || y.len() != m.rows() {
-            return Err(ExecError::shape(
-                "parallel_bspc_spmv",
-                (m.rows(), m.cols()),
-                (x.len(), y.len()),
-            ));
-        }
-        y.fill(0.0);
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMV_BSPC, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMV_BSPC, "f32"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, m.kept_rows().len() as u64),
-            (rtm_trace::key::KERNEL_NNZ, m.stored_len() as u64),
-        ]);
-        if m.kept_rows().is_empty() {
-            return Ok(());
-        }
-        self.run_bspc_chunks(m, y, 1, |range, slice, base| {
-            bspc_rows_into(m, x, range, slice, base)
-        })
-    }
-
-    /// Precision-dispatched parallel BSPC SpMV. [`Precision::F32`] is
-    /// exactly [`spmv_bspc_into`](Executor::spmv_bspc_into); f16 and int8
-    /// fan the corresponding `rtm_sparse` row-range kernels out over the
-    /// same cost-balanced partition. Int8 quantizes the activation vector
-    /// **once** at this entry — every chunk shares the codes — so results
-    /// are bit-identical to the serial
-    /// [`BspcMatrix::spmv_prec_into`] for every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Shape`] when `x.len() != m.cols()` or
-    /// `y.len() != m.rows()`.
+    /// As [`Executor::spmv_into`].
     pub fn spmv_bspc_prec_into(
         &self,
         m: &BspcMatrix,
@@ -451,843 +210,12 @@ impl Executor {
         x: &[f32],
         y: &mut [f32],
     ) -> Result<(), ExecError> {
-        if prec == Precision::F32 {
-            return self.spmv_bspc_into(m, x, y);
-        }
-        if x.len() != m.cols() || y.len() != m.rows() {
-            return Err(ExecError::shape(
-                "parallel_bspc_spmv",
-                (m.rows(), m.cols()),
-                (x.len(), y.len()),
-            ));
-        }
-        y.fill(0.0);
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMV_BSPC, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMV_BSPC, prec.tag()),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, m.kept_rows().len() as u64),
-            (rtm_trace::key::KERNEL_NNZ, m.stored_len() as u64),
-        ]);
-        if m.kept_rows().is_empty() {
-            return Ok(());
-        }
-        match prec {
-            Precision::F16 => self.run_bspc_chunks(m, y, 1, |range, slice, base| {
-                m.spmv_rows_f16_into(x, range, slice, base)
-            }),
-            Precision::Int8 => {
-                let mut xq = Vec::with_capacity(x.len());
-                let sx = rtm_tensor::simd_i8::quantize_activations(x, &mut xq);
-                self.run_bspc_chunks(m, y, 1, |range, slice, base| {
-                    m.spmv_rows_i8_into(&xq, sx, range, slice, base)
-                })
-            }
-            Precision::F32 => unreachable!("handled above"),
-        }
+        self.spmv_into(m, prec, x, y)
     }
 
-    /// Parallel CSR SpMV, allocating the output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Shape`] when `x.len() != m.cols()`.
-    pub fn spmv_csr(&self, m: &CsrMatrix, x: &[f32]) -> Result<Vec<f32>, ExecError> {
-        let mut y = vec![0.0f32; m.rows()];
-        self.spmv_csr_into(m, x, &mut y)?;
-        Ok(y)
-    }
-
-    /// Parallel CSR SpMV into a caller-provided buffer. Bit-identical to
-    /// [`CsrMatrix::spmv_into`] for every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Shape`] when `x.len() != m.cols()` or
-    /// `y.len() != m.rows()`.
-    pub fn spmv_csr_into(&self, m: &CsrMatrix, x: &[f32], y: &mut [f32]) -> Result<(), ExecError> {
-        if x.len() != m.cols() || y.len() != m.rows() {
-            return Err(ExecError::shape(
-                "parallel_csr_spmv",
-                (m.rows(), m.cols()),
-                (x.len(), y.len()),
-            ));
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMV_CSR, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMV_CSR, "f32"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, m.rows() as u64),
-            (rtm_trace::key::KERNEL_NNZ, m.nnz() as u64),
-        ]);
-        if m.rows() == 0 {
-            return Ok(());
-        }
-        self.run_csr_chunks(m, y, 1, |range, slice, base| {
-            csr_rows_into(m, x, range, slice, base)
-        })
-    }
-
-    /// Precision-dispatched parallel CSR SpMV (see
-    /// [`spmv_bspc_prec_into`](Executor::spmv_bspc_prec_into) for the
-    /// contract: bit-identical to the serial
-    /// [`CsrMatrix::spmv_prec_into`] at every thread count).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Shape`] when `x.len() != m.cols()` or
-    /// `y.len() != m.rows()`.
-    pub fn spmv_csr_prec_into(
-        &self,
-        m: &CsrMatrix,
-        prec: Precision,
-        x: &[f32],
-        y: &mut [f32],
-    ) -> Result<(), ExecError> {
-        if prec == Precision::F32 {
-            return self.spmv_csr_into(m, x, y);
-        }
-        if x.len() != m.cols() || y.len() != m.rows() {
-            return Err(ExecError::shape(
-                "parallel_csr_spmv",
-                (m.rows(), m.cols()),
-                (x.len(), y.len()),
-            ));
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMV_CSR, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMV_CSR, prec.tag()),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, m.rows() as u64),
-            (rtm_trace::key::KERNEL_NNZ, m.nnz() as u64),
-        ]);
-        if m.rows() == 0 {
-            return Ok(());
-        }
-        match prec {
-            Precision::F16 => self.run_csr_chunks(m, y, 1, |range, slice, base| {
-                m.spmv_rows_f16_into(x, range, slice, base)
-            }),
-            Precision::Int8 => {
-                let mut xq = Vec::with_capacity(x.len());
-                let sx = rtm_tensor::simd_i8::quantize_activations(x, &mut xq);
-                self.run_csr_chunks(m, y, 1, |range, slice, base| {
-                    m.spmv_rows_i8_into(&xq, sx, range, slice, base)
-                })
-            }
-            Precision::F32 => unreachable!("handled above"),
-        }
-    }
-
-    /// Parallel dense GEMV, allocating the output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Shape`] when `x.len() != m.cols()`.
-    pub fn gemv_dense(&self, m: &Matrix, x: &[f32]) -> Result<Vec<f32>, ExecError> {
-        let mut y = vec![0.0f32; m.rows()];
-        self.gemv_dense_into(m, x, &mut y)?;
-        Ok(y)
-    }
-
-    /// Parallel dense GEMV into a caller-provided buffer. Rows cost the
-    /// same, so the partition is an even row split.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Shape`] when `x.len() != m.cols()` or
-    /// `y.len() != m.rows()`.
-    pub fn gemv_dense_into(&self, m: &Matrix, x: &[f32], y: &mut [f32]) -> Result<(), ExecError> {
-        if x.len() != m.cols() || y.len() != m.rows() {
-            return Err(ExecError::shape(
-                "parallel_gemv",
-                (m.rows(), m.cols()),
-                (x.len(), y.len()),
-            ));
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::GEMV_DENSE, 1),
-            (rtm_trace::key::KERNEL_ROWS, m.rows() as u64),
-            (rtm_trace::key::KERNEL_NNZ, (m.rows() * m.cols()) as u64),
-        ]);
-        if m.rows() == 0 {
-            return Ok(());
-        }
-        if self.threads() == 1 {
-            dense_rows_into(m, x, 0..m.rows(), y, 0);
-            return Ok(());
-        }
-        let costs = vec![m.cols().max(1); m.rows()];
-        let partition = Partition::balanced(&costs, self.threads());
-        if partition.len() <= 1 {
-            dense_rows_into(m, x, 0..m.rows(), y, 0);
-            return Ok(());
-        }
-        let chunks = partition.chunks();
-        let mut tasks: Vec<Task<'_>> = Vec::with_capacity(chunks.len());
-        let mut tail: &mut [f32] = y;
-        for chunk in chunks {
-            let (slice, rest) = tail.split_at_mut(chunk.end - chunk.start);
-            let range = chunk.start..chunk.end;
-            let base = chunk.start;
-            tasks.push(Box::new(move || {
-                dense_rows_into(m, x, range, slice, base);
-            }));
-            tail = rest;
-        }
-        self.pool.run(tasks)
-    }
-
-    /// Parallel BSPC SpMM over `b` interleaved input lanes, into a
-    /// caller-provided `[rows × b]` lane-major buffer. Partitioning is the
-    /// same reorder-group/nnz balance as [`spmv_bspc_into`] — a row's cost
-    /// scales by `b` uniformly, so the SpMV partition stays optimal — and
-    /// each chunk simply receives all `b` lanes of its rows.
-    ///
-    /// Bit-identical to [`BspcMatrix::spmm_into`] for every thread count,
-    /// and therefore lane-for-lane bit-identical to `b` serial SpMV runs.
-    ///
-    /// [`spmv_bspc_into`]: Executor::spmv_bspc_into
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Shape`] when `xs.len() != m.cols() * b` or
-    /// `ys.len() != m.rows() * b`.
-    pub fn spmm_bspc_into(
-        &self,
-        m: &BspcMatrix,
-        xs: &[f32],
-        b: usize,
-        ys: &mut [f32],
-    ) -> Result<(), ExecError> {
-        if xs.len() != m.cols() * b || ys.len() != m.rows() * b {
-            return Err(ExecError::shape(
-                "parallel_bspc_spmm",
-                (m.rows(), m.cols()),
-                (xs.len(), b),
-            ));
-        }
-        ys.fill(0.0);
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMM_BSPC, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMM_BSPC, "f32"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, m.kept_rows().len() as u64),
-            (rtm_trace::key::KERNEL_NNZ, m.stored_len() as u64),
-        ]);
-        if m.kept_rows().is_empty() || b == 0 {
-            return Ok(());
-        }
-        // Same disjoint output ranges as the SpMV path, scaled to flat
-        // lane-major offsets: output row boundary r maps to element r·b.
-        self.run_bspc_chunks(m, ys, b, |range, slice, base| {
-            bspc_rows_batch_into(m, xs, b, range, slice, base)
-        })
-    }
-
-    /// Precision-dispatched parallel BSPC SpMM. Int8 quantizes each of the
-    /// `b` lanes once at this entry (per-lane scales), so every lane is
-    /// bit-identical to the serial [`BspcMatrix::spmm_prec_into`] — and, by
-    /// the sparse-level contract, to that precision's serial SpMV of the
-    /// lane's column — at every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Shape`] when `xs.len() != m.cols() * b` or
-    /// `ys.len() != m.rows() * b`.
-    pub fn spmm_bspc_prec_into(
-        &self,
-        m: &BspcMatrix,
-        prec: Precision,
-        xs: &[f32],
-        b: usize,
-        ys: &mut [f32],
-    ) -> Result<(), ExecError> {
-        if prec == Precision::F32 {
-            return self.spmm_bspc_into(m, xs, b, ys);
-        }
-        if xs.len() != m.cols() * b || ys.len() != m.rows() * b {
-            return Err(ExecError::shape(
-                "parallel_bspc_spmm",
-                (m.rows(), m.cols()),
-                (xs.len(), b),
-            ));
-        }
-        ys.fill(0.0);
-        if b == 0 {
-            return Ok(());
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMM_BSPC, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMM_BSPC, prec.tag()),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, m.kept_rows().len() as u64),
-            (rtm_trace::key::KERNEL_NNZ, m.stored_len() as u64),
-        ]);
-        if m.kept_rows().is_empty() {
-            return Ok(());
-        }
-        match prec {
-            Precision::F16 => self.run_bspc_chunks(m, ys, b, |range, slice, base| {
-                m.spmm_rows_f16_into(xs, b, range, slice, base)
-            }),
-            Precision::Int8 => {
-                let mut xq = Vec::with_capacity(xs.len());
-                let mut sxs = Vec::with_capacity(b);
-                rtm_tensor::simd_i8::quantize_activations_lanes(xs, b, &mut xq, &mut sxs);
-                self.run_bspc_chunks(m, ys, b, |range, slice, base| {
-                    m.spmm_rows_i8_into(&xq, &sxs, b, range, slice, base)
-                })
-            }
-            Precision::F32 => unreachable!("handled above"),
-        }
-    }
-
-    /// Parallel CSR SpMM over `b` interleaved input lanes. Bit-identical to
-    /// [`CsrMatrix::spmm_into`] for every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Shape`] when `xs.len() != m.cols() * b` or
-    /// `ys.len() != m.rows() * b`.
-    pub fn spmm_csr_into(
-        &self,
-        m: &CsrMatrix,
-        xs: &[f32],
-        b: usize,
-        ys: &mut [f32],
-    ) -> Result<(), ExecError> {
-        if xs.len() != m.cols() * b || ys.len() != m.rows() * b {
-            return Err(ExecError::shape(
-                "parallel_csr_spmm",
-                (m.rows(), m.cols()),
-                (xs.len(), b),
-            ));
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMM_CSR, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMM_CSR, "f32"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, m.rows() as u64),
-            (rtm_trace::key::KERNEL_NNZ, m.nnz() as u64),
-        ]);
-        if m.rows() == 0 || b == 0 {
-            return Ok(());
-        }
-        self.run_csr_chunks(m, ys, b, |range, slice, base| {
-            csr_rows_batch_into(m, xs, b, range, slice, base)
-        })
-    }
-
-    /// Precision-dispatched parallel CSR SpMM (same contract as
-    /// [`spmm_bspc_prec_into`](Executor::spmm_bspc_prec_into)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Shape`] when `xs.len() != m.cols() * b` or
-    /// `ys.len() != m.rows() * b`.
-    pub fn spmm_csr_prec_into(
-        &self,
-        m: &CsrMatrix,
-        prec: Precision,
-        xs: &[f32],
-        b: usize,
-        ys: &mut [f32],
-    ) -> Result<(), ExecError> {
-        if prec == Precision::F32 {
-            return self.spmm_csr_into(m, xs, b, ys);
-        }
-        if xs.len() != m.cols() * b || ys.len() != m.rows() * b {
-            return Err(ExecError::shape(
-                "parallel_csr_spmm",
-                (m.rows(), m.cols()),
-                (xs.len(), b),
-            ));
-        }
-        ys.fill(0.0);
-        if b == 0 {
-            return Ok(());
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMM_CSR, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMM_CSR, prec.tag()),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, m.rows() as u64),
-            (rtm_trace::key::KERNEL_NNZ, m.nnz() as u64),
-        ]);
-        if m.rows() == 0 {
-            return Ok(());
-        }
-        match prec {
-            Precision::F16 => self.run_csr_chunks(m, ys, b, |range, slice, base| {
-                m.spmm_rows_f16_into(xs, b, range, slice, base)
-            }),
-            Precision::Int8 => {
-                let mut xq = Vec::with_capacity(xs.len());
-                let mut sxs = Vec::with_capacity(b);
-                rtm_tensor::simd_i8::quantize_activations_lanes(xs, b, &mut xq, &mut sxs);
-                self.run_csr_chunks(m, ys, b, |range, slice, base| {
-                    m.spmm_rows_i8_into(&xq, &sxs, b, range, slice, base)
-                })
-            }
-            Precision::F32 => unreachable!("handled above"),
-        }
-    }
-
-    /// The row partition for a bank-balanced matrix. Every BBS row stores
-    /// the same slot count, so costs are uniform by construction and the
-    /// balance degenerates to an even row split.
-    pub fn partition_bbs(&self, m: &BbsMatrix) -> Partition {
-        let costs = vec![m.row_stride().max(1); m.rows()];
-        Partition::balanced(&costs, self.threads())
-    }
-
-    /// The cost-balanced block-row partition for a CSB matrix (cost of a
-    /// block row = its stored values).
-    pub fn partition_csb(&self, m: &CsbMatrix) -> Partition {
-        let costs: Vec<usize> = (0..m.num_block_rows())
-            .map(|br| m.block_row_cost(br))
-            .collect();
-        Partition::balanced(&costs, self.threads())
-    }
-
-    /// Fans a BBS row-range kernel out over the uniform row partition
-    /// (see [`run_csr_chunks`](Executor::run_csr_chunks) — BBS chunks own
-    /// their row range directly, the same disjoint `split_at_mut` scheme).
-    fn run_bbs_chunks<F>(
-        &self,
-        m: &BbsMatrix,
-        y: &mut [f32],
-        lane_width: usize,
-        kernel: F,
-    ) -> Result<(), ExecError>
-    where
-        F: Fn(std::ops::Range<usize>, &mut [f32], usize) + Send + Sync,
-    {
-        if self.threads() == 1 {
-            kernel(0..m.rows(), y, 0);
-            return Ok(());
-        }
-        let partition = self.partition_bbs(m);
-        if partition.len() <= 1 {
-            kernel(0..m.rows(), y, 0);
-            return Ok(());
-        }
-        let chunks = partition.chunks();
-        let kernel = &kernel;
-        let mut tasks: Vec<Task<'_>> = Vec::with_capacity(chunks.len());
-        let mut tail: &mut [f32] = y;
-        for chunk in chunks {
-            let (slice, rest) = tail.split_at_mut((chunk.end - chunk.start) * lane_width);
-            let range = chunk.start..chunk.end;
-            let base = chunk.start;
-            tasks.push(Box::new(move || kernel(range, slice, base)));
-            tail = rest;
-        }
-        self.pool.run(tasks)
-    }
-
-    /// Fans a CSB block-row-range kernel out over the cost-balanced
-    /// block-row partition. A chunk of block rows `[s, e)` owns output
-    /// rows `[s · block_h, min(e · block_h, rows))` — block rows tile the
-    /// output contiguously, so the ranges are disjoint and ordered and the
-    /// usual `split_at_mut` hand-out applies.
-    fn run_csb_chunks<F>(
-        &self,
-        m: &CsbMatrix,
-        y: &mut [f32],
-        lane_width: usize,
-        kernel: F,
-    ) -> Result<(), ExecError>
-    where
-        F: Fn(std::ops::Range<usize>, &mut [f32], usize) + Send + Sync,
-    {
-        let nbr = m.num_block_rows();
-        if self.threads() == 1 {
-            kernel(0..nbr, y, 0);
-            return Ok(());
-        }
-        let partition = self.partition_csb(m);
-        if partition.len() <= 1 {
-            kernel(0..nbr, y, 0);
-            return Ok(());
-        }
-        let chunks = partition.chunks();
-        let kernel = &kernel;
-        let mut tasks: Vec<Task<'_>> = Vec::with_capacity(chunks.len());
-        let mut tail: &mut [f32] = y;
-        let mut base = 0usize;
-        for chunk in chunks {
-            let row_end = (chunk.end * m.block_h()).min(m.rows());
-            let (slice, rest) = tail.split_at_mut((row_end - base) * lane_width);
-            let range = chunk.start..chunk.end;
-            let slice_base = base;
-            tasks.push(Box::new(move || kernel(range, slice, slice_base)));
-            tail = rest;
-            base = row_end;
-        }
-        self.pool.run(tasks)
-    }
-
-    /// Parallel BBS SpMV, allocating the output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Shape`] when `x.len() != m.cols()`.
-    pub fn spmv_bbs(&self, m: &BbsMatrix, x: &[f32]) -> Result<Vec<f32>, ExecError> {
-        let mut y = vec![0.0f32; m.rows()];
-        self.spmv_bbs_into(m, x, &mut y)?;
-        Ok(y)
-    }
-
-    /// Parallel BBS SpMV into a caller-provided buffer. Bit-identical to
-    /// [`BbsMatrix::spmv_into`] for every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Shape`] when `x.len() != m.cols()` or
-    /// `y.len() != m.rows()`.
-    pub fn spmv_bbs_into(&self, m: &BbsMatrix, x: &[f32], y: &mut [f32]) -> Result<(), ExecError> {
-        self.spmv_bbs_prec_into(m, Precision::F32, x, y)
-    }
-
-    /// Precision-dispatched parallel BBS SpMV (contract as
-    /// [`spmv_bspc_prec_into`](Executor::spmv_bspc_prec_into): int8
-    /// quantizes once at this entry, results are bit-identical to the
-    /// serial [`BbsMatrix::spmv_prec_into`] at every thread count).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Shape`] when `x.len() != m.cols()` or
-    /// `y.len() != m.rows()`.
-    pub fn spmv_bbs_prec_into(
-        &self,
-        m: &BbsMatrix,
-        prec: Precision,
-        x: &[f32],
-        y: &mut [f32],
-    ) -> Result<(), ExecError> {
-        if x.len() != m.cols() || y.len() != m.rows() {
-            return Err(ExecError::shape(
-                "parallel_bbs_spmv",
-                (m.rows(), m.cols()),
-                (x.len(), y.len()),
-            ));
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMV_BBS, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMV_BBS, prec.tag()),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, m.rows() as u64),
-            (rtm_trace::key::KERNEL_NNZ, m.stored_len() as u64),
-        ]);
-        if m.rows() == 0 {
-            return Ok(());
-        }
-        match prec {
-            Precision::F32 => self.run_bbs_chunks(m, y, 1, |range, slice, base| {
-                m.spmv_rows_into(x, range, slice, base)
-            }),
-            Precision::F16 => self.run_bbs_chunks(m, y, 1, |range, slice, base| {
-                m.spmv_rows_f16_into(x, range, slice, base)
-            }),
-            Precision::Int8 => {
-                let mut xq = Vec::with_capacity(x.len());
-                let sx = rtm_tensor::simd_i8::quantize_activations(x, &mut xq);
-                self.run_bbs_chunks(m, y, 1, |range, slice, base| {
-                    m.spmv_rows_i8_into(&xq, sx, range, slice, base)
-                })
-            }
-        }
-    }
-
-    /// Parallel BBS SpMM over `b` interleaved input lanes. Bit-identical
-    /// to [`BbsMatrix::spmm_into`] for every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Shape`] when `xs.len() != m.cols() * b` or
-    /// `ys.len() != m.rows() * b`.
-    pub fn spmm_bbs_into(
-        &self,
-        m: &BbsMatrix,
-        xs: &[f32],
-        b: usize,
-        ys: &mut [f32],
-    ) -> Result<(), ExecError> {
-        self.spmm_bbs_prec_into(m, Precision::F32, xs, b, ys)
-    }
-
-    /// Precision-dispatched parallel BBS SpMM (contract as
-    /// [`spmm_bspc_prec_into`](Executor::spmm_bspc_prec_into)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Shape`] when `xs.len() != m.cols() * b` or
-    /// `ys.len() != m.rows() * b`.
-    pub fn spmm_bbs_prec_into(
-        &self,
-        m: &BbsMatrix,
-        prec: Precision,
-        xs: &[f32],
-        b: usize,
-        ys: &mut [f32],
-    ) -> Result<(), ExecError> {
-        if xs.len() != m.cols() * b || ys.len() != m.rows() * b {
-            return Err(ExecError::shape(
-                "parallel_bbs_spmm",
-                (m.rows(), m.cols()),
-                (xs.len(), b),
-            ));
-        }
-        if b == 0 {
-            return Ok(());
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMM_BBS, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMM_BBS, prec.tag()),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, m.rows() as u64),
-            (rtm_trace::key::KERNEL_NNZ, m.stored_len() as u64),
-        ]);
-        if m.rows() == 0 {
-            return Ok(());
-        }
-        match prec {
-            Precision::F32 => self.run_bbs_chunks(m, ys, b, |range, slice, base| {
-                m.spmm_rows_into(xs, b, range, slice, base)
-            }),
-            Precision::F16 => self.run_bbs_chunks(m, ys, b, |range, slice, base| {
-                m.spmm_rows_f16_into(xs, b, range, slice, base)
-            }),
-            Precision::Int8 => {
-                let mut xq = Vec::with_capacity(xs.len());
-                let mut sxs = Vec::with_capacity(b);
-                rtm_tensor::simd_i8::quantize_activations_lanes(xs, b, &mut xq, &mut sxs);
-                self.run_bbs_chunks(m, ys, b, |range, slice, base| {
-                    m.spmm_rows_i8_into(&xq, &sxs, b, range, slice, base)
-                })
-            }
-        }
-    }
-
-    /// Parallel CSB SpMV, allocating the output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Shape`] when `x.len() != m.cols()`.
-    pub fn spmv_csb(&self, m: &CsbMatrix, x: &[f32]) -> Result<Vec<f32>, ExecError> {
-        let mut y = vec![0.0f32; m.rows()];
-        self.spmv_csb_into(m, x, &mut y)?;
-        Ok(y)
-    }
-
-    /// Parallel CSB SpMV into a caller-provided buffer. Bit-identical to
-    /// [`CsbMatrix::spmv_into`] for every thread count: chunks own whole
-    /// block rows, and within a block row blocks accumulate in the same
-    /// storage order as the serial kernel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Shape`] when `x.len() != m.cols()` or
-    /// `y.len() != m.rows()`.
-    pub fn spmv_csb_into(&self, m: &CsbMatrix, x: &[f32], y: &mut [f32]) -> Result<(), ExecError> {
-        self.spmv_csb_prec_into(m, Precision::F32, x, y)
-    }
-
-    /// Precision-dispatched parallel CSB SpMV (contract as
-    /// [`spmv_bspc_prec_into`](Executor::spmv_bspc_prec_into)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Shape`] when `x.len() != m.cols()` or
-    /// `y.len() != m.rows()`.
-    pub fn spmv_csb_prec_into(
-        &self,
-        m: &CsbMatrix,
-        prec: Precision,
-        x: &[f32],
-        y: &mut [f32],
-    ) -> Result<(), ExecError> {
-        if x.len() != m.cols() || y.len() != m.rows() {
-            return Err(ExecError::shape(
-                "parallel_csb_spmv",
-                (m.rows(), m.cols()),
-                (x.len(), y.len()),
-            ));
-        }
-        y.fill(0.0);
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMV_CSB, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMV_CSB, prec.tag()),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, m.rows() as u64),
-            (rtm_trace::key::KERNEL_NNZ, m.stored_len() as u64),
-        ]);
-        if m.rows() == 0 {
-            return Ok(());
-        }
-        match prec {
-            Precision::F32 => self.run_csb_chunks(m, y, 1, |range, slice, base| {
-                m.spmv_block_rows_into(x, range, slice, base)
-            }),
-            Precision::F16 => self.run_csb_chunks(m, y, 1, |range, slice, base| {
-                m.spmv_block_rows_f16_into(x, range, slice, base)
-            }),
-            Precision::Int8 => {
-                let mut xq = Vec::with_capacity(x.len());
-                let sx = rtm_tensor::simd_i8::quantize_activations(x, &mut xq);
-                self.run_csb_chunks(m, y, 1, |range, slice, base| {
-                    m.spmv_block_rows_i8_into(&xq, sx, range, slice, base)
-                })
-            }
-        }
-    }
-
-    /// Parallel CSB SpMM over `b` interleaved input lanes. Bit-identical
-    /// to [`CsbMatrix::spmm_into`] for every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Shape`] when `xs.len() != m.cols() * b` or
-    /// `ys.len() != m.rows() * b`.
-    pub fn spmm_csb_into(
-        &self,
-        m: &CsbMatrix,
-        xs: &[f32],
-        b: usize,
-        ys: &mut [f32],
-    ) -> Result<(), ExecError> {
-        self.spmm_csb_prec_into(m, Precision::F32, xs, b, ys)
-    }
-
-    /// Precision-dispatched parallel CSB SpMM (contract as
-    /// [`spmm_bspc_prec_into`](Executor::spmm_bspc_prec_into)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Shape`] when `xs.len() != m.cols() * b` or
-    /// `ys.len() != m.rows() * b`.
-    pub fn spmm_csb_prec_into(
-        &self,
-        m: &CsbMatrix,
-        prec: Precision,
-        xs: &[f32],
-        b: usize,
-        ys: &mut [f32],
-    ) -> Result<(), ExecError> {
-        if xs.len() != m.cols() * b || ys.len() != m.rows() * b {
-            return Err(ExecError::shape(
-                "parallel_csb_spmm",
-                (m.rows(), m.cols()),
-                (xs.len(), b),
-            ));
-        }
-        ys.fill(0.0);
-        if b == 0 {
-            return Ok(());
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMM_CSB, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMM_CSB, prec.tag()),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, m.rows() as u64),
-            (rtm_trace::key::KERNEL_NNZ, m.stored_len() as u64),
-        ]);
-        if m.rows() == 0 {
-            return Ok(());
-        }
-        match prec {
-            Precision::F32 => self.run_csb_chunks(m, ys, b, |range, slice, base| {
-                m.spmm_block_rows_into(xs, b, range, slice, base)
-            }),
-            Precision::F16 => self.run_csb_chunks(m, ys, b, |range, slice, base| {
-                m.spmm_block_rows_f16_into(xs, b, range, slice, base)
-            }),
-            Precision::Int8 => {
-                let mut xq = Vec::with_capacity(xs.len());
-                let mut sxs = Vec::with_capacity(b);
-                rtm_tensor::simd_i8::quantize_activations_lanes(xs, b, &mut xq, &mut sxs);
-                self.run_csb_chunks(m, ys, b, |range, slice, base| {
-                    m.spmm_block_rows_i8_into(&xq, &sxs, b, range, slice, base)
-                })
-            }
-        }
-    }
-
-    /// Parallel dense GEMM over `b` interleaved input lanes (the batched
-    /// counterpart of [`gemv_dense_into`](Executor::gemv_dense_into)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Shape`] when `xs.len() != m.cols() * b` or
-    /// `ys.len() != m.rows() * b`.
-    pub fn gemm_dense_into(
-        &self,
-        m: &Matrix,
-        xs: &[f32],
-        b: usize,
-        ys: &mut [f32],
-    ) -> Result<(), ExecError> {
-        if xs.len() != m.cols() * b || ys.len() != m.rows() * b {
-            return Err(ExecError::shape(
-                "parallel_gemm",
-                (m.rows(), m.cols()),
-                (xs.len(), b),
-            ));
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::GEMM_DENSE, 1),
-            (rtm_trace::key::KERNEL_ROWS, m.rows() as u64),
-            (rtm_trace::key::KERNEL_NNZ, (m.rows() * m.cols()) as u64),
-        ]);
-        if m.rows() == 0 || b == 0 {
-            return Ok(());
-        }
-        if self.threads() == 1 {
-            dense_rows_batch_into(m, xs, b, 0..m.rows(), ys, 0);
-            return Ok(());
-        }
-        let costs = vec![m.cols().max(1); m.rows()];
-        let partition = Partition::balanced(&costs, self.threads());
-        if partition.len() <= 1 {
-            dense_rows_batch_into(m, xs, b, 0..m.rows(), ys, 0);
-            return Ok(());
-        }
-        let chunks = partition.chunks();
-        let mut tasks: Vec<Task<'_>> = Vec::with_capacity(chunks.len());
-        let mut tail: &mut [f32] = ys;
-        for chunk in chunks {
-            let (slice, rest) = tail.split_at_mut((chunk.end - chunk.start) * b);
-            let range = chunk.start..chunk.end;
-            let base = chunk.start;
-            tasks.push(Box::new(move || {
-                dense_rows_batch_into(m, xs, b, range, slice, base);
-            }));
-            tail = rest;
-        }
-        self.pool.run(tasks)
+    /// [`Executor::partition`] under its pre-trait per-format name (a
+    /// one-line forward).
+    pub fn partition_bspc(&self, m: &BspcMatrix) -> Partition {
+        self.partition(m)
     }
 }

@@ -31,7 +31,7 @@
 //!
 //! The decode order is deliberate: the whole-file CRC is verified *first*,
 //! so any random corruption yields
-//! [`DecodeError::FileChecksum`](rtm_sparse::io::DecodeError::FileChecksum)
+//! [`DecodeError::FileChecksum`]
 //! (or [`BadTrailer`](rtm_sparse::io::DecodeError::BadTrailer) for a torn
 //! tail) rather than whatever field-level error the flipped byte happens
 //! to land on. Per-section CRCs are defense in depth — they localize the
@@ -104,7 +104,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// Health metadata stamped into a bundle's `HLTH` section and trailer.
 ///
-/// `generation` orders bundles at one path: the crash-safe [`write`]
+/// `generation` orders bundles at one path: the crash-safe [`write()`]
 /// publishes atomically, and the serving-side reloader treats a changed
 /// file as a new generation. The remaining fields record what the compile
 /// pipeline measured, so a serving process can answer "what accuracy did

@@ -16,7 +16,7 @@ use rtm_exec::ExecError;
 use rtm_rnn::GruNetwork;
 use rtm_sparse::footprint::Footprint;
 use rtm_sparse::io::DecodeError;
-use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix};
+use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix, SparseKernel};
 use rtm_tensor::activations::{sigmoid, sigmoid_slice, tanh, tanh_slice};
 use rtm_tensor::f16::quantize_f16;
 use rtm_tensor::{Matrix, Vector};
@@ -173,24 +173,28 @@ impl GateMatrix {
         }
     }
 
+    /// The gate as the one kernel contract every execution path runs:
+    /// serial steps call its [`SparseKernel`] entries, pooled and batched
+    /// steps hand it to [`rtm_exec::Executor::spmv_into`] /
+    /// [`spmm_into`](rtm_exec::Executor::spmm_into) — all bit-identical
+    /// for every format, precision and thread count.
+    pub fn kernel(&self) -> &dyn SparseKernel {
+        match self {
+            GateMatrix::Bspc(m) => m,
+            GateMatrix::Csr(m) => m,
+            GateMatrix::Bbs(m) => m,
+            GateMatrix::Csb(m) => m,
+        }
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
-        match self {
-            GateMatrix::Bspc(m) => m.rows(),
-            GateMatrix::Csr(m) => m.rows(),
-            GateMatrix::Bbs(m) => m.rows(),
-            GateMatrix::Csb(m) => m.rows(),
-        }
+        self.kernel().rows()
     }
 
     /// Number of columns.
     pub fn cols(&self) -> usize {
-        match self {
-            GateMatrix::Bspc(m) => m.cols(),
-            GateMatrix::Csr(m) => m.cols(),
-            GateMatrix::Bbs(m) => m.cols(),
-            GateMatrix::Csb(m) => m.cols(),
-        }
+        self.kernel().cols()
     }
 
     /// The stored f32 values (layout is format-specific; used for
@@ -201,87 +205,6 @@ impl GateMatrix {
             GateMatrix::Csr(m) => m.values(),
             GateMatrix::Bbs(m) => m.values(),
             GateMatrix::Csb(m) => m.values(),
-        }
-    }
-
-    /// Serial SpMV at the given storage precision.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`rtm_tensor::ShapeError`] on dimension mismatches.
-    pub fn spmv_prec_into(
-        &self,
-        prec: rtm_sparse::Precision,
-        x: &[f32],
-        y: &mut [f32],
-    ) -> Result<(), rtm_tensor::ShapeError> {
-        match self {
-            GateMatrix::Bspc(m) => m.spmv_prec_into(prec, x, y),
-            GateMatrix::Csr(m) => m.spmv_prec_into(prec, x, y),
-            GateMatrix::Bbs(m) => m.spmv_prec_into(prec, x, y),
-            GateMatrix::Csb(m) => m.spmv_prec_into(prec, x, y),
-        }
-    }
-
-    /// Serial lane-major SpMM at the given storage precision.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`rtm_tensor::ShapeError`] on dimension mismatches.
-    pub fn spmm_prec_into(
-        &self,
-        prec: rtm_sparse::Precision,
-        xs: &[f32],
-        b: usize,
-        ys: &mut [f32],
-    ) -> Result<(), rtm_tensor::ShapeError> {
-        match self {
-            GateMatrix::Bspc(m) => m.spmm_prec_into(prec, xs, b, ys),
-            GateMatrix::Csr(m) => m.spmm_prec_into(prec, xs, b, ys),
-            GateMatrix::Bbs(m) => m.spmm_prec_into(prec, xs, b, ys),
-            GateMatrix::Csb(m) => m.spmm_prec_into(prec, xs, b, ys),
-        }
-    }
-
-    /// Row-parallel SpMV through the executor (bit-identical to the serial
-    /// entry for every format, precision and thread count).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError`] on dimension mismatches or a worker panic.
-    pub fn exec_spmv_prec_into(
-        &self,
-        exec: &rtm_exec::Executor,
-        prec: rtm_sparse::Precision,
-        x: &[f32],
-        y: &mut [f32],
-    ) -> Result<(), ExecError> {
-        match self {
-            GateMatrix::Bspc(m) => exec.spmv_bspc_prec_into(m, prec, x, y),
-            GateMatrix::Csr(m) => exec.spmv_csr_prec_into(m, prec, x, y),
-            GateMatrix::Bbs(m) => exec.spmv_bbs_prec_into(m, prec, x, y),
-            GateMatrix::Csb(m) => exec.spmv_csb_prec_into(m, prec, x, y),
-        }
-    }
-
-    /// Row-parallel lane-major SpMM through the executor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError`] on dimension mismatches or a worker panic.
-    pub fn exec_spmm_prec_into(
-        &self,
-        exec: &rtm_exec::Executor,
-        prec: rtm_sparse::Precision,
-        xs: &[f32],
-        b: usize,
-        ys: &mut [f32],
-    ) -> Result<(), ExecError> {
-        match self {
-            GateMatrix::Bspc(m) => exec.spmm_bspc_prec_into(m, prec, xs, b, ys),
-            GateMatrix::Csr(m) => exec.spmm_csr_prec_into(m, prec, xs, b, ys),
-            GateMatrix::Bbs(m) => exec.spmm_bbs_prec_into(m, prec, xs, b, ys),
-            GateMatrix::Csb(m) => exec.spmm_csb_prec_into(m, prec, xs, b, ys),
         }
     }
 
@@ -710,8 +633,9 @@ impl CompiledNetwork {
 
     /// [`CompiledNetwork::forward`] with every gate SpMV dispatched through
     /// a parallel [`rtm_exec::Executor`]. Bit-identical to the serial
-    /// forward for any thread count (per-gate accumulation order is
-    /// preserved; see [`CompiledGruLayer::step_with`]).
+    /// forward for any thread count: pooled and serial steps run the same
+    /// row-range kernel of each gate (see [`GateMatrix::kernel`]), so the
+    /// per-gate accumulation order is preserved.
     ///
     /// # Panics
     ///
@@ -865,9 +789,11 @@ impl CompiledGruLayer {
         h_out.resize(self.hidden, 0.0);
 
         self.w_z
+            .kernel()
             .spmv_prec_into(prec, x, &mut scratch.z)
             .expect("dims");
         self.u_z
+            .kernel()
             .spmv_prec_into(prec, h_prev, &mut scratch.tmp)
             .expect("dims");
         Vector::axpy(1.0, &scratch.tmp, &mut scratch.z);
@@ -876,9 +802,11 @@ impl CompiledGruLayer {
         quantize(&mut scratch.z);
 
         self.w_r
+            .kernel()
             .spmv_prec_into(prec, x, &mut scratch.r)
             .expect("dims");
         self.u_r
+            .kernel()
             .spmv_prec_into(prec, h_prev, &mut scratch.tmp)
             .expect("dims");
         Vector::axpy(1.0, &scratch.tmp, &mut scratch.r);
@@ -888,9 +816,11 @@ impl CompiledGruLayer {
 
         Vector::hadamard_into(&scratch.r, h_prev, &mut scratch.rh);
         self.w_n
+            .kernel()
             .spmv_prec_into(prec, x, &mut scratch.n)
             .expect("dims");
         self.u_n
+            .kernel()
             .spmv_prec_into(prec, &scratch.rh, &mut scratch.tmp)
             .expect("dims");
         Vector::axpy(1.0, &scratch.tmp, &mut scratch.n);
@@ -907,11 +837,14 @@ impl CompiledGruLayer {
     /// One step with the five `h_prev`-independent gate SpMVs (`W_z x`,
     /// `U_z h`, `W_r x`, `U_r h`, `W_n x`) dispatched as parallel pool
     /// tasks, and the reset-gated candidate recurrence `U_n (r ⊙ h)` as a
-    /// row-parallel BSPC SpMV once `r` is known. Combination order per gate
-    /// matches [`CompiledGruLayer::step_into`] exactly, so the output is
-    /// bit-identical to the serial step for any thread count — and like the
-    /// serial form, the steady state allocates nothing: the pool tasks
-    /// write straight into disjoint `scratch` buffers.
+    /// row-parallel SpMV once `r` is known. All six run the gate's one
+    /// row-range kernel — whole-range inside a task, chunked for `U_n` —
+    /// and the combination order per gate matches
+    /// [`CompiledGruLayer::step_into`] exactly, so the output is
+    /// bit-identical to the serial step for any thread count. Gates and
+    /// temporaries live in `scratch` and the kernels allocate nothing, but
+    /// unlike the serial form the step is not allocation-free: it boxes the
+    /// five phase-A tasks (and `U_n`'s chunk tasks when `threads > 1`).
     fn step_with_into(
         &self,
         exec: &rtm_exec::Executor,
@@ -933,12 +866,13 @@ impl CompiledGruLayer {
 
         // Phase A: everything that only needs x and h_prev. The gate input
         // terms land in z/r/n, the recurrent terms in tmp2/tmp3. Each task
-        // runs the serial precision entry — activation quantization for int8
-        // happens per task, but it is a deterministic pure function of the
-        // input vector, so the codes match the serial step's exactly.
+        // runs the serial precision entry — int8 activations are quantized
+        // per task (into the running thread's scratch), but that is a
+        // deterministic pure function of the input vector, so the codes
+        // match the serial step's exactly.
         {
             let spmv = |m: &GateMatrix, v: &[f32], out: &mut [f32]| {
-                m.spmv_prec_into(prec, v, out).expect("dims");
+                m.kernel().spmv_prec_into(prec, v, out).expect("dims");
             };
             let wzx = &mut scratch.z;
             let uzh = &mut scratch.tmp2;
@@ -967,8 +901,7 @@ impl CompiledGruLayer {
 
         // Phase B: the candidate recurrence, row-parallel across the pool.
         Vector::hadamard_into(&scratch.r, h_prev, &mut scratch.rh);
-        self.u_n
-            .exec_spmv_prec_into(exec, prec, &scratch.rh, &mut scratch.tmp)
+        exec.spmv_into(self.u_n.kernel(), prec, &scratch.rh, &mut scratch.tmp)
             .expect("dims");
         Vector::axpy(1.0, &scratch.tmp, &mut scratch.n);
         Vector::axpy(1.0, &self.b_n, &mut scratch.n);
@@ -988,8 +921,8 @@ impl CompiledGruLayer {
     /// Each gate SpMM walks its BSPC index structure once and applies every
     /// row to all `b` input columns via the reorder-aware parallel engine,
     /// so index decode and weight traffic amortize across the batch.
-    /// Lane `j` of the output is bit-identical to
-    /// [`CompiledGruLayer::step_into`] on lane `j`'s column, for every
+    /// Lane `j` of the output is bit-identical to the serial step of
+    /// [`CompiledNetwork::forward`] on lane `j`'s column, for every
     /// thread count and simd policy: the SpMM kernels replay the serial
     /// accumulation order per lane, all axpys here use `α = 1` (where FMA
     /// and mul+add round identically), and the remaining ops are
@@ -1032,29 +965,23 @@ impl CompiledGruLayer {
         scratch.reserve(hb);
         hs_out.resize(hb, 0.0);
 
-        self.w_z
-            .exec_spmm_prec_into(exec, prec, xs, b, &mut scratch.z)?;
-        self.u_z
-            .exec_spmm_prec_into(exec, prec, hs_prev, b, &mut scratch.tmp)?;
+        exec.spmm_into(self.w_z.kernel(), prec, xs, b, &mut scratch.z)?;
+        exec.spmm_into(self.u_z.kernel(), prec, hs_prev, b, &mut scratch.tmp)?;
         Vector::axpy(1.0, &scratch.tmp, &mut scratch.z);
         rtm_tensor::simd::broadcast_add(&self.b_z, b, &mut scratch.z);
         sigmoid_slice(&mut scratch.z);
         quantize(&mut scratch.z);
 
-        self.w_r
-            .exec_spmm_prec_into(exec, prec, xs, b, &mut scratch.r)?;
-        self.u_r
-            .exec_spmm_prec_into(exec, prec, hs_prev, b, &mut scratch.tmp)?;
+        exec.spmm_into(self.w_r.kernel(), prec, xs, b, &mut scratch.r)?;
+        exec.spmm_into(self.u_r.kernel(), prec, hs_prev, b, &mut scratch.tmp)?;
         Vector::axpy(1.0, &scratch.tmp, &mut scratch.r);
         rtm_tensor::simd::broadcast_add(&self.b_r, b, &mut scratch.r);
         sigmoid_slice(&mut scratch.r);
         quantize(&mut scratch.r);
 
         Vector::hadamard_into(&scratch.r, hs_prev, &mut scratch.rh);
-        self.w_n
-            .exec_spmm_prec_into(exec, prec, xs, b, &mut scratch.n)?;
-        self.u_n
-            .exec_spmm_prec_into(exec, prec, &scratch.rh, b, &mut scratch.tmp)?;
+        exec.spmm_into(self.w_n.kernel(), prec, xs, b, &mut scratch.n)?;
+        exec.spmm_into(self.u_n.kernel(), prec, &scratch.rh, b, &mut scratch.tmp)?;
         Vector::axpy(1.0, &scratch.tmp, &mut scratch.n);
         rtm_tensor::simd::broadcast_add(&self.b_n, b, &mut scratch.n);
         tanh_slice(&mut scratch.n);

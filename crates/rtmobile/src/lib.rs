@@ -19,7 +19,7 @@
 //! * [`config`] — [`config::RuntimeConfig`], the unified runtime knob
 //!   struct (threads, batch, simd, health, trace, admission) that the
 //!   builder, the `rtm` CLI and the environment all flow through;
-//! * [`env`] — the single parse point for the `RTM_*` environment
+//! * [`mod@env`] — the single parse point for the `RTM_*` environment
 //!   variables, with typed errors.
 //!
 //! # Example

@@ -34,7 +34,7 @@
 //! section; version 5 wrapped everything in the checksummed bundle
 //! container. Versions 2–4 still decode (flat `magic, version, body`
 //! layout, no integrity data); anything else is rejected with
-//! [`DecodeError::BadVersion`](rtm_sparse::io::DecodeError::BadVersion).
+//! [`DecodeError::BadVersion`].
 
 use crate::deploy::{
     CompiledGruLayer, CompiledNetwork, GateMatrix, RuntimeFormat, RuntimePrecision, TunerCost,

@@ -30,7 +30,7 @@
 //! - per-tenant concurrent streams are bounded
 //!   ([`ServeOptions::tenant_quota`]),
 //! - the parked backlog is bounded by the session's
-//!   [`AdmissionConfig`](super::AdmissionConfig) under its
+//!   [`AdmissionConfig`] under its
 //!   [`ShedPolicy`](super::ShedPolicy),
 //! - a malformed message, an oversized length prefix or a wrong-width
 //!   frame drops *that* connection (and frees its lane); every other

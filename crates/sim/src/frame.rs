@@ -140,7 +140,7 @@ impl InferenceSim {
     /// pass (the SpMM runtime). Arithmetic, input gathers and output stores
     /// scale with the stream count; weight values, index streams and kernel
     /// launches are paid once per batch — the same amortization
-    /// [`scale_timesteps`] applies across timesteps, applied across lanes.
+    /// `scale_timesteps` applies across timesteps, applied across lanes.
     ///
     /// `streams == 1` is exactly [`InferenceSim::run_frame`]. The report
     /// covers the whole batch: divide `time_us` by `streams` for the

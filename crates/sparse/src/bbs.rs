@@ -12,19 +12,10 @@
 //! the empty ones, which is exactly the trade the tuner measures when it
 //! weighs BBS against BSPC/CSR per layer.
 
-use crate::footprint::Precision;
+use crate::kernel::{Activations, SparseKernel};
+use crate::scratch;
 use rtm_tensor::{Matrix, ShapeError};
-use std::cell::RefCell;
 use std::ops::Range;
-
-// Thread-local scratch for the quantized kernels (see `bspc.rs` — worker
-// threads get independent buffers, so the steady state is allocation-free
-// and row chunks can run concurrently).
-thread_local! {
-    static TLS_ACT: RefCell<(Vec<i8>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
-    static TLS_KERNEL: RefCell<(Vec<f32>, Vec<i8>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
-}
 
 /// A sparse matrix in bank-balanced (padded ELL) format.
 ///
@@ -291,242 +282,10 @@ impl BbsMatrix {
         &self.scales_i8
     }
 
-    /// Sparse matrix-vector product `y = A x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when `x.len() != self.cols()`.
-    pub fn spmv(&self, x: &[f32]) -> Result<Vec<f32>, ShapeError> {
-        let mut y = vec![0.0f32; self.rows];
-        self.spmv_into(x, &mut y)?;
-        Ok(y)
-    }
-
-    /// Allocation-free SpMV into a caller-provided buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when `x.len() != self.cols()` or
-    /// `y.len() != self.rows()`.
-    pub fn spmv_into(&self, x: &[f32], y: &mut [f32]) -> Result<(), ShapeError> {
-        if x.len() != self.cols || y.len() != self.rows {
-            return Err(ShapeError {
-                op: "bbs_spmv_into",
-                lhs: (self.rows, self.cols),
-                rhs: (x.len(), y.len()),
-            });
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMV_BBS, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMV_BBS, "f32"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, self.rows as u64),
-            (rtm_trace::key::KERNEL_NNZ, self.values.len() as u64),
-        ]);
-        self.spmv_rows_into(x, 0..self.rows, y, 0);
-        Ok(())
-    }
-
-    /// Sparse matrix × dense multi-vector `Y = A X` for `b` interleaved
-    /// input lanes (layout as `CsrMatrix::spmm_into`: `xs[c·b + j]`,
-    /// `ys[r·b + j]`). Lane `j` is bit-identical to [`spmv_into`] of lane
-    /// `j`'s column.
-    ///
-    /// [`spmv_into`]: BbsMatrix::spmv_into
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when `xs.len() != self.cols() * b` or
-    /// `ys.len() != self.rows() * b`.
-    pub fn spmm_into(&self, xs: &[f32], b: usize, ys: &mut [f32]) -> Result<(), ShapeError> {
-        if xs.len() != self.cols * b || ys.len() != self.rows * b {
-            return Err(ShapeError {
-                op: "bbs_spmm_into",
-                lhs: (self.rows, self.cols),
-                rhs: (xs.len(), b),
-            });
-        }
-        if b == 0 {
-            return Ok(());
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMM_BBS, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMM_BBS, "f32"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, self.rows as u64),
-            (rtm_trace::key::KERNEL_NNZ, self.values.len() as u64),
-        ]);
-        self.spmm_rows_into(xs, b, 0..self.rows, ys, 0);
-        Ok(())
-    }
-
-    /// Allocating form of [`spmm_into`](BbsMatrix::spmm_into).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when `xs.len() != self.cols() * b`.
-    pub fn spmm(&self, xs: &[f32], b: usize) -> Result<Vec<f32>, ShapeError> {
-        let mut ys = vec![0.0f32; self.rows * b];
-        self.spmm_into(xs, b, &mut ys)?;
-        Ok(ys)
-    }
-
-    /// Precision-dispatched SpMV (numeric contracts as
-    /// `BspcMatrix::spmv_prec_into`; int8 uses one scale per row with
-    /// exact i32 accumulation, so results are bit-identical across SIMD
-    /// variants and thread counts).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when `x.len() != self.cols()` or
-    /// `y.len() != self.rows()`.
-    pub fn spmv_prec_into(
-        &self,
-        prec: Precision,
-        x: &[f32],
-        y: &mut [f32],
-    ) -> Result<(), ShapeError> {
-        match prec {
-            Precision::F32 => self.spmv_into(x, y),
-            Precision::F16 => self.spmv_f16_into(x, y),
-            Precision::Int8 => self.spmv_i8_into(x, y),
-        }
-    }
-
-    /// Precision-dispatched batched SpMM (int8 quantizes each lane with
-    /// its own scale; lane `j` matches the serial int8 SpMV of lane `j`'s
-    /// column exactly).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when `xs.len() != self.cols() * b` or
-    /// `ys.len() != self.rows() * b`.
-    pub fn spmm_prec_into(
-        &self,
-        prec: Precision,
-        xs: &[f32],
-        b: usize,
-        ys: &mut [f32],
-    ) -> Result<(), ShapeError> {
-        match prec {
-            Precision::F32 => self.spmm_into(xs, b, ys),
-            Precision::F16 => self.spmm_f16_into(xs, b, ys),
-            Precision::Int8 => self.spmm_i8_into(xs, b, ys),
-        }
-    }
-
-    fn spmv_f16_into(&self, x: &[f32], y: &mut [f32]) -> Result<(), ShapeError> {
-        if x.len() != self.cols || y.len() != self.rows {
-            return Err(ShapeError {
-                op: "bbs_spmv_f16_into",
-                lhs: (self.rows, self.cols),
-                rhs: (x.len(), y.len()),
-            });
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMV_BBS, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMV_BBS, "f16"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, self.rows as u64),
-            (rtm_trace::key::KERNEL_NNZ, self.values.len() as u64),
-        ]);
-        self.spmv_rows_f16_into(x, 0..self.rows, y, 0);
-        Ok(())
-    }
-
-    fn spmv_i8_into(&self, x: &[f32], y: &mut [f32]) -> Result<(), ShapeError> {
-        if x.len() != self.cols || y.len() != self.rows {
-            return Err(ShapeError {
-                op: "bbs_spmv_i8_into",
-                lhs: (self.rows, self.cols),
-                rhs: (x.len(), y.len()),
-            });
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMV_BBS, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMV_BBS, "int8"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, self.rows as u64),
-            (rtm_trace::key::KERNEL_NNZ, self.values.len() as u64),
-        ]);
-        TLS_ACT.with(|cell| {
-            let act = &mut *cell.borrow_mut();
-            let sx = rtm_tensor::simd_i8::quantize_activations(x, &mut act.0);
-            self.spmv_rows_i8_into(&act.0, sx, 0..self.rows, y, 0);
-        });
-        Ok(())
-    }
-
-    fn spmm_f16_into(&self, xs: &[f32], b: usize, ys: &mut [f32]) -> Result<(), ShapeError> {
-        if xs.len() != self.cols * b || ys.len() != self.rows * b {
-            return Err(ShapeError {
-                op: "bbs_spmm_f16_into",
-                lhs: (self.rows, self.cols),
-                rhs: (xs.len(), b),
-            });
-        }
-        if b == 0 {
-            return Ok(());
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMM_BBS, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMM_BBS, "f16"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, self.rows as u64),
-            (rtm_trace::key::KERNEL_NNZ, self.values.len() as u64),
-        ]);
-        self.spmm_rows_f16_into(xs, b, 0..self.rows, ys, 0);
-        Ok(())
-    }
-
-    fn spmm_i8_into(&self, xs: &[f32], b: usize, ys: &mut [f32]) -> Result<(), ShapeError> {
-        if xs.len() != self.cols * b || ys.len() != self.rows * b {
-            return Err(ShapeError {
-                op: "bbs_spmm_i8_into",
-                lhs: (self.rows, self.cols),
-                rhs: (xs.len(), b),
-            });
-        }
-        if b == 0 {
-            return Ok(());
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMM_BBS, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMM_BBS, "int8"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, self.rows as u64),
-            (rtm_trace::key::KERNEL_NNZ, self.values.len() as u64),
-        ]);
-        TLS_ACT.with(|cell| {
-            let act = &mut *cell.borrow_mut();
-            let (xq, sxs) = (&mut act.0, &mut act.1);
-            rtm_tensor::simd_i8::quantize_activations_lanes(xs, b, xq, sxs);
-            self.spmm_rows_i8_into(xq, sxs, b, 0..self.rows, ys, 0);
-        });
-        Ok(())
-    }
-
-    /// f32 SpMV over the row range `rows` (engine hook shared by the
-    /// serial path and the executor's row chunks; output row `r` lands at
-    /// `y[r - y_base]`, no tracing — the dispatching entry point counts).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range rows or short buffers; the public entry
-    /// points validate shapes first.
-    pub fn spmv_rows_into(&self, x: &[f32], rows: Range<usize>, y: &mut [f32], y_base: usize) {
+    /// f32 SpMV over the row range `rows`: one indexed dot over the row's
+    /// uniform slot slab. Output row `r` lands at `y[r - y_base]`; every
+    /// row in the range is written.
+    fn spmv_rows_into(&self, x: &[f32], rows: Range<usize>, y: &mut [f32], y_base: usize) {
         let v = rtm_tensor::simd::active_variant();
         let stride = self.row_stride();
         for r in rows {
@@ -542,32 +301,22 @@ impl BbsMatrix {
 
     /// f16 SpMV over the row range `rows` (conventions as
     /// [`spmv_rows_into`](BbsMatrix::spmv_rows_into)).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range rows or short buffers.
-    pub fn spmv_rows_f16_into(&self, x: &[f32], rows: Range<usize>, y: &mut [f32], y_base: usize) {
+    fn spmv_rows_f16_into(&self, x: &[f32], rows: Range<usize>, y: &mut [f32], y_base: usize) {
         let v = rtm_tensor::simd::active_variant();
         let stride = self.row_stride();
-        TLS_KERNEL.with(|cell| {
-            let (conv, _) = &mut *cell.borrow_mut();
+        scratch::with_kernel(|scratch| {
             for r in rows {
                 let (start, end) = (r * stride, (r + 1) * stride);
-                rtm_tensor::f16::f16_bits_to_f32(&self.values_f16[start..end], conv);
+                let conv = scratch.conv.decode_f16(&self.values_f16[start..end]);
                 y[r - y_base] =
                     rtm_tensor::simd::indexed_dot_variant(v, conv, &self.col_idx[start..end], x);
             }
         });
     }
 
-    /// Int8 SpMV over the row range `rows` on pre-quantized activations
-    /// (the caller quantizes once so parallel chunks share the same
-    /// codes).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range rows or short buffers.
-    pub fn spmv_rows_i8_into(
+    /// Int8 SpMV over the row range `rows` on pre-quantized activations:
+    /// one scale per row with exact i32 accumulation.
+    fn spmv_rows_i8_into(
         &self,
         xq: &[i8],
         sx: f32,
@@ -591,13 +340,9 @@ impl BbsMatrix {
         }
     }
 
-    /// f32 batched SpMM over the row range `rows` (engine hook; output row
-    /// `r` lands at `ys[(r - y_base) · b ..]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range rows or short buffers; `b` must be positive.
-    pub fn spmm_rows_into(
+    /// f32 batched SpMM over the row range `rows` (output row `r` lands at
+    /// `ys[(r - y_base) · b ..]`).
+    fn spmm_rows_into(
         &self,
         xs: &[f32],
         b: usize,
@@ -621,12 +366,8 @@ impl BbsMatrix {
         }
     }
 
-    /// f16 batched SpMM over the row range `rows` (engine hook).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range rows or short buffers; `b` must be positive.
-    pub fn spmm_rows_f16_into(
+    /// f16 batched SpMM over the row range `rows`.
+    fn spmm_rows_f16_into(
         &self,
         xs: &[f32],
         b: usize,
@@ -636,11 +377,10 @@ impl BbsMatrix {
     ) {
         let v = rtm_tensor::simd::active_variant();
         let stride = self.row_stride();
-        TLS_KERNEL.with(|cell| {
-            let (conv, _) = &mut *cell.borrow_mut();
+        scratch::with_kernel(|scratch| {
             for r in rows {
                 let (start, end) = (r * stride, (r + 1) * stride);
-                rtm_tensor::f16::f16_bits_to_f32(&self.values_f16[start..end], conv);
+                let conv = scratch.conv.decode_f16(&self.values_f16[start..end]);
                 let o = r - y_base;
                 rtm_tensor::simd::indexed_dot_batch_variant(
                     v,
@@ -656,12 +396,7 @@ impl BbsMatrix {
 
     /// Int8 batched SpMM over the row range `rows` on pre-quantized
     /// lane-major activations with per-lane scales.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range rows or short buffers; `sxs.len()` must
-    /// equal `b` and `b` must be positive.
-    pub fn spmm_rows_i8_into(
+    fn spmm_rows_i8_into(
         &self,
         xq: &[i8],
         sxs: &[f32],
@@ -673,8 +408,8 @@ impl BbsMatrix {
         assert_eq!(sxs.len(), b, "one activation scale per lane");
         let v = rtm_tensor::simd::active_variant();
         let stride = self.row_stride();
-        TLS_KERNEL.with(|cell| {
-            let (_, gi8) = &mut *cell.borrow_mut();
+        scratch::with_kernel(|scratch| {
+            let gi8 = &mut scratch.gi8;
             for r in rows {
                 let (start, end) = (r * stride, (r + 1) * stride);
                 // Gather this row's activation lanes once, lane-major.
@@ -720,9 +455,68 @@ impl BbsMatrix {
     }
 }
 
+/// Partition units are rows; every row stores the same slot count, so the
+/// cost balance degenerates to an even row split.
+impl SparseKernel for BbsMatrix {
+    fn rows(&self) -> usize {
+        self.rows
+    }
+
+    fn cols(&self) -> usize {
+        self.cols
+    }
+
+    fn trace_keys(&self) -> &'static rtm_trace::key::KernelKeys {
+        &rtm_trace::key::KERNEL_BBS
+    }
+
+    fn stored_len(&self) -> usize {
+        self.values.len()
+    }
+
+    fn units(&self) -> usize {
+        self.rows
+    }
+
+    fn unit_cost(&self, _u: usize) -> usize {
+        self.row_stride().max(1)
+    }
+
+    fn unit_first_row(&self, u: usize) -> usize {
+        u
+    }
+
+    fn needs_zero_fill(&self) -> bool {
+        false
+    }
+
+    fn rows_into(
+        &self,
+        activations: Activations<'_>,
+        b: usize,
+        units: Range<usize>,
+        ys: &mut [f32],
+        y_base: usize,
+    ) {
+        match (activations, b) {
+            (Activations::F32(x), 1) => self.spmv_rows_into(x, units, ys, y_base),
+            (Activations::F32(xs), _) => self.spmm_rows_into(xs, b, units, ys, y_base),
+            (Activations::F16(x), 1) => self.spmv_rows_f16_into(x, units, ys, y_base),
+            (Activations::F16(xs), _) => self.spmm_rows_f16_into(xs, b, units, ys, y_base),
+            (Activations::Int8 { codes, scales }, 1) => {
+                self.spmv_rows_i8_into(codes, scales[0], units, ys, y_base)
+            }
+            (Activations::Int8 { codes, scales }, _) => {
+                self.spmm_rows_i8_into(codes, scales, b, units, ys, y_base)
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Precision;
     use rtm_tensor::gemm;
 
     fn example() -> Matrix {
@@ -807,7 +601,7 @@ mod tests {
         for b in [1usize, 2, 4, 7, 8, 9] {
             let xs: Vec<f32> = (0..6 * b).map(|i| (i as f32 * 0.31).cos()).collect();
             let mut ys = vec![f32::NAN; 3 * b];
-            m.spmm_into(&xs, b, &mut ys).unwrap();
+            m.spmm_prec_into(Precision::F32, &xs, b, &mut ys).unwrap();
             assert_eq!(m.spmm(&xs, b).unwrap(), ys);
             for j in 0..b {
                 let col: Vec<f32> = (0..6).map(|c| xs[c * b + j]).collect();
@@ -817,8 +611,12 @@ mod tests {
                 }
             }
         }
-        assert!(m.spmm_into(&[0.0; 3], 2, &mut [0.0; 6]).is_err());
-        assert!(m.spmm_into(&[0.0; 12], 2, &mut [0.0; 5]).is_err());
+        assert!(m
+            .spmm_prec_into(Precision::F32, &[0.0; 3], 2, &mut [0.0; 6])
+            .is_err());
+        assert!(m
+            .spmm_prec_into(Precision::F32, &[0.0; 12], 2, &mut [0.0; 5])
+            .is_err());
     }
 
     #[test]
@@ -842,7 +640,8 @@ mod tests {
         let mut ys = vec![f32::NAN; 20 * b];
         m.spmm_prec_into(Precision::F16, &xs, b, &mut ys).unwrap();
         let mut want_m = vec![0.0f32; 20 * b];
-        m.spmm_into(&xs, b, &mut want_m).unwrap();
+        m.spmm_prec_into(Precision::F32, &xs, b, &mut want_m)
+            .unwrap();
         assert_eq!(ys, want_m);
     }
 

@@ -20,43 +20,12 @@
 //! to the original output ordering, as the paper specifies.
 
 use crate::footprint::Precision;
+use crate::kernel::{Activations, SparseKernel};
+use crate::scratch;
 use rtm_tensor::{Matrix, ShapeError};
-use std::cell::RefCell;
 use std::error::Error;
 use std::fmt;
 use std::ops::Range;
-
-// Thread-local scratch for the quantized kernels: activation codes for the
-// serial entry points, and gather/convert/accumulator buffers for the
-// row-range kernels. Worker-pool threads each get their own set, so the
-// steady state of every quantized kernel is allocation-free and the
-// parallel engine can run row-range chunks concurrently without sharing.
-thread_local! {
-    static TLS_ACT: RefCell<(Vec<i8>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
-    static TLS_KERNEL: RefCell<KernelScratch> = const { RefCell::new(KernelScratch::new()) };
-}
-
-struct KernelScratch {
-    /// Gathered int8 activations (stripe-local, serial or lane-major).
-    gi8: Vec<i8>,
-    /// Gathered f32 activations (stripe-local, serial or lane-major).
-    gf32: Vec<f32>,
-    /// One row's f16 values converted to f32.
-    conv: Vec<f32>,
-    /// Per-block segment lengths of the current stripe (int8 row kernels).
-    seg: Vec<u32>,
-}
-
-impl KernelScratch {
-    const fn new() -> KernelScratch {
-        KernelScratch {
-            gi8: Vec::new(),
-            gf32: Vec::new(),
-            conv: Vec::new(),
-            seg: Vec::new(),
-        }
-    }
-}
 
 /// One kept row's contiguous value segment belonging to a single
 /// (stripe, block) — the granularity the int8 scales live at.
@@ -548,150 +517,9 @@ impl BspcMatrix {
             + self.reorder.as_ref().map_or(0, Vec::len)
     }
 
-    /// Sparse matrix-vector product `y = A x`.
-    ///
-    /// The inner loop walks the stripe's shared column stream once per row —
-    /// the same memory behaviour the mobile runtime gets after redundant
-    /// load elimination.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when `x.len() != self.cols()`.
-    pub fn spmv(&self, x: &[f32]) -> Result<Vec<f32>, ShapeError> {
-        if x.len() != self.cols {
-            return Err(ShapeError {
-                op: "bspc_spmv",
-                lhs: (self.rows, self.cols),
-                rhs: (x.len(), 1),
-            });
-        }
-        let mut y = vec![0.0f32; self.rows];
-        self.spmv_into(x, &mut y)?;
-        Ok(y)
-    }
-
-    /// Allocation-free SpMV into a caller-provided buffer — the runtime's
-    /// steady-state form (the output buffer is reused across timesteps).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when `x.len() != self.cols()` or
-    /// `y.len() != self.rows()`.
-    pub fn spmv_into(&self, x: &[f32], y: &mut [f32]) -> Result<(), ShapeError> {
-        if x.len() != self.cols || y.len() != self.rows {
-            return Err(ShapeError {
-                op: "bspc_spmv_into",
-                lhs: (self.rows, self.cols),
-                rhs: (x.len(), y.len()),
-            });
-        }
-        y.fill(0.0);
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMV_BSPC, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMV_BSPC, "f32"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, self.kept_rows.len() as u64),
-            (rtm_trace::key::KERNEL_NNZ, self.values.len() as u64),
-        ]);
-        let stripe_h = self.stripe_height();
-        // One indexed dot over the stripe's shared column stream per kept
-        // row, through the simd kernel layer. The vector realization
-        // groups lanes exactly like the dense dot `rtm-exec` runs after
-        // gathering a stripe into scratch, so serial and parallel SpMV
-        // stay bit-identical under every SimdPolicy.
-        let v = rtm_tensor::simd::active_variant();
-        for (k, &r) in self.kept_rows.iter().enumerate() {
-            let r = r as usize;
-            let s = r / stripe_h;
-            let cols = &self.stripe_cols[s];
-            let off = self.row_offsets[k] as usize;
-            let vals = &self.values[off..off + cols.len()];
-            y[r] = rtm_tensor::simd::indexed_dot_variant(v, vals, cols, x);
-        }
-        Ok(())
-    }
-
-    /// Sparse matrix × dense multi-vector `Y = A X` for `b` interleaved
-    /// input lanes (batched SpMM). `xs` holds element `c` of lane `j` at
-    /// `xs[c·b + j]`; `ys` receives row `r` of lane `j` at `ys[r·b + j]`.
-    ///
-    /// The stripe's shared column stream is decoded **once per kept row**
-    /// and applied to all `b` lanes; the vector path reads the lanes with
-    /// unit-stride loads, so even irregular stripes use full vector width.
-    /// Lane `j` of the result is bit-identical to
-    /// [`spmv_into`](BspcMatrix::spmv_into) of lane `j`'s column under the
-    /// same ambient policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when `xs.len() != self.cols() * b` or
-    /// `ys.len() != self.rows() * b`.
-    pub fn spmm_into(&self, xs: &[f32], b: usize, ys: &mut [f32]) -> Result<(), ShapeError> {
-        if xs.len() != self.cols * b || ys.len() != self.rows * b {
-            return Err(ShapeError {
-                op: "bspc_spmm_into",
-                lhs: (self.rows, self.cols),
-                rhs: (xs.len(), b),
-            });
-        }
-        ys.fill(0.0);
-        if b == 0 {
-            return Ok(());
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMM_BSPC, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMM_BSPC, "f32"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, self.kept_rows.len() as u64),
-            (rtm_trace::key::KERNEL_NNZ, self.values.len() as u64),
-        ]);
-        let stripe_h = self.stripe_height();
-        let v = rtm_tensor::simd::active_variant();
-        for (k, &r) in self.kept_rows.iter().enumerate() {
-            let r = r as usize;
-            let s = r / stripe_h;
-            let cols = &self.stripe_cols[s];
-            let off = self.row_offsets[k] as usize;
-            let vals = &self.values[off..off + cols.len()];
-            rtm_tensor::simd::indexed_dot_batch_variant(
-                v,
-                vals,
-                cols,
-                xs,
-                b,
-                &mut ys[r * b..(r + 1) * b],
-            );
-        }
-        Ok(())
-    }
-
-    /// Allocating form of [`spmm_into`](BspcMatrix::spmm_into).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when `xs.len() != self.cols() * b`.
-    pub fn spmm(&self, xs: &[f32], b: usize) -> Result<Vec<f32>, ShapeError> {
-        let mut ys = vec![0.0f32; self.rows * b];
-        self.spmm_into(xs, b, &mut ys)?;
-        Ok(ys)
-    }
-
-    /// Precision-dispatched SpMV.
-    ///
-    /// * [`Precision::F32`] is exactly [`spmv_into`](BspcMatrix::spmv_into).
-    /// * [`Precision::F16`] decodes the fp16 weight sidecar per row; because
-    ///   f16 → f32 decoding is exact, the result is bit-identical to the f32
-    ///   kernel run on f16-rounded values under every SIMD policy.
-    /// * [`Precision::Int8`] quantizes the activation vector once
-    ///   (`sx = max|x| / 127`), runs int8 × int8 → i32 block dots (exact —
-    ///   no accumulation rounding), and dequantizes at the store:
-    ///   `y[r] = sx · Σ_b scale_sb · acc_b` in block order. The i32
-    ///   accumulation makes the result bit-identical across SIMD variants
-    ///   and thread counts by construction.
+    /// [`SparseKernel::spmv_prec_into`] under its pre-trait inherent name
+    /// (a one-line forward to the generic driver, kept for callers that do
+    /// not import the trait).
     ///
     /// # Errors
     ///
@@ -703,17 +531,11 @@ impl BspcMatrix {
         x: &[f32],
         y: &mut [f32],
     ) -> Result<(), ShapeError> {
-        match prec {
-            Precision::F32 => self.spmv_into(x, y),
-            Precision::F16 => self.spmv_f16_into(x, y),
-            Precision::Int8 => self.spmv_i8_into(x, y),
-        }
+        SparseKernel::spmv_prec_into(self, prec, x, y)
     }
 
-    /// Precision-dispatched batched SpMM (same lane layout as
-    /// [`spmm_into`](BspcMatrix::spmm_into)). Int8 quantizes each lane with
-    /// its own activation scale, so lane `j` stays bit-identical to the
-    /// serial int8 SpMV of lane `j`'s column.
+    /// [`SparseKernel::spmm_prec_into`] under its pre-trait inherent name
+    /// (a one-line forward to the generic driver).
     ///
     /// # Errors
     ///
@@ -726,168 +548,110 @@ impl BspcMatrix {
         b: usize,
         ys: &mut [f32],
     ) -> Result<(), ShapeError> {
-        match prec {
-            Precision::F32 => self.spmm_into(xs, b, ys),
-            Precision::F16 => self.spmm_f16_into(xs, b, ys),
-            Precision::Int8 => self.spmm_i8_into(xs, b, ys),
-        }
+        SparseKernel::spmm_prec_into(self, prec, xs, b, ys)
     }
 
-    fn spmv_f16_into(&self, x: &[f32], y: &mut [f32]) -> Result<(), ShapeError> {
-        if x.len() != self.cols || y.len() != self.rows {
-            return Err(ShapeError {
-                op: "bspc_spmv_f16_into",
-                lhs: (self.rows, self.cols),
-                rhs: (x.len(), y.len()),
-            });
-        }
-        y.fill(0.0);
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMV_BSPC, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMV_BSPC, "f16"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, self.kept_rows.len() as u64),
-            (rtm_trace::key::KERNEL_NNZ, self.values.len() as u64),
-        ]);
-        self.spmv_rows_f16_into(x, 0..self.kept_rows.len(), y, 0);
-        Ok(())
-    }
-
-    fn spmv_i8_into(&self, x: &[f32], y: &mut [f32]) -> Result<(), ShapeError> {
-        if x.len() != self.cols || y.len() != self.rows {
-            return Err(ShapeError {
-                op: "bspc_spmv_i8_into",
-                lhs: (self.rows, self.cols),
-                rhs: (x.len(), y.len()),
-            });
-        }
-        y.fill(0.0);
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMV_BSPC, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMV_BSPC, "int8"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, self.kept_rows.len() as u64),
-            (rtm_trace::key::KERNEL_NNZ, self.values.len() as u64),
-        ]);
-        TLS_ACT.with(|cell| {
-            let act = &mut *cell.borrow_mut();
-            let sx = rtm_tensor::simd_i8::quantize_activations(x, &mut act.0);
-            self.spmv_rows_i8_into(&act.0, sx, 0..self.kept_rows.len(), y, 0);
-        });
-        Ok(())
-    }
-
-    fn spmm_f16_into(&self, xs: &[f32], b: usize, ys: &mut [f32]) -> Result<(), ShapeError> {
-        if xs.len() != self.cols * b || ys.len() != self.rows * b {
-            return Err(ShapeError {
-                op: "bspc_spmm_f16_into",
-                lhs: (self.rows, self.cols),
-                rhs: (xs.len(), b),
-            });
-        }
-        ys.fill(0.0);
-        if b == 0 {
-            return Ok(());
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMM_BSPC, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMM_BSPC, "f16"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, self.kept_rows.len() as u64),
-            (rtm_trace::key::KERNEL_NNZ, self.values.len() as u64),
-        ]);
-        self.spmm_rows_f16_into(xs, b, 0..self.kept_rows.len(), ys, 0);
-        Ok(())
-    }
-
-    fn spmm_i8_into(&self, xs: &[f32], b: usize, ys: &mut [f32]) -> Result<(), ShapeError> {
-        if xs.len() != self.cols * b || ys.len() != self.rows * b {
-            return Err(ShapeError {
-                op: "bspc_spmm_i8_into",
-                lhs: (self.rows, self.cols),
-                rhs: (xs.len(), b),
-            });
-        }
-        ys.fill(0.0);
-        if b == 0 {
-            return Ok(());
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMM_BSPC, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMM_BSPC, "int8"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, self.kept_rows.len() as u64),
-            (rtm_trace::key::KERNEL_NNZ, self.values.len() as u64),
-        ]);
-        TLS_ACT.with(|cell| {
-            let act = &mut *cell.borrow_mut();
-            let (xq, sxs) = (&mut act.0, &mut act.1);
-            rtm_tensor::simd_i8::quantize_activations_lanes(xs, b, xq, sxs);
-            self.spmm_rows_i8_into(xq, sxs, b, 0..self.kept_rows.len(), ys, 0);
-        });
-        Ok(())
-    }
-
-    /// f16 SpMV over the kept-row slots `kept` (engine hook shared by the
-    /// serial path and the parallel executor's row chunks). `y` starts at
-    /// logical row `y_base`; output rows land at `y[row - y_base]`.
-    ///
-    /// No tracing here — the entry point that dispatched the work counts the
-    /// kernel once, mirroring the executor's chunk-kernel convention.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range `kept` slots or an output buffer that does not
-    /// cover the chunk's rows; the public entry points validate shapes first.
-    pub fn spmv_rows_f16_into(&self, x: &[f32], kept: Range<usize>, y: &mut [f32], y_base: usize) {
+    /// Splits the kept-row slots `kept` into maximal runs of rows sharing a
+    /// stripe — and hence one column stream — yielding `(stripe, slots)`.
+    fn stripe_runs(&self, kept: Range<usize>) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
         let stripe_h = self.stripe_height();
+        let mut k = kept.start;
+        std::iter::from_fn(move || {
+            if k >= kept.end {
+                return None;
+            }
+            let s = self.kept_rows[k] as usize / stripe_h;
+            let start = k;
+            k += 1;
+            while k < kept.end && self.kept_rows[k] as usize / stripe_h == s {
+                k += 1;
+            }
+            Some((s, start..k))
+        })
+    }
+
+    /// f32 SpMV over the kept-row slots `kept`. `y` starts at logical row
+    /// `y_base`; output rows land at `y[row - y_base]`, pruned rows are left
+    /// untouched.
+    ///
+    /// The blocked inner kernel of the paper's redundant-load elimination:
+    /// per stripe run, the shared column stream is gathered from `x` into
+    /// dense scratch once, then every row of the run does a unit-stride dot.
+    fn spmv_rows_into(&self, x: &[f32], kept: Range<usize>, y: &mut [f32], y_base: usize) {
         let v = rtm_tensor::simd::active_variant();
-        TLS_KERNEL.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            let mut k = kept.start;
-            while k < kept.end {
-                let s = (self.kept_rows[k] as usize) / stripe_h;
-                let mut end = k + 1;
-                while end < kept.end && (self.kept_rows[end] as usize) / stripe_h == s {
-                    end += 1;
-                }
+        scratch::with_kernel(|scratch| {
+            for (s, run) in self.stripe_runs(kept) {
                 let cols = &self.stripe_cols[s];
-                scratch.gf32.clear();
-                scratch.gf32.extend(cols.iter().map(|&c| x[c as usize]));
-                for kk in k..end {
+                let gathered = scratch.gf32.gather(cols, x, 1);
+                for kk in run {
                     let off = self.row_offsets[kk] as usize;
-                    rtm_tensor::f16::f16_bits_to_f32(
-                        &self.values_f16[off..off + cols.len()],
-                        &mut scratch.conv,
-                    );
+                    let vals = &self.values[off..off + cols.len()];
                     y[self.kept_rows[kk] as usize - y_base] =
-                        rtm_tensor::simd::dot_variant(v, &scratch.conv, &scratch.gf32);
+                        rtm_tensor::simd::dot_variant(v, vals, gathered);
                 }
-                k = end;
+            }
+        });
+    }
+
+    /// f32 batched SpMM over the kept-row slots `kept` (lane-major: output
+    /// row `r` lands at `ys[(r - y_base) · b ..]`). Per stripe run the
+    /// column stream is gathered into a lane-major `[len × b]` scratch
+    /// once; the batched dot keeps the along-row dot's per-lane
+    /// accumulation order, so each lane is bit-identical to
+    /// [`spmv_rows_into`](BspcMatrix::spmv_rows_into) of its column.
+    fn spmm_rows_into(
+        &self,
+        xs: &[f32],
+        b: usize,
+        kept: Range<usize>,
+        ys: &mut [f32],
+        y_base: usize,
+    ) {
+        let v = rtm_tensor::simd::active_variant();
+        scratch::with_kernel(|scratch| {
+            for (s, run) in self.stripe_runs(kept) {
+                let cols = &self.stripe_cols[s];
+                let gathered = scratch.gf32.gather(cols, xs, b);
+                for kk in run {
+                    let off = self.row_offsets[kk] as usize;
+                    let vals = &self.values[off..off + cols.len()];
+                    let r = self.kept_rows[kk] as usize - y_base;
+                    rtm_tensor::simd::dot_batch_variant(
+                        v,
+                        vals,
+                        gathered,
+                        b,
+                        &mut ys[r * b..(r + 1) * b],
+                    );
+                }
+            }
+        });
+    }
+
+    /// f16 SpMV over the kept-row slots `kept` (conventions as
+    /// [`spmv_rows_into`](BspcMatrix::spmv_rows_into)).
+    fn spmv_rows_f16_into(&self, x: &[f32], kept: Range<usize>, y: &mut [f32], y_base: usize) {
+        let v = rtm_tensor::simd::active_variant();
+        scratch::with_kernel(|scratch| {
+            for (s, run) in self.stripe_runs(kept) {
+                let cols = &self.stripe_cols[s];
+                let gathered = scratch.gf32.gather(cols, x, 1);
+                for kk in run {
+                    let off = self.row_offsets[kk] as usize;
+                    let vals = scratch
+                        .conv
+                        .decode_f16(&self.values_f16[off..off + cols.len()]);
+                    y[self.kept_rows[kk] as usize - y_base] =
+                        rtm_tensor::simd::dot_variant(v, vals, gathered);
+                }
             }
         });
     }
 
     /// Int8 SpMV over the kept-row slots `kept` on pre-quantized activations
-    /// `xq` with activation scale `sx` (engine hook; see
-    /// [`spmv_rows_f16_into`](BspcMatrix::spmv_rows_f16_into) for the output
-    /// and tracing conventions). The caller quantizes the activation vector
-    /// exactly once — parallel chunks share the same codes, which is what
-    /// keeps serial and pooled int8 results bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range `kept` slots, a short `xq`, or a short output
-    /// buffer.
-    pub fn spmv_rows_i8_into(
+    /// `xq` with activation scale `sx`: `y[r] = sx · Σ_b scale_sb · acc_b`
+    /// in block order, every `acc_b` an exact i32 block dot.
+    fn spmv_rows_i8_into(
         &self,
         xq: &[i8],
         sx: f32,
@@ -895,17 +659,9 @@ impl BspcMatrix {
         y: &mut [f32],
         y_base: usize,
     ) {
-        let stripe_h = self.stripe_height();
         let v = rtm_tensor::simd::active_variant();
-        TLS_KERNEL.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            let mut k = kept.start;
-            while k < kept.end {
-                let s = (self.kept_rows[k] as usize) / stripe_h;
-                let mut end = k + 1;
-                while end < kept.end && (self.kept_rows[end] as usize) / stripe_h == s {
-                    end += 1;
-                }
+        scratch::with_kernel(|scratch| {
+            for (s, run) in self.stripe_runs(kept) {
                 let cols = &self.stripe_cols[s];
                 scratch.gi8.clear();
                 scratch.gi8.extend(cols.iter().map(|&c| xq[c as usize]));
@@ -925,8 +681,8 @@ impl BspcMatrix {
                     let off = self.row_offsets[kk] as usize;
                     &self.values_i8[off..off + nnz]
                 };
-                let mut kk = k;
-                while kk + 4 <= end {
+                let mut kk = run.start;
+                while kk + 4 <= run.end {
                     let quad = rtm_tensor::simd_i8::row_quad_block_dots_i8(
                         v,
                         [
@@ -944,7 +700,7 @@ impl BspcMatrix {
                     }
                     kk += 4;
                 }
-                while kk < end {
+                while kk < run.end {
                     let acc_f = rtm_tensor::simd_i8::row_block_dots_i8(
                         v,
                         row_vals(kk),
@@ -955,20 +711,13 @@ impl BspcMatrix {
                     y[self.kept_rows[kk] as usize - y_base] = sx * acc_f;
                     kk += 1;
                 }
-                k = end;
             }
         });
     }
 
-    /// f16 batched SpMM over the kept-row slots `kept` (engine hook; lane
-    /// layout as [`spmm_into`](BspcMatrix::spmm_into), output row `r` lands
-    /// at `ys[(r - y_base) · b ..]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range `kept` slots or short buffers; `b` must be
-    /// positive (the entry points early-return on `b == 0`).
-    pub fn spmm_rows_f16_into(
+    /// f16 batched SpMM over the kept-row slots `kept` (conventions as
+    /// [`spmm_rows_into`](BspcMatrix::spmm_rows_into)).
+    fn spmm_rows_f16_into(
         &self,
         xs: &[f32],
         b: usize,
@@ -976,53 +725,32 @@ impl BspcMatrix {
         ys: &mut [f32],
         y_base: usize,
     ) {
-        let stripe_h = self.stripe_height();
         let v = rtm_tensor::simd::active_variant();
-        TLS_KERNEL.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            let mut k = kept.start;
-            while k < kept.end {
-                let s = (self.kept_rows[k] as usize) / stripe_h;
-                let mut end = k + 1;
-                while end < kept.end && (self.kept_rows[end] as usize) / stripe_h == s {
-                    end += 1;
-                }
+        scratch::with_kernel(|scratch| {
+            for (s, run) in self.stripe_runs(kept) {
                 let cols = &self.stripe_cols[s];
-                // Lane-major gather: gathered element i, lane j at [i·b + j].
-                scratch.gf32.clear();
-                for &c in cols {
-                    let c = c as usize;
-                    scratch.gf32.extend_from_slice(&xs[c * b..(c + 1) * b]);
-                }
-                for kk in k..end {
+                let gathered = scratch.gf32.gather(cols, xs, b);
+                for kk in run {
                     let off = self.row_offsets[kk] as usize;
-                    rtm_tensor::f16::f16_bits_to_f32(
-                        &self.values_f16[off..off + cols.len()],
-                        &mut scratch.conv,
-                    );
+                    let vals = scratch
+                        .conv
+                        .decode_f16(&self.values_f16[off..off + cols.len()]);
                     let r = self.kept_rows[kk] as usize - y_base;
                     rtm_tensor::simd::dot_batch_variant(
                         v,
-                        &scratch.conv,
-                        &scratch.gf32,
+                        vals,
+                        gathered,
                         b,
                         &mut ys[r * b..(r + 1) * b],
                     );
                 }
-                k = end;
             }
         });
     }
 
     /// Int8 batched SpMM over the kept-row slots `kept` on pre-quantized
-    /// lane-major activations `xq` with per-lane scales `sxs` (engine hook;
-    /// conventions as [`spmm_rows_f16_into`](BspcMatrix::spmm_rows_f16_into)).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range `kept` slots or short buffers; `b` must be
-    /// positive and `sxs.len() == b`.
-    pub fn spmm_rows_i8_into(
+    /// lane-major activations `xq` with per-lane scales `sxs`.
+    fn spmm_rows_i8_into(
         &self,
         xq: &[i8],
         sxs: &[f32],
@@ -1032,17 +760,9 @@ impl BspcMatrix {
         y_base: usize,
     ) {
         assert_eq!(sxs.len(), b, "one activation scale per lane");
-        let stripe_h = self.stripe_height();
         let v = rtm_tensor::simd::active_variant();
-        TLS_KERNEL.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            let mut k = kept.start;
-            while k < kept.end {
-                let s = (self.kept_rows[k] as usize) / stripe_h;
-                let mut end = k + 1;
-                while end < kept.end && (self.kept_rows[end] as usize) / stripe_h == s {
-                    end += 1;
-                }
+        scratch::with_kernel(|scratch| {
+            for (s, run) in self.stripe_runs(kept) {
                 let cols = &self.stripe_cols[s];
                 scratch.gi8.clear();
                 for &c in cols {
@@ -1065,9 +785,9 @@ impl BspcMatrix {
                 // value streams and the i32/f32 accumulators stay in
                 // registers for the whole row, with the same block-order
                 // dequantize as the serial path.
-                scratch.conv.resize(4 * b, 0.0);
-                let mut kk = k;
-                while kk + 4 <= end {
+                scratch.lanes.resize(4 * b, 0.0);
+                let mut kk = run.start;
+                while kk + 4 <= run.end {
                     rtm_tensor::simd_i8::row_quad_block_dots_batch_i8(
                         v,
                         [
@@ -1081,15 +801,15 @@ impl BspcMatrix {
                         &scratch.seg,
                         scales,
                         sxs,
-                        &mut scratch.conv,
+                        &mut scratch.lanes,
                     );
                     for i in 0..4 {
                         let r = self.kept_rows[kk + i] as usize - y_base;
-                        ys[r * b..(r + 1) * b].copy_from_slice(&scratch.conv[i * b..(i + 1) * b]);
+                        ys[r * b..(r + 1) * b].copy_from_slice(&scratch.lanes[i * b..(i + 1) * b]);
                     }
                     kk += 4;
                 }
-                while kk < end {
+                while kk < run.end {
                     let r = self.kept_rows[kk] as usize - y_base;
                     rtm_tensor::simd_i8::row_block_dots_batch_i8(
                         v,
@@ -1103,7 +823,6 @@ impl BspcMatrix {
                     );
                     kk += 1;
                 }
-                k = end;
             }
         });
     }
@@ -1123,6 +842,69 @@ impl BspcMatrix {
             }
         }
         m
+    }
+}
+
+/// Partition units are kept rows: a unit costs its stripe's shared column
+/// count, and contiguous kept-row chunks are exactly the reorder's
+/// "similar-pattern rows → one chunk per thread".
+impl SparseKernel for BspcMatrix {
+    fn rows(&self) -> usize {
+        self.rows
+    }
+
+    fn cols(&self) -> usize {
+        self.cols
+    }
+
+    fn trace_keys(&self) -> &'static rtm_trace::key::KernelKeys {
+        &rtm_trace::key::KERNEL_BSPC
+    }
+
+    fn stored_len(&self) -> usize {
+        self.values.len()
+    }
+
+    fn computed_rows(&self) -> usize {
+        self.kept_rows.len()
+    }
+
+    fn units(&self) -> usize {
+        self.kept_rows.len()
+    }
+
+    fn unit_cost(&self, u: usize) -> usize {
+        self.stripe_cols[self.kept_rows[u] as usize / self.stripe_height()].len()
+    }
+
+    fn unit_first_row(&self, u: usize) -> usize {
+        self.kept_rows[u] as usize
+    }
+
+    fn needs_zero_fill(&self) -> bool {
+        true
+    }
+
+    fn rows_into(
+        &self,
+        activations: Activations<'_>,
+        b: usize,
+        units: Range<usize>,
+        ys: &mut [f32],
+        y_base: usize,
+    ) {
+        match (activations, b) {
+            (Activations::F32(x), 1) => self.spmv_rows_into(x, units, ys, y_base),
+            (Activations::F32(xs), _) => self.spmm_rows_into(xs, b, units, ys, y_base),
+            (Activations::F16(x), 1) => self.spmv_rows_f16_into(x, units, ys, y_base),
+            (Activations::F16(xs), _) => self.spmm_rows_f16_into(xs, b, units, ys, y_base),
+            (Activations::Int8 { codes, scales }, 1) => {
+                self.spmv_rows_i8_into(codes, scales[0], units, ys, y_base)
+            }
+            (Activations::Int8 { codes, scales }, _) => {
+                self.spmm_rows_i8_into(codes, scales, b, units, ys, y_base)
+            }
+        }
     }
 }
 
@@ -1254,12 +1036,12 @@ mod tests {
         let x = vec![1.0, 2.0, 3.0, 4.0];
         let want = b.spmv(&x).unwrap();
         let mut y = vec![99.0f32; 4]; // stale contents must be overwritten
-        b.spmv_into(&x, &mut y).unwrap();
+        b.spmv_prec_into(Precision::F32, &x, &mut y).unwrap();
         assert_eq!(y, want);
         // Shape errors on both sides.
-        assert!(b.spmv_into(&[1.0], &mut y).is_err());
+        assert!(b.spmv_prec_into(Precision::F32, &[1.0], &mut y).is_err());
         let mut short = vec![0.0; 2];
-        assert!(b.spmv_into(&x, &mut short).is_err());
+        assert!(b.spmv_prec_into(Precision::F32, &x, &mut short).is_err());
     }
 
     #[test]
@@ -1269,7 +1051,7 @@ mod tests {
         for b in [1usize, 2, 4, 7, 8, 11] {
             let xs: Vec<f32> = (0..4 * b).map(|i| (i as f32 * 0.53).sin()).collect();
             let mut ys = vec![f32::NAN; 4 * b];
-            m.spmm_into(&xs, b, &mut ys).unwrap();
+            m.spmm_prec_into(Precision::F32, &xs, b, &mut ys).unwrap();
             assert_eq!(m.spmm(&xs, b).unwrap(), ys);
             for j in 0..b {
                 let col: Vec<f32> = (0..4).map(|c| xs[c * b + j]).collect();
@@ -1279,8 +1061,12 @@ mod tests {
                 }
             }
         }
-        assert!(m.spmm_into(&[0.0; 3], 2, &mut [0.0; 8]).is_err());
-        assert!(m.spmm_into(&[0.0; 8], 2, &mut [0.0; 3]).is_err());
+        assert!(m
+            .spmm_prec_into(Precision::F32, &[0.0; 3], 2, &mut [0.0; 8])
+            .is_err());
+        assert!(m
+            .spmm_prec_into(Precision::F32, &[0.0; 8], 2, &mut [0.0; 3])
+            .is_err());
     }
 
     #[test]
@@ -1378,7 +1164,7 @@ mod tests {
         let m = BspcMatrix::from_dense(&d, 3, 2).unwrap();
         let x: Vec<f32> = (0..16).map(|i| (i as f32 * 0.37).cos()).collect();
         let mut want = vec![0.0f32; 24];
-        m.spmv_into(&x, &mut want).unwrap();
+        m.spmv_prec_into(Precision::F32, &x, &mut want).unwrap();
         let mut got = vec![f32::NAN; 24];
         m.spmv_prec_into(Precision::F16, &x, &mut got).unwrap();
         assert_eq!(got, want);

@@ -11,20 +11,10 @@
 //! far fewer explicit zeros; the price is per-block index metadata and a
 //! shorter unit-stride inner loop. The tuner weighs exactly that trade.
 
-use crate::footprint::Precision;
+use crate::kernel::{Activations, SparseKernel};
+use crate::scratch;
 use rtm_tensor::{Matrix, ShapeError};
-use std::cell::RefCell;
 use std::ops::Range;
-
-// Thread-local scratch: f32 gather, f16→f32 conversion, int8 gather, and
-// a per-row lane accumulator for the batched kernels. Worker threads get
-// independent buffers, so chunks run concurrently without allocation.
-type KernelScratch = (Vec<f32>, Vec<f32>, Vec<i8>, Vec<f32>);
-thread_local! {
-    static TLS_ACT: RefCell<(Vec<i8>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
-    static TLS_KERNEL: RefCell<KernelScratch> =
-        const { RefCell::new((Vec::new(), Vec::new(), Vec::new(), Vec::new())) };
-}
 
 /// A sparse matrix in compressed-structured-block format.
 ///
@@ -382,253 +372,13 @@ impl CsbMatrix {
         (self.val_ptr[be] - self.val_ptr[bs]) as usize
     }
 
-    /// Sparse matrix-vector product `y = A x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when `x.len() != self.cols()`.
-    pub fn spmv(&self, x: &[f32]) -> Result<Vec<f32>, ShapeError> {
-        let mut y = vec![0.0f32; self.rows];
-        self.spmv_into(x, &mut y)?;
-        Ok(y)
-    }
-
-    /// Allocation-free SpMV into a caller-provided buffer. The output is
-    /// overwritten (rows accumulate block by block over a zeroed buffer).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when `x.len() != self.cols()` or
-    /// `y.len() != self.rows()`.
-    pub fn spmv_into(&self, x: &[f32], y: &mut [f32]) -> Result<(), ShapeError> {
-        if x.len() != self.cols || y.len() != self.rows {
-            return Err(ShapeError {
-                op: "csb_spmv_into",
-                lhs: (self.rows, self.cols),
-                rhs: (x.len(), y.len()),
-            });
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMV_CSB, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMV_CSB, "f32"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, self.rows as u64),
-            (rtm_trace::key::KERNEL_NNZ, self.values.len() as u64),
-        ]);
-        y.fill(0.0);
-        self.spmv_block_rows_into(x, 0..self.num_block_rows(), y, 0);
-        Ok(())
-    }
-
-    /// Sparse matrix × dense multi-vector `Y = A X` for `b` interleaved
-    /// input lanes (layout as `CsrMatrix::spmm_into`). Lane `j` is
-    /// bit-identical to [`spmv_into`] of lane `j`'s column.
-    ///
-    /// [`spmv_into`]: CsbMatrix::spmv_into
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when `xs.len() != self.cols() * b` or
-    /// `ys.len() != self.rows() * b`.
-    pub fn spmm_into(&self, xs: &[f32], b: usize, ys: &mut [f32]) -> Result<(), ShapeError> {
-        if xs.len() != self.cols * b || ys.len() != self.rows * b {
-            return Err(ShapeError {
-                op: "csb_spmm_into",
-                lhs: (self.rows, self.cols),
-                rhs: (xs.len(), b),
-            });
-        }
-        if b == 0 {
-            return Ok(());
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMM_CSB, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMM_CSB, "f32"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, self.rows as u64),
-            (rtm_trace::key::KERNEL_NNZ, self.values.len() as u64),
-        ]);
-        ys.fill(0.0);
-        self.spmm_block_rows_into(xs, b, 0..self.num_block_rows(), ys, 0);
-        Ok(())
-    }
-
-    /// Allocating form of [`spmm_into`](CsbMatrix::spmm_into).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when `xs.len() != self.cols() * b`.
-    pub fn spmm(&self, xs: &[f32], b: usize) -> Result<Vec<f32>, ShapeError> {
-        let mut ys = vec![0.0f32; self.rows * b];
-        self.spmm_into(xs, b, &mut ys)?;
-        Ok(ys)
-    }
-
-    /// Precision-dispatched SpMV (numeric contracts as
-    /// `BspcMatrix::spmv_prec_into`; int8 uses one scale per stored block
-    /// with exact i32 accumulation per block, so results are bit-identical
-    /// across SIMD variants and thread counts).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when `x.len() != self.cols()` or
-    /// `y.len() != self.rows()`.
-    pub fn spmv_prec_into(
-        &self,
-        prec: Precision,
-        x: &[f32],
-        y: &mut [f32],
-    ) -> Result<(), ShapeError> {
-        match prec {
-            Precision::F32 => self.spmv_into(x, y),
-            Precision::F16 => self.spmv_f16_into(x, y),
-            Precision::Int8 => self.spmv_i8_into(x, y),
-        }
-    }
-
-    /// Precision-dispatched batched SpMM (int8 quantizes each lane with
-    /// its own scale; lane `j` matches the serial int8 SpMV of lane `j`'s
-    /// column exactly).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when `xs.len() != self.cols() * b` or
-    /// `ys.len() != self.rows() * b`.
-    pub fn spmm_prec_into(
-        &self,
-        prec: Precision,
-        xs: &[f32],
-        b: usize,
-        ys: &mut [f32],
-    ) -> Result<(), ShapeError> {
-        match prec {
-            Precision::F32 => self.spmm_into(xs, b, ys),
-            Precision::F16 => self.spmm_f16_into(xs, b, ys),
-            Precision::Int8 => self.spmm_i8_into(xs, b, ys),
-        }
-    }
-
-    fn spmv_f16_into(&self, x: &[f32], y: &mut [f32]) -> Result<(), ShapeError> {
-        if x.len() != self.cols || y.len() != self.rows {
-            return Err(ShapeError {
-                op: "csb_spmv_f16_into",
-                lhs: (self.rows, self.cols),
-                rhs: (x.len(), y.len()),
-            });
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMV_CSB, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMV_CSB, "f16"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, self.rows as u64),
-            (rtm_trace::key::KERNEL_NNZ, self.values.len() as u64),
-        ]);
-        y.fill(0.0);
-        self.spmv_block_rows_f16_into(x, 0..self.num_block_rows(), y, 0);
-        Ok(())
-    }
-
-    fn spmv_i8_into(&self, x: &[f32], y: &mut [f32]) -> Result<(), ShapeError> {
-        if x.len() != self.cols || y.len() != self.rows {
-            return Err(ShapeError {
-                op: "csb_spmv_i8_into",
-                lhs: (self.rows, self.cols),
-                rhs: (x.len(), y.len()),
-            });
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMV_CSB, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMV_CSB, "int8"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, self.rows as u64),
-            (rtm_trace::key::KERNEL_NNZ, self.values.len() as u64),
-        ]);
-        y.fill(0.0);
-        TLS_ACT.with(|cell| {
-            let act = &mut *cell.borrow_mut();
-            let sx = rtm_tensor::simd_i8::quantize_activations(x, &mut act.0);
-            self.spmv_block_rows_i8_into(&act.0, sx, 0..self.num_block_rows(), y, 0);
-        });
-        Ok(())
-    }
-
-    fn spmm_f16_into(&self, xs: &[f32], b: usize, ys: &mut [f32]) -> Result<(), ShapeError> {
-        if xs.len() != self.cols * b || ys.len() != self.rows * b {
-            return Err(ShapeError {
-                op: "csb_spmm_f16_into",
-                lhs: (self.rows, self.cols),
-                rhs: (xs.len(), b),
-            });
-        }
-        if b == 0 {
-            return Ok(());
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMM_CSB, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMM_CSB, "f16"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, self.rows as u64),
-            (rtm_trace::key::KERNEL_NNZ, self.values.len() as u64),
-        ]);
-        ys.fill(0.0);
-        self.spmm_block_rows_f16_into(xs, b, 0..self.num_block_rows(), ys, 0);
-        Ok(())
-    }
-
-    fn spmm_i8_into(&self, xs: &[f32], b: usize, ys: &mut [f32]) -> Result<(), ShapeError> {
-        if xs.len() != self.cols * b || ys.len() != self.rows * b {
-            return Err(ShapeError {
-                op: "csb_spmm_i8_into",
-                lhs: (self.rows, self.cols),
-                rhs: (xs.len(), b),
-            });
-        }
-        if b == 0 {
-            return Ok(());
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMM_CSB, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMM_CSB, "int8"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, self.rows as u64),
-            (rtm_trace::key::KERNEL_NNZ, self.values.len() as u64),
-        ]);
-        ys.fill(0.0);
-        TLS_ACT.with(|cell| {
-            let act = &mut *cell.borrow_mut();
-            let (xq, sxs) = (&mut act.0, &mut act.1);
-            rtm_tensor::simd_i8::quantize_activations_lanes(xs, b, xq, sxs);
-            self.spmm_block_rows_i8_into(xq, sxs, b, 0..self.num_block_rows(), ys, 0);
-        });
-        Ok(())
-    }
-
-    /// f32 SpMV over the block-row range `brs` (engine hook shared by the
-    /// serial path and the executor's chunks). Output row `r` accumulates
-    /// at `y[r - y_base]` — the caller provides a **zeroed** slice; rows
+    /// f32 SpMV over the block-row range `brs`. Output row `r` accumulates
+    /// at `y[r - y_base]` — the driver provides a **zeroed** slice; rows
     /// accumulate block by block in storage order, so serial, pooled and
     /// batched realizations add in the same sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range block rows or short buffers; the public
-    /// entry points validate shapes first.
-    pub fn spmv_block_rows_into(&self, x: &[f32], brs: Range<usize>, y: &mut [f32], y_base: usize) {
+    fn spmv_block_rows_into(&self, x: &[f32], brs: Range<usize>, y: &mut [f32], y_base: usize) {
         let v = rtm_tensor::simd::active_variant();
-        TLS_KERNEL.with(|cell| {
-            let (gf32, _, _, _) = &mut *cell.borrow_mut();
+        scratch::with_kernel(|scratch| {
             for br in brs {
                 let r0 = br * self.block_h;
                 let bh_eff = self.block_h.min(self.rows - r0);
@@ -636,8 +386,7 @@ impl CsbMatrix {
                 for blk in bs..be {
                     let (cs, ce) = (self.col_ptr[blk] as usize, self.col_ptr[blk + 1] as usize);
                     let kc = ce - cs;
-                    gf32.clear();
-                    gf32.extend(self.cols_idx[cs..ce].iter().map(|&c| x[c as usize]));
+                    let gf32 = scratch.gf32.gather(&self.cols_idx[cs..ce], x, 1);
                     let vb = self.val_ptr[blk] as usize;
                     for lr in 0..bh_eff {
                         let vals = &self.values[vb + lr * kc..vb + (lr + 1) * kc];
@@ -650,20 +399,9 @@ impl CsbMatrix {
 
     /// f16 SpMV over the block-row range `brs` (conventions as
     /// [`spmv_block_rows_into`](CsbMatrix::spmv_block_rows_into)).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range block rows or short buffers.
-    pub fn spmv_block_rows_f16_into(
-        &self,
-        x: &[f32],
-        brs: Range<usize>,
-        y: &mut [f32],
-        y_base: usize,
-    ) {
+    fn spmv_block_rows_f16_into(&self, x: &[f32], brs: Range<usize>, y: &mut [f32], y_base: usize) {
         let v = rtm_tensor::simd::active_variant();
-        TLS_KERNEL.with(|cell| {
-            let (gf32, conv, _, _) = &mut *cell.borrow_mut();
+        scratch::with_kernel(|scratch| {
             for br in brs {
                 let r0 = br * self.block_h;
                 let bh_eff = self.block_h.min(self.rows - r0);
@@ -671,10 +409,9 @@ impl CsbMatrix {
                 for blk in bs..be {
                     let (cs, ce) = (self.col_ptr[blk] as usize, self.col_ptr[blk + 1] as usize);
                     let kc = ce - cs;
-                    gf32.clear();
-                    gf32.extend(self.cols_idx[cs..ce].iter().map(|&c| x[c as usize]));
+                    let gf32 = scratch.gf32.gather(&self.cols_idx[cs..ce], x, 1);
                     let (vb, ve) = (self.val_ptr[blk] as usize, self.val_ptr[blk + 1] as usize);
-                    rtm_tensor::f16::f16_bits_to_f32(&self.values_f16[vb..ve], conv);
+                    let conv = scratch.conv.decode_f16(&self.values_f16[vb..ve]);
                     for lr in 0..bh_eff {
                         let vals = &conv[lr * kc..(lr + 1) * kc];
                         y[r0 + lr - y_base] += rtm_tensor::simd::dot_variant(v, vals, gf32);
@@ -685,13 +422,9 @@ impl CsbMatrix {
     }
 
     /// Int8 SpMV over the block-row range `brs` on pre-quantized
-    /// activations (the caller quantizes once so parallel chunks share the
-    /// same codes).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range block rows or short buffers.
-    pub fn spmv_block_rows_i8_into(
+    /// activations: one scale per stored block with exact i32 accumulation
+    /// per block.
+    fn spmv_block_rows_i8_into(
         &self,
         xq: &[i8],
         sx: f32,
@@ -700,8 +433,8 @@ impl CsbMatrix {
         y_base: usize,
     ) {
         let v = rtm_tensor::simd::active_variant();
-        TLS_KERNEL.with(|cell| {
-            let (_, _, gi8, _) = &mut *cell.borrow_mut();
+        scratch::with_kernel(|scratch| {
+            let gi8 = &mut scratch.gi8;
             for br in brs {
                 let r0 = br * self.block_h;
                 let bh_eff = self.block_h.min(self.rows - r0);
@@ -725,15 +458,9 @@ impl CsbMatrix {
         });
     }
 
-    /// f32 batched SpMM over the block-row range `brs` (engine hook;
-    /// output row `r` accumulates at `ys[(r - y_base) · b ..]` over a
-    /// zeroed slice).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range block rows or short buffers; `b` must be
-    /// positive.
-    pub fn spmm_block_rows_into(
+    /// f32 batched SpMM over the block-row range `brs` (output row `r`
+    /// accumulates at `ys[(r - y_base) · b ..]` over a zeroed slice).
+    fn spmm_block_rows_into(
         &self,
         xs: &[f32],
         b: usize,
@@ -742,8 +469,8 @@ impl CsbMatrix {
         y_base: usize,
     ) {
         let v = rtm_tensor::simd::active_variant();
-        TLS_KERNEL.with(|cell| {
-            let (gf32, _, _, tmp) = &mut *cell.borrow_mut();
+        scratch::with_kernel(|scratch| {
+            let tmp = &mut scratch.lanes;
             tmp.resize(b, 0.0);
             for br in brs {
                 let r0 = br * self.block_h;
@@ -753,11 +480,7 @@ impl CsbMatrix {
                     let (cs, ce) = (self.col_ptr[blk] as usize, self.col_ptr[blk + 1] as usize);
                     let kc = ce - cs;
                     // Gather the block's activation lanes once, lane-major.
-                    gf32.clear();
-                    for &c in &self.cols_idx[cs..ce] {
-                        let base = c as usize * b;
-                        gf32.extend_from_slice(&xs[base..base + b]);
-                    }
+                    let gf32 = scratch.gf32.gather(&self.cols_idx[cs..ce], xs, b);
                     let vb = self.val_ptr[blk] as usize;
                     for lr in 0..bh_eff {
                         let vals = &self.values[vb + lr * kc..vb + (lr + 1) * kc];
@@ -772,13 +495,8 @@ impl CsbMatrix {
         });
     }
 
-    /// f16 batched SpMM over the block-row range `brs` (engine hook).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range block rows or short buffers; `b` must be
-    /// positive.
-    pub fn spmm_block_rows_f16_into(
+    /// f16 batched SpMM over the block-row range `brs`.
+    fn spmm_block_rows_f16_into(
         &self,
         xs: &[f32],
         b: usize,
@@ -787,8 +505,8 @@ impl CsbMatrix {
         y_base: usize,
     ) {
         let v = rtm_tensor::simd::active_variant();
-        TLS_KERNEL.with(|cell| {
-            let (gf32, conv, _, tmp) = &mut *cell.borrow_mut();
+        scratch::with_kernel(|scratch| {
+            let tmp = &mut scratch.lanes;
             tmp.resize(b, 0.0);
             for br in brs {
                 let r0 = br * self.block_h;
@@ -797,13 +515,9 @@ impl CsbMatrix {
                 for blk in bs..be {
                     let (cs, ce) = (self.col_ptr[blk] as usize, self.col_ptr[blk + 1] as usize);
                     let kc = ce - cs;
-                    gf32.clear();
-                    for &c in &self.cols_idx[cs..ce] {
-                        let base = c as usize * b;
-                        gf32.extend_from_slice(&xs[base..base + b]);
-                    }
+                    let gf32 = scratch.gf32.gather(&self.cols_idx[cs..ce], xs, b);
                     let (vb, ve) = (self.val_ptr[blk] as usize, self.val_ptr[blk + 1] as usize);
-                    rtm_tensor::f16::f16_bits_to_f32(&self.values_f16[vb..ve], conv);
+                    let conv = scratch.conv.decode_f16(&self.values_f16[vb..ve]);
                     for lr in 0..bh_eff {
                         let vals = &conv[lr * kc..(lr + 1) * kc];
                         rtm_tensor::simd::dot_batch_variant(v, vals, gf32, b, tmp);
@@ -819,12 +533,7 @@ impl CsbMatrix {
 
     /// Int8 batched SpMM over the block-row range `brs` on pre-quantized
     /// lane-major activations with per-lane scales.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range block rows or short buffers; `sxs.len()`
-    /// must equal `b` and `b` must be positive.
-    pub fn spmm_block_rows_i8_into(
+    fn spmm_block_rows_i8_into(
         &self,
         xq: &[i8],
         sxs: &[f32],
@@ -835,8 +544,8 @@ impl CsbMatrix {
     ) {
         assert_eq!(sxs.len(), b, "one activation scale per lane");
         let v = rtm_tensor::simd::active_variant();
-        TLS_KERNEL.with(|cell| {
-            let (_, _, gi8, tmp) = &mut *cell.borrow_mut();
+        scratch::with_kernel(|scratch| {
+            let (gi8, tmp) = (&mut scratch.gi8, &mut scratch.lanes);
             tmp.resize(b, 0.0);
             for br in brs {
                 let r0 = br * self.block_h;
@@ -893,9 +602,68 @@ impl CsbMatrix {
     }
 }
 
+/// Partition units are block rows, costed by their stored values; block
+/// rows tile the output contiguously.
+impl SparseKernel for CsbMatrix {
+    fn rows(&self) -> usize {
+        self.rows
+    }
+
+    fn cols(&self) -> usize {
+        self.cols
+    }
+
+    fn trace_keys(&self) -> &'static rtm_trace::key::KernelKeys {
+        &rtm_trace::key::KERNEL_CSB
+    }
+
+    fn stored_len(&self) -> usize {
+        self.values.len()
+    }
+
+    fn units(&self) -> usize {
+        self.num_block_rows()
+    }
+
+    fn unit_cost(&self, u: usize) -> usize {
+        self.block_row_cost(u)
+    }
+
+    fn unit_first_row(&self, u: usize) -> usize {
+        u * self.block_h
+    }
+
+    fn needs_zero_fill(&self) -> bool {
+        true
+    }
+
+    fn rows_into(
+        &self,
+        activations: Activations<'_>,
+        b: usize,
+        units: Range<usize>,
+        ys: &mut [f32],
+        y_base: usize,
+    ) {
+        match (activations, b) {
+            (Activations::F32(x), 1) => self.spmv_block_rows_into(x, units, ys, y_base),
+            (Activations::F32(xs), _) => self.spmm_block_rows_into(xs, b, units, ys, y_base),
+            (Activations::F16(x), 1) => self.spmv_block_rows_f16_into(x, units, ys, y_base),
+            (Activations::F16(xs), _) => self.spmm_block_rows_f16_into(xs, b, units, ys, y_base),
+            (Activations::Int8 { codes, scales }, 1) => {
+                self.spmv_block_rows_i8_into(codes, scales[0], units, ys, y_base)
+            }
+            (Activations::Int8 { codes, scales }, _) => {
+                self.spmm_block_rows_i8_into(codes, scales, b, units, ys, y_base)
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Precision;
     use rtm_tensor::gemm;
 
     fn example() -> Matrix {
@@ -1042,7 +810,7 @@ mod tests {
         for b in [1usize, 2, 4, 7, 8, 9] {
             let xs: Vec<f32> = (0..6 * b).map(|i| (i as f32 * 0.31).cos()).collect();
             let mut ys = vec![f32::NAN; 5 * b];
-            m.spmm_into(&xs, b, &mut ys).unwrap();
+            m.spmm_prec_into(Precision::F32, &xs, b, &mut ys).unwrap();
             assert_eq!(m.spmm(&xs, b).unwrap(), ys);
             for j in 0..b {
                 let col: Vec<f32> = (0..6).map(|c| xs[c * b + j]).collect();
@@ -1052,8 +820,12 @@ mod tests {
                 }
             }
         }
-        assert!(m.spmm_into(&[0.0; 3], 2, &mut [0.0; 10]).is_err());
-        assert!(m.spmm_into(&[0.0; 12], 2, &mut [0.0; 5]).is_err());
+        assert!(m
+            .spmm_prec_into(Precision::F32, &[0.0; 3], 2, &mut [0.0; 10])
+            .is_err());
+        assert!(m
+            .spmm_prec_into(Precision::F32, &[0.0; 12], 2, &mut [0.0; 5])
+            .is_err());
     }
 
     #[test]
@@ -1077,7 +849,8 @@ mod tests {
         let mut ys = vec![f32::NAN; 20 * b];
         m.spmm_prec_into(Precision::F16, &xs, b, &mut ys).unwrap();
         let mut want_m = vec![0.0f32; 20 * b];
-        m.spmm_into(&xs, b, &mut want_m).unwrap();
+        m.spmm_prec_into(Precision::F32, &xs, b, &mut want_m)
+            .unwrap();
         assert_eq!(ys, want_m);
     }
 

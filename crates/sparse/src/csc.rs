@@ -175,6 +175,7 @@ impl CscMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SparseKernel;
     use rtm_tensor::gemm;
 
     fn example() -> Matrix {

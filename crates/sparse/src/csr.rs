@@ -6,18 +6,10 @@
 //! stored index" overhead §II-B-a calls out.
 
 use crate::footprint::Precision;
+use crate::kernel::{Activations, SparseKernel};
+use crate::scratch;
 use rtm_tensor::{Matrix, ShapeError};
-use std::cell::RefCell;
 use std::ops::Range;
-
-// Thread-local scratch for the quantized CSR kernels (see `bspc.rs` for the
-// rationale — worker threads get independent buffers, so the steady state is
-// allocation-free and row chunks can run concurrently).
-thread_local! {
-    static TLS_ACT: RefCell<(Vec<i8>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
-    static TLS_KERNEL: RefCell<(Vec<f32>, Vec<i8>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
-}
 
 /// A sparse matrix in compressed-sparse-row format.
 ///
@@ -253,302 +245,80 @@ impl CsrMatrix {
             .map(|(&c, &v)| (c as usize, v))
     }
 
-    /// Sparse matrix-vector product `y = A x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when `x.len() != self.cols()`.
-    pub fn spmv(&self, x: &[f32]) -> Result<Vec<f32>, ShapeError> {
-        if x.len() != self.cols {
-            return Err(ShapeError {
-                op: "csr_spmv",
-                lhs: (self.rows, self.cols),
-                rhs: (x.len(), 1),
-            });
-        }
-        let mut y = vec![0.0f32; self.rows];
-        self.spmv_into(x, &mut y)?;
-        Ok(y)
-    }
-
-    /// Allocation-free SpMV into a caller-provided buffer — the hot-loop
-    /// form (serial and parallel runtimes reuse the output across calls).
+    /// f32 [`SparseKernel::spmv_prec_into`] under its pre-trait inherent
+    /// name (a one-line forward to the generic driver, kept for callers
+    /// that do not import the trait).
     ///
     /// # Errors
     ///
     /// Returns [`ShapeError`] when `x.len() != self.cols()` or
     /// `y.len() != self.rows()`.
     pub fn spmv_into(&self, x: &[f32], y: &mut [f32]) -> Result<(), ShapeError> {
-        if x.len() != self.cols || y.len() != self.rows {
-            return Err(ShapeError {
-                op: "csr_spmv_into",
-                lhs: (self.rows, self.cols),
-                rhs: (x.len(), y.len()),
-            });
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMV_CSR, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMV_CSR, "f32"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, self.rows as u64),
-            (rtm_trace::key::KERNEL_NNZ, self.values.len() as u64),
-        ]);
-        // One indexed dot per row through the simd kernel layer (AVX2 runs
-        // the column gather in-register); the variant is hoisted so every
-        // row of a call uses the same realization.
+        self.spmv_prec_into(Precision::F32, x, y)
+    }
+
+    /// f32 SpMV over the row range `rows`: one indexed dot per row through
+    /// the simd kernel layer (AVX2 runs the column gather in-register).
+    /// Output row `r` lands at `y[r - y_base]`; every row in the range is
+    /// written (empty rows get 0).
+    fn spmv_rows_into(&self, x: &[f32], rows: Range<usize>, y: &mut [f32], y_base: usize) {
         let v = rtm_tensor::simd::active_variant();
-        for (r, yr) in y.iter_mut().enumerate() {
-            let start = self.row_ptr[r] as usize;
-            let end = self.row_ptr[r + 1] as usize;
-            *yr = rtm_tensor::simd::indexed_dot_variant(
+        for r in rows {
+            let (start, end) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
+            y[r - y_base] = rtm_tensor::simd::indexed_dot_variant(
                 v,
                 &self.values[start..end],
                 &self.col_idx[start..end],
                 x,
             );
         }
-        Ok(())
     }
 
-    /// Sparse matrix × dense multi-vector `Y = A X` for `b` interleaved
-    /// input lanes (batched SpMM). `xs` holds element `c` of lane `j` at
-    /// `xs[c·b + j]`; `ys` receives row `r` of lane `j` at `ys[r·b + j]`.
-    ///
-    /// Each row's column indices are decoded **once** and applied to all
-    /// `b` lanes — the index-traversal cost §II-B-a identifies is amortized
-    /// `b`×. Lane `j` of the result is bit-identical to [`spmv_into`] of
-    /// lane `j`'s column under the same ambient policy (see
-    /// `rtm_tensor::simd::indexed_dot_batch_variant`).
-    ///
-    /// [`spmv_into`]: CsrMatrix::spmv_into
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when `xs.len() != self.cols() * b` or
-    /// `ys.len() != self.rows() * b`.
-    pub fn spmm_into(&self, xs: &[f32], b: usize, ys: &mut [f32]) -> Result<(), ShapeError> {
-        if xs.len() != self.cols * b || ys.len() != self.rows * b {
-            return Err(ShapeError {
-                op: "csr_spmm_into",
-                lhs: (self.rows, self.cols),
-                rhs: (xs.len(), b),
-            });
-        }
-        if b == 0 {
-            return Ok(());
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMM_CSR, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMM_CSR, "f32"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, self.rows as u64),
-            (rtm_trace::key::KERNEL_NNZ, self.values.len() as u64),
-        ]);
+    /// f32 batched SpMM over the row range `rows` (output row `r` lands at
+    /// `ys[(r - y_base) · b ..]`). Each row's column indices are decoded
+    /// **once** and applied to all `b` lanes — the index-traversal cost
+    /// §II-B-a identifies is amortized `b`×.
+    fn spmm_rows_into(
+        &self,
+        xs: &[f32],
+        b: usize,
+        rows: Range<usize>,
+        ys: &mut [f32],
+        y_base: usize,
+    ) {
         let v = rtm_tensor::simd::active_variant();
-        for (r, yr) in ys.chunks_exact_mut(b).enumerate() {
-            let start = self.row_ptr[r] as usize;
-            let end = self.row_ptr[r + 1] as usize;
+        for r in rows {
+            let (start, end) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
+            let o = r - y_base;
             rtm_tensor::simd::indexed_dot_batch_variant(
                 v,
                 &self.values[start..end],
                 &self.col_idx[start..end],
                 xs,
                 b,
-                yr,
+                &mut ys[o * b..(o + 1) * b],
             );
         }
-        Ok(())
     }
 
-    /// Allocating form of [`spmm_into`](CsrMatrix::spmm_into).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when `xs.len() != self.cols() * b`.
-    pub fn spmm(&self, xs: &[f32], b: usize) -> Result<Vec<f32>, ShapeError> {
-        let mut ys = vec![0.0f32; self.rows * b];
-        self.spmm_into(xs, b, &mut ys)?;
-        Ok(ys)
-    }
-
-    /// Precision-dispatched SpMV (see `BspcMatrix::spmv_prec_into` for the
-    /// numeric contracts; CSR int8 uses one scale per
-    /// [`CsrMatrix::ROW_BLOCK`] rows and a scalar gathered dot with exact
-    /// i32 accumulation, so results are bit-identical across SIMD variants
-    /// and thread counts).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when `x.len() != self.cols()` or
-    /// `y.len() != self.rows()`.
-    pub fn spmv_prec_into(
-        &self,
-        prec: Precision,
-        x: &[f32],
-        y: &mut [f32],
-    ) -> Result<(), ShapeError> {
-        match prec {
-            Precision::F32 => self.spmv_into(x, y),
-            Precision::F16 => self.spmv_f16_into(x, y),
-            Precision::Int8 => self.spmv_i8_into(x, y),
-        }
-    }
-
-    /// Precision-dispatched batched SpMM (lane layout as
-    /// [`spmm_into`](CsrMatrix::spmm_into); int8 quantizes each lane with
-    /// its own scale, so lane `j` matches the serial int8 SpMV of lane `j`'s
-    /// column exactly).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when `xs.len() != self.cols() * b` or
-    /// `ys.len() != self.rows() * b`.
-    pub fn spmm_prec_into(
-        &self,
-        prec: Precision,
-        xs: &[f32],
-        b: usize,
-        ys: &mut [f32],
-    ) -> Result<(), ShapeError> {
-        match prec {
-            Precision::F32 => self.spmm_into(xs, b, ys),
-            Precision::F16 => self.spmm_f16_into(xs, b, ys),
-            Precision::Int8 => self.spmm_i8_into(xs, b, ys),
-        }
-    }
-
-    fn spmv_f16_into(&self, x: &[f32], y: &mut [f32]) -> Result<(), ShapeError> {
-        if x.len() != self.cols || y.len() != self.rows {
-            return Err(ShapeError {
-                op: "csr_spmv_f16_into",
-                lhs: (self.rows, self.cols),
-                rhs: (x.len(), y.len()),
-            });
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMV_CSR, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMV_CSR, "f16"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, self.rows as u64),
-            (rtm_trace::key::KERNEL_NNZ, self.values.len() as u64),
-        ]);
-        self.spmv_rows_f16_into(x, 0..self.rows, y, 0);
-        Ok(())
-    }
-
-    fn spmv_i8_into(&self, x: &[f32], y: &mut [f32]) -> Result<(), ShapeError> {
-        if x.len() != self.cols || y.len() != self.rows {
-            return Err(ShapeError {
-                op: "csr_spmv_i8_into",
-                lhs: (self.rows, self.cols),
-                rhs: (x.len(), y.len()),
-            });
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMV_CSR, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMV_CSR, "int8"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, self.rows as u64),
-            (rtm_trace::key::KERNEL_NNZ, self.values.len() as u64),
-        ]);
-        TLS_ACT.with(|cell| {
-            let act = &mut *cell.borrow_mut();
-            let sx = rtm_tensor::simd_i8::quantize_activations(x, &mut act.0);
-            self.spmv_rows_i8_into(&act.0, sx, 0..self.rows, y, 0);
-        });
-        Ok(())
-    }
-
-    fn spmm_f16_into(&self, xs: &[f32], b: usize, ys: &mut [f32]) -> Result<(), ShapeError> {
-        if xs.len() != self.cols * b || ys.len() != self.rows * b {
-            return Err(ShapeError {
-                op: "csr_spmm_f16_into",
-                lhs: (self.rows, self.cols),
-                rhs: (xs.len(), b),
-            });
-        }
-        if b == 0 {
-            return Ok(());
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMM_CSR, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMM_CSR, "f16"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, self.rows as u64),
-            (rtm_trace::key::KERNEL_NNZ, self.values.len() as u64),
-        ]);
-        self.spmm_rows_f16_into(xs, b, 0..self.rows, ys, 0);
-        Ok(())
-    }
-
-    fn spmm_i8_into(&self, xs: &[f32], b: usize, ys: &mut [f32]) -> Result<(), ShapeError> {
-        if xs.len() != self.cols * b || ys.len() != self.rows * b {
-            return Err(ShapeError {
-                op: "csr_spmm_i8_into",
-                lhs: (self.rows, self.cols),
-                rhs: (xs.len(), b),
-            });
-        }
-        if b == 0 {
-            return Ok(());
-        }
-        rtm_trace::count_many(&[
-            (rtm_trace::key::SPMM_CSR, 1),
-            (
-                rtm_trace::key::with_precision(rtm_trace::key::SPMM_CSR, "int8"),
-                1,
-            ),
-            (rtm_trace::key::KERNEL_ROWS, self.rows as u64),
-            (rtm_trace::key::KERNEL_NNZ, self.values.len() as u64),
-        ]);
-        TLS_ACT.with(|cell| {
-            let act = &mut *cell.borrow_mut();
-            let (xq, sxs) = (&mut act.0, &mut act.1);
-            rtm_tensor::simd_i8::quantize_activations_lanes(xs, b, xq, sxs);
-            self.spmm_rows_i8_into(xq, sxs, b, 0..self.rows, ys, 0);
-        });
-        Ok(())
-    }
-
-    /// f16 SpMV over the row range `rows` (engine hook shared by the serial
-    /// path and the executor's row chunks; output row `r` lands at
-    /// `y[r - y_base]`, no tracing — the dispatching entry point counts).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range rows or short buffers; the public entry points
-    /// validate shapes first.
-    pub fn spmv_rows_f16_into(&self, x: &[f32], rows: Range<usize>, y: &mut [f32], y_base: usize) {
+    /// f16 SpMV over the row range `rows` (conventions as
+    /// [`spmv_rows_into`](CsrMatrix::spmv_rows_into)).
+    fn spmv_rows_f16_into(&self, x: &[f32], rows: Range<usize>, y: &mut [f32], y_base: usize) {
         let v = rtm_tensor::simd::active_variant();
-        TLS_KERNEL.with(|cell| {
-            let (conv, _) = &mut *cell.borrow_mut();
+        scratch::with_kernel(|scratch| {
             for r in rows {
                 let (start, end) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-                rtm_tensor::f16::f16_bits_to_f32(&self.values_f16[start..end], conv);
+                let conv = scratch.conv.decode_f16(&self.values_f16[start..end]);
                 y[r - y_base] =
                     rtm_tensor::simd::indexed_dot_variant(v, conv, &self.col_idx[start..end], x);
             }
         });
     }
 
-    /// Int8 SpMV over the row range `rows` on pre-quantized activations
-    /// (conventions as [`spmv_rows_f16_into`](CsrMatrix::spmv_rows_f16_into);
-    /// the caller quantizes once so parallel chunks share the same codes).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range rows or short buffers.
-    pub fn spmv_rows_i8_into(
+    /// Int8 SpMV over the row range `rows` on pre-quantized activations:
+    /// one scale per [`CsrMatrix::ROW_BLOCK`] rows and a gathered dot with
+    /// exact i32 accumulation.
+    fn spmv_rows_i8_into(
         &self,
         xq: &[i8],
         sx: f32,
@@ -571,13 +341,9 @@ impl CsrMatrix {
         }
     }
 
-    /// f16 batched SpMM over the row range `rows` (engine hook; output row
-    /// `r` lands at `ys[(r - y_base) · b ..]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range rows or short buffers; `b` must be positive.
-    pub fn spmm_rows_f16_into(
+    /// f16 batched SpMM over the row range `rows` (conventions as
+    /// [`spmm_rows_into`](CsrMatrix::spmm_rows_into)).
+    fn spmm_rows_f16_into(
         &self,
         xs: &[f32],
         b: usize,
@@ -586,11 +352,10 @@ impl CsrMatrix {
         y_base: usize,
     ) {
         let v = rtm_tensor::simd::active_variant();
-        TLS_KERNEL.with(|cell| {
-            let (conv, _) = &mut *cell.borrow_mut();
+        scratch::with_kernel(|scratch| {
             for r in rows {
                 let (start, end) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-                rtm_tensor::f16::f16_bits_to_f32(&self.values_f16[start..end], conv);
+                let conv = scratch.conv.decode_f16(&self.values_f16[start..end]);
                 let o = r - y_base;
                 rtm_tensor::simd::indexed_dot_batch_variant(
                     v,
@@ -606,12 +371,7 @@ impl CsrMatrix {
 
     /// Int8 batched SpMM over the row range `rows` on pre-quantized
     /// lane-major activations with per-lane scales.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range rows or short buffers; `sxs.len()` must equal
-    /// `b` and `b` must be positive.
-    pub fn spmm_rows_i8_into(
+    fn spmm_rows_i8_into(
         &self,
         xq: &[i8],
         sxs: &[f32],
@@ -622,8 +382,8 @@ impl CsrMatrix {
     ) {
         assert_eq!(sxs.len(), b, "one activation scale per lane");
         let v = rtm_tensor::simd::active_variant();
-        TLS_KERNEL.with(|cell| {
-            let (_, gi8) = &mut *cell.borrow_mut();
+        scratch::with_kernel(|scratch| {
+            let gi8 = &mut scratch.gi8;
             for r in rows {
                 let (start, end) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
                 // Gather this row's activation lanes once, lane-major.
@@ -661,6 +421,63 @@ impl CsrMatrix {
             }
         }
         m
+    }
+}
+
+/// Partition units are rows, costed by their nonzero count.
+impl SparseKernel for CsrMatrix {
+    fn rows(&self) -> usize {
+        self.rows
+    }
+
+    fn cols(&self) -> usize {
+        self.cols
+    }
+
+    fn trace_keys(&self) -> &'static rtm_trace::key::KernelKeys {
+        &rtm_trace::key::KERNEL_CSR
+    }
+
+    fn stored_len(&self) -> usize {
+        self.values.len()
+    }
+
+    fn units(&self) -> usize {
+        self.rows
+    }
+
+    fn unit_cost(&self, u: usize) -> usize {
+        self.row_nnz(u)
+    }
+
+    fn unit_first_row(&self, u: usize) -> usize {
+        u
+    }
+
+    fn needs_zero_fill(&self) -> bool {
+        false
+    }
+
+    fn rows_into(
+        &self,
+        activations: Activations<'_>,
+        b: usize,
+        units: Range<usize>,
+        ys: &mut [f32],
+        y_base: usize,
+    ) {
+        match (activations, b) {
+            (Activations::F32(x), 1) => self.spmv_rows_into(x, units, ys, y_base),
+            (Activations::F32(xs), _) => self.spmm_rows_into(xs, b, units, ys, y_base),
+            (Activations::F16(x), 1) => self.spmv_rows_f16_into(x, units, ys, y_base),
+            (Activations::F16(xs), _) => self.spmm_rows_f16_into(xs, b, units, ys, y_base),
+            (Activations::Int8 { codes, scales }, 1) => {
+                self.spmv_rows_i8_into(codes, scales[0], units, ys, y_base)
+            }
+            (Activations::Int8 { codes, scales }, _) => {
+                self.spmm_rows_i8_into(codes, scales, b, units, ys, y_base)
+            }
+        }
     }
 }
 
@@ -748,7 +565,7 @@ mod tests {
         for b in [1usize, 2, 4, 7, 8, 9] {
             let xs: Vec<f32> = (0..4 * b).map(|i| (i as f32 * 0.31).cos()).collect();
             let mut ys = vec![f32::NAN; 3 * b];
-            csr.spmm_into(&xs, b, &mut ys).unwrap();
+            csr.spmm_prec_into(Precision::F32, &xs, b, &mut ys).unwrap();
             assert_eq!(csr.spmm(&xs, b).unwrap(), ys);
             for j in 0..b {
                 let col: Vec<f32> = (0..4).map(|c| xs[c * b + j]).collect();
@@ -759,8 +576,12 @@ mod tests {
             }
         }
         // Shape errors.
-        assert!(csr.spmm_into(&[0.0; 3], 2, &mut [0.0; 6]).is_err());
-        assert!(csr.spmm_into(&[0.0; 8], 2, &mut [0.0; 5]).is_err());
+        assert!(csr
+            .spmm_prec_into(Precision::F32, &[0.0; 3], 2, &mut [0.0; 6])
+            .is_err());
+        assert!(csr
+            .spmm_prec_into(Precision::F32, &[0.0; 8], 2, &mut [0.0; 5])
+            .is_err());
     }
 
     #[test]
@@ -784,7 +605,8 @@ mod tests {
         let mut ys = vec![f32::NAN; 20 * b];
         m.spmm_prec_into(Precision::F16, &xs, b, &mut ys).unwrap();
         let mut want_m = vec![0.0f32; 20 * b];
-        m.spmm_into(&xs, b, &mut want_m).unwrap();
+        m.spmm_prec_into(Precision::F32, &xs, b, &mut want_m)
+            .unwrap();
         assert_eq!(ys, want_m);
     }
 

@@ -25,6 +25,12 @@
 //!   per-block column unions over short `block_h`-row spans, the middle ground
 //!   between CSR's per-entry indices and BSPC's per-stripe unions.
 //!
+//! The four runtime formats (BSPC, CSR, BBS, CSB) are executed through one
+//! contract, [`SparseKernel`] — partition units plus a single row-range
+//! kernel over a precision-typed activation view — and one driver,
+//! [`kernel::drive`], shared by the serial entries here and the pooled
+//! ones in `rtm-exec` (see [`kernel`]).
+//!
 //! [`footprint`] accounts the exact byte cost of each representation — the
 //! quantity behind the paper's memory-bound analysis in Table II.
 //!
@@ -32,7 +38,7 @@
 //!
 //! ```
 //! use rtm_tensor::Matrix;
-//! use rtm_sparse::CsrMatrix;
+//! use rtm_sparse::{CsrMatrix, SparseKernel};
 //!
 //! # fn main() -> Result<(), rtm_tensor::ShapeError> {
 //! let dense = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 2.0]])?;
@@ -50,6 +56,8 @@ pub mod csc;
 pub mod csr;
 pub mod footprint;
 pub mod io;
+pub mod kernel;
+mod scratch;
 
 pub use bbs::BbsMatrix;
 pub use bspc::{BspcError, BspcMatrix};
@@ -58,6 +66,7 @@ pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use footprint::{Footprint, Precision};
 pub use io::DecodeError;
+pub use kernel::{Activations, KernelOp, SparseKernel};
 
 #[cfg(test)]
 mod tests {

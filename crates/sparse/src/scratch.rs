@@ -1,0 +1,129 @@
+//! The one per-thread scratch of the kernel layer.
+//!
+//! Every row-range kernel gathers, converts or accumulates through
+//! [`KernelScratch`], and the driver quantizes int8 activations into the
+//! activation scratch — both thread-local, so pool workers each own a set,
+//! chunks run concurrently without sharing, and after the buffers have grown
+//! to a model's largest gate the steady state of every kernel, serial or
+//! pooled, allocates nothing.
+//!
+//! The two live in separate cells on purpose: the driver holds the
+//! activation codes borrowed for the whole call while the calling thread
+//! runs its own chunk, which borrows the kernel scratch.
+
+use std::cell::RefCell;
+
+/// A reusable f32 buffer handed out as a window that starts on a cache-line
+/// boundary, wherever the allocator placed the block.
+///
+/// The gathered-activation and decoded-row operands are walked by 32-byte
+/// vector loads and stores at multiples of 8 elements; from an aligned
+/// start none of them splits a cache line or a page. With plain `Vec`s the
+/// kernels' speed depended on allocation history: a decoded-row buffer that
+/// happened to straddle a page cost the 1024² f16 SpMV 1.5× (38 vs 25 µs),
+/// 27 % of an on-device frame.
+pub(crate) struct AlignedF32 {
+    buf: Vec<f32>,
+}
+
+impl AlignedF32 {
+    /// f32s per 64-byte cache line.
+    const LINE: usize = 16;
+
+    const fn new() -> AlignedF32 {
+        AlignedF32 { buf: Vec::new() }
+    }
+
+    /// The aligned window's first `len` elements (contents unspecified —
+    /// callers overwrite all of it). Grows the block on demand; steady
+    /// state allocates nothing.
+    pub fn window(&mut self, len: usize) -> &mut [f32] {
+        if self.buf.len() < len + Self::LINE {
+            self.buf.resize(len + Self::LINE, 0.0);
+        }
+        // `align_offset` may decline (usize::MAX); any in-range start is
+        // correct, alignment is only the fast case.
+        let start = self.buf.as_ptr().align_offset(64).min(Self::LINE);
+        &mut self.buf[start..start + len]
+    }
+
+    /// Gathers columns `cols` of the lane-major `[n × b]` plane `xs` into
+    /// the window — gathered element `i`, lane `j` at `[i·b + j]` (the
+    /// plain indexed gather at `b == 1`) — the once-per-column-run load of
+    /// the paper's redundant-load elimination.
+    pub fn gather(&mut self, cols: &[u32], xs: &[f32], b: usize) -> &[f32] {
+        let out = self.window(cols.len() * b);
+        if b == 1 {
+            for (g, &c) in out.iter_mut().zip(cols) {
+                *g = xs[c as usize];
+            }
+        } else {
+            for (lanes, &c) in out.chunks_exact_mut(b).zip(cols) {
+                let c = c as usize;
+                lanes.copy_from_slice(&xs[c * b..(c + 1) * b]);
+            }
+        }
+        out
+    }
+
+    /// Decodes raw f16 bit patterns into the window (exact).
+    pub fn decode_f16(&mut self, bits: &[u16]) -> &[f32] {
+        let out = self.window(bits.len());
+        rtm_tensor::f16::f16_bits_to_f32(bits, out);
+        out
+    }
+}
+
+/// Working buffers of the row-range kernels (contents are meaningless
+/// between calls; each kernel overwrites what it uses).
+pub(crate) struct KernelScratch {
+    /// Gathered f32 activations of the current column run (serial or
+    /// lane-major).
+    pub gf32: AlignedF32,
+    /// f16 values decoded to f32.
+    pub conv: AlignedF32,
+    /// Gathered int8 activation codes of the current column run.
+    pub gi8: Vec<i8>,
+    /// Per-block segment lengths of the current BSPC stripe.
+    pub seg: Vec<u32>,
+    /// Lane results of one row (CSB SpMM, before accumulation) or of a
+    /// four-row tile (BSPC int8 SpMM).
+    pub lanes: Vec<f32>,
+}
+
+thread_local! {
+    static KERNEL: RefCell<KernelScratch> = const {
+        RefCell::new(KernelScratch {
+            gf32: AlignedF32::new(),
+            conv: AlignedF32::new(),
+            gi8: Vec::new(),
+            seg: Vec::new(),
+            lanes: Vec::new(),
+        })
+    };
+    static ACTIVATIONS: RefCell<(Vec<i8>, Vec<f32>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// Runs `f` with this thread's kernel scratch.
+pub(crate) fn with_kernel<R>(f: impl FnOnce(&mut KernelScratch) -> R) -> R {
+    KERNEL.with(|cell| f(&mut cell.borrow_mut()))
+}
+
+/// Quantizes the lane-major `[cols × b]` plane `xs` into this thread's
+/// activation scratch — one symmetric scale per lane, lane `j`'s codes
+/// identical to quantizing column `j` alone — and runs `f` on the codes and
+/// scales. `b == 1` takes the contiguous single-vector quantizer.
+pub(crate) fn with_quantized<R>(xs: &[f32], b: usize, f: impl FnOnce(&[i8], &[f32]) -> R) -> R {
+    ACTIVATIONS.with(|cell| {
+        let (codes, scales) = &mut *cell.borrow_mut();
+        if b == 1 {
+            let sx = rtm_tensor::simd_i8::quantize_activations(xs, codes);
+            scales.clear();
+            scales.push(sx);
+        } else {
+            rtm_tensor::simd_i8::quantize_activations_lanes(xs, b, codes, scales);
+        }
+        f(codes, scales)
+    })
+}

@@ -187,7 +187,8 @@ pub fn f32_to_f16_bits(xs: &[f32]) -> Vec<u16> {
     xs.iter().map(|&v| F16::from_f32(v).to_bits()).collect()
 }
 
-/// Decodes raw f16 bit patterns into `dst` (resized to `src.len()`).
+/// Decodes raw f16 bit patterns into the equally long `dst` (a slice, so
+/// kernels can place the decoded row in an aligned scratch window).
 ///
 /// The conversion is exact — every f16 is representable in f32 — so a
 /// kernel that decodes f16 storage and runs the f32 arithmetic produces
@@ -199,19 +200,24 @@ pub fn f32_to_f16_bits(xs: &[f32]) -> Vec<u16> {
 /// invisible to every bit-exactness contract. The decode is the inner-loop
 /// cost of the f16 weight path, which is why it gets the hardware
 /// treatment even though the policy layer treats it as "scalar".
-pub fn f16_bits_to_f32(src: &[u16], dst: &mut Vec<f32>) {
-    dst.clear();
-    dst.reserve(src.len());
+///
+/// # Panics
+///
+/// Panics when `dst.len() != src.len()`.
+pub fn f16_bits_to_f32(src: &[u16], dst: &mut [f32]) {
+    assert_eq!(src.len(), dst.len(), "one f32 per f16");
     #[cfg(target_arch = "x86_64")]
     {
         if f16c_available() {
-            // Safety: the feature check gates the target_feature fn; dst
-            // was reserved to src.len() above.
-            unsafe { x86_decode::convert_into(src, dst) };
+            // SAFETY: the feature check gates the target_feature fn; `dst`
+            // holds exactly `src.len()` elements (asserted above).
+            unsafe { x86_decode::convert(src, dst) };
             return;
         }
     }
-    dst.extend(src.iter().map(|&b| F16::from_bits(b).to_f32()));
+    for (d, &b) in dst.iter_mut().zip(src) {
+        *d = F16::from_bits(b).to_f32();
+    }
 }
 
 /// Whether the hardware f16 decode path is compiled in and available.
@@ -234,24 +240,31 @@ fn f16c_available() -> bool {
 mod x86_decode {
     use std::arch::x86_64::*;
 
-    /// F16C bulk decode: appends `src.len()` converted values to `dst`
-    /// (capacity already reserved by the caller).
+    /// F16C bulk decode of `src` into `dst`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support F16C, and `dst` must be at least as long as
+    /// `src`.
     #[target_feature(enable = "f16c")]
-    pub unsafe fn convert_into(src: &[u16], dst: &mut Vec<f32>) {
+    pub unsafe fn convert(src: &[u16], dst: &mut [f32]) {
         let n = src.len();
-        let base = dst.len();
-        let out = dst.as_mut_ptr().add(base);
+        let out = dst.as_mut_ptr();
         let mut k = 0usize;
-        while k + 8 <= n {
-            let h = _mm_loadu_si128(src.as_ptr().add(k) as *const __m128i);
-            _mm256_storeu_ps(out.add(k), _mm256_cvtph_ps(h));
-            k += 8;
+        // SAFETY: every access below is at an index `< n`, in bounds of
+        // `src` and — by the caller's contract — of `dst`; the unaligned
+        // load/store intrinsics carry no alignment requirement.
+        unsafe {
+            while k + 8 <= n {
+                let h = _mm_loadu_si128(src.as_ptr().add(k) as *const __m128i);
+                _mm256_storeu_ps(out.add(k), _mm256_cvtph_ps(h));
+                k += 8;
+            }
+            while k < n {
+                *out.add(k) = super::F16::from_bits(*src.get_unchecked(k)).to_f32();
+                k += 1;
+            }
         }
-        while k < n {
-            *out.add(k) = super::F16::from_bits(*src.get_unchecked(k)).to_f32();
-            k += 1;
-        }
-        dst.set_len(base + n);
     }
 }
 
@@ -362,9 +375,8 @@ mod tests {
         ];
         for len in [0usize, 1, 7, 8, 9, 16, 18] {
             let src: Vec<u16> = (0..len).map(|i| patterns[i % patterns.len()]).collect();
-            let mut dst = Vec::new();
+            let mut dst = vec![f32::NAN; len];
             f16_bits_to_f32(&src, &mut dst);
-            assert_eq!(dst.len(), len);
             for (i, (&bits, &got)) in src.iter().zip(&dst).enumerate() {
                 let want = F16::from_bits(bits).to_f32();
                 assert_eq!(

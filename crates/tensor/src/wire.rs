@@ -101,7 +101,7 @@ impl Buf for &[u8] {
 
 /// Hard ceiling on a single frame's payload (16 MiB). A length prefix
 /// above it is treated as corruption/abuse, not as a request to allocate:
-/// the decoder surfaces [`FrameError::Oversized`] instead of growing its
+/// the decoder surfaces [`FrameOversized`] instead of growing its
 /// buffer toward whatever a hostile peer claims.
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 

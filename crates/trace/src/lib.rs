@@ -26,10 +26,10 @@
 //! rtm_trace::set_config(rtm_trace::TraceConfig::on());
 //! {
 //!     let _span = rtm_trace::span("work");
-//!     rtm_trace::count(rtm_trace::key::SPMV_BSPC, 1);
+//!     rtm_trace::count(rtm_trace::key::GEMV_DENSE, 1);
 //! }
 //! let metrics = rtm_trace::global().metrics_json();
-//! assert!(metrics.contains("kernel.spmv.bspc"));
+//! assert!(metrics.contains("kernel.gemv.dense"));
 //! # rtm_trace::set_config(rtm_trace::TraceConfig::off());
 //! # rtm_trace::global().reset();
 //! ```
@@ -154,22 +154,6 @@ fn enabled_slow() -> bool {
 /// never nest — the executor's serial fast path calls the chunk kernels
 /// directly).
 pub mod key {
-    /// BSPC SpMV calls (serial `spmv_into` + parallel `spmv_bspc_into`).
-    pub const SPMV_BSPC: &str = "kernel.spmv.bspc";
-    /// CSR SpMV calls (serial + parallel).
-    pub const SPMV_CSR: &str = "kernel.spmv.csr";
-    /// BSPC SpMM calls (serial `spmm_into` + parallel `spmm_bspc_into`).
-    pub const SPMM_BSPC: &str = "kernel.spmm.bspc";
-    /// CSR SpMM calls (serial + parallel).
-    pub const SPMM_CSR: &str = "kernel.spmm.csr";
-    /// BBS (bank-balanced) SpMV calls (serial + parallel).
-    pub const SPMV_BBS: &str = "kernel.spmv.bbs";
-    /// BBS SpMM calls (serial + parallel).
-    pub const SPMM_BBS: &str = "kernel.spmm.bbs";
-    /// CSB (compressed structured blocks) SpMV calls (serial + parallel).
-    pub const SPMV_CSB: &str = "kernel.spmv.csb";
-    /// CSB SpMM calls (serial + parallel).
-    pub const SPMM_CSB: &str = "kernel.spmm.csb";
     /// Dense GEMV calls (serial `gemv_into` + parallel `gemv_dense_into`).
     pub const GEMV_DENSE: &str = "kernel.gemv.dense";
     /// Dense batched GEMV/GEMM calls (`gemv_batch_into` + `gemm_dense_into`).
@@ -238,43 +222,51 @@ pub mod key {
     /// format hook.
     pub const TUNER_FORMAT_MEASUREMENTS: &str = "tuner.format_measurements";
 
-    /// The precision-suffixed companion of a sparse kernel-dispatch key.
-    ///
-    /// The base keys above count every call of a kernel entry point
-    /// regardless of value precision; the suffixed keys split that count by
-    /// the precision that actually ran (`f32`, `f16` or `int8`), shared by
-    /// the serial and pooled paths exactly like the base keys. Unknown
-    /// `(base, precision)` pairs return the base key unchanged, so callers
-    /// never manufacture unregistered metric names.
-    pub fn with_precision(base: &'static str, precision: &'static str) -> &'static str {
-        match (base, precision) {
-            (SPMV_BSPC, "f32") => "kernel.spmv.bspc.f32",
-            (SPMV_BSPC, "f16") => "kernel.spmv.bspc.f16",
-            (SPMV_BSPC, "int8") => "kernel.spmv.bspc.int8",
-            (SPMV_CSR, "f32") => "kernel.spmv.csr.f32",
-            (SPMV_CSR, "f16") => "kernel.spmv.csr.f16",
-            (SPMV_CSR, "int8") => "kernel.spmv.csr.int8",
-            (SPMM_BSPC, "f32") => "kernel.spmm.bspc.f32",
-            (SPMM_BSPC, "f16") => "kernel.spmm.bspc.f16",
-            (SPMM_BSPC, "int8") => "kernel.spmm.bspc.int8",
-            (SPMM_CSR, "f32") => "kernel.spmm.csr.f32",
-            (SPMM_CSR, "f16") => "kernel.spmm.csr.f16",
-            (SPMM_CSR, "int8") => "kernel.spmm.csr.int8",
-            (SPMV_BBS, "f32") => "kernel.spmv.bbs.f32",
-            (SPMV_BBS, "f16") => "kernel.spmv.bbs.f16",
-            (SPMV_BBS, "int8") => "kernel.spmv.bbs.int8",
-            (SPMM_BBS, "f32") => "kernel.spmm.bbs.f32",
-            (SPMM_BBS, "f16") => "kernel.spmm.bbs.f16",
-            (SPMM_BBS, "int8") => "kernel.spmm.bbs.int8",
-            (SPMV_CSB, "f32") => "kernel.spmv.csb.f32",
-            (SPMV_CSB, "f16") => "kernel.spmv.csb.f16",
-            (SPMV_CSB, "int8") => "kernel.spmv.csb.int8",
-            (SPMM_CSB, "f32") => "kernel.spmm.csb.f32",
-            (SPMM_CSB, "f16") => "kernel.spmm.csb.f16",
-            (SPMM_CSB, "int8") => "kernel.spmm.csb.int8",
-            _ => base,
-        }
+    /// The registered `kernel.*` counter keys of one sparse storage format.
+    /// Each row is `[kernel.<op>.<format>, .f32, .f16, .int8]`: the base key
+    /// counts every call of the op on a matrix of this format, serial and
+    /// pooled alike, and the precision companions split that count by the
+    /// value precision that ran. A format hands its table to the kernel
+    /// driver (`SparseKernel::trace_keys`), so a counted call is two array
+    /// indexes and no metric name is ever built at run time.
+    #[derive(Debug)]
+    pub struct KernelKeys {
+        /// Short lowercase format label (`"bspc"` / `"csr"` / …).
+        pub format: &'static str,
+        /// Keys of the single-vector product.
+        pub spmv: [&'static str; 4],
+        /// Keys of the lane-major multi-vector product.
+        pub spmm: [&'static str; 4],
     }
+
+    macro_rules! kernel_keys {
+        ($format:literal) => {
+            KernelKeys {
+                format: $format,
+                spmv: [
+                    concat!("kernel.spmv.", $format),
+                    concat!("kernel.spmv.", $format, ".f32"),
+                    concat!("kernel.spmv.", $format, ".f16"),
+                    concat!("kernel.spmv.", $format, ".int8"),
+                ],
+                spmm: [
+                    concat!("kernel.spmm.", $format),
+                    concat!("kernel.spmm.", $format, ".f32"),
+                    concat!("kernel.spmm.", $format, ".f16"),
+                    concat!("kernel.spmm.", $format, ".int8"),
+                ],
+            }
+        };
+    }
+
+    /// BSPC kernel keys.
+    pub static KERNEL_BSPC: KernelKeys = kernel_keys!("bspc");
+    /// CSR kernel keys.
+    pub static KERNEL_CSR: KernelKeys = kernel_keys!("csr");
+    /// BBS kernel keys.
+    pub static KERNEL_BBS: KernelKeys = kernel_keys!("bbs");
+    /// CSB kernel keys.
+    pub static KERNEL_CSB: KernelKeys = kernel_keys!("csb");
 }
 
 // ---------------------------------------------------------------------------
@@ -861,7 +853,7 @@ mod tests {
     #[test]
     fn exports_render_parseable_shapes() {
         let _g = guarded();
-        count(key::SPMV_BSPC, 3);
+        count(key::KERNEL_BSPC.spmv[0], 3);
         gauge(key::EXEC_IMBALANCE, 1.25);
         record(key::SERVE_FRAME_US, 42.0);
         {
@@ -877,5 +869,23 @@ mod tests {
         assert!(trace.contains("\"ph\": \"X\""));
         assert!(trace.contains("export.test"));
         assert!(trace.trim_end().ends_with("]}"));
+    }
+
+    #[test]
+    fn kernel_keys_spell_the_registered_names() {
+        for keys in [
+            &key::KERNEL_BSPC,
+            &key::KERNEL_CSR,
+            &key::KERNEL_BBS,
+            &key::KERNEL_CSB,
+        ] {
+            for (op, row) in [("spmv", &keys.spmv), ("spmm", &keys.spmm)] {
+                let base = format!("kernel.{op}.{}", keys.format);
+                assert_eq!(row[0], base);
+                for (p, prec) in ["f32", "f16", "int8"].iter().enumerate() {
+                    assert_eq!(row[1 + p], format!("{base}.{prec}"));
+                }
+            }
+        }
     }
 }

@@ -64,6 +64,11 @@ RTM_DECODER=ctc-beam:4 cargo test -q --workspace
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Documentation is part of the gate: a deleted or renamed entry point must
+# not leave a dangling intra-doc link behind (runs offline in seconds).
+echo "==> cargo doc (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 # Smoke the perf benchmark binaries (tiny shapes, one iteration). Reports
 # land under target/quick/, never clobbering the committed BENCH_*.json.
 echo "==> benchmark smoke runs (--quick)"

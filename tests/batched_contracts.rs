@@ -6,7 +6,7 @@
 use rtm_exec::{ExecError, Executor};
 use rtm_rnn::model::NetworkConfig;
 use rtm_rnn::GruNetwork;
-use rtm_sparse::{BspcMatrix, CsrMatrix};
+use rtm_sparse::{BspcMatrix, CsrMatrix, Precision, SparseKernel};
 use rtm_tensor::Matrix;
 use rtmobile::deploy::{CompiledNetwork, GruRuntimeScratch, RuntimePrecision};
 
@@ -40,8 +40,12 @@ fn sparse_spmm_into_rejects_mismatched_lane_buffers() {
     let b = 4;
     let good_x = vec![0.5f32; 18 * b];
     let mut good_y = vec![0.0f32; 24 * b];
-    assert!(bspc.spmm_into(&good_x, b, &mut good_y).is_ok());
-    assert!(csr.spmm_into(&good_x, b, &mut good_y).is_ok());
+    assert!(bspc
+        .spmm_prec_into(Precision::F32, &good_x, b, &mut good_y)
+        .is_ok());
+    assert!(csr
+        .spmm_prec_into(Precision::F32, &good_x, b, &mut good_y)
+        .is_ok());
     // Wrong input width, wrong output width, wrong lane count: all typed
     // errors, and the output buffer length is never "fixed up" silently.
     for (xs_len, ys_len, lanes) in [
@@ -53,11 +57,13 @@ fn sparse_spmm_into_rejects_mismatched_lane_buffers() {
         let xs = vec![0.5f32; xs_len];
         let mut ys = vec![0.0f32; ys_len];
         assert!(
-            bspc.spmm_into(&xs, lanes, &mut ys).is_err(),
+            bspc.spmm_prec_into(Precision::F32, &xs, lanes, &mut ys)
+                .is_err(),
             "bspc {xs_len}/{ys_len}/{lanes}"
         );
         assert!(
-            csr.spmm_into(&xs, lanes, &mut ys).is_err(),
+            csr.spmm_prec_into(Precision::F32, &xs, lanes, &mut ys)
+                .is_err(),
             "csr {xs_len}/{ys_len}/{lanes}"
         );
         assert_eq!(ys.len(), ys_len, "buffer length untouched");
@@ -74,17 +80,21 @@ fn executor_batched_kernels_reject_mismatches_before_dispatch() {
         let exec = Executor::new(threads);
         let xs = vec![0.25f32; 18 * b];
         let mut ys = vec![0.0f32; 24 * b];
-        assert!(exec.spmm_bspc_into(&bspc, &xs, b, &mut ys).is_ok());
-        assert!(exec.spmm_csr_into(&csr, &xs, b, &mut ys).is_ok());
+        assert!(exec
+            .spmm_into(&bspc, Precision::F32, &xs, b, &mut ys)
+            .is_ok());
+        assert!(exec
+            .spmm_into(&csr, Precision::F32, &xs, b, &mut ys)
+            .is_ok());
         assert!(exec.gemm_dense_into(&w, &xs, b, &mut ys).is_ok());
 
         let short_x = vec![0.25f32; 18 * b - 2];
         let mut short_y = vec![0.0f32; 24 * b - 2];
         let probes: [Result<(), ExecError>; 6] = [
-            exec.spmm_bspc_into(&bspc, &short_x, b, &mut ys),
-            exec.spmm_bspc_into(&bspc, &xs, b, &mut short_y),
-            exec.spmm_csr_into(&csr, &short_x, b, &mut ys),
-            exec.spmm_csr_into(&csr, &xs, b, &mut short_y),
+            exec.spmm_into(&bspc, Precision::F32, &short_x, b, &mut ys),
+            exec.spmm_into(&bspc, Precision::F32, &xs, b, &mut short_y),
+            exec.spmm_into(&csr, Precision::F32, &short_x, b, &mut ys),
+            exec.spmm_into(&csr, Precision::F32, &xs, b, &mut short_y),
             exec.gemm_dense_into(&w, &short_x, b, &mut ys),
             exec.gemm_dense_into(&w, &xs, b, &mut short_y),
         ];
@@ -98,7 +108,8 @@ fn executor_batched_kernels_reject_mismatches_before_dispatch() {
         // The pool is untouched by rejected calls: a good call still works
         // and matches serial bit for bit.
         let mut clean = vec![0.0f32; 24 * b];
-        exec.spmm_bspc_into(&bspc, &xs, b, &mut clean).unwrap();
+        exec.spmm_into(&bspc, Precision::F32, &xs, b, &mut clean)
+            .unwrap();
         assert_eq!(clean, bspc.spmm(&xs, b).unwrap());
     }
 }

@@ -17,7 +17,7 @@ use rtm_pruning::schedule::CompressionTarget;
 use rtm_rnn::model::{GruNetwork, NetworkConfig};
 use rtm_sim::{CpuModel, GpuModel};
 use rtm_sparse::footprint::{Footprint, Precision};
-use rtm_sparse::{BspcMatrix, CsrMatrix};
+use rtm_sparse::{BspcMatrix, CsrMatrix, SparseKernel};
 use rtm_tensor::gemm;
 use rtm_tensor::Matrix;
 

@@ -18,7 +18,7 @@ use rtm_exec::{ExecError, Executor};
 use rtm_rnn::model::NetworkConfig;
 use rtm_rnn::GruNetwork;
 use rtm_sim::faults::FaultInjector;
-use rtm_sparse::BspcMatrix;
+use rtm_sparse::{BspcMatrix, Precision, SparseKernel};
 use rtm_tensor::rng::StdRng;
 use rtm_tensor::wire::FrameDecoder;
 use rtm_tensor::Matrix;
@@ -79,6 +79,13 @@ impl Drop for QuietPanics {
     }
 }
 
+/// Pooled f32 BSPC SpMV into a fresh buffer.
+fn pooled_spmv(exec: &Executor, m: &BspcMatrix, x: &[f32]) -> Vec<f32> {
+    let mut y = vec![0.0f32; m.rows()];
+    exec.spmv_into(m, Precision::F32, x, &mut y).unwrap();
+    y
+}
+
 #[test]
 fn panic_storm_pool_stays_serviceable() {
     let _quiet = QuietPanics::install();
@@ -115,13 +122,9 @@ fn panic_storm_pool_stays_serviceable() {
         }
         // The very next batch on the same pool computes clean results,
         // bit-identical to serial.
-        assert_eq!(
-            exec.spmv_bspc(&m, &x).unwrap(),
-            serial_spmv,
-            "round {round}"
-        );
+        assert_eq!(pooled_spmv(&exec, &m, &x), serial_spmv, "round {round}");
         let mut ys = vec![0.0f32; 96 * 4];
-        exec.spmm_bspc_into(&m, &xs, 4, &mut ys).unwrap();
+        exec.spmm_into(&m, Precision::F32, &xs, 4, &mut ys).unwrap();
         assert_eq!(ys, serial_spmm, "round {round}");
     }
     // Task panics never kill worker threads, so nothing was respawned.
@@ -135,11 +138,11 @@ fn severed_workers_respawn_and_serve() {
     let x: Vec<f32> = (0..48).map(|i| (i as f32 * 0.3).sin()).collect();
     let serial = m.spmv(&x).unwrap();
     let exec = Executor::new(4);
-    assert_eq!(exec.spmv_bspc(&m, &x).unwrap(), serial);
+    assert_eq!(pooled_spmv(&exec, &m, &x), serial);
     for _ in 0..3 {
         // Kill every worker thread; the next dispatch must heal the pool.
         exec.sever_workers();
-        assert_eq!(exec.spmv_bspc(&m, &x).unwrap(), serial);
+        assert_eq!(pooled_spmv(&exec, &m, &x), serial);
     }
     assert_eq!(exec.respawned_workers(), 9, "3 workers × 3 severances");
 }
@@ -165,7 +168,7 @@ fn slow_workers_change_nothing_but_wall_clock() {
                     if stall {
                         FaultInjector::new(1).busy_wait_us(200);
                     }
-                    m.spmv_into(x, slot).unwrap();
+                    m.spmv_prec_into(Precision::F32, x, slot).unwrap();
                 });
                 task
             })

@@ -1,0 +1,108 @@
+//! The zero-allocation steady state of the kernel layer (README.md,
+//! DESIGN.md §8): once the per-thread scratch has grown to a matrix's
+//! needs, neither the serial driver nor a 1-thread executor touches the
+//! heap — for any format, precision or lane count.
+//!
+//! Own test binary (see `crates/rtmobile/Cargo.toml`): it installs a
+//! counting `#[global_allocator]` and pins the process-global trace switch
+//! off (a traced call may allocate in the registry; that is not the
+//! kernel's steady state).
+
+use rtm_exec::Executor;
+use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix, Precision, SparseKernel};
+use rtm_tensor::Matrix;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Bytes this thread has requested from the heap (const-initialized and
+    /// `Drop`-free, so reading it inside the allocator cannot recurse).
+    static ALLOCATED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator plus a per-thread byte count — per thread so the
+/// libtest harness's own threads cannot disturb the measurement.
+struct Counting;
+
+// SAFETY: every method forwards to `System` unchanged; the only addition is
+// a thread-local counter bump that neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED.with(|c| c.set(c.get() + layout.size() as u64));
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATED.with(|c| c.set(c.get() + new_size as u64));
+        // SAFETY: same contract as the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocated() -> u64 {
+    ALLOCATED.with(Cell::get)
+}
+
+#[test]
+fn steady_state_kernels_allocate_nothing() {
+    rtm_trace::set_config(rtm_trace::TraceConfig::off());
+    let (rows, cols) = (64usize, 48usize);
+    let w = Matrix::from_fn(rows, cols, |r, c| {
+        if (r / 8 + c) % 3 == 0 {
+            0.05 + ((r * 7 + c * 13) % 23) as f32 / 29.0
+        } else {
+            0.0
+        }
+    });
+    let bspc = BspcMatrix::from_dense(&w, 4, 4).unwrap();
+    let csr = CsrMatrix::from_dense(&w);
+    let bbs = BbsMatrix::from_dense(&w, 4).unwrap();
+    let csb = CsbMatrix::from_dense(&w, 8, 8).unwrap();
+    let formats: [&dyn SparseKernel; 4] = [&bspc, &csr, &bbs, &csb];
+    let exec = Executor::new(1);
+
+    for k in formats {
+        for prec in [Precision::F32, Precision::F16, Precision::Int8] {
+            for b in [1usize, 8, 12] {
+                let xs: Vec<f32> = (0..cols * b).map(|i| (i as f32 * 0.37).sin()).collect();
+                let mut ys = vec![0.0f32; rows * b];
+                let what = format!("{} {prec:?} b={b}", k.tag());
+
+                let mut serial = || {
+                    k.spmm_prec_into(prec, &xs, b, &mut ys).unwrap();
+                    if b == 1 {
+                        k.spmv_prec_into(prec, &xs, &mut ys).unwrap();
+                    }
+                };
+                serial(); // warm-up: the scratch grows here, once
+                let before = allocated();
+                for _ in 0..100 {
+                    serial();
+                }
+                assert_eq!(allocated() - before, 0, "serial {what}");
+
+                let mut pooled = || {
+                    exec.spmm_into(k, prec, &xs, b, &mut ys).unwrap();
+                    if b == 1 {
+                        exec.spmv_into(k, prec, &xs, &mut ys).unwrap();
+                    }
+                };
+                pooled();
+                let before = allocated();
+                for _ in 0..100 {
+                    pooled();
+                }
+                assert_eq!(allocated() - before, 0, "Executor::new(1) {what}");
+            }
+        }
+    }
+}

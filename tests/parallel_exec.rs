@@ -7,7 +7,7 @@ use rtm_exec::Executor;
 use rtm_rnn::lstm::LstmCell;
 use rtm_rnn::model::NetworkConfig;
 use rtm_rnn::GruNetwork;
-use rtm_sparse::{BspcMatrix, CsrMatrix};
+use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix, Precision, SparseKernel};
 use rtm_tensor::rng::StdRng;
 use rtm_tensor::{gemm, Matrix};
 use rtmobile::deploy::{BatchedSession, CompiledNetwork, RuntimePrecision};
@@ -26,19 +26,46 @@ fn bsp_weight(rows: usize, cols: usize, seed: u64) -> Matrix {
     })
 }
 
+/// Pooled f32 SpMV into a dirty buffer (every row must be written).
+fn pooled_spmv(exec: &Executor, k: &dyn SparseKernel, x: &[f32]) -> Vec<f32> {
+    let mut y = vec![f32::NAN; k.rows()];
+    exec.spmv_into(k, Precision::F32, x, &mut y).unwrap();
+    y
+}
+
 #[test]
 fn executor_matches_serial_for_all_formats() {
+    // Cross-crate form of rtm-exec's generic equivalence check (which also
+    // holds every format against an independent dense oracle): through the
+    // one generic entry, all four formats × all three precisions are
+    // bit-identical between the serial driver and the pool, SpMV and SpMM.
     let w = bsp_weight(96, 64, 3);
     let bspc = BspcMatrix::from_dense(&w, 4, 4).unwrap();
     let csr = CsrMatrix::from_dense(&w);
+    let bbs = BbsMatrix::from_dense(&w, 4).unwrap();
+    let csb = CsbMatrix::from_dense(&w, 8, 8).unwrap();
+    let formats: [&dyn SparseKernel; 4] = [&bspc, &csr, &bbs, &csb];
     let mut rng = StdRng::seed_from_u64(9);
-    let x: Vec<f32> = (0..64).map(|_| rng.gen_f32() * 2.0 - 1.0).collect();
-    let serial_bspc = bspc.spmv(&x).unwrap();
-    let serial_csr = csr.spmv(&x).unwrap();
-    for threads in THREADS {
-        let exec = Executor::new(threads);
-        assert_eq!(exec.spmv_bspc(&bspc, &x).unwrap(), serial_bspc);
-        assert_eq!(exec.spmv_csr(&csr, &x).unwrap(), serial_csr);
+    let b = 3;
+    let xs: Vec<f32> = (0..64 * b).map(|_| rng.gen_f32() * 2.0 - 1.0).collect();
+    let x = &xs[..64];
+    let execs = THREADS.map(Executor::new);
+    for k in formats {
+        for prec in [Precision::F32, Precision::F16, Precision::Int8] {
+            let mut serial = vec![f32::NAN; 96];
+            k.spmv_prec_into(prec, x, &mut serial).unwrap();
+            let mut serial_mm = vec![f32::NAN; 96 * b];
+            k.spmm_prec_into(prec, &xs, b, &mut serial_mm).unwrap();
+            for exec in &execs {
+                let what = format!("{} {prec:?}, {} threads", k.tag(), exec.threads());
+                let mut y = vec![f32::NAN; 96];
+                exec.spmv_into(k, prec, x, &mut y).unwrap();
+                assert_eq!(y, serial, "{what}");
+                let mut ys = vec![f32::NAN; 96 * b];
+                exec.spmm_into(k, prec, &xs, b, &mut ys).unwrap();
+                assert_eq!(ys, serial_mm, "{what}");
+            }
+        }
     }
 }
 
@@ -134,7 +161,7 @@ fn scalar_policy_env_keeps_parallel_bit_exactness() {
     for threads in THREADS {
         let exec = Executor::new(threads);
         assert_eq!(
-            exec.spmv_bspc(&bspc, &x).unwrap(),
+            pooled_spmv(&exec, &bspc, &x),
             serial,
             "{threads} threads (variant {})",
             simd::active_variant().name()
@@ -161,7 +188,8 @@ fn batched_engine_lanes_match_serial_spmv_for_all_threads() {
             let exec = Executor::new(threads);
 
             let mut ys = vec![f32::NAN; 96 * b];
-            exec.spmm_bspc_into(&bspc, &xs, b, &mut ys).unwrap();
+            exec.spmm_into(&bspc, Precision::F32, &xs, b, &mut ys)
+                .unwrap();
             for (j, col) in cols_of.iter().enumerate() {
                 let want = bspc.spmv(col).unwrap();
                 for (i, &wi) in want.iter().enumerate() {
@@ -170,7 +198,8 @@ fn batched_engine_lanes_match_serial_spmv_for_all_threads() {
             }
 
             let mut ys = vec![f32::NAN; 96 * b];
-            exec.spmm_csr_into(&csr, &xs, b, &mut ys).unwrap();
+            exec.spmm_into(&csr, Precision::F32, &xs, b, &mut ys)
+                .unwrap();
             for (j, col) in cols_of.iter().enumerate() {
                 let want = csr.spmv(col).unwrap();
                 for (i, &wi) in want.iter().enumerate() {
@@ -244,7 +273,7 @@ fn one_executor_serves_the_whole_stack() {
     let w = bsp_weight(32, 24, 1);
     let bspc = BspcMatrix::from_dense(&w, 2, 2).unwrap();
     let x = vec![0.25f32; 24];
-    assert_eq!(exec.spmv_bspc(&bspc, &x).unwrap(), bspc.spmv(&x).unwrap());
+    assert_eq!(pooled_spmv(&exec, &bspc, &x), bspc.spmv(&x).unwrap());
 
     let cell = LstmCell::new(4, 8, 2);
     let xs: Vec<f32> = (0..4).map(|i| i as f32 * 0.1).collect();

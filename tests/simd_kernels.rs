@@ -20,7 +20,7 @@
 //!   kernel at [`active_variant`](rtm_tensor::simd::active_variant) — i.e.
 //!   dispatch hoisting never changes the arithmetic.
 
-use rtm_sparse::{BspcMatrix, CsrMatrix};
+use rtm_sparse::{BspcMatrix, CsrMatrix, Precision, SparseKernel};
 use rtm_tensor::rng::StdRng;
 use rtm_tensor::simd::{
     self, axpy_variant, dot_batch_variant, dot_variant, hadamard_into_variant,
@@ -201,7 +201,7 @@ fn dispatched_csr_spmv_rows_are_the_active_variant_indexed_dot() {
         let csr = CsrMatrix::from_dense(&dense);
         let x = rand_vec(cols, &mut rng);
         let mut y = vec![f32::NAN; rows];
-        csr.spmv_into(&x, &mut y).unwrap();
+        csr.spmv_prec_into(Precision::F32, &x, &mut y).unwrap();
         for (r, &yr) in y.iter().enumerate() {
             let (idx, vals): (Vec<u32>, Vec<f32>) =
                 csr.row_entries(r).map(|(c, w)| (c as u32, w)).unzip();
@@ -297,20 +297,21 @@ fn spmm_columns_match_spmv_exactly_in_every_format() {
             }
 
             let mut ys = vec![f32::NAN; rows * b];
-            csr.spmm_into(&xs, b, &mut ys).unwrap();
+            csr.spmm_prec_into(Precision::F32, &xs, b, &mut ys).unwrap();
             for (j, col) in cols_of.iter().enumerate() {
                 let mut y = vec![f32::NAN; rows];
-                csr.spmv_into(col, &mut y).unwrap();
+                csr.spmv_prec_into(Precision::F32, col, &mut y).unwrap();
                 for (i, &want) in y.iter().enumerate() {
                     assert_eq!(ys[i * b + j], want, "csr {rows}x{cols} b={b} lane {j}");
                 }
             }
 
             let mut ys = vec![f32::NAN; rows * b];
-            bspc.spmm_into(&xs, b, &mut ys).unwrap();
+            bspc.spmm_prec_into(Precision::F32, &xs, b, &mut ys)
+                .unwrap();
             for (j, col) in cols_of.iter().enumerate() {
                 let mut y = vec![f32::NAN; rows];
-                bspc.spmv_into(col, &mut y).unwrap();
+                bspc.spmv_prec_into(Precision::F32, col, &mut y).unwrap();
                 for (i, &want) in y.iter().enumerate() {
                     assert_eq!(ys[i * b + j], want, "bspc {rows}x{cols} b={b} lane {j}");
                 }
@@ -331,7 +332,7 @@ fn bspc_spmv_into_consistent_and_bounded() {
         // Vec-returning one under the same ambient policy.
         let want = bspc.spmv(&x).unwrap();
         let mut y = vec![f32::NAN; rows];
-        bspc.spmv_into(&x, &mut y).unwrap();
+        bspc.spmv_prec_into(Precision::F32, &x, &mut y).unwrap();
         assert_eq!(y, want, "{rows}x{cols}");
 
         // Against the dense reference the summation *order* differs (BSPC

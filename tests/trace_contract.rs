@@ -12,7 +12,9 @@
 //! * kernel counters are *exact*: one serial `spmv_into` on a known BSPC
 //!   matrix adds exactly one `kernel.spmv.bspc` call, `kept_rows` rows and
 //!   `stored_len` (== nnz) touched values, and the executor entry adds the
-//!   same amounts to the same keys (never double-counted);
+//!   same amounts to the same keys (never double-counted) — for every
+//!   format × precision × lane count the serial and pooled entries leave
+//!   identical `kernel.*` counters, under the documented literal names;
 //! * histograms are deterministic: identical value sequences produce
 //!   identical snapshots;
 //! * tracing off is free of *behavior*: `predict_with` outputs are
@@ -21,7 +23,7 @@
 use rtm_exec::Executor;
 use rtm_rnn::model::NetworkConfig;
 use rtm_rnn::GruNetwork;
-use rtm_sparse::BspcMatrix;
+use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix, Precision, SparseKernel};
 use rtm_tensor::simd::{SimdPolicy, Variant};
 use rtm_tensor::Matrix;
 use rtmobile::deploy::{CompiledNetwork, RuntimePrecision};
@@ -102,8 +104,8 @@ fn kernel_counters_are_exact_for_a_known_matrix() {
     let reg = rtm_trace::global();
 
     // One serial call: exactly one dispatch, `rows` rows, `nnz` values.
-    bspc.spmv_into(&x, &mut y).unwrap();
-    assert_eq!(reg.counter(rtm_trace::key::SPMV_BSPC), 1);
+    bspc.spmv_prec_into(Precision::F32, &x, &mut y).unwrap();
+    assert_eq!(reg.counter("kernel.spmv.bspc"), 1);
     assert_eq!(reg.counter(rtm_trace::key::KERNEL_ROWS), rows);
     assert_eq!(reg.counter(rtm_trace::key::KERNEL_NNZ), nnz);
 
@@ -112,9 +114,9 @@ fn kernel_counters_are_exact_for_a_known_matrix() {
     // parallel execution of the same call sequence agree exactly.
     for threads in [1usize, 3] {
         let exec = Executor::new(threads);
-        exec.spmv_bspc_into(&bspc, &x, &mut y).unwrap();
+        exec.spmv_into(&bspc, Precision::F32, &x, &mut y).unwrap();
     }
-    assert_eq!(reg.counter(rtm_trace::key::SPMV_BSPC), 3);
+    assert_eq!(reg.counter("kernel.spmv.bspc"), 3);
     assert_eq!(reg.counter(rtm_trace::key::KERNEL_ROWS), 3 * rows);
     assert_eq!(reg.counter(rtm_trace::key::KERNEL_NNZ), 3 * nnz);
 
@@ -123,11 +125,76 @@ fn kernel_counters_are_exact_for_a_known_matrix() {
     let b = 4;
     let xs = vec![0.25f32; 24 * b];
     let mut ys = vec![0.0f32; 32 * b];
-    bspc.spmm_into(&xs, b, &mut ys).unwrap();
-    assert_eq!(reg.counter(rtm_trace::key::SPMM_BSPC), 1);
+    bspc.spmm_prec_into(Precision::F32, &xs, b, &mut ys)
+        .unwrap();
+    assert_eq!(reg.counter("kernel.spmm.bspc"), 1);
     assert_eq!(reg.counter(rtm_trace::key::KERNEL_ROWS), 4 * rows);
     assert_eq!(reg.counter(rtm_trace::key::KERNEL_NNZ), 4 * nnz);
 
+    rtm_trace::set_config(TraceConfig::off());
+}
+
+#[test]
+fn serial_and_pooled_counters_agree_for_every_format_precision_and_batch() {
+    let _guard = traced();
+    let w = bsp_weight(32, 24);
+    let bspc = BspcMatrix::from_dense(&w, 4, 3).expect("valid partition");
+    let csr = CsrMatrix::from_dense(&w);
+    let bbs = BbsMatrix::from_dense(&w, 3).expect("valid banks");
+    let csb = CsbMatrix::from_dense(&w, 8, 8).expect("valid blocks");
+    let formats: [&dyn SparseKernel; 4] = [&bspc, &csr, &bbs, &csb];
+    let reg = rtm_trace::global();
+    let kernel_counters = || -> Vec<(String, u64)> {
+        let counters = reg.counters();
+        counters
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("kernel."))
+            .collect()
+    };
+    let pools = [Executor::new(1), Executor::new(3)];
+
+    for k in formats {
+        for prec in [Precision::F32, Precision::F16, Precision::Int8] {
+            for b in [0usize, 1, 3] {
+                let xs = vec![0.25f32; 24 * b];
+                let mut ys = vec![0.0f32; 32 * b];
+
+                reg.reset();
+                k.spmm_prec_into(prec, &xs, b, &mut ys).unwrap();
+                if b == 1 {
+                    k.spmv_prec_into(prec, &xs, &mut ys).unwrap();
+                }
+                let serial = kernel_counters();
+
+                // The emitted names are the documented literals, and the
+                // empty product counts nothing.
+                let calls = |op: &str| {
+                    let base = format!("kernel.{op}.{}", k.tag());
+                    let by_precision = format!("{base}.{}", prec.tag());
+                    (reg.counter(&base), reg.counter(&by_precision))
+                };
+                let n = u64::from(b > 0);
+                assert_eq!(calls("spmm"), (n, n), "{} {prec:?} b={b}", k.tag());
+                assert_eq!(calls("spmv"), (u64::from(b == 1), u64::from(b == 1)));
+                assert_eq!(serial.is_empty(), b == 0);
+
+                for exec in &pools {
+                    reg.reset();
+                    exec.spmm_into(k, prec, &xs, b, &mut ys).unwrap();
+                    if b == 1 {
+                        exec.spmv_into(k, prec, &xs, &mut ys).unwrap();
+                    }
+                    assert_eq!(
+                        kernel_counters(),
+                        serial,
+                        "{} {prec:?} b={b} at {} threads",
+                        k.tag(),
+                        exec.threads()
+                    );
+                }
+            }
+        }
+    }
     rtm_trace::set_config(TraceConfig::off());
 }
 
