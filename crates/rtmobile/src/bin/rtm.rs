@@ -853,25 +853,14 @@ fn inspect(args: &[String]) -> ExitCode {
             eprintln!("not a valid .rtm model: {e}");
             return ExitCode::FAILURE;
         }
-        Ok(probe) if probe.version < 5 => {
-            println!(
-                "  integrity     : no integrity data (v{} file predates checksummed bundles)",
-                probe.version
-            );
-        }
         Ok(probe) => {
-            println!(
-                "  generation    : {}",
-                probe
-                    .generation
-                    .map_or_else(|| "unreadable".to_string(), |g| g.to_string())
-            );
+            println!("  generation    : {}", probe.generation);
             println!(
                 "  file checksum : {}",
-                match probe.file_crc_ok {
-                    Some(true) => "ok",
-                    Some(false) => "MISMATCH (torn write or bit rot)",
-                    None => "missing trailer",
+                if probe.file_crc_ok {
+                    "ok"
+                } else {
+                    "MISMATCH (torn write or bit rot)"
                 }
             );
             for s in &probe.sections {
@@ -893,25 +882,23 @@ fn inspect(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if loaded.version >= 5 {
-        println!(
-            "  compiled PER  : {:.2}% (at publish time)",
-            loaded.meta.compiled_per
-        );
-        println!(
-            "  guards        : precision {}, format {}",
-            if loaded.meta.precision_guard_tripped {
-                "TRIPPED (shipped f32)"
-            } else {
-                "ok"
-            },
-            if loaded.meta.format_guard_tripped {
-                "TRIPPED (shipped bspc)"
-            } else {
-                "ok"
-            }
-        );
-    }
+    println!(
+        "  compiled PER  : {:.2}% (at publish time)",
+        loaded.meta.compiled_per
+    );
+    println!(
+        "  guards        : precision {}, format {}",
+        if loaded.meta.precision_guard_tripped {
+            "TRIPPED (shipped f32)"
+        } else {
+            "ok"
+        },
+        if loaded.meta.format_guard_tripped {
+            "TRIPPED (shipped bspc)"
+        } else {
+            "ok"
+        }
+    );
     let net = loaded.into_network();
     println!("  precision     : {:?}", net.precision());
     let formats: Vec<&str> = net.layer_formats().iter().map(|f| f.tag()).collect();

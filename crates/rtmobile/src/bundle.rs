@@ -143,19 +143,14 @@ pub struct CompiledBundle {
     pub net: Arc<CompiledNetwork>,
     /// Health metadata from the `HLTH` section and trailer.
     pub meta: BundleMeta,
-    /// Container version the bytes arrived in (2–5; in-memory bundles are
-    /// [`model_file::VERSION`]).
-    pub version: u16,
 }
 
 impl CompiledBundle {
-    /// Wraps an in-memory network as a current-version bundle with default
-    /// metadata.
+    /// Wraps an in-memory network as a bundle with default metadata.
     pub fn from_network(net: CompiledNetwork) -> CompiledBundle {
         CompiledBundle {
             net: Arc::new(net),
             meta: BundleMeta::default(),
-            version: model_file::VERSION,
         }
     }
 
@@ -165,7 +160,7 @@ impl CompiledBundle {
         self
     }
 
-    /// The bundle's generation stamp (0 for unstamped or pre-v5 files).
+    /// The bundle's generation stamp (0 for unstamped bundles).
     pub fn generation(&self) -> u64 {
         self.meta.generation
     }
@@ -175,8 +170,7 @@ impl CompiledBundle {
         Arc::try_unwrap(self.net).unwrap_or_else(|shared| (*shared).clone())
     }
 
-    /// Reads and decodes a bundle file (any supported version, no weight
-    /// scan).
+    /// Reads and decodes a bundle file (no weight scan).
     ///
     /// # Errors
     ///
@@ -320,7 +314,7 @@ fn read_health_body(
     Ok(())
 }
 
-/// Decodes `.rtm` bytes (v2–v5) into a bundle without a weight scan.
+/// Decodes `.rtm` bytes into a bundle without a weight scan.
 ///
 /// # Errors
 ///
@@ -329,14 +323,14 @@ pub fn from_bytes(bytes: &[u8]) -> Result<CompiledBundle, DecodeError> {
     from_bytes_with(bytes, HealthPolicy::Off)
 }
 
-/// Decodes `.rtm` bytes (v2–v5) into a bundle, scanning the weights for
+/// Decodes `.rtm` bytes into a bundle, scanning the weights for
 /// finiteness under a scanning [`HealthPolicy`].
 ///
-/// For v5, the whole-file CRC32 is verified before anything else is
-/// parsed, so corruption surfaces as
-/// [`DecodeError::FileChecksum`] / [`DecodeError::BadTrailer`] instead of
-/// an arbitrary field error. Legacy v2–v4 files carry no integrity data
-/// and decode as before.
+/// The whole-file CRC32 is verified before anything else is parsed, so
+/// corruption surfaces as [`DecodeError::FileChecksum`] /
+/// [`DecodeError::BadTrailer`] instead of an arbitrary field error. Any
+/// container version but 5 — the flat v2–v4 files carried no integrity
+/// data — is refused with [`DecodeError::BadVersion`].
 ///
 /// # Errors
 ///
@@ -354,19 +348,10 @@ pub fn from_bytes_with(bytes: &[u8], policy: HealthPolicy) -> Result<CompiledBun
     }
     need(buf, 2)?;
     let version = buf.get_u16_le();
-
-    let bundle = match version {
-        v @ 2..=4 => {
-            let net = model_file::read_legacy(&mut buf, v)?;
-            CompiledBundle {
-                net: Arc::new(net),
-                meta: BundleMeta::default(),
-                version: v,
-            }
-        }
-        5 => decode_v5(bytes)?,
-        other => return Err(DecodeError::BadVersion(other)),
-    };
+    if version != model_file::VERSION {
+        return Err(DecodeError::BadVersion(version));
+    }
+    let bundle = decode_v5(bytes)?;
 
     if policy.scans() && !model_file::all_finite(&bundle.net) {
         return Err(DecodeError::NonFinite);
@@ -424,7 +409,7 @@ fn decode_v5(bytes: &[u8]) -> Result<CompiledBundle, DecodeError> {
     }
 
     let mut body = weights.ok_or(DecodeError::MissingSection(SEC_WEIGHTS))?;
-    let mut net = model_file::read_network_body(&mut body, 5)?;
+    let mut net = model_file::read_network_body(&mut body)?;
     if let Some(mut t) = tuner {
         net.tuner_costs = model_file::read_tuner_body(&mut t)?;
     }
@@ -438,7 +423,6 @@ fn decode_v5(bytes: &[u8]) -> Result<CompiledBundle, DecodeError> {
     Ok(CompiledBundle {
         net: Arc::new(net),
         meta,
-        version: 5,
     })
 }
 
@@ -516,7 +500,7 @@ pub fn peek_generation(bytes: &[u8]) -> Option<u64> {
 
 /// The generation a new publish at `path` should carry: one past the
 /// stamp of the file currently there (1 when the path is empty, missing,
-/// or pre-v5).
+/// or not a v5 bundle).
 pub fn next_generation(path: &Path) -> u64 {
     fs::read(path)
         .ok()
@@ -543,21 +527,20 @@ pub struct SectionProbe {
 /// Integrity summary of an `.rtm` file, for `rtm inspect`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BundleProbe {
-    /// Container version (2–5).
+    /// Container version (always [`model_file::VERSION`]).
     pub version: u16,
-    /// Trailer generation stamp (v5 only).
-    pub generation: Option<u64>,
-    /// Whether the whole-file CRC32 matches (v5 only).
-    pub file_crc_ok: Option<bool>,
-    /// Per-section framing and checksum status (v5 only; empty for
-    /// legacy files, which carry no integrity data).
+    /// Trailer generation stamp.
+    pub generation: u64,
+    /// Whether the whole-file CRC32 matches.
+    pub file_crc_ok: bool,
+    /// Per-section framing and checksum status.
     pub sections: Vec<SectionProbe>,
 }
 
 /// Walks an `.rtm` file's container framing and reports versions,
 /// generation, and checksum status *without* enforcing them — corrupt
 /// sections are reported, not rejected, so `rtm inspect` can localize
-/// damage. Legacy v2–v4 files probe successfully with no integrity data.
+/// damage.
 ///
 /// # Errors
 ///
@@ -572,56 +555,47 @@ pub fn probe(bytes: &[u8]) -> Result<BundleProbe, DecodeError> {
         return Err(DecodeError::BadMagic);
     }
     let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    match version {
-        2..=4 => Ok(BundleProbe {
-            version,
-            generation: None,
-            file_crc_ok: None,
-            sections: Vec::new(),
-        }),
-        5 => {
-            if bytes.len() < HEADER_LEN + TRAILER_LEN {
-                return Err(DecodeError::Truncated);
-            }
-            let trailer = &bytes[bytes.len() - TRAILER_LEN..];
-            if &trailer[..4] != TRAILER_MAGIC {
-                return Err(DecodeError::BadTrailer);
-            }
-            let generation = u64::from_le_bytes(trailer[4..12].try_into().expect("8 bytes"));
-            let stored = u32::from_le_bytes(trailer[12..16].try_into().expect("4 bytes"));
-            let file_crc_ok = crc32(&bytes[..bytes.len() - 4]) == stored;
-            let mut sections = Vec::new();
-            let mut pos = HEADER_LEN;
-            let end = bytes.len() - TRAILER_LEN;
-            while pos + SECTION_HEADER_LEN <= end {
-                let tag: [u8; 4] = bytes[pos..pos + 4].try_into().expect("4 bytes");
-                let len: usize =
-                    u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("8 bytes"))
-                        .try_into()
-                        .map_err(|_| DecodeError::Truncated)?;
-                let crc = u32::from_le_bytes(bytes[pos + 12..pos + 16].try_into().expect("4"));
-                let payload_offset = pos + SECTION_HEADER_LEN;
-                if payload_offset + len > end {
-                    return Err(DecodeError::Truncated);
-                }
-                let payload = &bytes[payload_offset..payload_offset + len];
-                sections.push(SectionProbe {
-                    tag,
-                    len,
-                    payload_offset,
-                    crc_ok: crc32(payload) == crc,
-                });
-                pos = payload_offset + len;
-            }
-            Ok(BundleProbe {
-                version,
-                generation: Some(generation),
-                file_crc_ok: Some(file_crc_ok),
-                sections,
-            })
-        }
-        other => Err(DecodeError::BadVersion(other)),
+    if version != model_file::VERSION {
+        return Err(DecodeError::BadVersion(version));
     }
+    if bytes.len() < HEADER_LEN + TRAILER_LEN {
+        return Err(DecodeError::Truncated);
+    }
+    let trailer = &bytes[bytes.len() - TRAILER_LEN..];
+    if &trailer[..4] != TRAILER_MAGIC {
+        return Err(DecodeError::BadTrailer);
+    }
+    let generation = u64::from_le_bytes(trailer[4..12].try_into().expect("8 bytes"));
+    let stored = u32::from_le_bytes(trailer[12..16].try_into().expect("4 bytes"));
+    let file_crc_ok = crc32(&bytes[..bytes.len() - 4]) == stored;
+    let mut sections = Vec::new();
+    let mut pos = HEADER_LEN;
+    let end = bytes.len() - TRAILER_LEN;
+    while pos + SECTION_HEADER_LEN <= end {
+        let tag: [u8; 4] = bytes[pos..pos + 4].try_into().expect("4 bytes");
+        let len: usize = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("8 bytes"))
+            .try_into()
+            .map_err(|_| DecodeError::Truncated)?;
+        let crc = u32::from_le_bytes(bytes[pos + 12..pos + 16].try_into().expect("4"));
+        let payload_offset = pos + SECTION_HEADER_LEN;
+        if payload_offset + len > end {
+            return Err(DecodeError::Truncated);
+        }
+        let payload = &bytes[payload_offset..payload_offset + len];
+        sections.push(SectionProbe {
+            tag,
+            len,
+            payload_offset,
+            crc_ok: crc32(payload) == crc,
+        });
+        pos = payload_offset + len;
+    }
+    Ok(BundleProbe {
+        version,
+        generation,
+        file_crc_ok,
+        sections,
+    })
 }
 
 /// Recomputes every per-section CRC32 and the whole-file CRC32 of a v5
@@ -701,7 +675,6 @@ mod tests {
         let bundle = from_bytes(&bytes).expect("decodes");
         assert_eq!(bundle.meta, meta);
         assert_eq!(bundle.generation(), 42);
-        assert_eq!(bundle.version, 5);
         // Same inputs, same bytes: the writer is deterministic.
         assert_eq!(bytes, to_bytes_with(&net, &meta));
     }
@@ -851,8 +824,8 @@ mod tests {
         let mut bytes = to_bytes_with(&net, &BundleMeta::default().with_generation(9));
         let p = probe(&bytes).expect("probe");
         assert_eq!(p.version, 5);
-        assert_eq!(p.generation, Some(9));
-        assert_eq!(p.file_crc_ok, Some(true));
+        assert_eq!(p.generation, 9);
+        assert!(p.file_crc_ok);
         let tags: Vec<[u8; 4]> = p.sections.iter().map(|s| s.tag).collect();
         assert_eq!(tags, vec![SEC_WEIGHTS, SEC_TUNER, SEC_HEALTH]);
         assert!(p.sections.iter().all(|s| s.crc_ok));
@@ -862,7 +835,7 @@ mod tests {
         let wght = p.sections[0];
         bytes[wght.payload_offset + 8] ^= 0xFF;
         let p = probe(&bytes).expect("probe walks corrupt file");
-        assert_eq!(p.file_crc_ok, Some(false));
+        assert!(!p.file_crc_ok);
         assert!(!p.sections[0].crc_ok, "WGHT damage localized");
         assert!(p.sections[1].crc_ok && p.sections[2].crc_ok);
     }

@@ -1,0 +1,416 @@
+//! The compiled network: lowering a trained GRU to sparse storage, and the
+//! two frame loops (serial reference, lane-major production) over it.
+
+use super::format::{GateMatrix, RuntimeFormat, RuntimePrecision};
+use super::layer::{CompiledGruLayer, GruRuntimeScratch};
+use rtm_compiler::reorder::ReorderPlan;
+use rtm_exec::ExecError;
+use rtm_rnn::GruNetwork;
+use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix};
+use rtm_tensor::f16::quantize_f16;
+use rtm_tensor::{Matrix, Vector};
+
+/// One tuner measurement riding along with a compiled model: the seconds
+/// the compile-time kernel probe measured for the format × precision a
+/// layer was deployed at (stored as microseconds). Persisting these in the
+/// model file lets a serving-side load answer "what did the tuner see?"
+/// without re-running the probe.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TunerCost {
+    /// Layer index the measurement belongs to.
+    pub layer: usize,
+    /// Storage format the probe timed.
+    pub format: RuntimeFormat,
+    /// Storage precision the probe timed.
+    pub precision: RuntimePrecision,
+    /// Measured per-step kernel cost in microseconds.
+    pub micros: f32,
+}
+
+/// A GRU network compiled to sparse storage (BSPC by default; the format
+/// zoo's CSR/BBS/CSB per layer when selected).
+#[derive(Debug, Clone)]
+pub struct CompiledNetwork {
+    pub(crate) layers: Vec<CompiledGruLayer>,
+    pub(crate) head_w: Matrix,
+    pub(crate) head_b: Vec<f32>,
+    pub(crate) precision: RuntimePrecision,
+    pub(crate) format: RuntimeFormat,
+    /// Tuner probe measurements (empty unless an Auto compile recorded
+    /// them; see [`CompiledNetwork::with_tuner_costs`]).
+    pub(crate) tuner_costs: Vec<TunerCost>,
+}
+
+impl CompiledNetwork {
+    /// Compiles `net` with the given BSP partition and precision.
+    ///
+    /// Every gate matrix is converted to BSPC (with the matrix-reorder
+    /// permutation attached per §IV-B-c) and, under
+    /// [`RuntimePrecision::F16`], quantized through binary16 first.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying [`rtm_sparse::BspcError`] when the partition
+    /// does not fit a tensor.
+    pub fn compile(
+        net: &GruNetwork,
+        stripes: usize,
+        blocks: usize,
+        precision: RuntimePrecision,
+    ) -> Result<CompiledNetwork, rtm_sparse::BspcError> {
+        CompiledNetwork::compile_with_precisions(net, stripes, blocks, &[], precision)
+    }
+
+    /// [`CompiledNetwork::compile`] with a per-layer precision override:
+    /// layer `i` compiles and runs at `per_layer[i]` (layers past the end
+    /// of the slice use `default`). `default` also sets the network-level
+    /// activation rounding and head precision. This is the deployment hook
+    /// for the tuner's measured per-layer precision selection.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying [`rtm_sparse::BspcError`] when the partition
+    /// does not fit a tensor.
+    pub fn compile_with_precisions(
+        net: &GruNetwork,
+        stripes: usize,
+        blocks: usize,
+        per_layer: &[RuntimePrecision],
+        default: RuntimePrecision,
+    ) -> Result<CompiledNetwork, rtm_sparse::BspcError> {
+        CompiledNetwork::compile_with_formats(
+            net,
+            stripes,
+            blocks,
+            per_layer,
+            default,
+            &[],
+            RuntimeFormat::Bspc,
+        )
+    }
+
+    /// [`CompiledNetwork::compile_with_precisions`] with a per-layer
+    /// storage-format override on top: layer `i` compiles its six gates
+    /// into `per_layer_format[i]` (layers past the end use
+    /// `default_format`). The `(stripes, blocks)` partition maps onto each
+    /// format the same way the compiler's profiler prices them: BSPC uses
+    /// it directly, BBS takes `blocks` banks, CSB tiles `stripes × blocks`
+    /// block panels, CSR ignores it. This is the deployment hook for the
+    /// tuner's measured per-layer format selection.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying [`rtm_sparse::BspcError`] when the partition
+    /// does not fit a tensor (a zero `stripes`/`blocks` is rejected for
+    /// every format so the partition contract stays format-independent).
+    pub fn compile_with_formats(
+        net: &GruNetwork,
+        stripes: usize,
+        blocks: usize,
+        per_layer: &[RuntimePrecision],
+        default: RuntimePrecision,
+        per_layer_format: &[RuntimeFormat],
+        default_format: RuntimeFormat,
+    ) -> Result<CompiledNetwork, rtm_sparse::BspcError> {
+        if stripes == 0 || blocks == 0 {
+            return Err(rtm_sparse::BspcError::ZeroPartition);
+        }
+        // What the stored weights look like per precision: f16 pre-rounds
+        // (the 2-byte sidecar is then exact, so the f16 kernels match the
+        // f32 kernels bit for bit on these values); int8 keeps the original
+        // f32 values — the int8 sidecar derived from them is what the
+        // kernels stream, and dequantizing here would round the codes twice.
+        let quant = |m: &Matrix, precision: RuntimePrecision| -> Matrix {
+            match precision {
+                RuntimePrecision::F32 | RuntimePrecision::Int8 => m.clone(),
+                RuntimePrecision::F16 => m.map(quantize_f16),
+            }
+        };
+        let lower = |m: &Matrix,
+                     precision: RuntimePrecision,
+                     format: RuntimeFormat|
+         -> Result<GateMatrix, rtm_sparse::BspcError> {
+            let q = quant(m, precision);
+            let (rows, cols) = (q.rows(), q.cols());
+            Ok(match format {
+                RuntimeFormat::Bspc => {
+                    let s = stripes.min(rows.max(1));
+                    let b = blocks.min(cols.max(1));
+                    let reorder = ReorderPlan::compute(&q, 8);
+                    let perm: Vec<u32> = reorder.perm.iter().map(|&r| r as u32).collect();
+                    GateMatrix::Bspc(BspcMatrix::from_dense(&q, s, b)?.with_reorder(perm)?)
+                }
+                RuntimeFormat::Csr => GateMatrix::Csr(CsrMatrix::from_dense(&q)),
+                // The clamps below mirror the compiler profile's pricing
+                // geometry exactly, so the tuner's measured costs describe
+                // the matrices actually deployed. Clamped geometry always
+                // fits the shape, hence the expects.
+                RuntimeFormat::Bbs => {
+                    let banks = blocks.min(cols.max(1)).max(1);
+                    GateMatrix::Bbs(
+                        BbsMatrix::from_dense(&q, banks).expect("banks clamped to shape"),
+                    )
+                }
+                RuntimeFormat::Csb => {
+                    let bh = rows.div_ceil(stripes.min(rows.max(1)).max(1));
+                    let bw = cols.div_ceil(blocks.min(cols.max(1)).max(1));
+                    GateMatrix::Csb(
+                        CsbMatrix::from_dense(&q, bh, bw).expect("blocks clamped to shape"),
+                    )
+                }
+            })
+        };
+
+        let mut layers = Vec::with_capacity(net.layers.len());
+        for (i, cell) in net.layers.iter().enumerate() {
+            let precision = per_layer.get(i).copied().unwrap_or(default);
+            let format = per_layer_format.get(i).copied().unwrap_or(default_format);
+            layers.push(CompiledGruLayer {
+                w_z: lower(&cell.w_z, precision, format)?,
+                u_z: lower(&cell.u_z, precision, format)?,
+                b_z: cell.b_z.clone(),
+                w_r: lower(&cell.w_r, precision, format)?,
+                u_r: lower(&cell.u_r, precision, format)?,
+                b_r: cell.b_r.clone(),
+                w_n: lower(&cell.w_n, precision, format)?,
+                u_n: lower(&cell.u_n, precision, format)?,
+                b_n: cell.b_n.clone(),
+                hidden: cell.hidden_dim(),
+                precision,
+                format,
+            });
+        }
+        // The head stays a dense f32 gemv; int8 models weight-only
+        // per-tensor quantization there (the DESIGN.md §6 what-if).
+        let head_w = match default {
+            RuntimePrecision::F32 => net.head.w.clone(),
+            RuntimePrecision::F16 => net.head.w.map(quantize_f16),
+            RuntimePrecision::Int8 => {
+                rtm_tensor::QuantizedMatrix::quantize(&net.head.w).dequantize()
+            }
+        };
+        Ok(CompiledNetwork {
+            layers,
+            head_w,
+            head_b: net.head.b.clone(),
+            precision: default,
+            format: default_format,
+            tuner_costs: Vec::new(),
+        })
+    }
+
+    /// Attaches tuner probe measurements to travel with the model (they
+    /// serialize into the bundle's `TUNE` section).
+    pub fn with_tuner_costs(mut self, costs: Vec<TunerCost>) -> CompiledNetwork {
+        self.tuner_costs = costs;
+        self
+    }
+
+    /// Tuner probe measurements recorded at compile time (empty when the
+    /// model was compiled with explicit, un-probed settings).
+    pub fn tuner_costs(&self) -> &[TunerCost] {
+        &self.tuner_costs
+    }
+
+    /// Input frame dimension the compiled model expects.
+    pub fn input_dim(&self) -> usize {
+        self.layers
+            .first()
+            .map(|l| l.w_z.cols())
+            .unwrap_or_else(|| self.head_w.cols())
+    }
+
+    /// Number of output classes (logit rows per frame).
+    pub fn num_classes(&self) -> usize {
+        self.head_b.len()
+    }
+
+    /// The network-level numeric mode (per-layer overrides may differ; see
+    /// [`CompiledNetwork::layer_precisions`]).
+    pub fn precision(&self) -> RuntimePrecision {
+        self.precision
+    }
+
+    /// The storage precision each compiled layer runs at, in layer order.
+    pub fn layer_precisions(&self) -> Vec<RuntimePrecision> {
+        self.layers.iter().map(|l| l.precision).collect()
+    }
+
+    /// The network-level storage format (per-layer overrides may differ;
+    /// see [`CompiledNetwork::layer_formats`]).
+    pub fn format(&self) -> RuntimeFormat {
+        self.format
+    }
+
+    /// The storage format each compiled layer's gates walk, in layer order.
+    pub fn layer_formats(&self) -> Vec<RuntimeFormat> {
+        self.layers.iter().map(|l| l.format).collect()
+    }
+
+    /// The compiled GRU layers, in execution order.
+    pub fn layers(&self) -> &[CompiledGruLayer] {
+        &self.layers
+    }
+
+    /// Total bytes of the compiled weight storage (values + indices +
+    /// quantization scale metadata) at each layer's runtime precision and
+    /// format.
+    pub fn storage_bytes(&self) -> usize {
+        self.layers
+            .iter()
+            .flat_map(|l| {
+                [&l.w_z, &l.u_z, &l.w_r, &l.u_r, &l.w_n, &l.u_n]
+                    .map(|m| m.footprint(l.precision.storage()).total())
+            })
+            .sum()
+    }
+
+    fn maybe_quantize(&self, v: &mut [f32]) {
+        if self.precision == RuntimePrecision::F16 {
+            for x in v {
+                *x = quantize_f16(*x);
+            }
+        }
+    }
+
+    /// Runs inference over a frame sequence, returning per-frame logits —
+    /// the serial reference loop (no executor) every bit-identity suite
+    /// compares the production path against.
+    ///
+    /// Streaming is zero-allocation in steady state: one
+    /// [`GruRuntimeScratch`] plus double-buffered state/input vectors serve
+    /// every frame; only the returned logit rows are freshly allocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame dimension does not match the compiled model.
+    pub fn forward(&self, frames: &[Vec<f32>]) -> Vec<Vec<f32>> {
+        let mut states: Vec<Vec<f32>> = self.layers.iter().map(|l| vec![0.0; l.hidden]).collect();
+        let mut scratch = GruRuntimeScratch::new();
+        let mut x: Vec<f32> = Vec::new();
+        let mut h_next: Vec<f32> = Vec::new();
+        let mut logits = Vec::with_capacity(frames.len());
+        for frame in frames {
+            x.clear();
+            x.extend_from_slice(frame);
+            self.maybe_quantize(&mut x);
+            for (layer, h) in self.layers.iter().zip(states.iter_mut()) {
+                layer.step_into(&x, h, &mut scratch, &mut h_next);
+                std::mem::swap(h, &mut h_next);
+                x.clear();
+                x.extend_from_slice(h);
+            }
+            let mut out = rtm_tensor::gemm::gemv(&self.head_w, &x).expect("head dims");
+            Vector::axpy(1.0, &self.head_b, &mut out);
+            logits.push(out);
+        }
+        logits
+    }
+
+    /// Per-frame argmax predictions.
+    pub fn predict(&self, frames: &[Vec<f32>]) -> Vec<usize> {
+        self.forward(frames)
+            .iter()
+            .map(|l| Vector::argmax(l))
+            .collect()
+    }
+
+    /// [`CompiledNetwork::forward`] on a parallel [`rtm_exec::Executor`]:
+    /// the production frame loop ([`CompiledNetwork::forward_frame_batch`])
+    /// at one lane, so every gate SpMV is row-parallel across the pool.
+    /// Bit-identical to the serial forward for any thread count: pooled and
+    /// serial steps run the same row-range kernel of each gate (see
+    /// [`GateMatrix::kernel`]), so the per-gate accumulation order is
+    /// preserved. Allocates nothing per frame but the returned logits row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame dimension does not match the compiled model, or
+    /// if a kernel task panics.
+    pub fn forward_with(&self, exec: &rtm_exec::Executor, frames: &[Vec<f32>]) -> Vec<Vec<f32>> {
+        let mut states: Vec<Vec<f32>> = self.layers.iter().map(|l| vec![0.0; l.hidden]).collect();
+        let mut scratch = GruRuntimeScratch::new();
+        let mut x: Vec<f32> = Vec::new();
+        let mut h_next: Vec<f32> = Vec::new();
+        let mut logits = Vec::with_capacity(frames.len());
+        for frame in frames {
+            x.clear();
+            x.extend_from_slice(frame);
+            let mut out = Vec::with_capacity(self.head_b.len());
+            self.forward_frame_batch(
+                exec,
+                &mut x,
+                1,
+                &mut states,
+                &mut scratch,
+                &mut h_next,
+                &mut out,
+            )
+            .expect("frame dims match the compiled model");
+            logits.push(out);
+        }
+        logits
+    }
+
+    /// Per-frame argmax predictions through the parallel executor.
+    pub fn predict_with(&self, exec: &rtm_exec::Executor, frames: &[Vec<f32>]) -> Vec<usize> {
+        self.forward_with(exec, frames)
+            .iter()
+            .map(|l| Vector::argmax(l))
+            .collect()
+    }
+
+    /// Runs the utterance through the parallel executor and decodes it with
+    /// `choice`'s decoder ([`crate::config::DecoderChoice::build`] over
+    /// this head's class count). The serial offline counterpart of the
+    /// per-lane streaming decode in [`super::BatchedSession`]; both feed the
+    /// same logits to the same decoder, so their hypotheses are
+    /// bit-identical.
+    pub fn decode_with(
+        &self,
+        exec: &rtm_exec::Executor,
+        frames: &[Vec<f32>],
+        choice: crate::config::DecoderChoice,
+    ) -> rtm_speech::Hypothesis {
+        let logits = self.forward_with(exec, frames);
+        let mut decoder = choice.build(self.head_b.len());
+        rtm_speech::decode_offline(decoder.as_mut(), &logits)
+    }
+
+    /// The production frame loop's body — one frame for `b ≥ 1` lanes
+    /// through all layers and the head: `xs` holds `b` input frames
+    /// lane-major and is consumed as the inter-layer activation
+    /// buffer; `logits` receives the `[classes × b]` lane-major head output.
+    /// Lane `j` is bit-identical to one frame of
+    /// [`CompiledNetwork::forward`] on stream `j`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError::Shape`] when `xs` or a `states` plane is not
+    /// lane-major `[dim × b]` for this network, and
+    /// [`ExecError::WorkerPanicked`] if a kernel task panics. On error the
+    /// activation buffers hold unspecified — but initialized — data.
+    #[allow(clippy::too_many_arguments)]
+    pub fn forward_frame_batch(
+        &self,
+        exec: &rtm_exec::Executor,
+        xs: &mut Vec<f32>,
+        b: usize,
+        states: &mut [Vec<f32>],
+        scratch: &mut GruRuntimeScratch,
+        hs_next: &mut Vec<f32>,
+        logits: &mut Vec<f32>,
+    ) -> Result<(), ExecError> {
+        self.maybe_quantize(xs);
+        for (layer, hs) in self.layers.iter().zip(states.iter_mut()) {
+            layer.step_batch_into(exec, xs, hs, b, layer.precision, scratch, hs_next)?;
+            std::mem::swap(hs, hs_next);
+            xs.clear();
+            xs.extend_from_slice(hs);
+        }
+        logits.resize(self.head_b.len() * b, 0.0);
+        rtm_tensor::gemm::gemv_batch_into(&self.head_w, xs, b, logits)?;
+        rtm_tensor::simd::broadcast_add(&self.head_b, b, logits);
+        Ok(())
+    }
+}

@@ -48,8 +48,7 @@ pub mod serve;
 pub use bundle::{BundleError, BundleMeta, CompiledBundle};
 pub use config::{DecoderChoice, FormatChoice, PrecisionChoice, RuntimeConfig};
 pub use deploy::{
-    BatchedSession, CompiledNetwork, FusedGruLayer, GateMatrix, GruRuntimeScratch, RuntimeFormat,
-    RuntimePrecision,
+    BatchedSession, CompiledNetwork, GateMatrix, GruRuntimeScratch, RuntimeFormat, RuntimePrecision,
 };
 pub use health::HealthPolicy;
 pub use pipeline::RtMobile;

@@ -11,7 +11,7 @@
 //! payload, tuner costs move to `TUNE`, health metadata lands in `HLTH`,
 //! and every section carries a CRC32 with a whole-file checksum in the
 //! trailer. This module keeps the *body* codecs (shared with the bundle
-//! reader/writer) and the version dispatch for the legacy containers.
+//! reader/writer).
 //!
 //! Network body layout (little-endian):
 //!
@@ -27,14 +27,10 @@
 //!              micros f32
 //! ```
 //!
-//! Version 2 added the per-layer precision byte and native int8 blobs (no
-//! storage-format bytes: every gate blob is BSPC); version 3 added the
-//! per-layer storage-format byte (0 = BSPC, 1 = CSR, 2 = BBS, 3 = CSB)
-//! with format-dispatched gate blobs; version 4 appended the tuner-cost
-//! section; version 5 wrapped everything in the checksummed bundle
-//! container. Versions 2–4 still decode (flat `magic, version, body`
-//! layout, no integrity data); anything else is rejected with
-//! [`DecodeError::BadVersion`].
+//! Format bytes: 0 = BSPC, 1 = CSR, 2 = BBS, 3 = CSB. Version 5 (the
+//! checksummed bundle container) is the only container that decodes; any
+//! other version — including the flat, checksum-free versions 2–4 that
+//! predate it — is rejected with [`DecodeError::BadVersion`].
 
 use crate::deploy::{
     CompiledGruLayer, CompiledNetwork, GateMatrix, RuntimeFormat, RuntimePrecision, TunerCost,
@@ -49,9 +45,6 @@ pub const MAGIC: &[u8; 4] = b"RTMF";
 
 /// Current model-file version (the sectioned bundle container).
 pub const VERSION: u16 = 5;
-
-/// Oldest model-file version [`from_bytes`] still decodes.
-pub const MIN_VERSION: u16 = 2;
 
 pub(crate) fn precision_code(p: RuntimePrecision) -> u8 {
     match p {
@@ -148,23 +141,11 @@ pub(crate) fn write_tuner_body(out: &mut Vec<u8>, costs: &[TunerCost]) {
 }
 
 /// Decodes the network body (the inverse of [`write_network_body`]) from
-/// the front of `buf`, advancing it. `version` selects the per-layer
-/// header shape: version 2 predates the storage-format bytes (every blob
-/// is BSPC), 3+ carry them.
-pub(crate) fn read_network_body(
-    buf: &mut &[u8],
-    version: u16,
-) -> Result<CompiledNetwork, DecodeError> {
-    let formats = version >= 3;
-    need(buf, if formats { 2 } else { 1 })?;
+/// the front of `buf`, advancing it.
+pub(crate) fn read_network_body(buf: &mut &[u8]) -> Result<CompiledNetwork, DecodeError> {
+    need(buf, 6)?;
     let precision = precision_from_code(buf.get_u8())?;
-    let format = if formats {
-        format_from_code(buf.get_u8())?
-    } else {
-        RuntimeFormat::Bspc
-    };
-
-    need(buf, 4)?;
+    let format = format_from_code(buf.get_u8())?;
     let layer_count = buf.get_u32_le() as usize;
     // Each layer needs at least its hidden-width word plus six gate blobs;
     // reject counts the buffer cannot possibly hold before allocating.
@@ -173,14 +154,10 @@ pub(crate) fn read_network_body(
     }
     let mut layers = Vec::new();
     for _ in 0..layer_count {
-        need(buf, if formats { 6 } else { 5 })?;
+        need(buf, 6)?;
         let hidden = buf.get_u32_le() as usize;
         let layer_precision = precision_from_code(buf.get_u8())?;
-        let layer_format = if formats {
-            format_from_code(buf.get_u8())?
-        } else {
-            RuntimeFormat::Bspc
-        };
+        let layer_format = format_from_code(buf.get_u8())?;
         let mut mats: Vec<GateMatrix> = Vec::with_capacity(6);
         for _ in 0..6 {
             let (m, used) = GateMatrix::read_from(buf, layer_format)?;
@@ -283,18 +260,6 @@ pub(crate) fn all_finite(net: &CompiledNetwork) -> bool {
         && finite(&net.head_b)
 }
 
-/// Decodes a legacy flat container (versions 2–4): the network body
-/// directly after the `magic, version` header, plus the tuner-cost section
-/// in version 4. `buf` must already be past the 6-byte header.
-pub(crate) fn read_legacy(buf: &mut &[u8], version: u16) -> Result<CompiledNetwork, DecodeError> {
-    debug_assert!((2..=4).contains(&version));
-    let mut net = read_network_body(buf, version)?;
-    if version >= 4 {
-        net.tuner_costs = read_tuner_body(buf)?;
-    }
-    Ok(net)
-}
-
 /// Serializes a compiled network to the current `.rtm` byte format — a
 /// version-5 [`crate::bundle`] with default (empty) health metadata and
 /// generation 0. Use [`crate::bundle::to_bytes_with`] to stamp real
@@ -323,9 +288,8 @@ pub fn from_bytes_with(
     crate::bundle::from_bytes_with(bytes, policy).map(crate::bundle::CompiledBundle::into_network)
 }
 
-/// Deserializes a compiled network from `.rtm` bytes (any supported
-/// version: the checksummed version-5 bundle, or the flat version 2–4
-/// containers).
+/// Deserializes a compiled network from `.rtm` bytes (the checksummed
+/// version-5 bundle).
 ///
 /// # Errors
 ///
@@ -356,52 +320,6 @@ mod tests {
         (0..6)
             .map(|t| (0..5).map(|i| ((t * 5 + i) as f32 * 0.4).sin()).collect())
             .collect()
-    }
-
-    /// Writes the legacy flat container for a given version (the inverse
-    /// of [`read_legacy`]) — v2/v3/v4 fixtures for the decode tests.
-    fn to_bytes_legacy(net: &CompiledNetwork, version: u16) -> Vec<u8> {
-        assert!((2..=4).contains(&version));
-        let mut out = Vec::new();
-        out.put_slice(MAGIC);
-        out.put_u16_le(version);
-        out.put_u8(precision_code(net.precision));
-        if version >= 3 {
-            out.put_u8(format_code(net.format));
-        }
-        out.put_u32_le(net.layers.len() as u32);
-        for layer in &net.layers {
-            out.put_u32_le(layer.hidden as u32);
-            out.put_u8(precision_code(layer.precision));
-            if version >= 3 {
-                out.put_u8(format_code(layer.format));
-            }
-            let prec: Precision = layer.precision.storage();
-            for m in [
-                &layer.w_z, &layer.u_z, &layer.w_r, &layer.u_r, &layer.w_n, &layer.u_n,
-            ] {
-                m.write_to(&mut out, prec);
-            }
-            for b in [&layer.b_z, &layer.b_r, &layer.b_n] {
-                out.put_u32_le(b.len() as u32);
-                for &v in b {
-                    out.put_f32_le(v);
-                }
-            }
-        }
-        out.put_u32_le(net.head_w.rows() as u32);
-        out.put_u32_le(net.head_w.cols() as u32);
-        for &v in net.head_w.as_slice() {
-            out.put_f32_le(v);
-        }
-        out.put_u32_le(net.head_b.len() as u32);
-        for &v in &net.head_b {
-            out.put_f32_le(v);
-        }
-        if version >= 4 {
-            write_tuner_body(&mut out, net.tuner_costs());
-        }
-        out
     }
 
     #[test]
@@ -624,40 +542,24 @@ mod tests {
     }
 
     #[test]
-    fn legacy_versions_still_decode() {
-        let costs = vec![TunerCost {
-            layer: 0,
-            format: RuntimeFormat::Bspc,
-            precision: RuntimePrecision::F16,
-            micros: 3.5,
-        }];
-        let net = compiled(RuntimePrecision::F16).with_tuner_costs(costs.clone());
-        // v4: full flat container with tuner costs.
-        let v4 = to_bytes_legacy(&net, 4);
-        let decoded = from_bytes(&v4).expect("v4 decodes");
-        assert_eq!(decoded.tuner_costs(), &costs[..]);
-        assert_eq!(net.forward(&frames()), decoded.forward(&frames()));
-        // v3: same body, no tuner section.
-        let v3 = to_bytes_legacy(&net, 3);
-        let decoded = from_bytes(&v3).expect("v3 decodes");
-        assert!(decoded.tuner_costs().is_empty());
-        assert_eq!(net.forward(&frames()), decoded.forward(&frames()));
-        // v2: no format bytes — only all-BSPC models ever existed, and the
-        // decoder restores exactly that.
-        let v2 = to_bytes_legacy(&net, 2);
-        let decoded = from_bytes(&v2).expect("v2 decodes");
-        assert_eq!(decoded.format(), RuntimeFormat::Bspc);
-        assert!(decoded
-            .layer_formats()
-            .iter()
-            .all(|f| *f == RuntimeFormat::Bspc));
-        assert_eq!(net.forward(&frames()), decoded.forward(&frames()));
-        // Legacy truncations fail cleanly too.
-        for n in (0..v4.len()).step_by(13) {
-            assert!(from_bytes(&v4[..n]).is_err(), "v4 prefix {n}");
-        }
-        for n in (0..v2.len()).step_by(13) {
-            assert!(from_bytes(&v2[..n]).is_err(), "v2 prefix {n}");
+    fn every_other_container_version_is_refused() {
+        // Only the checksummed v5 container decodes: the flat v2–v4
+        // layouts that predate it are refused like any unknown version,
+        // before a byte of the (unverifiable) body is parsed.
+        let bytes = to_bytes(&compiled(RuntimePrecision::F16));
+        for v in [0u16, 1, 2, 3, 4, 6] {
+            let mut other = bytes.clone();
+            other[4..6].copy_from_slice(&v.to_le_bytes());
+            assert_eq!(
+                from_bytes(&other).unwrap_err(),
+                DecodeError::BadVersion(v),
+                "version {v}"
+            );
+            assert_eq!(
+                crate::bundle::probe(&other).unwrap_err(),
+                DecodeError::BadVersion(v),
+                "probe, version {v}"
+            );
         }
     }
 

@@ -127,12 +127,12 @@ impl RtMobile {
         self
     }
 
-    /// Replaces the whole [`RuntimeConfig`] at once — the preferred entry
-    /// point for callers that already assembled one (e.g. the `rtm` CLI or
-    /// [`RuntimeConfig::from_env`]). The per-knob methods below
-    /// ([`RtMobile::threads`], [`RtMobile::batch`], [`RtMobile::simd`],
-    /// [`RtMobile::health`], [`RtMobile::trace`]) are thin wrappers over
-    /// the same struct.
+    /// Sets the runtime knobs (threads, batch, simd, health, precision,
+    /// format, trace, decoder) as one [`RuntimeConfig`], assembled with its
+    /// `with_*` builders or [`RuntimeConfig::from_env`]. Every knob left
+    /// unset falls back to its `RTM_*` environment variable, then its
+    /// default; none of them changes a reported accuracy number's meaning
+    /// (threads, batch, health and trace leave every number bit-identical).
     pub fn runtime(mut self, runtime: RuntimeConfig) -> RtMobile {
         self.runtime = runtime;
         self
@@ -143,69 +143,6 @@ impl RtMobile {
         &self.runtime
     }
 
-    /// Worker threads for the compiled runtime's inference pass (default 1,
-    /// i.e. serial). The parallel path is bit-identical to serial, so this
-    /// only changes wall-clock, never any reported accuracy number.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn threads(mut self, threads: usize) -> RtMobile {
-        self.runtime = self.runtime.with_threads(threads);
-        self
-    }
-
-    /// Concurrent inference lanes for the compiled runtime's scoring pass
-    /// (default 1, i.e. one utterance at a time). With `batch > 1` the
-    /// test utterances are scored through a [`crate::deploy::BatchedSession`]
-    /// that carries up to `batch` streams per weight pass. The batched path
-    /// is bit-identical to the serial per-utterance forward, so — like
-    /// [`RtMobile::threads`] — this only changes wall-clock, never any
-    /// reported accuracy number.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0`.
-    pub fn batch(mut self, batch: usize) -> RtMobile {
-        self.runtime = self.runtime.with_batch(batch);
-        self
-    }
-
-    /// Kernel dispatch policy for every tensor/SpMV kernel the run touches
-    /// (process-global, see [`rtm_tensor::simd::set_policy`]): `Auto` picks
-    /// the widest realization the host supports, `Fixed` pins one — e.g.
-    /// force-scalar for a bit-exactness audit. When this knob is not set,
-    /// the `RTM_SIMD` environment variable (read once per process) decides.
-    /// Scalar and vector paths differ only in float summation order, never
-    /// in any reported accuracy metric's meaning.
-    pub fn simd(mut self, policy: rtm_tensor::simd::SimdPolicy) -> RtMobile {
-        self.runtime = self.runtime.with_simd(policy);
-        self
-    }
-
-    /// Numerical-health policy of the batched scoring pass (see
-    /// [`crate::health::HealthPolicy`]): `Off` trusts the data, `Check`
-    /// records faults, `Quarantine` retires a faulty lane while every other
-    /// lane stays bit-identical to serial. When this knob is not set, the
-    /// `RTM_HEALTH` environment variable decides (default `Off`). The
-    /// synthetic corpus is finite, so on a healthy run this never changes
-    /// any reported number — it only adds the scan.
-    pub fn health(mut self, policy: crate::health::HealthPolicy) -> RtMobile {
-        self.runtime = self.runtime.with_health(policy);
-        self
-    }
-
-    /// Weight storage precision of the compiled runtime (see
-    /// [`PrecisionChoice`]): a fixed `f32`/`f16`/`int8`, or `auto` to let
-    /// the tuner measure the three kernel precisions per layer shape and
-    /// pick the fastest, guarded by [`RtMobile::precision_guard`]. When
-    /// this knob is not set, the `RTM_PRECISION` environment variable
-    /// decides (default `f16`, the paper's mobile-GPU datapath).
-    pub fn precision(mut self, choice: PrecisionChoice) -> RtMobile {
-        self.runtime = self.runtime.with_precision(choice);
-        self
-    }
-
     /// The accuracy guard of the `auto` precision and format selectors: if
     /// a measured-fastest per-layer mix degrades PER by more than this many
     /// percentage points versus the reference compile of the same pruned
@@ -214,28 +151,6 @@ impl RtMobile {
     /// 2.0). Ignored for fixed choices.
     pub fn precision_guard(mut self, points: f64) -> RtMobile {
         self.precision_guard = points;
-        self
-    }
-
-    /// Sparse weight storage format of the compiled runtime (see
-    /// [`FormatChoice`]): a fixed `bspc`/`csr`/`bbs`/`csb`, or `auto` to
-    /// let the tuner time the four formats against each layer's actual
-    /// pruned weights and pick the fastest per layer, guarded by
-    /// [`RtMobile::precision_guard`]. When this knob is not set, the
-    /// `RTM_FORMAT` environment variable decides (default `bspc`, the
-    /// paper's block-based structured pruning format).
-    pub fn format(mut self, choice: FormatChoice) -> RtMobile {
-        self.runtime = self.runtime.with_format(choice);
-        self
-    }
-
-    /// Observability switch (see [`rtm_trace::TraceConfig`]): `on` records
-    /// kernel counters, stage spans and serving histograms into the
-    /// process-global [`rtm_trace`] registry. When this knob is not set,
-    /// the `RTM_TRACE` environment variable decides (default off). Tracing
-    /// never changes any computed number — outputs stay bit-identical.
-    pub fn trace(mut self, trace: rtm_trace::TraceConfig) -> RtMobile {
-        self.runtime = self.runtime.with_trace(trace);
         self
     }
 
@@ -293,7 +208,7 @@ impl RtMobile {
         // (inflated to at least 256 so timing noise does not dominate the
         // tiny laptop-scale widths) and keeps the fastest per layer.
         // Probe measurements recorded along the way ride with the shipped
-        // model (`.rtm` v4 cost section), so a serving-side load reports
+        // model (the bundle's `TUNE` section), so a serving-side load reports
         // what the tuner saw without re-running the probe.
         let mut tuner_costs: Vec<TunerCost> = Vec::new();
         let (default_prec, per_layer_prec): (RuntimePrecision, Vec<RuntimePrecision>) = match choice
@@ -693,8 +608,7 @@ mod tests {
         let batched = quick()
             .compression(1.0, 1.0)
             .seed(5)
-            .batch(5)
-            .threads(2)
+            .runtime(RuntimeConfig::default().with_batch(5).with_threads(2))
             .run();
         assert_eq!(serial.accuracy.compiled_per, batched.accuracy.compiled_per);
         assert_eq!(serial.accuracy.baseline_per, batched.accuracy.baseline_per);
@@ -705,7 +619,10 @@ mod tests {
         let report = quick()
             .compression(1.0, 1.0)
             .seed(5)
-            .precision(PrecisionChoice::Fixed(RuntimePrecision::Int8))
+            .runtime(
+                RuntimeConfig::default()
+                    .with_precision(PrecisionChoice::Fixed(RuntimePrecision::Int8)),
+            )
             .run();
         assert_eq!(report.performance.precision, "int8");
         assert_eq!(report.performance.layers_f32, 0);
@@ -717,7 +634,10 @@ mod tests {
         let f32_run = quick()
             .compression(1.0, 1.0)
             .seed(5)
-            .precision(PrecisionChoice::Fixed(RuntimePrecision::F32))
+            .runtime(
+                RuntimeConfig::default()
+                    .with_precision(PrecisionChoice::Fixed(RuntimePrecision::F32)),
+            )
             .run();
         assert_eq!(f32_run.performance.precision, "f32");
         assert!(

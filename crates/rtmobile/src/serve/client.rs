@@ -24,8 +24,8 @@ pub struct StreamClient {
     pub input_dim: usize,
     /// Logit width the server produces (from `Hello`).
     pub classes: usize,
-    /// Protocol version the server advertised in `Hello` (1 for a
-    /// pre-streaming server, 2+ when hypotheses are available).
+    /// Protocol version the server advertised in `Hello` (hypotheses are
+    /// available from 2 on).
     pub protocol_version: u32,
     /// This stream opted into hypotheses
     /// ([`StreamClient::want_hypotheses`]).

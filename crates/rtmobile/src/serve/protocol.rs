@@ -22,12 +22,10 @@
 //! server → Reject { code }                  (instead of service, any time)
 //! ```
 //!
-//! Version negotiation is one-sided and backward compatible: an 8-byte
-//! `Hello` body (the original wire format) decodes as protocol version 1,
-//! a 12-byte body carries the server's version explicitly. A v2 server
-//! advertises the hypothesis capability in `Hello`; clients that never
-//! send [`ClientMsg::WantHypotheses`] receive exactly the v1 message
-//! sequence, bit-identical logits included.
+//! Version negotiation is one-sided: the 12-byte `Hello` body carries the
+//! server's version. A v2 server advertises the hypothesis capability in
+//! `Hello`; clients that never send [`ClientMsg::WantHypotheses`] receive
+//! the logits-only message sequence.
 //!
 //! Decoding is total: unknown tags, truncated fields and trailing bytes
 //! all surface as a typed [`ProtocolError`], never a panic — the server
@@ -120,8 +118,7 @@ pub enum ClientMsg {
 pub enum ServerMsg {
     /// The greeting: the model's frame width and logit width, so a client
     /// can validate its feed before streaming, plus the protocol version
-    /// the server speaks (absent on the 8-byte v1 wire form, which decodes
-    /// as `version: 1`).
+    /// the server speaks.
     Hello {
         /// Expected `Frame` length.
         input_dim: u32,
@@ -325,20 +322,11 @@ impl ServerMsg {
         need(&buf, 1, "tag")?;
         let msg = match buf.get_u8() {
             TAG_HELLO => {
-                need(&buf, 8, "hello dims")?;
-                let input_dim = buf.get_u32_le();
-                let classes = buf.get_u32_le();
-                // The original wire form stops here; v2+ servers append
-                // their protocol version. Both decode.
-                let version = if buf.remaining() >= 4 {
-                    buf.get_u32_le()
-                } else {
-                    1
-                };
+                need(&buf, 12, "hello dims")?;
                 ServerMsg::Hello {
-                    input_dim,
-                    classes,
-                    version,
+                    input_dim: buf.get_u32_le(),
+                    classes: buf.get_u32_le(),
+                    version: buf.get_u32_le(),
                 }
             }
             TAG_LOGITS => ServerMsg::Logits(get_f32s(&mut buf, "logits")?),
@@ -487,21 +475,18 @@ mod tests {
     }
 
     #[test]
-    fn legacy_eight_byte_hello_decodes_as_version_one() {
-        // The pre-streaming wire form: tag + two u32 dims, no version.
-        let mut legacy = vec![super::TAG_HELLO];
-        legacy.extend_from_slice(&6u32.to_le_bytes());
-        legacy.extend_from_slice(&4u32.to_le_bytes());
+    fn eight_byte_hello_is_rejected_as_truncated() {
+        // The version-less v1 wire form (tag + two u32 dims) is a short
+        // body like any other: no server in the tree writes it.
+        let mut short = vec![super::TAG_HELLO];
+        short.extend_from_slice(&6u32.to_le_bytes());
+        short.extend_from_slice(&4u32.to_le_bytes());
         assert_eq!(
-            ServerMsg::decode(&legacy),
-            Ok(ServerMsg::Hello {
-                input_dim: 6,
-                classes: 4,
-                version: 1,
-            })
+            ServerMsg::decode(&short),
+            Err(ProtocolError::Truncated("hello dims"))
         );
         // Bytes past the version field are still rejected.
-        let mut overlong = legacy.clone();
+        let mut overlong = short.clone();
         overlong.extend_from_slice(&2u32.to_le_bytes());
         overlong.push(0xFF);
         assert_eq!(

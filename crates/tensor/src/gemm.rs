@@ -157,7 +157,8 @@ pub fn gemv_into(a: &Matrix, x: &[f32], y: &mut [f32]) -> Result<(), ShapeError>
 ///
 /// Lane contract: lane `j` of the result is **bit-identical** to
 /// [`gemv_into`] of lane `j`'s column under the same ambient policy (see
-/// [`simd::dot_batch_variant`](crate::simd::dot_batch_variant)).
+/// [`simd::dot_batch_variant`](crate::simd::dot_batch_variant)). A single
+/// lane *is* [`gemv_into`] (and counts as `kernel.gemv.dense`).
 ///
 /// # Errors
 ///
@@ -173,6 +174,11 @@ pub fn gemv_batch_into(a: &Matrix, xs: &[f32], b: usize, ys: &mut [f32]) -> Resu
     }
     if b == 0 {
         return Ok(());
+    }
+    // One lane is a GEMV: `dot_batch` vectorizes across lanes only, so its
+    // `b == 1` case would run the whole row through the scalar lane tail.
+    if b == 1 {
+        return gemv_into(a, xs, ys);
     }
     rtm_trace::count_many(&[
         (rtm_trace::key::GEMM_DENSE, 1),

@@ -1168,6 +1168,14 @@ pub fn broadcast_add(bias: &[f32], b: usize, out: &mut [f32]) {
     if b == 0 {
         return;
     }
+    // One lane is a plain element-wise add; the width-1 chunk walk below
+    // would keep the compiler from vectorizing it.
+    if b == 1 {
+        for (o, &bi) in out.iter_mut().zip(bias) {
+            *o += bi;
+        }
+        return;
+    }
     for (lanes, &bi) in out.chunks_exact_mut(b).zip(bias) {
         for o in lanes {
             *o += bi;
@@ -1450,7 +1458,7 @@ mod tests {
     #[test]
     fn broadcast_add_matches_per_lane_axpy() {
         let mut rng = StdRng::seed_from_u64(0xB1A5);
-        for (h, b) in [(1usize, 1usize), (5, 3), (8, 8), (13, 4), (32, 9)] {
+        for (h, b) in [(1usize, 1usize), (37, 1), (5, 3), (8, 8), (13, 4), (32, 9)] {
             let bias = rand_vec(h, &mut rng);
             let base = rand_vec(h * b, &mut rng);
             let mut got = base.clone();

@@ -156,7 +156,8 @@ fn enabled_slow() -> bool {
 pub mod key {
     /// Dense GEMV calls (serial `gemv_into` + parallel `gemv_dense_into`).
     pub const GEMV_DENSE: &str = "kernel.gemv.dense";
-    /// Dense batched GEMV/GEMM calls (`gemv_batch_into` + `gemm_dense_into`).
+    /// Dense batched GEMV/GEMM calls (`gemv_batch_into` at two or more
+    /// lanes + `gemm_dense_into`).
     pub const GEMM_DENSE: &str = "kernel.gemm.dense";
     /// Output rows touched across all counted kernel calls.
     pub const KERNEL_ROWS: &str = "kernel.rows";

@@ -41,25 +41,31 @@ RTM_SIMD=off cargo test -q --workspace
 echo "==> cargo test -q (RTM_TRACE=on)"
 RTM_TRACE=on cargo test -q --workspace
 
+# Passes four to six flip knobs that only `rtmobile::{env, config}` read,
+# so they re-run the crates that depend on `rtmobile` rather than the
+# whole workspace; the root `tests/` suites are `rtmobile` test targets,
+# so every contract suite still runs under every knob.
+knob_crates=(-p rtmobile -p rtm-bench -p rtm-benchmark)
+
 # Fourth pass with the runtime precision forced to int8: every pipeline /
 # end-to-end test must hold when the compiled model stores quantized
 # weights (the precision-specific differential suites run in every pass;
 # this pass additionally reroutes every default-precision compile).
-echo "==> cargo test -q (RTM_PRECISION=int8)"
-RTM_PRECISION=int8 cargo test -q --workspace
+echo "==> cargo test -q ${knob_crates[*]} (RTM_PRECISION=int8)"
+RTM_PRECISION=int8 cargo test -q "${knob_crates[@]}"
 
 # Fifth pass with the storage format resolved by the per-layer tuner:
 # every pipeline / end-to-end test must hold when each layer's weights can
 # land in any of the four formats (BSPC/CSR/BBS/CSB) behind the PER guard.
-echo "==> cargo test -q (RTM_FORMAT=auto)"
-RTM_FORMAT=auto cargo test -q --workspace
+echo "==> cargo test -q ${knob_crates[*]} (RTM_FORMAT=auto)"
+RTM_FORMAT=auto cargo test -q "${knob_crates[@]}"
 
 # Sixth pass with the streaming decoder rerouted to CTC prefix beam
 # search: every pipeline / serve / decode-contract test must hold when the
 # default decode path is the beam decoder (per-lane state, partials and
 # endpoints live on every served stream).
-echo "==> cargo test -q (RTM_DECODER=ctc-beam:4)"
-RTM_DECODER=ctc-beam:4 cargo test -q --workspace
+echo "==> cargo test -q ${knob_crates[*]} (RTM_DECODER=ctc-beam:4)"
+RTM_DECODER=ctc-beam:4 cargo test -q "${knob_crates[@]}"
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

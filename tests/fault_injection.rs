@@ -290,7 +290,7 @@ fn model_decoder_survives_bitflip_and_truncation_fuzz() {
     assert!(model_file::from_bytes_with(&pristine, HealthPolicy::Quarantine).is_ok());
 }
 
-/// The same bit-flip/truncation fuzz over a v3 model whose layers use the
+/// The same bit-flip/truncation fuzz over a model whose layers use the
 /// non-default storage formats (BBS and CSB at int8): every per-format
 /// wire codec behind the format-dispatched gate blobs must reject
 /// corruption with a typed `DecodeError`, never a panic — and a flipped
@@ -613,7 +613,7 @@ fn v5_section_bitflips_are_caught_per_section_even_under_a_forged_file_crc() {
     let pristine = bundle::to_bytes(&compiled);
     let layout = bundle::probe(&pristine).expect("pristine probe");
     assert_eq!(layout.version, 5);
-    assert_eq!(layout.file_crc_ok, Some(true));
+    assert!(layout.file_crc_ok);
     assert_eq!(layout.sections.len(), 3, "WGHT + TUNE + HLTH");
 
     let mut inj = FaultInjector::new(0x5EC7);

@@ -9,7 +9,7 @@ use rtm_exec::Executor;
 use rtm_rnn::model::NetworkConfig;
 use rtm_rnn::GruNetwork;
 use rtmobile::deploy::{BatchedSession, CompiledNetwork, RuntimeFormat, RuntimePrecision};
-use rtmobile::{model_file, FormatChoice, RtMobile};
+use rtmobile::{model_file, FormatChoice, RtMobile, RuntimeConfig};
 
 const ALL_FORMATS: [RuntimeFormat; 4] = [
     RuntimeFormat::Bspc,
@@ -135,7 +135,7 @@ fn serial_pooled_and_batched_agree_bit_for_bit_per_format_and_precision() {
     }
 }
 
-/// A per-layer mixed-format model survives the `.rtm` v3 round-trip with
+/// A per-layer mixed-format model survives the `.rtm` round-trip with
 /// bit-identical logits at every precision, and the decoded network
 /// reports the same per-layer formats it was compiled with.
 #[test]
@@ -198,7 +198,7 @@ fn auto_format_selects_per_layer_within_per_guard() {
         })
         .sim_hidden(256)
         .seed(3)
-        .format(FormatChoice::Auto)
+        .runtime(RuntimeConfig::default().with_format(FormatChoice::Auto))
         .run_keeping_model();
 
     let p = &report.performance;
@@ -210,7 +210,7 @@ fn auto_format_selects_per_layer_within_per_guard() {
     );
     // The probe's measurements ride with the model: one cost per layer,
     // each naming the format the layer shipped with, persisted through the
-    // `.rtm` v4 cost section so a serving-side load skips the probe.
+    // `.rtm` `TUNE` section so a serving-side load skips the probe.
     let costs = compiled.tuner_costs();
     assert_eq!(costs.len(), 2, "one format probe record per layer");
     for (i, c) in costs.iter().enumerate() {
@@ -236,7 +236,7 @@ fn auto_format_selects_per_layer_within_per_guard() {
 /// which on this easy task is zero decisions flipped).
 #[test]
 fn fixed_format_choice_flows_into_report_with_identical_accuracy() {
-    let quick = || {
+    let quick = |format: RuntimeFormat| {
         RtMobile::builder()
             .corpus(rtm_speech::corpus::CorpusConfig {
                 speakers: 8,
@@ -249,16 +249,17 @@ fn fixed_format_choice_flows_into_report_with_identical_accuracy() {
             .sim_hidden(128)
             .compression(1.0, 1.0)
             .seed(5)
-            .precision(rtmobile::PrecisionChoice::Fixed(RuntimePrecision::F32))
+            .runtime(
+                RuntimeConfig::default()
+                    .with_precision(rtmobile::PrecisionChoice::Fixed(RuntimePrecision::F32))
+                    .with_format(FormatChoice::Fixed(format)),
+            )
+            .run()
     };
     // Pin both runs explicitly: the baseline must stay BSPC even when the
     // suite runs under `RTM_FORMAT=auto` (the CI fifth pass).
-    let bspc = quick()
-        .format(FormatChoice::Fixed(RuntimeFormat::Bspc))
-        .run();
-    let csb = quick()
-        .format(FormatChoice::Fixed(RuntimeFormat::Csb))
-        .run();
+    let bspc = quick(RuntimeFormat::Bspc);
+    let csb = quick(RuntimeFormat::Csb);
     assert_eq!(bspc.performance.format, "bspc");
     assert_eq!(bspc.performance.layers_bspc, 2);
     assert_eq!(csb.performance.format, "csb");

@@ -1,7 +1,10 @@
 //! The zero-allocation steady state of the kernel layer (README.md,
 //! DESIGN.md §8): once the per-thread scratch has grown to a matrix's
 //! needs, neither the serial driver nor a 1-thread executor touches the
-//! heap — for any format, precision or lane count.
+//! heap — for any format, precision or lane count. One level up the same
+//! holds for the production GRU step: a frame through
+//! `forward_frame_batch` allocates nothing, and `forward_with` allocates
+//! only the logits it returns.
 //!
 //! Own test binary (see `crates/rtmobile/Cargo.toml`): it installs a
 //! counting `#[global_allocator]` and pins the process-global trace switch
@@ -9,8 +12,11 @@
 //! kernel's steady state).
 
 use rtm_exec::Executor;
+use rtm_rnn::model::NetworkConfig;
+use rtm_rnn::GruNetwork;
 use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix, Precision, SparseKernel};
 use rtm_tensor::Matrix;
+use rtmobile::deploy::{CompiledNetwork, GruRuntimeScratch, RuntimeFormat, RuntimePrecision};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -102,6 +108,97 @@ fn steady_state_kernels_allocate_nothing() {
                     pooled();
                 }
                 assert_eq!(allocated() - before, 0, "Executor::new(1) {what}");
+            }
+        }
+    }
+}
+
+#[test]
+fn production_step_allocates_only_the_returned_logits() {
+    rtm_trace::set_config(rtm_trace::TraceConfig::off());
+    let (input, classes, t) = (6usize, 5usize, 8usize);
+    let net = GruNetwork::new(
+        &NetworkConfig {
+            input_dim: input,
+            hidden_dims: vec![16, 16],
+            num_classes: classes,
+        },
+        77,
+    );
+    let frames: Vec<Vec<f32>> = (0..2 * t)
+        .map(|f| {
+            (0..input)
+                .map(|i| ((f * input + i) as f32 * 0.37).sin())
+                .collect()
+        })
+        .collect();
+    let exec = Executor::new(1);
+
+    for format in [
+        RuntimeFormat::Bspc,
+        RuntimeFormat::Csr,
+        RuntimeFormat::Bbs,
+        RuntimeFormat::Csb,
+    ] {
+        for precision in [
+            RuntimePrecision::F32,
+            RuntimePrecision::F16,
+            RuntimePrecision::Int8,
+        ] {
+            let compiled =
+                CompiledNetwork::compile_with_formats(&net, 4, 4, &[], precision, &[], format)
+                    .unwrap();
+            let what = format!("{} {precision:?}", format.tag());
+
+            // `forward_with`: states, scratch and activation buffers are
+            // per call, so doubling the frame count adds exactly the
+            // returned logits — one row plus its slot in the outer `Vec`
+            // per frame.
+            let bytes_for = |n: usize| {
+                let before = allocated();
+                compiled.forward_with(&exec, &frames[..n]);
+                allocated() - before
+            };
+            bytes_for(t); // warm-up: the kernel scratch grows here, once
+            let per_frame = classes * 4 + std::mem::size_of::<Vec<f32>>();
+            assert_eq!(
+                bytes_for(2 * t) - bytes_for(t),
+                (t * per_frame) as u64,
+                "forward_with {what}"
+            );
+
+            // `forward_frame_batch`: caller-owned buffers, nothing else.
+            for b in [1usize, 8] {
+                let mut states: Vec<Vec<f32>> = compiled
+                    .layers()
+                    .iter()
+                    .map(|_| vec![0.0f32; 16 * b])
+                    .collect();
+                let frame: Vec<f32> = (0..input * b).map(|i| (i as f32 * 0.37).sin()).collect();
+                let mut xs = Vec::with_capacity(16 * b);
+                let mut scratch = GruRuntimeScratch::new();
+                let (mut hs_next, mut logits) = (Vec::new(), Vec::new());
+                let mut step = || {
+                    xs.clear();
+                    xs.extend_from_slice(&frame);
+                    compiled
+                        .forward_frame_batch(
+                            &exec,
+                            &mut xs,
+                            b,
+                            &mut states,
+                            &mut scratch,
+                            &mut hs_next,
+                            &mut logits,
+                        )
+                        .unwrap();
+                };
+                step();
+                let before = allocated();
+                for _ in 0..100 {
+                    step();
+                }
+                assert_eq!(allocated() - before, 0, "forward_frame_batch {what} b={b}");
             }
         }
     }

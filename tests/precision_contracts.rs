@@ -12,7 +12,7 @@ use rtm_rnn::model::NetworkConfig;
 use rtm_rnn::GruNetwork;
 use rtm_tensor::f16::quantize_f16;
 use rtmobile::deploy::{BatchedSession, CompiledNetwork, RuntimePrecision};
-use rtmobile::{PrecisionChoice, RtMobile};
+use rtmobile::{PrecisionChoice, RtMobile, RuntimeConfig};
 
 fn network(seed: u64) -> GruNetwork {
     GruNetwork::new(
@@ -249,7 +249,7 @@ fn auto_precision_selects_quantized_layers_within_per_guard() {
         })
         .sim_hidden(256)
         .seed(3)
-        .precision(PrecisionChoice::Auto)
+        .runtime(RuntimeConfig::default().with_precision(PrecisionChoice::Auto))
         .run_keeping_model();
     rtm_trace::set_config(trace_before);
 

@@ -15,6 +15,9 @@
 //!   same amounts to the same keys (never double-counted) — for every
 //!   format × precision × lane count the serial and pooled entries leave
 //!   identical `kernel.*` counters, under the documented literal names;
+//! * a single stream is a vector product: `forward_with` counts six
+//!   `kernel.spmv.*` per layer-step and one `kernel.gemv.dense` per frame,
+//!   never the batched `kernel.spmm.*` / `kernel.gemm.dense` keys;
 //! * histograms are deterministic: identical value sequences produce
 //!   identical snapshots;
 //! * tracing off is free of *behavior*: `predict_with` outputs are
@@ -194,6 +197,50 @@ fn serial_and_pooled_counters_agree_for_every_format_precision_and_batch() {
                 }
             }
         }
+    }
+    rtm_trace::set_config(TraceConfig::off());
+}
+
+#[test]
+fn single_stream_forward_counts_spmv_and_gemv_only() {
+    let _guard = traced();
+    let (layers, frames_n) = (2u64, 7u64);
+    let net = GruNetwork::new(
+        &NetworkConfig {
+            input_dim: 6,
+            hidden_dims: vec![16; layers as usize],
+            num_classes: 5,
+        },
+        77,
+    );
+    let compiled = CompiledNetwork::compile(&net, 4, 4, RuntimePrecision::F16).unwrap();
+    let frames: Vec<Vec<f32>> = (0..frames_n)
+        .map(|t| (0..6).map(|i| ((t * 6 + i) as f32 * 0.37).sin()).collect())
+        .collect();
+    let reg = rtm_trace::global();
+    for threads in [1usize, 3] {
+        reg.reset();
+        compiled.forward_with(&Executor::new(threads), &frames);
+        let what = format!("{threads} threads");
+        assert_eq!(
+            reg.counter("kernel.spmv.bspc"),
+            6 * layers * frames_n,
+            "{what}"
+        );
+        assert_eq!(
+            reg.counter("kernel.spmv.bspc.f16"),
+            6 * layers * frames_n,
+            "{what}"
+        );
+        assert_eq!(reg.counter(rtm_trace::key::GEMV_DENSE), frames_n, "{what}");
+        assert_eq!(reg.counter(rtm_trace::key::GEMM_DENSE), 0, "{what}");
+        let batched: Vec<String> = reg
+            .counters()
+            .into_iter()
+            .map(|(name, _)| name)
+            .filter(|name| name.starts_with("kernel.spmm."))
+            .collect();
+        assert!(batched.is_empty(), "{what}: {batched:?}");
     }
     rtm_trace::set_config(TraceConfig::off());
 }
