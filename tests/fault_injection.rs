@@ -246,17 +246,23 @@ fn check_mode_observes_the_fault_without_dropping_it() {
     }
 }
 
-/// Seeded bit-flip and truncation fuzz over the `.rtm` decoder: ~10k
-/// mutations (tunable via `RTM_FUZZ_ITERS`), and decoding must never panic
-/// — every outcome is `Ok` or a typed `DecodeError`.
-#[test]
-fn model_decoder_survives_bitflip_and_truncation_fuzz() {
-    let iters: usize = rtmobile::env::fuzz_iters().ok().flatten().unwrap_or(10_000);
-    let compiled = CompiledNetwork::compile(&net(), 4, 4, RuntimePrecision::F16).unwrap();
-    let pristine = model_file::to_bytes(&compiled);
-    let mut inj = FaultInjector::new(0xFE11);
-    let mut decoded_ok = 0usize;
-    let mut rejected = 0usize;
+/// Seeded bit-flip and truncation fuzz of one model's `.rtm` bytes through
+/// the whole decode stack. Every second case is passed through
+/// [`rtmobile::bundle::reseal`] so the corruption carries valid checksums:
+/// the whole-file CRC stops every raw mutation at the container, so without
+/// the reseal no field-level guard of the four blob codecs, the network
+/// body or the section walk is ever reached. Decoding must never panic —
+/// every outcome is `Ok` or a typed `DecodeError` — and `bundle::probe`,
+/// which `rtm inspect` runs on files it only promises to report on, must
+/// survive the same bytes.
+fn fuzz_model_bytes(what: &str, compiled: &CompiledNetwork, seed: u64, iters: usize) {
+    use rtm_sparse::io::DecodeError;
+    use rtmobile::bundle;
+
+    let pristine = model_file::to_bytes(compiled);
+    let mut inj = FaultInjector::new(seed);
+    let (mut decoded_ok, mut rejected) = (0usize, 0usize);
+    let (mut resealed, mut field_rejected, mut checksum_rejected) = (0usize, 0usize, 0usize);
     for i in 0..iters {
         let mut bytes = pristine.clone();
         if inj.fire(0.25) {
@@ -269,74 +275,128 @@ fn model_decoder_survives_bitflip_and_truncation_fuzz() {
                 inj.flip_bit(&mut bytes);
             }
         }
+        // `reseal` refuses what it cannot walk (torn trailers, broken
+        // section lengths); those cases stay raw.
+        let sealed = i % 2 == 1 && bundle::reseal(&mut bytes);
         // Alternate between the plain decoder and the health-validating
         // one: both must return a value, never panic. (Value-section flips
         // can decode to NaN/Inf weights — exactly what the validating path
         // rejects as NonFinite.)
-        let result = if i % 2 == 0 {
+        let result = if (i / 2) % 2 == 0 {
             model_file::from_bytes(&bytes).map(|_| ())
         } else {
             model_file::from_bytes_with(&bytes, HealthPolicy::Quarantine).map(|_| ())
         };
+        let probed = bundle::probe(&bytes);
+        if result.is_ok() {
+            assert!(
+                probed.is_ok_and(|p| p.file_crc_ok && p.sections.iter().all(|s| s.crc_ok)),
+                "{what} iter {i}: decoded bytes must probe clean"
+            );
+        }
+        let checksum_verdict = matches!(
+            result,
+            Err(DecodeError::FileChecksum | DecodeError::SectionChecksum(_))
+        );
         match result {
             Ok(()) => decoded_ok += 1,
             Err(_) => rejected += 1,
         }
+        if sealed {
+            resealed += 1;
+            checksum_rejected += usize::from(checksum_verdict);
+            field_rejected += usize::from(result.is_err() && !checksum_verdict);
+        }
     }
+    println!(
+        "{what}: {iters} mutations, {rejected} rejected, {decoded_ok} decoded; \
+         {resealed} resealed: {field_rejected} field-level rejections, \
+         {checksum_rejected} checksum rejections, {} decoded",
+        resealed - field_rejected - checksum_rejected
+    );
     assert_eq!(decoded_ok + rejected, iters);
-    // Sanity: the fuzz actually exercised the reject paths.
-    assert!(rejected > iters / 4, "only {rejected}/{iters} rejected");
+    // Sanity: the fuzz actually exercised the reject paths,
+    assert!(
+        rejected > iters / 4,
+        "{what}: only {rejected}/{iters} rejected"
+    );
+    // and the resealed half got past both CRC layers to the field decoders.
+    assert!(resealed > iters / 4, "{what}: only {resealed} resealed");
+    assert!(
+        (resealed - checksum_rejected) * 2 >= resealed && field_rejected > 0,
+        "{what}: {checksum_rejected} of {resealed} resealed cases stopped at a checksum, \
+         {field_rejected} at a field check"
+    );
     // And the pristine bytes still decode under full validation.
     assert!(model_file::from_bytes_with(&pristine, HealthPolicy::Quarantine).is_ok());
 }
 
-/// The same bit-flip/truncation fuzz over a model whose layers use the
-/// non-default storage formats (BBS and CSB at int8): every per-format
-/// wire codec behind the format-dispatched gate blobs must reject
-/// corruption with a typed `DecodeError`, never a panic — and a flipped
-/// format tag byte must surface as `BadFormat`/`BadMagic`, not as a
-/// mis-dispatched decode.
+/// Fuzz over the default (BSPC) gate codec at all three value-payload
+/// kinds: ~10k mutations in total (tunable via `RTM_FUZZ_ITERS`).
+#[test]
+fn model_decoder_survives_bitflip_and_truncation_fuzz() {
+    let iters: usize = rtmobile::env::fuzz_iters().ok().flatten().unwrap_or(10_000);
+    for (k, precision) in [
+        RuntimePrecision::F16,
+        RuntimePrecision::F32,
+        RuntimePrecision::Int8,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let compiled = CompiledNetwork::compile(&net(), 4, 4, precision).unwrap();
+        fuzz_model_bytes(
+            &format!("bspc {}", precision.tag()),
+            &compiled,
+            0xFE11 + k as u64,
+            iters.div_ceil(3),
+        );
+    }
+}
+
+/// The same fuzz over models whose layers use the non-default storage
+/// formats (CSR, BBS and CSB, one layer each) at every value-payload kind:
+/// every per-format wire codec behind the format-dispatched gate blobs
+/// must reject corruption with a typed `DecodeError`, never a panic — and
+/// a flipped format tag byte must surface as `BadFormat`/`BadMagic`, not
+/// as a mis-dispatched decode.
 #[test]
 fn format_zoo_decoder_survives_bitflip_and_truncation_fuzz() {
     use rtmobile::RuntimeFormat;
     let iters: usize = rtmobile::env::fuzz_iters().ok().flatten().unwrap_or(10_000);
-    let compiled = CompiledNetwork::compile_with_formats(
-        &net(),
-        4,
-        4,
-        &[],
+    let three_layers = GruNetwork::new(
+        &NetworkConfig {
+            input_dim: 6,
+            hidden_dims: vec![12, 12, 12],
+            num_classes: 4,
+        },
+        23,
+    );
+    for (k, precision) in [
         RuntimePrecision::Int8,
-        &[RuntimeFormat::Bbs, RuntimeFormat::Csb],
-        RuntimeFormat::Csr,
-    )
-    .unwrap();
-    let pristine = model_file::to_bytes(&compiled);
-    let mut inj = FaultInjector::new(0xF0F0);
-    let mut decoded_ok = 0usize;
-    let mut rejected = 0usize;
-    for i in 0..iters {
-        let mut bytes = pristine.clone();
-        if inj.fire(0.25) {
-            let at = inj.truncate_at(bytes.len());
-            bytes.truncate(at);
-        } else {
-            for _ in 0..=inj.pick(3) {
-                inj.flip_bit(&mut bytes);
-            }
-        }
-        let result = if i % 2 == 0 {
-            model_file::from_bytes(&bytes).map(|_| ())
-        } else {
-            model_file::from_bytes_with(&bytes, HealthPolicy::Quarantine).map(|_| ())
-        };
-        match result {
-            Ok(()) => decoded_ok += 1,
-            Err(_) => rejected += 1,
-        }
+        RuntimePrecision::F16,
+        RuntimePrecision::F32,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let compiled = CompiledNetwork::compile_with_formats(
+            &three_layers,
+            4,
+            4,
+            &[],
+            precision,
+            &[RuntimeFormat::Csr, RuntimeFormat::Bbs, RuntimeFormat::Csb],
+            RuntimeFormat::Bspc,
+        )
+        .unwrap();
+        fuzz_model_bytes(
+            &format!("csr+bbs+csb {}", precision.tag()),
+            &compiled,
+            0xF0F0 + k as u64,
+            iters.div_ceil(3),
+        );
     }
-    assert_eq!(decoded_ok + rejected, iters);
-    assert!(rejected > iters / 4, "only {rejected}/{iters} rejected");
-    assert!(model_file::from_bytes_with(&pristine, HealthPolicy::Quarantine).is_ok());
 }
 
 // ---------------------------------------------------------------------------
