@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rtm_speech::corpus::{CorpusConfig, SpeechCorpus};
-use rtm_speech::decode::viterbi_decode;
+use rtm_speech::decode::{decode_offline, ViterbiDecoder};
 use rtm_speech::per::{edit_distance, PerReport};
 use rtm_speech::task::SpeechTask;
 use std::hint::black_box;
@@ -64,7 +64,7 @@ fn bench_scoring(c: &mut Criterion) {
         b.iter(|| {
             logits
                 .iter()
-                .map(|l| viterbi_decode(black_box(l), 2.5))
+                .map(|l| decode_offline(&mut ViterbiDecoder::new(2.5), black_box(l)).symbols)
                 .collect::<Vec<_>>()
         })
     });

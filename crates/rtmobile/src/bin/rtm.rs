@@ -106,7 +106,7 @@ fn print_help() {
     println!("  multi-stream batched runtime (default 1; bit-identical results).");
     println!();
     println!("  --simd picks the kernel dispatch policy: auto (default; widest");
-    println!("  realization the CPU supports), off/scalar, u4, u8, or vector.");
+    println!("  realization the CPU supports), off/scalar, u1, u4, u8, or vector.");
     println!("  The RTM_SIMD environment variable sets the same knob.");
     println!();
     println!("  --health picks the numerical-health policy of the batched scorer");
@@ -232,7 +232,8 @@ fn apply_runtime_flags(
             Some(p) => runtime = runtime.with_simd(p),
             None => {
                 return Err(format!(
-                    "--simd must be auto, off, scalar, u4, u8 or vector (got {v})"
+                    "--simd must be {} (got {v})",
+                    rtmobile::env::SIMD_VALUES
                 ))
             }
         }
@@ -242,7 +243,8 @@ fn apply_runtime_flags(
             Some(p) => runtime = runtime.with_health(p),
             None => {
                 return Err(format!(
-                    "--health must be off, check or quarantine (got {v})"
+                    "--health must be {} (got {v})",
+                    rtmobile::env::HEALTH_VALUES
                 ))
             }
         }
@@ -252,7 +254,8 @@ fn apply_runtime_flags(
             Some(p) => runtime = runtime.with_precision(p),
             None => {
                 return Err(format!(
-                    "--precision must be f32, f16, int8 or auto (got {v})"
+                    "--precision must be {} (got {v})",
+                    rtmobile::env::PRECISION_VALUES
                 ))
             }
         }
@@ -262,7 +265,8 @@ fn apply_runtime_flags(
             Some(f) => runtime = runtime.with_format(f),
             None => {
                 return Err(format!(
-                    "--format must be bspc, csr, bbs, csb or auto (got {v})"
+                    "--format must be {} (got {v})",
+                    rtmobile::env::FORMAT_VALUES
                 ))
             }
         }
@@ -272,7 +276,8 @@ fn apply_runtime_flags(
             Some(d) => runtime = runtime.with_decoder(d),
             None => {
                 return Err(format!(
-                    "--decoder must be argmax, viterbi, ctc-greedy or ctc-beam:N (got {v})"
+                    "--decoder must be {} (got {v})",
+                    rtmobile::env::DECODER_VALUES
                 ))
             }
         }

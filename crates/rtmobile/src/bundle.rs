@@ -42,7 +42,7 @@ use crate::deploy::CompiledNetwork;
 use crate::health::HealthPolicy;
 use crate::model_file;
 use rtm_sparse::io::DecodeError;
-use rtm_tensor::wire::{Buf, BufMut};
+use rtm_tensor::wire::{BufMut, Reader};
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
@@ -61,7 +61,6 @@ pub const SEC_TUNER: [u8; 4] = *b"TUNE";
 /// table).
 pub const SEC_HEALTH: [u8; 4] = *b"HLTH";
 
-const HEADER_LEN: usize = 4 + 2 + 4;
 const SECTION_HEADER_LEN: usize = 4 + 8 + 4;
 const TRAILER_LEN: usize = 4 + 8 + 4;
 
@@ -238,8 +237,7 @@ fn write_health_body(out: &mut Vec<u8>, net: &CompiledNetwork, meta: &BundleMeta
     out.put_u32_le(net.layers.len() as u32);
     for layer in &net.layers {
         out.put_u32_le(layer.hidden as u32);
-        out.put_u8(model_file::precision_code(layer.precision));
-        out.put_u8(model_file::format_code(layer.format));
+        out.put_slice(&model_file::mode_tags(layer.precision, layer.format));
     }
 }
 
@@ -281,33 +279,96 @@ pub fn to_bytes_with(net: &CompiledNetwork, meta: &BundleMeta) -> Vec<u8> {
 // ---------------------------------------------------------------------------
 // Decode.
 
-fn need(buf: &[u8], n: usize) -> Result<(), DecodeError> {
-    if buf.remaining() < n {
-        Err(DecodeError::Truncated)
-    } else {
-        Ok(())
+/// The framing of a v5 container, parsed once for every consumer: the
+/// enforcing decoder ([`from_bytes_with`]), the reporting [`probe`], the
+/// rewriting [`reseal`] and [`peek_generation`].
+struct Container<'a> {
+    bytes: &'a [u8],
+    section_count: u32,
+    generation: u64,
+    stored_crc: u32,
+    /// What [`Container::next_section`] has not walked yet of the section
+    /// table between header and trailer.
+    table: Reader<'a>,
+}
+
+impl<'a> Container<'a> {
+    /// Parses header and trailer. The checks win in this order: magic,
+    /// version, minimum length, trailer magic — the whole-file CRC is the
+    /// caller's to enforce or report ([`Container::file_crc_ok`]).
+    fn open(bytes: &'a [u8]) -> Result<Container<'a>, DecodeError> {
+        let mut header = Reader::new(bytes);
+        if &header.array::<4>()? != model_file::MAGIC {
+            return Err(DecodeError::BadMagic);
+        }
+        let version = header.u16()?;
+        if version != model_file::VERSION {
+            return Err(DecodeError::BadVersion(version));
+        }
+        let section_count = header.u32()?;
+        let table_len = header.remaining().checked_sub(TRAILER_LEN);
+        let mut trailer = header;
+        let table = trailer.take(table_len.ok_or(DecodeError::Truncated)?)?;
+        if &trailer.array::<4>()? != TRAILER_MAGIC {
+            return Err(DecodeError::BadTrailer);
+        }
+        Ok(Container {
+            bytes,
+            section_count,
+            generation: trailer.u64()?,
+            stored_crc: trailer.u32()?,
+            table: Reader::new(table),
+        })
+    }
+
+    fn file_crc_ok(&self) -> bool {
+        crc32(&self.bytes[..self.bytes.len() - 4]) == self.stored_crc
+    }
+
+    /// Steps from one section header past its payload, returning the
+    /// section's framing and its payload: `Ok(None)` once less than a
+    /// header is left, `Truncated` when a section claims more payload than
+    /// the file holds — after which the walk has lost its place and must
+    /// not be resumed.
+    fn next_section(&mut self) -> Result<Option<(SectionProbe, &'a [u8])>, DecodeError> {
+        if self.table.remaining() < SECTION_HEADER_LEN {
+            return Ok(None);
+        }
+        let tag = self.table.array()?;
+        let len = usize::try_from(self.table.u64()?).map_err(|_| DecodeError::Truncated)?;
+        let stored_crc = self.table.u32()?;
+        let payload_offset = self.bytes.len() - TRAILER_LEN - self.table.remaining();
+        let payload = self.table.take(len)?;
+        let crc_ok = crc32(payload) == stored_crc;
+        Ok(Some((
+            SectionProbe {
+                tag,
+                len,
+                payload_offset,
+                crc_ok,
+            },
+            payload,
+        )))
     }
 }
 
 fn read_health_body(
-    mut buf: &[u8],
+    payload: &[u8],
     meta: &mut BundleMeta,
     net: &CompiledNetwork,
 ) -> Result<(), DecodeError> {
-    need(buf, 10)?;
-    meta.compiled_per = buf.get_f32_le();
-    meta.precision_guard_tripped = buf.get_u8() != 0;
-    meta.format_guard_tripped = buf.get_u8() != 0;
-    let layer_count = buf.get_u32_le() as usize;
-    if layer_count != net.layers.len() {
+    let mut r = Reader::new(payload);
+    meta.compiled_per = r.f32()?;
+    let [precision_guard, format_guard] = r.array()?;
+    meta.precision_guard_tripped = precision_guard != 0;
+    meta.format_guard_tripped = format_guard != 0;
+    if r.u32()? as usize != net.layers.len() {
         return Err(DecodeError::MetaMismatch);
     }
     for layer in &net.layers {
-        need(buf, 6)?;
-        let hidden = buf.get_u32_le() as usize;
-        let precision = model_file::precision_from_code(buf.get_u8())?;
-        let format = model_file::format_from_code(buf.get_u8())?;
-        if hidden != layer.hidden || precision != layer.precision || format != layer.format {
+        let hidden = r.u32()? as usize;
+        let mode = model_file::mode_from_tags(r.array()?)?;
+        if hidden != layer.hidden || mode != (layer.precision, layer.format) {
             return Err(DecodeError::MetaMismatch);
         }
     }
@@ -326,7 +387,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<CompiledBundle, DecodeError> {
 /// Decodes `.rtm` bytes into a bundle, scanning the weights for
 /// finiteness under a scanning [`HealthPolicy`].
 ///
-/// The whole-file CRC32 is verified before anything else is parsed, so
+/// The whole-file CRC32 is verified before any section is parsed, so
 /// corruption surfaces as [`DecodeError::FileChecksum`] /
 /// [`DecodeError::BadTrailer`] instead of an arbitrary field error. Any
 /// container version but 5 — the flat v2–v4 files carried no integrity
@@ -339,66 +400,17 @@ pub fn from_bytes(bytes: &[u8]) -> Result<CompiledBundle, DecodeError> {
 /// disagrees with the weights, invalid embedded blobs, or (under a
 /// scanning policy) non-finite weights.
 pub fn from_bytes_with(bytes: &[u8], policy: HealthPolicy) -> Result<CompiledBundle, DecodeError> {
-    let mut buf = bytes;
-    need(buf, 4)?;
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != model_file::MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    need(buf, 2)?;
-    let version = buf.get_u16_le();
-    if version != model_file::VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let bundle = decode_v5(bytes)?;
-
-    if policy.scans() && !model_file::all_finite(&bundle.net) {
-        return Err(DecodeError::NonFinite);
-    }
-    Ok(bundle)
-}
-
-fn decode_v5(bytes: &[u8]) -> Result<CompiledBundle, DecodeError> {
-    // Trailer and whole-file checksum first: random corruption anywhere in
-    // the file is reported as an integrity failure, not whatever field the
-    // flipped bit lands on.
-    if bytes.len() < HEADER_LEN + TRAILER_LEN {
-        return Err(DecodeError::Truncated);
-    }
-    let trailer = &bytes[bytes.len() - TRAILER_LEN..];
-    if &trailer[..4] != TRAILER_MAGIC {
-        return Err(DecodeError::BadTrailer);
-    }
-    let generation = u64::from_le_bytes(trailer[4..12].try_into().expect("8 bytes"));
-    let stored = u32::from_le_bytes(trailer[12..16].try_into().expect("4 bytes"));
-    if crc32(&bytes[..bytes.len() - 4]) != stored {
+    let mut container = Container::open(bytes)?;
+    if !container.file_crc_ok() {
         return Err(DecodeError::FileChecksum);
     }
-
-    let mut buf = &bytes[HEADER_LEN - 4..bytes.len() - TRAILER_LEN];
-    let section_count = buf.get_u32_le() as usize;
-    let mut weights: Option<&[u8]> = None;
-    let mut tuner: Option<&[u8]> = None;
-    let mut health: Option<&[u8]> = None;
-    for _ in 0..section_count {
-        need(buf, SECTION_HEADER_LEN)?;
-        let mut tag = [0u8; 4];
-        buf.copy_to_slice(&mut tag);
-        let len: usize = buf
-            .get_u64_le()
-            .try_into()
-            .map_err(|_| DecodeError::Truncated)?;
-        let crc = buf.get_u32_le();
-        need(buf, len)?;
-        let payload = &buf[..len];
-        buf.advance(len);
-        // Per-section CRC: defense in depth under the file checksum, and
-        // the localizer for diagnostics (`probe`).
-        if crc32(payload) != crc {
-            return Err(DecodeError::SectionChecksum(tag));
+    let (mut weights, mut tuner, mut health) = (None, None, None);
+    for _ in 0..container.section_count {
+        let (section, payload) = container.next_section()?.ok_or(DecodeError::Truncated)?;
+        if !section.crc_ok {
+            return Err(DecodeError::SectionChecksum(section.tag));
         }
-        match tag {
+        match section.tag {
             SEC_WEIGHTS => weights = Some(payload),
             SEC_TUNER => tuner = Some(payload),
             SEC_HEALTH => health = Some(payload),
@@ -408,17 +420,17 @@ fn decode_v5(bytes: &[u8]) -> Result<CompiledBundle, DecodeError> {
         }
     }
 
-    let mut body = weights.ok_or(DecodeError::MissingSection(SEC_WEIGHTS))?;
-    let mut net = model_file::read_network_body(&mut body)?;
-    if let Some(mut t) = tuner {
-        net.tuner_costs = model_file::read_tuner_body(&mut t)?;
+    let body = weights.ok_or(DecodeError::MissingSection(SEC_WEIGHTS))?;
+    let mut net = model_file::read_network_body(&mut Reader::new(body))?;
+    if let Some(t) = tuner {
+        net.tuner_costs = model_file::read_tuner_body(&mut Reader::new(t))?;
     }
-    let mut meta = BundleMeta {
-        generation,
-        ..BundleMeta::default()
-    };
+    let mut meta = BundleMeta::default().with_generation(container.generation);
     if let Some(h) = health {
         read_health_body(h, &mut meta, &net)?;
+    }
+    if policy.scans() && !model_file::all_finite(&net) {
+        return Err(DecodeError::NonFinite);
     }
     Ok(CompiledBundle {
         net: Arc::new(net),
@@ -483,19 +495,7 @@ pub fn write(path: &Path, net: &CompiledNetwork, meta: &BundleMeta) -> std::io::
 /// the body (structural parse only — no checksum verification, so a
 /// corrupt predecessor still yields a stamp to advance past).
 pub fn peek_generation(bytes: &[u8]) -> Option<u64> {
-    if bytes.len() < HEADER_LEN + TRAILER_LEN
-        || &bytes[..4] != model_file::MAGIC
-        || u16::from_le_bytes([bytes[4], bytes[5]]) != 5
-    {
-        return None;
-    }
-    let trailer = &bytes[bytes.len() - TRAILER_LEN..];
-    if &trailer[..4] != TRAILER_MAGIC {
-        return None;
-    }
-    Some(u64::from_le_bytes(
-        trailer[4..12].try_into().expect("8 bytes"),
-    ))
+    Container::open(bytes).ok().map(|c| c.generation)
 }
 
 /// The generation a new publish at `path` should carry: one past the
@@ -511,14 +511,16 @@ pub fn next_generation(path: &Path) -> u64 {
 // ---------------------------------------------------------------------------
 // Inspection and test plumbing.
 
-/// One section's framing as seen by [`probe`].
+/// One section's framing as the container walk sees it (reported by
+/// [`probe`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SectionProbe {
     /// The section's 4-byte tag.
     pub tag: [u8; 4],
     /// Payload length in bytes.
     pub len: usize,
-    /// Byte offset of the payload within the file.
+    /// Byte offset of the payload within the file (the stored CRC32 is the
+    /// four bytes before it).
     pub payload_offset: usize,
     /// Whether the stored per-section CRC32 matches the payload.
     pub crc_ok: bool,
@@ -548,52 +550,15 @@ pub struct BundleProbe {
 /// [`DecodeError::Truncated`] / [`DecodeError::BadTrailer`] when the file
 /// is not a structurally walkable `.rtm` container at all.
 pub fn probe(bytes: &[u8]) -> Result<BundleProbe, DecodeError> {
-    if bytes.len() < 6 {
-        return Err(DecodeError::Truncated);
-    }
-    if &bytes[..4] != model_file::MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if version != model_file::VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    if bytes.len() < HEADER_LEN + TRAILER_LEN {
-        return Err(DecodeError::Truncated);
-    }
-    let trailer = &bytes[bytes.len() - TRAILER_LEN..];
-    if &trailer[..4] != TRAILER_MAGIC {
-        return Err(DecodeError::BadTrailer);
-    }
-    let generation = u64::from_le_bytes(trailer[4..12].try_into().expect("8 bytes"));
-    let stored = u32::from_le_bytes(trailer[12..16].try_into().expect("4 bytes"));
-    let file_crc_ok = crc32(&bytes[..bytes.len() - 4]) == stored;
+    let mut container = Container::open(bytes)?;
     let mut sections = Vec::new();
-    let mut pos = HEADER_LEN;
-    let end = bytes.len() - TRAILER_LEN;
-    while pos + SECTION_HEADER_LEN <= end {
-        let tag: [u8; 4] = bytes[pos..pos + 4].try_into().expect("4 bytes");
-        let len: usize = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("8 bytes"))
-            .try_into()
-            .map_err(|_| DecodeError::Truncated)?;
-        let crc = u32::from_le_bytes(bytes[pos + 12..pos + 16].try_into().expect("4"));
-        let payload_offset = pos + SECTION_HEADER_LEN;
-        if payload_offset + len > end {
-            return Err(DecodeError::Truncated);
-        }
-        let payload = &bytes[payload_offset..payload_offset + len];
-        sections.push(SectionProbe {
-            tag,
-            len,
-            payload_offset,
-            crc_ok: crc32(payload) == crc,
-        });
-        pos = payload_offset + len;
+    while let Some((section, _)) = container.next_section()? {
+        sections.push(section);
     }
     Ok(BundleProbe {
-        version,
-        generation,
-        file_crc_ok,
+        version: model_file::VERSION,
+        generation: container.generation,
+        file_crc_ok: container.file_crc_ok(),
         sections,
     })
 }
@@ -607,30 +572,14 @@ pub fn probe(bytes: &[u8]) -> Result<BundleProbe, DecodeError> {
 /// checksums, so corruption can be driven *past* the integrity layer to
 /// prove the field-level decoders still reject it with typed errors.
 pub fn reseal(bytes: &mut [u8]) -> bool {
-    if bytes.len() < HEADER_LEN + TRAILER_LEN
-        || &bytes[..4] != model_file::MAGIC
-        || u16::from_le_bytes([bytes[4], bytes[5]]) != 5
-    {
+    // Walk first, write after: a container that cannot be walked to its
+    // end is left untouched.
+    let Ok(walked) = probe(bytes) else {
         return false;
-    }
-    let end = bytes.len() - TRAILER_LEN;
-    if &bytes[end..end + 4] != TRAILER_MAGIC {
-        return false;
-    }
-    let mut pos = HEADER_LEN;
-    while pos + SECTION_HEADER_LEN <= end {
-        let len: usize =
-            match u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("8")).try_into() {
-                Ok(n) => n,
-                Err(_) => return false,
-            };
-        let payload_offset = pos + SECTION_HEADER_LEN;
-        if payload_offset + len > end {
-            return false;
-        }
-        let crc = crc32(&bytes[payload_offset..payload_offset + len]);
-        bytes[pos + 12..pos + 16].copy_from_slice(&crc.to_le_bytes());
-        pos = payload_offset + len;
+    };
+    for s in walked.sections {
+        let crc = crc32(&bytes[s.payload_offset..s.payload_offset + s.len]);
+        bytes[s.payload_offset - 4..s.payload_offset].copy_from_slice(&crc.to_le_bytes());
     }
     let n = bytes.len();
     let crc = crc32(&bytes[..n - 4]);

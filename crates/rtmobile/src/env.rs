@@ -20,6 +20,18 @@ use crate::health::HealthPolicy;
 use rtm_tensor::simd::SimdPolicy;
 use rtm_trace::TraceConfig;
 
+/// Accepted values of `RTM_SIMD` / `--simd`; the environment error and
+/// the CLI flag error both quote this grammar (likewise the four below).
+pub const SIMD_VALUES: &str = "auto, off, scalar, u1, u4, u8 or vector";
+/// Accepted values of `RTM_HEALTH` / `--health`.
+pub const HEALTH_VALUES: &str = "off, check or quarantine";
+/// Accepted values of `RTM_PRECISION` / `--precision`.
+pub const PRECISION_VALUES: &str = "f32, f16, int8 or auto";
+/// Accepted values of `RTM_FORMAT` / `--format`.
+pub const FORMAT_VALUES: &str = "bspc, csr, bbs, csb or auto";
+/// Accepted values of `RTM_DECODER` / `--decoder`.
+pub const DECODER_VALUES: &str = "argmax, viterbi, ctc-greedy or ctc-beam:N";
+
 /// `RTM_SIMD`: the kernel dispatch policy.
 ///
 /// # Errors
@@ -27,11 +39,7 @@ use rtm_trace::TraceConfig;
 /// [`EnvError`] if the variable is set to something
 /// [`rtm_tensor::simd::parse_policy`] rejects.
 pub fn simd_policy() -> Result<Option<SimdPolicy>, EnvError> {
-    rtm_trace::env::parsed(
-        "RTM_SIMD",
-        "auto, off, scalar, u1, u4, u8 or vector",
-        rtm_tensor::simd::parse_policy,
-    )
+    rtm_trace::env::parsed("RTM_SIMD", SIMD_VALUES, rtm_tensor::simd::parse_policy)
 }
 
 /// `RTM_HEALTH`: the numerical-health policy.
@@ -41,11 +49,7 @@ pub fn simd_policy() -> Result<Option<SimdPolicy>, EnvError> {
 /// [`EnvError`] if the variable is set to something
 /// [`crate::health::parse_policy`] rejects.
 pub fn health_policy() -> Result<Option<HealthPolicy>, EnvError> {
-    rtm_trace::env::parsed(
-        "RTM_HEALTH",
-        "off, check or quarantine",
-        crate::health::parse_policy,
-    )
+    rtm_trace::env::parsed("RTM_HEALTH", HEALTH_VALUES, crate::health::parse_policy)
 }
 
 /// `RTM_TRACE`: the observability switch.
@@ -71,7 +75,7 @@ pub fn trace_config() -> Result<Option<TraceConfig>, EnvError> {
 pub fn precision_choice() -> Result<Option<crate::config::PrecisionChoice>, EnvError> {
     rtm_trace::env::parsed(
         "RTM_PRECISION",
-        "f32, f16, int8 or auto",
+        PRECISION_VALUES,
         crate::config::PrecisionChoice::parse,
     )
 }
@@ -86,7 +90,7 @@ pub fn precision_choice() -> Result<Option<crate::config::PrecisionChoice>, EnvE
 pub fn format_choice() -> Result<Option<crate::config::FormatChoice>, EnvError> {
     rtm_trace::env::parsed(
         "RTM_FORMAT",
-        "bspc, csr, bbs, csb or auto",
+        FORMAT_VALUES,
         crate::config::FormatChoice::parse,
     )
 }
@@ -102,7 +106,7 @@ pub fn format_choice() -> Result<Option<crate::config::FormatChoice>, EnvError> 
 pub fn decoder_choice() -> Result<Option<crate::config::DecoderChoice>, EnvError> {
     rtm_trace::env::parsed(
         "RTM_DECODER",
-        "argmax, viterbi, ctc-greedy or ctc-beam:N",
+        DECODER_VALUES,
         crate::config::DecoderChoice::parse,
     )
 }

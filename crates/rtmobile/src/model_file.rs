@@ -35,9 +35,8 @@
 use crate::deploy::{
     CompiledGruLayer, CompiledNetwork, GateMatrix, RuntimeFormat, RuntimePrecision, TunerCost,
 };
-use rtm_sparse::footprint::Precision;
-use rtm_sparse::io::DecodeError;
-use rtm_tensor::wire::{Buf, BufMut};
+use rtm_sparse::io::{precision_from_tag, precision_tag, DecodeError};
+use rtm_tensor::wire::{BufMut, Reader};
 use rtm_tensor::Matrix;
 
 /// Magic bytes opening every `.rtm` model file.
@@ -46,48 +45,33 @@ pub const MAGIC: &[u8; 4] = b"RTMF";
 /// Current model-file version (the sectioned bundle container).
 pub const VERSION: u16 = 5;
 
-pub(crate) fn precision_code(p: RuntimePrecision) -> u8 {
-    match p {
-        RuntimePrecision::F32 => 0,
-        RuntimePrecision::F16 => 1,
-        RuntimePrecision::Int8 => 2,
-    }
+/// Wire tag of each storage format: the tag is the position in this table.
+const FORMAT_BY_TAG: [RuntimeFormat; 4] = [
+    RuntimeFormat::Bspc,
+    RuntimeFormat::Csr,
+    RuntimeFormat::Bbs,
+    RuntimeFormat::Csb,
+];
+
+/// The `[precision, format]` tag pair that opens the network body and
+/// closes every layer header, tuner record and health-table row.
+pub(crate) fn mode_tags(precision: RuntimePrecision, format: RuntimeFormat) -> [u8; 2] {
+    let format_tag = FORMAT_BY_TAG.iter().position(|&f| f == format);
+    [
+        precision_tag(precision.storage()),
+        format_tag.expect("every format is in the tag table") as u8,
+    ]
 }
 
-pub(crate) fn precision_from_code(code: u8) -> Result<RuntimePrecision, DecodeError> {
-    match code {
-        0 => Ok(RuntimePrecision::F32),
-        1 => Ok(RuntimePrecision::F16),
-        2 => Ok(RuntimePrecision::Int8),
-        other => Err(DecodeError::BadPrecision(other)),
-    }
-}
-
-pub(crate) fn format_code(f: RuntimeFormat) -> u8 {
-    match f {
-        RuntimeFormat::Bspc => 0,
-        RuntimeFormat::Csr => 1,
-        RuntimeFormat::Bbs => 2,
-        RuntimeFormat::Csb => 3,
-    }
-}
-
-pub(crate) fn format_from_code(code: u8) -> Result<RuntimeFormat, DecodeError> {
-    match code {
-        0 => Ok(RuntimeFormat::Bspc),
-        1 => Ok(RuntimeFormat::Csr),
-        2 => Ok(RuntimeFormat::Bbs),
-        3 => Ok(RuntimeFormat::Csb),
-        other => Err(DecodeError::BadFormat(other)),
-    }
-}
-
-fn need(buf: &[u8], n: usize) -> Result<(), DecodeError> {
-    if buf.remaining() < n {
-        Err(DecodeError::Truncated)
-    } else {
-        Ok(())
-    }
+/// Inverse of [`mode_tags`]. Takes the two bytes already read so that a
+/// caller can pull the fixed-size fields around them off the wire first —
+/// a short header is `Truncated` even when its tags are also bad.
+pub(crate) fn mode_from_tags(
+    [precision, format]: [u8; 2],
+) -> Result<(RuntimePrecision, RuntimeFormat), DecodeError> {
+    let precision = RuntimePrecision::from_storage(precision_from_tag(precision)?);
+    let known = FORMAT_BY_TAG.get(usize::from(format)).copied();
+    Ok((precision, known.ok_or(DecodeError::BadFormat(format))?))
 }
 
 /// Serializes the network body (weights, biases, head — no container
@@ -98,35 +82,24 @@ fn need(buf: &[u8], n: usize) -> Result<(), DecodeError> {
 /// and scales — the decoded network's int8 kernels stream the exact same
 /// sidecar, so the functional roundtrip is bit-exact for every precision.
 pub(crate) fn write_network_body(out: &mut Vec<u8>, net: &CompiledNetwork) {
-    out.put_u8(precision_code(net.precision));
-    out.put_u8(format_code(net.format));
+    out.put_slice(&mode_tags(net.precision, net.format));
     out.put_u32_le(net.layers.len() as u32);
     for layer in &net.layers {
         out.put_u32_le(layer.hidden as u32);
-        out.put_u8(precision_code(layer.precision));
-        out.put_u8(format_code(layer.format));
-        let prec: Precision = layer.precision.storage();
+        out.put_slice(&mode_tags(layer.precision, layer.format));
         for m in [
             &layer.w_z, &layer.u_z, &layer.w_r, &layer.u_r, &layer.w_n, &layer.u_n,
         ] {
-            m.write_to(out, prec);
+            m.write_to(out, layer.precision.storage());
         }
         for b in [&layer.b_z, &layer.b_r, &layer.b_n] {
-            out.put_u32_le(b.len() as u32);
-            for &v in b {
-                out.put_f32_le(v);
-            }
+            out.put_counted_f32s(b);
         }
     }
     out.put_u32_le(net.head_w.rows() as u32);
     out.put_u32_le(net.head_w.cols() as u32);
-    for &v in net.head_w.as_slice() {
-        out.put_f32_le(v);
-    }
-    out.put_u32_le(net.head_b.len() as u32);
-    for &v in &net.head_b {
-        out.put_f32_le(v);
-    }
+    out.put_f32s(net.head_w.as_slice());
+    out.put_counted_f32s(&net.head_b);
 }
 
 /// Serializes the tuner-cost records (count + rows, no framing).
@@ -134,87 +107,57 @@ pub(crate) fn write_tuner_body(out: &mut Vec<u8>, costs: &[TunerCost]) {
     out.put_u32_le(costs.len() as u32);
     for c in costs {
         out.put_u32_le(c.layer as u32);
-        out.put_u8(precision_code(c.precision));
-        out.put_u8(format_code(c.format));
+        out.put_slice(&mode_tags(c.precision, c.format));
         out.put_f32_le(c.micros);
     }
 }
 
+fn read_gate(r: &mut Reader<'_>, format: RuntimeFormat) -> Result<GateMatrix, DecodeError> {
+    let (gate, used) = GateMatrix::read_from(r.rest(), format)?;
+    r.take(used)?;
+    Ok(gate)
+}
+
 /// Decodes the network body (the inverse of [`write_network_body`]) from
-/// the front of `buf`, advancing it.
-pub(crate) fn read_network_body(buf: &mut &[u8]) -> Result<CompiledNetwork, DecodeError> {
-    need(buf, 6)?;
-    let precision = precision_from_code(buf.get_u8())?;
-    let format = format_from_code(buf.get_u8())?;
-    let layer_count = buf.get_u32_le() as usize;
+/// the front of `r`, advancing it.
+pub(crate) fn read_network_body(r: &mut Reader<'_>) -> Result<CompiledNetwork, DecodeError> {
+    let (tags, layer_count) = (r.array()?, r.u32()? as usize);
+    let (precision, format) = mode_from_tags(tags)?;
     // Each layer needs at least its hidden-width word plus six gate blobs;
-    // reject counts the buffer cannot possibly hold before allocating.
-    if layer_count > buf.remaining() / 4 {
+    // reject counts the buffer cannot possibly hold before looping.
+    if layer_count > r.remaining() / 4 {
         return Err(DecodeError::Truncated);
     }
     let mut layers = Vec::new();
     for _ in 0..layer_count {
-        need(buf, 6)?;
-        let hidden = buf.get_u32_le() as usize;
-        let layer_precision = precision_from_code(buf.get_u8())?;
-        let layer_format = format_from_code(buf.get_u8())?;
-        let mut mats: Vec<GateMatrix> = Vec::with_capacity(6);
-        for _ in 0..6 {
-            let (m, used) = GateMatrix::read_from(buf, layer_format)?;
-            buf.advance(used);
-            mats.push(m);
-        }
-        let mut biases: Vec<Vec<f32>> = Vec::with_capacity(3);
-        for _ in 0..3 {
-            need(buf, 4)?;
-            let n = buf.get_u32_le() as usize;
-            need(buf, n.saturating_mul(4))?;
-            biases.push((0..n).map(|_| buf.get_f32_le()).collect());
-        }
-        let u_n = mats.pop().expect("six matrices");
-        let w_n = mats.pop().expect("six matrices");
-        let u_r = mats.pop().expect("six matrices");
-        let w_r = mats.pop().expect("six matrices");
-        let u_z = mats.pop().expect("six matrices");
-        let w_z = mats.pop().expect("six matrices");
-        let b_n = biases.pop().expect("three biases");
-        let b_r = biases.pop().expect("three biases");
-        let b_z = biases.pop().expect("three biases");
+        let hidden = r.u32()? as usize;
+        let (precision, format) = mode_from_tags(r.array()?)?;
+        // Field initializers run in the order written, which is the wire
+        // order: six gates, then three biases.
         layers.push(CompiledGruLayer {
-            w_z,
-            u_z,
-            b_z,
-            w_r,
-            u_r,
-            b_r,
-            w_n,
-            u_n,
-            b_n,
+            w_z: read_gate(r, format)?,
+            u_z: read_gate(r, format)?,
+            w_r: read_gate(r, format)?,
+            u_r: read_gate(r, format)?,
+            w_n: read_gate(r, format)?,
+            u_n: read_gate(r, format)?,
+            b_z: r.counted_f32s()?,
+            b_r: r.counted_f32s()?,
+            b_n: r.counted_f32s()?,
             hidden,
-            precision: layer_precision,
-            format: layer_format,
+            precision,
+            format,
         });
     }
 
-    need(buf, 8)?;
-    let rows = buf.get_u32_le() as usize;
-    let cols = buf.get_u32_le() as usize;
-    let head_len = rows
-        .checked_mul(cols)
-        .and_then(|n| n.checked_mul(4))
-        .ok_or(DecodeError::Truncated)?;
-    need(buf, head_len)?;
-    let head_data: Vec<f32> = (0..rows * cols).map(|_| buf.get_f32_le()).collect();
-    let head_w = Matrix::from_vec(rows, cols, head_data).map_err(|_| DecodeError::Truncated)?;
-    need(buf, 4)?;
-    let nb = buf.get_u32_le() as usize;
-    need(buf, nb.saturating_mul(4))?;
-    let head_b: Vec<f32> = (0..nb).map(|_| buf.get_f32_le()).collect();
-
+    let (rows, cols) = (r.u32()? as usize, r.u32()? as usize);
+    let head_len = rows.checked_mul(cols).ok_or(DecodeError::Truncated)?;
+    let head_w = Matrix::from_vec(rows, cols, r.f32s(head_len)?);
+    let head_w = head_w.map_err(|_| DecodeError::Truncated)?;
     Ok(CompiledNetwork {
         layers,
         head_w,
-        head_b,
+        head_b: r.counted_f32s()?,
         precision,
         format,
         tuner_costs: Vec::new(),
@@ -222,27 +165,23 @@ pub(crate) fn read_network_body(buf: &mut &[u8]) -> Result<CompiledNetwork, Deco
 }
 
 /// Decodes the tuner-cost records (the inverse of [`write_tuner_body`])
-/// from the front of `buf`, advancing it.
-pub(crate) fn read_tuner_body(buf: &mut &[u8]) -> Result<Vec<TunerCost>, DecodeError> {
-    need(buf, 4)?;
-    let cost_count = buf.get_u32_le() as usize;
+/// from the front of `r`, advancing it.
+pub(crate) fn read_tuner_body(r: &mut Reader<'_>) -> Result<Vec<TunerCost>, DecodeError> {
+    let cost_count = r.u32()? as usize;
     // 10 bytes per entry; reject counts the buffer cannot hold before
     // allocating.
-    if cost_count > buf.remaining() / 10 {
+    if cost_count > r.remaining() / 10 {
         return Err(DecodeError::Truncated);
     }
     let mut tuner_costs = Vec::with_capacity(cost_count);
     for _ in 0..cost_count {
-        need(buf, 10)?;
-        let layer = buf.get_u32_le() as usize;
-        let precision = precision_from_code(buf.get_u8())?;
-        let format = format_from_code(buf.get_u8())?;
-        let micros = buf.get_f32_le();
+        let layer = r.u32()? as usize;
+        let (precision, format) = mode_from_tags(r.array()?)?;
         tuner_costs.push(TunerCost {
             layer,
             format,
             precision,
-            micros,
+            micros: r.f32()?,
         });
     }
     Ok(tuner_costs)

@@ -3,9 +3,9 @@
 //! Every message travels as one length-prefixed frame written by
 //! [`rtm_tensor::wire::put_frame`] and recovered by
 //! [`rtm_tensor::wire::FrameDecoder`]; the payload starts with a one-byte
-//! tag followed by little-endian fields encoded with the workspace's
-//! [`Buf`]/[`BufMut`] traits — zero registry dependencies, same codec as
-//! the `.rtm` model file.
+//! tag followed by little-endian fields written through [`BufMut`] and
+//! read back through the checked [`Reader`] — zero registry dependencies,
+//! same codec as the `.rtm` model file.
 //!
 //! The conversation is strictly client-driven after the greeting:
 //!
@@ -31,7 +31,7 @@
 //! all surface as a typed [`ProtocolError`], never a panic — the server
 //! drops the offending connection and the others are unaffected.
 
-use rtm_tensor::wire::{Buf, BufMut};
+use rtm_tensor::wire::{BufMut, Reader, Truncated};
 
 /// The protocol version the server advertises in [`ServerMsg::Hello`].
 /// Version 2 adds [`ClientMsg::WantHypotheses`] / [`ServerMsg::Hypothesis`]
@@ -183,47 +183,15 @@ impl std::fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
-fn need(buf: &&[u8], n: usize, what: &'static str) -> Result<(), ProtocolError> {
-    if buf.remaining() < n {
-        Err(ProtocolError::Truncated(what))
-    } else {
-        Ok(())
-    }
+/// Names the field a short read ended in.
+fn field<T>(what: &'static str, read: Result<T, Truncated>) -> Result<T, ProtocolError> {
+    read.map_err(|Truncated| ProtocolError::Truncated(what))
 }
 
-fn get_f32s(buf: &mut &[u8], what: &'static str) -> Result<Vec<f32>, ProtocolError> {
-    need(buf, 4, what)?;
-    let count = buf.get_u32_le() as usize;
-    need(buf, count.saturating_mul(4), what)?;
-    Ok((0..count).map(|_| buf.get_f32_le()).collect())
-}
-
-fn put_f32s<B: BufMut>(out: &mut B, xs: &[f32]) {
-    out.put_u32_le(xs.len() as u32);
-    for &x in xs {
-        out.put_f32_le(x);
-    }
-}
-
-fn get_u32s(buf: &mut &[u8], what: &'static str) -> Result<Vec<u32>, ProtocolError> {
-    need(buf, 4, what)?;
-    let count = buf.get_u32_le() as usize;
-    need(buf, count.saturating_mul(4), what)?;
-    Ok((0..count).map(|_| buf.get_u32_le()).collect())
-}
-
-fn put_u32s<B: BufMut>(out: &mut B, xs: &[u32]) {
-    out.put_u32_le(xs.len() as u32);
-    for &x in xs {
-        out.put_u32_le(x);
-    }
-}
-
-fn done(buf: &[u8]) -> Result<(), ProtocolError> {
-    if buf.remaining() == 0 {
-        Ok(())
-    } else {
-        Err(ProtocolError::Trailing(buf.remaining()))
+fn done(r: &Reader<'_>) -> Result<(), ProtocolError> {
+    match r.remaining() {
+        0 => Ok(()),
+        n => Err(ProtocolError::Trailing(n)),
     }
 }
 
@@ -237,7 +205,7 @@ impl ClientMsg {
             }
             ClientMsg::Frame(xs) => {
                 out.put_u8(TAG_FRAME);
-                put_f32s(out, xs);
+                out.put_counted_f32s(xs);
             }
             ClientMsg::WantHypotheses => out.put_u8(TAG_WANT_HYPOTHESES),
             ClientMsg::End => out.put_u8(TAG_END),
@@ -251,21 +219,17 @@ impl ClientMsg {
     /// Any malformed payload — unknown tag, truncation, trailing bytes —
     /// comes back as the matching [`ProtocolError`].
     pub fn decode(payload: &[u8]) -> Result<ClientMsg, ProtocolError> {
-        let mut buf = payload;
-        need(&buf, 1, "tag")?;
-        let msg = match buf.get_u8() {
-            TAG_START => {
-                need(&buf, 4, "tenant")?;
-                ClientMsg::Start {
-                    tenant: buf.get_u32_le(),
-                }
-            }
-            TAG_FRAME => ClientMsg::Frame(get_f32s(&mut buf, "frame")?),
+        let mut r = Reader::new(payload);
+        let msg = match field("tag", r.u8())? {
+            TAG_START => ClientMsg::Start {
+                tenant: field("tenant", r.u32())?,
+            },
+            TAG_FRAME => ClientMsg::Frame(field("frame", r.counted_f32s())?),
             TAG_WANT_HYPOTHESES => ClientMsg::WantHypotheses,
             TAG_END => ClientMsg::End,
             t => return Err(ProtocolError::UnknownTag(t)),
         };
-        done(buf)?;
+        done(&r)?;
         Ok(msg)
     }
 }
@@ -286,7 +250,7 @@ impl ServerMsg {
             }
             ServerMsg::Logits(ys) => {
                 out.put_u8(TAG_LOGITS);
-                put_f32s(out, ys);
+                out.put_counted_f32s(ys);
             }
             ServerMsg::Hypothesis {
                 symbols,
@@ -295,7 +259,7 @@ impl ServerMsg {
                 is_final,
             } => {
                 out.put_u8(TAG_HYPOTHESIS);
-                put_u32s(out, symbols);
+                out.put_counted_u32s(symbols);
                 out.put_f32_le(*score);
                 out.put_u8(u8::from(*endpoint));
                 out.put_u8(u8::from(*is_final));
@@ -318,44 +282,32 @@ impl ServerMsg {
     /// Any malformed payload — unknown tag, truncation, trailing bytes,
     /// bad reject code — comes back as the matching [`ProtocolError`].
     pub fn decode(payload: &[u8]) -> Result<ServerMsg, ProtocolError> {
-        let mut buf = payload;
-        need(&buf, 1, "tag")?;
-        let msg = match buf.get_u8() {
-            TAG_HELLO => {
-                need(&buf, 12, "hello dims")?;
-                ServerMsg::Hello {
-                    input_dim: buf.get_u32_le(),
-                    classes: buf.get_u32_le(),
-                    version: buf.get_u32_le(),
-                }
-            }
-            TAG_LOGITS => ServerMsg::Logits(get_f32s(&mut buf, "logits")?),
-            TAG_HYPOTHESIS => {
-                let symbols = get_u32s(&mut buf, "hypothesis symbols")?;
-                need(&buf, 6, "hypothesis fields")?;
-                ServerMsg::Hypothesis {
-                    symbols,
-                    score: buf.get_f32_le(),
-                    endpoint: buf.get_u8() != 0,
-                    is_final: buf.get_u8() != 0,
-                }
-            }
-            TAG_DONE => {
-                need(&buf, 4, "done frames")?;
-                ServerMsg::Done {
-                    frames: buf.get_u32_le(),
-                }
-            }
+        let mut r = Reader::new(payload);
+        let msg = match field("tag", r.u8())? {
+            TAG_HELLO => ServerMsg::Hello {
+                input_dim: field("hello dims", r.u32())?,
+                classes: field("hello dims", r.u32())?,
+                version: field("hello dims", r.u32())?,
+            },
+            TAG_LOGITS => ServerMsg::Logits(field("logits", r.counted_f32s())?),
+            TAG_HYPOTHESIS => ServerMsg::Hypothesis {
+                symbols: field("hypothesis symbols", r.counted_u32s())?,
+                score: field("hypothesis fields", r.f32())?,
+                endpoint: field("hypothesis fields", r.u8())? != 0,
+                is_final: field("hypothesis fields", r.u8())? != 0,
+            },
+            TAG_DONE => ServerMsg::Done {
+                frames: field("done frames", r.u32())?,
+            },
             TAG_REJECT => {
-                need(&buf, 1, "reject code")?;
-                let c = buf.get_u8();
+                let c = field("reject code", r.u8())?;
                 ServerMsg::Reject {
                     code: RejectCode::from_code(c).ok_or(ProtocolError::BadRejectCode(c))?,
                 }
             }
             t => return Err(ProtocolError::UnknownTag(t)),
         };
-        done(buf)?;
+        done(&r)?;
         Ok(msg)
     }
 }

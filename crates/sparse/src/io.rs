@@ -1,23 +1,39 @@
-//! Binary (de)serialization of the BSPC format — the on-flash "compact data
-//! format for pruned model storage" of §IV-B-c, made concrete.
+//! Binary (de)serialization of the four sparse storage formats — the
+//! on-flash "compact data format for pruned model storage" of §IV-B-c, made
+//! concrete for BSPC and for the CSR/BBS/CSB members of the format zoo.
 //!
-//! Layout (all little-endian):
+//! Every blob has the same three parts (all little-endian):
 //!
 //! ```text
-//! magic   "BSPC"            4 B
-//! version u16               (currently 1)
-//! prec    u8                (0 = f32 values, 1 = f16 bit patterns, 2 = int8)
-//! rows, cols, stripes, blocks            4 × u32
-//! kept_row_count u32, kept_rows          n × u32
-//! per stripe-block: col_count u32, cols  n × u32
-//! row_offsets                            kept_row_count × u32
-//! value_count u32, values                (see below)
-//! reorder_flag u8 (0/1), reorder         rows × u32 when 1
+//! prologue  magic 4 B ("BSPC" | "CSRM" | "BBSM" | "CSBM"), version u16 (= 1),
+//!           precision u8 (0 = f32, 1 = f16, 2 = int8)
+//! index     the format's own header and index arrays (tables below)
+//! values    f32:  count × 4 B scalars
+//!           f16:  count × 2 B binary16 bit patterns
+//!           int8: scales × 4 B f32 scales, then count × 1 B codes
 //! ```
 //!
-//! The value payload depends on the precision tag: f32 stores 4 B per value,
-//! f16 stores the 2 B bit pattern, and int8 stores the per-(stripe, block)
-//! f32 scales (`stripes × blocks × 4 B`, header order) followed by 1 B codes.
+//! The prologue and the value payload are written and read once, here, for
+//! all formats; a format contributes only its body (the private `Blob`
+//! trait):
+//!
+//! ```text
+//! BSPC  rows, cols, stripes, blocks u32 · kept_row_count u32, kept_rows ·
+//!       per stripe-block: col_count u32, cols · row_offsets (one per kept
+//!       row) · value_count u32 · VALUES (one scale per stripe-block) ·
+//!       reorder_flag u8 (0/1), reorder rows × u32 when 1
+//! CSR   rows, cols u32 · row_ptr (rows + 1) · col_idx (nnz) ·
+//!       VALUES (one scale per block of `ROW_BLOCK` rows)
+//! BBS   rows, cols, num_banks, bank_nnz u32 · col_idx (one per slot) ·
+//!       VALUES (one per slot; one scale per row)
+//! CSB   rows, cols, block_h, block_w, stored_blocks u32 · block_ptr ·
+//!       block_col · col_ptr · cols_idx · val_ptr · VALUES (one scale per
+//!       stored block)
+//! ```
+//!
+//! Only BSPC stores a value count; the others derive it from their
+//! validated index arrays, so no count read from the wire is trusted
+//! further than the [`Reader`] can back it with bytes.
 //!
 //! Values serialized at [`Precision::F16`] round through binary16, exactly
 //! the loss the mobile GPU path accepts; deserialization always restores
@@ -30,7 +46,7 @@ use crate::bspc::{BspcError, BspcMatrix};
 use crate::csb::CsbMatrix;
 use crate::csr::CsrMatrix;
 use crate::footprint::Precision;
-use rtm_tensor::wire::{Buf, BufMut};
+use rtm_tensor::wire::{BufMut, Reader, Truncated};
 use rtm_tensor::{ShapeError, F16};
 use std::error::Error;
 use std::fmt;
@@ -50,7 +66,7 @@ pub const MAGIC_CSR: &[u8; 4] = b"CSRM";
 /// Current format version.
 pub const VERSION: u16 = 1;
 
-/// Error decoding a serialized BSPC matrix.
+/// Error decoding a serialized matrix or a container that embeds them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
     /// Buffer too short for the declared contents.
@@ -141,123 +157,218 @@ impl From<ShapeError> for DecodeError {
     }
 }
 
-impl BspcMatrix {
-    /// Serializes into `out` at the given value precision.
-    ///
-    /// [`Precision::Int8`] writes the per-(stripe, block) scales followed by
-    /// the one-byte codes of the int8 sidecar; decoding restores the codes
-    /// bit-exactly.
-    pub fn write_to(&self, out: &mut Vec<u8>, precision: Precision) {
-        out.put_slice(MAGIC);
-        out.put_u16_le(VERSION);
-        out.put_u8(match precision {
-            Precision::F32 => 0,
-            Precision::F16 => 1,
-            Precision::Int8 => 2,
-        });
+impl From<Truncated> for DecodeError {
+    fn from(_: Truncated) -> DecodeError {
+        DecodeError::Truncated
+    }
+}
+
+/// Wire tag of each value precision: the tag is the position in this table.
+const PRECISION_BY_TAG: [Precision; 3] = [Precision::F32, Precision::F16, Precision::Int8];
+
+/// The one-byte wire tag of `precision` (blob prologues, `.rtm` layer
+/// headers and tuner records all use it).
+pub fn precision_tag(precision: Precision) -> u8 {
+    let tag = PRECISION_BY_TAG.iter().position(|&p| p == precision);
+    tag.expect("every precision is in the tag table") as u8
+}
+
+/// Inverse of [`precision_tag`].
+///
+/// # Errors
+///
+/// [`DecodeError::BadPrecision`] for a tag outside the table.
+pub fn precision_from_tag(tag: u8) -> Result<Precision, DecodeError> {
+    let known = PRECISION_BY_TAG.get(usize::from(tag)).copied();
+    known.ok_or(DecodeError::BadPrecision(tag))
+}
+
+/// What one storage format contributes to the blob codec: its magic and
+/// the body between the shared prologue and the end of the blob. Bodies
+/// call [`put_values`] / [`read_values`] for the value payload.
+trait Blob: Sized {
+    const MAGIC: &'static [u8; 4];
+
+    /// Writes the header, the index arrays, the value payload and whatever
+    /// follows it.
+    fn write_body(&self, out: &mut Vec<u8>, precision: Precision);
+
+    /// Reads what [`Blob::write_body`] wrote, validating the header before
+    /// any count derived from it sizes a read.
+    fn read_body(r: &mut Reader<'_>, precision: Precision) -> Result<Self, DecodeError>;
+}
+
+fn write_blob<B: Blob>(matrix: &B, out: &mut Vec<u8>, precision: Precision) {
+    out.put_slice(B::MAGIC);
+    out.put_u16_le(VERSION);
+    out.put_u8(precision_tag(precision));
+    matrix.write_body(out, precision);
+}
+
+fn read_blob<B: Blob>(bytes: &[u8]) -> Result<(B, usize), DecodeError> {
+    let mut r = Reader::new(bytes);
+    if &r.array::<4>()? != B::MAGIC {
+        return Err(DecodeError::BadMagic);
+    }
+    let (version, tag) = (r.u16()?, r.u8()?);
+    if version != VERSION {
+        return Err(DecodeError::BadVersion(version));
+    }
+    let matrix = B::read_body(&mut r, precision_from_tag(tag)?)?;
+    Ok((matrix, bytes.len() - r.remaining()))
+}
+
+/// The three public entry points of every format, provided from its
+/// [`Blob`] body.
+macro_rules! blob_entry_points {
+    ($($matrix:ident),*) => {$(
+        impl $matrix {
+            /// Serializes into `out` at the given value precision (layout in
+            /// the [module docs](crate::io)). [`Precision::Int8`] writes the
+            /// scales followed by the one-byte codes of the int8 sidecar;
+            /// decoding restores the codes bit-exactly.
+            pub fn write_to(&self, out: &mut Vec<u8>, precision: Precision) {
+                write_blob(self, out, precision);
+            }
+
+            /// Serializes into a fresh buffer.
+            pub fn to_bytes(&self, precision: Precision) -> Vec<u8> {
+                let mut out = Vec::new();
+                self.write_to(&mut out, precision);
+                out
+            }
+
+            /// Decodes one matrix from the front of `bytes`, returning it
+            /// together with the number of bytes consumed. Int8 payloads
+            /// install the stored codes as the authoritative sidecar.
+            ///
+            /// # Errors
+            ///
+            /// Returns [`DecodeError`] on truncation, bad
+            /// magic/version/precision, or a structurally invalid payload.
+            pub fn read_from(bytes: &[u8]) -> Result<($matrix, usize), DecodeError> {
+                read_blob(bytes)
+            }
+        }
+    )*};
+}
+
+blob_entry_points!(BspcMatrix, CsrMatrix, BbsMatrix, CsbMatrix);
+
+/// Writes the value payload: f32 scalars, f16 bit patterns, or the int8
+/// sidecar's scales followed by its codes.
+fn put_values(
+    out: &mut Vec<u8>,
+    precision: Precision,
+    values: &[f32],
+    scales: &[f32],
+    codes: &[i8],
+) {
+    match precision {
+        Precision::F32 => out.put_f32s(values),
+        Precision::F16 => {
+            for &v in values {
+                out.put_u16_le(F16::from_f32(v).to_bits());
+            }
+        }
+        Precision::Int8 => {
+            out.put_f32s(scales);
+            for &q in codes {
+                out.put_u8(q as u8);
+            }
+        }
+    }
+}
+
+/// The stored int8 codes and scales of a decoded int8 payload.
+type Int8Sidecar = Option<(Vec<i8>, Vec<f32>)>;
+
+/// Reads a value payload of `count` values at `precision`: the f32 values
+/// every format is built from, plus the int8 sidecar when that is what the
+/// blob stored. Int8 payloads carry `scales` scales ahead of the codes;
+/// `runs` lists, in payload order, how many consecutive codes share which
+/// scale, and the f32 values are rebuilt as `code · scale` along it. A run
+/// list that disagrees with `count` is clipped or leaves zeros: the
+/// format's `from_parts` is what rejects an inconsistent structure, so the
+/// walk only has to stay in bounds.
+fn read_values(
+    r: &mut Reader<'_>,
+    precision: Precision,
+    count: usize,
+    scales: usize,
+    runs: impl Iterator<Item = (usize, usize)>,
+) -> Result<(Vec<f32>, Int8Sidecar), DecodeError> {
+    Ok(match precision {
+        Precision::F32 => (r.f32s(count)?, None),
+        Precision::F16 => (r.f16s(count)?, None),
+        Precision::Int8 => {
+            let scales = r.f32s(scales)?;
+            let codes = r.i8s(count)?;
+            let mut values = vec![0.0f32; count];
+            let mut at = 0usize;
+            for (len, scale) in runs {
+                let end = at.saturating_add(len).min(count);
+                for i in at..end {
+                    values[i] = codes[i] as f32 * scales[scale];
+                }
+                at = end;
+            }
+            (values, Some((codes, scales)))
+        }
+    })
+}
+
+/// Installs the stored int8 codes as the authoritative sidecar of a freshly
+/// built matrix: re-deriving codes from the reconstructed floats could flip
+/// values sitting exactly on a rounding boundary.
+fn install_sidecar<M, E: Into<DecodeError>>(
+    matrix: M,
+    int8: Int8Sidecar,
+    with_sidecar: fn(M, Vec<i8>, Vec<f32>) -> Result<M, E>,
+) -> Result<M, DecodeError> {
+    match int8 {
+        Some((codes, scales)) => with_sidecar(matrix, codes, scales).map_err(Into::into),
+        None => Ok(matrix),
+    }
+}
+
+/// Reads `N` consecutive `u32` header fields as sizes.
+fn header<const N: usize>(r: &mut Reader<'_>) -> Result<[usize; N], Truncated> {
+    let mut fields = [0usize; N];
+    for f in &mut fields {
+        *f = r.u32()? as usize;
+    }
+    Ok(fields)
+}
+
+impl Blob for BspcMatrix {
+    const MAGIC: &'static [u8; 4] = MAGIC;
+
+    fn write_body(&self, out: &mut Vec<u8>, precision: Precision) {
         out.put_u32_le(self.rows() as u32);
         out.put_u32_le(self.cols() as u32);
         out.put_u32_le(self.num_stripes() as u32);
         out.put_u32_le(self.num_blocks() as u32);
-
-        out.put_u32_le(self.kept_rows().len() as u32);
-        for &r in self.kept_rows() {
-            out.put_u32_le(r);
-        }
+        out.put_counted_u32s(self.kept_rows());
         for s in 0..self.num_stripes() {
             for b in 0..self.num_blocks() {
-                let cols = self.block_kept_cols(s, b);
-                out.put_u32_le(cols.len() as u32);
-                for &c in cols {
-                    out.put_u32_le(c);
-                }
+                out.put_counted_u32s(self.block_kept_cols(s, b));
             }
         }
         for k in 0..self.kept_rows().len() {
             out.put_u32_le(self.row_offset(k) as u32);
         }
         out.put_u32_le(self.stored_len() as u32);
-        match precision {
-            Precision::F32 => {
-                for &v in self.values() {
-                    out.put_f32_le(v);
-                }
-            }
-            Precision::F16 => {
-                for &v in self.values() {
-                    out.put_u16_le(F16::from_f32(v).to_bits());
-                }
-            }
-            Precision::Int8 => {
-                for &s in self.int8_scales() {
-                    out.put_f32_le(s);
-                }
-                for &q in self.values_i8() {
-                    out.put_u8(q as u8);
-                }
-            }
-        }
-        match self.reorder() {
-            Some(perm) => {
-                out.put_u8(1);
-                for &p in perm {
-                    out.put_u32_le(p);
-                }
-            }
-            None => out.put_u8(0),
-        }
+        let (scales, codes) = (self.int8_scales(), self.values_i8());
+        put_values(out, precision, self.values(), scales, codes);
+        out.put_u8(u8::from(self.reorder().is_some()));
+        out.put_u32s(self.reorder().unwrap_or(&[]));
     }
 
-    /// Serializes into a fresh buffer.
-    pub fn to_bytes(&self, precision: Precision) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.write_to(&mut out, precision);
-        out
-    }
-
-    /// Decodes one matrix from the front of `bytes`, returning it together
-    /// with the number of bytes consumed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] on truncation, bad magic/version/precision,
-    /// or a structurally invalid payload.
-    pub fn read_from(bytes: &[u8]) -> Result<(BspcMatrix, usize), DecodeError> {
-        let mut buf = bytes;
-        let need = |buf: &[u8], n: usize| -> Result<(), DecodeError> {
-            if buf.remaining() < n {
-                Err(DecodeError::Truncated)
-            } else {
-                Ok(())
-            }
-        };
-
-        need(buf, 4)?;
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(DecodeError::BadMagic);
-        }
-        need(buf, 3)?;
-        let version = buf.get_u16_le();
-        if version != VERSION {
-            return Err(DecodeError::BadVersion(version));
-        }
-        let prec = buf.get_u8();
-        let precision = match prec {
-            0 => Precision::F32,
-            1 => Precision::F16,
-            2 => Precision::Int8,
-            other => return Err(DecodeError::BadPrecision(other)),
-        };
-
-        need(buf, 16)?;
-        let rows = buf.get_u32_le() as usize;
-        let cols = buf.get_u32_le() as usize;
-        let stripes = buf.get_u32_le() as usize;
-        let blocks = buf.get_u32_le() as usize;
-        // Validate the header *before* trusting any count for allocation —
-        // a corrupted file must fail cleanly, never OOM.
+    fn read_body(r: &mut Reader<'_>, precision: Precision) -> Result<Self, DecodeError> {
+        let [rows, cols, stripes, blocks] = header(r)?;
+        // Validate the header *before* any count derived from it sizes a
+        // read — a corrupted file must fail cleanly, never OOM.
         if stripes == 0 || blocks == 0 {
             return Err(DecodeError::Invalid(BspcError::ZeroPartition));
         }
@@ -268,80 +379,31 @@ impl BspcMatrix {
             }));
         }
 
-        need(buf, 4)?;
-        let kept_count = buf.get_u32_le() as usize;
+        let kept_count = r.u32()? as usize;
         if kept_count > rows {
             return Err(DecodeError::Truncated);
         }
-        need(buf, kept_count * 4)?;
-        let kept_rows: Vec<u32> = (0..kept_count).map(|_| buf.get_u32_le()).collect();
-
-        // No pre-allocation from untrusted counts: every push is preceded
-        // by a `need` guard on the actual bytes.
+        let kept_rows = r.u32s(kept_count)?;
+        // Not pre-sized from the untrusted partition: every push is backed
+        // by bytes the reader has already checked.
         let mut block_cols = Vec::new();
         for _ in 0..stripes.saturating_mul(blocks) {
-            need(buf, 4)?;
-            let n = buf.get_u32_le() as usize;
-            need(buf, n.saturating_mul(4))?;
-            block_cols.push((0..n).map(|_| buf.get_u32_le()).collect::<Vec<u32>>());
+            block_cols.push(r.counted_u32s()?);
         }
+        let row_offsets = r.u32s(kept_count)?;
 
-        need(buf, kept_count * 4)?;
-        let row_offsets: Vec<u32> = (0..kept_count).map(|_| buf.get_u32_le()).collect();
+        let value_count = r.u32()? as usize;
+        // The packing order: kept row → its stripe's block segments, one
+        // scale per (stripe, block).
+        let stripe_h = rows.div_ceil(stripes).max(1);
+        let runs = kept_rows.iter().flat_map(|&row| {
+            let s = ((row as usize) / stripe_h).min(stripes - 1);
+            (s * blocks..(s + 1) * blocks).map(|sb| (block_cols[sb].len(), sb))
+        });
+        let scales = stripes.saturating_mul(blocks);
+        let (values, int8) = read_values(r, precision, value_count, scales, runs)?;
 
-        need(buf, 4)?;
-        let value_count = buf.get_u32_le() as usize;
-        let mut int8_sidecar: Option<(Vec<i8>, Vec<f32>)> = None;
-        let values: Vec<f32> = match precision {
-            Precision::F32 => {
-                need(buf, value_count.saturating_mul(4))?;
-                (0..value_count).map(|_| buf.get_f32_le()).collect()
-            }
-            Precision::F16 => {
-                need(buf, value_count.saturating_mul(2))?;
-                (0..value_count)
-                    .map(|_| F16::from_bits(buf.get_u16_le()).to_f32())
-                    .collect()
-            }
-            Precision::Int8 => {
-                let nscales = stripes.saturating_mul(blocks);
-                need(buf, nscales.saturating_mul(4))?;
-                let scales: Vec<f32> = (0..nscales).map(|_| buf.get_f32_le()).collect();
-                need(buf, value_count)?;
-                let codes: Vec<i8> = (0..value_count).map(|_| buf.get_u8() as i8).collect();
-                // Reconstruct f32 values segment by segment. The walk
-                // mirrors the packing order (kept row → block segments);
-                // structural inconsistencies surface in `from_parts` below,
-                // so the walk only has to stay in bounds, not validate.
-                let stripe_h = rows.div_ceil(stripes).max(1);
-                let mut values = vec![0.0f32; value_count];
-                let mut idx = 0usize;
-                'rows: for &r in &kept_rows {
-                    let s = ((r as usize) / stripe_h).min(stripes - 1);
-                    for b in 0..blocks {
-                        for _ in 0..block_cols[s * blocks + b].len() {
-                            if idx >= value_count {
-                                break 'rows;
-                            }
-                            values[idx] = codes[idx] as f32 * scales[s * blocks + b];
-                            idx += 1;
-                        }
-                    }
-                }
-                int8_sidecar = Some((codes, scales));
-                values
-            }
-        };
-
-        need(buf, 1)?;
-        let reorder = if buf.get_u8() == 1 {
-            need(buf, rows.saturating_mul(4))?;
-            Some((0..rows).map(|_| buf.get_u32_le()).collect::<Vec<u32>>())
-        } else {
-            None
-        };
-
-        let consumed = bytes.len() - buf.remaining();
+        let reorder = (r.u8()? == 1).then(|| r.u32s(rows)).transpose()?;
         let matrix = BspcMatrix::from_parts(
             rows,
             cols,
@@ -353,428 +415,25 @@ impl BspcMatrix {
             values,
             reorder,
         )?;
-        // Install the stored int8 codes as the authoritative sidecar:
-        // re-deriving codes from the reconstructed floats could flip values
-        // sitting exactly on a rounding boundary.
-        let matrix = match int8_sidecar {
-            Some((codes, scales)) => matrix.with_int8_sidecar(codes, scales)?,
-            None => matrix,
-        };
-        Ok((matrix, consumed))
+        install_sidecar(matrix, int8, BspcMatrix::with_int8_sidecar)
     }
 }
 
-fn put_precision_tag(out: &mut Vec<u8>, precision: Precision) {
-    out.put_u8(match precision {
-        Precision::F32 => 0,
-        Precision::F16 => 1,
-        Precision::Int8 => 2,
-    });
-}
+impl Blob for CsrMatrix {
+    const MAGIC: &'static [u8; 4] = MAGIC_CSR;
 
-impl BbsMatrix {
-    /// Serializes into `out` at the given value precision.
-    ///
-    /// Layout (little-endian): `"BBSM"`, version `u16`, precision `u8`,
-    /// `rows/cols/num_banks/bank_nnz` as 4 × `u32`, the slot column
-    /// indices, then the value payload — f32 scalars, f16 bit patterns, or
-    /// per-row f32 scales followed by one-byte codes for int8.
-    pub fn write_to(&self, out: &mut Vec<u8>, precision: Precision) {
-        out.put_slice(MAGIC_BBS);
-        out.put_u16_le(VERSION);
-        put_precision_tag(out, precision);
+    fn write_body(&self, out: &mut Vec<u8>, precision: Precision) {
         out.put_u32_le(self.rows() as u32);
         out.put_u32_le(self.cols() as u32);
-        out.put_u32_le(self.num_banks() as u32);
-        out.put_u32_le(self.bank_nnz() as u32);
-        for &c in self.col_idx() {
-            out.put_u32_le(c);
-        }
-        match precision {
-            Precision::F32 => {
-                for &v in self.values() {
-                    out.put_f32_le(v);
-                }
-            }
-            Precision::F16 => {
-                for &v in self.values() {
-                    out.put_u16_le(F16::from_f32(v).to_bits());
-                }
-            }
-            Precision::Int8 => {
-                for &s in self.int8_scales() {
-                    out.put_f32_le(s);
-                }
-                for &q in self.values_i8() {
-                    out.put_u8(q as u8);
-                }
-            }
-        }
+        out.put_u32s(self.row_ptr());
+        out.put_u32s(self.col_idx());
+        let (scales, codes) = (self.int8_scales(), self.values_i8());
+        put_values(out, precision, self.values(), scales, codes);
     }
 
-    /// Serializes into a fresh buffer.
-    pub fn to_bytes(&self, precision: Precision) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.write_to(&mut out, precision);
-        out
-    }
-
-    /// Decodes one matrix from the front of `bytes`, returning it together
-    /// with the number of bytes consumed. Int8 payloads install the stored
-    /// codes as the authoritative sidecar (see the module docs).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] on truncation, bad magic/version/precision,
-    /// or a structurally invalid payload.
-    pub fn read_from(bytes: &[u8]) -> Result<(BbsMatrix, usize), DecodeError> {
-        let mut buf = bytes;
-        let need = |buf: &[u8], n: usize| -> Result<(), DecodeError> {
-            if buf.remaining() < n {
-                Err(DecodeError::Truncated)
-            } else {
-                Ok(())
-            }
-        };
-
-        need(buf, 4)?;
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC_BBS {
-            return Err(DecodeError::BadMagic);
-        }
-        need(buf, 3)?;
-        let version = buf.get_u16_le();
-        if version != VERSION {
-            return Err(DecodeError::BadVersion(version));
-        }
-        let precision = match buf.get_u8() {
-            0 => Precision::F32,
-            1 => Precision::F16,
-            2 => Precision::Int8,
-            other => return Err(DecodeError::BadPrecision(other)),
-        };
-
-        need(buf, 16)?;
-        let rows = buf.get_u32_le() as usize;
-        let cols = buf.get_u32_le() as usize;
-        let num_banks = buf.get_u32_le() as usize;
-        let bank_nnz = buf.get_u32_le() as usize;
-        // The slot count is derived, never read from the wire; `need`
-        // guards every batch read against the actual byte budget, so a
-        // corrupted header fails cleanly instead of over-allocating.
-        let slots = rows
-            .checked_mul(num_banks)
-            .and_then(|n| n.checked_mul(bank_nnz))
-            .ok_or(DecodeError::Truncated)?;
-        need(buf, slots.saturating_mul(4))?;
-        let col_idx: Vec<u32> = (0..slots).map(|_| buf.get_u32_le()).collect();
-
-        let mut int8_sidecar: Option<(Vec<i8>, Vec<f32>)> = None;
-        let values: Vec<f32> = match precision {
-            Precision::F32 => {
-                need(buf, slots.saturating_mul(4))?;
-                (0..slots).map(|_| buf.get_f32_le()).collect()
-            }
-            Precision::F16 => {
-                need(buf, slots.saturating_mul(2))?;
-                (0..slots)
-                    .map(|_| F16::from_bits(buf.get_u16_le()).to_f32())
-                    .collect()
-            }
-            Precision::Int8 => {
-                need(buf, rows.saturating_mul(4))?;
-                let scales: Vec<f32> = (0..rows).map(|_| buf.get_f32_le()).collect();
-                need(buf, slots)?;
-                let codes: Vec<i8> = (0..slots).map(|_| buf.get_u8() as i8).collect();
-                let stride = num_banks * bank_nnz;
-                let values = codes
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &q)| q as f32 * scales[i / stride.max(1)])
-                    .collect();
-                int8_sidecar = Some((codes, scales));
-                values
-            }
-        };
-
-        let consumed = bytes.len() - buf.remaining();
-        let matrix = BbsMatrix::from_parts(rows, cols, num_banks, bank_nnz, col_idx, values)?;
-        let matrix = match int8_sidecar {
-            Some((codes, scales)) => matrix.with_int8_sidecar(codes, scales)?,
-            None => matrix,
-        };
-        Ok((matrix, consumed))
-    }
-}
-
-impl CsbMatrix {
-    /// Serializes into `out` at the given value precision.
-    ///
-    /// Layout (little-endian): `"CSBM"`, version `u16`, precision `u8`,
-    /// `rows/cols/block_h/block_w` as 4 × `u32`, stored-block count `u32`,
-    /// `block_ptr`, `block_col`, `col_ptr`, `cols_idx`, `val_ptr`, then
-    /// the value payload (per-block f32 scales before the codes for int8).
-    pub fn write_to(&self, out: &mut Vec<u8>, precision: Precision) {
-        out.put_slice(MAGIC_CSB);
-        out.put_u16_le(VERSION);
-        put_precision_tag(out, precision);
-        out.put_u32_le(self.rows() as u32);
-        out.put_u32_le(self.cols() as u32);
-        out.put_u32_le(self.block_h() as u32);
-        out.put_u32_le(self.block_w() as u32);
-        out.put_u32_le(self.stored_blocks() as u32);
-        for &p in self.block_ptr() {
-            out.put_u32_le(p);
-        }
-        for &c in self.block_col() {
-            out.put_u32_le(c);
-        }
-        for &p in self.col_ptr() {
-            out.put_u32_le(p);
-        }
-        for &c in self.cols_idx() {
-            out.put_u32_le(c);
-        }
-        for &p in self.val_ptr() {
-            out.put_u32_le(p);
-        }
-        match precision {
-            Precision::F32 => {
-                for &v in self.values() {
-                    out.put_f32_le(v);
-                }
-            }
-            Precision::F16 => {
-                for &v in self.values() {
-                    out.put_u16_le(F16::from_f32(v).to_bits());
-                }
-            }
-            Precision::Int8 => {
-                for &s in self.int8_scales() {
-                    out.put_f32_le(s);
-                }
-                for &q in self.values_i8() {
-                    out.put_u8(q as u8);
-                }
-            }
-        }
-    }
-
-    /// Serializes into a fresh buffer.
-    pub fn to_bytes(&self, precision: Precision) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.write_to(&mut out, precision);
-        out
-    }
-
-    /// Decodes one matrix from the front of `bytes`, returning it together
-    /// with the number of bytes consumed. Int8 payloads install the stored
-    /// codes as the authoritative sidecar.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] on truncation, bad magic/version/precision,
-    /// or a structurally invalid payload.
-    pub fn read_from(bytes: &[u8]) -> Result<(CsbMatrix, usize), DecodeError> {
-        let mut buf = bytes;
-        let need = |buf: &[u8], n: usize| -> Result<(), DecodeError> {
-            if buf.remaining() < n {
-                Err(DecodeError::Truncated)
-            } else {
-                Ok(())
-            }
-        };
-
-        need(buf, 4)?;
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC_CSB {
-            return Err(DecodeError::BadMagic);
-        }
-        need(buf, 3)?;
-        let version = buf.get_u16_le();
-        if version != VERSION {
-            return Err(DecodeError::BadVersion(version));
-        }
-        let precision = match buf.get_u8() {
-            0 => Precision::F32,
-            1 => Precision::F16,
-            2 => Precision::Int8,
-            other => return Err(DecodeError::BadPrecision(other)),
-        };
-
-        need(buf, 20)?;
-        let rows = buf.get_u32_le() as usize;
-        let cols = buf.get_u32_le() as usize;
-        let block_h = buf.get_u32_le() as usize;
-        let block_w = buf.get_u32_le() as usize;
-        let nblocks = buf.get_u32_le() as usize;
-        // Validate before trusting any count for a division or allocation.
-        if block_h == 0 || block_w == 0 {
-            return Err(DecodeError::InvalidShape(ShapeError {
-                op: "csb_decode",
-                lhs: (rows, cols),
-                rhs: (block_h, block_w),
-            }));
-        }
-        let nbr = rows.div_ceil(block_h);
-        // A block row stores at most `num_block_cols` blocks.
-        if nblocks > nbr.saturating_mul(cols.div_ceil(block_w)) {
-            return Err(DecodeError::Truncated);
-        }
-
-        need(buf, (nbr + 1).saturating_mul(4))?;
-        let block_ptr: Vec<u32> = (0..nbr + 1).map(|_| buf.get_u32_le()).collect();
-        need(buf, nblocks.saturating_mul(4))?;
-        let block_col: Vec<u32> = (0..nblocks).map(|_| buf.get_u32_le()).collect();
-        need(buf, (nblocks + 1).saturating_mul(4))?;
-        let col_ptr: Vec<u32> = (0..nblocks + 1).map(|_| buf.get_u32_le()).collect();
-        let ncols_idx = col_ptr.last().copied().unwrap_or(0) as usize;
-        need(buf, ncols_idx.saturating_mul(4))?;
-        let cols_idx: Vec<u32> = (0..ncols_idx).map(|_| buf.get_u32_le()).collect();
-        need(buf, (nblocks + 1).saturating_mul(4))?;
-        let val_ptr: Vec<u32> = (0..nblocks + 1).map(|_| buf.get_u32_le()).collect();
-        if val_ptr[0] != 0 || val_ptr.windows(2).any(|w| w[0] > w[1]) {
-            return Err(DecodeError::InvalidShape(ShapeError {
-                op: "csb_decode",
-                lhs: (rows, cols),
-                rhs: (block_h, block_w),
-            }));
-        }
-        let value_count = val_ptr[nblocks] as usize;
-
-        let mut int8_sidecar: Option<(Vec<i8>, Vec<f32>)> = None;
-        let values: Vec<f32> = match precision {
-            Precision::F32 => {
-                need(buf, value_count.saturating_mul(4))?;
-                (0..value_count).map(|_| buf.get_f32_le()).collect()
-            }
-            Precision::F16 => {
-                need(buf, value_count.saturating_mul(2))?;
-                (0..value_count)
-                    .map(|_| F16::from_bits(buf.get_u16_le()).to_f32())
-                    .collect()
-            }
-            Precision::Int8 => {
-                need(buf, nblocks.saturating_mul(4))?;
-                let scales: Vec<f32> = (0..nblocks).map(|_| buf.get_f32_le()).collect();
-                need(buf, value_count)?;
-                let codes: Vec<i8> = (0..value_count).map(|_| buf.get_u8() as i8).collect();
-                let mut values = vec![0.0f32; value_count];
-                for blk in 0..nblocks {
-                    let (vs, ve) = (val_ptr[blk] as usize, val_ptr[blk + 1] as usize);
-                    for i in vs..ve {
-                        values[i] = codes[i] as f32 * scales[blk];
-                    }
-                }
-                int8_sidecar = Some((codes, scales));
-                values
-            }
-        };
-
-        let consumed = bytes.len() - buf.remaining();
-        let matrix = CsbMatrix::from_parts(
-            rows, cols, block_h, block_w, block_ptr, block_col, col_ptr, cols_idx, val_ptr, values,
-        )?;
-        let matrix = match int8_sidecar {
-            Some((codes, scales)) => matrix.with_int8_sidecar(codes, scales)?,
-            None => matrix,
-        };
-        Ok((matrix, consumed))
-    }
-}
-
-impl CsrMatrix {
-    /// Serializes into `out` at the given value precision.
-    ///
-    /// Layout (little-endian): `"CSRM"`, version `u16`, precision `u8`,
-    /// `rows/cols` as 2 × `u32`, `row_ptr` (`rows + 1` × `u32`), `col_idx`
-    /// (`nnz` × `u32`), then the value payload — f32 scalars, f16 bit
-    /// patterns, or per-row-block f32 scales followed by one-byte codes
-    /// for int8.
-    pub fn write_to(&self, out: &mut Vec<u8>, precision: Precision) {
-        out.put_slice(MAGIC_CSR);
-        out.put_u16_le(VERSION);
-        put_precision_tag(out, precision);
-        out.put_u32_le(self.rows() as u32);
-        out.put_u32_le(self.cols() as u32);
-        for &p in self.row_ptr() {
-            out.put_u32_le(p);
-        }
-        for &c in self.col_idx() {
-            out.put_u32_le(c);
-        }
-        match precision {
-            Precision::F32 => {
-                for &v in self.values() {
-                    out.put_f32_le(v);
-                }
-            }
-            Precision::F16 => {
-                for &v in self.values() {
-                    out.put_u16_le(F16::from_f32(v).to_bits());
-                }
-            }
-            Precision::Int8 => {
-                for &s in self.int8_scales() {
-                    out.put_f32_le(s);
-                }
-                for &q in self.values_i8() {
-                    out.put_u8(q as u8);
-                }
-            }
-        }
-    }
-
-    /// Serializes into a fresh buffer.
-    pub fn to_bytes(&self, precision: Precision) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.write_to(&mut out, precision);
-        out
-    }
-
-    /// Decodes one matrix from the front of `bytes`, returning it together
-    /// with the number of bytes consumed. Int8 payloads install the stored
-    /// codes as the authoritative sidecar.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] on truncation, bad magic/version/precision,
-    /// or a structurally invalid payload.
-    pub fn read_from(bytes: &[u8]) -> Result<(CsrMatrix, usize), DecodeError> {
-        let mut buf = bytes;
-        let need = |buf: &[u8], n: usize| -> Result<(), DecodeError> {
-            if buf.remaining() < n {
-                Err(DecodeError::Truncated)
-            } else {
-                Ok(())
-            }
-        };
-
-        need(buf, 4)?;
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC_CSR {
-            return Err(DecodeError::BadMagic);
-        }
-        need(buf, 3)?;
-        let version = buf.get_u16_le();
-        if version != VERSION {
-            return Err(DecodeError::BadVersion(version));
-        }
-        let precision = match buf.get_u8() {
-            0 => Precision::F32,
-            1 => Precision::F16,
-            2 => Precision::Int8,
-            other => return Err(DecodeError::BadPrecision(other)),
-        };
-
-        need(buf, 8)?;
-        let rows = buf.get_u32_le() as usize;
-        let cols = buf.get_u32_le() as usize;
-        need(buf, (rows + 1).saturating_mul(4))?;
-        let row_ptr: Vec<u32> = (0..rows + 1).map(|_| buf.get_u32_le()).collect();
+    fn read_body(r: &mut Reader<'_>, precision: Precision) -> Result<Self, DecodeError> {
+        let [rows, cols] = header(r)?;
+        let row_ptr = r.u32s(rows + 1)?;
         if row_ptr[0] != 0 || row_ptr.windows(2).any(|w| w[0] > w[1]) {
             return Err(DecodeError::InvalidShape(ShapeError {
                 op: "csr_decode",
@@ -783,49 +442,100 @@ impl CsrMatrix {
             }));
         }
         // The nonzero count is derived from the validated row pointers,
-        // never read from the wire; `need` guards every batch read.
+        // never read from the wire.
         let nnz = row_ptr[rows] as usize;
-        need(buf, nnz.saturating_mul(4))?;
-        let col_idx: Vec<u32> = (0..nnz).map(|_| buf.get_u32_le()).collect();
-
-        let mut int8_sidecar: Option<(Vec<i8>, Vec<f32>)> = None;
-        let values: Vec<f32> = match precision {
-            Precision::F32 => {
-                need(buf, nnz.saturating_mul(4))?;
-                (0..nnz).map(|_| buf.get_f32_le()).collect()
-            }
-            Precision::F16 => {
-                need(buf, nnz.saturating_mul(2))?;
-                (0..nnz)
-                    .map(|_| F16::from_bits(buf.get_u16_le()).to_f32())
-                    .collect()
-            }
-            Precision::Int8 => {
-                let nscales = rows.div_ceil(CsrMatrix::ROW_BLOCK);
-                need(buf, nscales.saturating_mul(4))?;
-                let scales: Vec<f32> = (0..nscales).map(|_| buf.get_f32_le()).collect();
-                need(buf, nnz)?;
-                let codes: Vec<i8> = (0..nnz).map(|_| buf.get_u8() as i8).collect();
-                let mut values = vec![0.0f32; nnz];
-                for r in 0..rows {
-                    let (s, e) = (row_ptr[r] as usize, row_ptr[r + 1] as usize);
-                    let scale = scales[r / CsrMatrix::ROW_BLOCK];
-                    for i in s..e {
-                        values[i] = codes[i] as f32 * scale;
-                    }
-                }
-                int8_sidecar = Some((codes, scales));
-                values
-            }
-        };
-
-        let consumed = bytes.len() - buf.remaining();
+        let col_idx = r.u32s(nnz)?;
+        let runs = row_ptr
+            .windows(2)
+            .enumerate()
+            .map(|(row, w)| ((w[1] - w[0]) as usize, row / CsrMatrix::ROW_BLOCK));
+        let scales = rows.div_ceil(CsrMatrix::ROW_BLOCK);
+        let (values, int8) = read_values(r, precision, nnz, scales, runs)?;
         let matrix = CsrMatrix::from_parts(rows, cols, row_ptr, col_idx, values)?;
-        let matrix = match int8_sidecar {
-            Some((codes, scales)) => matrix.with_int8_sidecar(codes, scales)?,
-            None => matrix,
-        };
-        Ok((matrix, consumed))
+        install_sidecar(matrix, int8, CsrMatrix::with_int8_sidecar)
+    }
+}
+
+impl Blob for BbsMatrix {
+    const MAGIC: &'static [u8; 4] = MAGIC_BBS;
+
+    fn write_body(&self, out: &mut Vec<u8>, precision: Precision) {
+        out.put_u32_le(self.rows() as u32);
+        out.put_u32_le(self.cols() as u32);
+        out.put_u32_le(self.num_banks() as u32);
+        out.put_u32_le(self.bank_nnz() as u32);
+        out.put_u32s(self.col_idx());
+        let (scales, codes) = (self.int8_scales(), self.values_i8());
+        put_values(out, precision, self.values(), scales, codes);
+    }
+
+    fn read_body(r: &mut Reader<'_>, precision: Precision) -> Result<Self, DecodeError> {
+        let [rows, cols, num_banks, bank_nnz] = header(r)?;
+        // The slot count is derived, never read from the wire.
+        let row_slots = num_banks.checked_mul(bank_nnz);
+        let row_slots = row_slots.ok_or(DecodeError::Truncated)?;
+        let slots = rows.checked_mul(row_slots).ok_or(DecodeError::Truncated)?;
+        let col_idx = r.u32s(slots)?;
+        let runs = (0..rows).map(|row| (row_slots, row));
+        let (values, int8) = read_values(r, precision, slots, rows, runs)?;
+        let matrix = BbsMatrix::from_parts(rows, cols, num_banks, bank_nnz, col_idx, values)?;
+        install_sidecar(matrix, int8, BbsMatrix::with_int8_sidecar)
+    }
+}
+
+impl Blob for CsbMatrix {
+    const MAGIC: &'static [u8; 4] = MAGIC_CSB;
+
+    fn write_body(&self, out: &mut Vec<u8>, precision: Precision) {
+        out.put_u32_le(self.rows() as u32);
+        out.put_u32_le(self.cols() as u32);
+        out.put_u32_le(self.block_h() as u32);
+        out.put_u32_le(self.block_w() as u32);
+        out.put_u32_le(self.stored_blocks() as u32);
+        out.put_u32s(self.block_ptr());
+        out.put_u32s(self.block_col());
+        out.put_u32s(self.col_ptr());
+        out.put_u32s(self.cols_idx());
+        out.put_u32s(self.val_ptr());
+        let (scales, codes) = (self.int8_scales(), self.values_i8());
+        put_values(out, precision, self.values(), scales, codes);
+    }
+
+    fn read_body(r: &mut Reader<'_>, precision: Precision) -> Result<Self, DecodeError> {
+        let [rows, cols, block_h, block_w, nblocks] = header(r)?;
+        let bad_shape = DecodeError::InvalidShape(ShapeError {
+            op: "csb_decode",
+            lhs: (rows, cols),
+            rhs: (block_h, block_w),
+        });
+        // Validate before trusting any count for a division or a read.
+        if block_h == 0 || block_w == 0 {
+            return Err(bad_shape);
+        }
+        let nbr = rows.div_ceil(block_h);
+        // A block row stores at most `num_block_cols` blocks.
+        if nblocks > nbr.saturating_mul(cols.div_ceil(block_w)) {
+            return Err(DecodeError::Truncated);
+        }
+
+        let block_ptr = r.u32s(nbr + 1)?;
+        let block_col = r.u32s(nblocks)?;
+        let col_ptr = r.u32s(nblocks + 1)?;
+        let cols_idx = r.u32s(col_ptr[nblocks] as usize)?;
+        let val_ptr = r.u32s(nblocks + 1)?;
+        if val_ptr[0] != 0 || val_ptr.windows(2).any(|w| w[0] > w[1]) {
+            return Err(bad_shape);
+        }
+        let value_count = val_ptr[nblocks] as usize;
+        let runs = val_ptr
+            .windows(2)
+            .enumerate()
+            .map(|(block, w)| ((w[1] - w[0]) as usize, block));
+        let (values, int8) = read_values(r, precision, value_count, nblocks, runs)?;
+        let matrix = CsbMatrix::from_parts(
+            rows, cols, block_h, block_w, block_ptr, block_col, col_ptr, cols_idx, val_ptr, values,
+        )?;
+        install_sidecar(matrix, int8, CsbMatrix::with_int8_sidecar)
     }
 }
 

@@ -1,11 +1,9 @@
 //! Sequence decoding beyond frame-wise argmax, behind the [`Decoder`] API.
 //!
-//! Historically this module offered one free function, [`viterbi_decode`],
-//! and the PER paths collapsed argmax frames with
-//! [`crate::per::collapse_frames`]. Both survive unchanged, but they are now
-//! thin wrappers over the unified incremental [`Decoder`] trait, which all
-//! decoders — frame-argmax ([`ArgmaxDecoder`]), Viterbi smoothing
-//! ([`ViterbiDecoder`]), and the CTC family ([`crate::ctc`]) — implement.
+//! All decoders — frame-argmax ([`ArgmaxDecoder`]), Viterbi smoothing
+//! ([`ViterbiDecoder`]), and the CTC family ([`crate::ctc`]) — implement
+//! the unified incremental [`Decoder`] trait; [`decode_offline`] runs any
+//! of them over a whole utterance.
 //!
 //! The trait is *streaming-first*: frames are pushed one at a time and the
 //! decoder emits a partial [`Hypothesis`] whenever it changes, so the same
@@ -266,27 +264,6 @@ impl Decoder for ViterbiDecoder {
     }
 }
 
-/// Decodes a phone sequence from per-frame logits with a switch penalty.
-///
-/// Legacy wrapper over [`ViterbiDecoder`] — prefer the [`Decoder`] API,
-/// which also streams. `switch_penalty` is the negative log-probability
-/// surcharge for changing phones between consecutive frames (`0.0` reduces
-/// to plain argmax collapsing; typical useful values are 1–6).
-///
-/// Returns the collapsed best-path phone sequence.
-///
-/// # Panics
-///
-/// Panics if frames have inconsistent class counts or `switch_penalty` is
-/// negative.
-pub fn viterbi_decode(logits: &[Vec<f32>], switch_penalty: f32) -> Vec<usize> {
-    let mut decoder = ViterbiDecoder::new(switch_penalty);
-    for frame in logits {
-        let _ = decoder.push_frame(frame);
-    }
-    decoder.finish().symbols
-}
-
 /// The Viterbi DP over `(frame, phone)` — the standard "HMM with
 /// self-loops" smoothing every Kaldi-style recognizer applies. Returns the
 /// collapsed best path and its log-probability score.
@@ -356,6 +333,11 @@ fn viterbi_path(logits: &[Vec<f32>], switch_penalty: f32) -> (Vec<usize>, f32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The collapsed best path of a [`ViterbiDecoder`] over a whole utterance.
+    fn viterbi_decode(logits: &[Vec<f32>], switch_penalty: f32) -> Vec<usize> {
+        decode_offline(&mut ViterbiDecoder::new(switch_penalty), logits).symbols
+    }
 
     /// Logits strongly favouring one class per frame.
     fn clean_logits(labels: &[usize], classes: usize) -> Vec<Vec<f32>> {
@@ -457,8 +439,8 @@ mod tests {
         let hyp = d.finish();
         assert_eq!(hyp.symbols, vec![0, 1]);
         assert!(hyp.is_final);
-        // The wrapper and the trait path agree exactly.
-        assert_eq!(hyp.symbols, viterbi_decode(&logits, 2.0));
+        // Streaming by hand and `decode_offline` agree exactly.
+        assert_eq!(hyp, decode_offline(&mut d, &logits));
     }
 
     #[test]

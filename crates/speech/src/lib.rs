@@ -44,9 +44,7 @@ pub mod task;
 
 pub use corpus::{CorpusConfig, SpeechCorpus, Utterance};
 pub use ctc::{blank_for, CtcBeamDecoder, CtcGreedyDecoder};
-pub use decode::{
-    decode_offline, viterbi_decode, ArgmaxDecoder, Decoder, Hypothesis, ViterbiDecoder,
-};
+pub use decode::{decode_offline, ArgmaxDecoder, Decoder, Hypothesis, ViterbiDecoder};
 pub use features::{add_deltas, add_deltas_2, CmvnStats};
 pub use per::{edit_distance, phone_error_rate, PerReport};
 pub use task::SpeechTask;

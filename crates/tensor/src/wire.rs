@@ -1,10 +1,12 @@
-//! Little-endian wire buffer traits — the workspace's offline replacement
-//! for the `bytes` crate.
+//! Little-endian wire primitives — the workspace's offline replacement for
+//! the `bytes` crate.
 //!
-//! The serialization code in `rtm-sparse::io` and `rtmobile::model_file`
-//! only needs a small slice of the `bytes` API: append primitives to a
-//! growable buffer and consume primitives from a shrinking slice. The trait
-//! and method names match `bytes` so the call sites read identically.
+//! Writers append to a growable buffer through [`BufMut`] and cannot fail.
+//! Everything that *decodes* (`rtm_sparse::io`, the `.rtm` model file and
+//! bundle container, the serve protocol) reads bytes from outside the
+//! process through the checked [`Reader`]: no read can run past the input
+//! and no count taken from the input can size an allocation the input does
+//! not back, so a decoder built on it is total by construction.
 
 /// Append-side buffer operations (implemented for `Vec<u8>`).
 pub trait BufMut {
@@ -30,6 +32,30 @@ pub trait BufMut {
     fn put_f32_le(&mut self, v: f32) {
         self.put_slice(&v.to_le_bytes());
     }
+    /// Appends every `u32` of `xs` (no count; see [`Reader::u32s`]).
+    fn put_u32s(&mut self, xs: &[u32]) {
+        for &x in xs {
+            self.put_u32_le(x);
+        }
+    }
+    /// Appends every `f32` of `xs` (no count; see [`Reader::f32s`]).
+    fn put_f32s(&mut self, xs: &[f32]) {
+        for &x in xs {
+            self.put_f32_le(x);
+        }
+    }
+    /// Appends `xs` as a run: its length as a `u32`, then the elements
+    /// (see [`Reader::counted_u32s`]).
+    fn put_counted_u32s(&mut self, xs: &[u32]) {
+        self.put_u32_le(xs.len() as u32);
+        self.put_u32s(xs);
+    }
+    /// Appends `xs` as a run: its length as a `u32`, then the elements
+    /// (see [`Reader::counted_f32s`]).
+    fn put_counted_f32s(&mut self, xs: &[f32]) {
+        self.put_u32_le(xs.len() as u32);
+        self.put_f32s(xs);
+    }
 }
 
 impl BufMut for Vec<u8> {
@@ -38,64 +64,138 @@ impl BufMut for Vec<u8> {
     }
 }
 
-/// Consume-side buffer operations (implemented for `&[u8]`, which advances
-/// through the underlying bytes as values are read).
-///
-/// The `get_*`/`copy_to_slice`/`advance` methods panic when the buffer holds
-/// fewer bytes than requested, matching `bytes`; decoders guard with
-/// [`Buf::remaining`] first.
-pub trait Buf {
-    /// Bytes left to consume.
-    fn remaining(&self) -> usize;
-    /// Skips `n` bytes.
-    fn advance(&mut self, n: usize);
-    /// Copies `dst.len()` bytes out and advances past them.
-    fn copy_to_slice(&mut self, dst: &mut [u8]);
-    /// Reads one byte.
-    fn get_u8(&mut self) -> u8 {
-        let mut b = [0u8; 1];
-        self.copy_to_slice(&mut b);
-        b[0]
-    }
-    /// Reads a little-endian `u16`.
-    fn get_u16_le(&mut self) -> u16 {
-        let mut b = [0u8; 2];
-        self.copy_to_slice(&mut b);
-        u16::from_le_bytes(b)
-    }
-    /// Reads a little-endian `u32`.
-    fn get_u32_le(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        self.copy_to_slice(&mut b);
-        u32::from_le_bytes(b)
-    }
-    /// Reads a little-endian `u64`.
-    fn get_u64_le(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        self.copy_to_slice(&mut b);
-        u64::from_le_bytes(b)
-    }
-    /// Reads a little-endian `f32`.
-    fn get_f32_le(&mut self) -> f32 {
-        f32::from_bits(self.get_u32_le())
+/// A read asked for more bytes than the input has left.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Truncated;
+
+impl std::fmt::Display for Truncated {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "input truncated")
     }
 }
 
-impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
+impl std::error::Error for Truncated {}
+
+/// Checked little-endian cursor over bytes from outside the process.
+///
+/// Every read returns [`Truncated`] instead of panicking when the input is
+/// short, and a failed read consumes nothing. The bulk reads take their
+/// element count from the caller — typically a field of the same untrusted
+/// input — and compare `count × size` (overflow-checked) with the bytes
+/// actually left *before* allocating, so a hostile count costs a comparison,
+/// never memory.
+#[derive(Debug, Clone, Copy)]
+pub struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    /// A cursor at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Reader<'a> {
+        Reader { rest: bytes }
     }
 
-    fn advance(&mut self, n: usize) {
-        assert!(n <= self.len(), "advance past end of buffer");
-        *self = &self[n..];
+    /// Bytes left to consume.
+    pub fn remaining(&self) -> usize {
+        self.rest.len()
     }
 
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        assert!(dst.len() <= self.len(), "read past end of buffer");
-        let (head, tail) = self.split_at(dst.len());
-        dst.copy_from_slice(head);
-        *self = tail;
+    /// The unconsumed bytes (for handing a nested decoder its input).
+    pub fn rest(&self) -> &'a [u8] {
+        self.rest
+    }
+
+    /// Consumes the next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], Truncated> {
+        let (head, rest) = self.rest.split_at_checked(n).ok_or(Truncated)?;
+        self.rest = rest;
+        Ok(head)
+    }
+
+    /// Consumes the next `N` bytes as an array (magics, tags).
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], Truncated> {
+        let (head, rest) = self.rest.split_first_chunk::<N>().ok_or(Truncated)?;
+        self.rest = rest;
+        Ok(*head)
+    }
+
+    /// Reads one byte.
+    pub fn u8(&mut self) -> Result<u8, Truncated> {
+        self.array::<1>().map(|[b]| b)
+    }
+
+    /// Reads a little-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, Truncated> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// Reads a little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, Truncated> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// Reads a little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, Truncated> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// Reads a little-endian `f32`.
+    pub fn f32(&mut self) -> Result<f32, Truncated> {
+        self.u32().map(f32::from_bits)
+    }
+
+    /// Consumes `count` elements of `N` bytes each — the one place a count
+    /// from the input meets the byte budget.
+    fn elements<const N: usize>(&mut self, count: usize) -> Result<&'a [[u8; N]], Truncated> {
+        let bytes = self.take(count.checked_mul(N).ok_or(Truncated)?)?;
+        Ok(bytes.as_chunks::<N>().0)
+    }
+
+    /// Reads `count` little-endian `u32`s.
+    pub fn u32s(&mut self, count: usize) -> Result<Vec<u32>, Truncated> {
+        let raw = self.elements(count)?;
+        Ok(raw.iter().map(|&b| u32::from_le_bytes(b)).collect())
+    }
+
+    /// Reads `count` little-endian `f32`s.
+    pub fn f32s(&mut self, count: usize) -> Result<Vec<f32>, Truncated> {
+        let raw = self.elements(count)?;
+        Ok(raw.iter().map(|&b| f32::from_le_bytes(b)).collect())
+    }
+
+    /// Reads a run: a `u32` count, then that many elements through `bulk`.
+    fn counted<T>(
+        &mut self,
+        bulk: fn(&mut Self, usize) -> Result<Vec<T>, Truncated>,
+    ) -> Result<Vec<T>, Truncated> {
+        // On a copy, so that a short run leaves the count unconsumed too.
+        let mut r = *self;
+        let count = r.u32()? as usize;
+        let xs = bulk(&mut r, count)?;
+        *self = r;
+        Ok(xs)
+    }
+
+    /// Reads a run: a `u32` count, then that many `u32`s.
+    pub fn counted_u32s(&mut self) -> Result<Vec<u32>, Truncated> {
+        self.counted(Reader::u32s)
+    }
+
+    /// Reads a run: a `u32` count, then that many `f32`s.
+    pub fn counted_f32s(&mut self) -> Result<Vec<f32>, Truncated> {
+        self.counted(Reader::f32s)
+    }
+
+    /// Reads `count` binary16 bit patterns, widened to `f32`.
+    pub fn f16s(&mut self, count: usize) -> Result<Vec<f32>, Truncated> {
+        let raw = self.elements(count)?;
+        let widen = |&b| crate::F16::from_bits(u16::from_le_bytes(b)).to_f32();
+        Ok(raw.iter().map(widen).collect())
+    }
+
+    /// Reads `count` signed bytes.
+    pub fn i8s(&mut self, count: usize) -> Result<Vec<i8>, Truncated> {
+        Ok(self.take(count)?.iter().map(|&b| b as i8).collect())
     }
 }
 
@@ -187,18 +287,16 @@ impl FrameDecoder {
     /// [`push`](FrameDecoder::push)), or [`FrameOversized`] if the prefix
     /// claims more than [`MAX_FRAME_LEN`].
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameOversized> {
-        let avail = &self.buf[self.pos..];
-        if avail.len() < 4 {
+        let mut avail = Reader::new(&self.buf[self.pos..]);
+        let Ok(len) = avail.u32().map(|len| len as usize) else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
+        };
         if len > MAX_FRAME_LEN {
             return Err(FrameOversized { claimed: len });
         }
-        if avail.len() < 4 + len {
+        let Ok(payload) = avail.take(len).map(<[u8]>::to_vec) else {
             return Ok(None);
-        }
-        let payload = avail[4..4 + len].to_vec();
+        };
         self.pos += 4 + len;
         Ok(Some(payload))
     }
@@ -217,18 +315,29 @@ mod tests {
         out.put_u64_le(0x0102_0304_0506_0708);
         out.put_f32_le(-1.5);
         out.put_slice(&[1, 2, 3]);
+        out.put_u32s(&[7, 0xFFFF_FFFF]);
+        out.put_f32s(&[0.25, -8.0]);
+        out.put_u16_le(crate::F16::from_f32(0.5).to_bits());
+        out.put_counted_u32s(&[5]);
+        out.put_counted_f32s(&[]);
+        out.put_slice(&[0xFF, 0x7F]);
 
-        let mut buf: &[u8] = &out;
-        assert_eq!(buf.remaining(), 1 + 2 + 4 + 8 + 4 + 3);
-        assert_eq!(buf.get_u8(), 0xAB);
-        assert_eq!(buf.get_u16_le(), 0x1234);
-        assert_eq!(buf.get_u32_le(), 0xDEAD_BEEF);
-        assert_eq!(buf.get_u64_le(), 0x0102_0304_0506_0708);
-        assert_eq!(buf.get_f32_le(), -1.5);
-        let mut tail = [0u8; 3];
-        buf.copy_to_slice(&mut tail);
-        assert_eq!(tail, [1, 2, 3]);
-        assert_eq!(buf.remaining(), 0);
+        let mut r = Reader::new(&out);
+        assert_eq!(r.remaining(), 1 + 2 + 4 + 8 + 4 + 3 + 8 + 8 + 2 + 8 + 4 + 2);
+        assert_eq!(r.u8(), Ok(0xAB));
+        assert_eq!(r.u16(), Ok(0x1234));
+        assert_eq!(r.u32(), Ok(0xDEAD_BEEF));
+        assert_eq!(r.u64(), Ok(0x0102_0304_0506_0708));
+        assert_eq!(r.f32(), Ok(-1.5));
+        assert_eq!(r.array(), Ok([1, 2, 3]));
+        assert_eq!(r.u32s(2), Ok(vec![7, 0xFFFF_FFFF]));
+        assert_eq!(r.f32s(2), Ok(vec![0.25, -8.0]));
+        assert_eq!(r.f16s(1), Ok(vec![0.5]));
+        assert_eq!(r.counted_u32s(), Ok(vec![5]));
+        assert_eq!(r.counted_f32s(), Ok(Vec::new()));
+        assert_eq!(r.rest(), [0xFF, 0x7F]);
+        assert_eq!(r.i8s(2), Ok(vec![-1, 127]));
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
@@ -240,16 +349,74 @@ mod tests {
 
     #[test]
     fn advance_skips() {
-        let mut buf: &[u8] = &[9, 9, 7];
-        buf.advance(2);
-        assert_eq!(buf.get_u8(), 7);
+        let mut r = Reader::new(&[9, 9, 7]);
+        assert_eq!(r.take(2), Ok(&[9u8, 9][..]));
+        assert_eq!(r.u8(), Ok(7));
     }
 
+    /// One reader call under test: `(name, bytes it needs, the call)`.
+    type ReadCase = (
+        &'static str,
+        usize,
+        fn(&mut Reader<'_>) -> Result<(), Truncated>,
+    );
+
+    /// Every scalar and bulk read, at an empty, a one-short and an exact
+    /// buffer: short input is `Truncated` and consumes nothing, exact input
+    /// is consumed to the last byte.
     #[test]
-    #[should_panic(expected = "read past end")]
-    fn short_read_panics() {
-        let mut buf: &[u8] = &[1];
-        buf.get_u32_le();
+    fn every_read_is_checked_and_a_failed_read_consumes_nothing() {
+        let cases: [ReadCase; 14] = [
+            ("u8", 1, |r| r.u8().map(drop)),
+            ("u16", 2, |r| r.u16().map(drop)),
+            ("u32", 4, |r| r.u32().map(drop)),
+            ("u64", 8, |r| r.u64().map(drop)),
+            ("f32", 4, |r| r.f32().map(drop)),
+            ("array", 4, |r| r.array::<4>().map(drop)),
+            ("take", 5, |r| r.take(5).map(drop)),
+            ("u32s", 12, |r| r.u32s(3).map(drop)),
+            ("f32s", 12, |r| r.f32s(3).map(drop)),
+            ("f16s", 6, |r| r.f16s(3).map(drop)),
+            ("i8s", 3, |r| r.i8s(3).map(drop)),
+            ("take 0", 0, |r| r.take(0).map(drop)),
+            ("counted_u32s", 12, |r| r.counted_u32s().map(drop)),
+            ("counted_f32s", 12, |r| r.counted_f32s().map(drop)),
+        ];
+        // Opens with a little-endian 2: the count of the two counted runs.
+        let bytes = [2, 0, 0, 0, 0x5A, 0x5A, 0x5A, 0x5A, 0x5A, 0x5A, 0x5A, 0x5A];
+        for (name, size, read) in cases {
+            for len in [0, size.saturating_sub(1)] {
+                if len == size {
+                    continue;
+                }
+                let mut r = Reader::new(&bytes[..len]);
+                assert_eq!(read(&mut r), Err(Truncated), "{name} on {len} bytes");
+                assert_eq!(r.remaining(), len, "{name}: failed read consumed");
+            }
+            let mut r = Reader::new(&bytes[..size]);
+            assert_eq!(read(&mut r), Ok(()), "{name} on exactly {size} bytes");
+            assert_eq!(r.remaining(), 0, "{name}");
+        }
+    }
+
+    /// A count whose byte size overflows `usize`, or merely exceeds the
+    /// input, is refused before anything is allocated.
+    #[test]
+    fn hostile_counts_are_truncated_not_allocated() {
+        let bytes = [0u8; 64];
+        for count in [usize::MAX, usize::MAX / 2, usize::MAX / 4 + 1, 1 << 40, 17] {
+            let mut r = Reader::new(&bytes);
+            assert_eq!(r.u32s(count), Err(Truncated), "u32s({count})");
+            assert_eq!(r.f32s(count), Err(Truncated), "f32s({count})");
+            assert_eq!(r.f16s(count.max(33)), Err(Truncated), "f16s({count})");
+            assert_eq!(r.i8s(count.max(65)), Err(Truncated), "i8s({count})");
+            assert_eq!(r.take(count.max(65)), Err(Truncated), "take({count})");
+            assert_eq!(r.remaining(), 64, "count {count}");
+        }
+        // Zero elements are always available, even at the end.
+        let mut r = Reader::new(&[]);
+        assert_eq!(r.u32s(0), Ok(Vec::new()));
+        assert_eq!(r.i8s(0), Ok(Vec::new()));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use rtm_pruning::bsp::{BspConfig, BspPruner};
 use rtm_pruning::schedule::CompressionTarget;
 use rtm_sim::{GruWorkload, RealTimeReport, StreamingSim};
 use rtm_speech::corpus::CorpusConfig;
-use rtm_speech::decode::viterbi_decode;
+use rtm_speech::decode::{decode_offline, ViterbiDecoder};
 use rtm_speech::phones;
 use rtm_speech::task::SpeechTask;
 
@@ -62,7 +62,8 @@ fn main() {
     let utterance = task.test_utterances()[0];
     let logits = net.forward(&utterance.frames);
     println!("  reference : {}", spell(&utterance.phones));
-    println!("  decoded   : {}", spell(&viterbi_decode(&logits, 2.5)));
+    let decoded = decode_offline(&mut ViterbiDecoder::new(2.5), &logits);
+    println!("  decoded   : {}", spell(&decoded.symbols));
     println!();
 
     // --- Performance side: stream the paper-scale model. ---

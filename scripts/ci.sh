@@ -115,4 +115,17 @@ if out=$(cargo run -q "${profile[@]}" -p rtmobile --bin rtm -- \
 fi
 grep -q "checksum mismatch" <<< "$out"
 
+# `rtm inspect` only promises to *report* on a corrupt file: exit status 1
+# with the checksum verdicts on stdout (a panic would be 101), and a clean
+# bill for the pristine bundle.
+echo "==> rtm inspect (reports the corrupt bundle, passes the pristine one)"
+status=0
+out=$(cargo run -q "${profile[@]}" -p rtmobile --bin rtm -- \
+  inspect target/quick/corrupt_smoke.rtm 2>/dev/null) || status=$?
+[[ $status -eq 1 ]] || { echo "FAIL: inspect exited $status on a corrupt bundle" >&2; exit 1; }
+grep -q "file checksum : MISMATCH" <<< "$out"
+out=$(cargo run -q "${profile[@]}" -p rtmobile --bin rtm -- \
+  inspect target/quick/compile_smoke.rtm)
+[[ $(grep -c "checksum ok" <<< "$out") -eq 3 ]]
+
 echo "CI gate passed."

@@ -13,8 +13,9 @@
 //! - **Serial == batched == wire**: the compiled runtime's serial
 //!   [`CompiledNetwork::decode_with`] and the lane-sharing
 //!   [`BatchedSession::run_decoded`] produce bit-identical hypotheses.
-//! - **Legacy wrappers**: `viterbi_decode` and argmax + `collapse_frames`
-//!   still equal their trait-path counterparts exactly.
+//! - **Legacy paths**: Viterbi by hand-streamed frames and argmax +
+//!   `collapse_frames` (the PER scorer's own collapse) still equal their
+//!   `decode_offline` counterparts exactly.
 
 use rtm_exec::Executor;
 use rtm_rnn::model::NetworkConfig;
@@ -22,8 +23,8 @@ use rtm_rnn::GruNetwork;
 use rtm_speech::ctc::DEFAULT_TRAILING_BLANKS;
 use rtm_speech::per::collapse_frames;
 use rtm_speech::{
-    blank_for, decode_offline, viterbi_decode, ArgmaxDecoder, CtcBeamDecoder, CtcGreedyDecoder,
-    Decoder, ViterbiDecoder,
+    blank_for, decode_offline, ArgmaxDecoder, CtcBeamDecoder, CtcGreedyDecoder, Decoder,
+    ViterbiDecoder,
 };
 use rtm_tensor::rng::StdRng;
 use rtmobile::deploy::{BatchedSession, CompiledNetwork, RuntimePrecision};
@@ -196,11 +197,15 @@ fn endpoint_fires_after_trailing_blanks_and_clears_on_speech() {
 #[test]
 fn legacy_free_functions_match_the_trait_path() {
     let logits = random_logits(30, 5, 99);
-    // viterbi_decode is a thin wrapper over ViterbiDecoder.
-    let mut vd = ViterbiDecoder::new(2.5);
+    // What the deleted `viterbi_decode` free function did by hand: push
+    // every frame into a fresh decoder, then finish.
+    let mut by_hand = ViterbiDecoder::new(2.5);
+    for frame in &logits {
+        assert!(by_hand.push_frame(frame).is_none());
+    }
     assert_eq!(
-        viterbi_decode(&logits, 2.5),
-        decode_offline(&mut vd, &logits).symbols
+        by_hand.finish(),
+        decode_offline(&mut ViterbiDecoder::new(2.5), &logits)
     );
     // Argmax collapse equals the historical argmax + collapse_frames path.
     let frame_preds: Vec<usize> = logits
