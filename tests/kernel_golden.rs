@@ -1,0 +1,176 @@
+//! Golden output bits of the kernel layer (DESIGN.md §7.1).
+//!
+//! Every format × precision × lane count is run on one fixed-seed
+//! BSP-structured matrix and the CRC32 of the output bit patterns is
+//! compared with a constant recorded before the row kernels were collapsed
+//! to one per value kind. The lane contracts elsewhere compare the kernels
+//! with *each other*; this file compares them with *the past*, so a change
+//! that moves serial, pooled and batched results together is still caught.
+//! Beside the CRC, each cell asserts that the pooled product at 3 threads
+//! and (at one lane) the SpMV entry produce the very same bits.
+//!
+//! The constants are a property of the arithmetic, not of the host: the
+//! scalar table holds on every target, the vector table is checked only
+//! where the vector path is AVX2+FMA. An empty row's `-0.0` comes from
+//! `f32`'s `Sum` identity, so a toolchain that changes that identity changes
+//! the scalar CSR f32/f16 cells at one lane and nothing else.
+//!
+//! Own test binary (see `crates/rtmobile/Cargo.toml`) with ONE `#[test]`:
+//! it pins the process-global `SimdPolicy`.
+
+use rtm_exec::Executor;
+use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix, Precision, SparseKernel};
+use rtm_tensor::rng::StdRng;
+use rtm_tensor::simd::{self, SimdPolicy, Variant};
+use rtm_tensor::{gemm, Matrix};
+use rtmobile::bundle::crc32;
+
+const LANES: [usize; 5] = [1, 2, 7, 8, 12];
+const PRECISIONS: [Precision; 3] = [Precision::F32, Precision::F16, Precision::Int8];
+
+/// One table per SIMD policy: a row per (format, precision) in the order
+/// bspc, csr, bbs, csb × f32, f16, int8, a column per entry of [`LANES`];
+/// the last row is the dense `gemv_batch_into`.
+type Golden = [[u32; 5]; 13];
+
+const SCALAR_U1: Golden = [
+    [0x9c72f52e, 0xa1e2b995, 0xf5ea2957, 0xec828fec, 0x68f86633],
+    [0x456e47e5, 0xb4f13502, 0x053f401e, 0x2e9d573a, 0x4a3db7b5],
+    [0x92f8324e, 0x7953b062, 0x7c3e8be7, 0x45de9550, 0xce226152],
+    [0xfd6986c5, 0xa1e2b995, 0xf5ea2957, 0xec828fec, 0x68f86633],
+    [0x2475340e, 0xb4f13502, 0x053f401e, 0x2e9d573a, 0x4a3db7b5],
+    [0x5cf82b52, 0x56b38dec, 0xd2342b14, 0x9e98ad66, 0xa4894b95],
+    [0x9c72f52e, 0xa1e2b995, 0xf5ea2957, 0xec828fec, 0x68f86633],
+    [0x456e47e5, 0xb4f13502, 0x053f401e, 0x2e9d573a, 0x4a3db7b5],
+    [0xf79515e7, 0x0193f085, 0x4d00ab57, 0x06bdae45, 0x9f323517],
+    [0x814a108d, 0xdc49c642, 0x450405b4, 0x3a1483c5, 0x7f2909a1],
+    [0x91aadeec, 0x8adbf6eb, 0x641f741e, 0x80d27c99, 0x4ba0e495],
+    [0x9cc796c0, 0x9619885f, 0xd8ad8e44, 0x5d08bba7, 0x3db1b471],
+    [0xa38601e1, 0x93419b23, 0xfd511bfc, 0x2b78839b, 0x4e520c1e],
+];
+
+const AVX2_FMA: Golden = [
+    [0xc8405fb3, 0x6add89dd, 0xa2ef1073, 0x4b728336, 0xcdd01d22],
+    [0xd1612004, 0xfa9c9910, 0x59fb0eea, 0x6b5b2972, 0x591c516a],
+    [0x92f8324e, 0x7953b062, 0x7c3e8be7, 0x45de9550, 0xce226152],
+    [0xc8405fb3, 0x6add89dd, 0xa2ef1073, 0x4b728336, 0xcdd01d22],
+    [0xd1612004, 0xfa9c9910, 0x59fb0eea, 0x6b5b2972, 0x591c516a],
+    [0x5cf82b52, 0x56b38dec, 0xd2342b14, 0x9e98ad66, 0xa4894b95],
+    [0x75628ef9, 0x7899019a, 0x3b0ed299, 0x789c1f2d, 0x11b330af],
+    [0x27fe86d1, 0x3ff3c729, 0xa4b6e847, 0xefb1b2b1, 0x7799159d],
+    [0xf79515e7, 0x0193f085, 0x4d00ab57, 0x06bdae45, 0x9f323517],
+    [0x27002b6e, 0x328198c5, 0x52cc7160, 0x3da19a44, 0x9f7b7222],
+    [0x82ca6fdc, 0x499ab794, 0xdcc8054c, 0xeb9469e6, 0xaa206684],
+    [0x9cc796c0, 0x9619885f, 0xd8ad8e44, 0x5d08bba7, 0x3db1b471],
+    [0x9b1b327d, 0xaa94bef6, 0x0a97c742, 0x2799646b, 0xf696e7e6],
+];
+
+/// 96 × 128 in 6 stripes of 16 rows: each stripe keeps about a third of
+/// the columns for all of its rows, and about one row in nine is pruned
+/// whole — the two regularities BSP pruning leaves behind.
+fn bsp_matrix() -> Matrix {
+    let (rows, cols, stripe_h) = (96usize, 128usize, 16usize);
+    let mut rng = StdRng::seed_from_u64(0x601D);
+    let kept_col: Vec<bool> = (0..(rows / stripe_h) * cols)
+        .map(|_| rng.gen_range(0usize..3) == 0)
+        .collect();
+    let kept_row: Vec<bool> = (0..rows).map(|_| rng.gen_range(0usize..9) != 0).collect();
+    Matrix::from_fn(rows, cols, |r, c| {
+        let v = rng.gen_f32() * 2.0 - 1.0;
+        if kept_row[r] && kept_col[(r / stripe_h) * cols + c] && v != 0.0 {
+            v
+        } else {
+            0.0
+        }
+    })
+}
+
+fn plane(len: usize, seed: u64) -> Vec<f32> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..len).map(|_| rng.gen_f32() * 2.0 - 1.0).collect()
+}
+
+fn bits_crc(ys: &[f32]) -> u32 {
+    let bytes: Vec<u8> = ys.iter().flat_map(|y| y.to_bits().to_le_bytes()).collect();
+    crc32(&bytes)
+}
+
+fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i}: {g} vs {w}");
+    }
+}
+
+/// The table the kernels produce under the current policy.
+fn measure(formats: &[&dyn SparseKernel; 4], dense: &Matrix, exec: &Executor) -> Golden {
+    let mut table = [[0u32; 5]; 13];
+    for (f, k) in formats.iter().enumerate() {
+        for (p, &prec) in PRECISIONS.iter().enumerate() {
+            for (l, &b) in LANES.iter().enumerate() {
+                let what = format!("{} {prec:?} b={b}", k.tag());
+                let xs = plane(k.cols() * b, 0xAC7 + b as u64);
+                let mut ys = vec![f32::NAN; k.rows() * b];
+                k.spmm_prec_into(prec, &xs, b, &mut ys).unwrap();
+                table[f * 3 + p][l] = bits_crc(&ys);
+
+                let mut pooled = vec![f32::NAN; k.rows() * b];
+                exec.spmm_into(*k, prec, &xs, b, &mut pooled).unwrap();
+                assert_same_bits(&pooled, &ys, &format!("pooled {what}"));
+                if b == 1 {
+                    let mut y = vec![f32::NAN; k.rows()];
+                    k.spmv_prec_into(prec, &xs, &mut y).unwrap();
+                    assert_same_bits(&y, &ys, &format!("spmv {what}"));
+                }
+            }
+        }
+    }
+    for (l, &b) in LANES.iter().enumerate() {
+        let xs = plane(dense.cols() * b, 0xDE5 + b as u64);
+        let mut ys = vec![f32::NAN; dense.rows() * b];
+        gemm::gemv_batch_into(dense, &xs, b, &mut ys).unwrap();
+        table[12][l] = bits_crc(&ys);
+    }
+    table
+}
+
+#[test]
+fn kernel_outputs_match_the_recorded_bits() {
+    let w = bsp_matrix();
+    let bspc = BspcMatrix::from_dense(&w, 6, 4).unwrap();
+    let csr = CsrMatrix::from_dense(&w);
+    let bbs = BbsMatrix::from_dense(&w, 4).unwrap();
+    let csb = CsbMatrix::from_dense(&w, 16, 32).unwrap();
+    assert!(bspc.kept_rows().len() < 96, "some rows are pruned whole");
+    let formats: [&dyn SparseKernel; 4] = [&bspc, &csr, &bbs, &csb];
+    let dense = {
+        let mut rng = StdRng::seed_from_u64(0xD3);
+        Matrix::from_fn(40, 96, |_, _| rng.gen_f32() * 2.0 - 1.0)
+    };
+    let exec = Executor::new(3);
+
+    let ambient = simd::policy();
+    let mut cases = vec![("SCALAR_U1", SimdPolicy::Fixed(Variant::ScalarU1), SCALAR_U1)];
+    if simd::vector_isa() == "avx2+fma" {
+        cases.push(("AVX2_FMA", SimdPolicy::Auto, AVX2_FMA));
+    }
+    let mut stale = Vec::new();
+    for (name, policy, want) in cases {
+        simd::set_policy(policy);
+        let got = measure(&formats, &dense, &exec);
+        if got != want {
+            // Printed in source form, so re-recording is a paste.
+            println!("const {name}: Golden = [");
+            for row in got {
+                let cells: Vec<String> = row.iter().map(|c| format!("{c:#010x}")).collect();
+                println!("    [{}],", cells.join(", "));
+            }
+            println!("];");
+            stale.push(name);
+        }
+    }
+    simd::set_policy(ambient);
+    assert!(
+        stale.is_empty(),
+        "kernel output bits differ from the recorded tables: {stale:?}"
+    );
+}
