@@ -17,7 +17,7 @@
 //! Dependency-free: std + workspace crates only.
 
 use rtm_bench::{bsp_matrix, emit_bench_report, json_row, quick_requested, time_us, JsonValue};
-use rtm_exec::{dense_rows_into, Executor, Partition};
+use rtm_exec::{dense_rows_batch_into, Executor, Partition};
 use rtm_sparse::{Activations, BspcMatrix, CsrMatrix, Precision, SparseKernel};
 use rtm_tensor::rng::StdRng;
 
@@ -81,7 +81,7 @@ fn main() {
             })
         });
         let dense_serial = time_us(dense_iters, || {
-            dense_rows_into(&dense, &x, 0..rows_dim, &mut y, 0);
+            dense_rows_batch_into(&dense, &x, 1, 0..rows_dim, &mut y, 0);
         });
         eprintln!(
             "[{rate:>4}x] serial us: bspc {bspc_serial:.1} csr {csr_serial:.1} dense {dense_serial:.1}"
@@ -131,7 +131,7 @@ fn main() {
             let part = Partition::balanced(&costs, threads);
             let cp = critical_path_us(&part, dense_iters, |i| {
                 let c = &part.chunks()[i];
-                dense_rows_into(&dense, &x, c.start..c.end, &mut y[c.start..], c.start);
+                dense_rows_batch_into(&dense, &x, 1, c.start..c.end, &mut y[c.start..], c.start);
             });
             rows.push(Row {
                 format: "dense",

@@ -179,120 +179,6 @@ pub fn tune(space: &TuningSpace, cost: impl Fn(&ExecutionPlan) -> f64 + Sync) ->
     }
 }
 
-/// Maps a plan's `unroll` field to the concrete kernel realization the
-/// runtime will execute (paper §IV-B: "unrolling size" is one of the
-/// auto-tuned execution configurations).
-///
-/// Under the default `Auto` dispatch policy, an unroll factor at least as
-/// wide as the host's SIMD lane width selects the vector kernel; narrower
-/// factors select the matching scalar-unrolled variant. An explicit
-/// [`SimdPolicy::Fixed`](rtm_tensor::simd::SimdPolicy) (e.g. `RTM_SIMD=off`)
-/// overrides the plan — the tuner must never pick a realization the
-/// dispatcher would refuse to run.
-pub fn variant_for_unroll(unroll: usize) -> rtm_tensor::simd::Variant {
-    use rtm_tensor::simd::{self, SimdPolicy, Variant};
-    match simd::policy() {
-        SimdPolicy::Fixed(v) => v,
-        SimdPolicy::Auto => {
-            if simd::vector_available() && unroll >= simd::lane_width() {
-                Variant::Vector
-            } else if unroll >= 8 {
-                Variant::ScalarU8
-            } else if unroll >= 4 {
-                Variant::ScalarU4
-            } else {
-                Variant::ScalarU1
-            }
-        }
-    }
-}
-
-/// The kernel realization a whole plan resolves to (its `unroll` axis).
-pub fn plan_variant(plan: &ExecutionPlan) -> rtm_tensor::simd::Variant {
-    variant_for_unroll(plan.unroll)
-}
-
-/// One measured point of the unroll axis: the variant an unroll factor
-/// resolved to and its wall-clock cost on a representative dense workload.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UnrollCost {
-    /// The plan-level unroll factor that was measured.
-    pub unroll: usize,
-    /// The kernel variant [`variant_for_unroll`] resolved it to.
-    pub variant: rtm_tensor::simd::Variant,
-    /// Mean seconds per `rows × cols` gemv sweep (lower is better).
-    pub seconds: f64,
-}
-
-/// The measured-cost feedback hook: times the *real* kernel each candidate
-/// unroll factor resolves to on a seeded `rows × cols` dense gemv workload
-/// and returns one [`UnrollCost`] per candidate (mean of `iters` timed
-/// sweeps after one warm-up).
-///
-/// Feed the result to [`tune`] through [`unroll_cost_fn`] to make the
-/// search prefer the realization that is actually fastest on this host,
-/// instead of assuming "wider is better".
-pub fn measure_unroll_costs(
-    rows: usize,
-    cols: usize,
-    unrolls: &[usize],
-    iters: usize,
-) -> Vec<UnrollCost> {
-    // The tuner records into the same registry it reads: each candidate's
-    // measured cost lands as a `tuner.unroll_cost_us.u<N>` gauge under a
-    // `tuner.measure_unroll_costs` span, so a traced pipeline run shows
-    // both what the tuner measured and how long measuring took.
-    let _span = rtm_trace::span("tuner.measure_unroll_costs");
-    let mut rng = rtm_tensor::init::rng_from_seed(0x5eed_cafe);
-    let a = rtm_tensor::init::uniform(rows, cols, -1.0, 1.0, &mut rng);
-    let x: Vec<f32> = (0..cols).map(|_| rng.gen_f32() * 2.0 - 1.0).collect();
-    let mut y = vec![0.0f32; rows];
-    let iters = iters.max(1);
-    unrolls
-        .iter()
-        .map(|&unroll| {
-            let variant = variant_for_unroll(unroll);
-            let sweep = |y: &mut [f32]| {
-                for (r, yr) in y.iter_mut().enumerate() {
-                    *yr = rtm_tensor::simd::dot_variant(variant, a.row(r), &x);
-                }
-            };
-            sweep(&mut y); // warm-up
-            let t0 = std::time::Instant::now();
-            for _ in 0..iters {
-                sweep(&mut y);
-                std::hint::black_box(&y);
-            }
-            let cost = UnrollCost {
-                unroll,
-                variant,
-                seconds: t0.elapsed().as_secs_f64() / iters as f64,
-            };
-            if rtm_trace::enabled() {
-                let reg = rtm_trace::global();
-                reg.gauge_set(
-                    &format!("tuner.unroll_cost_us.u{unroll}"),
-                    cost.seconds * 1e6,
-                );
-                reg.counter_add(rtm_trace::key::TUNER_MEASUREMENTS, 1);
-            }
-            cost
-        })
-        .collect()
-}
-
-/// Lifts measured per-unroll kernel timings into a [`tune`]-compatible
-/// cost: each plan costs its unroll's measured seconds (infinite when the
-/// unroll was never measured, so unmeasured realizations lose the search).
-pub fn unroll_cost_fn(measured: &[UnrollCost]) -> impl Fn(&ExecutionPlan) -> f64 + Sync + '_ {
-    move |p: &ExecutionPlan| {
-        measured
-            .iter()
-            .find(|m| m.unroll == p.unroll)
-            .map_or(f64::INFINITY, |m| m.seconds)
-    }
-}
-
 /// One measured point of the precision axis: the wall-clock cost of a
 /// representative BSPC SpMV executed at that storage precision.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -320,9 +206,9 @@ pub fn measure_precision_costs(
     iters: usize,
 ) -> Vec<PrecisionCost> {
     use rtm_sparse::{BspcMatrix, Precision};
-    // Mirrors measure_unroll_costs: every candidate's measured cost lands
-    // as a `tuner.precision_cost_us.<tag>` gauge under one span, so traced
-    // pipeline runs show what the precision search saw.
+    // The tuner records into the same registry it reads: every candidate's
+    // measured cost lands as a `tuner.precision_cost_us.<tag>` gauge under
+    // one span, so traced pipeline runs show what the precision search saw.
     let _span = rtm_trace::span("tuner.measure_precision_costs");
     let mut rng = rtm_tensor::init::rng_from_seed(0x5eed_cafe);
     let stripes = stripes.max(1);
@@ -584,56 +470,6 @@ mod tests {
         };
         let result = tune(&space, cost);
         assert_eq!(result.best.format, StorageFormat::Bspc);
-    }
-
-    #[test]
-    fn unroll_maps_to_real_variants() {
-        use rtm_tensor::simd::{self, SimdPolicy, Variant};
-        match simd::policy() {
-            // An explicit policy (e.g. the RTM_SIMD=off CI pass) overrides
-            // the plan axis entirely.
-            SimdPolicy::Fixed(v) => {
-                for u in [1usize, 2, 4, 8, 16] {
-                    assert_eq!(variant_for_unroll(u), v);
-                }
-            }
-            SimdPolicy::Auto => {
-                if simd::vector_available() {
-                    // Lane width is 8 (AVX2) or 4 (NEON), so unroll 8
-                    // always reaches the vector kernel when one exists.
-                    assert_eq!(variant_for_unroll(8), Variant::Vector);
-                    if simd::lane_width() > 4 {
-                        assert_eq!(variant_for_unroll(4), Variant::ScalarU4);
-                    }
-                } else {
-                    assert_eq!(variant_for_unroll(8), Variant::ScalarU8);
-                    assert_eq!(variant_for_unroll(4), Variant::ScalarU4);
-                }
-                assert_eq!(variant_for_unroll(1), Variant::ScalarU1);
-                assert_eq!(variant_for_unroll(2), Variant::ScalarU1);
-            }
-        }
-        let plan = ExecutionPlan::cpu_default(StorageFormat::Bspc);
-        assert_eq!(plan_variant(&plan), variant_for_unroll(plan.unroll));
-    }
-
-    #[test]
-    fn measured_costs_feed_the_tuner() {
-        let space = TuningSpace::cpu_default();
-        let measured = measure_unroll_costs(48, 96, &space.unrolls, 3);
-        assert_eq!(measured.len(), space.unrolls.len());
-        for m in &measured {
-            assert!(m.seconds.is_finite() && m.seconds > 0.0, "{m:?}");
-            assert_eq!(m.variant, variant_for_unroll(m.unroll));
-        }
-        let result = tune(&space, unroll_cost_fn(&measured));
-        // The search settles on whichever unroll measured fastest.
-        let fastest = measured
-            .iter()
-            .min_by(|a, b| a.seconds.partial_cmp(&b.seconds).expect("finite"))
-            .expect("nonempty");
-        assert_eq!(result.best.unroll, fastest.unroll);
-        assert_eq!(result.best_cost, fastest.seconds);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Pooled dense GEMV/GEMM — the unpruned baseline on the same engine.
 //!
 //! Dense rows all cost the same, so the partition is an even row split;
-//! the chunk loop is the executor's shared one. The row kernels are public
-//! so benchmarks can time a chunk's busy work in isolation; each runs the
+//! the chunk loop is the executor's shared one. The row kernel is public
+//! so benchmarks can time a chunk's busy work in isolation; it runs the
 //! dispatched simd dot the serial `rtm_tensor::gemm` kernels run, so
 //! pooled results are bit-identical to serial ones.
 
@@ -11,17 +11,8 @@ use crate::spmv::Executor;
 use rtm_tensor::Matrix;
 use std::ops::Range;
 
-/// Computes `y[r] = A[r] · x` for dense rows `rows`, writing into
-/// `y[r - y_base]`.
-pub fn dense_rows_into(m: &Matrix, x: &[f32], rows: Range<usize>, y: &mut [f32], y_base: usize) {
-    let variant = rtm_tensor::simd::active_variant();
-    for r in rows {
-        y[r - y_base] = rtm_tensor::simd::dot_variant(variant, m.row(r), x);
-    }
-}
-
 /// Computes `ys[(r - y_base)·b + j] = A[r] · X[:, j]` for dense rows `rows`
-/// over `b` interleaved input lanes.
+/// over `b` interleaved input lanes (a plain GEMV row range at `b == 1`).
 pub fn dense_rows_batch_into(
     m: &Matrix,
     xs: &[f32],
@@ -51,11 +42,13 @@ impl Executor {
     /// Returns [`ExecError::Shape`] when `x.len() != m.cols()` or
     /// `y.len() != m.rows()`.
     pub fn gemv_dense_into(&self, m: &Matrix, x: &[f32], y: &mut [f32]) -> Result<(), ExecError> {
-        self.dense_into(m, rtm_trace::key::GEMV_DENSE, x, 1, y)
+        self.gemm_dense_into(m, x, 1, y)
     }
 
-    /// Parallel dense GEMM over `b` interleaved input lanes (the batched
-    /// counterpart of [`gemv_dense_into`](Executor::gemv_dense_into)).
+    /// Parallel dense GEMM over `b` interleaved input lanes. Counts what
+    /// the serial `rtm_tensor::gemm::gemv_batch_into` counts: nothing for
+    /// the empty product `b == 0`, `kernel.gemv.dense` at one lane,
+    /// `kernel.gemm.dense` above.
     ///
     /// # Errors
     ///
@@ -68,17 +61,11 @@ impl Executor {
         b: usize,
         ys: &mut [f32],
     ) -> Result<(), ExecError> {
-        self.dense_into(m, rtm_trace::key::GEMM_DENSE, xs, b, ys)
-    }
-
-    fn dense_into(
-        &self,
-        m: &Matrix,
-        calls_key: &'static str,
-        xs: &[f32],
-        b: usize,
-        ys: &mut [f32],
-    ) -> Result<(), ExecError> {
+        let calls_key = if b == 1 {
+            rtm_trace::key::GEMV_DENSE
+        } else {
+            rtm_trace::key::GEMM_DENSE
+        };
         if xs.len() != m.cols() * b || ys.len() != m.rows() * b {
             return Err(ExecError::shape(
                 calls_key,
@@ -86,23 +73,17 @@ impl Executor {
                 (xs.len(), ys.len()),
             ));
         }
+        if b == 0 {
+            return Ok(());
+        }
         rtm_trace::count_many(&[
             (calls_key, 1),
             (rtm_trace::key::KERNEL_ROWS, m.rows() as u64),
             (rtm_trace::key::KERNEL_NNZ, (m.rows() * m.cols()) as u64),
         ]);
-        if m.rows() == 0 || b == 0 {
-            return Ok(());
-        }
-        let (rows, cost) = (m.rows(), |_| m.cols().max(1));
-        if b == 1 {
-            self.run_chunks(rows, cost, |r| r, 1, ys, &|rows, y, base| {
-                dense_rows_into(m, xs, rows, y, base)
-            })
-        } else {
-            self.run_chunks(rows, cost, |r| r, b, ys, &|rows, ys, base| {
-                dense_rows_batch_into(m, xs, b, rows, ys, base)
-            })
-        }
+        let cost = |_| m.cols().max(1);
+        self.run_chunks(m.rows(), cost, |r| r, b, ys, &|rows, ys, base| {
+            dense_rows_batch_into(m, xs, b, rows, ys, base)
+        })
     }
 }

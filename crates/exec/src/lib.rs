@@ -51,7 +51,7 @@ pub mod partition;
 pub mod pool;
 pub mod spmv;
 
-pub use dense::{dense_rows_batch_into, dense_rows_into};
+pub use dense::dense_rows_batch_into;
 pub use error::ExecError;
 pub use partition::{Chunk, Partition};
 pub use pool::{Task, WorkerPool};

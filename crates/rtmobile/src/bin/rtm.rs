@@ -219,67 +219,41 @@ const COMPILE_FLAGS: &[&str] = &[
     "decoder",
 ];
 
-/// Applies the runtime knobs shared by every subcommand — `--simd`,
-/// `--health`, `--precision`, `--format`, `--decoder` — on top of
-/// `runtime`. Flags a subcommand doesn't accept never reach here (the
-/// allow-list rejects them first).
+/// Parses one runtime knob's value and installs it; `None` is a value
+/// outside the knob's grammar.
+type InstallKnob = fn(RuntimeConfig, &str) -> Option<RuntimeConfig>;
+
+/// The runtime knobs shared by every subcommand, in the order they apply:
+/// flag name, the accepted-values string its error quotes (the one the
+/// `RTM_*` errors quote), and parse-then-install.
+const RUNTIME_FLAGS: [(&str, &str, InstallKnob); 5] = [
+    ("simd", rtmobile::env::SIMD_VALUES, |rt, v| {
+        rtm_tensor::simd::parse_policy(v).map(|p| rt.with_simd(p))
+    }),
+    ("health", rtmobile::env::HEALTH_VALUES, |rt, v| {
+        rtmobile::health::parse_policy(v).map(|p| rt.with_health(p))
+    }),
+    ("precision", rtmobile::env::PRECISION_VALUES, |rt, v| {
+        rtmobile::PrecisionChoice::parse(v).map(|p| rt.with_precision(p))
+    }),
+    ("format", rtmobile::env::FORMAT_VALUES, |rt, v| {
+        rtmobile::FormatChoice::parse(v).map(|f| rt.with_format(f))
+    }),
+    ("decoder", rtmobile::env::DECODER_VALUES, |rt, v| {
+        rtmobile::DecoderChoice::parse(v).map(|d| rt.with_decoder(d))
+    }),
+];
+
+/// Applies [`RUNTIME_FLAGS`] on top of `runtime`. Flags a subcommand
+/// doesn't accept never reach here (the allow-list rejects them first).
 fn apply_runtime_flags(
     mut runtime: RuntimeConfig,
     flags: &std::collections::BTreeMap<String, String>,
 ) -> Result<RuntimeConfig, String> {
-    if let Some(v) = flags.get("simd") {
-        match rtm_tensor::simd::parse_policy(v) {
-            Some(p) => runtime = runtime.with_simd(p),
-            None => {
-                return Err(format!(
-                    "--simd must be {} (got {v})",
-                    rtmobile::env::SIMD_VALUES
-                ))
-            }
-        }
-    }
-    if let Some(v) = flags.get("health") {
-        match rtmobile::health::parse_policy(v) {
-            Some(p) => runtime = runtime.with_health(p),
-            None => {
-                return Err(format!(
-                    "--health must be {} (got {v})",
-                    rtmobile::env::HEALTH_VALUES
-                ))
-            }
-        }
-    }
-    if let Some(v) = flags.get("precision") {
-        match rtmobile::PrecisionChoice::parse(v) {
-            Some(p) => runtime = runtime.with_precision(p),
-            None => {
-                return Err(format!(
-                    "--precision must be {} (got {v})",
-                    rtmobile::env::PRECISION_VALUES
-                ))
-            }
-        }
-    }
-    if let Some(v) = flags.get("format") {
-        match rtmobile::FormatChoice::parse(v) {
-            Some(f) => runtime = runtime.with_format(f),
-            None => {
-                return Err(format!(
-                    "--format must be {} (got {v})",
-                    rtmobile::env::FORMAT_VALUES
-                ))
-            }
-        }
-    }
-    if let Some(v) = flags.get("decoder") {
-        match rtmobile::DecoderChoice::parse(v) {
-            Some(d) => runtime = runtime.with_decoder(d),
-            None => {
-                return Err(format!(
-                    "--decoder must be {} (got {v})",
-                    rtmobile::env::DECODER_VALUES
-                ))
-            }
+    for (name, values, apply) in RUNTIME_FLAGS {
+        if let Some(v) = flags.get(name) {
+            runtime =
+                apply(runtime, v).ok_or_else(|| format!("--{name} must be {values} (got {v})"))?;
         }
     }
     Ok(runtime)
@@ -931,4 +905,19 @@ fn inspect(args: &[String]) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_runtime_flag_rejects_an_unknown_value_with_its_grammar() {
+        for (name, values, _) in RUNTIME_FLAGS {
+            let flags = [(name.to_string(), "warp".to_string())].into();
+            let err = apply_runtime_flags(RuntimeConfig::default(), &flags)
+                .expect_err("warp is no value of any runtime knob");
+            assert_eq!(err, format!("--{name} must be {values} (got warp)"));
+        }
+    }
 }

@@ -13,7 +13,7 @@
 //! weighs BBS against BSPC/CSR per layer.
 
 use crate::kernel::{Activations, SparseKernel};
-use crate::scratch;
+use crate::scratch::{self, FloatValues};
 use rtm_tensor::{Matrix, ShapeError};
 use std::ops::Range;
 
@@ -282,68 +282,13 @@ impl BbsMatrix {
         &self.scales_i8
     }
 
-    /// f32 SpMV over the row range `rows`: one indexed dot over the row's
-    /// uniform slot slab. Output row `r` lands at `y[r - y_base]`; every
-    /// row in the range is written.
-    fn spmv_rows_into(&self, x: &[f32], rows: Range<usize>, y: &mut [f32], y_base: usize) {
-        let v = rtm_tensor::simd::active_variant();
-        let stride = self.row_stride();
-        for r in rows {
-            let (start, end) = (r * stride, (r + 1) * stride);
-            y[r - y_base] = rtm_tensor::simd::indexed_dot_variant(
-                v,
-                &self.values[start..end],
-                &self.col_idx[start..end],
-                x,
-            );
-        }
-    }
-
-    /// f16 SpMV over the row range `rows` (conventions as
-    /// [`spmv_rows_into`](BbsMatrix::spmv_rows_into)).
-    fn spmv_rows_f16_into(&self, x: &[f32], rows: Range<usize>, y: &mut [f32], y_base: usize) {
-        let v = rtm_tensor::simd::active_variant();
-        let stride = self.row_stride();
-        scratch::with_kernel(|scratch| {
-            for r in rows {
-                let (start, end) = (r * stride, (r + 1) * stride);
-                let conv = scratch.conv.decode_f16(&self.values_f16[start..end]);
-                y[r - y_base] =
-                    rtm_tensor::simd::indexed_dot_variant(v, conv, &self.col_idx[start..end], x);
-            }
-        });
-    }
-
-    /// Int8 SpMV over the row range `rows` on pre-quantized activations:
-    /// one scale per row with exact i32 accumulation.
-    fn spmv_rows_i8_into(
+    /// The float row kernel over the row range `rows` for `b` lanes: one
+    /// lane-major indexed dot over the row's uniform slot slab of `values`
+    /// (the f32 plane or the decoded f16 sidecar). Output row `r` lands at
+    /// `ys[(r - y_base) · b ..]`; every row in the range is written.
+    fn float_rows_into(
         &self,
-        xq: &[i8],
-        sx: f32,
-        rows: Range<usize>,
-        y: &mut [f32],
-        y_base: usize,
-    ) {
-        let v = rtm_tensor::simd::active_variant();
-        let stride = self.row_stride();
-        for r in rows {
-            let (start, end) = (r * stride, (r + 1) * stride);
-            let acc = rtm_tensor::simd_i8::indexed_dot_i8_variant(
-                v,
-                &self.values_i8[start..end],
-                &self.col_idx[start..end],
-                xq,
-            );
-            // `sx · (acc · scale)` — the association order of the fused
-            // batched register tile, so lane results stay bit-identical.
-            y[r - y_base] = sx * (acc as f32 * self.scales_i8[r]);
-        }
-    }
-
-    /// f32 batched SpMM over the row range `rows` (output row `r` lands at
-    /// `ys[(r - y_base) · b ..]`).
-    fn spmm_rows_into(
-        &self,
+        values: impl FloatValues,
         xs: &[f32],
         b: usize,
         rows: Range<usize>,
@@ -352,51 +297,23 @@ impl BbsMatrix {
     ) {
         let v = rtm_tensor::simd::active_variant();
         let stride = self.row_stride();
-        for r in rows {
-            let (start, end) = (r * stride, (r + 1) * stride);
-            let o = r - y_base;
-            rtm_tensor::simd::indexed_dot_batch_variant(
-                v,
-                &self.values[start..end],
-                &self.col_idx[start..end],
-                xs,
-                b,
-                &mut ys[o * b..(o + 1) * b],
-            );
-        }
-    }
-
-    /// f16 batched SpMM over the row range `rows`.
-    fn spmm_rows_f16_into(
-        &self,
-        xs: &[f32],
-        b: usize,
-        rows: Range<usize>,
-        ys: &mut [f32],
-        y_base: usize,
-    ) {
-        let v = rtm_tensor::simd::active_variant();
-        let stride = self.row_stride();
+        let outs = ys[(rows.start - y_base) * b..].chunks_exact_mut(b);
         scratch::with_kernel(|scratch| {
-            for r in rows {
+            for (r, out) in rows.zip(outs) {
                 let (start, end) = (r * stride, (r + 1) * stride);
-                let conv = scratch.conv.decode_f16(&self.values_f16[start..end]);
-                let o = r - y_base;
-                rtm_tensor::simd::indexed_dot_batch_variant(
-                    v,
-                    conv,
-                    &self.col_idx[start..end],
-                    xs,
-                    b,
-                    &mut ys[o * b..(o + 1) * b],
-                );
+                let vals = values.run(start..end, &mut scratch.conv);
+                let idx = &self.col_idx[start..end];
+                rtm_tensor::simd::indexed_dot_batch_variant(v, vals, idx, xs, b, out);
             }
         });
     }
 
-    /// Int8 batched SpMM over the row range `rows` on pre-quantized
-    /// lane-major activations with per-lane scales.
-    fn spmm_rows_i8_into(
+    /// The int8 row kernel over the row range `rows` on pre-quantized
+    /// lane-major activations `xq` with per-lane scales `sxs`: the row's
+    /// codes are gathered once, lane-major, and a BBS row — one uniform
+    /// slab under a single scale — is one segment of the fused tile,
+    /// `sxs[j] · (acc_j · scale)` with exact i32 accumulation.
+    fn int8_rows_into(
         &self,
         xq: &[i8],
         sxs: &[f32],
@@ -405,33 +322,23 @@ impl BbsMatrix {
         ys: &mut [f32],
         y_base: usize,
     ) {
-        assert_eq!(sxs.len(), b, "one activation scale per lane");
         let v = rtm_tensor::simd::active_variant();
         let stride = self.row_stride();
+        let outs = ys[(rows.start - y_base) * b..].chunks_exact_mut(b);
         scratch::with_kernel(|scratch| {
             let gi8 = &mut scratch.gi8;
-            for r in rows {
+            for (r, out) in rows.zip(outs) {
                 let (start, end) = (r * stride, (r + 1) * stride);
-                // Gather this row's activation lanes once, lane-major.
-                gi8.clear();
-                for &c in &self.col_idx[start..end] {
-                    let c = c as usize;
-                    gi8.extend_from_slice(&xq[c * b..(c + 1) * b]);
-                }
-                // A BBS row is one uniform slab under a single scale, so
-                // the whole row is one segment of the fused register tile.
-                let seg = [stride as u32];
-                let scales = [self.scales_i8[r]];
-                let o = r - y_base;
+                scratch::gather_i8(gi8, &self.col_idx[start..end], xq, b);
                 rtm_tensor::simd_i8::row_block_dots_batch_i8(
                     v,
                     &self.values_i8[start..end],
                     gi8,
                     b,
-                    &seg,
-                    &scales,
+                    &[stride as u32],
+                    &[self.scales_i8[r]],
                     sxs,
-                    &mut ys[o * b..(o + 1) * b],
+                    out,
                 );
             }
         });
@@ -498,16 +405,15 @@ impl SparseKernel for BbsMatrix {
         ys: &mut [f32],
         y_base: usize,
     ) {
-        match (activations, b) {
-            (Activations::F32(x), 1) => self.spmv_rows_into(x, units, ys, y_base),
-            (Activations::F32(xs), _) => self.spmm_rows_into(xs, b, units, ys, y_base),
-            (Activations::F16(x), 1) => self.spmv_rows_f16_into(x, units, ys, y_base),
-            (Activations::F16(xs), _) => self.spmm_rows_f16_into(xs, b, units, ys, y_base),
-            (Activations::Int8 { codes, scales }, 1) => {
-                self.spmv_rows_i8_into(codes, scales[0], units, ys, y_base)
+        match activations {
+            Activations::F32(xs) => {
+                self.float_rows_into(self.values.as_slice(), xs, b, units, ys, y_base)
             }
-            (Activations::Int8 { codes, scales }, _) => {
-                self.spmm_rows_i8_into(codes, scales, b, units, ys, y_base)
+            Activations::F16(xs) => {
+                self.float_rows_into(self.values_f16.as_slice(), xs, b, units, ys, y_base)
+            }
+            Activations::Int8 { codes, scales } => {
+                self.int8_rows_into(codes, scales, b, units, ys, y_base)
             }
         }
     }

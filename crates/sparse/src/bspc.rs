@@ -21,7 +21,7 @@
 
 use crate::footprint::Precision;
 use crate::kernel::{Activations, SparseKernel};
-use crate::scratch;
+use crate::scratch::{self, FloatValues};
 use rtm_tensor::{Matrix, ShapeError};
 use std::error::Error;
 use std::fmt;
@@ -570,37 +570,19 @@ impl BspcMatrix {
         })
     }
 
-    /// f32 SpMV over the kept-row slots `kept`. `y` starts at logical row
-    /// `y_base`; output rows land at `y[row - y_base]`, pruned rows are left
-    /// untouched.
+    /// The float row kernel over the kept-row slots `kept` for `b` lanes
+    /// (lane-major: output row `r` lands at `ys[(r - y_base) · b ..]`;
+    /// pruned rows are left untouched).
     ///
     /// The blocked inner kernel of the paper's redundant-load elimination:
-    /// per stripe run, the shared column stream is gathered from `x` into
-    /// dense scratch once, then every row of the run does a unit-stride dot.
-    fn spmv_rows_into(&self, x: &[f32], kept: Range<usize>, y: &mut [f32], y_base: usize) {
-        let v = rtm_tensor::simd::active_variant();
-        scratch::with_kernel(|scratch| {
-            for (s, run) in self.stripe_runs(kept) {
-                let cols = &self.stripe_cols[s];
-                let gathered = scratch.gf32.gather(cols, x, 1);
-                for kk in run {
-                    let off = self.row_offsets[kk] as usize;
-                    let vals = &self.values[off..off + cols.len()];
-                    y[self.kept_rows[kk] as usize - y_base] =
-                        rtm_tensor::simd::dot_variant(v, vals, gathered);
-                }
-            }
-        });
-    }
-
-    /// f32 batched SpMM over the kept-row slots `kept` (lane-major: output
-    /// row `r` lands at `ys[(r - y_base) · b ..]`). Per stripe run the
-    /// column stream is gathered into a lane-major `[len × b]` scratch
-    /// once; the batched dot keeps the along-row dot's per-lane
-    /// accumulation order, so each lane is bit-identical to
-    /// [`spmv_rows_into`](BspcMatrix::spmv_rows_into) of its column.
-    fn spmm_rows_into(
+    /// per stripe run, the shared column stream is gathered from `xs` into
+    /// dense lane-major `[len × b]` scratch once, then every row of the run
+    /// does one unit-stride lane-major dot over its `values` — the f32
+    /// plane or the decoded f16 sidecar, the only thing the two precisions
+    /// differ in.
+    fn float_rows_into(
         &self,
+        values: impl FloatValues,
         xs: &[f32],
         b: usize,
         kept: Range<usize>,
@@ -612,145 +594,30 @@ impl BspcMatrix {
             for (s, run) in self.stripe_runs(kept) {
                 let cols = &self.stripe_cols[s];
                 let gathered = scratch.gf32.gather(cols, xs, b);
-                for kk in run {
-                    let off = self.row_offsets[kk] as usize;
-                    let vals = &self.values[off..off + cols.len()];
-                    let r = self.kept_rows[kk] as usize - y_base;
+                let rows = self.row_offsets[run.clone()]
+                    .iter()
+                    .zip(&self.kept_rows[run]);
+                for (&off, &row) in rows {
+                    let off = off as usize;
+                    let vals = values.run(off..off + cols.len(), &mut scratch.conv);
+                    let r = row as usize - y_base;
                     rtm_tensor::simd::dot_batch_variant(
                         v,
                         vals,
                         gathered,
                         b,
-                        &mut ys[r * b..(r + 1) * b],
+                        &mut ys[r * b..][..b],
                     );
                 }
             }
         });
     }
 
-    /// f16 SpMV over the kept-row slots `kept` (conventions as
-    /// [`spmv_rows_into`](BspcMatrix::spmv_rows_into)).
-    fn spmv_rows_f16_into(&self, x: &[f32], kept: Range<usize>, y: &mut [f32], y_base: usize) {
-        let v = rtm_tensor::simd::active_variant();
-        scratch::with_kernel(|scratch| {
-            for (s, run) in self.stripe_runs(kept) {
-                let cols = &self.stripe_cols[s];
-                let gathered = scratch.gf32.gather(cols, x, 1);
-                for kk in run {
-                    let off = self.row_offsets[kk] as usize;
-                    let vals = scratch
-                        .conv
-                        .decode_f16(&self.values_f16[off..off + cols.len()]);
-                    y[self.kept_rows[kk] as usize - y_base] =
-                        rtm_tensor::simd::dot_variant(v, vals, gathered);
-                }
-            }
-        });
-    }
-
-    /// Int8 SpMV over the kept-row slots `kept` on pre-quantized activations
-    /// `xq` with activation scale `sx`: `y[r] = sx · Σ_b scale_sb · acc_b`
-    /// in block order, every `acc_b` an exact i32 block dot.
-    fn spmv_rows_i8_into(
-        &self,
-        xq: &[i8],
-        sx: f32,
-        kept: Range<usize>,
-        y: &mut [f32],
-        y_base: usize,
-    ) {
-        let v = rtm_tensor::simd::active_variant();
-        scratch::with_kernel(|scratch| {
-            for (s, run) in self.stripe_runs(kept) {
-                let cols = &self.stripe_cols[s];
-                scratch.gi8.clear();
-                scratch.gi8.extend(cols.iter().map(|&c| xq[c as usize]));
-                scratch.seg.clear();
-                scratch.seg.extend(
-                    (0..self.num_blocks)
-                        .map(|blk| self.block_cols[s * self.num_blocks + blk].len() as u32),
-                );
-                let scales = &self.scales_i8[s * self.num_blocks..(s + 1) * self.num_blocks];
-                // Four rows at a time: the quad kernel widens each
-                // gathered-activation segment once and shares it across
-                // four value streams, with exact i32 accumulation and
-                // block-order dequantization identical to the single-row
-                // path.
-                let nnz = cols.len();
-                let row_vals = |kk: usize| {
-                    let off = self.row_offsets[kk] as usize;
-                    &self.values_i8[off..off + nnz]
-                };
-                let mut kk = run.start;
-                while kk + 4 <= run.end {
-                    let quad = rtm_tensor::simd_i8::row_quad_block_dots_i8(
-                        v,
-                        [
-                            row_vals(kk),
-                            row_vals(kk + 1),
-                            row_vals(kk + 2),
-                            row_vals(kk + 3),
-                        ],
-                        &scratch.gi8,
-                        &scratch.seg,
-                        scales,
-                    );
-                    for (i, acc_f) in quad.into_iter().enumerate() {
-                        y[self.kept_rows[kk + i] as usize - y_base] = sx * acc_f;
-                    }
-                    kk += 4;
-                }
-                while kk < run.end {
-                    let acc_f = rtm_tensor::simd_i8::row_block_dots_i8(
-                        v,
-                        row_vals(kk),
-                        &scratch.gi8,
-                        &scratch.seg,
-                        scales,
-                    );
-                    y[self.kept_rows[kk] as usize - y_base] = sx * acc_f;
-                    kk += 1;
-                }
-            }
-        });
-    }
-
-    /// f16 batched SpMM over the kept-row slots `kept` (conventions as
-    /// [`spmm_rows_into`](BspcMatrix::spmm_rows_into)).
-    fn spmm_rows_f16_into(
-        &self,
-        xs: &[f32],
-        b: usize,
-        kept: Range<usize>,
-        ys: &mut [f32],
-        y_base: usize,
-    ) {
-        let v = rtm_tensor::simd::active_variant();
-        scratch::with_kernel(|scratch| {
-            for (s, run) in self.stripe_runs(kept) {
-                let cols = &self.stripe_cols[s];
-                let gathered = scratch.gf32.gather(cols, xs, b);
-                for kk in run {
-                    let off = self.row_offsets[kk] as usize;
-                    let vals = scratch
-                        .conv
-                        .decode_f16(&self.values_f16[off..off + cols.len()]);
-                    let r = self.kept_rows[kk] as usize - y_base;
-                    rtm_tensor::simd::dot_batch_variant(
-                        v,
-                        vals,
-                        gathered,
-                        b,
-                        &mut ys[r * b..(r + 1) * b],
-                    );
-                }
-            }
-        });
-    }
-
-    /// Int8 batched SpMM over the kept-row slots `kept` on pre-quantized
-    /// lane-major activations `xq` with per-lane scales `sxs`.
-    fn spmm_rows_i8_into(
+    /// The int8 row kernel over the kept-row slots `kept` on pre-quantized
+    /// lane-major activations `xq` with per-lane scales `sxs`:
+    /// `ys[r·b + j] = sxs[j] · Σ_blk scale_blk · acc_blk` in block order,
+    /// every `acc_blk` an exact i32 block dot.
+    fn int8_rows_into(
         &self,
         xq: &[i8],
         sxs: &[f32],
@@ -759,16 +626,12 @@ impl BspcMatrix {
         ys: &mut [f32],
         y_base: usize,
     ) {
-        assert_eq!(sxs.len(), b, "one activation scale per lane");
         let v = rtm_tensor::simd::active_variant();
         scratch::with_kernel(|scratch| {
+            scratch.lanes.resize(4 * b, 0.0);
             for (s, run) in self.stripe_runs(kept) {
                 let cols = &self.stripe_cols[s];
-                scratch.gi8.clear();
-                for &c in cols {
-                    let c = c as usize;
-                    scratch.gi8.extend_from_slice(&xq[c * b..(c + 1) * b]);
-                }
+                scratch::gather_i8(&mut scratch.gi8, cols, xq, b);
                 scratch.seg.clear();
                 scratch.seg.extend(
                     (0..self.num_blocks)
@@ -780,14 +643,22 @@ impl BspcMatrix {
                     let off = self.row_offsets[kk] as usize;
                     &self.values_i8[off..off + nnz]
                 };
-                // Four rows at a time through the lane-major register tile:
-                // the widened activation pairs are shared across the four
-                // value streams and the i32/f32 accumulators stay in
-                // registers for the whole row, with the same block-order
-                // dequantize as the serial path.
-                scratch.lanes.resize(4 * b, 0.0);
+                // Four rows at a time: the quad tile widens each gathered
+                // activation segment once and shares it across the four
+                // value streams, with exact i32 accumulation and the same
+                // block-order dequantize as the single-row tail. Its
+                // row-major `[4 × b]` output is `ys` itself when no pruned
+                // row lies between the four, else scratch to scatter from.
                 let mut kk = run.start;
                 while kk + 4 <= run.end {
+                    let quad = &self.kept_rows[kk..kk + 4];
+                    let r = quad[0] as usize - y_base;
+                    let adjacent = quad[3] - quad[0] == 3;
+                    let out = if adjacent {
+                        &mut ys[r * b..(r + 4) * b]
+                    } else {
+                        &mut scratch.lanes[..]
+                    };
                     rtm_tensor::simd_i8::row_quad_block_dots_batch_i8(
                         v,
                         [
@@ -801,11 +672,13 @@ impl BspcMatrix {
                         &scratch.seg,
                         scales,
                         sxs,
-                        &mut scratch.lanes,
+                        out,
                     );
-                    for i in 0..4 {
-                        let r = self.kept_rows[kk + i] as usize - y_base;
-                        ys[r * b..(r + 1) * b].copy_from_slice(&scratch.lanes[i * b..(i + 1) * b]);
+                    if !adjacent {
+                        for (lanes, &row) in scratch.lanes.chunks_exact(b).zip(quad) {
+                            let r = row as usize - y_base;
+                            ys[r * b..][..b].copy_from_slice(lanes);
+                        }
                     }
                     kk += 4;
                 }
@@ -893,16 +766,15 @@ impl SparseKernel for BspcMatrix {
         ys: &mut [f32],
         y_base: usize,
     ) {
-        match (activations, b) {
-            (Activations::F32(x), 1) => self.spmv_rows_into(x, units, ys, y_base),
-            (Activations::F32(xs), _) => self.spmm_rows_into(xs, b, units, ys, y_base),
-            (Activations::F16(x), 1) => self.spmv_rows_f16_into(x, units, ys, y_base),
-            (Activations::F16(xs), _) => self.spmm_rows_f16_into(xs, b, units, ys, y_base),
-            (Activations::Int8 { codes, scales }, 1) => {
-                self.spmv_rows_i8_into(codes, scales[0], units, ys, y_base)
+        match activations {
+            Activations::F32(xs) => {
+                self.float_rows_into(self.values.as_slice(), xs, b, units, ys, y_base)
             }
-            (Activations::Int8 { codes, scales }, _) => {
-                self.spmm_rows_i8_into(codes, scales, b, units, ys, y_base)
+            Activations::F16(xs) => {
+                self.float_rows_into(self.values_f16.as_slice(), xs, b, units, ys, y_base)
+            }
+            Activations::Int8 { codes, scales } => {
+                self.int8_rows_into(codes, scales, b, units, ys, y_base)
             }
         }
     }

@@ -12,7 +12,7 @@
 //! shorter unit-stride inner loop. The tuner weighs exactly that trade.
 
 use crate::kernel::{Activations, SparseKernel};
-use crate::scratch;
+use crate::scratch::{self, FloatValues};
 use rtm_tensor::{Matrix, ShapeError};
 use std::ops::Range;
 
@@ -372,132 +372,17 @@ impl CsbMatrix {
         (self.val_ptr[be] - self.val_ptr[bs]) as usize
     }
 
-    /// f32 SpMV over the block-row range `brs`. Output row `r` accumulates
-    /// at `y[r - y_base]` — the driver provides a **zeroed** slice; rows
-    /// accumulate block by block in storage order, so serial, pooled and
-    /// batched realizations add in the same sequence.
-    fn spmv_block_rows_into(&self, x: &[f32], brs: Range<usize>, y: &mut [f32], y_base: usize) {
-        let v = rtm_tensor::simd::active_variant();
-        scratch::with_kernel(|scratch| {
-            for br in brs {
-                let r0 = br * self.block_h;
-                let bh_eff = self.block_h.min(self.rows - r0);
-                let (bs, be) = (self.block_ptr[br] as usize, self.block_ptr[br + 1] as usize);
-                for blk in bs..be {
-                    let (cs, ce) = (self.col_ptr[blk] as usize, self.col_ptr[blk + 1] as usize);
-                    let kc = ce - cs;
-                    let gf32 = scratch.gf32.gather(&self.cols_idx[cs..ce], x, 1);
-                    let vb = self.val_ptr[blk] as usize;
-                    for lr in 0..bh_eff {
-                        let vals = &self.values[vb + lr * kc..vb + (lr + 1) * kc];
-                        y[r0 + lr - y_base] += rtm_tensor::simd::dot_variant(v, vals, gf32);
-                    }
-                }
-            }
-        });
-    }
-
-    /// f16 SpMV over the block-row range `brs` (conventions as
-    /// [`spmv_block_rows_into`](CsbMatrix::spmv_block_rows_into)).
-    fn spmv_block_rows_f16_into(&self, x: &[f32], brs: Range<usize>, y: &mut [f32], y_base: usize) {
-        let v = rtm_tensor::simd::active_variant();
-        scratch::with_kernel(|scratch| {
-            for br in brs {
-                let r0 = br * self.block_h;
-                let bh_eff = self.block_h.min(self.rows - r0);
-                let (bs, be) = (self.block_ptr[br] as usize, self.block_ptr[br + 1] as usize);
-                for blk in bs..be {
-                    let (cs, ce) = (self.col_ptr[blk] as usize, self.col_ptr[blk + 1] as usize);
-                    let kc = ce - cs;
-                    let gf32 = scratch.gf32.gather(&self.cols_idx[cs..ce], x, 1);
-                    let (vb, ve) = (self.val_ptr[blk] as usize, self.val_ptr[blk + 1] as usize);
-                    let conv = scratch.conv.decode_f16(&self.values_f16[vb..ve]);
-                    for lr in 0..bh_eff {
-                        let vals = &conv[lr * kc..(lr + 1) * kc];
-                        y[r0 + lr - y_base] += rtm_tensor::simd::dot_variant(v, vals, gf32);
-                    }
-                }
-            }
-        });
-    }
-
-    /// Int8 SpMV over the block-row range `brs` on pre-quantized
-    /// activations: one scale per stored block with exact i32 accumulation
-    /// per block.
-    fn spmv_block_rows_i8_into(
+    /// The float row kernel over the block-row range `brs` for `b` lanes.
+    /// Output row `r` accumulates at `ys[(r - y_base) · b ..]` — the driver
+    /// provides a **zeroed** slice; rows accumulate block by block in
+    /// storage order, so serial, pooled and batched realizations add in the
+    /// same sequence. Per block the activation lanes are gathered once,
+    /// lane-major, and every row of the block does one unit-stride
+    /// lane-major dot over the block's `values` (the f32 plane or the
+    /// decoded f16 sidecar).
+    fn float_rows_into(
         &self,
-        xq: &[i8],
-        sx: f32,
-        brs: Range<usize>,
-        y: &mut [f32],
-        y_base: usize,
-    ) {
-        let v = rtm_tensor::simd::active_variant();
-        scratch::with_kernel(|scratch| {
-            let gi8 = &mut scratch.gi8;
-            for br in brs {
-                let r0 = br * self.block_h;
-                let bh_eff = self.block_h.min(self.rows - r0);
-                let (bs, be) = (self.block_ptr[br] as usize, self.block_ptr[br + 1] as usize);
-                for blk in bs..be {
-                    let (cs, ce) = (self.col_ptr[blk] as usize, self.col_ptr[blk + 1] as usize);
-                    let kc = ce - cs;
-                    gi8.clear();
-                    gi8.extend(self.cols_idx[cs..ce].iter().map(|&c| xq[c as usize]));
-                    let vb = self.val_ptr[blk] as usize;
-                    let scale = self.scales_i8[blk];
-                    for lr in 0..bh_eff {
-                        let vals = &self.values_i8[vb + lr * kc..vb + (lr + 1) * kc];
-                        let acc = rtm_tensor::simd_i8::dot_i8_variant(v, vals, gi8);
-                        // `sx · (acc · scale)` — the association order of
-                        // the fused batched register tile.
-                        y[r0 + lr - y_base] += sx * (acc as f32 * scale);
-                    }
-                }
-            }
-        });
-    }
-
-    /// f32 batched SpMM over the block-row range `brs` (output row `r`
-    /// accumulates at `ys[(r - y_base) · b ..]` over a zeroed slice).
-    fn spmm_block_rows_into(
-        &self,
-        xs: &[f32],
-        b: usize,
-        brs: Range<usize>,
-        ys: &mut [f32],
-        y_base: usize,
-    ) {
-        let v = rtm_tensor::simd::active_variant();
-        scratch::with_kernel(|scratch| {
-            let tmp = &mut scratch.lanes;
-            tmp.resize(b, 0.0);
-            for br in brs {
-                let r0 = br * self.block_h;
-                let bh_eff = self.block_h.min(self.rows - r0);
-                let (bs, be) = (self.block_ptr[br] as usize, self.block_ptr[br + 1] as usize);
-                for blk in bs..be {
-                    let (cs, ce) = (self.col_ptr[blk] as usize, self.col_ptr[blk + 1] as usize);
-                    let kc = ce - cs;
-                    // Gather the block's activation lanes once, lane-major.
-                    let gf32 = scratch.gf32.gather(&self.cols_idx[cs..ce], xs, b);
-                    let vb = self.val_ptr[blk] as usize;
-                    for lr in 0..bh_eff {
-                        let vals = &self.values[vb + lr * kc..vb + (lr + 1) * kc];
-                        rtm_tensor::simd::dot_batch_variant(v, vals, gf32, b, tmp);
-                        let o = (r0 + lr - y_base) * b;
-                        for (yj, tj) in ys[o..o + b].iter_mut().zip(tmp.iter()) {
-                            *yj += tj;
-                        }
-                    }
-                }
-            }
-        });
-    }
-
-    /// f16 batched SpMM over the block-row range `brs`.
-    fn spmm_block_rows_f16_into(
-        &self,
+        values: impl FloatValues,
         xs: &[f32],
         b: usize,
         brs: Range<usize>,
@@ -517,12 +402,12 @@ impl CsbMatrix {
                     let kc = ce - cs;
                     let gf32 = scratch.gf32.gather(&self.cols_idx[cs..ce], xs, b);
                     let (vb, ve) = (self.val_ptr[blk] as usize, self.val_ptr[blk + 1] as usize);
-                    let conv = scratch.conv.decode_f16(&self.values_f16[vb..ve]);
-                    for lr in 0..bh_eff {
-                        let vals = &conv[lr * kc..(lr + 1) * kc];
+                    let block = values.run(vb..ve, &mut scratch.conv);
+                    let outs = ys[(r0 - y_base) * b..].chunks_exact_mut(b);
+                    for (lr, out) in (0..bh_eff).zip(outs) {
+                        let vals = &block[lr * kc..(lr + 1) * kc];
                         rtm_tensor::simd::dot_batch_variant(v, vals, gf32, b, tmp);
-                        let o = (r0 + lr - y_base) * b;
-                        for (yj, tj) in ys[o..o + b].iter_mut().zip(tmp.iter()) {
+                        for (yj, tj) in out.iter_mut().zip(tmp.iter()) {
                             *yj += tj;
                         }
                     }
@@ -531,9 +416,12 @@ impl CsbMatrix {
         });
     }
 
-    /// Int8 batched SpMM over the block-row range `brs` on pre-quantized
-    /// lane-major activations with per-lane scales.
-    fn spmm_block_rows_i8_into(
+    /// The int8 row kernel over the block-row range `brs` on pre-quantized
+    /// lane-major activations `xq` with per-lane scales `sxs`: one scale
+    /// per stored block, so every row of a block is a single segment of the
+    /// fused tile — `sxs[j] · (acc_j · scale)` with exact i32 accumulation —
+    /// accumulated over a zeroed slice in the float kernel's block order.
+    fn int8_rows_into(
         &self,
         xq: &[i8],
         sxs: &[f32],
@@ -542,7 +430,6 @@ impl CsbMatrix {
         ys: &mut [f32],
         y_base: usize,
     ) {
-        assert_eq!(sxs.len(), b, "one activation scale per lane");
         let v = rtm_tensor::simd::active_variant();
         scratch::with_kernel(|scratch| {
             let (gi8, tmp) = (&mut scratch.gi8, &mut scratch.lanes);
@@ -554,24 +441,17 @@ impl CsbMatrix {
                 for blk in bs..be {
                     let (cs, ce) = (self.col_ptr[blk] as usize, self.col_ptr[blk + 1] as usize);
                     let kc = ce - cs;
-                    gi8.clear();
-                    for &c in &self.cols_idx[cs..ce] {
-                        let base = c as usize * b;
-                        gi8.extend_from_slice(&xq[base..base + b]);
-                    }
+                    scratch::gather_i8(gi8, &self.cols_idx[cs..ce], xq, b);
                     let vb = self.val_ptr[blk] as usize;
                     let seg = [kc as u32];
                     let scales = [self.scales_i8[blk]];
-                    for lr in 0..bh_eff {
+                    let outs = ys[(r0 - y_base) * b..].chunks_exact_mut(b);
+                    for (lr, out) in (0..bh_eff).zip(outs) {
                         let vals = &self.values_i8[vb + lr * kc..vb + (lr + 1) * kc];
-                        // The fused tile yields `sxs[j] · (acc_j · scale)`
-                        // per lane — the serial hook's exact expression —
-                        // which then accumulates in the same block order.
                         rtm_tensor::simd_i8::row_block_dots_batch_i8(
                             v, vals, gi8, b, &seg, &scales, sxs, tmp,
                         );
-                        let o = (r0 + lr - y_base) * b;
-                        for (yj, tj) in ys[o..o + b].iter_mut().zip(tmp.iter()) {
+                        for (yj, tj) in out.iter_mut().zip(tmp.iter()) {
                             *yj += tj;
                         }
                     }
@@ -645,16 +525,15 @@ impl SparseKernel for CsbMatrix {
         ys: &mut [f32],
         y_base: usize,
     ) {
-        match (activations, b) {
-            (Activations::F32(x), 1) => self.spmv_block_rows_into(x, units, ys, y_base),
-            (Activations::F32(xs), _) => self.spmm_block_rows_into(xs, b, units, ys, y_base),
-            (Activations::F16(x), 1) => self.spmv_block_rows_f16_into(x, units, ys, y_base),
-            (Activations::F16(xs), _) => self.spmm_block_rows_f16_into(xs, b, units, ys, y_base),
-            (Activations::Int8 { codes, scales }, 1) => {
-                self.spmv_block_rows_i8_into(codes, scales[0], units, ys, y_base)
+        match activations {
+            Activations::F32(xs) => {
+                self.float_rows_into(self.values.as_slice(), xs, b, units, ys, y_base)
             }
-            (Activations::Int8 { codes, scales }, _) => {
-                self.spmm_block_rows_i8_into(codes, scales, b, units, ys, y_base)
+            Activations::F16(xs) => {
+                self.float_rows_into(self.values_f16.as_slice(), xs, b, units, ys, y_base)
+            }
+            Activations::Int8 { codes, scales } => {
+                self.int8_rows_into(codes, scales, b, units, ys, y_base)
             }
         }
     }

@@ -7,7 +7,7 @@
 
 use crate::footprint::Precision;
 use crate::kernel::{Activations, SparseKernel};
-use crate::scratch;
+use crate::scratch::{self, FloatValues};
 use rtm_tensor::{Matrix, ShapeError};
 use std::ops::Range;
 
@@ -257,29 +257,16 @@ impl CsrMatrix {
         self.spmv_prec_into(Precision::F32, x, y)
     }
 
-    /// f32 SpMV over the row range `rows`: one indexed dot per row through
-    /// the simd kernel layer (AVX2 runs the column gather in-register).
-    /// Output row `r` lands at `y[r - y_base]`; every row in the range is
-    /// written (empty rows get 0).
-    fn spmv_rows_into(&self, x: &[f32], rows: Range<usize>, y: &mut [f32], y_base: usize) {
-        let v = rtm_tensor::simd::active_variant();
-        for r in rows {
-            let (start, end) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-            y[r - y_base] = rtm_tensor::simd::indexed_dot_variant(
-                v,
-                &self.values[start..end],
-                &self.col_idx[start..end],
-                x,
-            );
-        }
-    }
-
-    /// f32 batched SpMM over the row range `rows` (output row `r` lands at
-    /// `ys[(r - y_base) · b ..]`). Each row's column indices are decoded
+    /// The float row kernel over the row range `rows` for `b` lanes: one
+    /// lane-major indexed dot per row over its `values` (the f32 plane or
+    /// the decoded f16 sidecar). Each row's column indices are decoded
     /// **once** and applied to all `b` lanes — the index-traversal cost
-    /// §II-B-a identifies is amortized `b`×.
-    fn spmm_rows_into(
+    /// §II-B-a identifies is amortized `b`×. Output row `r` lands at
+    /// `ys[(r - y_base) · b ..]`; every row in the range is written (empty
+    /// rows get 0).
+    fn float_rows_into(
         &self,
+        values: impl FloatValues,
         xs: &[f32],
         b: usize,
         rows: Range<usize>,
@@ -287,91 +274,23 @@ impl CsrMatrix {
         y_base: usize,
     ) {
         let v = rtm_tensor::simd::active_variant();
-        for r in rows {
-            let (start, end) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-            let o = r - y_base;
-            rtm_tensor::simd::indexed_dot_batch_variant(
-                v,
-                &self.values[start..end],
-                &self.col_idx[start..end],
-                xs,
-                b,
-                &mut ys[o * b..(o + 1) * b],
-            );
-        }
-    }
-
-    /// f16 SpMV over the row range `rows` (conventions as
-    /// [`spmv_rows_into`](CsrMatrix::spmv_rows_into)).
-    fn spmv_rows_f16_into(&self, x: &[f32], rows: Range<usize>, y: &mut [f32], y_base: usize) {
-        let v = rtm_tensor::simd::active_variant();
+        let outs = ys[(rows.start - y_base) * b..].chunks_exact_mut(b);
         scratch::with_kernel(|scratch| {
-            for r in rows {
+            for (r, out) in rows.zip(outs) {
                 let (start, end) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-                let conv = scratch.conv.decode_f16(&self.values_f16[start..end]);
-                y[r - y_base] =
-                    rtm_tensor::simd::indexed_dot_variant(v, conv, &self.col_idx[start..end], x);
+                let vals = values.run(start..end, &mut scratch.conv);
+                let idx = &self.col_idx[start..end];
+                rtm_tensor::simd::indexed_dot_batch_variant(v, vals, idx, xs, b, out);
             }
         });
     }
 
-    /// Int8 SpMV over the row range `rows` on pre-quantized activations:
-    /// one scale per [`CsrMatrix::ROW_BLOCK`] rows and a gathered dot with
-    /// exact i32 accumulation.
-    fn spmv_rows_i8_into(
-        &self,
-        xq: &[i8],
-        sx: f32,
-        rows: Range<usize>,
-        y: &mut [f32],
-        y_base: usize,
-    ) {
-        let v = rtm_tensor::simd::active_variant();
-        for r in rows {
-            let (start, end) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-            let acc = rtm_tensor::simd_i8::indexed_dot_i8_variant(
-                v,
-                &self.values_i8[start..end],
-                &self.col_idx[start..end],
-                xq,
-            );
-            // `sx · (acc · scale)` — the same association order the fused
-            // batched register tile uses, so lane results stay bit-identical.
-            y[r - y_base] = sx * (acc as f32 * self.scales_i8[r / Self::ROW_BLOCK]);
-        }
-    }
-
-    /// f16 batched SpMM over the row range `rows` (conventions as
-    /// [`spmm_rows_into`](CsrMatrix::spmm_rows_into)).
-    fn spmm_rows_f16_into(
-        &self,
-        xs: &[f32],
-        b: usize,
-        rows: Range<usize>,
-        ys: &mut [f32],
-        y_base: usize,
-    ) {
-        let v = rtm_tensor::simd::active_variant();
-        scratch::with_kernel(|scratch| {
-            for r in rows {
-                let (start, end) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-                let conv = scratch.conv.decode_f16(&self.values_f16[start..end]);
-                let o = r - y_base;
-                rtm_tensor::simd::indexed_dot_batch_variant(
-                    v,
-                    conv,
-                    &self.col_idx[start..end],
-                    xs,
-                    b,
-                    &mut ys[o * b..(o + 1) * b],
-                );
-            }
-        });
-    }
-
-    /// Int8 batched SpMM over the row range `rows` on pre-quantized
-    /// lane-major activations with per-lane scales.
-    fn spmm_rows_i8_into(
+    /// The int8 row kernel over the row range `rows` on pre-quantized
+    /// lane-major activations `xq` with per-lane scales `sxs`: the row's
+    /// codes are gathered once, lane-major, and a CSR row is a single scale
+    /// segment ([`CsrMatrix::ROW_BLOCK`] rows share a scale) of the fused
+    /// tile — `sxs[j] · (acc_j · scale)` with exact i32 accumulation.
+    fn int8_rows_into(
         &self,
         xq: &[i8],
         sxs: &[f32],
@@ -380,33 +299,22 @@ impl CsrMatrix {
         ys: &mut [f32],
         y_base: usize,
     ) {
-        assert_eq!(sxs.len(), b, "one activation scale per lane");
         let v = rtm_tensor::simd::active_variant();
+        let outs = ys[(rows.start - y_base) * b..].chunks_exact_mut(b);
         scratch::with_kernel(|scratch| {
             let gi8 = &mut scratch.gi8;
-            for r in rows {
+            for (r, out) in rows.zip(outs) {
                 let (start, end) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-                // Gather this row's activation lanes once, lane-major.
-                gi8.clear();
-                for &c in &self.col_idx[start..end] {
-                    let c = c as usize;
-                    gi8.extend_from_slice(&xq[c * b..(c + 1) * b]);
-                }
-                // One fused register-tile call per row: a CSR row is a
-                // single scale segment, so the tile's `sx·(acc·scale)`
-                // matches the serial hook's association order exactly.
-                let seg = [(end - start) as u32];
-                let scales = [self.scales_i8[r / Self::ROW_BLOCK]];
-                let o = r - y_base;
+                scratch::gather_i8(gi8, &self.col_idx[start..end], xq, b);
                 rtm_tensor::simd_i8::row_block_dots_batch_i8(
                     v,
                     &self.values_i8[start..end],
                     gi8,
                     b,
-                    &seg,
-                    &scales,
+                    &[(end - start) as u32],
+                    &[self.scales_i8[r / Self::ROW_BLOCK]],
                     sxs,
-                    &mut ys[o * b..(o + 1) * b],
+                    out,
                 );
             }
         });
@@ -466,16 +374,15 @@ impl SparseKernel for CsrMatrix {
         ys: &mut [f32],
         y_base: usize,
     ) {
-        match (activations, b) {
-            (Activations::F32(x), 1) => self.spmv_rows_into(x, units, ys, y_base),
-            (Activations::F32(xs), _) => self.spmm_rows_into(xs, b, units, ys, y_base),
-            (Activations::F16(x), 1) => self.spmv_rows_f16_into(x, units, ys, y_base),
-            (Activations::F16(xs), _) => self.spmm_rows_f16_into(xs, b, units, ys, y_base),
-            (Activations::Int8 { codes, scales }, 1) => {
-                self.spmv_rows_i8_into(codes, scales[0], units, ys, y_base)
+        match activations {
+            Activations::F32(xs) => {
+                self.float_rows_into(self.values.as_slice(), xs, b, units, ys, y_base)
             }
-            (Activations::Int8 { codes, scales }, _) => {
-                self.spmm_rows_i8_into(codes, scales, b, units, ys, y_base)
+            Activations::F16(xs) => {
+                self.float_rows_into(self.values_f16.as_slice(), xs, b, units, ys, y_base)
+            }
+            Activations::Int8 { codes, scales } => {
+                self.int8_rows_into(codes, scales, b, units, ys, y_base)
             }
         }
     }

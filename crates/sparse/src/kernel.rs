@@ -118,10 +118,11 @@ pub trait SparseKernel: Sync {
 
     /// The row-range kernel: computes the output rows of `units` for `b`
     /// lanes into `ys`, row `r` of lane `j` at `ys[(r - y_base)·b + j]`.
-    /// At `b == 1` the format runs its along-row dot, above that its
-    /// lane-major kernel; lane `j` of either is bit-identical to the
-    /// `b == 1` result on column `j`. Never traces — [`drive`] counts the
-    /// call once.
+    /// One lane-major kernel per value kind (float, int8) serves every
+    /// `b ≥ 1` — the lane primitives it calls are total in `b`, so an
+    /// implementation never branches on `b == 1` — and lane `j` is
+    /// bit-identical to the `b == 1` result on column `j`. Never traces —
+    /// [`drive`] counts the call once.
     ///
     /// # Panics
     ///

@@ -12,6 +12,7 @@
 //! runs its own chunk, which borrows the kernel scratch.
 
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// A reusable f32 buffer handed out as a window that starts on a cache-line
 /// boundary, wherever the allocator placed the block.
@@ -74,6 +75,53 @@ impl AlignedF32 {
     }
 }
 
+/// Where a float row kernel's weights come from — the only thing the f32
+/// and f16 kernels of a format ever differed in. A format's float kernel is
+/// generic over this view, so each precision compiles to its own loop.
+pub(crate) trait FloatValues: Copy {
+    /// Elements `run` of the value plane as f32.
+    fn run<'s>(self, run: Range<usize>, conv: &'s mut AlignedF32) -> &'s [f32]
+    where
+        Self: 's;
+}
+
+/// The f32 value plane, streamed in place.
+impl FloatValues for &[f32] {
+    #[inline]
+    fn run<'s>(self, run: Range<usize>, _conv: &'s mut AlignedF32) -> &'s [f32]
+    where
+        Self: 's,
+    {
+        &self[run]
+    }
+}
+
+/// The f16 sidecar (raw bit patterns), decoded (exactly) run by run into
+/// the conversion scratch.
+impl FloatValues for &[u16] {
+    #[inline]
+    fn run<'s>(self, run: Range<usize>, conv: &'s mut AlignedF32) -> &'s [f32]
+    where
+        Self: 's,
+    {
+        conv.decode_f16(&self[run])
+    }
+}
+
+/// Gathers columns `cols` of the lane-major `[n × b]` code plane `xq` into
+/// `out` — the int8 twin of [`AlignedF32::gather`], same layout.
+pub(crate) fn gather_i8(out: &mut Vec<i8>, cols: &[u32], xq: &[i8], b: usize) {
+    out.clear();
+    if b == 1 {
+        out.extend(cols.iter().map(|&c| xq[c as usize]));
+    } else {
+        for &c in cols {
+            let c = c as usize;
+            out.extend_from_slice(&xq[c * b..(c + 1) * b]);
+        }
+    }
+}
+
 /// Working buffers of the row-range kernels (contents are meaningless
 /// between calls; each kernel overwrites what it uses).
 pub(crate) struct KernelScratch {
@@ -86,8 +134,8 @@ pub(crate) struct KernelScratch {
     pub gi8: Vec<i8>,
     /// Per-block segment lengths of the current BSPC stripe.
     pub seg: Vec<u32>,
-    /// Lane results of one row (CSB SpMM, before accumulation) or of a
-    /// four-row tile (BSPC int8 SpMM).
+    /// Lane results of one row (CSB, before accumulation) or of a four-row
+    /// tile (BSPC int8).
     pub lanes: Vec<f32>,
 }
 

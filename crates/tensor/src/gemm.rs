@@ -122,9 +122,7 @@ pub fn gemv(a: &Matrix, x: &[f32]) -> Result<Vec<f32>, ShapeError> {
 }
 
 /// `y = A * x` into a caller-provided buffer — the allocation-free
-/// steady-state form. Each row is one [`simd`](crate::simd) dot product;
-/// the kernel variant is hoisted out of the row loop so every row of a
-/// call runs the same realization.
+/// steady-state form: [`gemv_batch_into`] at one lane.
 ///
 /// # Errors
 ///
@@ -138,15 +136,7 @@ pub fn gemv_into(a: &Matrix, x: &[f32], y: &mut [f32]) -> Result<(), ShapeError>
             rhs: (x.len(), 1),
         });
     }
-    rtm_trace::count_many(&[
-        (rtm_trace::key::GEMV_DENSE, 1),
-        (rtm_trace::key::KERNEL_ROWS, a.rows() as u64),
-        (rtm_trace::key::KERNEL_NNZ, (a.rows() * a.cols()) as u64),
-    ]);
-    let v = crate::simd::active_variant();
-    for (i, yi) in y.iter_mut().enumerate() {
-        *yi = crate::simd::dot_variant(v, a.row(i), x);
-    }
+    dense_rows_into(a, x, 1, y);
     Ok(())
 }
 
@@ -158,7 +148,7 @@ pub fn gemv_into(a: &Matrix, x: &[f32], y: &mut [f32]) -> Result<(), ShapeError>
 /// Lane contract: lane `j` of the result is **bit-identical** to
 /// [`gemv_into`] of lane `j`'s column under the same ambient policy (see
 /// [`simd::dot_batch_variant`](crate::simd::dot_batch_variant)). A single
-/// lane *is* [`gemv_into`] (and counts as `kernel.gemv.dense`).
+/// lane counts as `kernel.gemv.dense`, more as `kernel.gemm.dense`.
 ///
 /// # Errors
 ///
@@ -172,16 +162,25 @@ pub fn gemv_batch_into(a: &Matrix, xs: &[f32], b: usize, ys: &mut [f32]) -> Resu
             rhs: (xs.len(), b),
         });
     }
-    if b == 0 {
-        return Ok(());
+    if b > 0 {
+        dense_rows_into(a, xs, b, ys);
     }
-    // One lane is a GEMV: `dot_batch` vectorizes across lanes only, so its
-    // `b == 1` case would run the whole row through the scalar lane tail.
-    if b == 1 {
-        return gemv_into(a, xs, ys);
-    }
+    Ok(())
+}
+
+/// The one dense row loop, on validated shapes with `b ≥ 1`: counts the
+/// call, then one lane-major [`simd`](crate::simd) dot per row — total in
+/// `b`, so a single lane runs the along-row dot. The kernel variant is
+/// hoisted out of the loop so every row of a call runs the same
+/// realization.
+fn dense_rows_into(a: &Matrix, xs: &[f32], b: usize, ys: &mut [f32]) {
+    let calls = if b == 1 {
+        rtm_trace::key::GEMV_DENSE
+    } else {
+        rtm_trace::key::GEMM_DENSE
+    };
     rtm_trace::count_many(&[
-        (rtm_trace::key::GEMM_DENSE, 1),
+        (calls, 1),
         (rtm_trace::key::KERNEL_ROWS, a.rows() as u64),
         (rtm_trace::key::KERNEL_NNZ, (a.rows() * a.cols()) as u64),
     ]);
@@ -189,7 +188,6 @@ pub fn gemv_batch_into(a: &Matrix, xs: &[f32], b: usize, ys: &mut [f32]) -> Resu
     for (i, yr) in ys.chunks_exact_mut(b).enumerate() {
         crate::simd::dot_batch_variant(v, a.row(i), xs, b, yr);
     }
-    Ok(())
 }
 
 /// `y = Aᵀ * x` without materializing the transpose: one

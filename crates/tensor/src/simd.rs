@@ -34,10 +34,9 @@
 //! **Order discipline.** The vector dense dot and the vector indexed dot
 //! share the same lane grouping (consecutive chunks of one lane width, one
 //! accumulator register, identical reduction tree, in-order scalar tail),
-//! so gathering a sparse row into a dense scratch and dotting it —
-//! `rtm-exec`'s blocked BSPC kernel — produces bit-identical results to the
-//! in-register gather used by the serial SpMV. That invariant is what keeps
-//! PR 1's parallel-vs-serial bit-exactness guarantees intact under every
+//! so gathering a sparse row into a dense scratch and dotting it — the
+//! BSPC and CSB row kernels — produces bit-identical results to the
+//! in-register gather of the CSR and BBS row kernels, under every
 //! [`SimdPolicy`].
 //!
 //! **Batched lanes.** The SpMM kernels ([`dot_batch`], [`indexed_dot_batch`])
@@ -48,7 +47,12 @@
 //! variant applied to column `j`, because the batch realizations replay the
 //! serial kernels' accumulator layout and reduction tree per lane. That is
 //! what lets the batched inference path claim exact equivalence with `b`
-//! serial runs.
+//! serial runs — and what makes the batched entry points *total in `b`*:
+//! the batch realizations put the vector across lanes, which leaves one
+//! lane to the scalar replay, so at `b == 1` they run the single-vector
+//! kernel (vector along the row) instead, the same bits by the contract.
+//! The choice between the two realizations is made here, from `b`, once per
+//! primitive; no caller forks on it.
 //!
 //! Dispatch is process-global: [`active_variant`] resolves the
 //! [`SimdPolicy`] (programmatic [`set_policy`] wins over the `RTM_SIMD`
@@ -93,9 +97,8 @@ impl Variant {
     }
 
     /// The unroll factor this variant realizes (lanes processed per
-    /// iteration of the inner loop). This is the quantity the tuner's
-    /// `unroll` plan field selects; see
-    /// `rtm_compiler::tuner::variant_for_unroll`.
+    /// iteration of the inner loop) — the quantity an `ExecutionPlan`'s
+    /// `unroll` field names for codegen and the simulator.
     pub fn unroll(self) -> usize {
         match self {
             Variant::ScalarU1 => 1,
@@ -1066,11 +1069,29 @@ pub fn hadamard_into(a: &[f32], b: &[f32], out: &mut [f32]) {
 /// [`dot_variant`]`(v, a, column_j)` — the SpMM building block inherits the
 /// single-vector kernels' numeric behaviour per stream, in every variant.
 ///
+/// Total in `b`: the batch realizations vectorize across lanes, so a single
+/// lane runs [`dot_variant`] (vector along the row) — by the lane contract
+/// the same bits. Callers never branch on `b == 1` themselves.
+///
 /// # Panics
 ///
 /// Panics if `out.len() != b` or `xs.len() != a.len() * b`.
+#[inline]
 pub fn dot_batch_variant(v: Variant, a: &[f32], xs: &[f32], b: usize, out: &mut [f32]) {
-    assert_eq!(out.len(), b, "dot_batch: output length mismatch");
+    // Inlined down to this route, with a plain `assert!` (`assert_eq!` keeps
+    // both operands addressable): a 10×-pruned 1024-wide gate has ten-value
+    // rows, where anything more per row shows in the frame time.
+    assert!(out.len() == b, "dot_batch: output length mismatch");
+    if b == 1 {
+        // Checks `a` against the single lane itself.
+        out[0] = dot_variant(v, a, xs);
+    } else {
+        dot_lanes(v, a, xs, b, out);
+    }
+}
+
+/// The across-lane realizations of [`dot_batch_variant`] (`b != 1`).
+fn dot_lanes(v: Variant, a: &[f32], xs: &[f32], b: usize, out: &mut [f32]) {
     assert_eq!(
         xs.len(),
         a.len() * b,
@@ -1104,12 +1125,15 @@ pub fn dot_batch(a: &[f32], xs: &[f32], b: usize, out: &mut [f32]) {
 ///
 /// Lane contract: `out[j]` is **bit-identical** to
 /// [`indexed_dot_variant`]`(v, vals, idx, column_j)` in every variant.
+/// Total in `b` like [`dot_batch_variant`]: a single lane runs
+/// [`indexed_dot_variant`].
 ///
 /// # Panics
 ///
 /// Panics if `vals` and `idx` lengths differ, `out.len() != b`, `xs.len()`
 /// is not a multiple of `b`, or an index is out of range for `xs.len() / b`
 /// elements.
+#[inline]
 pub fn indexed_dot_batch_variant(
     v: Variant,
     vals: &[f32],
@@ -1118,8 +1142,18 @@ pub fn indexed_dot_batch_variant(
     b: usize,
     out: &mut [f32],
 ) {
+    assert!(out.len() == b, "indexed_dot_batch: output length mismatch");
+    if b == 1 {
+        // Checks the lengths and the index range itself.
+        out[0] = indexed_dot_variant(v, vals, idx, xs);
+    } else {
+        indexed_dot_lanes(v, vals, idx, xs, b, out);
+    }
+}
+
+/// The across-lane realizations of [`indexed_dot_batch_variant`] (`b != 1`).
+fn indexed_dot_lanes(v: Variant, vals: &[f32], idx: &[u32], xs: &[f32], b: usize, out: &mut [f32]) {
     assert_eq!(vals.len(), idx.len(), "indexed_dot_batch: length mismatch");
-    assert_eq!(out.len(), b, "indexed_dot_batch: output length mismatch");
     if b == 0 {
         return;
     }

@@ -33,11 +33,6 @@ pub fn dot_i8_variant(v: Variant, a: &[i8], b: &[i8]) -> i32 {
     }
 }
 
-/// [`dot_i8_variant`] at the policy-selected variant.
-pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    dot_i8_variant(crate::simd::active_variant(), a, b)
-}
-
 fn dot_i8_scalar(a: &[i8], b: &[i8]) -> i32 {
     let mut acc = 0i32;
     for (&x, &y) in a.iter().zip(b) {
@@ -159,61 +154,6 @@ pub fn row_quad_block_dots_i8(
     rows.map(|r| row_block_dots_i8_scalar(r, gathered, seg_lens, scales))
 }
 
-/// Exact integer indexed dot `Σ vals[k]·x[idx[k]]` (the CSR/BSPC row shape).
-///
-/// The gather is scalar on every variant — integer accumulation is
-/// order-insensitive, so there is nothing to keep bit-compatible and the
-/// gather latency dominates any SIMD multiply.
-///
-/// # Panics
-///
-/// Panics if `vals` and `idx` differ in length or an index is out of range.
-pub fn indexed_dot_i8_variant(_v: Variant, vals: &[i8], idx: &[u32], x: &[i8]) -> i32 {
-    assert_eq!(vals.len(), idx.len(), "indexed_dot_i8 length mismatch");
-    let mut acc = 0i32;
-    for (&q, &i) in vals.iter().zip(idx) {
-        acc += q as i32 * x[i as usize] as i32;
-    }
-    acc
-}
-
-/// Batched exact integer dot: `out[j] += Σ_k a[k]·xs[k·b + j]` for each of
-/// the `b` lane-major columns of `xs`. Callers zero or seed `out`.
-///
-/// Dispatches on the process-global SIMD policy; every variant produces
-/// the same `i32` lane sums (integer accumulation is exact and
-/// order-insensitive), so this never affects any bit-exactness contract.
-///
-/// # Panics
-///
-/// Panics when `xs` is not `[a.len() × b]` or `out` is not `b` long.
-pub fn dot_batch_i8_accumulate(a: &[i8], xs: &[i8], b: usize, out: &mut [i32]) {
-    assert_eq!(out.len(), b, "dot_batch_i8 output length");
-    assert_eq!(xs.len(), a.len() * b, "dot_batch_i8 input plane");
-    #[cfg(target_arch = "x86_64")]
-    {
-        if crate::simd::active_variant() == Variant::Vector
-            && crate::simd::vector_available()
-            && b >= 8
-        {
-            // Safety: vector_available() verified avx2 support at runtime.
-            unsafe { x86::dot_batch_i8_accumulate(a, xs, b, out) };
-            return;
-        }
-    }
-    dot_batch_i8_scalar(a, xs, b, out);
-}
-
-fn dot_batch_i8_scalar(a: &[i8], xs: &[i8], b: usize, out: &mut [i32]) {
-    for (k, &w) in a.iter().enumerate() {
-        let w = w as i32;
-        let lanes = &xs[k * b..(k + 1) * b];
-        for (o, &x) in out.iter_mut().zip(lanes) {
-            *o += w * x as i32;
-        }
-    }
-}
-
 /// Fused per-row *batched* int8 kernel — the lane-major register tile.
 ///
 /// `gathered` is the row's activation plane, lane-major (`[len × b]` with
@@ -230,13 +170,14 @@ fn dot_batch_i8_scalar(a: &[i8], xs: &[i8], b: usize, out: &mut [i32]) {
 /// batched engines inherit the serial≡batched bit-exactness contract from
 /// this one call.
 ///
-/// This replaces the old three-pass shape (zero an `i32` scratch row, run
-/// [`dot_batch_i8_accumulate`] through memory, fold a `partial` array per
-/// block): lanes are processed in tiles of 8, the integer accumulator and
-/// the f32 partial both live in registers for the whole row, and the
-/// per-block scale fold touches memory once per row instead of once per
-/// block. Every variant returns the same bits (exact i32 dots; identical
-/// f32 combination order).
+/// Lanes are processed in tiles of 8: the integer accumulator and the f32
+/// partial both live in registers for the whole row, and the per-block
+/// scale fold touches memory once per row. Every variant returns the same
+/// bits (exact i32 dots; identical f32 combination order).
+///
+/// Total in `b`: the tile vectorizes across lanes, so a single lane runs
+/// `sxs[0] · `[`row_block_dots_i8`] (vector along the row) — the formula
+/// above at `b == 1`, the same bits.
 ///
 /// # Panics
 ///
@@ -254,6 +195,13 @@ pub fn row_block_dots_batch_i8(
     sxs: &[f32],
     out: &mut [f32],
 ) {
+    assert_eq!(sxs.len(), b, "one activation scale per lane");
+    assert_eq!(out.len(), b, "one output per lane");
+    if b == 1 {
+        // Checks the row, segment and scale shapes itself.
+        out[0] = sxs[0] * row_block_dots_i8(v, vals, gathered, seg_lens, scales);
+        return;
+    }
     assert_eq!(gathered.len(), vals.len() * b, "lane-major plane shape");
     assert_eq!(seg_lens.len(), scales.len(), "one scale per segment");
     assert_eq!(
@@ -261,8 +209,6 @@ pub fn row_block_dots_batch_i8(
         vals.len(),
         "segment lengths cover the row"
     );
-    assert_eq!(sxs.len(), b, "one activation scale per lane");
-    assert_eq!(out.len(), b, "one output per lane");
     #[cfg(target_arch = "x86_64")]
     {
         if v == Variant::Vector && crate::simd::vector_available() && b >= 8 {
@@ -282,7 +228,9 @@ pub fn row_block_dots_batch_i8(
 /// two stored elements per instruction, the same element-pairing that
 /// makes the serial int8 SpMV faster than f32. `out` is row-major
 /// `[4 × b]`: row `i`, lane `j` at `out[i·b + j]`. Exactness is per
-/// (row, lane), identical to four single-row calls on every variant.
+/// (row, lane), identical to four single-row calls on every variant. A
+/// single lane runs `sxs[0] · `[`row_quad_block_dots_i8`], like the
+/// single-row tile.
 ///
 /// # Panics
 ///
@@ -299,6 +247,16 @@ pub fn row_quad_block_dots_batch_i8(
     sxs: &[f32],
     out: &mut [f32],
 ) {
+    assert_eq!(sxs.len(), b, "one activation scale per lane");
+    assert_eq!(out.len(), 4 * b, "one output per row per lane");
+    if b == 1 {
+        // Checks the row, segment and scale shapes itself.
+        let quad = row_quad_block_dots_i8(v, rows, gathered, seg_lens, scales);
+        for (o, acc) in out.iter_mut().zip(quad) {
+            *o = sxs[0] * acc;
+        }
+        return;
+    }
     for r in rows {
         assert_eq!(gathered.len(), r.len() * b, "lane-major plane shape");
     }
@@ -308,8 +266,6 @@ pub fn row_quad_block_dots_batch_i8(
         gathered.len(),
         "segment lengths cover the row"
     );
-    assert_eq!(sxs.len(), b, "one activation scale per lane");
-    assert_eq!(out.len(), 4 * b, "one output per row per lane");
     #[cfg(target_arch = "x86_64")]
     {
         if v == Variant::Vector && crate::simd::vector_available() && b >= 8 {
@@ -655,9 +611,7 @@ mod x86 {
     /// AVX2 lane-major register tile (see the dispatching wrapper for the
     /// contract). Eight lanes per tile: the i32 accumulator is zeroed per
     /// segment and the f32 partial per row, both staying in ymm registers —
-    /// the output is touched exactly once per row per lane, versus the old
-    /// load/store round trip per stored element the memory-bound
-    /// [`dot_batch_i8_accumulate`] shape paid.
+    /// the output is touched exactly once per row per lane.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn row_block_dots_batch_i8(
@@ -834,32 +788,6 @@ mod x86 {
             }
         }
     }
-
-    /// AVX2 batched int8 accumulate: 8 i32 lanes per step; the weight is
-    /// broadcast and widened once per element. Exact (`|w·x| ≤ 16129`
-    /// fits i32, `_mm256_mullo_epi32` is a full 32-bit multiply).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_batch_i8_accumulate(a: &[i8], xs: &[i8], b: usize, out: &mut [i32]) {
-        let chunks = b / 8 * 8;
-        for (k, &w) in a.iter().enumerate() {
-            let wv = _mm256_set1_epi32(w as i32);
-            let lanes = xs.as_ptr().add(k * b);
-            let mut j = 0usize;
-            while j < chunks {
-                let x = _mm256_cvtepi8_epi32(_mm_loadl_epi64(lanes.add(j) as *const __m128i));
-                let o = out.as_mut_ptr().add(j) as *mut __m256i;
-                _mm256_storeu_si256(
-                    o,
-                    _mm256_add_epi32(_mm256_loadu_si256(o), _mm256_mullo_epi32(wv, x)),
-                );
-                j += 8;
-            }
-            while j < b {
-                *out.get_unchecked_mut(j) += w as i32 * *lanes.add(j) as i32;
-                j += 1;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -902,12 +830,15 @@ mod tests {
         let x = codes(80, 4);
         let idx: Vec<u32> = (0..50).map(|i| ((i * 13) % 80) as u32).collect();
         let gathered: Vec<i8> = idx.iter().map(|&i| x[i as usize]).collect();
+        // What the CSR/BBS int8 rows rely on: gathering the codes and
+        // running the dense dot is the indexed walk's exact sum.
+        let indexed: i32 = vals
+            .iter()
+            .zip(&idx)
+            .map(|(&q, &i)| q as i32 * x[i as usize] as i32)
+            .sum();
         for v in Variant::ALL {
-            assert_eq!(
-                indexed_dot_i8_variant(v, &vals, &idx, &x),
-                dot_i8_variant(v, &vals, &gathered),
-                "{v:?}"
-            );
+            assert_eq!(dot_i8_variant(v, &vals, &gathered), indexed, "{v:?}");
         }
     }
 
@@ -981,35 +912,6 @@ mod tests {
                     unsafe { x86::row_quad_block_dots_i8(row_refs, &gathered, &seg_lens, &scales) };
                 for (g, w) in hw.iter().zip(&want) {
                     assert_eq!(g.to_bits(), w.to_bits(), "direct avx2");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batch_accumulate_variants_agree_exactly() {
-        // Lane counts around the 8-wide AVX2 step, element counts with tails.
-        for (n, b) in [
-            (1usize, 1usize),
-            (5, 7),
-            (33, 8),
-            (40, 9),
-            (17, 16),
-            (3, 24),
-        ] {
-            let a = codes(n, 9);
-            let xs = codes(n * b, 10);
-            let mut want = vec![0i32; b];
-            dot_batch_i8_scalar(&a, &xs, b, &mut want);
-            let mut got = vec![0i32; b];
-            dot_batch_i8_accumulate(&a, &xs, b, &mut got);
-            assert_eq!(got, want, "n={n} b={b}");
-            #[cfg(target_arch = "x86_64")]
-            {
-                if crate::simd::vector_available() {
-                    let mut hw = vec![0i32; b];
-                    unsafe { x86::dot_batch_i8_accumulate(&a, &xs, b, &mut hw) };
-                    assert_eq!(hw, want, "avx2 n={n} b={b}");
                 }
             }
         }
@@ -1104,23 +1006,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn batch_lane_matches_serial_column() {
-        let a = codes(40, 5);
-        let b = 6usize;
-        let xs = codes(40 * b, 6);
-        let mut out = vec![0i32; b];
-        dot_batch_i8_accumulate(&a, &xs, b, &mut out);
-        for j in 0..b {
-            let col: Vec<i8> = (0..40).map(|k| xs[k * b + j]).collect();
-            assert_eq!(
-                out[j],
-                dot_i8_variant(Variant::ScalarU8, &a, &col),
-                "lane {j}"
-            );
         }
     }
 

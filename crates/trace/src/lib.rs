@@ -215,8 +215,6 @@ pub mod key {
     pub const SERVE_RELOAD_ROLLBACK: &str = "serve.reload.rollback";
     /// Gauge: generation of the bundle admitting new streams.
     pub const SERVE_GENERATION: &str = "serve.generation";
-    /// Unroll candidates timed by the tuner's measured-cost hook.
-    pub const TUNER_MEASUREMENTS: &str = "tuner.unroll_measurements";
     /// Precision candidates timed by the tuner's per-layer precision hook.
     pub const TUNER_PRECISION_MEASUREMENTS: &str = "tuner.precision_measurements";
     /// (format × precision) candidates timed by the tuner's per-layer

@@ -128,4 +128,10 @@ out=$(cargo run -q "${profile[@]}" -p rtmobile --bin rtm -- \
   inspect target/quick/compile_smoke.rtm)
 [[ $(grep -c "checksum ok" <<< "$out") -eq 3 ]]
 
+# Informational, never failing: the non-test line counts of the kernel
+# layer, the figure the simplicity PRs' acceptance tables quote.
+echo "==> non-test lines of the kernel layer (scripts/loc.sh)"
+scripts/loc.sh crates/sparse/src/{bspc,csr,bbs,csb,kernel,scratch}.rs \
+  crates/tensor/src/{simd,simd_i8,gemm}.rs crates/exec/src/{spmv,dense}.rs || true
+
 echo "CI gate passed."

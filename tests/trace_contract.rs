@@ -14,7 +14,9 @@
 //!   `stored_len` (== nnz) touched values, and the executor entry adds the
 //!   same amounts to the same keys (never double-counted) — for every
 //!   format × precision × lane count the serial and pooled entries leave
-//!   identical `kernel.*` counters, under the documented literal names;
+//!   identical `kernel.*` counters, under the documented literal names,
+//!   and so do the dense entries (nothing for the empty product,
+//!   `kernel.gemv.dense` at one lane, `kernel.gemm.dense` above);
 //! * a single stream is a vector product: `forward_with` counts six
 //!   `kernel.spmv.*` per layer-step and one `kernel.gemv.dense` per frame,
 //!   never the batched `kernel.spmm.*` / `kernel.gemm.dense` keys;
@@ -196,6 +198,47 @@ fn serial_and_pooled_counters_agree_for_every_format_precision_and_batch() {
                     );
                 }
             }
+        }
+    }
+    rtm_trace::set_config(TraceConfig::off());
+}
+
+#[test]
+fn serial_and_pooled_dense_counters_agree_at_every_lane_count() {
+    let _guard = traced();
+    let w = bsp_weight(32, 24);
+    let reg = rtm_trace::global();
+    let kernel_counters = || -> Vec<(String, u64)> {
+        let counters = reg.counters();
+        counters
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("kernel."))
+            .collect()
+    };
+    let pools = [Executor::new(1), Executor::new(3)];
+
+    for b in [0usize, 1, 3] {
+        let xs = vec![0.25f32; 24 * b];
+        let mut ys = vec![0.0f32; 32 * b];
+
+        reg.reset();
+        rtm_tensor::gemm::gemv_batch_into(&w, &xs, b, &mut ys).unwrap();
+        let serial = kernel_counters();
+        // The empty product counts nothing; one lane is a GEMV.
+        assert_eq!(serial.is_empty(), b == 0);
+        let gemv = reg.counter(rtm_trace::key::GEMV_DENSE);
+        let gemm = reg.counter(rtm_trace::key::GEMM_DENSE);
+        assert_eq!((gemv, gemm), (u64::from(b == 1), u64::from(b > 1)), "b={b}");
+
+        for exec in &pools {
+            reg.reset();
+            exec.gemm_dense_into(&w, &xs, b, &mut ys).unwrap();
+            assert_eq!(
+                kernel_counters(),
+                serial,
+                "b={b} at {} threads",
+                exec.threads()
+            );
         }
     }
     rtm_trace::set_config(TraceConfig::off());
