@@ -78,7 +78,7 @@ fn steady_state_kernels_allocate_nothing() {
 
     for k in formats {
         for prec in [Precision::F32, Precision::F16, Precision::Int8] {
-            for b in [1usize, 8, 12] {
+            for b in [1usize, 7, 8, 12] {
                 let xs: Vec<f32> = (0..cols * b).map(|i| (i as f32 * 0.37).sin()).collect();
                 let mut ys = vec![0.0f32; rows * b];
                 let what = format!("{} {prec:?} b={b}", k.tag());
