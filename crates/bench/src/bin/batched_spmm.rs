@@ -7,10 +7,10 @@
 //! per-stream cost of a sparse matvec fall below running `b` serial SpMVs?
 //!
 //! For each format (BSPC, CSR, dense) × thread count {1, 4} × batch width
-//! b ∈ {1, 2, 4, 8, 16}, the 1024×1024 BSP-patterned matrix at 10×
-//! compression is applied to a lane-major `[cols × b]` input through the
-//! parallel engine's SpMM path (the generic `Executor::spmm_into` /
-//! `gemm_dense_into`). Reported per row:
+//! b ∈ {1, 2, 4, 7, 8, 12, 16} (partial register tiles beside full ones),
+//! the 1024×1024 BSP-patterned matrix at 10× compression is applied to a
+//! lane-major `[cols × b]` input through the parallel engine's SpMM path
+//! (the generic `Executor::spmm_into` / `gemm_dense_into`). Reported per row:
 //!
 //! * `wall_us` — one batched pass over all `b` lanes;
 //! * `per_stream_us` — `wall_us / b`, the effective per-utterance cost;
@@ -32,7 +32,7 @@ use rtm_tensor::rng::StdRng;
 const STRIPES: usize = 8;
 const BLOCKS: usize = 8;
 const RATE: f64 = 10.0;
-const BATCHES: [usize; 5] = [1, 2, 4, 8, 16];
+const BATCHES: [usize; 7] = [1, 2, 4, 7, 8, 12, 16];
 const THREADS: [usize; 2] = [1, 4];
 
 struct Row {

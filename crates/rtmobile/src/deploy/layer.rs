@@ -4,7 +4,7 @@
 use super::format::{GateMatrix, RuntimeFormat, RuntimePrecision};
 use rtm_exec::ExecError;
 use rtm_tensor::activations::{sigmoid_slice, tanh_slice};
-use rtm_tensor::f16::quantize_f16;
+use rtm_tensor::f16::{quantize_f16, quantize_f16_slice};
 use rtm_tensor::Vector;
 
 /// One compiled GRU layer: six sparse gate matrices plus biases, executed
@@ -190,11 +190,11 @@ impl CompiledGruLayer {
         scratch: &mut GruRuntimeScratch,
         hs_out: &mut Vec<f32>,
     ) -> Result<(), ExecError> {
+        // Hardware rounding where the host has it; the reference step keeps
+        // the software conversion, and the two agree on every `f32`.
         let quantize = |v: &mut [f32]| {
             if precision == RuntimePrecision::F16 {
-                for e in v.iter_mut() {
-                    *e = quantize_f16(*e);
-                }
+                quantize_f16_slice(v);
             }
         };
         let prec = precision.storage();

@@ -82,8 +82,11 @@ impl F16 {
             }
             return F16(out);
         }
-        if unbiased >= -24 {
-            // Subnormal range: implicit leading 1 becomes explicit.
+        if unbiased >= -25 {
+            // Subnormal range: implicit leading 1 becomes explicit. The
+            // binade below the smallest subnormal 2^-24 belongs here too:
+            // it shifts out whole, and everything above the tie 2^-25
+            // rounds up to 0x0001.
             let full_mant = mant | 0x0080_0000;
             let shift = (-14 - unbiased) as u32 + 13;
             let shifted = full_mant >> shift;
@@ -173,7 +176,22 @@ pub fn quantize_f16(x: f32) -> f32 {
 }
 
 /// Quantizes every element of a slice through f16 precision in place.
+///
+/// On x86-64 hosts with F16C this is the hardware `vcvtps2ph` →
+/// `vcvtph2ps` round trip (8 elements per step). It is the same function as
+/// [`quantize_f16`] on every one of the 2³² `f32` bit patterns —
+/// round-to-nearest-even, gradual underflow, quieted NaN payloads — so the
+/// production GRU step rounds its gate planes here while the reference
+/// step keeps the software conversion, and the two stay bit-identical.
 pub fn quantize_f16_slice(xs: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if f16c_available() {
+            // SAFETY: the feature check gates the target_feature fn.
+            unsafe { x86_f16c::round_trip(xs) };
+            return;
+        }
+    }
     for x in xs {
         *x = quantize_f16(*x);
     }
@@ -211,7 +229,7 @@ pub fn f16_bits_to_f32(src: &[u16], dst: &mut [f32]) {
         if f16c_available() {
             // SAFETY: the feature check gates the target_feature fn; `dst`
             // holds exactly `src.len()` elements (asserted above).
-            unsafe { x86_decode::convert(src, dst) };
+            unsafe { x86_f16c::decode(src, dst) };
             return;
         }
     }
@@ -220,7 +238,7 @@ pub fn f16_bits_to_f32(src: &[u16], dst: &mut [f32]) {
     }
 }
 
-/// Whether the hardware f16 decode path is compiled in and available.
+/// Whether the hardware f16 conversions are compiled in and available.
 #[cfg(target_arch = "x86_64")]
 fn f16c_available() -> bool {
     use std::sync::atomic::{AtomicU8, Ordering};
@@ -237,7 +255,7 @@ fn f16c_available() -> bool {
 }
 
 #[cfg(target_arch = "x86_64")]
-mod x86_decode {
+mod x86_f16c {
     use std::arch::x86_64::*;
 
     /// F16C bulk decode of `src` into `dst`.
@@ -247,7 +265,7 @@ mod x86_decode {
     /// The CPU must support F16C, and `dst` must be at least as long as
     /// `src`.
     #[target_feature(enable = "f16c")]
-    pub unsafe fn convert(src: &[u16], dst: &mut [f32]) {
+    pub unsafe fn decode(src: &[u16], dst: &mut [f32]) {
         let n = src.len();
         let out = dst.as_mut_ptr();
         let mut k = 0usize;
@@ -264,6 +282,28 @@ mod x86_decode {
                 *out.add(k) = super::F16::from_bits(*src.get_unchecked(k)).to_f32();
                 k += 1;
             }
+        }
+    }
+
+    /// F16C round trip `f32 → f16 → f32` over `xs` in place, rounding to
+    /// nearest even (the immediate is the 3-bit rounding control).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support F16C.
+    #[target_feature(enable = "f16c")]
+    pub unsafe fn round_trip(xs: &mut [f32]) {
+        let mut chunks = xs.chunks_exact_mut(8);
+        for c in &mut chunks {
+            // SAFETY: `c` is exactly eight `f32`s; the unaligned load/store
+            // intrinsics carry no alignment requirement.
+            unsafe {
+                let h = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(_mm256_loadu_ps(c.as_ptr()));
+                _mm256_storeu_ps(c.as_mut_ptr(), _mm256_cvtph_ps(h));
+            }
+        }
+        for x in chunks.into_remainder() {
+            *x = super::quantize_f16(*x);
         }
     }
 }
@@ -308,6 +348,22 @@ mod tests {
         let tiny = 2.0f32.powi(-24);
         assert_eq!(F16::from_f32(tiny).to_bits(), 1);
         assert_eq!(F16::from_bits(1).to_f32(), tiny);
+    }
+
+    #[test]
+    fn rounds_to_nearest_even_below_the_smallest_subnormal() {
+        // (2^-25, 2^-24) is nearer to 2^-24 (0x0001) than to zero; the tie
+        // 2^-25 itself goes to the even neighbour, zero. `4.0e-8` is
+        // `sigmoid(-17)`, so real activations land here.
+        let tie = 2.0f32.powi(-25);
+        let above_tie = f32::from_bits(tie.to_bits() + 1);
+        let below_min = f32::from_bits(2.0f32.powi(-24).to_bits() - 1);
+        for (sign, sign_bit) in [(1.0f32, 0u16), (-1.0, 0x8000)] {
+            assert_eq!(F16::from_f32(sign * tie).to_bits(), sign_bit);
+            assert_eq!(F16::from_f32(sign * above_tie).to_bits(), sign_bit | 1);
+            assert_eq!(F16::from_f32(sign * 4.0e-8).to_bits(), sign_bit | 1);
+            assert_eq!(F16::from_f32(sign * below_min).to_bits(), sign_bit | 1);
+        }
     }
 
     #[test]
@@ -386,6 +442,110 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Whether `quantize_f16_slice` takes the F16C path on this host.
+    fn hardware_rounding() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return f16c_available();
+        #[cfg(not(target_arch = "x86_64"))]
+        return false;
+    }
+
+    /// Asserts `quantize_f16_slice` ≡ per-element `quantize_f16`, bit for
+    /// bit, on `inputs` taken as one slice.
+    fn assert_slice_matches_scalar(inputs: &[f32]) {
+        let mut got = inputs.to_vec();
+        quantize_f16_slice(&mut got);
+        for (i, (&x, &g)) in inputs.iter().zip(&got).enumerate() {
+            let want = quantize_f16(x);
+            assert_eq!(
+                g.to_bits(),
+                want.to_bits(),
+                "element {i} of {}: input {:#010x}",
+                inputs.len(),
+                x.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn slice_rounding_matches_scalar_at_every_f16_boundary() {
+        if !hardware_rounding() {
+            println!("skipped: no F16C, quantize_f16_slice is the scalar loop");
+            return;
+        }
+        let neighbours = |x: f32| {
+            let b = x.to_bits();
+            [b.wrapping_sub(1), b, b.wrapping_add(1)].map(f32::from_bits)
+        };
+        // (a) Every f16 value, and the midpoint to the next f16 of the same
+        // sign (above 65504 that is the overflow threshold 65520), each with
+        // its two f32 neighbours. Both sums are exact in f32.
+        let mut inputs = Vec::with_capacity(6 << 16);
+        for h in 0..=u16::MAX {
+            let v = F16::from_bits(h).to_f32();
+            inputs.extend(neighbours(v));
+            if v.is_finite() {
+                let next = match h & 0x7FFF {
+                    0x7BFF => 65536.0f32.copysign(v),
+                    _ => F16::from_bits(h + 1).to_f32(),
+                };
+                inputs.extend(neighbours((v + next) / 2.0));
+            }
+        }
+        // (b) Zeros, infinities, quiet and signalling NaNs with payloads,
+        // f32 subnormals, and the overflow edge.
+        for bits in [
+            0x0000_0000u32,
+            0x7F80_0000,
+            0x7FC0_0000,
+            0x7FC0_1234,
+            0x7FFF_FFFF,
+            0x7F80_0001,
+            0x7FA5_5555,
+            0x7F80_2000,
+            0x0000_0001,
+            0x0040_0000,
+            0x007F_FFFF,
+            65504.0f32.to_bits(),
+            65520.0f32.to_bits(),
+            f32::MAX.to_bits(),
+        ] {
+            inputs.extend([bits, bits | 0x8000_0000].map(f32::from_bits));
+        }
+        assert_slice_matches_scalar(&inputs);
+        // (c) Every remainder of the 8-wide step, at shifting offsets so the
+        // scalar remainder sees boundary values too.
+        for len in 0..=17 {
+            for start in (0..inputs.len() - len).step_by(4099) {
+                assert_slice_matches_scalar(&inputs[start..start + len]);
+            }
+        }
+    }
+
+    /// All 2³² inputs on two threads: ≈ 12 s in release, hours in debug —
+    /// `scripts/ci.sh` runs it with `--release -- --ignored`.
+    #[test]
+    #[ignore = "exhaustive over 2^32 inputs; run in release"]
+    fn slice_rounding_matches_scalar_on_every_f32() {
+        if !hardware_rounding() {
+            println!("skipped: no F16C, quantize_f16_slice is the scalar loop");
+            return;
+        }
+        std::thread::scope(|s| {
+            for half in 0..2u32 {
+                s.spawn(move || {
+                    let mut buf = vec![0.0f32; 1 << 16];
+                    for block in (half << 15)..((half + 1) << 15) {
+                        for (i, x) in buf.iter_mut().enumerate() {
+                            *x = f32::from_bits((block << 16) | i as u32);
+                        }
+                        assert_slice_matches_scalar(&buf);
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -48,11 +48,22 @@
 //! serial kernels' accumulator layout and reduction tree per lane. That is
 //! what lets the batched inference path claim exact equivalence with `b`
 //! serial runs — and what makes the batched entry points *total in `b`*:
-//! the batch realizations put the vector across lanes, which leaves one
-//! lane to the scalar replay, so at `b == 1` they run the single-vector
+//! the batch realizations put the vector across lanes, where one lane would
+//! fill an eighth of a register, so at `b == 1` they run the single-vector
 //! kernel (vector along the row) instead, the same bits by the contract.
 //! The choice between the two realizations is made here, from `b`, once per
 //! primitive; no caller forks on it.
+//!
+//! **Lane tails.** On AVX2 the `b % 8` lanes after the last full group of
+//! eight are one more register tile, loaded with `vmaskmovps` and stored
+//! through the same mask: *a partial lane group is a masked tile, never a
+//! scalar lane loop*. The masked tile runs the accumulators, the tree and
+//! the tail of a full tile, so its live lanes carry the same bits and any
+//! `b ≥ 2` costs what its `⌈b / 8⌉` tiles cost — continuous batching rarely
+//! holds a multiple of eight lanes. It is safe at the end of the buffer:
+//! lanes `jb..b` of row `k` lie inside `xs[k·b .. (k+1)·b]`, and masked-off
+//! lanes are not accessed — neither read nor written. (The NEON kernels
+//! still replay their `b % 4` tail lanes in scalar code.)
 //!
 //! Dispatch is process-global: [`active_variant`] resolves the
 //! [`SimdPolicy`] (programmatic [`set_policy`] wins over the `RTM_SIMD`
@@ -436,7 +447,7 @@ fn hadamard_into_u8(a: &[f32], b: &[f32], out: &mut [f32]) {
 // three scalar unrolls share one realization (they are already bit-exact
 // with each other per lane: single accumulator, left-to-right association);
 // the vector realization keeps the serial kernel's k-sublane accumulators
-// and replays its horizontal-reduction tree element-wise per lane.
+// and applies its horizontal-reduction tree element-wise per lane.
 // ---------------------------------------------------------------------------
 
 fn dot_batch_scalar(a: &[f32], xs: &[f32], b: usize, out: &mut [f32]) {
@@ -572,68 +583,116 @@ mod x86 {
         _mm256_add_ps(_mm256_add_ps(q0, q2), _mm256_add_ps(q1, q3))
     }
 
-    /// Scalar replay of one batch lane of the vector dot: eight k-sublane
-    /// accumulators (hardware-FMA via `mul_add`, the same single-rounding
-    /// operation as `_mm256_fmadd_ps`), the `hsum256` tree, then the
-    /// in-order mul+add tail. `fetch(k)` returns this lane's input for
-    /// element `k`.
+    /// One register tile of a batched dot: for each of the (up to eight)
+    /// lanes `j` of the group at `xp`, `op[j] = Σₖ a[k] · xp[at(k) + j]` in
+    /// exactly `dot`'s arithmetic — element `k` goes to k-sublane
+    /// accumulator `k % 8` by FMA, the accumulators meet in the `hsum256`
+    /// tree, the last `len % 8` elements follow in order as mul+add. Every
+    /// operation is element-wise across the register, so a lane's result
+    /// depends on that lane's inputs alone: whatever a masked-off lane
+    /// computes from its zeros (`∞ · 0` included) stays in that lane and is
+    /// never stored.
+    ///
+    /// # Safety
+    ///
+    /// AVX2+FMA must be available, and for every `k < a.len()` the lanes
+    /// this tile covers — eight, or those `mask` selects when `MASKED` —
+    /// must be readable at `xp + at(k)` and writable at `op`.
     #[inline]
-    fn lane_dot<F: Fn(usize) -> f32>(a: &[f32], fetch: F) -> f32 {
-        let n = a.len();
-        let chunks = n / 8;
-        let mut acc = [0.0f32; 8];
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn lane_tile<const MASKED: bool>(
+        a: &[f32],
+        at: &impl Fn(usize) -> usize,
+        xp: *const f32,
+        mask: __m256i,
+        op: *mut f32,
+    ) {
+        // A full group is a plain load; a masked load reads the lanes whose
+        // `mask` element has its sign bit set and zeroes the rest, without
+        // accessing their addresses.
+        // SAFETY: the caller vouches for the covered lanes of every row.
+        let load = |k: usize| unsafe {
+            let p = xp.add(at(k));
+            if MASKED {
+                _mm256_maskload_ps(p, mask)
+            } else {
+                _mm256_loadu_ps(p)
+            }
+        };
+        let chunks = a.len() / 8;
+        let mut acc = [_mm256_setzero_ps(); 8];
         for i in 0..chunks {
             for (l, al) in acc.iter_mut().enumerate() {
                 let k = i * 8 + l;
-                *al = a[k].mul_add(fetch(k), *al);
+                *al = _mm256_fmadd_ps(_mm256_set1_ps(a[k]), load(k), *al);
             }
         }
-        let mut sum =
-            ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]));
+        let mut s = tree_reduce8(&acc);
         for (k, &ak) in a.iter().enumerate().skip(chunks * 8) {
-            sum += ak * fetch(k);
+            s = _mm256_add_ps(s, _mm256_mul_ps(_mm256_set1_ps(ak), load(k)));
         }
-        sum
+        if MASKED {
+            _mm256_maskstore_ps(op, mask, s);
+        } else {
+            _mm256_storeu_ps(op, s);
+        }
+    }
+
+    /// `out[j] = Σₖ a[k] · xs[at(k) + j]` for all `b` lanes: `b / 8` full
+    /// tiles, then the last `b % 8` lanes as one masked tile. A partial lane
+    /// group is a masked tile, never a scalar lane loop.
+    ///
+    /// # Safety
+    ///
+    /// AVX2+FMA must be available, `out` must hold `b` elements, and for
+    /// every `k < a.len()`, `xs[at(k)..at(k) + b]` must be in bounds.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn row_lanes(
+        a: &[f32],
+        at: impl Fn(usize) -> usize,
+        xs: &[f32],
+        b: usize,
+        out: &mut [f32],
+    ) {
+        let xp = xs.as_ptr();
+        let op = out.as_mut_ptr();
+        let jb = b - b % 8;
+        // SAFETY (both tiles): lanes `j0..j0 + 8 ≤ b` of a full tile and
+        // lanes `jb..b` of the masked one lie inside `xs[at(k)..at(k) + b]`
+        // and inside `out`; the masked tile touches nothing beyond lane `b`.
+        for j0 in (0..jb).step_by(8) {
+            lane_tile::<false>(a, &at, xp.add(j0), _mm256_setzero_si256(), op.add(j0));
+        }
+        if jb < b {
+            // Lane `l` of the group is live iff `l < b - jb`.
+            let live = _mm256_set1_epi32((b - jb) as i32);
+            let mask = _mm256_cmpgt_epi32(live, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+            lane_tile::<true>(a, &at, xp.add(jb), mask, op.add(jb));
+        }
     }
 
     /// Batched dense dot: lane `j` of `out` is bit-identical to `dot` of
     /// `a` with column `j` of the lane-major `xs` buffer.
+    ///
+    /// # Safety
+    ///
+    /// AVX2+FMA must be available, `xs.len() == a.len() * b` and
+    /// `out.len() == b`.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn dot_batch(a: &[f32], xs: &[f32], b: usize, out: &mut [f32]) {
-        let n = a.len();
-        let chunks = n / 8;
-        let xp = xs.as_ptr();
-        let op = out.as_mut_ptr();
-        let jb = b - b % 8;
-        let mut j0 = 0;
-        while j0 < jb {
-            let mut acc = [_mm256_setzero_ps(); 8];
-            for i in 0..chunks {
-                for (l, al) in acc.iter_mut().enumerate() {
-                    let k = i * 8 + l;
-                    let w = _mm256_set1_ps(a[k]);
-                    let xv = _mm256_loadu_ps(xp.add(k * b + j0));
-                    *al = _mm256_fmadd_ps(w, xv, *al);
-                }
-            }
-            let mut s = tree_reduce8(&acc);
-            for (k, &ak) in a.iter().enumerate().skip(chunks * 8) {
-                let w = _mm256_set1_ps(ak);
-                let xv = _mm256_loadu_ps(xp.add(k * b + j0));
-                s = _mm256_add_ps(s, _mm256_mul_ps(w, xv));
-            }
-            _mm256_storeu_ps(op.add(j0), s);
-            j0 += 8;
-        }
-        for j in jb..b {
-            out[j] = lane_dot(a, |k| xs[k * b + j]);
-        }
+        row_lanes(a, |k| k * b, xs, b, out)
     }
 
     /// Batched indexed dot: lane `j` of `out` is bit-identical to
     /// `indexed_dot` against column `j` of the lane-major `xs` buffer. One
-    /// index walk feeds all lanes; the loads across the batch dimension are
-    /// unit-stride (no gathers).
+    /// index walk feeds all lanes of a tile; the loads across the batch
+    /// dimension are unit-stride (no gathers).
+    ///
+    /// # Safety
+    ///
+    /// AVX2+FMA must be available, `idx.len() == vals.len()`, every index
+    /// must be below `xs.len() / b`, and `out.len() == b`.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn indexed_dot_batch(
         vals: &[f32],
@@ -642,34 +701,7 @@ mod x86 {
         b: usize,
         out: &mut [f32],
     ) {
-        let n = vals.len();
-        let chunks = n / 8;
-        let xp = xs.as_ptr();
-        let op = out.as_mut_ptr();
-        let jb = b - b % 8;
-        let mut j0 = 0;
-        while j0 < jb {
-            let mut acc = [_mm256_setzero_ps(); 8];
-            for i in 0..chunks {
-                for (l, al) in acc.iter_mut().enumerate() {
-                    let k = i * 8 + l;
-                    let w = _mm256_set1_ps(vals[k]);
-                    let xv = _mm256_loadu_ps(xp.add(idx[k] as usize * b + j0));
-                    *al = _mm256_fmadd_ps(w, xv, *al);
-                }
-            }
-            let mut s = tree_reduce8(&acc);
-            for k in chunks * 8..n {
-                let w = _mm256_set1_ps(vals[k]);
-                let xv = _mm256_loadu_ps(xp.add(idx[k] as usize * b + j0));
-                s = _mm256_add_ps(s, _mm256_mul_ps(w, xv));
-            }
-            _mm256_storeu_ps(op.add(j0), s);
-            j0 += 8;
-        }
-        for j in jb..b {
-            out[j] = lane_dot(vals, |k| xs[idx[k] as usize * b + j]);
-        }
+        row_lanes(vals, |k| idx[k] as usize * b, xs, b, out)
     }
 }
 
@@ -925,7 +957,8 @@ fn hadamard_into_vector(a: &[f32], b: &[f32], out: &mut [f32]) {
 fn dot_batch_vector(a: &[f32], xs: &[f32], b: usize, out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if vector_available() {
-        // SAFETY: AVX2+FMA presence verified by `vector_available`.
+        // SAFETY: AVX2+FMA presence verified by `vector_available`; the
+        // lengths by `dot_batch_variant` and `dot_lanes`, the only callers.
         return unsafe { x86::dot_batch(a, xs, b, out) };
     }
     #[cfg(target_arch = "aarch64")]
@@ -941,7 +974,9 @@ fn dot_batch_vector(a: &[f32], xs: &[f32], b: usize, out: &mut [f32]) {
 fn indexed_dot_batch_vector(vals: &[f32], idx: &[u32], xs: &[f32], b: usize, out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if vector_available() {
-        // SAFETY: AVX2+FMA presence verified by `vector_available`.
+        // SAFETY: AVX2+FMA presence verified by `vector_available`; the
+        // lengths and the index range by `indexed_dot_batch_variant` and
+        // `indexed_dot_lanes`, the only callers.
         return unsafe { x86::indexed_dot_batch(vals, idx, xs, b, out) };
     }
     #[cfg(target_arch = "aarch64")]
@@ -1440,9 +1475,11 @@ mod tests {
         // The batched kernels' core contract: every lane is bit-identical to
         // the serial kernel of the same variant on that lane's column, across
         // ragged nnz counts AND ragged batch widths (tails on both axes).
+        // Every tail width around two register tiles; `xs` and `out` are
+        // exact-length, so the last row's tail ends where the buffer ends.
         let mut rng = StdRng::seed_from_u64(0xBA7C);
-        for n in [0usize, 1, 5, 8, 9, 24, 61] {
-            for b in [1usize, 2, 3, 4, 7, 8, 9, 16, 19] {
+        for n in [0usize, 1, 5, 7, 8, 9, 24, 61, 102] {
+            for b in (1usize..=17).chain([19]) {
                 let a = rand_vec(n, &mut rng);
                 let xs = rand_vec(n * b, &mut rng);
                 for v in Variant::ALL {
@@ -1466,11 +1503,15 @@ mod tests {
     fn batched_indexed_dot_lanes_match_serial_columns() {
         let mut rng = StdRng::seed_from_u64(0x1BA7);
         let x_len = 90usize;
-        for n in [0usize, 2, 8, 11, 29, 57] {
-            for b in [1usize, 3, 4, 8, 13, 16] {
+        for n in [0usize, 1, 2, 7, 8, 9, 11, 29, 57, 102] {
+            for b in 1usize..=17 {
                 let vals = rand_vec(n, &mut rng);
                 let mut idx: Vec<u32> = (0..n).map(|_| rng.next_u32() % x_len as u32).collect();
                 idx.sort_unstable();
+                // The last row of `xs`: its tail lanes end the buffer.
+                if let Some(last) = idx.last_mut() {
+                    *last = x_len as u32 - 1;
+                }
                 let xs = rand_vec(x_len * b, &mut rng);
                 for v in Variant::ALL {
                     let mut out = vec![f32::NAN; b];
@@ -1483,6 +1524,55 @@ mod tests {
                             "{} nnz={n} b={b} lane {j}",
                             v.name()
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_lanes_are_independent_under_non_finite_data() {
+        // ±∞ / NaN weights against lanes whose inputs are all zero (every
+        // third lane: ∞ · 0 = NaN) next to lanes with finite inputs (±∞): a
+        // lane's result is its serial result whatever its neighbours — or the
+        // zero-filled masked-off lanes of a partial tile — compute, and
+        // nothing is stored past lane `b`.
+        let same = |x: f32, y: f32| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+        let mut rng = StdRng::seed_from_u64(0x1F);
+        for n in [9usize, 102] {
+            let poisons: [&[(usize, f32)]; 4] = [
+                &[(1, f32::INFINITY)],
+                &[(n - 1, f32::NEG_INFINITY)],
+                &[(n / 2, f32::NAN)],
+                &[(0, f32::INFINITY), (n - 1, f32::NEG_INFINITY)],
+            ];
+            let idx: Vec<u32> = (0..n as u32).rev().collect();
+            for poison in poisons {
+                let mut a = rand_vec(n, &mut rng);
+                for &(k, w) in poison {
+                    a[k] = w;
+                }
+                for b in 1usize..=17 {
+                    let mut xs = vec![0.0f32; n * b];
+                    for (i, x) in xs.iter_mut().enumerate() {
+                        if (i % b) % 3 != 0 {
+                            *x = (0.5 + rng.gen_f32()) * if i % 2 == 0 { 1.0 } else { -1.0 };
+                        }
+                    }
+                    for v in Variant::ALL {
+                        let mut dense = vec![7.0f32; b + 8];
+                        dot_batch_variant(v, &a, &xs, b, &mut dense[..b]);
+                        let mut indexed = vec![7.0f32; b + 8];
+                        indexed_dot_batch_variant(v, &a, &idx, &xs, b, &mut indexed[..b]);
+                        for j in 0..b {
+                            let col: Vec<f32> = (0..n).map(|k| xs[k * b + j]).collect();
+                            let d = dot_variant(v, &a, &col);
+                            let i = indexed_dot_variant(v, &a, &idx, &col);
+                            let what = format!("{} n={n} b={b} lane {j}", v.name());
+                            assert!(same(dense[j], d), "dense {what}: {} vs {d}", dense[j]);
+                            assert!(same(indexed[j], i), "indexed {what}: {} vs {i}", indexed[j]);
+                        }
+                        assert!(dense[b..].iter().chain(&indexed[b..]).all(|&s| s == 7.0));
                     }
                 }
             }
