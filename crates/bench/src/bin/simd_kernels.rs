@@ -12,15 +12,21 @@
 //!
 //! Sweep: dense gemv, BSPC `spmv_into` and CSR `spmv_into` on the
 //! 1024×1024 BSP-patterned matrix at 2.5× and 10× compression, plus the
-//! n=1024 micro-kernels (dot, axpy, sigmoid sweep). The headline
-//! `speedups` section divides the scalar-u1 reference time by the vector
-//! time per kernel × compression.
+//! n=1024 micro-kernels (dot, axpy) and the activation sweeps over one
+//! 1024-wide gate plane and over the `[1024 × 12]` plane of a 12-lane step.
+//! A sweep is in place and `sigmoid` has a fixed point (0.659), so each
+//! iteration refills the plane from seeded N(0, 2²) pre-activations (the
+//! copy is inside the timed region: ≈ 0.1 ns per element); timing the sweep
+//! over its own output would time one argument, not a gate plane. The
+//! headline `speedups` section divides the scalar-u1 reference time by the
+//! vector time per kernel × compression.
 //!
 //! Dependency-free: std + workspace crates only.
 
 use rtm_bench::{bsp_matrix, emit_bench_report, json_row, quick_requested, time_us, JsonValue};
 use rtm_sparse::{BspcMatrix, CsrMatrix, Precision, SparseKernel};
 use rtm_tensor::gemm;
+use rtm_tensor::init::standard_normal;
 use rtm_tensor::rng::StdRng;
 use rtm_tensor::simd::{self, SimdPolicy, Variant};
 use std::hint::black_box;
@@ -100,9 +106,22 @@ fn main() {
         eprintln!("[{rate:>4}x] matrix kernels done");
     }
 
-    // Size-independent micro-kernels (n = 1024), reported at compression 1.
+    // Size-independent micro-kernels (n = 1024; the sweeps also over
+    // 1024 × 12), reported at compression 1.
     let mut acc = vec![0.0f32; cols_dim];
-    let mut gates: Vec<f32> = a.clone();
+    // Gate pre-activations: one plane and the 12-lane step's plane.
+    let mut rng = StdRng::seed_from_u64(11);
+    let pre: Vec<f32> = (0..cols_dim * 12)
+        .map(|_| 2.0 * standard_normal(&mut rng))
+        .collect();
+    let mut gates = vec![0.0f32; pre.len()];
+    type Sweep = fn(&mut [f32]);
+    let sweeps: [(&'static str, Sweep, usize); 4] = [
+        ("sigmoid_sweep", simd::sigmoid_sweep, cols_dim),
+        ("tanh_sweep", simd::tanh_sweep, cols_dim),
+        ("sigmoid_sweep_b12", simd::sigmoid_sweep, cols_dim * 12),
+        ("tanh_sweep_b12", simd::tanh_sweep, cols_dim * 12),
+    ];
     for &variant in &Variant::ALL {
         simd::set_policy(SimdPolicy::Fixed(variant));
         let requested = variant.name();
@@ -130,16 +149,19 @@ fn main() {
             us,
         });
 
-        let us = time_us(scale(500), || {
-            simd::sigmoid_sweep(&mut gates);
-        });
-        rows.push(Row {
-            kernel: "sigmoid_sweep",
-            compression: 1.0,
-            requested,
-            ran,
-            us,
-        });
+        for (kernel, sweep, n) in sweeps {
+            let us = time_us(scale(500), || {
+                gates[..n].copy_from_slice(&pre[..n]);
+                sweep(&mut gates[..n]);
+            });
+            rows.push(Row {
+                kernel,
+                compression: 1.0,
+                requested,
+                ran,
+                us,
+            });
+        }
     }
     simd::set_policy(SimdPolicy::Auto);
     eprintln!("micro kernels done");
@@ -164,11 +186,13 @@ fn main() {
         .collect();
 
     let mut speedups: Vec<String> = Vec::new();
-    for kernel in ["dense_gemv", "bspc_spmv", "csr_spmv", "dot", "axpy"] {
-        let rates: &[f64] = if kernel == "dot" || kernel == "axpy" {
-            &[1.0]
-        } else {
+    let matrix_kernels = ["dense_gemv", "bspc_spmv", "csr_spmv"];
+    let micro_kernels = ["dot", "axpy"].into_iter().chain(sweeps.map(|s| s.0));
+    for kernel in matrix_kernels.into_iter().chain(micro_kernels) {
+        let rates: &[f64] = if matrix_kernels.contains(&kernel) {
             compressions
+        } else {
+            &[1.0]
         };
         for &rate in rates {
             let (Some(u1), Some(vec_us)) = (
@@ -206,9 +230,12 @@ fn main() {
                     "Single-thread. Each variant is timed through the normal dispatched \
                      entry points with the global policy pinned; variant_ran records what \
                      actually executed (a vector request downgrades to scalar-u8 without \
-                     the ISA). Sweeps apply the same scalar activation in every variant, \
-                     so their variants only differ in loop structure. speedup = scalar-u1 \
-                     time / vector time."
+                     the ISA). The sweeps are bit-identical in every variant: the scalar \
+                     variants are one loop over the scalar sigmoid / tanh, the vector one \
+                     runs the same operation sequence eight lanes at a time. Each sweep \
+                     iteration refills its plane (1024, or 1024 x 12 for _b12) from seeded \
+                     N(0, 2^2) pre-activations; the copy is timed with it. speedup = \
+                     scalar-u1 time / vector time."
                         .into(),
                 ),
             ),

@@ -28,8 +28,11 @@
 //! sequential scalar reference itself drifts tens of ULPs from the true
 //! sum — the accumulation-magnitude bound is the tightest contract that is
 //! actually sound. Element-wise kernels (`hadamard`, the activation sweeps)
-//! are bit-exact in every variant; `axpy` differs from scalar by at most
-//! one FMA contraction per element.
+//! are bit-exact in every variant: such a kernel is *defined* by a scalar
+//! sequence of IEEE-exact operations and its vector body runs the same
+//! sequence per lane — for the sweeps `activations::{sigmoid, tanh}`, no
+//! libm call and no FMA, compared on all 2³² inputs. `axpy` differs from
+//! scalar by at most one FMA contraction per element.
 //!
 //! **Order discipline.** The vector dense dot and the vector indexed dot
 //! share the same lane grouping (consecutive chunks of one lane width, one
@@ -72,6 +75,7 @@
 //! policy for differential tests, the tuner's measured-cost hook, and the
 //! benchmark harness.
 
+use crate::activations::{sigmoid, tanh};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -480,6 +484,8 @@ fn indexed_dot_batch_scalar(vals: &[f32], idx: &[u32], xs: &[f32], b: usize, out
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use super::{sigmoid, tanh};
+    use crate::activations::coef::*;
     use std::arch::x86_64::*;
 
     /// Fixed horizontal-sum tree: lanes (0+4, 1+5, 2+6, 3+7) → pairwise →
@@ -702,6 +708,90 @@ mod x86 {
         out: &mut [f32],
     ) {
         row_lanes(vals, |k| idx[k] as usize * b, xs, b, out)
+    }
+
+    /// `activations::exp_nonpos` on eight lanes: the same operations in the
+    /// same order, multiplies and adds kept apart (no FMA), so each lane
+    /// carries the scalar function's bits.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn exp_nonpos(t: __m256) -> __m256 {
+        let round = _mm256_set1_ps(ROUND);
+        // `max_ps(a, b)` is `a > b ? a : b`: the scalar select, NaN included.
+        let c = _mm256_max_ps(_mm256_set1_ps(EXP_CLAMP), t);
+        let k = _mm256_add_ps(_mm256_mul_ps(c, _mm256_set1_ps(LOG2_E)), round);
+        let n = _mm256_sub_ps(k, round);
+        let r = _mm256_sub_ps(
+            _mm256_sub_ps(c, _mm256_mul_ps(n, _mm256_set1_ps(LN2_HI))),
+            _mm256_mul_ps(n, _mm256_set1_ps(LN2_LO)),
+        );
+        let mut p = _mm256_set1_ps(EXP_P[0]);
+        for &q in &EXP_P[1..] {
+            p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(q));
+        }
+        let one = _mm256_set1_ps(1.0);
+        let e = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r), one);
+        let scale = _mm256_add_epi32(
+            _mm256_slli_epi32::<23>(_mm256_castps_si256(k)),
+            _mm256_castps_si256(one),
+        );
+        let zero = _mm256_cmp_ps::<_CMP_LT_OQ>(t, _mm256_set1_ps(EXP_ZERO));
+        _mm256_andnot_ps(zero, _mm256_mul_ps(e, _mm256_castsi256_ps(scale)))
+    }
+
+    /// `activations::sigmoid` on eight lanes.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn sigmoid8(x: __m256) -> __m256 {
+        let one = _mm256_set1_ps(1.0);
+        let e = exp_nonpos(_mm256_or_ps(x, _mm256_set1_ps(-0.0)));
+        let nonneg = _mm256_cmp_ps::<_CMP_GE_OQ>(x, _mm256_setzero_ps());
+        let y = _mm256_div_ps(_mm256_blendv_ps(e, one, nonneg), _mm256_add_ps(one, e));
+        _mm256_blendv_ps(y, x, _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x))
+    }
+
+    /// `activations::tanh` on eight lanes; both branches are computed and
+    /// the lane's own is selected.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn tanh8(x: __m256) -> __m256 {
+        let sign = _mm256_set1_ps(-0.0);
+        let one = _mm256_set1_ps(1.0);
+        let a = _mm256_andnot_ps(sign, x);
+        let z = _mm256_mul_ps(a, a);
+        let mut p = _mm256_set1_ps(TANH_P[0]);
+        for &q in &TANH_P[1..] {
+            p = _mm256_add_ps(_mm256_mul_ps(p, z), _mm256_set1_ps(q));
+        }
+        let small = _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(p, z), a), a);
+        let e = exp_nonpos(_mm256_mul_ps(_mm256_set1_ps(-2.0), a));
+        let large = _mm256_div_ps(_mm256_sub_ps(one, e), _mm256_add_ps(one, e));
+        let is_small = _mm256_cmp_ps::<_CMP_LT_OQ>(a, _mm256_set1_ps(TANH_SMALL));
+        let y = _mm256_or_ps(
+            _mm256_blendv_ps(large, small, is_small),
+            _mm256_and_ps(sign, x),
+        );
+        _mm256_blendv_ps(y, x, _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x))
+    }
+
+    /// In-place sweep of `activations::sigmoid` (or `tanh` when `TANH`):
+    /// eight elements per step through the lane body, the last `len % 8`
+    /// through the scalar definition it replays.
+    ///
+    /// # Safety
+    ///
+    /// AVX2+FMA must be available.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn activation_sweep<const TANH: bool>(xs: &mut [f32]) {
+        let mut chunks = xs.chunks_exact_mut(8);
+        for c in &mut chunks {
+            // A chunk is exactly eight elements.
+            let x = _mm256_loadu_ps(c.as_ptr());
+            _mm256_storeu_ps(c.as_mut_ptr(), if TANH { tanh8(x) } else { sigmoid8(x) });
+        }
+        for x in chunks.into_remainder() {
+            *x = if TANH { tanh(*x) } else { sigmoid(*x) };
+        }
     }
 }
 
@@ -1254,48 +1344,19 @@ pub fn broadcast_add(bias: &[f32], b: usize, out: &mut [f32]) {
 
 /// In-place sigmoid sweep under an explicit variant.
 ///
-/// Every variant applies the same scalar, numerically-stable
-/// `activations::sigmoid` per element — `libm`'s `exp` has no vector
-/// counterpart that could honour the 4-ULP contract, so the "vector"
-/// realization of the sweeps is the 8-wide unrolled loop and all variants
-/// are bit-identical. The sweep's win is loop-overhead removal; the
-/// transcendental dominates.
+/// An element-wise kernel has no accumulator an unroll could reassociate,
+/// so the three scalar variants are one loop over `activations::sigmoid`.
+/// `Vector` is the AVX2 body, which runs that definition's operation
+/// sequence eight lanes at a time (no FMA, both branches computed and
+/// selected): bit-identical to the scalar loop on all 2³² inputs, checked
+/// exhaustively. Without AVX2 — aarch64 included, until a NEON body can be
+/// checked the same way — `Vector` is the scalar loop.
 pub fn sigmoid_sweep_variant(v: Variant, xs: &mut [f32]) {
-    use crate::activations::sigmoid;
     match v {
-        Variant::ScalarU1 => {
-            for x in xs {
-                *x = sigmoid(*x);
-            }
-        }
-        Variant::ScalarU4 => {
-            let m = xs.len() - xs.len() % 4;
-            for c in xs[..m].chunks_exact_mut(4) {
-                c[0] = sigmoid(c[0]);
-                c[1] = sigmoid(c[1]);
-                c[2] = sigmoid(c[2]);
-                c[3] = sigmoid(c[3]);
-            }
-            for x in &mut xs[m..] {
-                *x = sigmoid(*x);
-            }
-        }
-        Variant::ScalarU8 | Variant::Vector => {
-            let m = xs.len() - xs.len() % 8;
-            for c in xs[..m].chunks_exact_mut(8) {
-                c[0] = sigmoid(c[0]);
-                c[1] = sigmoid(c[1]);
-                c[2] = sigmoid(c[2]);
-                c[3] = sigmoid(c[3]);
-                c[4] = sigmoid(c[4]);
-                c[5] = sigmoid(c[5]);
-                c[6] = sigmoid(c[6]);
-                c[7] = sigmoid(c[7]);
-            }
-            for x in &mut xs[m..] {
-                *x = sigmoid(*x);
-            }
-        }
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2+FMA presence verified by `vector_available`.
+        Variant::Vector if vector_available() => unsafe { x86::activation_sweep::<false>(xs) },
+        _ => xs.iter_mut().for_each(|x| *x = sigmoid(*x)),
     }
 }
 
@@ -1307,41 +1368,11 @@ pub fn sigmoid_sweep(xs: &mut [f32]) {
 /// In-place tanh sweep under an explicit variant (bit-identical across
 /// variants; see [`sigmoid_sweep_variant`]).
 pub fn tanh_sweep_variant(v: Variant, xs: &mut [f32]) {
-    use crate::activations::tanh;
     match v {
-        Variant::ScalarU1 => {
-            for x in xs {
-                *x = tanh(*x);
-            }
-        }
-        Variant::ScalarU4 => {
-            let m = xs.len() - xs.len() % 4;
-            for c in xs[..m].chunks_exact_mut(4) {
-                c[0] = tanh(c[0]);
-                c[1] = tanh(c[1]);
-                c[2] = tanh(c[2]);
-                c[3] = tanh(c[3]);
-            }
-            for x in &mut xs[m..] {
-                *x = tanh(*x);
-            }
-        }
-        Variant::ScalarU8 | Variant::Vector => {
-            let m = xs.len() - xs.len() % 8;
-            for c in xs[..m].chunks_exact_mut(8) {
-                c[0] = tanh(c[0]);
-                c[1] = tanh(c[1]);
-                c[2] = tanh(c[2]);
-                c[3] = tanh(c[3]);
-                c[4] = tanh(c[4]);
-                c[5] = tanh(c[5]);
-                c[6] = tanh(c[6]);
-                c[7] = tanh(c[7]);
-            }
-            for x in &mut xs[m..] {
-                *x = tanh(*x);
-            }
-        }
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2+FMA presence verified by `vector_available`.
+        Variant::Vector if vector_available() => unsafe { x86::activation_sweep::<true>(xs) },
+        _ => xs.iter_mut().for_each(|x| *x = tanh(*x)),
     }
 }
 
@@ -1468,6 +1499,51 @@ mod tests {
                 assert_eq!(t, want_t, "tanh {} n={n}", v.name());
             }
         }
+    }
+
+    /// The element-wise contract in full: both sweeps over all 2³² bit
+    /// patterns (NaNs included), the AVX2 body against the scalar loop,
+    /// compared as bits. Two threads; `scripts/ci.sh` runs it with
+    /// `--release -- --ignored`.
+    #[test]
+    #[ignore = "exhaustive over 2^32 inputs; run in release"]
+    fn sweeps_match_scalar_on_every_f32() {
+        if !(cfg!(target_arch = "x86_64") && vector_available()) {
+            println!("skipped: no vector body, every sweep variant is the scalar loop");
+            return;
+        }
+        type Sweep = fn(Variant, &mut [f32]);
+        let sweeps: [(Sweep, &str); 2] = [
+            (sigmoid_sweep_variant, "sigmoid"),
+            (tanh_sweep_variant, "tanh"),
+        ];
+        std::thread::scope(|s| {
+            for half in 0..2u32 {
+                s.spawn(move || {
+                    let mut input = vec![0.0f32; 1 << 16];
+                    let (mut want, mut got) = (input.clone(), input.clone());
+                    for block in (half << 15)..((half + 1) << 15) {
+                        for (i, x) in input.iter_mut().enumerate() {
+                            *x = f32::from_bits((block << 16) | i as u32);
+                        }
+                        for (sweep, name) in sweeps {
+                            want.copy_from_slice(&input);
+                            got.copy_from_slice(&input);
+                            sweep(Variant::ScalarU1, &mut want);
+                            sweep(Variant::Vector, &mut got);
+                            for ((x, w), g) in input.iter().zip(&want).zip(&got) {
+                                assert_eq!(
+                                    g.to_bits(),
+                                    w.to_bits(),
+                                    "{name}({:#010x}): vector {g:e}, scalar {w:e}",
+                                    x.to_bits()
+                                );
+                            }
+                        }
+                    }
+                });
+            }
+        });
     }
 
     #[test]

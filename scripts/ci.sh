@@ -67,12 +67,15 @@ RTM_FORMAT=auto cargo test -q "${knob_crates[@]}"
 echo "==> cargo test -q ${knob_crates[*]} (RTM_DECODER=ctc-beam:4)"
 RTM_DECODER=ctc-beam:4 cargo test -q "${knob_crates[@]}"
 
-# The f16 rounding sweep is hardware (F16C) in the production step and
-# software in the reference step; its exhaustive comparison over all 2^32
-# inputs is #[ignore]d in the passes above (seconds in release, hours in
-# debug), so the full gate runs it here.
+# Two element-wise kernels have a hardware body and a scalar definition
+# that must agree on every input: the f16 rounding sweep (F16C in the
+# production step, software in the reference step) and the sigmoid / tanh
+# sweeps (AVX2 body, scalar `activations::{sigmoid, tanh}`). Their
+# exhaustive comparisons over all 2^32 inputs are #[ignore]d in the passes
+# above (about a minute in release, hours in debug), so the full gate runs
+# them here.
 if [[ "$quick" -eq 0 ]]; then
-  echo "==> cargo test --release -p rtm-tensor -- --ignored (f16 rounding, all 2^32 inputs)"
+  echo "==> cargo test --release -p rtm-tensor -- --ignored (f16 rounding + sigmoid/tanh sweeps, all 2^32 inputs)"
   cargo test --release -p rtm-tensor -- --ignored
 fi
 
@@ -141,6 +144,6 @@ out=$(cargo run -q "${profile[@]}" -p rtmobile --bin rtm -- \
 # layer, the figure the simplicity PRs' acceptance tables quote.
 echo "==> non-test lines of the kernel layer (scripts/loc.sh)"
 scripts/loc.sh crates/sparse/src/{bspc,csr,bbs,csb,kernel,scratch}.rs \
-  crates/tensor/src/{simd,simd_i8,gemm}.rs crates/exec/src/{spmv,dense}.rs || true
+  crates/tensor/src/{simd,simd_i8,gemm,activations}.rs crates/exec/src/{spmv,dense}.rs || true
 
 echo "CI gate passed."

@@ -10,6 +10,9 @@
 //! results together is still caught.
 //! Beside the CRC, each cell asserts that the pooled product at 3 threads
 //! and (at one lane) the SpMV entry produce the very same bits.
+//! The activation sweeps are pinned the same way, by one constant for every
+//! policy: they are element-wise IEEE-exact arithmetic (DESIGN.md §8), so the
+//! scalar loop and the AVX2 body must land on the same bits on every host.
 //!
 //! The constants are a property of the arithmetic, not of the host: the
 //! scalar table holds on every target, the vector table is checked only
@@ -22,6 +25,7 @@
 
 use rtm_exec::Executor;
 use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix, Precision, SparseKernel};
+use rtm_tensor::activations::{sigmoid_slice, tanh_slice};
 use rtm_tensor::rng::StdRng;
 use rtm_tensor::simd::{self, SimdPolicy, Variant};
 use rtm_tensor::{gemm, Matrix};
@@ -71,6 +75,11 @@ const AVX2_FMA: Golden = [
     [0x9b1b327d, 0xaa94bef6, 0xa5ec7105, 0x0a97c742, 0x2799646b, 0x60a09abf, 0xf696e7e6, 0x5d95975b, 0x62543769, 0xf5454418],
 ];
 
+/// `sigmoid_slice` then `tanh_slice` over [`sweep_inputs`], under every
+/// policy. It moves only if the activation arithmetic does — a coefficient,
+/// an operation order, a vector body that is not the scalar sequence.
+const SWEEPS: u32 = 0x275c_6b9a;
+
 /// 96 × 128 in 6 stripes of 16 rows: each stripe keeps about a third of
 /// the columns for all of its rows, and about one row in nine is pruned
 /// whole — the two regularities BSP pruning leaves behind.
@@ -105,6 +114,47 @@ fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
         assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i}: {g} vs {w}");
     }
+}
+
+/// A `[1024 × 12]` gate plane of pre-activations in `[-8, 8)` (both signs,
+/// both `tanh` branches), then the inputs where the arithmetic changes
+/// regime, each with its two neighbours: the subnormals, `tanh`'s branch
+/// point, `exp`'s clamp and flush, the ends of the line, and a NaN. The
+/// length leaves a `% 8` remainder for the scalar tail of the vector body.
+fn sweep_inputs() -> Vec<f32> {
+    let mut xs: Vec<f32> = plane(1024 * 12, 0x5EE9).iter().map(|x| x * 8.0).collect();
+    xs.extend([0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY]);
+    xs.push(f32::from_bits(0x7fc0_0000));
+    let last_but_one = f32::from_bits(f32::MAX.to_bits() - 1);
+    let edges = [
+        f32::from_bits(2),
+        f32::MIN_POSITIVE,
+        0.625,
+        9.0,
+        87.0,
+        88.0,
+        104.0,
+        last_but_one,
+    ];
+    for bits in edges
+        .map(f32::to_bits)
+        .into_iter()
+        .flat_map(|b| [b - 1, b, b + 1])
+    {
+        xs.extend([f32::from_bits(bits), -f32::from_bits(bits)]);
+    }
+    assert_ne!(xs.len() % 8, 0);
+    xs
+}
+
+/// The CRC of both sweeps' output bits under the current policy.
+fn sweep_crc() -> u32 {
+    let mut out = sweep_inputs();
+    let mut tanh_out = out.clone();
+    sigmoid_slice(&mut out);
+    tanh_slice(&mut tanh_out);
+    out.extend(tanh_out);
+    bits_crc(&out)
 }
 
 /// The table the kernels produce under the current policy.
@@ -172,6 +222,11 @@ fn kernel_outputs_match_the_recorded_bits() {
             }
             println!("];");
             stale.push(name);
+        }
+        let got = sweep_crc();
+        if got != SWEEPS {
+            println!("const SWEEPS: u32 = {got:#010x}; // under {name}");
+            stale.push("SWEEPS");
         }
     }
     simd::set_policy(ambient);
