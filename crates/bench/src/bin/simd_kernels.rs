@@ -8,7 +8,7 @@
 //! dispatched entry points* — exactly what inference runs. The JSON records
 //! both the requested variant and the variant that actually ran
 //! (`active_variant`), because on a host without the vector ISA a `vector`
-//! request honestly downgrades to `scalar-u8`.
+//! request honestly resolves to `scalar-u1`, the scalar definition.
 //!
 //! Sweep: dense gemv, BSPC `spmv_into` and CSR `spmv_into` on the
 //! 1024×1024 BSP-patterned matrix at 2.5× and 10× compression, plus the
@@ -201,12 +201,10 @@ fn main() {
             ) else {
                 continue;
             };
-            let u8_us = us_of(kernel, rate, "scalar-u8").unwrap_or(u1);
             speedups.push(json_row(&[
                 ("kernel", JsonValue::Str(kernel.into())),
                 ("compression", JsonValue::Raw(rate.to_string())),
                 ("vector_over_scalar_u1", JsonValue::F64(u1 / vec_us, 3)),
-                ("vector_over_scalar_u8", JsonValue::F64(u8_us / vec_us, 3)),
             ]));
         }
     }
@@ -229,10 +227,10 @@ fn main() {
                 JsonValue::Str(
                     "Single-thread. Each variant is timed through the normal dispatched \
                      entry points with the global policy pinned; variant_ran records what \
-                     actually executed (a vector request downgrades to scalar-u8 without \
-                     the ISA). The sweeps are bit-identical in every variant: the scalar \
-                     variants are one loop over the scalar sigmoid / tanh, the vector one \
-                     runs the same operation sequence eight lanes at a time. Each sweep \
+                     actually executed (a vector request resolves to scalar-u1 without \
+                     the ISA). The sweeps are bit-identical in both variants: scalar-u1 \
+                     is one loop over the scalar sigmoid / tanh, the vector one runs the \
+                     same operation sequence eight lanes at a time. Each sweep \
                      iteration refills its plane (1024, or 1024 x 12 for _b12) from seeded \
                      N(0, 2^2) pre-activations; the copy is timed with it. speedup = \
                      scalar-u1 time / vector time."

@@ -18,7 +18,7 @@
 //! validates every gradient against central finite differences.
 
 use rtm_tensor::activations::{sigmoid_slice, tanh_slice};
-use rtm_tensor::gemm::{gemv_batch_into, gemv_into, gemv_transposed, ger};
+use rtm_tensor::gemm::{gemv_into, gemv_transposed, ger};
 use rtm_tensor::init::{rng_from_seed, xavier_uniform};
 use rtm_tensor::{Matrix, Vector};
 
@@ -92,19 +92,17 @@ pub struct GruCache {
     pub steps: Vec<GruStep>,
 }
 
-/// Reusable per-sequence workspace for the allocation-free step forms
-/// ([`GruCell::step_into`] / [`GruCell::step_with_into`]).
+/// Reusable per-sequence workspace for the allocation-free step
+/// ([`GruCell::step_into`]).
 ///
 /// One instance amortizes every intermediate across all timesteps of a
 /// sequence — and across layers of different widths, since the buffers are
 /// resized on use. Steady-state inference allocates nothing per frame.
 #[derive(Debug, Clone, Default)]
 pub struct GruScratch {
-    /// Recurrent-term temp: `U·h_{t-1}` per gate in the serial path, then
-    /// `U_n (r ⊙ h_{t-1})` in the candidate phase.
+    /// Recurrent-term temp: `U·h_{t-1}` per gate, then `U_n (r ⊙ h_{t-1})`
+    /// in the candidate phase.
     tmp: Vec<f32>,
-    /// Second gate temp so the pooled path's phase-A tasks write disjointly.
-    tmp2: Vec<f32>,
     /// Reset-gated state `r ⊙ h_{t-1}`.
     rh: Vec<f32>,
 }
@@ -114,7 +112,6 @@ impl GruScratch {
     pub fn new(hidden_dim: usize) -> GruScratch {
         GruScratch {
             tmp: vec![0.0; hidden_dim],
-            tmp2: vec![0.0; hidden_dim],
             rh: vec![0.0; hidden_dim],
         }
     }
@@ -233,154 +230,6 @@ impl GruCell {
 
         Vector::hadamard_into(&out.r, h_prev, &mut scratch.rh);
         gemv_into(&self.w_n, x, &mut out.n).expect("shape checked");
-        gemv_into(&self.u_n, &scratch.rh, &mut scratch.tmp).expect("shape checked");
-        Vector::axpy(1.0, &scratch.tmp, &mut out.n);
-        Vector::axpy(1.0, &self.b_n, &mut out.n);
-        tanh_slice(&mut out.n);
-
-        for (((hi, &zi), &ni), &hp) in out.h.iter_mut().zip(&out.z).zip(&out.n).zip(h_prev) {
-            *hi = (1.0 - zi) * ni + zi * hp;
-        }
-    }
-
-    /// One forward step for `b` independent streams through a single weight
-    /// pass (weight-stationary batching).
-    ///
-    /// All buffers are **lane-major**: element `i` of stream `j` lives at
-    /// index `i·b + j` (`xs` is `[input × b]`, `hs_prev` and the `out`
-    /// fields are `[hidden × b]`). Each weight matrix is walked once per
-    /// step and applied to all `b` lanes via the batched
-    /// [`simd`](rtm_tensor::simd) kernels.
-    ///
-    /// Lane contract: lane `j` of every output is **bit-identical** to
-    /// [`GruCell::step_into`] run serially on lane `j`'s columns, under
-    /// every [`SimdPolicy`](rtm_tensor::simd::SimdPolicy). This holds
-    /// because (1) the batched matvec kernels replay the serial kernels'
-    /// accumulation order per lane, (2) every `axpy` in the step uses
-    /// `α = 1`, where FMA and mul+add round identically, so applying it
-    /// across the whole lane-major buffer cannot differ from per-lane
-    /// application, and (3) activations, hadamard and the final blend are
-    /// element-wise with one rounding each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs.len() != self.input_dim() * b` or
-    /// `hs_prev.len() != self.hidden_dim() * b`.
-    pub fn step_batch_into(
-        &self,
-        xs: &[f32],
-        hs_prev: &[f32],
-        b: usize,
-        scratch: &mut GruScratch,
-        out: &mut GruStep,
-    ) {
-        assert_eq!(xs.len(), self.input_dim() * b, "input dim mismatch");
-        assert_eq!(hs_prev.len(), self.hidden_dim() * b, "hidden dim mismatch");
-        let hb = self.hidden_dim() * b;
-        out.z.resize(hb, 0.0);
-        out.r.resize(hb, 0.0);
-        out.n.resize(hb, 0.0);
-        out.h.resize(hb, 0.0);
-        scratch.tmp.resize(hb, 0.0);
-        scratch.rh.resize(hb, 0.0);
-
-        gemv_batch_into(&self.w_z, xs, b, &mut out.z).expect("shape checked");
-        gemv_batch_into(&self.u_z, hs_prev, b, &mut scratch.tmp).expect("shape checked");
-        Vector::axpy(1.0, &scratch.tmp, &mut out.z);
-        rtm_tensor::simd::broadcast_add(&self.b_z, b, &mut out.z);
-        sigmoid_slice(&mut out.z);
-
-        gemv_batch_into(&self.w_r, xs, b, &mut out.r).expect("shape checked");
-        gemv_batch_into(&self.u_r, hs_prev, b, &mut scratch.tmp).expect("shape checked");
-        Vector::axpy(1.0, &scratch.tmp, &mut out.r);
-        rtm_tensor::simd::broadcast_add(&self.b_r, b, &mut out.r);
-        sigmoid_slice(&mut out.r);
-
-        Vector::hadamard_into(&out.r, hs_prev, &mut scratch.rh);
-        gemv_batch_into(&self.w_n, xs, b, &mut out.n).expect("shape checked");
-        gemv_batch_into(&self.u_n, &scratch.rh, b, &mut scratch.tmp).expect("shape checked");
-        Vector::axpy(1.0, &scratch.tmp, &mut out.n);
-        rtm_tensor::simd::broadcast_add(&self.b_n, b, &mut out.n);
-        tanh_slice(&mut out.n);
-
-        for (((hi, &zi), &ni), &hp) in out.h.iter_mut().zip(&out.z).zip(&out.n).zip(hs_prev) {
-            *hi = (1.0 - zi) * ni + zi * hp;
-        }
-    }
-
-    /// One forward step with the gate matvecs dispatched through a parallel
-    /// [`rtm_exec::Executor`].
-    ///
-    /// The data dependencies of a GRU timestep split into two phases:
-    /// `z`, `r` and `W_n x` are mutually independent (phase A, one pool task
-    /// each), while the candidate recurrence `U_n (r ⊙ h)` must wait for
-    /// `r` (phase B, on the caller thread). Per-gate accumulation order is
-    /// identical to [`GruCell::step`], so the result is bit-exact for any
-    /// thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.input_dim()` or
-    /// `h_prev.len() != self.hidden_dim()`.
-    pub fn step_with(&self, exec: &rtm_exec::Executor, x: &[f32], h_prev: &[f32]) -> GruStep {
-        let mut scratch = GruScratch::new(self.hidden_dim());
-        let mut out = GruStep::default();
-        self.step_with_into(exec, x, h_prev, &mut scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`GruCell::step_with`]: the pooled phase-A
-    /// tasks write straight into `out.z` / `out.r` / `out.n` with per-task
-    /// temporaries from `scratch`, so the streaming loop allocates nothing
-    /// per frame. Bit-exact with [`GruCell::step_into`] for any thread
-    /// count (same per-gate accumulation order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.input_dim()` or
-    /// `h_prev.len() != self.hidden_dim()`.
-    pub fn step_with_into(
-        &self,
-        exec: &rtm_exec::Executor,
-        x: &[f32],
-        h_prev: &[f32],
-        scratch: &mut GruScratch,
-        out: &mut GruStep,
-    ) {
-        assert_eq!(x.len(), self.input_dim(), "input dim mismatch");
-        assert_eq!(h_prev.len(), self.hidden_dim(), "hidden dim mismatch");
-        let h = self.hidden_dim();
-        out.z.resize(h, 0.0);
-        out.r.resize(h, 0.0);
-        out.n.resize(h, 0.0);
-        out.h.resize(h, 0.0);
-        scratch.tmp.resize(h, 0.0);
-        scratch.tmp2.resize(h, 0.0);
-        scratch.rh.resize(h, 0.0);
-
-        {
-            let gate = |w: &Matrix, u: &Matrix, b: &[f32], a: &mut [f32], tmp: &mut [f32]| {
-                gemv_into(w, x, a).expect("shape checked");
-                gemv_into(u, h_prev, tmp).expect("shape checked");
-                Vector::axpy(1.0, tmp, a);
-                Vector::axpy(1.0, b, a);
-                sigmoid_slice(a);
-            };
-            let z_out = &mut out.z;
-            let r_out = &mut out.r;
-            let n_out = &mut out.n;
-            let tmp_z = &mut scratch.tmp;
-            let tmp_r = &mut scratch.tmp2;
-            exec.run(vec![
-                Box::new(move || gate(&self.w_z, &self.u_z, &self.b_z, z_out, tmp_z)),
-                Box::new(move || gate(&self.w_r, &self.u_r, &self.b_r, r_out, tmp_r)),
-                Box::new(move || gemv_into(&self.w_n, x, n_out).expect("shape checked")),
-            ])
-            .expect("gate task panicked");
-        }
-
-        // Phase B: the candidate recurrence needs the reset gate.
-        Vector::hadamard_into(&out.r, h_prev, &mut scratch.rh);
         gemv_into(&self.u_n, &scratch.rh, &mut scratch.tmp).expect("shape checked");
         Vector::axpy(1.0, &scratch.tmp, &mut out.n);
         Vector::axpy(1.0, &self.b_n, &mut out.n);
@@ -868,58 +717,6 @@ mod tests {
     }
 
     #[test]
-    fn step_batch_lanes_match_serial_steps_bit_exact() {
-        // Carry b independent hidden states through several timesteps in one
-        // lane-major buffer; every lane must stay bit-identical to a serial
-        // single-stream run of that lane's inputs.
-        let cell = GruCell::new(6, 9, 21);
-        for b in [1usize, 2, 4, 9] {
-            let mut scratch = GruScratch::new(9);
-            let mut out = GruStep::default();
-            let mut hs = vec![0.0f32; 9 * b];
-            let mut serial_h = vec![vec![0.0f32; 9]; b];
-            for t in 0..5 {
-                // Distinct input per lane, laid out lane-major.
-                let mut xs = vec![0.0f32; 6 * b];
-                for j in 0..b {
-                    for i in 0..6 {
-                        xs[i * b + j] = ((t * 100 + j * 10 + i) as f32 * 0.17).sin();
-                    }
-                }
-                cell.step_batch_into(&xs, &hs, b, &mut scratch, &mut out);
-                for j in 0..b {
-                    let x_j: Vec<f32> = (0..6).map(|i| xs[i * b + j]).collect();
-                    let want = cell.step(&x_j, &serial_h[j]);
-                    for i in 0..9 {
-                        assert_eq!(out.z[i * b + j], want.z[i], "b={b} t={t} lane {j} z[{i}]");
-                        assert_eq!(out.r[i * b + j], want.r[i], "b={b} t={t} lane {j} r[{i}]");
-                        assert_eq!(out.n[i * b + j], want.n[i], "b={b} t={t} lane {j} n[{i}]");
-                        assert_eq!(out.h[i * b + j], want.h[i], "b={b} t={t} lane {j} h[{i}]");
-                    }
-                    serial_h[j] = want.h;
-                }
-                hs.copy_from_slice(&out.h);
-            }
-        }
-    }
-
-    #[test]
-    fn step_with_into_reuses_buffers_bit_exact() {
-        let cell = GruCell::new(6, 10, 17);
-        let exec = rtm_exec::Executor::new(3);
-        let mut scratch = GruScratch::new(10);
-        let mut out = GruStep::default();
-        let mut h = vec![0.0f32; 10];
-        for t in 0..4 {
-            let x: Vec<f32> = (0..6).map(|i| ((t * 6 + i) as f32 * 0.4).sin()).collect();
-            let serial = cell.step(&x, &h);
-            cell.step_with_into(&exec, &x, &h, &mut scratch, &mut out);
-            assert_eq!(out, serial, "step {t}");
-            h = serial.h;
-        }
-    }
-
-    #[test]
     fn forward_states_matches_cached_forward() {
         let cell = GruCell::new(3, 5, 21);
         let xs: Vec<Vec<f32>> = (0..9)
@@ -945,25 +742,5 @@ mod tests {
         let mid = out.h.clone();
         narrow.step_into(&mid, &[0.0; 3], &mut scratch, &mut out);
         assert_eq!(out, narrow.step(&mid, &[0.0; 3]));
-    }
-
-    #[test]
-    fn step_with_matches_step_bit_exact() {
-        let cell = GruCell::new(6, 10, 11);
-        let x: Vec<f32> = (0..6).map(|i| (i as f32 * 0.4).sin()).collect();
-        let mut h = vec![0.0f32; 10];
-        for threads in [1usize, 2, 3, 8] {
-            let exec = rtm_exec::Executor::new(threads);
-            let mut hp = vec![0.0f32; 10];
-            for t in 0..4 {
-                let serial = cell.step(&x, if t == 0 { &h } else { &hp });
-                let par = cell.step_with(&exec, &x, if t == 0 { &h } else { &hp });
-                assert_eq!(par, serial, "{threads} threads, step {t}");
-                hp = serial.h;
-            }
-        }
-        h.fill(0.3);
-        let exec = rtm_exec::Executor::new(4);
-        assert_eq!(cell.step_with(&exec, &x, &h), cell.step(&x, &h));
     }
 }

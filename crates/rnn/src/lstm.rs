@@ -204,67 +204,6 @@ impl LstmCell {
         LstmStep { i, f, g, o, c, h }
     }
 
-    /// One forward step with the four gate matvecs dispatched through a
-    /// parallel [`rtm_exec::Executor`].
-    ///
-    /// Unlike the GRU, every LSTM gate (`i`, `f`, `g`, `o`) depends only on
-    /// `x` and `h_prev`, so all four pre-activations run as independent pool
-    /// tasks; only the elementwise `c`/`h` combine is serial. Per-gate
-    /// accumulation order matches [`LstmCell::step`], so the result is
-    /// bit-exact for any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatches.
-    pub fn step_with(
-        &self,
-        exec: &rtm_exec::Executor,
-        x: &[f32],
-        h_prev: &[f32],
-        c_prev: &[f32],
-    ) -> LstmStep {
-        assert_eq!(x.len(), self.input_dim(), "input dim mismatch");
-        assert_eq!(h_prev.len(), self.hidden_dim(), "hidden dim mismatch");
-        assert_eq!(c_prev.len(), self.hidden_dim(), "cell dim mismatch");
-        let hid = self.hidden_dim();
-
-        let mut i = Vec::new();
-        let mut f = Vec::new();
-        let mut g = Vec::new();
-        let mut o = Vec::new();
-        {
-            let gate = |w: &'_ Matrix,
-                        u: &'_ Matrix,
-                        b: &'_ [f32],
-                        act: fn(f32) -> f32,
-                        out: &'_ mut Vec<f32>| {
-                let mut a = gemv(w, x).expect("shape checked");
-                Vector::axpy(1.0, &gemv(u, h_prev).expect("shape checked"), &mut a);
-                Vector::axpy(1.0, b, &mut a);
-                for v in &mut a {
-                    *v = act(*v);
-                }
-                *out = a;
-            };
-            let (i_out, f_out, g_out, o_out) = (&mut i, &mut f, &mut g, &mut o);
-            exec.run(vec![
-                Box::new(move || gate(&self.w_i, &self.u_i, &self.b_i, sigmoid, i_out)),
-                Box::new(move || gate(&self.w_f, &self.u_f, &self.b_f, sigmoid, f_out)),
-                Box::new(move || gate(&self.w_g, &self.u_g, &self.b_g, tanh, g_out)),
-                Box::new(move || gate(&self.w_o, &self.u_o, &self.b_o, sigmoid, o_out)),
-            ])
-            .expect("gate task panicked");
-        }
-
-        let mut c = vec![0.0f32; hid];
-        let mut h = vec![0.0f32; hid];
-        for k in 0..hid {
-            c[k] = f[k] * c_prev[k] + i[k] * g[k];
-            h[k] = o[k] * tanh(c[k]);
-        }
-        LstmStep { i, f, g, o, c, h }
-    }
-
     /// Runs the cell over a sequence from the zero state.
     pub fn forward(&self, xs: &[Vec<f32>]) -> LstmCache {
         let hid = self.hidden_dim();
@@ -593,23 +532,5 @@ mod tests {
         g.w_o[(0, 0)] = 2.0;
         cell.apply_grads(&g, 0.5);
         assert!((cell.w_o[(0, 0)] - (w0 - 1.0)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn step_with_matches_step_bit_exact() {
-        let cell = LstmCell::new(5, 9, 23);
-        let x: Vec<f32> = (0..5).map(|i| (i as f32 * 0.6).cos()).collect();
-        for threads in [1usize, 2, 3, 8] {
-            let exec = rtm_exec::Executor::new(threads);
-            let mut h = vec![0.0f32; 9];
-            let mut c = vec![0.0f32; 9];
-            for t in 0..4 {
-                let serial = cell.step(&x, &h, &c);
-                let par = cell.step_with(&exec, &x, &h, &c);
-                assert_eq!(par, serial, "{threads} threads, step {t}");
-                h = serial.h;
-                c = serial.c;
-            }
-        }
     }
 }

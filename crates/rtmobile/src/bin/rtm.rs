@@ -105,8 +105,8 @@ fn print_help() {
     println!("  --batch scores up to B test utterances per weight pass through the");
     println!("  multi-stream batched runtime (default 1; bit-identical results).");
     println!();
-    println!("  --simd picks the kernel dispatch policy: auto (default; widest");
-    println!("  realization the CPU supports), off/scalar, u1, u4, u8, or vector.");
+    println!("  --simd picks the kernel dispatch policy: auto (default; the vector body");
+    println!("  when the CPU supports it), off/scalar/u1 (the scalar loop), or vector.");
     println!("  The RTM_SIMD environment variable sets the same knob.");
     println!();
     println!("  --health picks the numerical-health policy of the batched scorer");
@@ -913,11 +913,18 @@ mod tests {
 
     #[test]
     fn every_runtime_flag_rejects_an_unknown_value_with_its_grammar() {
-        for (name, values, _) in RUNTIME_FLAGS {
-            let flags = [(name.to_string(), "warp".to_string())].into();
+        let reject = |name: &str, values: &str, bad: &str| {
+            let flags = [(name.to_string(), bad.to_string())].into();
             let err = apply_runtime_flags(RuntimeConfig::default(), &flags)
-                .expect_err("warp is no value of any runtime knob");
-            assert_eq!(err, format!("--{name} must be {values} (got warp)"));
+                .expect_err("no runtime knob takes this value");
+            assert_eq!(err, format!("--{name} must be {values} (got {bad})"));
+        };
+        for (name, values, _) in RUNTIME_FLAGS {
+            reject(name, values, "warp");
+        }
+        // An unroll factor names no variant: unknown like any other value.
+        for stale in ["u4", "u8"] {
+            reject("simd", rtmobile::env::SIMD_VALUES, stale);
         }
     }
 }

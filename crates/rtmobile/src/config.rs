@@ -8,10 +8,11 @@
 //! environment ([`RuntimeConfig::from_env`], via [`crate::env`]) all flow
 //! through, so "how is this process configured?" has a single answer.
 //!
-//! The `Option` knobs (`simd`, `health`, `trace`) distinguish "explicitly
-//! chosen" from "let the environment variable decide": a `None` leaves the
-//! corresponding process-global default (`RTM_SIMD`, `RTM_HEALTH`,
-//! `RTM_TRACE`) in charge, exactly as the pre-consolidation builder
+//! The `Option` knobs (`simd`, `health`, `trace`, `precision`, `format`,
+//! `decoder`) distinguish "explicitly chosen" from "let the environment
+//! variable decide": a `None` leaves the corresponding variable
+//! (`RTM_SIMD`, `RTM_HEALTH`, `RTM_TRACE`, `RTM_PRECISION`, `RTM_FORMAT`,
+//! `RTM_DECODER`) in charge, exactly as the pre-consolidation builder
 //! methods did.
 
 use crate::deploy::{RuntimeFormat, RuntimePrecision};
@@ -220,7 +221,8 @@ impl Default for RuntimeConfig {
 
 impl RuntimeConfig {
     /// The default configuration with every environment-settable knob
-    /// resolved from its variable (`RTM_SIMD`, `RTM_HEALTH`, `RTM_TRACE`).
+    /// resolved from its variable (`RTM_SIMD`, `RTM_HEALTH`, `RTM_TRACE`,
+    /// `RTM_PRECISION`, `RTM_FORMAT`, `RTM_DECODER`).
     ///
     /// # Errors
     ///

@@ -22,7 +22,7 @@ use rtm_trace::TraceConfig;
 
 /// Accepted values of `RTM_SIMD` / `--simd`; the environment error and
 /// the CLI flag error both quote this grammar (likewise the four below).
-pub const SIMD_VALUES: &str = "auto, off, scalar, u1, u4, u8 or vector";
+pub const SIMD_VALUES: &str = "auto, off, scalar, u1 or vector";
 /// Accepted values of `RTM_HEALTH` / `--health`.
 pub const HEALTH_VALUES: &str = "off, check or quarantine";
 /// Accepted values of `RTM_PRECISION` / `--precision`.
@@ -158,7 +158,7 @@ mod tests {
         let err: super::EnvError = rtm_trace::env::EnvError {
             var: "RTM_SIMD".to_string(),
             value: "warp".to_string(),
-            expected: "auto, off, scalar, u1, u4, u8 or vector",
+            expected: super::SIMD_VALUES,
         };
         let msg = err.to_string();
         assert!(msg.contains("RTM_SIMD"), "{msg}");

@@ -4,22 +4,21 @@
 //! unroll factor"; this module is the executable half of that claim. Every
 //! hot inner loop of the inference stack — `dot`, `axpy`, `hadamard`, the
 //! indexed dot of the CSR/BSPC SpMV, and the sigmoid/tanh activation
-//! sweeps — is provided in four **variants**:
+//! sweeps — has exactly two **realizations**, and nothing in between:
 //!
-//! | variant     | realization                           | numeric contract        |
-//! |-------------|---------------------------------------|-------------------------|
-//! | `scalar-u1` | the naive loop (pre-SIMD reference)   | bit-exact reference     |
-//! | `scalar-u4` | 4-wide unrolled, single accumulator   | bit-exact with u1       |
-//! | `scalar-u8` | 8-wide unrolled, single accumulator   | bit-exact with u1       |
-//! | `vector`    | AVX2+FMA (x86_64) / NEON (aarch64)    | ≤ 4 ULPs of u1 (see below) |
+//! | variant     | realization                            | numeric contract           |
+//! |-------------|----------------------------------------|----------------------------|
+//! | `scalar-u1` | the naive loop — the scalar definition | bit-exact reference        |
+//! | `vector`    | AVX2+FMA (x86_64) / NEON (aarch64)     | ≤ 4 ULPs of u1 (see below) |
 //!
-//! The scalar unrolls keep one accumulator and the original left-to-right
-//! association, so they are *bit-identical* to the naive loop — unrolling
-//! only removes loop overhead; the floating-point dependency chain is
-//! unchanged, which is also why real speedups need the vector path. The
-//! vector path uses one 8-lane (AVX2) / 4-lane (NEON) FMA accumulator
-//! register plus a fixed-tree horizontal reduction, which reassociates the
-//! sum and contracts multiply-adds.
+//! The scalar definition is what the bit-identity and ULP contracts are
+//! stated against (one accumulator, left-to-right association); the vector
+//! body is what production runs. It uses one 8-lane (AVX2) / 4-lane (NEON)
+//! FMA accumulator register plus a fixed-tree horizontal reduction, which
+//! reassociates the sum and contracts multiply-adds. There is no unrolled
+//! scalar middle: one accumulator is one dependency chain, so an unroll buys
+//! nothing, and a hand-unrolled `axpy` keeps the compiler from vectorising
+//! what it vectorises in the naive loop.
 //!
 //! **ULP policy.** Reductions are compared at the *accumulation magnitude*:
 //! `|vector − scalar| ≤ 4 · ulp(Σ|aᵢ·bᵢ|)`. Measuring ULPs at the result
@@ -72,8 +71,7 @@
 //! [`SimdPolicy`] (programmatic [`set_policy`] wins over the `RTM_SIMD`
 //! environment variable, which is read once on first use) against the
 //! cached CPU-feature detection. The `*_variant` entry points bypass the
-//! policy for differential tests, the tuner's measured-cost hook, and the
-//! benchmark harness.
+//! policy for differential tests and the benchmark harness.
 
 use crate::activations::{sigmoid, tanh};
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -82,44 +80,21 @@ use std::sync::OnceLock;
 /// A concrete kernel realization the dispatcher can select.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Variant {
-    /// The naive loop — the bit-exact reference (pre-SIMD behaviour).
+    /// The naive loop — the scalar definition, the bit-exact reference.
     ScalarU1,
-    /// 4-wide unrolled scalar, single accumulator (bit-exact with u1).
-    ScalarU4,
-    /// 8-wide unrolled scalar, single accumulator (bit-exact with u1).
-    ScalarU8,
     /// AVX2+FMA on x86_64 / NEON on aarch64 (≤ 4-ULP contract).
     Vector,
 }
 
 impl Variant {
-    /// All variants, scalar first (useful for sweeps and benches).
-    pub const ALL: [Variant; 4] = [
-        Variant::ScalarU1,
-        Variant::ScalarU4,
-        Variant::ScalarU8,
-        Variant::Vector,
-    ];
+    /// Both variants, scalar first (useful for sweeps and benches).
+    pub const ALL: [Variant; 2] = [Variant::ScalarU1, Variant::Vector];
 
     /// Stable display name (used in plans, benches and JSON artifacts).
     pub fn name(self) -> &'static str {
         match self {
             Variant::ScalarU1 => "scalar-u1",
-            Variant::ScalarU4 => "scalar-u4",
-            Variant::ScalarU8 => "scalar-u8",
             Variant::Vector => "vector",
-        }
-    }
-
-    /// The unroll factor this variant realizes (lanes processed per
-    /// iteration of the inner loop) — the quantity an `ExecutionPlan`'s
-    /// `unroll` field names for codegen and the simulator.
-    pub fn unroll(self) -> usize {
-        match self {
-            Variant::ScalarU1 => 1,
-            Variant::ScalarU4 => 4,
-            Variant::ScalarU8 => 8,
-            Variant::Vector => lane_width().max(1),
         }
     }
 }
@@ -127,19 +102,18 @@ impl Variant {
 /// How the process-global dispatcher picks a [`Variant`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdPolicy {
-    /// Use the vector path when the CPU supports it, `scalar-u8` otherwise.
+    /// Use the vector path when the CPU supports it, the scalar definition
+    /// otherwise.
     Auto,
-    /// Always use the given variant ([`Variant::Vector`] still degrades to
-    /// `scalar-u8` on CPUs without AVX2+FMA / NEON).
+    /// Always use the given variant ([`Variant::Vector`] still resolves to
+    /// the scalar definition on CPUs without AVX2+FMA / NEON).
     Fixed(Variant),
 }
 
 const P_UNSET: u8 = 0;
 const P_AUTO: u8 = 1;
 const P_U1: u8 = 2;
-const P_U4: u8 = 3;
-const P_U8: u8 = 4;
-const P_VEC: u8 = 5;
+const P_VEC: u8 = 3;
 
 static POLICY: AtomicU8 = AtomicU8::new(P_UNSET);
 
@@ -147,8 +121,6 @@ fn encode(p: SimdPolicy) -> u8 {
     match p {
         SimdPolicy::Auto => P_AUTO,
         SimdPolicy::Fixed(Variant::ScalarU1) => P_U1,
-        SimdPolicy::Fixed(Variant::ScalarU4) => P_U4,
-        SimdPolicy::Fixed(Variant::ScalarU8) => P_U8,
         SimdPolicy::Fixed(Variant::Vector) => P_VEC,
     }
 }
@@ -156,22 +128,18 @@ fn encode(p: SimdPolicy) -> u8 {
 fn decode(v: u8) -> SimdPolicy {
     match v {
         P_U1 => SimdPolicy::Fixed(Variant::ScalarU1),
-        P_U4 => SimdPolicy::Fixed(Variant::ScalarU4),
-        P_U8 => SimdPolicy::Fixed(Variant::ScalarU8),
         P_VEC => SimdPolicy::Fixed(Variant::Vector),
         _ => SimdPolicy::Auto,
     }
 }
 
 /// Parses an `RTM_SIMD` value (or a `--simd` CLI flag). Recognized:
-/// `auto`/`on`, `off`/`scalar`/`0`/`u1`, `u4`, `u8`, `vector`/`simd`
+/// `auto`/`on`, `off`/`scalar`/`0`/`u1`, `vector`/`simd`
 /// (case-insensitive). Returns `None` for anything else.
 pub fn parse_policy(s: &str) -> Option<SimdPolicy> {
     match s.trim().to_ascii_lowercase().as_str() {
         "auto" | "on" | "" => Some(SimdPolicy::Auto),
         "off" | "scalar" | "0" | "u1" | "scalar-u1" => Some(SimdPolicy::Fixed(Variant::ScalarU1)),
-        "u4" | "scalar-u4" => Some(SimdPolicy::Fixed(Variant::ScalarU4)),
-        "u8" | "scalar-u8" => Some(SimdPolicy::Fixed(Variant::ScalarU8)),
         "vector" | "simd" => Some(SimdPolicy::Fixed(Variant::Vector)),
         _ => None,
     }
@@ -184,7 +152,9 @@ pub fn set_policy(p: SimdPolicy) {
 
 /// The current dispatch policy. On first use (before any [`set_policy`])
 /// the `RTM_SIMD` environment variable is consulted; unset or unparseable
-/// values mean [`SimdPolicy::Auto`].
+/// values — a stale `u4` / `u8`, which name no variant, included — mean
+/// [`SimdPolicy::Auto`]. This read is lenient; the `rtm` binary's
+/// `RuntimeConfig::from_env` rejects the same value with the grammar.
 pub fn policy() -> SimdPolicy {
     let v = POLICY.load(Ordering::Relaxed);
     if v != P_UNSET {
@@ -211,7 +181,7 @@ pub fn active_variant() -> Variant {
             if vector_available() {
                 Variant::Vector
             } else {
-                Variant::ScalarU8
+                Variant::ScalarU1
             }
         }
         SimdPolicy::Fixed(v) => v,
@@ -227,8 +197,6 @@ pub fn active_variant() -> Variant {
 pub fn dispatch_key(v: Variant) -> &'static str {
     match v {
         Variant::ScalarU1 => "simd.dispatch.scalar-u1",
-        Variant::ScalarU4 => "simd.dispatch.scalar-u4",
-        Variant::ScalarU8 => "simd.dispatch.scalar-u8",
         Variant::Vector => "simd.dispatch.vector",
     }
 }
@@ -280,84 +248,17 @@ pub fn vector_isa() -> &'static str {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar variants. One accumulator, original left-to-right association:
-// u1, u4 and u8 are bit-identical by construction.
+// The scalar definitions. One accumulator, original left-to-right
+// association: what every contract in this module is stated against, and what
+// runs (vectorised by the compiler where it can be) when the ISA is absent.
 // ---------------------------------------------------------------------------
 
 fn dot_u1(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(&x, &y)| x * y).sum()
 }
 
-fn dot_u4(a: &[f32], b: &[f32]) -> f32 {
-    let m = a.len() - a.len() % 4;
-    let mut acc = 0.0f32;
-    for (ca, cb) in a[..m].chunks_exact(4).zip(b[..m].chunks_exact(4)) {
-        acc += ca[0] * cb[0];
-        acc += ca[1] * cb[1];
-        acc += ca[2] * cb[2];
-        acc += ca[3] * cb[3];
-    }
-    for (&x, &y) in a[m..].iter().zip(&b[m..]) {
-        acc += x * y;
-    }
-    acc
-}
-
-fn dot_u8(a: &[f32], b: &[f32]) -> f32 {
-    let m = a.len() - a.len() % 8;
-    let mut acc = 0.0f32;
-    for (ca, cb) in a[..m].chunks_exact(8).zip(b[..m].chunks_exact(8)) {
-        acc += ca[0] * cb[0];
-        acc += ca[1] * cb[1];
-        acc += ca[2] * cb[2];
-        acc += ca[3] * cb[3];
-        acc += ca[4] * cb[4];
-        acc += ca[5] * cb[5];
-        acc += ca[6] * cb[6];
-        acc += ca[7] * cb[7];
-    }
-    for (&x, &y) in a[m..].iter().zip(&b[m..]) {
-        acc += x * y;
-    }
-    acc
-}
-
 fn indexed_dot_u1(vals: &[f32], idx: &[u32], x: &[f32]) -> f32 {
     vals.iter().zip(idx).map(|(&w, &c)| w * x[c as usize]).sum()
-}
-
-fn indexed_dot_u4(vals: &[f32], idx: &[u32], x: &[f32]) -> f32 {
-    let m = vals.len() - vals.len() % 4;
-    let mut acc = 0.0f32;
-    for (cw, ci) in vals[..m].chunks_exact(4).zip(idx[..m].chunks_exact(4)) {
-        acc += cw[0] * x[ci[0] as usize];
-        acc += cw[1] * x[ci[1] as usize];
-        acc += cw[2] * x[ci[2] as usize];
-        acc += cw[3] * x[ci[3] as usize];
-    }
-    for (&w, &c) in vals[m..].iter().zip(&idx[m..]) {
-        acc += w * x[c as usize];
-    }
-    acc
-}
-
-fn indexed_dot_u8(vals: &[f32], idx: &[u32], x: &[f32]) -> f32 {
-    let m = vals.len() - vals.len() % 8;
-    let mut acc = 0.0f32;
-    for (cw, ci) in vals[..m].chunks_exact(8).zip(idx[..m].chunks_exact(8)) {
-        acc += cw[0] * x[ci[0] as usize];
-        acc += cw[1] * x[ci[1] as usize];
-        acc += cw[2] * x[ci[2] as usize];
-        acc += cw[3] * x[ci[3] as usize];
-        acc += cw[4] * x[ci[4] as usize];
-        acc += cw[5] * x[ci[5] as usize];
-        acc += cw[6] * x[ci[6] as usize];
-        acc += cw[7] * x[ci[7] as usize];
-    }
-    for (&w, &c) in vals[m..].iter().zip(&idx[m..]) {
-        acc += w * x[c as usize];
-    }
-    acc
 }
 
 fn axpy_u1(alpha: f32, x: &[f32], y: &mut [f32]) {
@@ -366,76 +267,8 @@ fn axpy_u1(alpha: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
-fn axpy_u4(alpha: f32, x: &[f32], y: &mut [f32]) {
-    let m = x.len() - x.len() % 4;
-    for (cy, cx) in y[..m].chunks_exact_mut(4).zip(x[..m].chunks_exact(4)) {
-        cy[0] += alpha * cx[0];
-        cy[1] += alpha * cx[1];
-        cy[2] += alpha * cx[2];
-        cy[3] += alpha * cx[3];
-    }
-    for (yi, &xi) in y[m..].iter_mut().zip(&x[m..]) {
-        *yi += alpha * xi;
-    }
-}
-
-fn axpy_u8(alpha: f32, x: &[f32], y: &mut [f32]) {
-    let m = x.len() - x.len() % 8;
-    for (cy, cx) in y[..m].chunks_exact_mut(8).zip(x[..m].chunks_exact(8)) {
-        cy[0] += alpha * cx[0];
-        cy[1] += alpha * cx[1];
-        cy[2] += alpha * cx[2];
-        cy[3] += alpha * cx[3];
-        cy[4] += alpha * cx[4];
-        cy[5] += alpha * cx[5];
-        cy[6] += alpha * cx[6];
-        cy[7] += alpha * cx[7];
-    }
-    for (yi, &xi) in y[m..].iter_mut().zip(&x[m..]) {
-        *yi += alpha * xi;
-    }
-}
-
 fn hadamard_into_u1(a: &[f32], b: &[f32], out: &mut [f32]) {
     for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = x * y;
-    }
-}
-
-fn hadamard_into_u4(a: &[f32], b: &[f32], out: &mut [f32]) {
-    let m = a.len() - a.len() % 4;
-    for ((co, ca), cb) in out[..m]
-        .chunks_exact_mut(4)
-        .zip(a[..m].chunks_exact(4))
-        .zip(b[..m].chunks_exact(4))
-    {
-        co[0] = ca[0] * cb[0];
-        co[1] = ca[1] * cb[1];
-        co[2] = ca[2] * cb[2];
-        co[3] = ca[3] * cb[3];
-    }
-    for ((o, &x), &y) in out[m..].iter_mut().zip(&a[m..]).zip(&b[m..]) {
-        *o = x * y;
-    }
-}
-
-fn hadamard_into_u8(a: &[f32], b: &[f32], out: &mut [f32]) {
-    let m = a.len() - a.len() % 8;
-    for ((co, ca), cb) in out[..m]
-        .chunks_exact_mut(8)
-        .zip(a[..m].chunks_exact(8))
-        .zip(b[..m].chunks_exact(8))
-    {
-        co[0] = ca[0] * cb[0];
-        co[1] = ca[1] * cb[1];
-        co[2] = ca[2] * cb[2];
-        co[3] = ca[3] * cb[3];
-        co[4] = ca[4] * cb[4];
-        co[5] = ca[5] * cb[5];
-        co[6] = ca[6] * cb[6];
-        co[7] = ca[7] * cb[7];
-    }
-    for ((o, &x), &y) in out[m..].iter_mut().zip(&a[m..]).zip(&b[m..]) {
         *o = x * y;
     }
 }
@@ -448,10 +281,10 @@ fn hadamard_into_u8(a: &[f32], b: &[f32], out: &mut [f32]) {
 //
 // Numeric contract: lane `j` of a batched kernel is **bit-identical** to
 // the single-vector kernel of the same variant applied to column `j`. The
-// three scalar unrolls share one realization (they are already bit-exact
-// with each other per lane: single accumulator, left-to-right association);
-// the vector realization keeps the serial kernel's k-sublane accumulators
-// and applies its horizontal-reduction tree element-wise per lane.
+// scalar realization is the scalar definition per lane (single accumulator,
+// left-to-right association); the vector realization keeps the serial
+// kernel's k-sublane accumulators and applies its horizontal-reduction tree
+// element-wise per lane.
 // ---------------------------------------------------------------------------
 
 fn dot_batch_scalar(a: &[f32], xs: &[f32], b: usize, out: &mut [f32]) {
@@ -985,7 +818,7 @@ mod neon {
 
 // ---------------------------------------------------------------------------
 // Vector dispatchers: runtime-checked entry into the unsafe ISA modules,
-// degrading to scalar-u8 when the CPU lacks the features.
+// ending in the scalar definition when the CPU lacks the features.
 // ---------------------------------------------------------------------------
 
 fn dot_vector(a: &[f32], b: &[f32]) -> f32 {
@@ -999,7 +832,7 @@ fn dot_vector(a: &[f32], b: &[f32]) -> f32 {
         // SAFETY: NEON presence verified by `vector_available`.
         return unsafe { neon::dot(a, b) };
     }
-    dot_u8(a, b)
+    dot_u1(a, b)
 }
 
 fn indexed_dot_vector(vals: &[f32], idx: &[u32], x: &[f32]) -> f32 {
@@ -1013,7 +846,7 @@ fn indexed_dot_vector(vals: &[f32], idx: &[u32], x: &[f32]) -> f32 {
         // SAFETY: NEON presence verified by `vector_available`.
         return unsafe { neon::indexed_dot(vals, idx, x) };
     }
-    indexed_dot_u8(vals, idx, x)
+    indexed_dot_u1(vals, idx, x)
 }
 
 fn axpy_vector(alpha: f32, x: &[f32], y: &mut [f32]) {
@@ -1027,7 +860,7 @@ fn axpy_vector(alpha: f32, x: &[f32], y: &mut [f32]) {
         // SAFETY: NEON presence verified by `vector_available`.
         return unsafe { neon::axpy(alpha, x, y) };
     }
-    axpy_u8(alpha, x, y)
+    axpy_u1(alpha, x, y)
 }
 
 fn hadamard_into_vector(a: &[f32], b: &[f32], out: &mut [f32]) {
@@ -1041,7 +874,7 @@ fn hadamard_into_vector(a: &[f32], b: &[f32], out: &mut [f32]) {
         // SAFETY: NEON presence verified by `vector_available`.
         return unsafe { neon::hadamard_into(a, b, out) };
     }
-    hadamard_into_u8(a, b, out)
+    hadamard_into_u1(a, b, out)
 }
 
 fn dot_batch_vector(a: &[f32], xs: &[f32], b: usize, out: &mut [f32]) {
@@ -1056,8 +889,8 @@ fn dot_batch_vector(a: &[f32], xs: &[f32], b: usize, out: &mut [f32]) {
         // SAFETY: NEON presence verified by `vector_available`.
         return unsafe { neon::dot_batch(a, xs, b, out) };
     }
-    // Without the ISA the serial vector kernels degrade to scalar-u8, which
-    // is bit-exact with the shared scalar batch realization per lane.
+    // Without the ISA the serial vector kernels are the scalar definition,
+    // which the scalar batch realization runs per lane.
     dot_batch_scalar(a, xs, b, out)
 }
 
@@ -1079,7 +912,7 @@ fn indexed_dot_batch_vector(vals: &[f32], idx: &[u32], xs: &[f32], b: usize, out
 
 // ---------------------------------------------------------------------------
 // Public kernels: `foo()` runs the policy-selected variant, `foo_variant()`
-// runs an explicit one (differential tests, tuner, benches).
+// runs an explicit one (differential tests, benches).
 // ---------------------------------------------------------------------------
 
 /// Dot product of two equally-long slices under an explicit variant.
@@ -1091,8 +924,6 @@ pub fn dot_variant(v: Variant, a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot: length mismatch");
     match v {
         Variant::ScalarU1 => dot_u1(a, b),
-        Variant::ScalarU4 => dot_u4(a, b),
-        Variant::ScalarU8 => dot_u8(a, b),
         Variant::Vector => dot_vector(a, b),
     }
 }
@@ -1121,8 +952,6 @@ pub fn indexed_dot_variant(v: Variant, vals: &[f32], idx: &[u32], x: &[f32]) -> 
     }
     match v {
         Variant::ScalarU1 => indexed_dot_u1(vals, idx, x),
-        Variant::ScalarU4 => indexed_dot_u4(vals, idx, x),
-        Variant::ScalarU8 => indexed_dot_u8(vals, idx, x),
         Variant::Vector => indexed_dot_vector(vals, idx, x),
     }
 }
@@ -1145,8 +974,6 @@ pub fn axpy_variant(v: Variant, alpha: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
     match v {
         Variant::ScalarU1 => axpy_u1(alpha, x, y),
-        Variant::ScalarU4 => axpy_u4(alpha, x, y),
-        Variant::ScalarU8 => axpy_u8(alpha, x, y),
         Variant::Vector => axpy_vector(alpha, x, y),
     }
 }
@@ -1171,8 +998,6 @@ pub fn hadamard_into_variant(v: Variant, a: &[f32], b: &[f32], out: &mut [f32]) 
     assert_eq!(a.len(), out.len(), "hadamard: output length mismatch");
     match v {
         Variant::ScalarU1 => hadamard_into_u1(a, b, out),
-        Variant::ScalarU4 => hadamard_into_u4(a, b, out),
-        Variant::ScalarU8 => hadamard_into_u8(a, b, out),
         Variant::Vector => hadamard_into_vector(a, b, out),
     }
 }
@@ -1226,9 +1051,7 @@ fn dot_lanes(v: Variant, a: &[f32], xs: &[f32], b: usize, out: &mut [f32]) {
         return;
     }
     match v {
-        Variant::ScalarU1 | Variant::ScalarU4 | Variant::ScalarU8 => {
-            dot_batch_scalar(a, xs, b, out)
-        }
+        Variant::ScalarU1 => dot_batch_scalar(a, xs, b, out),
         Variant::Vector => dot_batch_vector(a, xs, b, out),
     }
 }
@@ -1294,9 +1117,7 @@ fn indexed_dot_lanes(v: Variant, vals: &[f32], idx: &[u32], xs: &[f32], b: usize
         );
     }
     match v {
-        Variant::ScalarU1 | Variant::ScalarU4 | Variant::ScalarU8 => {
-            indexed_dot_batch_scalar(vals, idx, xs, b, out)
-        }
+        Variant::ScalarU1 => indexed_dot_batch_scalar(vals, idx, xs, b, out),
         Variant::Vector => indexed_dot_batch_vector(vals, idx, xs, b, out),
     }
 }
@@ -1344,8 +1165,7 @@ pub fn broadcast_add(bias: &[f32], b: usize, out: &mut [f32]) {
 
 /// In-place sigmoid sweep under an explicit variant.
 ///
-/// An element-wise kernel has no accumulator an unroll could reassociate,
-/// so the three scalar variants are one loop over `activations::sigmoid`.
+/// The scalar definition is one loop over `activations::sigmoid`.
 /// `Vector` is the AVX2 body, which runs that definition's operation
 /// sequence eight lanes at a time (no FMA, both branches computed and
 /// selected): bit-identical to the scalar loop on all 2³² inputs, checked
@@ -1399,18 +1219,6 @@ mod tests {
     }
 
     #[test]
-    fn scalar_unrolls_bit_exact_with_naive() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for n in [0usize, 1, 3, 4, 7, 8, 9, 31, 64, 100, 257] {
-            let a = rand_vec(n, &mut rng);
-            let b = rand_vec(n, &mut rng);
-            let want = dot_u1(&a, &b);
-            assert_eq!(dot_variant(Variant::ScalarU4, &a, &b), want, "u4 n={n}");
-            assert_eq!(dot_variant(Variant::ScalarU8, &a, &b), want, "u8 n={n}");
-        }
-    }
-
-    #[test]
     fn vector_dot_within_ulp_contract() {
         let mut rng = StdRng::seed_from_u64(11);
         for n in [1usize, 5, 8, 13, 64, 127, 1024] {
@@ -1457,11 +1265,6 @@ mod tests {
             let y0 = rand_vec(n, &mut rng);
             let mut want = y0.clone();
             axpy_u1(0.37, &x, &mut want);
-            for v in [Variant::ScalarU4, Variant::ScalarU8] {
-                let mut y = y0.clone();
-                axpy_variant(v, 0.37, &x, &mut y);
-                assert_eq!(y, want, "{} n={n}", v.name());
-            }
             // Vector axpy contracts mul+add into one FMA per element.
             let mut y = y0.clone();
             axpy_variant(Variant::Vector, 0.37, &x, &mut y);
@@ -1687,14 +1490,10 @@ mod tests {
             parse_policy("Scalar"),
             Some(SimdPolicy::Fixed(Variant::ScalarU1))
         );
-        assert_eq!(
-            parse_policy("u4"),
-            Some(SimdPolicy::Fixed(Variant::ScalarU4))
-        );
-        assert_eq!(
-            parse_policy("u8"),
-            Some(SimdPolicy::Fixed(Variant::ScalarU8))
-        );
+        // An unroll factor names no variant.
+        for stale in ["u4", "u8"] {
+            assert_eq!(parse_policy(stale), None, "{stale}");
+        }
         assert_eq!(
             parse_policy("vector"),
             Some(SimdPolicy::Fixed(Variant::Vector))
@@ -1705,10 +1504,7 @@ mod tests {
     #[test]
     fn variant_metadata() {
         assert_eq!(Variant::ScalarU1.name(), "scalar-u1");
-        assert_eq!(Variant::ScalarU1.unroll(), 1);
-        assert_eq!(Variant::ScalarU4.unroll(), 4);
-        assert_eq!(Variant::ScalarU8.unroll(), 8);
-        assert!(Variant::Vector.unroll() >= 1);
+        assert_eq!(Variant::Vector.name(), "vector");
         // lane_width and ISA name agree with availability.
         if vector_available() {
             assert!(lane_width() >= 4);

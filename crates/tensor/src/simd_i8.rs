@@ -3,11 +3,12 @@
 //! The quantized inference path stores weights as `i8` codes and quantizes
 //! activations per call (`q = round(x / sx)` with `sx = max|x| / 127`), so
 //! every kernel here multiplies two int8 operands and accumulates in `i32`.
-//! Integer accumulation is *exact*: unlike the f32 kernels, every variant —
-//! scalar at any unroll, AVX2 `maddubs`-style widening — returns the same
-//! `i32` for the same inputs, so the bit-exactness contract of the f32
-//! layer holds trivially (and more strongly) here. Dequantization happens
-//! once, at the store site in the sparse kernels, never inside these.
+//! Integer accumulation is *exact*: unlike the f32 kernels, both
+//! realizations — the scalar definition and the AVX2 `maddubs`-style
+//! widening production runs — return the same `i32` for the same inputs, so
+//! the bit-exactness contract of the f32 layer holds trivially (and more
+//! strongly) here. Dequantization happens once, at the store site in the
+//! sparse kernels, never inside these.
 //!
 //! Overflow: a single `i8 × i8` product is at most `127 × 127 = 16129`, so
 //! an `i32` accumulator absorbs over 130 000 terms before it could wrap.
@@ -17,22 +18,8 @@
 
 use crate::simd::Variant;
 
-/// Exact integer dot product `Σ a[i]·b[i]` with `i32` accumulation.
-///
-/// Every variant returns the same value; the variant only selects how much
-/// instruction-level parallelism the loop exposes.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn dot_i8_variant(v: Variant, a: &[i8], b: &[i8]) -> i32 {
-    assert_eq!(a.len(), b.len(), "dot_i8 length mismatch");
-    match v {
-        Variant::ScalarU1 | Variant::ScalarU4 | Variant::ScalarU8 => dot_i8_scalar(a, b),
-        Variant::Vector => dot_i8_vector(a, b),
-    }
-}
-
+/// Exact integer dot product `Σ a[i]·b[i]` with `i32` accumulation: the
+/// scalar definition every fused row kernel below is stated against.
 fn dot_i8_scalar(a: &[i8], b: &[i8]) -> i32 {
     let mut acc = 0i32;
     for (&x, &y) in a.iter().zip(b) {
@@ -41,24 +28,13 @@ fn dot_i8_scalar(a: &[i8], b: &[i8]) -> i32 {
     acc
 }
 
-fn dot_i8_vector(a: &[i8], b: &[i8]) -> i32 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if crate::simd::vector_available() {
-            // Safety: vector_available() verified avx2 support at runtime.
-            return unsafe { x86::dot_i8(a, b) };
-        }
-    }
-    dot_i8_scalar(a, b)
-}
-
 /// Fused per-row BSPC int8 kernel: the row's values and gathered
 /// activations are split into consecutive segments of `seg_lens[i]`
 /// elements (one per column block), each segment gets an exact i32 dot,
 /// and the result is `Σ_i scales[i] · (dot_i as f32)` accumulated in
-/// segment order. One call replaces a dispatched [`dot_i8_variant`] per
-/// block — at high compression the blocks are a handful of elements each,
-/// so the per-call overhead used to dominate the actual multiplies.
+/// segment order. One call covers the whole row — at high compression the
+/// blocks are a handful of elements each, so a call per block would cost
+/// more than the multiplies.
 ///
 /// Every variant returns the same value: the per-segment i32 dots are
 /// exact regardless of vectorization, and the f32 combination happens in
@@ -83,9 +59,7 @@ pub fn row_block_dots_i8(
         "segment lengths cover the row"
     );
     match v {
-        Variant::ScalarU1 | Variant::ScalarU4 | Variant::ScalarU8 => {
-            row_block_dots_i8_scalar(vals, gathered, seg_lens, scales)
-        }
+        Variant::ScalarU1 => row_block_dots_i8_scalar(vals, gathered, seg_lens, scales),
         Variant::Vector => row_block_dots_i8_vector(vals, gathered, seg_lens, scales),
     }
 }
@@ -415,32 +389,6 @@ pub fn quantize_activations_lanes(xs: &[f32], b: usize, out: &mut Vec<i8>, scale
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::*;
-
-    /// AVX2 int8 dot: 16 products per step through sign-extend to i16 and
-    /// `_mm256_madd_epi16` (the signed sibling of the `maddubs` idiom),
-    /// accumulated in eight i32 lanes. Exact — integer adds commute.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-        let n = a.len();
-        let mut acc = _mm256_setzero_si256();
-        let mut k = 0usize;
-        while k + 16 <= n {
-            let va = _mm_loadu_si128(a.as_ptr().add(k) as *const __m128i);
-            let vb = _mm_loadu_si128(b.as_ptr().add(k) as *const __m128i);
-            let wa = _mm256_cvtepi8_epi16(va);
-            let wb = _mm256_cvtepi8_epi16(vb);
-            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(wa, wb));
-            k += 16;
-        }
-        let mut lanes = [0i32; 8];
-        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-        let mut total: i32 = lanes.iter().sum();
-        while k < n {
-            total += *a.get_unchecked(k) as i32 * *b.get_unchecked(k) as i32;
-            k += 1;
-        }
-        total
-    }
 
     /// One i32 dot of `a[off..off+len]`·`b[off..off+len]` with 16-wide,
     /// 8-wide, 4-wide and scalar steps. Exact — integer adds commute. The
@@ -806,21 +754,27 @@ mod tests {
         for n in [0usize, 1, 7, 15, 16, 17, 33, 100, 257] {
             let a = codes(n, 1);
             let b = codes(n, 2);
-            let reference = dot_i8_variant(Variant::ScalarU1, &a, &b);
+            // One segment at unit scale is the bare dot, exact in f32
+            // (every sum here is below 2^24 in magnitude).
+            let reference = dot_i8_scalar(&a, &b) as f32;
             for v in Variant::ALL {
-                assert_eq!(dot_i8_variant(v, &a, &b), reference, "n={n} {v:?}");
+                let got = row_block_dots_i8(v, &a, &b, &[n as u32], &[1.0]);
+                assert_eq!(got, reference, "n={n} {v:?}");
             }
         }
     }
 
     #[test]
     fn extreme_codes_do_not_overflow() {
-        // 4096 maxed-out products: 4096 * 16129 ≈ 6.6e7, far inside i32.
+        // 4096 maxed-out products: 4096 * 16129 ≈ 6.6e7, far inside i32 —
+        // and −16129 · 2^12 is exact in f32.
         let a = vec![127i8; 4096];
         let b = vec![-127i8; 4096];
         let want = -(127i32 * 127) * 4096;
+        assert_eq!(dot_i8_scalar(&a, &b), want);
         for v in Variant::ALL {
-            assert_eq!(dot_i8_variant(v, &a, &b), want, "{v:?}");
+            let got = row_block_dots_i8(v, &a, &b, &[4096], &[1.0]);
+            assert_eq!(got, want as f32, "{v:?}");
         }
     }
 
@@ -837,8 +791,10 @@ mod tests {
             .zip(&idx)
             .map(|(&q, &i)| q as i32 * x[i as usize] as i32)
             .sum();
+        assert_eq!(dot_i8_scalar(&vals, &gathered), indexed);
         for v in Variant::ALL {
-            assert_eq!(dot_i8_variant(v, &vals, &gathered), indexed, "{v:?}");
+            let got = row_block_dots_i8(v, &vals, &gathered, &[50], &[1.0]);
+            assert_eq!(got, indexed as f32, "{v:?}");
         }
     }
 
@@ -857,11 +813,7 @@ mod tests {
         for (&len, &scale) in seg_lens.iter().zip(&scales) {
             let len = len as usize;
             if len > 0 {
-                let d = dot_i8_variant(
-                    Variant::ScalarU1,
-                    &vals[off..off + len],
-                    &gathered[off..off + len],
-                );
+                let d = dot_i8_scalar(&vals[off..off + len], &gathered[off..off + len]);
                 want += d as f32 * scale;
             }
             off += len;

@@ -20,6 +20,15 @@ if [[ "$quick" -eq 0 ]]; then
   cargo build --release --workspace
 fi
 
+# Layering: the training crate must not link the serving engine. The dense
+# cells are the serial oracle; the pool enters the stack in `deploy` only.
+echo "==> layering (rtm-rnn's dependency closure has no rtm-exec)"
+closure=$(cargo tree --offline -e normal -p rtm-rnn)
+if grep -q rtm-exec <<< "$closure"; then
+  echo "FAIL: rtm-rnn depends on rtm-exec" >&2
+  exit 1
+fi
+
 # The fault-injection suite's decoder fuzz runs 10k seeded mutations by
 # default; --quick trims it to 1k (same seeds, shorter schedule).
 if [[ "$quick" -eq 1 ]]; then
@@ -141,9 +150,11 @@ out=$(cargo run -q "${profile[@]}" -p rtmobile --bin rtm -- \
 [[ $(grep -c "checksum ok" <<< "$out") -eq 3 ]]
 
 # Informational, never failing: the non-test line counts of the kernel
-# layer, the figure the simplicity PRs' acceptance tables quote.
+# layer and the dense cells, the figure the simplicity PRs' acceptance
+# tables quote.
 echo "==> non-test lines of the kernel layer (scripts/loc.sh)"
 scripts/loc.sh crates/sparse/src/{bspc,csr,bbs,csb,kernel,scratch}.rs \
-  crates/tensor/src/{simd,simd_i8,gemm,activations}.rs crates/exec/src/{spmv,dense}.rs || true
+  crates/tensor/src/{simd,simd_i8,gemm,activations}.rs crates/exec/src/{spmv,dense}.rs \
+  crates/rnn/src/{gru,lstm}.rs || true
 
 echo "CI gate passed."

@@ -1,10 +1,9 @@
 //! Cross-crate integration: the parallel execution engine drives the whole
-//! deployed stack — rtm-exec kernels, rtm-rnn cells, and the rtmobile
-//! compiled runtime — and every parallel path stays bit-identical to its
-//! serial counterpart for every thread count.
+//! deployed stack — rtm-exec kernels and the rtmobile compiled runtime —
+//! and every parallel path stays bit-identical to its serial counterpart
+//! for every thread count.
 
 use rtm_exec::Executor;
-use rtm_rnn::lstm::LstmCell;
 use rtm_rnn::model::NetworkConfig;
 use rtm_rnn::GruNetwork;
 use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix, Precision, SparseKernel};
@@ -66,41 +65,6 @@ fn executor_matches_serial_for_all_formats() {
                 assert_eq!(ys, serial_mm, "{what}");
             }
         }
-    }
-}
-
-#[test]
-fn gru_cell_parallel_timestep_bit_exact() {
-    let net = GruNetwork::new(
-        &NetworkConfig {
-            input_dim: 8,
-            hidden_dims: vec![16],
-            num_classes: 3,
-        },
-        5,
-    );
-    let cell = &net.layers[0];
-    let x: Vec<f32> = (0..8).map(|i| (i as f32 * 0.7).sin()).collect();
-    let mut h = vec![0.0f32; 16];
-    for threads in THREADS {
-        let exec = Executor::new(threads);
-        let serial = cell.step(&x, &h);
-        assert_eq!(cell.step_with(&exec, &x, &h), serial);
-        h = serial.h;
-    }
-}
-
-#[test]
-fn lstm_cell_parallel_timestep_bit_exact() {
-    let cell = LstmCell::new(6, 12, 7);
-    let x: Vec<f32> = (0..6).map(|i| (i as f32 * 0.5).cos()).collect();
-    let (mut h, mut c) = (vec![0.0f32; 12], vec![0.0f32; 12]);
-    for threads in THREADS {
-        let exec = Executor::new(threads);
-        let serial = cell.step(&x, &h, &c);
-        assert_eq!(cell.step_with(&exec, &x, &h, &c), serial);
-        h = serial.h;
-        c = serial.c;
     }
 }
 
@@ -267,18 +231,13 @@ fn batched_session_matches_serial_predict_across_threads() {
 
 #[test]
 fn one_executor_serves_the_whole_stack() {
-    // A single pool handle is reused across raw SpMV, cell steps and
-    // compiled inference — the deployment shape (one pool per process).
+    // A single pool handle is reused across raw SpMV and compiled
+    // inference — the deployment shape (one pool per process).
     let exec = Executor::new(3);
     let w = bsp_weight(32, 24, 1);
     let bspc = BspcMatrix::from_dense(&w, 2, 2).unwrap();
     let x = vec![0.25f32; 24];
     assert_eq!(pooled_spmv(&exec, &bspc, &x), bspc.spmv(&x).unwrap());
-
-    let cell = LstmCell::new(4, 8, 2);
-    let xs: Vec<f32> = (0..4).map(|i| i as f32 * 0.1).collect();
-    let serial = cell.step(&xs, &[0.0; 8], &[0.0; 8]);
-    assert_eq!(cell.step_with(&exec, &xs, &[0.0; 8], &[0.0; 8]), serial);
 
     let net = GruNetwork::new(
         &NetworkConfig {

@@ -8,8 +8,8 @@
 //! `RTM_SIMD=off`).
 //!
 //! Contract being checked (see the `simd` module docs):
-//! * `scalar-u4`/`scalar-u8` are **bit-exact** with the naive `scalar-u1`
-//!   reference — single accumulator, left-to-right association;
+//! * `scalar-u1` is the scalar definition — single accumulator,
+//!   left-to-right association — every bound below is stated against;
 //! * the `vector` reduction stays within `4 · ulp(Σ|termᵢ|)` of `scalar-u1`
 //!   (ULPs measured at the *accumulation magnitude*, the only sound scale
 //!   under cancellation);
@@ -29,8 +29,8 @@ use rtm_tensor::simd::{
 };
 use rtm_tensor::{gemm, Matrix};
 
-/// Shape matrix with ragged tails around every unroll boundary (4, 8 and
-/// the AVX2 lane width), plus large GRU-realistic sizes.
+/// Shape matrix with ragged tails around every vector-width boundary (4 on
+/// NEON, 8 on AVX2), plus large GRU-realistic sizes.
 const SHAPES: [usize; 22] = [
     0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 255, 1000, 1024, 1037,
 ];
@@ -67,10 +67,6 @@ fn dot_differential_across_shape_matrix() {
         let a = rand_vec(n, &mut rng);
         let b = rand_vec(n, &mut rng);
         let want = dot_variant(Variant::ScalarU1, &a, &b);
-        // Scalar unrolls keep the accumulator chain: bit-exact.
-        for v in [Variant::ScalarU4, Variant::ScalarU8] {
-            assert_eq!(dot_variant(v, &a, &b), want, "{} n={n}", v.name());
-        }
         // Vector reassociates: bounded at the accumulation magnitude.
         let mag: f32 = a.iter().zip(&b).map(|(x, y)| (x * y).abs()).sum();
         let got = dot_variant(Variant::Vector, &a, &b);
@@ -90,14 +86,6 @@ fn indexed_dot_differential_across_shape_matrix() {
         let mut idx: Vec<u32> = (0..n).map(|_| rng.next_u32() % 1200).collect();
         idx.sort_unstable();
         let want = indexed_dot_variant(Variant::ScalarU1, &vals, &idx, &x);
-        for v in [Variant::ScalarU4, Variant::ScalarU8] {
-            assert_eq!(
-                indexed_dot_variant(v, &vals, &idx, &x),
-                want,
-                "{} nnz={n}",
-                v.name()
-            );
-        }
         let mag: f32 = vals
             .iter()
             .zip(&idx)
@@ -121,11 +109,6 @@ fn elementwise_kernels_differential() {
 
         let mut want = y0.clone();
         axpy_variant(Variant::ScalarU1, -0.73, &x, &mut want);
-        for v in [Variant::ScalarU4, Variant::ScalarU8] {
-            let mut y = y0.clone();
-            axpy_variant(v, -0.73, &x, &mut y);
-            assert_eq!(y, want, "axpy {} n={n}", v.name());
-        }
         // Vector axpy contracts mul+add into one FMA: per-element bound.
         let mut y = y0.clone();
         axpy_variant(Variant::Vector, -0.73, &x, &mut y);

@@ -29,19 +29,17 @@ fn policy_resolution_override_and_dispatch() {
     );
 
     // --- 2. Resolution against CPU support. -------------------------------
-    // Auto and Fixed(Vector) degrade to scalar-u8 without the ISA; pinned
-    // scalar variants are always honoured verbatim.
+    // Auto and Fixed(Vector) resolve to the scalar definition without the
+    // ISA; the pinned scalar variant is always honoured verbatim.
     let widest = if simd::vector_available() {
         Variant::Vector
     } else {
-        Variant::ScalarU8
+        Variant::ScalarU1
     };
     for (policy, want) in [
         (SimdPolicy::Auto, widest),
         (SimdPolicy::Fixed(Variant::Vector), widest),
         (SimdPolicy::Fixed(Variant::ScalarU1), Variant::ScalarU1),
-        (SimdPolicy::Fixed(Variant::ScalarU4), Variant::ScalarU4),
-        (SimdPolicy::Fixed(Variant::ScalarU8), Variant::ScalarU8),
     ] {
         simd::set_policy(policy);
         assert_eq!(simd::policy(), policy, "set_policy must win over the env");

@@ -332,7 +332,6 @@ fn tracing_off_leaves_outputs_bit_identical() {
     for policy in [
         SimdPolicy::Auto,
         SimdPolicy::Fixed(Variant::ScalarU1),
-        SimdPolicy::Fixed(Variant::ScalarU8),
         SimdPolicy::Fixed(Variant::Vector),
     ] {
         rtm_tensor::simd::set_policy(policy);
