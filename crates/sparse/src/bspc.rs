@@ -1157,6 +1157,183 @@ mod tests {
             .is_err());
     }
 
+    /// A BSP-structured `rows × cols` matrix in `kept_cols.len()` stripes:
+    /// stripe `s` keeps `kept_cols[s]` seeded columns for all of its rows,
+    /// row `r` survives iff `keep_row(r)`, and every kept entry is a nonzero
+    /// in `(-1, 1)`.
+    fn edge_matrix(
+        rows: usize,
+        cols: usize,
+        kept_cols: &[usize],
+        keep_row: impl Fn(usize) -> bool,
+    ) -> Matrix {
+        let mut rng = rtm_tensor::init::rng_from_seed(0x711E);
+        let stripe_h = rows.div_ceil(kept_cols.len());
+        let kept: Vec<Vec<bool>> = kept_cols
+            .iter()
+            .map(|&l| {
+                let mut order: Vec<usize> = (0..cols).collect();
+                let mut mask = vec![false; cols];
+                for i in 0..l {
+                    let j = rng.gen_range(i..cols);
+                    order.swap(i, j);
+                    mask[order[i]] = true;
+                }
+                mask
+            })
+            .collect();
+        Matrix::from_fn(rows, cols, |r, c| {
+            let v = rng.gen_f32() * 2.0 - 1.0;
+            if keep_row(r) && kept[r / stripe_h][c] {
+                if v == 0.0 {
+                    0.5
+                } else {
+                    v
+                }
+            } else {
+                0.0
+            }
+        })
+    }
+
+    /// The shapes whose kept rows meet every edge a row grouping can have:
+    /// a stripe height (13, the last stripe 9) that no register width
+    /// divides, with `L ∈ {1, 7, 8, 9, 17}` kept columns; and 40-row stripes
+    /// whose pruned rows leave runs of 1, 2 and 20 kept rows, a stripe with
+    /// a single kept row, and one losing every ninth row.
+    fn edge_matrices() -> Vec<BspcMatrix> {
+        let every_height = BspcMatrix::from_dense(
+            &edge_matrix(100, 70, &[1, 7, 8, 9, 17, 5, 3, 12], |_| true),
+            8,
+            3,
+        );
+        let runs = BspcMatrix::from_dense(
+            &edge_matrix(120, 40, &[9, 4, 11], |r| match r {
+                0..40 => !matches!(r, 1 | 4 | 25..),
+                40..80 => r == 57,
+                _ => r % 9 != 0,
+            }),
+            3,
+            2,
+        );
+        vec![every_height.unwrap(), runs.unwrap()]
+    }
+
+    /// What the float kernels are held to: per kept row, the stripe's kept
+    /// columns gathered from the dense weights and from input column `j`,
+    /// through the one-row `dot` of the active variant; pruned rows `+0.0`.
+    fn per_row_reference(m: &BspcMatrix, prec: Precision, xs: &[f32], b: usize) -> Vec<f32> {
+        let v = rtm_tensor::simd::active_variant();
+        let dense = m.to_dense();
+        let mut want = vec![0.0f32; m.rows() * b];
+        for &r in m.kept_rows() {
+            let r = r as usize;
+            let cols = m.stripe_kept_cols(r / m.stripe_height());
+            let w: Vec<f32> = cols
+                .iter()
+                .map(|&c| match prec {
+                    Precision::F16 => rtm_tensor::f16::quantize_f16(dense[(r, c as usize)]),
+                    _ => dense[(r, c as usize)],
+                })
+                .collect();
+            for j in 0..b {
+                let g: Vec<f32> = cols.iter().map(|&c| xs[c as usize * b + j]).collect();
+                want[r * b + j] = rtm_tensor::simd::dot_variant(v, &w, &g);
+            }
+        }
+        want
+    }
+
+    /// Bit equality, with the two things no kernel contract pins set aside:
+    /// which NaN a NaN result is, and — on the scalar batch realization only,
+    /// whose lanes start at `+0.0` where `dot`'s `Sum` starts at `-0.0` — the
+    /// sign of a zero whose products were all `-0.0`.
+    fn assert_rows_match(got: &[f32], want: &[f32], b: usize, what: &str) {
+        let scalar_lanes =
+            b > 1 && rtm_tensor::simd::active_variant() == rtm_tensor::simd::Variant::ScalarU1;
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            let same = g.to_bits() == w.to_bits()
+                || (g.is_nan() && w.is_nan())
+                || (scalar_lanes && *g == 0.0 && *w == 0.0);
+            assert!(same, "{what}: row {} lane {}: {g} vs {w}", i / b, i % b);
+        }
+    }
+
+    /// The tile-edge contract: on every edge shape, f32 and f16 at
+    /// `b ∈ {1, 2, 8, 12}` equal the per-row reference bit for bit, under
+    /// whichever SIMD policy the run has (CI runs `auto` and `scalar-u1`) —
+    /// for finite inputs carrying both zeros and for inputs with `inf` and
+    /// NaN in them.
+    #[test]
+    fn float_kernels_match_per_row_dots_on_every_tile_edge() {
+        for (shape, m) in edge_matrices().iter().enumerate() {
+            assert_eq!(
+                BspcMatrix::from_dense(&m.to_dense(), m.num_stripes(), m.num_blocks()).as_ref(),
+                Ok(m)
+            );
+            let units: Vec<usize> = (0..m.units()).map(|u| m.unit_first_row(u)).collect();
+            assert!(units.windows(2).all(|w| w[0] < w[1]), "shape {shape}");
+            for b in [1usize, 2, 8, 12] {
+                let mut rng = rtm_tensor::init::rng_from_seed(b as u64);
+                let mut xs: Vec<f32> = (0..m.cols() * b)
+                    .map(|i| match i % 5 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => rng.gen_f32() * 2.0 - 1.0,
+                    })
+                    .collect();
+                for special in [false, true] {
+                    if special {
+                        // One exceptional value in a column each stripe keeps.
+                        for s in 0..m.num_stripes() {
+                            let c = m.stripe_kept_cols(s)[0] as usize;
+                            xs[c * b + s % b] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][s % 3];
+                        }
+                    }
+                    for prec in [Precision::F32, Precision::F16] {
+                        let what = format!("shape {shape} {prec:?} b={b} special={special}");
+                        let mut ys = vec![f32::NAN; m.rows() * b];
+                        m.spmm_prec_into(prec, &xs, b, &mut ys).unwrap();
+                        assert_rows_match(&ys, &per_row_reference(m, prec, &xs, b), b, &what);
+                        if b == 1 {
+                            let mut y = vec![f32::NAN; m.rows()];
+                            m.spmv_prec_into(prec, &xs, &mut y).unwrap();
+                            assert_rows_match(&y, &ys, 1, &what);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The signed-zero hazard of a one-lane row: a zero input against
+    /// all-negative rows makes every product `-0.0`, and the sum's sign is
+    /// then the accumulator's start — `-0.0` for the scalar definition
+    /// (`Sum`), `+0.0` for the vector body. The kernel must land where the
+    /// active variant's `dot` lands; pruned rows read `+0.0` either way.
+    #[test]
+    fn zero_input_against_negative_rows_keeps_the_sign_of_dot() {
+        for m in edge_matrices() {
+            let negative = m.to_dense().map(|v| -v.abs());
+            let m = BspcMatrix::from_dense(&negative, m.num_stripes(), m.num_blocks()).unwrap();
+            let x = vec![0.0f32; m.cols()];
+            let sign =
+                rtm_tensor::simd::dot_variant(rtm_tensor::simd::active_variant(), &[-1.0], &[0.0]);
+            for prec in [Precision::F32, Precision::F16] {
+                let mut y = vec![f32::NAN; m.rows()];
+                m.spmv_prec_into(prec, &x, &mut y).unwrap();
+                let mut kept = m.kept_rows().iter().peekable();
+                for (r, got) in y.iter().enumerate() {
+                    let want = match kept.next_if(|&&k| k as usize == r) {
+                        Some(_) => sign,
+                        None => 0.0,
+                    };
+                    assert_eq!(got.to_bits(), want.to_bits(), "{prec:?} row {r}");
+                }
+            }
+        }
+    }
+
     /// Randomized (seed-driven) round-trip + SpMV property over arbitrary
     /// shapes and partitions.
     #[test]

@@ -68,6 +68,70 @@ fn executor_matches_serial_for_all_formats() {
     }
 }
 
+/// BSP shapes whose kept rows meet every edge a row grouping can have:
+/// 13-row stripes (the last one 9) that no register width divides, and
+/// 40-row stripes whose pruned rows leave runs of 1, 2 and 20 kept rows, a
+/// stripe with a single kept row, and one losing every ninth row.
+fn tile_edge_matrices() -> Vec<BspcMatrix> {
+    let weight = |rows: usize, cols: usize, stripes: usize, keep_row: &dyn Fn(usize) -> bool| {
+        let stripe_h = rows.div_ceil(stripes);
+        Matrix::from_fn(rows, cols, |r, c| {
+            let s = r / stripe_h;
+            if keep_row(r) && (c + s) % (2 + s) == 0 {
+                let v = 0.1 + ((r * 7 + c * 3) % 23) as f32 / 10.0;
+                if (r + c) % 2 == 0 {
+                    v
+                } else {
+                    -v
+                }
+            } else {
+                0.0
+            }
+        })
+    };
+    let every_height = weight(100, 70, 8, &|_| true);
+    let runs = weight(120, 40, 3, &|r| match r {
+        0..40 => !matches!(r, 1 | 4 | 25..),
+        40..80 => r == 57,
+        _ => r % 9 != 0,
+    });
+    vec![
+        BspcMatrix::from_dense(&every_height, 8, 3).unwrap(),
+        BspcMatrix::from_dense(&runs, 3, 2).unwrap(),
+    ]
+}
+
+#[test]
+fn pooled_cuts_match_serial_on_every_tile_edge() {
+    // Thread counts that cut the unit range at odd places: whatever a
+    // partition unit is, a chunk boundary must fall between two of them and
+    // every chunk must write exactly its own output rows.
+    let execs = [3usize, 5].map(Executor::new);
+    let mut rng = StdRng::seed_from_u64(41);
+    for (shape, m) in tile_edge_matrices().iter().enumerate() {
+        for b in [1usize, 2, 8, 12] {
+            let xs: Vec<f32> = (0..m.cols() * b)
+                .map(|_| rng.gen_f32() * 2.0 - 1.0)
+                .collect();
+            for prec in [Precision::F32, Precision::F16, Precision::Int8] {
+                let mut serial = vec![f32::NAN; m.rows() * b];
+                m.spmm_prec_into(prec, &xs, b, &mut serial).unwrap();
+                for exec in &execs {
+                    let what = format!("shape {shape} {prec:?} b={b}, {} threads", exec.threads());
+                    let mut ys = vec![f32::NAN; m.rows() * b];
+                    exec.spmm_into(m, prec, &xs, b, &mut ys).unwrap();
+                    assert_eq!(ys, serial, "spmm {what}");
+                    if b == 1 {
+                        let mut y = vec![f32::NAN; m.rows()];
+                        exec.spmv_into(m, prec, &xs, &mut y).unwrap();
+                        assert_eq!(y, serial, "spmv {what}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn compiled_network_parallel_inference_bit_exact() {
     let net = GruNetwork::new(
