@@ -13,8 +13,8 @@
 //!   (no registry dependencies), caller-participating, with contained task
 //!   panics (a typed [`ExecError::WorkerPanicked`] instead of a re-panic,
 //!   dead workers respawned) and a serial fast path at `threads = 1`;
-//! * [`partition`] — cost-balanced contiguous chunking of the kept-row
-//!   space (balancing nonzeros, not rows), derivable directly from a
+//! * [`partition`] — cost-balanced contiguous chunking of a format's
+//!   partition units (balancing nonzeros, not rows), derivable directly from a
 //!   `ReorderPlan`'s pattern groups, with the *measured* imbalance factor
 //!   the device model consumes;
 //! * [`spmv`] — the [`Executor`] handle: one lock-free pooled driver for

@@ -18,7 +18,7 @@ use rtm_compiler::reorder::ReorderPlan;
 /// summed cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Chunk {
-    /// First work slot (kept-row index for BSPC, row index for CSR/dense).
+    /// First work slot (row-tile index for BSPC, row index for CSR/dense).
     pub start: usize,
     /// One past the last work slot.
     pub end: usize,

@@ -5,9 +5,9 @@
 //!
 //! 1. **Reorder-driven chunking.** Work is partitioned by cost (nonzeros),
 //!    not by row count, over the format's partition units — for BSPC the
-//!    units are kept rows and the stripes *are* the pattern groups the
-//!    reorder produces, so contiguous chunks are exactly "similar-pattern
-//!    rows → one chunk per thread".
+//!    units are row tiles (adjacent kept rows of one stripe) and the stripes
+//!    *are* the pattern groups the reorder produces, so contiguous chunks
+//!    are exactly "similar-pattern rows → one chunk per thread".
 //! 2. **No locks on the hot path.** Chunk boundaries in the (ascending)
 //!    unit space map to disjoint, ascending output ranges, so each thread
 //!    receives its own `&mut` slice of `y` via `split_at_mut` and the

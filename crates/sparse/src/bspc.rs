@@ -11,9 +11,17 @@
 //!    of surviving rows and stores nothing at all for the removed ones.
 //!
 //! The value array is dense *within the kept pattern*: row `r` of stripe `s`
-//! stores its weights at the stripe's kept columns back-to-back, so the SpMV
-//! inner loop is a unit-stride walk with one shared index stream per stripe —
-//! this is what enables the compiler's redundant-load elimination.
+//! stores its weights at the stripe's kept columns only, so the SpMV inner
+//! loop is a unit-stride walk with one shared index stream per stripe — this
+//! is what enables the compiler's redundant-load elimination.
+//!
+//! **Rows are lanes.** The rows of a stripe share their loaded input, and
+//! the layout carries that sharing into registers: up to `TILE_ROWS` = 16
+//! adjacent kept rows form a *row tile*, stored lane-major (element `k` of
+//! row `j` at `[k·m + j]`), so one loaded input element feeds every row of
+//! the tile and a single-stream SpMV is the lane primitive with the rows as
+//! its lanes. *A sparse row is never a call.* The wire format and the int8
+//! sidecar (whose block dots run along a row) keep the row-major order.
 //!
 //! BSPC also carries the matrix-reorder permutation (see
 //! `rtm_compiler::reorder`) so the runtime can match the reordered rows back
@@ -21,18 +29,23 @@
 
 use crate::footprint::Precision;
 use crate::kernel::{Activations, SparseKernel};
-use crate::scratch::{self, FloatValues};
-use rtm_tensor::{Matrix, ShapeError};
+use crate::scratch::{self, AlignedF32, FloatValues};
+use rtm_tensor::{simd, Matrix, ShapeError};
 use std::error::Error;
 use std::fmt;
 use std::ops::Range;
+
+/// Most rows of one row tile: two AVX2 registers of row lanes, which halves
+/// the walks over a stripe's gathered input against one register's worth
+/// (1024² at 103×, one lane, f32: 1.8 µs a gate against 2.6 µs).
+const TILE_ROWS: usize = 16;
 
 /// One kept row's contiguous value segment belonging to a single
 /// (stripe, block) — the granularity the int8 scales live at.
 struct BlockSegment<'a> {
     /// Flat stripe-block index `stripe * num_blocks + block`.
     block: usize,
-    /// Segment start inside the packed value array.
+    /// Segment start inside the row-major value order.
     offset: usize,
     /// The segment's values.
     values: &'a [f32],
@@ -91,16 +104,23 @@ pub struct BspcMatrix {
     /// Flattened kept columns per stripe (concatenation of the stripe's
     /// block column lists) — the shared index stream of the SpMV.
     stripe_cols: Vec<Vec<u32>>,
-    /// Offset of each kept row's value run inside `values`.
+    /// Offset of each kept row's value run in the row-major order (wire, int8
+    /// sidecar); a tile's span in `values` starts at its first row's offset.
     row_offsets: Vec<u32>,
-    /// Values of each kept row at its stripe's kept columns, row after row.
+    /// First kept-row slot of each row tile — up to [`TILE_ROWS`] kept rows
+    /// of one stripe with consecutive row numbers — closed by the slot
+    /// count. Derived from `kept_rows`, like the sidecars.
+    tiles: Vec<u32>,
+    /// Values of the kept rows at their stripe's kept columns, tile after
+    /// tile, lane-major `[L × m]` inside a tile of `m` rows.
     values: Vec<f32>,
     /// Optional reorder permutation: `reorder[i]` is the *original* row index
     /// executed at position `i`.
     reorder: Option<Vec<u32>>,
     /// `values` as raw f16 bit patterns (fp16 weight-storage sidecar).
     values_f16: Vec<u16>,
-    /// `values` as int8 codes under the per-(stripe, block) scales.
+    /// The values as int8 codes under the per-(stripe, block) scales,
+    /// row-major (kept row after kept row).
     values_i8: Vec<i8>,
     /// Symmetric int8 scale per `stripe * num_blocks + block`.
     scales_i8: Vec<f32>,
@@ -193,7 +213,7 @@ impl BspcMatrix {
             }
         }
 
-        let mut m = BspcMatrix {
+        let m = BspcMatrix {
             rows,
             cols,
             num_stripes,
@@ -202,32 +222,117 @@ impl BspcMatrix {
             block_cols,
             stripe_cols,
             row_offsets,
-            values,
+            tiles: Vec::new(),
+            values: Vec::new(),
             reorder: None,
             values_f16: Vec::new(),
             values_i8: Vec::new(),
             scales_i8: Vec::new(),
         };
-        m.build_sidecars();
-        Ok(m)
+        Ok(m.with_values(&values))
     }
 
-    /// Rebuilds the f16 and int8 storage sidecars from `values`.
+    /// Installs the row-major `values` (kept row after kept row — the order
+    /// `from_dense` packs and the wire carries): cuts the kept rows into row
+    /// tiles, stores the values in tile order and derives both sidecars.
     ///
-    /// The derivation is deterministic — sidecars are a pure function of the
-    /// structural fields plus `values` — so two matrices with equal values
-    /// always compare equal, and the f32 wire round trip stays bit-exact.
+    /// The derivation is deterministic — tiles and sidecars are a pure
+    /// function of the structural fields plus the values — so two matrices
+    /// with equal values always compare equal, and the f32 wire round trip
+    /// stays bit-exact.
+    fn with_values(mut self, values: &[f32]) -> BspcMatrix {
+        let stripe_h = self.stripe_height();
+        let kept = &self.kept_rows;
+        for (k, &r) in kept.iter().enumerate() {
+            // A tile ends where the rows stop being adjacent, at a stripe
+            // boundary, and when it is full.
+            let open = self.tiles.last().is_some_and(|&t| {
+                let (t, r0) = (t as usize, kept[t as usize]);
+                k - t < TILE_ROWS
+                    && (r - r0) as usize == k - t
+                    && r as usize / stripe_h == r0 as usize / stripe_h
+            });
+            if !open {
+                self.tiles.push(k as u32);
+            }
+        }
+        self.tiles.push(kept.len() as u32);
+        self.build_int8_sidecar(values);
+        let mut tiled = vec![0.0f32; values.len()];
+        self.for_each_value(|wire, stored| tiled[stored] = values[wire]);
+        self.values_f16 = rtm_tensor::f16::f32_to_f16_bits(&tiled);
+        self.values = tiled;
+        self
+    }
+
+    /// The kept-row slots of row tile `t` and where its span starts in
+    /// `values`.
+    fn tile(&self, t: usize) -> (Range<usize>, usize) {
+        let slots = self.tiles[t] as usize..self.tiles[t + 1] as usize;
+        let base = self.row_offsets[slots.start] as usize;
+        (slots, base)
+    }
+
+    /// Splits the row tiles `tiles` into maximal runs sharing a stripe — and
+    /// hence one column stream — yielding `(stripe, tiles)`. One division per
+    /// stripe, none per tile or row.
+    fn stripe_tiles(
+        &self,
+        tiles: Range<usize>,
+    ) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+        let stripe_h = self.stripe_height();
+        let mut t = tiles.start;
+        std::iter::from_fn(move || {
+            if t >= tiles.end {
+                return None;
+            }
+            let s = self.unit_first_row(t) / stripe_h;
+            let start = t;
+            t += 1;
+            while t < tiles.end && self.unit_first_row(t) < (s + 1) * stripe_h {
+                t += 1;
+            }
+            Some((s, start..t))
+        })
+    }
+
+    /// The one map between the two value orders: calls `f(wire, stored)` with
+    /// every value's index in the row-major wire order and in the tile order.
+    fn for_each_value(&self, mut f: impl FnMut(usize, usize)) {
+        for (s, run) in self.stripe_tiles(0..self.units()) {
+            let len = self.stripe_cols[s].len();
+            for t in run {
+                let (slots, base) = self.tile(t);
+                let m = slots.len();
+                for j in 0..m {
+                    for k in 0..len {
+                        f(base + j * len + k, base + k * m + j);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The values in the row-major order of the wire format (and of
+    /// [`BspcMatrix::from_parts`]): kept row after kept row, row `k` at
+    /// [`BspcMatrix::row_offset`]`(k)`.
+    pub fn row_major_values(&self) -> Vec<f32> {
+        let mut wire_order = vec![0.0f32; self.values.len()];
+        self.for_each_value(|wire, stored| wire_order[wire] = self.values[stored]);
+        wire_order
+    }
+
+    /// Derives the int8 storage sidecar from the row-major `values`.
     ///
     /// Int8 uses one symmetric scale per (stripe, block): within each kept
     /// row, the value run splits into contiguous block segments (the stripe
     /// column stream is the concatenation of its block lists), and every
     /// segment of block `(s, b)` shares `scale = max|v| / 127` over the whole
     /// stripe-block. All-zero blocks get scale 1.0.
-    fn build_sidecars(&mut self) {
-        self.values_f16 = rtm_tensor::f16::f32_to_f16_bits(&self.values);
+    fn build_int8_sidecar(&mut self, values: &[f32]) {
         let nb = self.num_blocks;
         let mut max_abs = vec![0.0f32; self.num_stripes * nb];
-        self.for_each_block_segment(|sb, _| {
+        self.for_each_block_segment(values, |sb, _| {
             let m = &mut max_abs[sb.block];
             for &v in sb.values {
                 // f32::max ignores a NaN operand, so non-finite weights
@@ -246,8 +351,8 @@ impl BspcMatrix {
                 }
             })
             .collect();
-        let mut codes = vec![0i8; self.values.len()];
-        self.for_each_block_segment(|sb, _| {
+        let mut codes = vec![0i8; values.len()];
+        self.for_each_block_segment(values, |sb, _| {
             let scale = scales[sb.block];
             for (i, &v) in sb.values.iter().enumerate() {
                 codes[sb.offset + i] = (v / scale).round().clamp(-127.0, 127.0) as i8;
@@ -257,10 +362,15 @@ impl BspcMatrix {
         self.values_i8 = codes;
     }
 
-    /// Walks every kept row's contiguous block segments in storage order.
+    /// Walks every kept row's contiguous block segments of the row-major
+    /// `values`, in order.
     ///
     /// The callback receives the segment descriptor and the kept-row index.
-    fn for_each_block_segment(&self, mut f: impl FnMut(BlockSegment<'_>, usize)) {
+    fn for_each_block_segment<'v>(
+        &self,
+        values: &'v [f32],
+        mut f: impl FnMut(BlockSegment<'v>, usize),
+    ) {
         let stripe_h = self.stripe_height();
         for (k, &r) in self.kept_rows.iter().enumerate() {
             let s = ((r as usize) / stripe_h).min(self.num_stripes - 1);
@@ -272,7 +382,7 @@ impl BspcMatrix {
                         BlockSegment {
                             block: s * self.num_blocks + b,
                             offset: off,
-                            values: &self.values[off..off + len],
+                            values: &values[off..off + len],
                         },
                         k,
                     );
@@ -364,13 +474,15 @@ impl BspcMatrix {
         self.reorder.as_deref()
     }
 
-    /// The packed value array (kept rows' weights at their stripe's kept
-    /// columns, row after row).
+    /// The packed value array in its execution layout (row tile after row
+    /// tile, lane-major inside a tile): every stored value once, for scans,
+    /// not indexing — [`BspcMatrix::row_major_values`] is the indexable order.
     pub fn values(&self) -> &[f32] {
         &self.values
     }
 
-    /// Offset of the `k`-th kept row's value run inside [`BspcMatrix::values`].
+    /// Offset of the `k`-th kept row's value run in the row-major order
+    /// ([`BspcMatrix::row_major_values`], [`BspcMatrix::values_i8`]).
     ///
     /// # Panics
     ///
@@ -387,8 +499,9 @@ impl BspcMatrix {
         &self.values_f16
     }
 
-    /// The packed values as int8 codes (same layout as
-    /// [`BspcMatrix::values`]) under [`BspcMatrix::int8_scales`].
+    /// The packed values as int8 codes under [`BspcMatrix::int8_scales`],
+    /// row-major like [`BspcMatrix::row_major_values`] (the int8 block dots
+    /// run along a row).
     pub fn values_i8(&self) -> &[i8] {
         &self.values_i8
     }
@@ -398,7 +511,9 @@ impl BspcMatrix {
         &self.scales_i8
     }
 
-    /// Reassembles a matrix from raw parts (the deserialization path).
+    /// Reassembles a matrix from raw parts (the deserialization path);
+    /// `values` in the row-major order of
+    /// [`BspcMatrix::row_major_values`].
     ///
     /// # Errors
     ///
@@ -464,7 +579,7 @@ impl BspcMatrix {
         if expected != values.len() {
             return Err(bad());
         }
-        let mut m = BspcMatrix {
+        let m = BspcMatrix {
             rows,
             cols,
             num_stripes,
@@ -473,13 +588,14 @@ impl BspcMatrix {
             block_cols,
             stripe_cols,
             row_offsets,
-            values,
+            tiles: Vec::new(),
+            values: Vec::new(),
             reorder: None,
             values_f16: Vec::new(),
             values_i8: Vec::new(),
             scales_i8: Vec::new(),
-        };
-        m.build_sidecars();
+        }
+        .with_values(&values);
         match reorder {
             Some(perm) => m.with_reorder(perm),
             None => Ok(m),
@@ -551,69 +667,49 @@ impl BspcMatrix {
         SparseKernel::spmm_prec_into(self, prec, xs, b, ys)
     }
 
-    /// Splits the kept-row slots `kept` into maximal runs of rows sharing a
-    /// stripe — and hence one column stream — yielding `(stripe, slots)`.
-    fn stripe_runs(&self, kept: Range<usize>) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
-        let stripe_h = self.stripe_height();
-        let mut k = kept.start;
-        std::iter::from_fn(move || {
-            if k >= kept.end {
-                return None;
-            }
-            let s = self.kept_rows[k] as usize / stripe_h;
-            let start = k;
-            k += 1;
-            while k < kept.end && self.kept_rows[k] as usize / stripe_h == s {
-                k += 1;
-            }
-            Some((s, start..k))
-        })
-    }
-
-    /// The float row kernel over the kept-row slots `kept` for `b` lanes
+    /// The float row kernel over the row tiles `tiles` for `b` lanes
     /// (lane-major: output row `r` lands at `ys[(r - y_base) · b ..]`;
     /// pruned rows are left untouched).
     ///
-    /// The blocked inner kernel of the paper's redundant-load elimination:
-    /// per stripe run, the shared column stream is gathered from `xs` into
-    /// dense lane-major `[len × b]` scratch once, then every row of the run
-    /// does one unit-stride lane-major dot over its `values` — the f32
-    /// plane or the decoded f16 sidecar, the only thing the two precisions
-    /// differ in.
+    /// The blocked inner kernel of the paper's redundant-load elimination,
+    /// carried into registers: per stripe run the shared column stream is
+    /// gathered from `xs` into dense lane-major `[len × b]` scratch once,
+    /// then every tile is ONE primitive call over its `[len × m]` values —
+    /// the f32 plane or the decoded f16 sidecar, the only thing the two
+    /// precisions differ in ([`detiled_rows`] without the register-tile body).
     fn float_rows_into(
         &self,
         values: impl FloatValues,
         xs: &[f32],
         b: usize,
-        kept: Range<usize>,
+        tiles: Range<usize>,
         ys: &mut [f32],
         y_base: usize,
     ) {
-        let v = rtm_tensor::simd::active_variant();
+        let v = simd::active_variant();
+        let rows_are_lanes = simd::tile_dots_available(v);
         scratch::with_kernel(|scratch| {
-            for (s, run) in self.stripe_runs(kept) {
+            for (s, run) in self.stripe_tiles(tiles) {
                 let cols = &self.stripe_cols[s];
                 let gathered = scratch.gf32.gather(cols, xs, b);
-                let rows = self.row_offsets[run.clone()]
-                    .iter()
-                    .zip(&self.kept_rows[run]);
-                for (&off, &row) in rows {
-                    let off = off as usize;
-                    let vals = values.run(off..off + cols.len(), &mut scratch.conv);
-                    let r = row as usize - y_base;
-                    rtm_tensor::simd::dot_batch_variant(
-                        v,
-                        vals,
-                        gathered,
-                        b,
-                        &mut ys[r * b..][..b],
-                    );
+                for t in run {
+                    let (slots, base) = self.tile(t);
+                    let m = slots.len();
+                    let r = self.unit_first_row(t) - y_base;
+                    let out = &mut ys[r * b..(r + m) * b];
+                    let tile = values.run(base..base + cols.len() * m, &mut scratch.conv);
+                    if rows_are_lanes {
+                        simd::tile_dots_variant(v, tile, m, gathered, b, out);
+                    } else {
+                        detiled_rows(v, tile, gathered, b, out, &mut scratch.row);
+                    }
                 }
             }
         });
     }
 
-    /// The int8 row kernel over the kept-row slots `kept` on pre-quantized
+    /// The int8 row kernel over the kept rows of the row tiles `tiles` (the
+    /// codes are row-major; a tile is its adjacent rows) on pre-quantized
     /// lane-major activations `xq` with per-lane scales `sxs`:
     /// `ys[r·b + j] = sxs[j] · Σ_blk scale_blk · acc_blk` in block order,
     /// every `acc_blk` an exact i32 block dot.
@@ -622,14 +718,13 @@ impl BspcMatrix {
         xq: &[i8],
         sxs: &[f32],
         b: usize,
-        kept: Range<usize>,
+        tiles: Range<usize>,
         ys: &mut [f32],
         y_base: usize,
     ) {
-        let v = rtm_tensor::simd::active_variant();
+        let v = simd::active_variant();
         scratch::with_kernel(|scratch| {
-            scratch.lanes.resize(4 * b, 0.0);
-            for (s, run) in self.stripe_runs(kept) {
+            for (s, run) in self.stripe_tiles(tiles) {
                 let cols = &self.stripe_cols[s];
                 scratch::gather_i8(&mut scratch.gi8, cols, xq, b);
                 scratch.seg.clear();
@@ -643,58 +738,48 @@ impl BspcMatrix {
                     let off = self.row_offsets[kk] as usize;
                     &self.values_i8[off..off + nnz]
                 };
-                // Four rows at a time: the quad tile widens each gathered
-                // activation segment once and shares it across the four
-                // value streams, with exact i32 accumulation and the same
-                // block-order dequantize as the single-row tail. Its
-                // row-major `[4 × b]` output is `ys` itself when no pruned
-                // row lies between the four, else scratch to scatter from.
-                let mut kk = run.start;
-                while kk + 4 <= run.end {
-                    let quad = &self.kept_rows[kk..kk + 4];
-                    let r = quad[0] as usize - y_base;
-                    let adjacent = quad[3] - quad[0] == 3;
-                    let out = if adjacent {
-                        &mut ys[r * b..(r + 4) * b]
-                    } else {
-                        &mut scratch.lanes[..]
-                    };
-                    rtm_tensor::simd_i8::row_quad_block_dots_batch_i8(
-                        v,
-                        [
-                            row_vals(kk),
-                            row_vals(kk + 1),
-                            row_vals(kk + 2),
-                            row_vals(kk + 3),
-                        ],
-                        &scratch.gi8,
-                        b,
-                        &scratch.seg,
-                        scales,
-                        sxs,
-                        out,
-                    );
-                    if !adjacent {
-                        for (lanes, &row) in scratch.lanes.chunks_exact(b).zip(quad) {
-                            let r = row as usize - y_base;
-                            ys[r * b..][..b].copy_from_slice(lanes);
-                        }
+                for t in run {
+                    let (slots, _) = self.tile(t);
+                    let r = self.unit_first_row(t) - y_base;
+                    // Four rows at a time: the quad tile widens each gathered
+                    // activation segment once and shares it across the four
+                    // value streams, with exact i32 accumulation and the same
+                    // block-order dequantize as the single-row tail. A row
+                    // tile's rows are adjacent, so the quad's row-major
+                    // `[4 × b]` output is `ys` itself.
+                    let mut quads = ys[r * b..(r + slots.len()) * b].chunks_exact_mut(4 * b);
+                    let mut kk = slots.start;
+                    for out in &mut quads {
+                        rtm_tensor::simd_i8::row_quad_block_dots_batch_i8(
+                            v,
+                            [
+                                row_vals(kk),
+                                row_vals(kk + 1),
+                                row_vals(kk + 2),
+                                row_vals(kk + 3),
+                            ],
+                            &scratch.gi8,
+                            b,
+                            &scratch.seg,
+                            scales,
+                            sxs,
+                            out,
+                        );
+                        kk += 4;
                     }
-                    kk += 4;
-                }
-                while kk < run.end {
-                    let r = self.kept_rows[kk] as usize - y_base;
-                    rtm_tensor::simd_i8::row_block_dots_batch_i8(
-                        v,
-                        row_vals(kk),
-                        &scratch.gi8,
-                        b,
-                        &scratch.seg,
-                        scales,
-                        sxs,
-                        &mut ys[r * b..(r + 1) * b],
-                    );
-                    kk += 1;
+                    for out in quads.into_remainder().chunks_exact_mut(b) {
+                        rtm_tensor::simd_i8::row_block_dots_batch_i8(
+                            v,
+                            row_vals(kk),
+                            &scratch.gi8,
+                            b,
+                            &scratch.seg,
+                            scales,
+                            sxs,
+                            out,
+                        );
+                        kk += 1;
+                    }
                 }
             }
         });
@@ -704,6 +789,7 @@ impl BspcMatrix {
     /// [`BspcMatrix::from_dense`]).
     pub fn to_dense(&self) -> Matrix {
         let stripe_h = self.stripe_height();
+        let values = self.row_major_values();
         let mut m = Matrix::zeros(self.rows, self.cols);
         for (k, &r) in self.kept_rows.iter().enumerate() {
             let r = r as usize;
@@ -711,16 +797,40 @@ impl BspcMatrix {
             let cols = &self.stripe_cols[s];
             let off = self.row_offsets[k] as usize;
             for (i, &c) in cols.iter().enumerate() {
-                m[(r, c as usize)] = self.values[off + i];
+                m[(r, c as usize)] = values[off + i];
             }
         }
         m
     }
 }
 
-/// Partition units are kept rows: a unit costs its stripe's shared column
-/// count, and contiguous kept-row chunks are exactly the reorder's
-/// "similar-pattern rows → one chunk per thread".
+/// The rows of one `[len × m]` tile for a variant without the register-tile
+/// body — the scalar definition, NEON: each row is de-tiled into `row` and
+/// goes through the unchanged lane primitive, a one-lane row through the
+/// variant's own `dot` (`Sum` from `-0.0` for the scalar definition, whose
+/// batch lanes start at `+0.0`: see [`simd::tile_dots_available`]).
+fn detiled_rows(
+    v: simd::Variant,
+    tile: &[f32],
+    gathered: &[f32],
+    b: usize,
+    out: &mut [f32],
+    row: &mut AlignedF32,
+) {
+    let (m, len) = (out.len() / b, gathered.len() / b);
+    for (j, lanes) in out.chunks_exact_mut(b).enumerate() {
+        let row = row.window(len);
+        for (k, w) in row.iter_mut().enumerate() {
+            *w = tile[k * m + j];
+        }
+        simd::dot_batch_variant(v, row, gathered, b, lanes);
+    }
+}
+
+/// Partition units are row tiles: a unit costs the `L·m` values it streams
+/// and writes `m` adjacent output rows, so a pool chunk never splits a tile,
+/// and contiguous tile chunks are exactly the reorder's "similar-pattern
+/// rows → one chunk per thread".
 impl SparseKernel for BspcMatrix {
     fn rows(&self) -> usize {
         self.rows
@@ -743,19 +853,21 @@ impl SparseKernel for BspcMatrix {
     }
 
     fn units(&self) -> usize {
-        self.kept_rows.len()
+        self.tiles.len() - 1
     }
 
     fn unit_cost(&self, u: usize) -> usize {
-        self.stripe_cols[self.kept_rows[u] as usize / self.stripe_height()].len()
+        let next = self.row_offsets.get(self.tiles[u + 1] as usize);
+        next.map_or(self.values.len(), |&o| o as usize) - self.tile(u).1
     }
 
     fn unit_first_row(&self, u: usize) -> usize {
-        self.kept_rows[u] as usize
+        self.kept_rows[self.tiles[u] as usize] as usize
     }
 
+    /// Every kept row is stored; only pruned rows are left to the driver.
     fn needs_zero_fill(&self) -> bool {
-        true
+        self.kept_rows.len() != self.rows
     }
 
     fn rows_into(
@@ -1007,7 +1119,7 @@ mod tests {
             (0..a.kept_rows().len())
                 .map(|k| a.row_offset(k) as u32)
                 .collect(),
-            a.values().to_vec(),
+            a.row_major_values(),
             None,
         )
         .unwrap();
@@ -1201,22 +1313,19 @@ mod tests {
     /// divides, with `L ∈ {1, 7, 8, 9, 17}` kept columns; and 40-row stripes
     /// whose pruned rows leave runs of 1, 2 and 20 kept rows, a stripe with
     /// a single kept row, and one losing every ninth row.
+    fn edge_denses() -> [(Matrix, usize, usize); 2] {
+        let every_height = edge_matrix(100, 70, &[1, 7, 8, 9, 17, 5, 3, 12], |_| true);
+        let runs = edge_matrix(120, 40, &[9, 4, 11], |r| match r {
+            0..40 => !matches!(r, 1 | 4 | 25..),
+            40..80 => r == 57,
+            _ => r % 9 != 0,
+        });
+        [(every_height, 8, 3), (runs, 3, 2)]
+    }
+
     fn edge_matrices() -> Vec<BspcMatrix> {
-        let every_height = BspcMatrix::from_dense(
-            &edge_matrix(100, 70, &[1, 7, 8, 9, 17, 5, 3, 12], |_| true),
-            8,
-            3,
-        );
-        let runs = BspcMatrix::from_dense(
-            &edge_matrix(120, 40, &[9, 4, 11], |r| match r {
-                0..40 => !matches!(r, 1 | 4 | 25..),
-                40..80 => r == 57,
-                _ => r % 9 != 0,
-            }),
-            3,
-            2,
-        );
-        vec![every_height.unwrap(), runs.unwrap()]
+        let build = |(d, stripes, blocks)| BspcMatrix::from_dense(&d, stripes, blocks).unwrap();
+        edge_denses().into_iter().map(build).collect()
     }
 
     /// What the float kernels are held to: per kept row, the stripe's kept
@@ -1329,6 +1438,140 @@ mod tests {
                         None => 0.0,
                     };
                     assert_eq!(got.to_bits(), want.to_bits(), "{prec:?} row {r}");
+                }
+            }
+        }
+    }
+
+    /// The per-row fallback, called directly (on this host the production
+    /// path may never take it): every tile of every edge shape, de-tiled row
+    /// by row under both variants, lands on the per-row reference's bits —
+    /// and, where the register-tile body exists, on what that body computes
+    /// from the tile in place.
+    #[test]
+    fn detiled_rows_match_per_row_dots_and_the_tile_body() {
+        let bits = |ys: &[f32]| ys.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+        for m in edge_matrices() {
+            for b in [1usize, 2, 12] {
+                let xs: Vec<f32> = (0..m.cols() * b).map(|i| (i as f32 * 0.41).sin()).collect();
+                for v in simd::Variant::ALL {
+                    for (s, run) in m.stripe_tiles(0..m.units()) {
+                        let cols = m.stripe_kept_cols(s);
+                        let gathered: Vec<f32> = cols
+                            .iter()
+                            .flat_map(|&c| &xs[c as usize * b..][..b])
+                            .copied()
+                            .collect();
+                        for t in run {
+                            let (slots, base) = m.tile(t);
+                            let rows = slots.len();
+                            let tile = &m.values[base..base + cols.len() * rows];
+                            let mut want = vec![f32::NAN; rows * b];
+                            for (i, w) in want.iter_mut().enumerate() {
+                                let row: Vec<f32> =
+                                    (0..cols.len()).map(|k| tile[k * rows + i / b]).collect();
+                                let col: Vec<f32> =
+                                    (0..cols.len()).map(|k| gathered[k * b + i % b]).collect();
+                                *w = simd::dot_variant(v, &row, &col);
+                            }
+                            let mut got = vec![f32::NAN; rows * b];
+                            scratch::with_kernel(|sc| {
+                                detiled_rows(v, tile, &gathered, b, &mut got, &mut sc.row);
+                            });
+                            if b == 1 || v == simd::Variant::Vector {
+                                // (The scalar batch lanes may differ in the
+                                // sign of a zero; `assert_rows_match` has it.)
+                                assert_eq!(bits(&got), bits(&want), "{v:?} b={b} tile {t}");
+                            }
+                            if simd::tile_dots_available(v) {
+                                let mut body = vec![f32::NAN; rows * b];
+                                simd::tile_dots_variant(v, tile, rows, &gathered, b, &mut body);
+                                assert_eq!(bits(&body), bits(&got), "tile body b={b} tile {t}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Only the wire can make one: kept rows in a stripe that keeps no
+    /// column. Their tile is `[0 × m]`; every lane count reads zero.
+    #[test]
+    fn kept_rows_of_an_empty_stripe_read_zero() {
+        let (kept, cols) = (vec![0, 1, 2, 3], vec![vec![1, 2], vec![]]);
+        let m =
+            BspcMatrix::from_parts(4, 4, 2, 1, kept, cols, vec![0, 2, 4, 4], vec![1.0; 4], None);
+        let m = m.unwrap();
+        for b in [1usize, 2, 9] {
+            for prec in [Precision::F32, Precision::F16, Precision::Int8] {
+                let mut ys = vec![f32::NAN; 4 * b];
+                m.spmm_prec_into(prec, &vec![1.0; 4 * b], b, &mut ys)
+                    .unwrap();
+                let want = [vec![2.0; 2 * b], vec![0.0; 2 * b]].concat();
+                assert_eq!(ys, want, "{prec:?} b={b}");
+            }
+        }
+    }
+
+    /// `needs_zero_fill` is per matrix: with a pruned row the driver clears
+    /// the output and the pruned rows read `+0.0` whatever was there; with
+    /// none it does not, and the kernel alone overwrites every element.
+    #[test]
+    fn zero_fill_only_where_a_row_is_pruned() {
+        let [full, pruned] = <[BspcMatrix; 2]>::try_from(edge_matrices()).unwrap();
+        assert!(!full.needs_zero_fill() && pruned.needs_zero_fill());
+        for b in [1usize, 12] {
+            let xs: Vec<f32> = (0..pruned.cols() * b)
+                .map(|i| (i as f32 * 0.3).cos())
+                .collect();
+            for prec in [Precision::F32, Precision::F16, Precision::Int8] {
+                let mut ys = vec![f32::NAN; pruned.rows() * b];
+                pruned.spmm_prec_into(prec, &xs, b, &mut ys).unwrap();
+                let mut kept = pruned.kept_rows().iter().peekable();
+                for (r, lanes) in ys.chunks_exact(b).enumerate() {
+                    if kept.next_if(|&&k| k as usize == r).is_none() {
+                        assert!(
+                            lanes.iter().all(|y| y.to_bits() == 0),
+                            "{prec:?} b={b} row {r}"
+                        );
+                    }
+                }
+                let xs = &xs[..b].repeat(full.cols());
+                let mut ys = vec![f32::NAN; full.rows() * b];
+                full.spmm_prec_into(prec, xs, b, &mut ys).unwrap();
+                assert!(ys.iter().all(|y| !y.is_nan()), "{prec:?} b={b}");
+            }
+        }
+    }
+
+    /// The codec through the tile layout: the wire keeps the row-major
+    /// order, so a decoded matrix re-encodes to the very same bytes and
+    /// decodes to an equal matrix, at every precision; f32 is lossless.
+    #[test]
+    fn codec_round_trips_through_the_tile_layout() {
+        for (dense, stripes, blocks) in edge_denses() {
+            let m = BspcMatrix::from_dense(&dense, stripes, blocks).unwrap();
+            assert_eq!(m.to_dense(), dense);
+            for prec in [Precision::F32, Precision::F16, Precision::Int8] {
+                let bytes = m.to_bytes(prec);
+                let (decoded, used) = BspcMatrix::read_from(&bytes).unwrap();
+                assert_eq!(used, bytes.len());
+                assert_eq!(decoded.to_bytes(prec), bytes, "{prec:?}");
+                assert_eq!(
+                    BspcMatrix::read_from(&decoded.to_bytes(prec)).unwrap().0,
+                    decoded
+                );
+                if prec == Precision::F32 {
+                    assert_eq!(decoded, m);
+                }
+            }
+            // The wire order is the order `from_dense` packs: row after row.
+            let wire = m.row_major_values();
+            for (k, &r) in m.kept_rows().iter().enumerate() {
+                let cols = m.stripe_kept_cols(r as usize / m.stripe_height());
+                for (i, &c) in cols.iter().enumerate() {
+                    assert_eq!(wire[m.row_offset(k) + i], dense[(r as usize, c as usize)]);
                 }
             }
         }

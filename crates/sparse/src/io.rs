@@ -359,8 +359,9 @@ impl Blob for BspcMatrix {
             out.put_u32_le(self.row_offset(k) as u32);
         }
         out.put_u32_le(self.stored_len() as u32);
+        // The wire keeps the row-major order; the tiles are in-memory only.
         let (scales, codes) = (self.int8_scales(), self.values_i8());
-        put_values(out, precision, self.values(), scales, codes);
+        put_values(out, precision, &self.row_major_values(), scales, codes);
         out.put_u8(u8::from(self.reorder().is_some()));
         out.put_u32s(self.reorder().unwrap_or(&[]));
     }

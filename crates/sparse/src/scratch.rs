@@ -130,12 +130,13 @@ pub(crate) struct KernelScratch {
     pub gf32: AlignedF32,
     /// f16 values decoded to f32.
     pub conv: AlignedF32,
+    /// One row de-tiled out of a BSPC row tile.
+    pub row: AlignedF32,
     /// Gathered int8 activation codes of the current column run.
     pub gi8: Vec<i8>,
     /// Per-block segment lengths of the current BSPC stripe.
     pub seg: Vec<u32>,
-    /// Lane results of one row (CSB, before accumulation) or of a four-row
-    /// tile (BSPC int8).
+    /// Lane results of one row (CSB, before accumulation).
     pub lanes: Vec<f32>,
 }
 
@@ -144,6 +145,7 @@ thread_local! {
         RefCell::new(KernelScratch {
             gf32: AlignedF32::new(),
             conv: AlignedF32::new(),
+            row: AlignedF32::new(),
             gi8: Vec::new(),
             seg: Vec::new(),
             lanes: Vec::new(),

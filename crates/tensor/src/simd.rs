@@ -56,6 +56,15 @@
 //! The choice between the two realizations is made here, from `b`, once per
 //! primitive; no caller forks on it.
 //!
+//! The lanes need not be input streams. [`tile_dots_variant`] takes `m` rows
+//! that share one input, stored lane-major (`tile[k·m + j]`), and at one
+//! input stream makes the *rows* the lanes: the shared input plays the row,
+//! and up to eight short rows fill one register tile — no per-row call,
+//! horizontal sum or scalar tail. *A sparse row is never a call: rows that
+//! share a column stream are lanes of one register tile.* AVX2 body only
+//! ([`tile_dots_available`]); other variants de-tile a row and call
+//! [`dot_batch_variant`].
+//!
 //! **Lane tails.** On AVX2 the `b % 8` lanes after the last full group of
 //! eight are one more register tile, loaded with `vmaskmovps` and stored
 //! through the same mask: *a partial lane group is a masked tile, never a
@@ -423,24 +432,25 @@ mod x86 {
     }
 
     /// One register tile of a batched dot: for each of the (up to eight)
-    /// lanes `j` of the group at `xp`, `op[j] = Σₖ a[k] · xp[at(k) + j]` in
-    /// exactly `dot`'s arithmetic — element `k` goes to k-sublane
-    /// accumulator `k % 8` by FMA, the accumulators meet in the `hsum256`
-    /// tree, the last `len % 8` elements follow in order as mul+add. Every
-    /// operation is element-wise across the register, so a lane's result
-    /// depends on that lane's inputs alone: whatever a masked-off lane
-    /// computes from its zeros (`∞ · 0` included) stays in that lane and is
-    /// never stored.
+    /// lanes `j` of the group at `xp`, `op[j] = Σₖ w(k) · xp[at(k) + j]` over
+    /// `k < len` in exactly `dot`'s arithmetic — element `k` goes to
+    /// k-sublane accumulator `k % 8` by FMA, the accumulators meet in the
+    /// `hsum256` tree, the last `len % 8` elements follow in order as
+    /// mul+add. Every operation is element-wise across the register, so a
+    /// lane's result depends on that lane's inputs alone: whatever a
+    /// masked-off lane computes from its zeros (`∞ · 0` included) stays in
+    /// that lane and is never stored.
     ///
     /// # Safety
     ///
-    /// AVX2+FMA must be available, and for every `k < a.len()` the lanes
-    /// this tile covers — eight, or those `mask` selects when `MASKED` —
-    /// must be readable at `xp + at(k)` and writable at `op`.
+    /// AVX2+FMA must be available, and for every `k < len` the lanes this
+    /// tile covers — eight, or those `mask` selects when `MASKED` — must be
+    /// readable at `xp + at(k)` and writable at `op`.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn lane_tile<const MASKED: bool>(
-        a: &[f32],
+        len: usize,
+        w: &impl Fn(usize) -> f32,
         at: &impl Fn(usize) -> usize,
         xp: *const f32,
         mask: __m256i,
@@ -458,17 +468,17 @@ mod x86 {
                 _mm256_loadu_ps(p)
             }
         };
-        let chunks = a.len() / 8;
+        let chunks = len / 8;
         let mut acc = [_mm256_setzero_ps(); 8];
         for i in 0..chunks {
             for (l, al) in acc.iter_mut().enumerate() {
                 let k = i * 8 + l;
-                *al = _mm256_fmadd_ps(_mm256_set1_ps(a[k]), load(k), *al);
+                *al = _mm256_fmadd_ps(_mm256_set1_ps(w(k)), load(k), *al);
             }
         }
         let mut s = tree_reduce8(&acc);
-        for (k, &ak) in a.iter().enumerate().skip(chunks * 8) {
-            s = _mm256_add_ps(s, _mm256_mul_ps(_mm256_set1_ps(ak), load(k)));
+        for k in chunks * 8..len {
+            s = _mm256_add_ps(s, _mm256_mul_ps(_mm256_set1_ps(w(k)), load(k)));
         }
         if MASKED {
             _mm256_maskstore_ps(op, mask, s);
@@ -477,18 +487,21 @@ mod x86 {
         }
     }
 
-    /// `out[j] = Σₖ a[k] · xs[at(k) + j]` for all `b` lanes: `b / 8` full
-    /// tiles, then the last `b % 8` lanes as one masked tile. A partial lane
-    /// group is a masked tile, never a scalar lane loop.
+    /// `out[j] = Σₖ w(k) · xs[at(k) + j]` over `k < len` for all `b` lanes:
+    /// `b / 8` full tiles, then the last `b % 8` lanes as one masked tile. A
+    /// partial lane group is a masked tile, never a scalar lane loop. The
+    /// weight is taken the way the lane address is — through the caller's
+    /// map of `k` — so a row may sit contiguous or strided inside a tile.
     ///
     /// # Safety
     ///
     /// AVX2+FMA must be available, `out` must hold `b` elements, and for
-    /// every `k < a.len()`, `xs[at(k)..at(k) + b]` must be in bounds.
+    /// every `k < len`, `xs[at(k)..at(k) + b]` must be in bounds.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn row_lanes(
-        a: &[f32],
+        len: usize,
+        w: impl Fn(usize) -> f32,
         at: impl Fn(usize) -> usize,
         xs: &[f32],
         b: usize,
@@ -501,13 +514,13 @@ mod x86 {
         // lanes `jb..b` of the masked one lie inside `xs[at(k)..at(k) + b]`
         // and inside `out`; the masked tile touches nothing beyond lane `b`.
         for j0 in (0..jb).step_by(8) {
-            lane_tile::<false>(a, &at, xp.add(j0), _mm256_setzero_si256(), op.add(j0));
+            lane_tile::<false>(len, &w, &at, xp.add(j0), _mm256_setzero_si256(), op.add(j0));
         }
         if jb < b {
             // Lane `l` of the group is live iff `l < b - jb`.
             let live = _mm256_set1_epi32((b - jb) as i32);
             let mask = _mm256_cmpgt_epi32(live, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-            lane_tile::<true>(a, &at, xp.add(jb), mask, op.add(jb));
+            lane_tile::<true>(len, &w, &at, xp.add(jb), mask, op.add(jb));
         }
     }
 
@@ -520,7 +533,7 @@ mod x86 {
     /// `out.len() == b`.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn dot_batch(a: &[f32], xs: &[f32], b: usize, out: &mut [f32]) {
-        row_lanes(a, |k| k * b, xs, b, out)
+        row_lanes(a.len(), |k| a[k], |k| k * b, xs, b, out)
     }
 
     /// Batched indexed dot: lane `j` of `out` is bit-identical to
@@ -540,7 +553,29 @@ mod x86 {
         b: usize,
         out: &mut [f32],
     ) {
-        row_lanes(vals, |k| idx[k] as usize * b, xs, b, out)
+        row_lanes(vals.len(), |k| vals[k], |k| idx[k] as usize * b, xs, b, out)
+    }
+
+    /// The `m` rows of a lane-major weight tile (`tile[k·m + j]` is element
+    /// `k` of row `j`) against one shared lane-major input: row `j`, lane `l`
+    /// of `out` is bit-identical to `dot` of row `j` with column `l` of `xs`
+    /// — `dot_batch` per row, the weight read through the tile's stride.
+    ///
+    /// # Safety
+    ///
+    /// AVX2+FMA must be available, `b > 0`, `out.len() == m * b` and
+    /// `tile.len() * b == xs.len() * m` (`m` rows of `xs.len() / b` elements).
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn tile_dots(tile: &[f32], m: usize, xs: &[f32], b: usize, out: &mut [f32]) {
+        let len = xs.len() / b;
+        for (j, lanes) in out.chunks_exact_mut(b).enumerate() {
+            // Read unchecked: an index check per broadcast weight cost the
+            // 1024², 10× SpMM 1.2–1.5× at 12–32 lanes (262 vs 170 µs at 32).
+            // SAFETY: `out` has `m` chunks, so `j < m`, and `k < len`:
+            // `k·m + j < len·m`, which the caller vouches fits `tile.len()`.
+            let row = tile.as_ptr().add(j);
+            row_lanes(len, |k| *row.add(k * m), |k| k * b, xs, b, lanes);
+        }
     }
 
     /// `activations::exp_nonpos` on eight lanes: the same operations in the
@@ -1063,6 +1098,55 @@ fn dot_lanes(v: Variant, a: &[f32], xs: &[f32], b: usize, out: &mut [f32]) {
 /// Panics if `out.len() != b` or `xs.len() != a.len() * b`.
 pub fn dot_batch(a: &[f32], xs: &[f32], b: usize, out: &mut [f32]) {
     dot_batch_variant(active_variant(), a, xs, b, out)
+}
+
+/// Whether `v` runs the register-tile batch body here (`Vector` on
+/// AVX2+FMA) — the one realization [`tile_dots_variant`] has: its lanes and
+/// its along-row `dot` both accumulate from `+0.0` (the scalar definition
+/// sums from `-0.0`, its batch lanes from `+0.0`: rows as lanes there would
+/// flip the sign of a row whose products are all `-0.0`), and it takes a
+/// row's weights through a stride.
+pub fn tile_dots_available(v: Variant) -> bool {
+    cfg!(target_arch = "x86_64") && v == Variant::Vector && vector_available()
+}
+
+/// The `m` rows of one lane-major weight tile against a shared lane-major
+/// input: `out[j·b + l] = Σₖ tile[k·m + j] · xs[k·b + l]`, row `j` lane `l`
+/// **bit-identical** to [`dot_variant`]`(v, row_j, column_l)`. Rows that
+/// share their input — the kept rows of a BSPC stripe — are stored this way
+/// so that they can be the lanes: at `b == 1` this *is*
+/// [`dot_batch_variant`] with the operands exchanged (`xs` the row, `tile`
+/// the lane plane; a product commutes, so the bits are `dot`'s). At `b > 1`
+/// the batch lanes stay the lanes and each row's weights are read through
+/// the stride `m`.
+///
+/// # Panics
+///
+/// Panics unless [`tile_dots_available`]`(v)`, or if `b == 0`,
+/// `out.len() != m * b`, or `tile` does not hold `m` rows of `xs.len() / b`
+/// elements.
+pub fn tile_dots_variant(
+    v: Variant,
+    tile: &[f32],
+    m: usize,
+    xs: &[f32],
+    b: usize,
+    out: &mut [f32],
+) {
+    assert!(tile_dots_available(v), "tile_dots: no register-tile body");
+    if b == 1 {
+        // Checks `tile` against `xs` and `out` against `m` itself.
+        return dot_batch_variant(v, xs, tile, m, out);
+    }
+    assert!(
+        b != 0 && out.len() == m * b && tile.len() * b == xs.len() * m,
+        "tile_dots: size mismatch"
+    );
+    // SAFETY: AVX2+FMA presence and the sizes were checked just above.
+    #[cfg(target_arch = "x86_64")]
+    unsafe {
+        x86::tile_dots(tile, m, xs, b, out)
+    }
 }
 
 /// Batched sparse (indexed) dot under an explicit variant:

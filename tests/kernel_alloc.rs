@@ -9,16 +9,25 @@
 //! Own test binary (see `crates/rtmobile/Cargo.toml`): it installs a
 //! counting `#[global_allocator]` and pins the process-global trace switch
 //! off (a traced call may allocate in the registry; that is not the
-//! kernel's steady state).
+//! kernel's steady state). The kernel test also walks the process-global
+//! SIMD policy — BSPC's register-tile path (an f16 tile decoded into the
+//! conversion scratch) and its per-row de-tile path are picked by it — so
+//! the two tests take turns.
 
 use rtm_exec::Executor;
 use rtm_rnn::model::NetworkConfig;
 use rtm_rnn::GruNetwork;
 use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix, Precision, SparseKernel};
+use rtm_tensor::simd::{self, SimdPolicy, Variant};
 use rtm_tensor::Matrix;
 use rtmobile::deploy::{CompiledNetwork, GruRuntimeScratch, RuntimeFormat, RuntimePrecision};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Mutex;
+
+/// Held by each test for its whole run: a policy switch under the other
+/// test's feet would grow a scratch buffer in the middle of its steady state.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 thread_local! {
     /// Bytes this thread has requested from the heap (const-initialized and
@@ -60,7 +69,17 @@ fn allocated() -> u64 {
 
 #[test]
 fn steady_state_kernels_allocate_nothing() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     rtm_trace::set_config(rtm_trace::TraceConfig::off());
+    let ambient = simd::policy();
+    for policy in [SimdPolicy::Auto, SimdPolicy::Fixed(Variant::ScalarU1)] {
+        simd::set_policy(policy);
+        kernels_allocate_nothing(&format!("{policy:?}"));
+    }
+    simd::set_policy(ambient);
+}
+
+fn kernels_allocate_nothing(policy: &str) {
     let (rows, cols) = (64usize, 48usize);
     let w = Matrix::from_fn(rows, cols, |r, c| {
         if (r / 8 + c) % 3 == 0 {
@@ -81,7 +100,7 @@ fn steady_state_kernels_allocate_nothing() {
             for b in [1usize, 7, 8, 12] {
                 let xs: Vec<f32> = (0..cols * b).map(|i| (i as f32 * 0.37).sin()).collect();
                 let mut ys = vec![0.0f32; rows * b];
-                let what = format!("{} {prec:?} b={b}", k.tag());
+                let what = format!("{policy} {} {prec:?} b={b}", k.tag());
 
                 let mut serial = || {
                     k.spmm_prec_into(prec, &xs, b, &mut ys).unwrap();
@@ -115,6 +134,7 @@ fn steady_state_kernels_allocate_nothing() {
 
 #[test]
 fn production_step_allocates_only_the_returned_logits() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     rtm_trace::set_config(rtm_trace::TraceConfig::off());
     let (input, classes, t) = (6usize, 5usize, 8usize);
     let net = GruNetwork::new(

@@ -77,9 +77,9 @@ fn tile_edge_matrices() -> Vec<BspcMatrix> {
         let stripe_h = rows.div_ceil(stripes);
         Matrix::from_fn(rows, cols, |r, c| {
             let s = r / stripe_h;
-            if keep_row(r) && (c + s) % (2 + s) == 0 {
+            if keep_row(r) && (c + s).is_multiple_of(2 + s) {
                 let v = 0.1 + ((r * 7 + c * 3) % 23) as f32 / 10.0;
-                if (r + c) % 2 == 0 {
+                if (r + c).is_multiple_of(2) {
                     v
                 } else {
                     -v

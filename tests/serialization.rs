@@ -7,8 +7,10 @@ use rtm_pruning::bsp::{BspConfig, BspPruner};
 use rtm_pruning::schedule::CompressionTarget;
 use rtm_speech::corpus::CorpusConfig;
 use rtm_speech::task::SpeechTask;
-use rtmobile::deploy::{CompiledNetwork, RuntimePrecision};
-use rtmobile::model_file;
+use rtm_tensor::simd;
+use rtmobile::config::{FormatChoice, PrecisionChoice, RuntimeConfig};
+use rtmobile::deploy::{CompiledNetwork, RuntimeFormat, RuntimePrecision};
+use rtmobile::{bundle, model_file, RtMobile};
 
 fn build_compiled() -> (SpeechTask, CompiledNetwork) {
     let task = SpeechTask::new(
@@ -93,4 +95,50 @@ fn f16_storage_halves_the_file() {
     let b16 = model_file::to_bytes(&f16_model).len();
     // Values dominate the file; f16 should land well under 75% of f32.
     assert!((b16 as f64) < (b32 as f64) * 0.75, "f16 {b16} vs f32 {b32}");
+}
+
+/// A v5 bundle written by the commit BEFORE BSPC's values moved into row
+/// tiles (`rtm compile --hidden 12 --seed 7`, AVX2 host): bytes the tile ↔
+/// wire permutation did not produce. It must load, re-encode to the very
+/// same bytes, and score like the same pipeline compiled afresh.
+#[test]
+fn row_major_bundle_of_the_parent_loads_reencodes_and_scores() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/bspc_rowmajor_v5.bundle"
+    );
+    let bytes = std::fs::read(path).expect("fixture");
+    let loaded = bundle::from_bytes(&bytes).expect("a parent-written bundle decodes");
+    assert_eq!(
+        bundle::to_bytes_with(&loaded.net, &loaded.meta),
+        bytes,
+        "re-encoding restores the row-major wire order"
+    );
+
+    // The twin repeats the fixture's training, whose bits depend on the dot
+    // kernels: it is the fixture's model only under the arithmetic the
+    // fixture was written with. (Read, not set: the policy is process-global
+    // and the other tests of this binary run beside this one.)
+    if simd::vector_isa() != "avx2+fma" || simd::active_variant() != simd::Variant::Vector {
+        return;
+    }
+    let runtime = RuntimeConfig::default()
+        .with_precision(PrecisionChoice::Fixed(RuntimePrecision::F16))
+        .with_format(FormatChoice::Fixed(RuntimeFormat::Bspc));
+    let (_, _, twin) = RtMobile::builder()
+        .hidden(12)
+        .seed(7)
+        .runtime(runtime)
+        .run_keeping_model();
+    assert_eq!(
+        bundle::to_bytes_with(&twin, &loaded.meta),
+        bytes,
+        "a fresh compile writes the bytes the parent wrote"
+    );
+    let task = SpeechTask::new(&CorpusConfig::default_scaled(), 7);
+    let frames = &task.test_utterances()[0].frames;
+    let bits = |logits: Vec<Vec<f32>>| -> Vec<u32> {
+        logits.iter().flatten().map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(bits(loaded.net.forward(frames)), bits(twin.forward(frames)));
 }
