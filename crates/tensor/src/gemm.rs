@@ -332,6 +332,72 @@ mod tests {
     }
 
     #[test]
+    fn gemv_batch_rows_match_per_row_dot_on_every_block_edge() {
+        // The grid of `simd::tests::tile_rows_match_per_row_dot_on_every_
+        // block_edge` over row-major rows, under the ambient variant. The
+        // matrix and `xs` are exact-length: the last rows end the allocation.
+        use crate::simd;
+        let mut rng = crate::rng::StdRng::seed_from_u64(0x6E33);
+        let mut rand =
+            |n: usize| -> Vec<f32> { (0..n).map(|_| rng.gen_f32() * 2.0 - 1.0).collect() };
+        let v = simd::active_variant();
+        for m in (1usize..=9).chain([12, 15, 16]) {
+            for len in [0usize, 1, 7, 8, 9, 16, 17, 102] {
+                for b in [2usize, 3, 7, 8, 9, 12, 16, 25] {
+                    let a = Matrix::from_vec(m, len, rand(m * len).into_boxed_slice().into_vec())
+                        .unwrap();
+                    let xs = rand(len * b).into_boxed_slice();
+                    let mut ys = vec![f32::NAN; m * b];
+                    gemv_batch_into(&a, &xs, b, &mut ys).unwrap();
+                    for l in 0..b {
+                        let col: Vec<f32> = (0..len).map(|k| xs[k * b + l]).collect();
+                        for i in 0..m {
+                            let (got, want) = (ys[i * b + l], simd::dot_variant(v, a.row(i), &col));
+                            // The scalar definition sums an empty row from
+                            // `-0.0`, its batch lanes start at `+0.0`.
+                            assert!(
+                                got.to_bits() == want.to_bits() || (len == 0 && got == want),
+                                "m={m} len={len} b={b} row {i} lane {l}: {got} vs {want}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // A NaN / ±∞ weight or an all-`-0.0` row stays in its own row (whose
+        // zero is signed by the variant: `simd::tile_dots_available`).
+        let same = |x: f32, y: f32| {
+            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()) || (x == 0.0 && y == 0.0)
+        };
+        for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0] {
+            for bad in 0..6 {
+                let mut a = Matrix::from_vec(6, 17, rand(6 * 17)).unwrap();
+                if poison == 0.0 {
+                    a.row_mut(bad).fill(-0.0);
+                } else {
+                    a[(bad, 9)] = poison;
+                }
+                for b in [2usize, 8, 11] {
+                    let xs: Vec<f32> = rand(17 * b).iter().map(|x| x.abs() + 0.5).collect();
+                    let mut ys = vec![7.0f32; 6 * b + 8];
+                    gemv_batch_into(&a, &xs, b, &mut ys[..6 * b]).unwrap();
+                    for l in 0..b {
+                        let col: Vec<f32> = (0..17).map(|k| xs[k * b + l]).collect();
+                        for i in 0..6 {
+                            let want = simd::dot_variant(v, a.row(i), &col);
+                            assert!(
+                                same(ys[i * b + l], want),
+                                "bad row {bad} ({poison}) b={b} row {i} lane {l}"
+                            );
+                        }
+                    }
+                    assert!(ys[6 * b..].iter().all(|&s| s == 7.0));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn gemv_transposed_matches_explicit_transpose() {
         let a = seq_matrix(5, 7);
         let x: Vec<f32> = (0..5).map(|i| i as f32 - 2.0).collect();

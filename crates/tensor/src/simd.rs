@@ -1540,6 +1540,82 @@ mod tests {
                 }
             }
         }
+        // Across rows: one row of a tile carries the poison — a NaN / ±∞
+        // weight, or nothing but `-0.0` — and every other row of its row
+        // block, like every lane, still carries its own serial result.
+        let v = Variant::Vector;
+        if !tile_dots_available(v) {
+            return;
+        }
+        for (m, len) in [(5usize, 9usize), (8, 102)] {
+            for bad in 0..m {
+                for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0] {
+                    let mut rows: Vec<Vec<f32>> = (0..m).map(|_| rand_vec(len, &mut rng)).collect();
+                    if poison == 0.0 {
+                        rows[bad].fill(-0.0);
+                    } else {
+                        rows[bad][len / 2] = poison;
+                    }
+                    let tile: Vec<f32> = (0..len * m).map(|i| rows[i % m][i / m]).collect();
+                    for b in 1usize..=17 {
+                        let mut xs = vec![0.0f32; len * b];
+                        for (i, x) in xs.iter_mut().enumerate() {
+                            if (i % b) % 3 != 0 {
+                                *x = 0.5 + rng.gen_f32();
+                            }
+                        }
+                        let mut out = vec![7.0f32; m * b + 8];
+                        tile_dots_variant(v, &tile, m, &xs, b, &mut out[..m * b]);
+                        for l in 0..b {
+                            let col: Vec<f32> = (0..len).map(|k| xs[k * b + l]).collect();
+                            for (j, row) in rows.iter().enumerate() {
+                                let (got, want) = (out[j * b + l], dot_variant(v, row, &col));
+                                assert!(
+                                    same(got, want),
+                                    "m={m} bad row {bad} ({poison}) b={b} row {j} lane {l}: {got} vs {want}"
+                                );
+                            }
+                        }
+                        assert!(out[m * b..].iter().all(|&s| s == 7.0));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tile_rows_match_per_row_dot_on_every_block_edge() {
+        // Row counts around the row blocks (one to two blocks of four, every
+        // remainder, a full 16-row tile), row lengths around the eight
+        // sublane chains, lane counts around the register tiles. `tile` and
+        // `xs` are exact-length: the last row block and the last lane group
+        // end where their allocation ends.
+        let v = Variant::Vector;
+        if !tile_dots_available(v) {
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(0x7113);
+        for m in (1usize..=9).chain([12, 15, 16]) {
+            for len in [0usize, 1, 7, 8, 9, 16, 17, 102] {
+                for b in [2usize, 3, 7, 8, 9, 12, 16, 25] {
+                    let rows: Vec<Vec<f32>> = (0..m).map(|_| rand_vec(len, &mut rng)).collect();
+                    let tile: Box<[f32]> = (0..len * m).map(|i| rows[i % m][i / m]).collect();
+                    let xs = rand_vec(len * b, &mut rng).into_boxed_slice();
+                    let mut out = vec![f32::NAN; m * b];
+                    tile_dots_variant(v, &tile, m, &xs, b, &mut out);
+                    for l in 0..b {
+                        let col: Vec<f32> = (0..len).map(|k| xs[k * b + l]).collect();
+                        for (j, row) in rows.iter().enumerate() {
+                            assert_eq!(
+                                out[j * b + l].to_bits(),
+                                dot_variant(v, row, &col).to_bits(),
+                                "m={m} len={len} b={b} row {j} lane {l}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
