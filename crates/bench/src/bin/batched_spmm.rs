@@ -7,10 +7,13 @@
 //! per-stream cost of a sparse matvec fall below running `b` serial SpMVs?
 //!
 //! For each format (BSPC, CSR, dense) × thread count {1, 4} × batch width
-//! b ∈ {1, 2, 4, 7, 8, 12, 16} (partial register tiles beside full ones),
-//! the 1024×1024 BSP-patterned matrix at 10× compression is applied to a
+//! b ∈ {1, 2, 4, 7, 8, 12, 16, 24, 25, 32} (partial register tiles beside
+//! full ones, up to the widths a saturated 32-lane server steps at), the
+//! 1024×1024 BSP-patterned matrix at 10× compression is applied to a
 //! lane-major `[cols × b]` input through the parallel engine's SpMM path
-//! (the generic `Executor::spmm_into` / `gemm_dense_into`). Reported per row:
+//! (the generic `Executor::spmm_into` / `gemm_dense_into`); a `head` row
+//! times the paper model's dense `39 × 1024` output layer the same way.
+//! Reported per row:
 //!
 //! * `wall_us` — one batched pass over all `b` lanes;
 //! * `per_stream_us` — `wall_us / b`, the effective per-utterance cost;
@@ -32,7 +35,8 @@ use rtm_tensor::rng::StdRng;
 const STRIPES: usize = 8;
 const BLOCKS: usize = 8;
 const RATE: f64 = 10.0;
-const BATCHES: [usize; 7] = [1, 2, 4, 7, 8, 12, 16];
+const BATCHES: [usize; 10] = [1, 2, 4, 7, 8, 12, 16, 24, 25, 32];
+const HEAD_ROWS: usize = 39;
 const THREADS: [usize; 2] = [1, 4];
 
 struct Row {
@@ -52,6 +56,9 @@ fn main() {
     let dense = bsp_matrix(rows_dim, cols_dim, STRIPES, BLOCKS, RATE, 42);
     let bspc = BspcMatrix::from_dense(&dense, STRIPES, BLOCKS).expect("valid partition");
     let csr = CsrMatrix::from_dense(&dense);
+    let head = rtm_tensor::Matrix::from_fn(HEAD_ROWS.min(rows_dim), cols_dim, |r, c| {
+        0.05 + ((r * 31 + c * 17) % 97) as f32 / 100.0
+    });
 
     let max_b = *BATCHES.last().expect("non-empty sweep");
     let mut rng = StdRng::seed_from_u64(7);
@@ -86,6 +93,18 @@ fn main() {
             });
             rows.push(Row {
                 format: "dense",
+                threads,
+                b,
+                wall_us: wall,
+            });
+
+            let mut logits = vec![0.0f32; head.rows() * b];
+            let wall = time_us(iters(b), || {
+                exec.gemm_dense_into(&head, xs, b, &mut logits)
+                    .expect("shapes match");
+            });
+            rows.push(Row {
+                format: "head",
                 threads,
                 b,
                 wall_us: wall,

@@ -2,8 +2,8 @@
 //!
 //! Dense rows all cost the same, so the partition is an even row split;
 //! the chunk loop is the executor's shared one. The row kernel is public
-//! so benchmarks can time a chunk's busy work in isolation; it runs the
-//! dispatched simd dot the serial `rtm_tensor::gemm` kernels run, so
+//! so benchmarks can time a chunk's busy work in isolation; it is the row
+//! loop of the serial `rtm_tensor::gemm` kernels over the chunk's rows, so
 //! pooled results are bit-identical to serial ones.
 
 use crate::error::ExecError;
@@ -12,7 +12,8 @@ use rtm_tensor::Matrix;
 use std::ops::Range;
 
 /// Computes `ys[(r - y_base)·b + j] = A[r] · X[:, j]` for dense rows `rows`
-/// over `b` interleaved input lanes (a plain GEMV row range at `b == 1`).
+/// over `b` interleaved input lanes (a plain GEMV row range at `b == 1`):
+/// [`rtm_tensor::gemm::dense_rows_into`].
 pub fn dense_rows_batch_into(
     m: &Matrix,
     xs: &[f32],
@@ -21,17 +22,7 @@ pub fn dense_rows_batch_into(
     ys: &mut [f32],
     y_base: usize,
 ) {
-    let variant = rtm_tensor::simd::active_variant();
-    for r in rows {
-        let out_base = (r - y_base) * b;
-        rtm_tensor::simd::dot_batch_variant(
-            variant,
-            m.row(r),
-            xs,
-            b,
-            &mut ys[out_base..out_base + b],
-        );
-    }
+    rtm_tensor::gemm::dense_rows_into(m, xs, b, rows, ys, y_base)
 }
 
 impl Executor {

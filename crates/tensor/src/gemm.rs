@@ -13,6 +13,7 @@
 //! is load-bearing for Table I.
 
 use crate::matrix::{Matrix, ShapeError};
+use std::ops::Range;
 
 /// Default cache-block edge for [`matmul_blocked`]; 64×64 f32 tiles fit
 /// comfortably in a typical mobile L1 (16 KiB per tile operand).
@@ -136,8 +137,7 @@ pub fn gemv_into(a: &Matrix, x: &[f32], y: &mut [f32]) -> Result<(), ShapeError>
             rhs: (x.len(), 1),
         });
     }
-    dense_rows_into(a, x, 1, y);
-    Ok(())
+    gemv_batch_into(a, x, 1, y)
 }
 
 /// `Y = A * X` for `b` interleaved input lanes — the dense fallback of the
@@ -163,31 +163,44 @@ pub fn gemv_batch_into(a: &Matrix, xs: &[f32], b: usize, ys: &mut [f32]) -> Resu
         });
     }
     if b > 0 {
-        dense_rows_into(a, xs, b, ys);
+        let calls = if b == 1 {
+            rtm_trace::key::GEMV_DENSE
+        } else {
+            rtm_trace::key::GEMM_DENSE
+        };
+        rtm_trace::count_many(&[
+            (calls, 1),
+            (rtm_trace::key::KERNEL_ROWS, a.rows() as u64),
+            (rtm_trace::key::KERNEL_NNZ, (a.rows() * a.cols()) as u64),
+        ]);
+        dense_rows_into(a, xs, b, 0..a.rows(), ys, 0);
     }
     Ok(())
 }
 
-/// The one dense row loop, on validated shapes with `b ≥ 1`: counts the
-/// call, then one lane-major [`simd`](crate::simd) dot per row — total in
-/// `b`, so a single lane runs the along-row dot. The kernel variant is
-/// hoisted out of the loop so every row of a call runs the same
-/// realization.
-fn dense_rows_into(a: &Matrix, xs: &[f32], b: usize, ys: &mut [f32]) {
-    let calls = if b == 1 {
-        rtm_trace::key::GEMV_DENSE
-    } else {
-        rtm_trace::key::GEMM_DENSE
-    };
-    rtm_trace::count_many(&[
-        (calls, 1),
-        (rtm_trace::key::KERNEL_ROWS, a.rows() as u64),
-        (rtm_trace::key::KERNEL_NNZ, (a.rows() * a.cols()) as u64),
-    ]);
+/// The one dense row loop — serial here, per pool chunk in `rtm-exec`:
+/// `ys[(r - y_base)·b + j] = A[r] · X[:, j]` for the rows `rows` over
+/// `b ≥ 1` interleaved lanes, uncounted. One
+/// [`simd::row_major_dots_variant`](crate::simd::row_major_dots_variant)
+/// call, so every row runs the same realization, a single lane the
+/// along-row dot, and rows that share `xs` share its loads.
+///
+/// # Panics
+///
+/// Panics if `b == 0`, `xs.len() != a.cols() * b`, or `ys` does not hold
+/// the rows `rows` from `y_base` on.
+pub fn dense_rows_into(
+    a: &Matrix,
+    xs: &[f32],
+    b: usize,
+    rows: Range<usize>,
+    ys: &mut [f32],
+    y_base: usize,
+) {
     let v = crate::simd::active_variant();
-    for (i, yr) in ys.chunks_exact_mut(b).enumerate() {
-        crate::simd::dot_batch_variant(v, a.row(i), xs, b, yr);
-    }
+    let weights = &a.as_slice()[rows.start * a.cols()..rows.end * a.cols()];
+    let out = &mut ys[(rows.start - y_base) * b..(rows.end - y_base) * b];
+    crate::simd::row_major_dots_variant(v, weights, rows.len(), xs, b, out);
 }
 
 /// `y = Aᵀ * x` without materializing the transpose: one
@@ -335,7 +348,8 @@ mod tests {
     fn gemv_batch_rows_match_per_row_dot_on_every_block_edge() {
         // The grid of `simd::tests::tile_rows_match_per_row_dot_on_every_
         // block_edge` over row-major rows, under the ambient variant. The
-        // matrix and `xs` are exact-length: the last rows end the allocation.
+        // matrix and `xs` are collected to their exact length: the last rows
+        // end the allocation.
         use crate::simd;
         let mut rng = crate::rng::StdRng::seed_from_u64(0x6E33);
         let mut rand =
@@ -344,8 +358,7 @@ mod tests {
         for m in (1usize..=9).chain([12, 15, 16]) {
             for len in [0usize, 1, 7, 8, 9, 16, 17, 102] {
                 for b in [2usize, 3, 7, 8, 9, 12, 16, 25] {
-                    let a = Matrix::from_vec(m, len, rand(m * len).into_boxed_slice().into_vec())
-                        .unwrap();
+                    let a = Matrix::from_vec(m, len, rand(m * len)).unwrap();
                     let xs = rand(len * b).into_boxed_slice();
                     let mut ys = vec![f32::NAN; m * b];
                     gemv_batch_into(&a, &xs, b, &mut ys).unwrap();

@@ -65,6 +65,15 @@
 //! ([`tile_dots_available`]); other variants de-tile a row and call
 //! [`dot_batch_variant`].
 //!
+//! At `b ≥ 2` streams the batch lanes stay the lanes and rows that share
+//! their input share its loads: four rows run through one register tile,
+//! every loaded lane row meeting four broadcast weights — the tile's rows,
+//! or row-major ones ([`row_major_dots_variant`], the dense head). Eight
+//! accumulators cannot hold four rows' eight chains each, so the tile takes
+//! two chains of each row per pass. *A sublane chain, not a row, is the unit
+//! of order: the chains of a row may run in separate passes, a chain's
+//! elements only in `k` order* — the bits stay `dot`'s per (row, lane).
+//!
 //! **Lane tails.** On AVX2 the `b % 8` lanes after the last full group of
 //! eight are one more register tile, loaded with `vmaskmovps` and stored
 //! through the same mask: *a partial lane group is a masked tile, never a
@@ -431,30 +440,44 @@ mod x86 {
         _mm256_add_ps(_mm256_add_ps(q0, q2), _mm256_add_ps(q1, q3))
     }
 
-    /// One register tile of a batched dot: for each of the (up to eight)
-    /// lanes `j` of the group at `xp`, `op[j] = Σₖ w(k) · xp[at(k) + j]` over
-    /// `k < len` in exactly `dot`'s arithmetic — element `k` goes to
-    /// k-sublane accumulator `k % 8` by FMA, the accumulators meet in the
-    /// `hsum256` tree, the last `len % 8` elements follow in order as
-    /// mul+add. Every operation is element-wise across the register, so a
-    /// lane's result depends on that lane's inputs alone: whatever a
-    /// masked-off lane computes from its zeros (`∞ · 0` included) stays in
-    /// that lane and is never stored.
+    /// One register tile of a batched dot over `R` rows that share their
+    /// input: for row `r` and each of the (up to eight) lanes `j` of the group
+    /// at `xp`, `op[r·b + j] = Σₖ wp[wat(k, r)] · xp[at(k) + j]` over `k < len`
+    /// in exactly `dot`'s arithmetic — element `k` goes to k-sublane chain
+    /// `k % 8` by FMA in `k` order, the eight chains meet in the `hsum256`
+    /// tree, the last `len % 8` elements follow in order as mul+add.
+    ///
+    /// A chain, not a row, is the unit of order, so a row's eight chains run
+    /// in `8 / S` passes: pass `p` carries chains `S·p .. S·p + S` of all `R`
+    /// rows in `R·S = 8` live accumulators, loads each lane row once for `R`
+    /// broadcast weights, and parks its finished chains on the stack until
+    /// the tree. `(1, 8)` is one row in one pass; `(4, 2)` pays 1.25 loads
+    /// per FMA where four `(1, 8)` tiles pay 2.
+    ///
+    /// Every operation is element-wise across the register and an
+    /// accumulator takes one row's weights, so a result depends on its own
+    /// (row, lane) inputs alone: whatever a masked-off lane computes from its
+    /// zeros (`∞ · 0` included) or a neighbouring row from a NaN weight stays
+    /// there, and a masked-off lane is never stored.
     ///
     /// # Safety
     ///
-    /// AVX2+FMA must be available, and for every `k < len` the lanes this
-    /// tile covers — eight, or those `mask` selects when `MASKED` — must be
-    /// readable at `xp + at(k)` and writable at `op`.
+    /// AVX2+FMA must be available, `R·S == 8`, `wp` must be readable at
+    /// `wat(k, r)` for every `k < len` and `r < R`, and the lanes this tile
+    /// covers — eight, or those `mask` selects when `MASKED` — must be
+    /// readable at `xp + at(k)` and writable at `op + r·b`.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn lane_tile<const MASKED: bool>(
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn rows_tile<const MASKED: bool, const R: usize, const S: usize>(
         len: usize,
-        w: &impl Fn(usize) -> f32,
+        wp: *const f32,
+        wat: &impl Fn(usize, usize) -> usize,
         at: &impl Fn(usize) -> usize,
         xp: *const f32,
         mask: __m256i,
         op: *mut f32,
+        b: usize,
     ) {
         // A full group is a plain load; a masked load reads the lanes whose
         // `mask` element has its sign bit set and zeroes the rest, without
@@ -468,59 +491,88 @@ mod x86 {
                 _mm256_loadu_ps(p)
             }
         };
+        // SAFETY: the caller vouches for `wat(k, r)` at every `k < len`.
+        let w = |k: usize, r: usize| unsafe { _mm256_set1_ps(*wp.add(wat(k, r))) };
         let chunks = len / 8;
-        let mut acc = [_mm256_setzero_ps(); 8];
-        for i in 0..chunks {
-            for (l, al) in acc.iter_mut().enumerate() {
-                let k = i * 8 + l;
-                *al = _mm256_fmadd_ps(_mm256_set1_ps(w(k)), load(k), *al);
+        let mut chains = [[_mm256_setzero_ps(); 8]; R];
+        for p in 0..8 / S {
+            let mut acc = [[_mm256_setzero_ps(); S]; R];
+            for i in 0..chunks {
+                for s in 0..S {
+                    let k = i * 8 + p * S + s;
+                    let x = load(k);
+                    for (r, row) in acc.iter_mut().enumerate() {
+                        row[s] = _mm256_fmadd_ps(w(k, r), x, row[s]);
+                    }
+                }
+            }
+            for (parked, row) in chains.iter_mut().zip(&acc) {
+                parked[p * S..p * S + S].copy_from_slice(row);
             }
         }
-        let mut s = tree_reduce8(&acc);
-        for k in chunks * 8..len {
-            s = _mm256_add_ps(s, _mm256_mul_ps(_mm256_set1_ps(w(k)), load(k)));
+        let mut sums = [_mm256_setzero_ps(); R];
+        for (s, parked) in sums.iter_mut().zip(&chains) {
+            *s = tree_reduce8(parked);
         }
-        if MASKED {
-            _mm256_maskstore_ps(op, mask, s);
-        } else {
-            _mm256_storeu_ps(op, s);
+        for k in chunks * 8..len {
+            let x = load(k);
+            for (r, s) in sums.iter_mut().enumerate() {
+                *s = _mm256_add_ps(*s, _mm256_mul_ps(w(k, r), x));
+            }
+        }
+        for (r, &s) in sums.iter().enumerate() {
+            if MASKED {
+                _mm256_maskstore_ps(op.add(r * b), mask, s);
+            } else {
+                _mm256_storeu_ps(op.add(r * b), s);
+            }
         }
     }
 
-    /// `out[j] = Σₖ w(k) · xs[at(k) + j]` over `k < len` for all `b` lanes:
-    /// `b / 8` full tiles, then the last `b % 8` lanes as one masked tile. A
-    /// partial lane group is a masked tile, never a scalar lane loop. The
-    /// weight is taken the way the lane address is — through the caller's
-    /// map of `k` — so a row may sit contiguous or strided inside a tile.
+    /// `out[r·b + j] = Σₖ w[wat(k, r)] · xs[at(k) + j]` over `k < len` for
+    /// `R` rows and all `b` lanes: `b / 8` full tiles, then the last `b % 8`
+    /// lanes as one masked tile. A partial lane group is a masked tile, never
+    /// a scalar lane loop. The weight address is taken the way the lane
+    /// address is — through the caller's map — so a row may sit contiguous,
+    /// or strided inside a lane-major tile.
     ///
     /// # Safety
     ///
-    /// AVX2+FMA must be available, `out` must hold `b` elements, and for
-    /// every `k < len`, `xs[at(k)..at(k) + b]` must be in bounds.
+    /// AVX2+FMA must be available, `R·S == 8`, `out` must hold `R·b`
+    /// elements, `wat` must not decrease in either argument and
+    /// `wat(len - 1, R - 1)` must be inside `w`, and for every `k < len`,
+    /// `xs[at(k)..at(k) + b]` must be in bounds.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn row_lanes(
+    unsafe fn rows_lanes<const R: usize, const S: usize>(
         len: usize,
-        w: impl Fn(usize) -> f32,
+        w: &[f32],
+        wat: impl Fn(usize, usize) -> usize,
         at: impl Fn(usize) -> usize,
         xs: &[f32],
         b: usize,
         out: &mut [f32],
     ) {
-        let xp = xs.as_ptr();
-        let op = out.as_mut_ptr();
+        // The weights are read unchecked (an index check per broadcast cost
+        // the 1024², 10× SpMM 1.2–1.5× at 12–32 lanes); the one address that
+        // bounds them all is checked here, once per row block.
+        debug_assert!(R * S == 8 && out.len() == R * b);
+        debug_assert!(len == 0 || wat(len - 1, R - 1) < w.len());
+        let (wp, xp, op) = (w.as_ptr(), xs.as_ptr(), out.as_mut_ptr());
         let jb = b - b % 8;
         // SAFETY (both tiles): lanes `j0..j0 + 8 ≤ b` of a full tile and
         // lanes `jb..b` of the masked one lie inside `xs[at(k)..at(k) + b]`
-        // and inside `out`; the masked tile touches nothing beyond lane `b`.
+        // and inside each row of `out`; the masked tile touches nothing
+        // beyond lane `b`.
         for j0 in (0..jb).step_by(8) {
-            lane_tile::<false>(len, &w, &at, xp.add(j0), _mm256_setzero_si256(), op.add(j0));
+            let zero = _mm256_setzero_si256();
+            rows_tile::<false, R, S>(len, wp, &wat, &at, xp.add(j0), zero, op.add(j0), b);
         }
         if jb < b {
             // Lane `l` of the group is live iff `l < b - jb`.
             let live = _mm256_set1_epi32((b - jb) as i32);
             let mask = _mm256_cmpgt_epi32(live, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-            lane_tile::<true>(len, &w, &at, xp.add(jb), mask, op.add(jb));
+            rows_tile::<true, R, S>(len, wp, &wat, &at, xp.add(jb), mask, op.add(jb), b);
         }
     }
 
@@ -533,13 +585,14 @@ mod x86 {
     /// `out.len() == b`.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn dot_batch(a: &[f32], xs: &[f32], b: usize, out: &mut [f32]) {
-        row_lanes(a.len(), |k| a[k], |k| k * b, xs, b, out)
+        rows_lanes::<1, 8>(a.len(), a, |k, _| k, |k| k * b, xs, b, out)
     }
 
     /// Batched indexed dot: lane `j` of `out` is bit-identical to
     /// `indexed_dot` against column `j` of the lane-major `xs` buffer. One
     /// index walk feeds all lanes of a tile; the loads across the batch
-    /// dimension are unit-stride (no gathers).
+    /// dimension are unit-stride (no gathers). Rows with their own column
+    /// lists share no loaded lane row, so a row is its own `(1, 8)` tile.
     ///
     /// # Safety
     ///
@@ -553,28 +606,40 @@ mod x86 {
         b: usize,
         out: &mut [f32],
     ) {
-        row_lanes(vals.len(), |k| vals[k], |k| idx[k] as usize * b, xs, b, out)
+        let at = |k: usize| idx[k] as usize * b;
+        rows_lanes::<1, 8>(vals.len(), vals, |k, _| k, at, xs, b, out)
     }
 
-    /// The `m` rows of a lane-major weight tile (`tile[k·m + j]` is element
-    /// `k` of row `j`) against one shared lane-major input: row `j`, lane `l`
-    /// of `out` is bit-identical to `dot` of row `j` with column `l` of `xs`
-    /// — `dot_batch` per row, the weight read through the tile's stride.
+    /// `m` rows of `xs.len() / b` elements against the lane-major input they
+    /// share, element `k` of row `j` at `w[wat(k, j)]` (`k·m + j` in a
+    /// lane-major tile, `j·len + k` row-major): row `j`, lane `l` of `out` is
+    /// bit-identical to `dot` of row `j` with column `l` of `xs`. Four rows
+    /// at a time share each loaded lane row; the `m % 4` rows left over are
+    /// one-row tiles.
     ///
     /// # Safety
     ///
-    /// AVX2+FMA must be available, `b > 0`, `out.len() == m * b` and
-    /// `tile.len() * b == xs.len() * m` (`m` rows of `xs.len() / b` elements).
+    /// AVX2+FMA must be available, `b > 0`, `out.len() == m * b`, `wat` must
+    /// not decrease in either argument and `wat(xs.len() / b - 1, m - 1)`
+    /// must be inside `w`.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn tile_dots(tile: &[f32], m: usize, xs: &[f32], b: usize, out: &mut [f32]) {
+    pub unsafe fn tile_dots(
+        w: &[f32],
+        wat: impl Fn(usize, usize) -> usize,
+        xs: &[f32],
+        b: usize,
+        out: &mut [f32],
+    ) {
         let len = xs.len() / b;
-        for (j, lanes) in out.chunks_exact_mut(b).enumerate() {
-            // Read unchecked: an index check per broadcast weight cost the
-            // 1024², 10× SpMM 1.2–1.5× at 12–32 lanes (262 vs 170 µs at 32).
-            // SAFETY: `out` has `m` chunks, so `j < m`, and `k < len`:
-            // `k·m + j < len·m`, which the caller vouches fits `tile.len()`.
-            let row = tile.as_ptr().add(j);
-            row_lanes(len, |k| *row.add(k * m), |k| k * b, xs, b, lanes);
+        let mut quads = out.chunks_exact_mut(4 * b);
+        let mut j = 0;
+        for quad in &mut quads {
+            rows_lanes::<4, 2>(len, w, |k, r| wat(k, j + r), |k| k * b, xs, b, quad);
+            j += 4;
+        }
+        for lanes in quads.into_remainder().chunks_exact_mut(b) {
+            rows_lanes::<1, 8>(len, w, |k, _| wat(k, j), |k| k * b, xs, b, lanes);
+            j += 1;
         }
     }
 
@@ -1117,8 +1182,8 @@ pub fn tile_dots_available(v: Variant) -> bool {
 /// so that they can be the lanes: at `b == 1` this *is*
 /// [`dot_batch_variant`] with the operands exchanged (`xs` the row, `tile`
 /// the lane plane; a product commutes, so the bits are `dot`'s). At `b > 1`
-/// the batch lanes stay the lanes and each row's weights are read through
-/// the stride `m`.
+/// the batch lanes stay the lanes, each row's weights are read through the
+/// stride `m`, and four rows at a time share every loaded lane row.
 ///
 /// # Panics
 ///
@@ -1142,10 +1207,45 @@ pub fn tile_dots_variant(
         b != 0 && out.len() == m * b && tile.len() * b == xs.len() * m,
         "tile_dots: size mismatch"
     );
-    // SAFETY: AVX2+FMA presence and the sizes were checked just above.
+    // SAFETY: AVX2+FMA presence and the sizes — `m` rows of `xs.len() / b`
+    // elements end at `tile.len()` — were checked just above.
     #[cfg(target_arch = "x86_64")]
     unsafe {
-        x86::tile_dots(tile, m, xs, b, out)
+        x86::tile_dots(tile, |k, j| k * m + j, xs, b, out)
+    }
+}
+
+/// [`tile_dots_variant`] over `m` row-major rows (`rows[j·len + k]`) — a
+/// dense matrix's row range: `out[j·b + l]` is **bit-identical** to
+/// [`dot_batch_variant`]`(v, row_j, xs, b, ..)`, lane `l`. With the
+/// register-tile body ([`tile_dots_available`]) and `b ≥ 2` lanes, four rows
+/// at a time share every loaded lane row; otherwise this is that call per
+/// row.
+///
+/// # Panics
+///
+/// Panics if `b == 0`, `out.len() != m * b`, or `rows` does not hold `m`
+/// rows of `xs.len() / b` elements.
+pub fn row_major_dots_variant(
+    v: Variant,
+    rows: &[f32],
+    m: usize,
+    xs: &[f32],
+    b: usize,
+    out: &mut [f32],
+) {
+    assert!(
+        b != 0 && out.len() == m * b && rows.len() * b == xs.len() * m,
+        "row_major_dots: size mismatch"
+    );
+    let len = xs.len() / b;
+    #[cfg(target_arch = "x86_64")]
+    if b >= 2 && tile_dots_available(v) {
+        // SAFETY: AVX2+FMA presence and the sizes were checked just above.
+        return unsafe { x86::tile_dots(rows, |k, j| j * len + k, xs, b, out) };
+    }
+    for (j, lanes) in out.chunks_exact_mut(b).enumerate() {
+        dot_batch_variant(v, &rows[j * len..(j + 1) * len], xs, b, lanes);
     }
 }
 
@@ -1564,19 +1664,24 @@ mod tests {
                                 *x = 0.5 + rng.gen_f32();
                             }
                         }
-                        let mut out = vec![7.0f32; m * b + 8];
+                        let (mut out, mut out_rm) =
+                            (vec![7.0f32; m * b + 8], vec![7.0f32; m * b + 8]);
                         tile_dots_variant(v, &tile, m, &xs, b, &mut out[..m * b]);
+                        row_major_dots_variant(v, &rows.concat(), m, &xs, b, &mut out_rm[..m * b]);
                         for l in 0..b {
                             let col: Vec<f32> = (0..len).map(|k| xs[k * b + l]).collect();
                             for (j, row) in rows.iter().enumerate() {
                                 let (got, want) = (out[j * b + l], dot_variant(v, row, &col));
                                 assert!(
-                                    same(got, want),
+                                    same(got, want) && same(out_rm[j * b + l], want),
                                     "m={m} bad row {bad} ({poison}) b={b} row {j} lane {l}: {got} vs {want}"
                                 );
                             }
                         }
-                        assert!(out[m * b..].iter().all(|&s| s == 7.0));
+                        assert!(out[m * b..]
+                            .iter()
+                            .chain(&out_rm[m * b..])
+                            .all(|&s| s == 7.0));
                     }
                 }
             }
@@ -1601,16 +1706,16 @@ mod tests {
                     let rows: Vec<Vec<f32>> = (0..m).map(|_| rand_vec(len, &mut rng)).collect();
                     let tile: Box<[f32]> = (0..len * m).map(|i| rows[i % m][i / m]).collect();
                     let xs = rand_vec(len * b, &mut rng).into_boxed_slice();
-                    let mut out = vec![f32::NAN; m * b];
+                    let row_major = rows.concat().into_boxed_slice();
+                    let (mut out, mut out_rm) = (vec![f32::NAN; m * b], vec![f32::NAN; m * b]);
                     tile_dots_variant(v, &tile, m, &xs, b, &mut out);
+                    row_major_dots_variant(v, &row_major, m, &xs, b, &mut out_rm);
                     for l in 0..b {
                         let col: Vec<f32> = (0..len).map(|k| xs[k * b + l]).collect();
                         for (j, row) in rows.iter().enumerate() {
-                            assert_eq!(
-                                out[j * b + l].to_bits(),
-                                dot_variant(v, row, &col).to_bits(),
-                                "m={m} len={len} b={b} row {j} lane {l}"
-                            );
+                            let want = dot_variant(v, row, &col).to_bits();
+                            let got = (out[j * b + l].to_bits(), out_rm[j * b + l].to_bits());
+                            assert_eq!(got, (want, want), "m={m} len={len} b={b} row {j} lane {l}");
                         }
                     }
                 }

@@ -83,7 +83,12 @@ RTM_DECODER=ctc-beam:4 cargo test -q "${knob_crates[@]}"
 # exhaustive comparisons over all 2^32 inputs are #[ignore]d in the passes
 # above (about a minute in release, hours in debug), so the full gate runs
 # them here.
+#
+# The register tiles are `#[inline]` + `#[target_feature]` unsafe code that
+# serves only as a release build; the passes above test the debug one.
 if [[ "$quick" -eq 0 ]]; then
+  echo "==> cargo test -q --release -p rtm-tensor -p rtm-sparse (the kernels as they ship)"
+  cargo test -q --release -p rtm-tensor -p rtm-sparse
   echo "==> cargo test --release -p rtm-tensor -- --ignored (f16 rounding + sigmoid/tanh sweeps, all 2^32 inputs)"
   cargo test --release -p rtm-tensor -- --ignored
 fi
