@@ -1538,11 +1538,12 @@ mod tests {
         // The batched kernels' core contract: every lane is bit-identical to
         // the serial kernel of the same variant on that lane's column, across
         // ragged nnz counts AND ragged batch widths (tails on both axes).
-        // Every tail width around two register tiles; `xs` and `out` are
-        // exact-length, so the last row's tail ends where the buffer ends.
+        // Every tail width around two register tiles, then around pairs of
+        // them (two pairs; a pair, a group and a partial one); `xs` and `out`
+        // are exact-length, so the last row's tail ends where the buffer ends.
         let mut rng = StdRng::seed_from_u64(0xBA7C);
         for n in [0usize, 1, 5, 7, 8, 9, 24, 61, 102] {
-            for b in (1usize..=17).chain([19]) {
+            for b in (1usize..=17).chain([19, 24, 31, 32, 33, 40]) {
                 let a = rand_vec(n, &mut rng);
                 let xs = rand_vec(n * b, &mut rng);
                 for v in Variant::ALL {
