@@ -6,15 +6,20 @@
 //! ([`BspcMatrix::spmv_prec_into`], [`BspcMatrix::spmm_prec_into`] and the
 //! CSR equivalents) — exactly what the compiled runtime calls — on the
 //! 1024×1024 BSP-patterned matrix at 2.5× and 10× compression, under the
-//! `Auto` SIMD policy. SpMV is memory-bandwidth-bound at these shapes, so
-//! the int8 (4×) and f16 (2×) byte reductions of the value stream are the
-//! mechanism behind every speedup the report shows; the `bytes` field
-//! records each format's total footprint (index structure + values + scale
-//! metadata, via [`rtm_sparse::Footprint`]) so the bandwidth story is
-//! checkable from the artifact alone.
+//! `Auto` SIMD policy. The `bytes` field records each format's total
+//! footprint (index structure + values + scale metadata, via
+//! [`rtm_sparse::Footprint`]) — what a cold call streams from memory. The
+//! timed loop is warm, and at these shapes the whole matrix sits in cache,
+//! so a time here is set by the instructions a kernel spends per stored
+//! value, not by the bytes it reads: f16 runs f32's loop plus the widening
+//! of each stored half (in the register it is loaded into where a BSPC tile
+//! is the lane plane, through the conversion scratch elsewhere), and int8
+//! runs its own integer kernels plus a per-call activation quantization.
+//! Read a ratio as "what the narrower storage costs or saves in compute";
+//! the byte reduction itself is the `bytes` column.
 //!
 //! The headline `speedups` section divides the f32 time by the f16/int8
-//! time per kernel × compression.
+//! time per kernel × compression (below 1: the narrower kernel is slower).
 //!
 //! Dependency-free: std + workspace crates only.
 
@@ -155,9 +160,11 @@ fn main() {
                     "Single-thread, Auto SIMD policy, precision-dispatched serial entry \
                      points (what the compiled runtime calls). int8 quantizes the \
                      activation vector per call and accumulates in i32; f16 streams the \
-                     2-byte stored weights and accumulates in f32. bytes = full format \
-                     footprint including index structure and scale metadata. speedup = \
-                     f32 time / precision time."
+                     2-byte stored weights, widens them exactly and accumulates in f32. \
+                     bytes = full format footprint including index structure and scale \
+                     metadata (the cold-call traffic); the timed loop is warm and \
+                     cache-resident, so a time is the kernel's instruction cost, not its \
+                     byte count. speedup = f32 time / precision time (< 1: slower)."
                         .into(),
                 ),
             ),

@@ -7,7 +7,7 @@ use rtm_compiler::reorder::ReorderPlan;
 use rtm_exec::ExecError;
 use rtm_rnn::GruNetwork;
 use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix};
-use rtm_tensor::f16::quantize_f16;
+use rtm_tensor::f16::{quantize_f16, quantize_f16_slice};
 use rtm_tensor::{Matrix, Vector};
 
 /// One tuner measurement riding along with a compiled model: the seconds
@@ -265,14 +265,6 @@ impl CompiledNetwork {
             .sum()
     }
 
-    fn maybe_quantize(&self, v: &mut [f32]) {
-        if self.precision == RuntimePrecision::F16 {
-            for x in v {
-                *x = quantize_f16(*x);
-            }
-        }
-    }
-
     /// Runs inference over a frame sequence, returning per-frame logits —
     /// the serial reference loop (no executor) every bit-identity suite
     /// compares the production path against.
@@ -293,7 +285,10 @@ impl CompiledNetwork {
         for frame in frames {
             x.clear();
             x.extend_from_slice(frame);
-            self.maybe_quantize(&mut x);
+            if self.precision == RuntimePrecision::F16 {
+                // The reference loop rounds in software, element by element.
+                x.iter_mut().for_each(|v| *v = quantize_f16(*v));
+            }
             for (layer, h) in self.layers.iter().zip(states.iter_mut()) {
                 layer.step_into(&x, h, &mut scratch, &mut h_next);
                 std::mem::swap(h, &mut h_next);
@@ -401,7 +396,11 @@ impl CompiledNetwork {
         hs_next: &mut Vec<f32>,
         logits: &mut Vec<f32>,
     ) -> Result<(), ExecError> {
-        self.maybe_quantize(xs);
+        if self.precision == RuntimePrecision::F16 {
+            // Hardware rounding where the host has it, like every other plane
+            // of the production step; equal to the reference on every `f32`.
+            quantize_f16_slice(xs);
+        }
         for (layer, hs) in self.layers.iter().zip(states.iter_mut()) {
             layer.step_batch_into(exec, xs, hs, b, layer.precision, scratch, hs_next)?;
             std::mem::swap(hs, hs_next);

@@ -675,8 +675,10 @@ impl BspcMatrix {
     /// carried into registers: per stripe run the shared column stream is
     /// gathered from `xs` into dense lane-major `[len × b]` scratch once,
     /// then every tile is ONE primitive call over its `[len × m]` values —
-    /// the f32 plane or the decoded f16 sidecar, the only thing the two
-    /// precisions differ in ([`detiled_rows`] without the register-tile body).
+    /// the f32 plane, or the f16 sidecar's bits as stored: which primitive is
+    /// the value view's business, the only thing the two precisions differ
+    /// in ([`detiled_rows`] over the decoded tile without the register-tile
+    /// body).
     fn float_rows_into(
         &self,
         values: impl FloatValues,
@@ -697,10 +699,11 @@ impl BspcMatrix {
                     let m = slots.len();
                     let r = self.unit_first_row(t) - y_base;
                     let out = &mut ys[r * b..(r + m) * b];
-                    let tile = values.run(base..base + cols.len() * m, &mut scratch.conv);
+                    let span = base..base + cols.len() * m;
                     if rows_are_lanes {
-                        simd::tile_dots_variant(v, tile, m, gathered, b, out);
+                        values.tile_dots(v, span, m, gathered, b, out, &mut scratch.conv);
                     } else {
+                        let tile = values.run(span, &mut scratch.conv);
                         detiled_rows(v, tile, gathered, b, out, &mut scratch.row);
                     }
                 }

@@ -11,6 +11,7 @@
 //! activation codes borrowed for the whole call while the calling thread
 //! runs its own chunk, which borrows the kernel scratch.
 
+use rtm_tensor::simd::{self, Variant};
 use std::cell::RefCell;
 use std::ops::Range;
 
@@ -83,6 +84,21 @@ pub(crate) trait FloatValues: Copy {
     fn run<'s>(self, run: Range<usize>, conv: &'s mut AlignedF32) -> &'s [f32]
     where
         Self: 's;
+
+    /// The lane-major `[len × m]` tile stored at `span` against the
+    /// lane-major `[len × b]` input `xs`, through the register-tile
+    /// primitive of this element type (`simd::tile_dots_available(v)`).
+    #[allow(clippy::too_many_arguments)]
+    fn tile_dots(
+        self,
+        v: Variant,
+        span: Range<usize>,
+        m: usize,
+        xs: &[f32],
+        b: usize,
+        out: &mut [f32],
+        conv: &mut AlignedF32,
+    );
 }
 
 /// The f32 value plane, streamed in place.
@@ -94,10 +110,24 @@ impl FloatValues for &[f32] {
     {
         &self[run]
     }
+
+    #[inline]
+    fn tile_dots(
+        self,
+        v: Variant,
+        span: Range<usize>,
+        m: usize,
+        xs: &[f32],
+        b: usize,
+        out: &mut [f32],
+        _conv: &mut AlignedF32,
+    ) {
+        simd::tile_dots_variant(v, &self[span], m, xs, b, out)
+    }
 }
 
-/// The f16 sidecar (raw bit patterns), decoded (exactly) run by run into
-/// the conversion scratch.
+/// The f16 sidecar (raw bit patterns): decoded (exactly) run by run into
+/// the conversion scratch, or handed to the tile primitive as stored.
 impl FloatValues for &[u16] {
     #[inline]
     fn run<'s>(self, run: Range<usize>, conv: &'s mut AlignedF32) -> &'s [f32]
@@ -105,6 +135,24 @@ impl FloatValues for &[u16] {
         Self: 's,
     {
         conv.decode_f16(&self[run])
+    }
+
+    /// The primitive widens the bits in registers where the tile is the lane
+    /// plane (one stream) and decodes them into `conv` only where they are
+    /// broadcast operands.
+    #[inline]
+    fn tile_dots(
+        self,
+        v: Variant,
+        span: Range<usize>,
+        m: usize,
+        xs: &[f32],
+        b: usize,
+        out: &mut [f32],
+        conv: &mut AlignedF32,
+    ) {
+        let decoded = conv.window(span.len());
+        simd::tile_dots_f16_variant(v, &self[span], m, xs, b, out, decoded)
     }
 }
 
@@ -128,7 +176,11 @@ pub(crate) struct KernelScratch {
     /// Gathered f32 activations of the current column run (serial or
     /// lane-major).
     pub gf32: AlignedF32,
-    /// f16 values decoded to f32.
+    /// f16 values decoded to f32: a BSPC tile whose values are broadcast
+    /// operands (`b ≥ 2` lanes, a lone row) or that is de-tiled row by row
+    /// (no register-tile body), and every CSR / BBS / CSB run. A BSPC tile at
+    /// one stream never passes through here — its halves are widened in the
+    /// registers they are loaded into.
     pub conv: AlignedF32,
     /// One row de-tiled out of a BSPC row tile.
     pub row: AlignedF32,

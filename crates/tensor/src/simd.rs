@@ -63,7 +63,15 @@
 //! horizontal sum or scalar tail. *A sparse row is never a call: rows that
 //! share a column stream are lanes of one register tile.* AVX2 body only
 //! ([`tile_dots_available`]); other variants de-tile a row and call
-//! [`dot_batch_variant`].
+//! [`dot_batch_variant`]. Two adjacent lane groups share each broadcast
+//! element of the input, so a sixteen-row tile walks it once.
+//!
+//! The lane plane need not be `f32` either. [`tile_dots_f16_variant`] takes
+//! the tile as raw f16 bits, and *an f16 value is widened where it is loaded
+//! as a lane row, never stored widened for the body that consumes it; where
+//! it is a broadcast operand it is decoded once per tile* (into the caller's
+//! window, a cost the lanes amortise). The widening is exact, so the bits
+//! are those of the decoded tile either way.
 //!
 //! At `b ≥ 2` streams the batch lanes stay the lanes and rows that share
 //! their input share its loads: four rows run through one register tile,
@@ -72,7 +80,11 @@
 //! accumulators cannot hold four rows' eight chains each, so the tile takes
 //! two chains of each row per pass. *A sublane chain, not a row, is the unit
 //! of order: the chains of a row may run in separate passes, a chain's
-//! elements only in `k` order* — the bits stay `dot`'s per (row, lane).
+//! elements only in `k` order* — the bits stay `dot`'s per (row, lane). The
+//! one AVX2 tile body is parameterised by `(R rows, S chains, G lane groups)`
+//! with `R·S·G = 8` accumulators, times the lane element: `(4, 2, 1)` here,
+//! `(1, 4, 2)` for pairs of lane groups under one broadcast, `(1, 8, 1)` for
+//! what either leaves over.
 //!
 //! **Lane tails.** On AVX2 the `b % 8` lanes after the last full group of
 //! eight are one more register tile, loaded with `vmaskmovps` and stored
@@ -83,7 +95,10 @@
 //! holds a multiple of eight lanes. It is safe at the end of the buffer:
 //! lanes `jb..b` of row `k` lie inside `xs[k·b .. (k+1)·b]`, and masked-off
 //! lanes are not accessed — neither read nor written. (The NEON kernels
-//! still replay their `b % 4` tail lanes in scalar code.)
+//! still replay their `b % 4` tail lanes in scalar code.) A plane of f16
+//! bits has no masked load on AVX2; its last lanes are the *full* tile that
+//! ends at lane `b`, which recomputes the lanes it shares with the tile
+//! before it to the same bits.
 //!
 //! Dispatch is process-global: [`active_variant`] resolves the
 //! [`SimdPolicy`] (programmatic [`set_policy`] wins over the `RTM_SIMD`
@@ -219,9 +234,14 @@ pub fn dispatch_key(v: Variant) -> &'static str {
     }
 }
 
+// The x86 bodies are compiled for one feature set, so the f16 lane load
+// inlines into the tile that consumes it. Every AVX2+FMA part has F16C; a
+// host without it would take the scalar definition.
 #[cfg(target_arch = "x86_64")]
 fn detect() -> bool {
-    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+    std::arch::is_x86_feature_detected!("avx2")
+        && std::arch::is_x86_feature_detected!("fma")
+        && std::arch::is_x86_feature_detected!("f16c")
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -234,8 +254,8 @@ fn detect() -> bool {
     false
 }
 
-/// Whether the host CPU supports this build's vector path
-/// (AVX2+FMA on x86_64, NEON on aarch64). Detection runs once and is cached.
+/// Whether the host CPU supports this build's vector path (AVX2+FMA with
+/// F16C on x86_64, NEON on aarch64). Detection runs once and is cached.
 pub fn vector_available() -> bool {
     static AVAIL: OnceLock<bool> = OnceLock::new();
     *AVAIL.get_or_init(detect)
@@ -330,7 +350,8 @@ fn indexed_dot_batch_scalar(vals: &[f32], idx: &[u32], xs: &[f32], b: usize, out
 // AVX2+FMA (x86_64). One accumulator register, fixed reduction tree,
 // in-order scalar tail. The dense dot and the indexed (gather) dot use the
 // *same* lane grouping so gathered-then-dotted sparse rows are bit-identical
-// to in-register gathers — see the module docs.
+// to in-register gathers — see the module docs. Every body is compiled for
+// the one feature set `detect` checks — `avx2,fma,f16c`, "AVX2+FMA" below.
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
@@ -342,7 +363,7 @@ mod x86 {
     /// Fixed horizontal-sum tree: lanes (0+4, 1+5, 2+6, 3+7) → pairwise →
     /// scalar. Every reduction in this module uses this exact tree.
     #[inline]
-    #[target_feature(enable = "avx2,fma")]
+    #[target_feature(enable = "avx2,fma,f16c")]
     unsafe fn hsum256(v: __m256) -> f32 {
         let hi = _mm256_extractf128_ps::<1>(v);
         let lo = _mm256_castps256_ps128(v);
@@ -352,7 +373,7 @@ mod x86 {
         _mm_cvtss_f32(s)
     }
 
-    #[target_feature(enable = "avx2,fma")]
+    #[target_feature(enable = "avx2,fma,f16c")]
     pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len();
         let chunks = n / 8;
@@ -371,7 +392,7 @@ mod x86 {
         sum
     }
 
-    #[target_feature(enable = "avx2,fma")]
+    #[target_feature(enable = "avx2,fma,f16c")]
     pub unsafe fn indexed_dot(vals: &[f32], idx: &[u32], x: &[f32]) -> f32 {
         let n = vals.len();
         let chunks = n / 8;
@@ -392,7 +413,7 @@ mod x86 {
         sum
     }
 
-    #[target_feature(enable = "avx2,fma")]
+    #[target_feature(enable = "avx2,fma,f16c")]
     pub unsafe fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
         let n = x.len();
         let chunks = n / 8;
@@ -409,7 +430,7 @@ mod x86 {
         }
     }
 
-    #[target_feature(enable = "avx2,fma")]
+    #[target_feature(enable = "avx2,fma,f16c")]
     pub unsafe fn hadamard_into(a: &[f32], b: &[f32], out: &mut [f32]) {
         let n = a.len();
         let chunks = n / 8;
@@ -431,7 +452,7 @@ mod x86 {
     /// `((a0+a4)+(a2+a6)) + ((a1+a5)+(a3+a7))` that `hsum256` performs on
     /// one register's eight k-sublanes.
     #[inline]
-    #[target_feature(enable = "avx2,fma")]
+    #[target_feature(enable = "avx2,fma,f16c")]
     unsafe fn tree_reduce8(acc: &[__m256; 8]) -> __m256 {
         let q0 = _mm256_add_ps(acc[0], acc[4]);
         let q1 = _mm256_add_ps(acc[1], acc[5]);
@@ -440,19 +461,35 @@ mod x86 {
         _mm256_add_ps(_mm256_add_ps(q0, q2), _mm256_add_ps(q1, q3))
     }
 
+    /// What a lane row is stored as: `f32`, loaded as it is, or raw f16 bits
+    /// (`u16`), widened by `vcvtph2ps` in the register they are loaded into —
+    /// exactly, so every lane carries the bits the decoded plane would give.
+    pub trait Lane: Copy {
+        const HALF: bool;
+    }
+    impl Lane for f32 {
+        const HALF: bool = false;
+    }
+    impl Lane for u16 {
+        const HALF: bool = true;
+    }
+
     /// One register tile of a batched dot over `R` rows that share their
-    /// input: for row `r` and each of the (up to eight) lanes `j` of the group
-    /// at `xp`, `op[r·b + j] = Σₖ wp[wat(k, r)] · xp[at(k) + j]` over `k < len`
-    /// in exactly `dot`'s arithmetic — element `k` goes to k-sublane chain
+    /// input: for row `r` and each lane `j` of the `G` adjacent lane groups
+    /// (eight lanes each) at `xp`,
+    /// `op[r·b + j] = Σₖ wp[wat(k, r)] · xp[at(k) + j]` over `k < len` in
+    /// exactly `dot`'s arithmetic — element `k` goes to k-sublane chain
     /// `k % 8` by FMA in `k` order, the eight chains meet in the `hsum256`
     /// tree, the last `len % 8` elements follow in order as mul+add.
     ///
     /// A chain, not a row, is the unit of order, so a row's eight chains run
     /// in `8 / S` passes: pass `p` carries chains `S·p .. S·p + S` of all `R`
-    /// rows in `R·S = 8` live accumulators, loads each lane row once for `R`
-    /// broadcast weights, and parks its finished chains on the stack until
-    /// the tree. `(1, 8)` is one row in one pass; `(4, 2)` pays 1.25 loads
-    /// per FMA where four `(1, 8)` tiles pay 2.
+    /// rows and `G` groups in `R·S·G = 8` live accumulators, loads each lane
+    /// row once for `R` broadcast weights, broadcasts each weight once for
+    /// `G` lane rows, and parks its finished chains on the stack until the
+    /// tree. `(1, 8, 1)` is one row in one pass; `(4, 2, 1)` pays 1.25 loads
+    /// per FMA where four `(1, 8, 1)` tiles pay 2; `(1, 4, 2)` pays 1.5 and
+    /// walks the weights once per sixteen lanes.
     ///
     /// Every operation is element-wise across the register and an
     /// accumulator takes one row's weights, so a result depends on its own
@@ -462,130 +499,174 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// AVX2+FMA must be available, `R·S == 8`, `wp` must be readable at
-    /// `wat(k, r)` for every `k < len` and `r < R`, and the lanes this tile
-    /// covers — eight, or those `mask` selects when `MASKED` — must be
-    /// readable at `xp + at(k)` and writable at `op + r·b`.
+    /// AVX2+FMA must be available, `R·S·G == 8`, `wp` must be readable
+    /// at `wat(k, r)` for every `k < len` and `r < R`, and the lanes this tile
+    /// covers — `8·G`, or the first `live < 8` when `MASKED` (then `G == 1`
+    /// and the lanes are `f32`) — must be readable at `xp + at(k)` and
+    /// writable at `op + r·b`.
     #[inline]
-    #[target_feature(enable = "avx2,fma")]
+    #[target_feature(enable = "avx2,fma,f16c")]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn rows_tile<const MASKED: bool, const R: usize, const S: usize>(
+    unsafe fn rows_tile<const MASKED: bool, const R: usize, const S: usize, const G: usize, E>(
         len: usize,
         wp: *const f32,
         wat: &impl Fn(usize, usize) -> usize,
         at: &impl Fn(usize) -> usize,
-        xp: *const f32,
-        mask: __m256i,
+        xp: *const E,
+        live: usize,
         op: *mut f32,
         b: usize,
-    ) {
+    ) where
+        E: Lane,
+    {
+        // Lane `l` of a masked group is live iff `l < live`.
+        let mask = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(live as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        );
+        // AVX2 has no masked halfword load (`rows_lanes` ends a half plane
+        // with a full group instead).
+        debug_assert!(!(MASKED && E::HALF));
         // A full group is a plain load; a masked load reads the lanes whose
         // `mask` element has its sign bit set and zeroes the rest, without
         // accessing their addresses.
         // SAFETY: the caller vouches for the covered lanes of every row.
-        let load = |k: usize| unsafe {
-            let p = xp.add(at(k));
-            if MASKED {
-                _mm256_maskload_ps(p, mask)
+        let load = |k: usize, g: usize| unsafe {
+            let p = xp.add(at(k) + 8 * g);
+            if E::HALF {
+                _mm256_cvtph_ps(_mm_loadu_si128(p as *const __m128i))
+            } else if MASKED {
+                _mm256_maskload_ps(p as *const f32, mask)
             } else {
-                _mm256_loadu_ps(p)
+                _mm256_loadu_ps(p as *const f32)
             }
         };
         // SAFETY: the caller vouches for `wat(k, r)` at every `k < len`.
         let w = |k: usize, r: usize| unsafe { _mm256_set1_ps(*wp.add(wat(k, r))) };
         let chunks = len / 8;
-        let mut chains = [[_mm256_setzero_ps(); 8]; R];
+        let mut chains = [[[_mm256_setzero_ps(); 8]; G]; R];
         for p in 0..8 / S {
-            let mut acc = [[_mm256_setzero_ps(); S]; R];
+            let mut acc = [[[_mm256_setzero_ps(); G]; S]; R];
             for i in 0..chunks {
                 for s in 0..S {
                     let k = i * 8 + p * S + s;
-                    let x = load(k);
+                    let x: [__m256; G] = std::array::from_fn(|g| load(k, g));
                     for (r, row) in acc.iter_mut().enumerate() {
-                        row[s] = _mm256_fmadd_ps(w(k, r), x, row[s]);
+                        let w = w(k, r);
+                        for (a, &x) in row[s].iter_mut().zip(&x) {
+                            *a = _mm256_fmadd_ps(w, x, *a);
+                        }
                     }
                 }
             }
             for (parked, row) in chains.iter_mut().zip(&acc) {
-                parked[p * S..p * S + S].copy_from_slice(row);
+                for (s, groups) in row.iter().enumerate() {
+                    for (chain, &a) in parked.iter_mut().zip(groups) {
+                        chain[p * S + s] = a;
+                    }
+                }
             }
         }
-        let mut sums = [_mm256_setzero_ps(); R];
-        for (s, parked) in sums.iter_mut().zip(&chains) {
-            *s = tree_reduce8(parked);
+        let mut sums = [[_mm256_setzero_ps(); G]; R];
+        for (row, parked) in sums.iter_mut().zip(&chains) {
+            for (s, chain) in row.iter_mut().zip(parked) {
+                *s = tree_reduce8(chain);
+            }
         }
         for k in chunks * 8..len {
-            let x = load(k);
-            for (r, s) in sums.iter_mut().enumerate() {
-                *s = _mm256_add_ps(*s, _mm256_mul_ps(w(k, r), x));
+            let x: [__m256; G] = std::array::from_fn(|g| load(k, g));
+            for (r, row) in sums.iter_mut().enumerate() {
+                let w = w(k, r);
+                for (s, &x) in row.iter_mut().zip(&x) {
+                    *s = _mm256_add_ps(*s, _mm256_mul_ps(w, x));
+                }
             }
         }
-        for (r, &s) in sums.iter().enumerate() {
-            if MASKED {
-                _mm256_maskstore_ps(op.add(r * b), mask, s);
-            } else {
-                _mm256_storeu_ps(op.add(r * b), s);
+        for (r, row) in sums.iter().enumerate() {
+            for (g, &s) in row.iter().enumerate() {
+                if MASKED {
+                    _mm256_maskstore_ps(op.add(r * b + 8 * g), mask, s);
+                } else {
+                    _mm256_storeu_ps(op.add(r * b + 8 * g), s);
+                }
             }
         }
     }
 
     /// `out[r·b + j] = Σₖ w[wat(k, r)] · xs[at(k) + j]` over `k < len` for
-    /// `R` rows and all `b` lanes: `b / 8` full tiles, then the last `b % 8`
-    /// lanes as one masked tile. A partial lane group is a masked tile, never
-    /// a scalar lane loop. The weight address is taken the way the lane
-    /// address is — through the caller's map — so a row may sit contiguous,
-    /// or strided inside a lane-major tile.
+    /// `R` rows and the lanes `from..b`: full tiles of eight, then the last
+    /// `(b - from) % 8` lanes as one masked tile. A partial lane group is a
+    /// masked tile, never a scalar lane loop — or, in a half plane, which
+    /// AVX2 cannot load under a mask, the full tile that *ends* at lane `b`:
+    /// the lanes it shares with the tile before it are computed twice, to the
+    /// same bits. (Putting a group together from its live halves, through the
+    /// stack or in registers, cost 2–10× the tile on 3- to 12-row tiles.) The
+    /// weight address is taken the way the lane address is — through the
+    /// caller's map — so a row may sit contiguous, or strided inside a
+    /// lane-major tile.
     ///
     /// # Safety
     ///
-    /// AVX2+FMA must be available, `R·S == 8`, `out` must hold `R·b`
-    /// elements, `wat` must not decrease in either argument and
-    /// `wat(len - 1, R - 1)` must be inside `w`, and for every `k < len`,
-    /// `xs[at(k)..at(k) + b]` must be in bounds.
+    /// AVX2+FMA must be available, `R·S == 8`, `from <= b` — and `8 <= b`
+    /// for a half plane —, `out` must hold `R·b` elements, `wat` must not
+    /// decrease in either argument and `wat(len - 1, R - 1)` must be inside
+    /// `w`, and for every `k < len`, `xs[at(k)..at(k) + b]` must be in bounds.
     #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn rows_lanes<const R: usize, const S: usize>(
+    #[target_feature(enable = "avx2,fma,f16c")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn rows_lanes<const R: usize, const S: usize, E: Lane>(
         len: usize,
         w: &[f32],
         wat: impl Fn(usize, usize) -> usize,
         at: impl Fn(usize) -> usize,
-        xs: &[f32],
+        xs: &[E],
         b: usize,
+        from: usize,
         out: &mut [f32],
     ) {
         // The weights are read unchecked (an index check per broadcast cost
         // the 1024², 10× SpMM 1.2–1.5× at 12–32 lanes); the one address that
         // bounds them all is checked here, once per row block.
-        debug_assert!(R * S == 8 && out.len() == R * b);
+        debug_assert!(R * S == 8 && from <= b && out.len() == R * b);
+        debug_assert!(!E::HALF || b >= 8);
         debug_assert!(len == 0 || wat(len - 1, R - 1) < w.len());
         let (wp, xp, op) = (w.as_ptr(), xs.as_ptr(), out.as_mut_ptr());
-        let jb = b - b % 8;
-        // SAFETY (both tiles): lanes `j0..j0 + 8 ≤ b` of a full tile and
-        // lanes `jb..b` of the masked one lie inside `xs[at(k)..at(k) + b]`
-        // and inside each row of `out`; the masked tile touches nothing
-        // beyond lane `b`.
-        for j0 in (0..jb).step_by(8) {
-            let zero = _mm256_setzero_si256();
-            rows_tile::<false, R, S>(len, wp, &wat, &at, xp.add(j0), zero, op.add(j0), b);
+        let jb = b - (b - from) % 8;
+        // SAFETY (all tiles): lanes `j0..j0 + 8 ≤ b` of a full tile — the
+        // one at `b - 8` too — and lanes `jb..b` of the masked one lie inside
+        // `xs[at(k)..at(k) + b]` and inside each row of `out`; the masked
+        // tile touches nothing beyond lane `b`.
+        for j0 in (from..jb).step_by(8) {
+            rows_tile::<false, R, S, 1, E>(len, wp, &wat, &at, xp.add(j0), 8, op.add(j0), b);
         }
-        if jb < b {
-            // Lane `l` of the group is live iff `l < b - jb`.
-            let live = _mm256_set1_epi32((b - jb) as i32);
-            let mask = _mm256_cmpgt_epi32(live, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-            rows_tile::<true, R, S>(len, wp, &wat, &at, xp.add(jb), mask, op.add(jb), b);
+        if jb < b && E::HALF {
+            rows_tile::<false, R, S, 1, E>(len, wp, &wat, &at, xp.add(b - 8), 8, op.add(b - 8), b);
+        } else if jb < b {
+            rows_tile::<true, R, S, 1, E>(len, wp, &wat, &at, xp.add(jb), b - jb, op.add(jb), b);
         }
     }
 
     /// Batched dense dot: lane `j` of `out` is bit-identical to `dot` of
-    /// `a` with column `j` of the lane-major `xs` buffer.
+    /// `a` with column `j` of the lane-major `xs` plane — f32, or raw f16
+    /// bits widened as they are loaded. Pairs of full lane groups share each
+    /// broadcast element of `a` (the `(1, 4, 2)` tile); the `b % 16` lanes
+    /// left over are one-group tiles.
     ///
     /// # Safety
     ///
-    /// AVX2+FMA must be available, `xs.len() == a.len() * b` and
-    /// `out.len() == b`.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot_batch(a: &[f32], xs: &[f32], b: usize, out: &mut [f32]) {
-        rows_lanes::<1, 8>(a.len(), a, |k, _| k, |k| k * b, xs, b, out)
+    /// AVX2+FMA must be available, `xs.len() == a.len() * b`,
+    /// `out.len() == b`, and `b >= 8` for a half plane.
+    #[target_feature(enable = "avx2,fma,f16c")]
+    pub unsafe fn dot_batch<E: Lane>(a: &[f32], xs: &[E], b: usize, out: &mut [f32]) {
+        let (wat, at) = (|k: usize, _| k, |k: usize| k * b);
+        let (ap, xp, op) = (a.as_ptr(), xs.as_ptr(), out.as_mut_ptr());
+        let paired = b - b % 16;
+        // SAFETY: lanes `j0..j0 + 16 ≤ b` lie inside every row of `xs` and
+        // inside `out`, and `wat(k, 0) = k < a.len()`.
+        for j0 in (0..paired).step_by(16) {
+            rows_tile::<false, 1, 4, 2, E>(a.len(), ap, &wat, &at, xp.add(j0), 8, op.add(j0), b);
+        }
+        rows_lanes::<1, 8, E>(a.len(), a, wat, at, xs, b, paired, out)
     }
 
     /// Batched indexed dot: lane `j` of `out` is bit-identical to
@@ -598,7 +679,7 @@ mod x86 {
     ///
     /// AVX2+FMA must be available, `idx.len() == vals.len()`, every index
     /// must be below `xs.len() / b`, and `out.len() == b`.
-    #[target_feature(enable = "avx2,fma")]
+    #[target_feature(enable = "avx2,fma,f16c")]
     pub unsafe fn indexed_dot_batch(
         vals: &[f32],
         idx: &[u32],
@@ -607,7 +688,7 @@ mod x86 {
         out: &mut [f32],
     ) {
         let at = |k: usize| idx[k] as usize * b;
-        rows_lanes::<1, 8>(vals.len(), vals, |k, _| k, at, xs, b, out)
+        rows_lanes::<1, 8, f32>(vals.len(), vals, |k, _| k, at, xs, b, 0, out)
     }
 
     /// `m` rows of `xs.len() / b` elements against the lane-major input they
@@ -622,7 +703,7 @@ mod x86 {
     /// AVX2+FMA must be available, `b > 0`, `out.len() == m * b`, `wat` must
     /// not decrease in either argument and `wat(xs.len() / b - 1, m - 1)`
     /// must be inside `w`.
-    #[target_feature(enable = "avx2,fma")]
+    #[target_feature(enable = "avx2,fma,f16c")]
     pub unsafe fn tile_dots(
         w: &[f32],
         wat: impl Fn(usize, usize) -> usize,
@@ -634,11 +715,11 @@ mod x86 {
         let mut quads = out.chunks_exact_mut(4 * b);
         let mut j = 0;
         for quad in &mut quads {
-            rows_lanes::<4, 2>(len, w, |k, r| wat(k, j + r), |k| k * b, xs, b, quad);
+            rows_lanes::<4, 2, f32>(len, w, |k, r| wat(k, j + r), |k| k * b, xs, b, 0, quad);
             j += 4;
         }
         for lanes in quads.into_remainder().chunks_exact_mut(b) {
-            rows_lanes::<1, 8>(len, w, |k, _| wat(k, j), |k| k * b, xs, b, lanes);
+            rows_lanes::<1, 8, f32>(len, w, |k, _| wat(k, j), |k| k * b, xs, b, 0, lanes);
             j += 1;
         }
     }
@@ -647,7 +728,7 @@ mod x86 {
     /// same order, multiplies and adds kept apart (no FMA), so each lane
     /// carries the scalar function's bits.
     #[inline]
-    #[target_feature(enable = "avx2,fma")]
+    #[target_feature(enable = "avx2,fma,f16c")]
     unsafe fn exp_nonpos(t: __m256) -> __m256 {
         let round = _mm256_set1_ps(ROUND);
         // `max_ps(a, b)` is `a > b ? a : b`: the scalar select, NaN included.
@@ -674,7 +755,7 @@ mod x86 {
 
     /// `activations::sigmoid` on eight lanes.
     #[inline]
-    #[target_feature(enable = "avx2,fma")]
+    #[target_feature(enable = "avx2,fma,f16c")]
     unsafe fn sigmoid8(x: __m256) -> __m256 {
         let one = _mm256_set1_ps(1.0);
         let e = exp_nonpos(_mm256_or_ps(x, _mm256_set1_ps(-0.0)));
@@ -686,7 +767,7 @@ mod x86 {
     /// `activations::tanh` on eight lanes; both branches are computed and
     /// the lane's own is selected.
     #[inline]
-    #[target_feature(enable = "avx2,fma")]
+    #[target_feature(enable = "avx2,fma,f16c")]
     unsafe fn tanh8(x: __m256) -> __m256 {
         let sign = _mm256_set1_ps(-0.0);
         let one = _mm256_set1_ps(1.0);
@@ -714,7 +795,7 @@ mod x86 {
     /// # Safety
     ///
     /// AVX2+FMA must be available.
-    #[target_feature(enable = "avx2,fma")]
+    #[target_feature(enable = "avx2,fma,f16c")]
     pub unsafe fn activation_sweep<const TANH: bool>(xs: &mut [f32]) {
         let mut chunks = xs.chunks_exact_mut(8);
         for c in &mut chunks {
@@ -980,9 +1061,9 @@ fn hadamard_into_vector(a: &[f32], b: &[f32], out: &mut [f32]) {
 fn dot_batch_vector(a: &[f32], xs: &[f32], b: usize, out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if vector_available() {
-        // SAFETY: AVX2+FMA presence verified by `vector_available`; the
+        // SAFETY: the feature set verified by `vector_available`; the
         // lengths by `dot_batch_variant` and `dot_lanes`, the only callers.
-        return unsafe { x86::dot_batch(a, xs, b, out) };
+        return unsafe { x86::dot_batch::<f32>(a, xs, b, out) };
     }
     #[cfg(target_arch = "aarch64")]
     if vector_available() {
@@ -1213,6 +1294,46 @@ pub fn tile_dots_variant(
     unsafe {
         x86::tile_dots(tile, |k, j| k * m + j, xs, b, out)
     }
+}
+
+/// [`tile_dots_variant`] over a tile stored as raw f16 bits, in the same
+/// lane-major order: bit-identical to it on the decoded tile (the decode is
+/// exact).
+///
+/// Where a stored half is widened depends on what it is to the body: at one
+/// stream the tile *is* the lane plane, and each lane row is converted in
+/// the register it is loaded into; at `b ≥ 2` its values are broadcast
+/// operands, so the tile is decoded once into `decoded` — a cost the lanes
+/// amortise — and runs as [`tile_dots_variant`] does. (So does a tile of
+/// fewer than eight rows at one stream: it fills no lane group, and a decode
+/// converts eight stored values at a time where its lane rows hold `m`.)
+///
+/// # Panics
+///
+/// As [`tile_dots_variant`], or if `decoded.len() != tile_bits.len()`.
+pub fn tile_dots_f16_variant(
+    v: Variant,
+    tile_bits: &[u16],
+    m: usize,
+    xs: &[f32],
+    b: usize,
+    out: &mut [f32],
+    decoded: &mut [f32],
+) {
+    assert!(tile_dots_available(v), "tile_dots: no register-tile body");
+    assert!(decoded.len() == tile_bits.len(), "tile_dots: decode window");
+    #[cfg(target_arch = "x86_64")]
+    if b == 1 && m >= 8 {
+        assert!(
+            out.len() == m && tile_bits.len() == xs.len() * m,
+            "tile_dots: size mismatch"
+        );
+        // SAFETY: the feature set and the sizes — `xs.len()` lane rows of
+        // `m` halves, `m` outputs — were checked just above.
+        return unsafe { x86::dot_batch::<u16>(xs, tile_bits, m, out) };
+    }
+    crate::f16::f16_bits_to_f32(tile_bits, decoded);
+    tile_dots_variant(v, decoded, m, xs, b, out)
 }
 
 /// [`tile_dots_variant`] over `m` row-major rows (`rows[j·len + k]`) — a
@@ -1717,6 +1838,63 @@ mod tests {
                             let want = dot_variant(v, row, &col).to_bits();
                             let got = (out[j * b + l].to_bits(), out_rm[j * b + l].to_bits());
                             assert_eq!(got, (want, want), "m={m} len={len} b={b} row {j} lane {l}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn f16_tile_matches_the_decoded_tile_on_every_edge() {
+        // Row counts around one, two and four lane groups (a pair, a pair
+        // and a group, a partial group behind either), row lengths around
+        // the eight sublane chains, one stream — the bits are the lane plane,
+        // converted as they are loaded, from eight rows up — and several,
+        // where they are decoded first. The bit plane is exact-length: the
+        // tile that ends a partial group ends with the allocation. Then one
+        // row carries a NaN / ±∞ half: every other row keeps the clean run's
+        // bits.
+        let v = Variant::Vector;
+        if !tile_dots_available(v) {
+            return;
+        }
+        let same = |x: f32, y: f32| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+        let mut rng = StdRng::seed_from_u64(0xF16C);
+        for m in (1usize..=17).chain([24, 31, 32]) {
+            for len in [0usize, 1, 7, 8, 9, 16, 17, 102] {
+                for b in [1usize, 2, 8, 12] {
+                    let xs = rand_vec(len * b, &mut rng).into_boxed_slice();
+                    let clean = crate::f16::f32_to_f16_bits(&rand_vec(len * m, &mut rng));
+                    let run = |bits: Box<[u16]>| {
+                        let mut decoded = vec![f32::NAN; bits.len()];
+                        crate::f16::f16_bits_to_f32(&bits, &mut decoded);
+                        let mut want = vec![f32::NAN; m * b];
+                        tile_dots_variant(v, &decoded, m, &xs, b, &mut want);
+                        let mut got = vec![7.0f32; m * b + 16];
+                        decoded.fill(f32::NAN);
+                        tile_dots_f16_variant(v, &bits, m, &xs, b, &mut got[..m * b], &mut decoded);
+                        assert!(got[m * b..].iter().all(|&s| s == 7.0));
+                        for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                            assert!(same(g, w), "m={m} len={len} b={b} out[{i}]: {g} vs {w}");
+                        }
+                        want
+                    };
+                    let base = run(clean.clone().into_boxed_slice());
+                    if len == 0 {
+                        continue;
+                    }
+                    let bad = m / 2;
+                    for poison in [0x7E01u16, 0x7C00, 0xFC00] {
+                        let mut bits = clean.clone();
+                        bits[(len / 2) * m + bad] = poison;
+                        let poisoned = run(bits.into_boxed_slice());
+                        for (i, (&p, &c)) in poisoned.iter().zip(&base).enumerate() {
+                            assert!(
+                                i / b == bad || p.to_bits() == c.to_bits(),
+                                "m={m} len={len} b={b} row {} next to {poison:#06x}",
+                                i / b
+                            );
                         }
                     }
                 }

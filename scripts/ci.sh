@@ -29,6 +29,26 @@ if grep -q rtm-exec <<< "$closure"; then
   exit 1
 fi
 
+# Feature sets: a `#[target_feature]` body may only name features its
+# dispatcher detects at run time — an `f16c` body behind an `avx2 && fma`
+# check is an illegal instruction on the one host that differs, and no test
+# on this host can see it. Per kernel file: the features its attributes
+# enable must all appear in its own `is_*_feature_detected!` calls, or, for a
+# file that has none, in `simd.rs`'s (`simd::vector_available`, the check
+# every other kernel file dispatches on).
+echo "==> feature sets (every enabled target feature is one the dispatcher detects)"
+for f in $(grep -l 'target_feature(enable' crates/tensor/src/*.rs); do
+  checks=$f
+  grep -q 'is_x86_feature_detected!' "$f" || checks=crates/tensor/src/simd.rs
+  enabled=$(grep -oh 'target_feature(enable = "[^"]*")' "$f" | cut -d'"' -f2 | tr ',' '\n' | sort -u)
+  detected=$(grep -oh 'is_[a-z0-9_]*_feature_detected!("[^"]*")' "$checks" | cut -d'"' -f2 | sort -u)
+  missing=$(comm -23 <(echo "$enabled") <(echo "$detected") | tr '\n' ' ')
+  if [[ -n "${missing// /}" ]]; then
+    echo "FAIL: $f enables { $missing} but $checks never detects it" >&2
+    exit 1
+  fi
+done
+
 # The fault-injection suite's decoder fuzz runs 10k seeded mutations by
 # default; --quick trims it to 1k (same seeds, shorter schedule).
 if [[ "$quick" -eq 1 ]]; then
