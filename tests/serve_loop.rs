@@ -279,7 +279,9 @@ fn full_lanes_shed_the_parked_newcomer() {
 }
 
 /// `run_until` returns promptly when the stop flag is raised even with a
-/// client mid-stream — the CLI's ctrl-c path.
+/// client mid-stream — the CLI's ctrl-c path. "Promptly" is a bound: an
+/// idle server must notice the flag within its wait cap, so the thread
+/// joins well inside a second.
 #[test]
 fn stop_flag_interrupts_an_idle_server() {
     let net = compiled(3);
@@ -299,8 +301,14 @@ fn stop_flag_interrupts_an_idle_server() {
         let mut client = StreamClient::connect(addr).expect("connect");
         client.start(0).expect("start");
         client.infer(&stream(1, 1)[0]).expect("infer");
+        let stopped = std::time::Instant::now();
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         let stats = server_thread.join().expect("server thread");
+        let joined = stopped.elapsed();
+        assert!(
+            joined < std::time::Duration::from_secs(1),
+            "server thread joined {joined:?} after stop"
+        );
         assert_eq!(stats.admitted, 1);
     });
 }
