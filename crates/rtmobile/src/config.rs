@@ -490,8 +490,7 @@ mod tests {
                     .with_port(9099)
                     .with_max_conns(8)
                     .with_tenant_quota(2)
-                    .with_max_streams(100)
-                    .with_idle_sleep_us(250),
+                    .with_max_streams(100),
             );
         assert_eq!(c.threads, 4);
         assert_eq!(c.batch, 8);
@@ -507,7 +506,6 @@ mod tests {
         assert_eq!(c.serve.max_conns, 8);
         assert_eq!(c.serve.tenant_quota, 2);
         assert_eq!(c.serve.max_streams, Some(100));
-        assert_eq!(c.serve.idle_sleep_us, 250);
         assert_eq!(c.resolved_health(), HealthPolicy::Quarantine);
     }
 

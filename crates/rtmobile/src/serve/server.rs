@@ -7,10 +7,16 @@
 //! admit parked streams into free lanes, run **one** batched step over
 //! whichever active streams have a frame buffered (the continuous-batching
 //! core: lanes join and retire mid-flight, the batch never waits for
-//! stragglers), then flush outboxes until they would block. No
-//! `epoll`/`mio`/`tokio` — `TcpListener::set_nonblocking` plus a bounded
-//! idle sleep is the whole event mechanism, which keeps the server
-//! offline-safe and registry-free.
+//! stragglers), then flush outboxes until they would block. A pass that
+//! makes no progress ends in **one readiness wait**: a `poll(2)` over the
+//! listener and every live connection (readable, plus writable while an
+//! outbox holds unflushed bytes), capped at 5 ms so the stop flag, the
+//! reloader and the trace gauges are still serviced while idle. A frame
+//! that reaches an idle server is read the moment it lands. No
+//! `epoll`/`mio`/`tokio` — non-blocking sockets plus a ~15-line `poll`
+//! shim over the libc std already links (Linux and Android; every other
+//! target sleeps a fixed 500 µs instead) is the whole event mechanism,
+//! which keeps the server offline-safe and registry-free.
 //!
 //! Hot swap (DESIGN.md §15): the compiled network lives inside a
 //! [`CompiledBundle`] behind an `Arc`, and the server keeps a stack of
@@ -43,6 +49,7 @@
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -77,9 +84,6 @@ pub struct ServeOptions {
     /// [`Server::run`] returns once in-flight connections drain. `None`
     /// (the default) serves until the stop flag.
     pub max_streams: Option<usize>,
-    /// Event-loop sleep when a pass makes no progress, in microseconds —
-    /// the poll interval of the readiness loop.
-    pub idle_sleep_us: u64,
 }
 
 impl Default for ServeOptions {
@@ -89,7 +93,6 @@ impl Default for ServeOptions {
             max_conns: 64,
             tenant_quota: usize::MAX,
             max_streams: None,
-            idle_sleep_us: 500,
         }
     }
 }
@@ -123,12 +126,60 @@ impl ServeOptions {
         self.max_streams = Some(n);
         self
     }
+}
 
-    /// Sets the idle-poll interval.
-    pub fn with_idle_sleep_us(mut self, us: u64) -> ServeOptions {
-        self.idle_sleep_us = us;
-        self
+/// The longest one readiness wait blocks: an idle server still re-checks
+/// the stop flag, ticks the [`Reloader`] and refreshes the trace gauges at
+/// least this often.
+const WAIT_CAP: Duration = Duration::from_millis(5);
+
+/// `poll(2)` event bits: readable, writable.
+const POLLIN: i16 = 0x1;
+const POLLOUT: i16 = 0x4;
+
+/// One socket of the wait set, laid out as `struct pollfd`.
+#[repr(C)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+impl PollFd {
+    fn new(socket: &impl AsRawFd, events: i16) -> PollFd {
+        PollFd {
+            fd: socket.as_raw_fd(),
+            events,
+            revents: 0,
+        }
     }
+}
+
+/// Blocks until a socket of `set` is ready or [`WAIT_CAP`] passes. The
+/// result is not read: a ready socket, a timeout and an `EINTR` all mean
+/// "run the next pass", which re-examines every socket anyway.
+#[cfg(any(target_os = "linux", target_os = "android"))]
+fn poll_ready(set: &mut [PollFd]) {
+    use std::os::raw::c_int;
+    #[cfg(target_os = "linux")]
+    type Nfds = std::os::raw::c_ulong;
+    #[cfg(target_os = "android")]
+    type Nfds = std::os::raw::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: c_int) -> c_int;
+    }
+    let (fds, nfds) = (set.as_mut_ptr(), set.len() as Nfds);
+    // SAFETY: `fds` points at `nfds` initialised `#[repr(C)]` pollfd
+    // records, exclusively borrowed for the call.
+    unsafe { poll(fds, nfds, WAIT_CAP.as_millis() as c_int) };
+}
+
+/// Targets without the shim (`nfds_t` differs on macOS) sleep a fixed
+/// interval instead of waiting on the set.
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
+fn poll_ready(_set: &mut [PollFd]) {
+    std::thread::sleep(Duration::from_micros(500));
 }
 
 /// Connection lifecycle. `Parked` and `Active` are the started states that
@@ -179,6 +230,26 @@ struct Conn {
 }
 
 impl Conn {
+    fn new(stream: TcpStream, token: usize) -> Conn {
+        Conn {
+            stream,
+            token,
+            tenant: 0,
+            phase: Phase::AwaitStart,
+            seq: 0,
+            decoder: FrameDecoder::new(),
+            inbox: VecDeque::new(),
+            outbox: Vec::new(),
+            out_pos: 0,
+            ended: false,
+            wants_hypotheses: false,
+            last_hyp: None,
+            frames_out: 0,
+            dead: false,
+            _span: rtm_trace::span("serve.conn"),
+        }
+    }
+
     /// Started streams are quota-relevant and count as "finished" when
     /// they terminate.
     fn started(&self) -> bool {
@@ -198,6 +269,20 @@ fn hypothesis_msg(hyp: &rtm_speech::Hypothesis, is_final: bool) -> ServerMsg {
         endpoint: hyp.endpoint,
         is_final,
     }
+}
+
+/// Fills `set` with what an idle server waits on: the listener (`None`
+/// while draining) for a connection to accept, and every live connection
+/// for bytes to read — and, while its outbox holds unflushed bytes, for
+/// room to write them. Dead connections are left out: they are reaped, not
+/// waited on.
+fn fill_wait_set(set: &mut Vec<PollFd>, listener: Option<&TcpListener>, conns: &[Conn]) {
+    set.clear();
+    set.extend(listener.map(|l| PollFd::new(l, POLLIN)));
+    set.extend(conns.iter().filter(|c| !c.dead).map(|c| {
+        let unflushed = c.out_pos < c.outbox.len();
+        PollFd::new(&c.stream, if unflushed { POLLIN | POLLOUT } else { POLLIN })
+    }));
 }
 
 /// One model generation being served: its bundle and the batched session
@@ -236,6 +321,9 @@ pub struct Server<'a> {
     reload_stats: ReloadStats,
     opts: ServeOptions,
     conns: Vec<Conn>,
+    /// The readiness wait's `pollfd` array, rebuilt in place before every
+    /// wait.
+    wait_set: Vec<PollFd>,
     /// Tokens of started streams awaiting a lane, in admission order.
     parked: VecDeque<usize>,
     next_token: usize,
@@ -316,6 +404,7 @@ impl<'a> Server<'a> {
             },
             opts,
             conns: Vec::new(),
+            wait_set: Vec::new(),
             parked: VecDeque::new(),
             next_token: 0,
             steps: 0,
@@ -481,7 +570,7 @@ impl<'a> Server<'a> {
             if stop.load(Ordering::Relaxed) {
                 break;
             }
-            let draining = self.opts.max_streams.is_some_and(|n| self.finished >= n);
+            let draining = self.draining();
             let mut progress = false;
             if !draining {
                 progress |= self.accept_ready()?;
@@ -505,7 +594,7 @@ impl<'a> Server<'a> {
                 break;
             }
             if !progress {
-                std::thread::sleep(Duration::from_micros(self.opts.idle_sleep_us));
+                self.wait_ready();
             }
         }
         for slot in &mut self.slots {
@@ -513,6 +602,21 @@ impl<'a> Server<'a> {
             slot.session.trace_flush();
         }
         Ok(self.stats())
+    }
+
+    /// [`ServeOptions::max_streams`] streams have finished: the listener is
+    /// closed to new work and the server only drains.
+    fn draining(&self) -> bool {
+        self.opts.max_streams.is_some_and(|n| self.finished >= n)
+    }
+
+    /// Blocks until the next pass can make progress — a connection to
+    /// accept, bytes to read, room to flush an outbox — or [`WAIT_CAP`]
+    /// passes.
+    fn wait_ready(&mut self) {
+        let listener = (!self.draining()).then_some(&self.listener);
+        fill_wait_set(&mut self.wait_set, listener, &self.conns);
+        poll_ready(&mut self.wait_set);
     }
 
     /// Accepts until the listener would block; over-capacity connections
@@ -530,25 +634,8 @@ impl<'a> Server<'a> {
             stream.set_nonblocking(true)?;
             // Latency over throughput for 4-byte-prefixed frames.
             let _ = stream.set_nodelay(true);
-            let token = self.next_token;
+            let mut conn = Conn::new(stream, self.next_token);
             self.next_token += 1;
-            let mut conn = Conn {
-                stream,
-                token,
-                tenant: 0,
-                phase: Phase::AwaitStart,
-                seq: 0,
-                decoder: FrameDecoder::new(),
-                inbox: VecDeque::new(),
-                outbox: Vec::new(),
-                out_pos: 0,
-                ended: false,
-                wants_hypotheses: false,
-                last_hyp: None,
-                frames_out: 0,
-                dead: false,
-                _span: rtm_trace::span("serve.conn"),
-            };
             conn.queue_msg(&ServerMsg::Hello {
                 input_dim: self.input_dim as u32,
                 classes: self.classes as u32,
@@ -938,6 +1025,46 @@ mod tests {
         rows.iter()
             .map(|r| r.iter().map(|v| v.to_bits()).collect())
             .collect()
+    }
+
+    /// The wait set asks for exactly what the next pass could do: the
+    /// listener only while accepting, every live connection for reading,
+    /// writing only where an outbox holds unflushed bytes, and nothing of a
+    /// dead connection.
+    #[test]
+    fn wait_set_follows_the_listener_the_outboxes_and_liveness() {
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let _peers: Vec<TcpStream> = (0..4)
+            .map(|_| TcpStream::connect(addr).expect("connect"))
+            .collect();
+        let mut conns: Vec<Conn> = (0..4)
+            .map(|t| Conn::new(listener.accept().expect("accept").0, t))
+            .collect();
+        // 0 idle; 1 two of three bytes unflushed; 2 dead with bytes
+        // queued; 3 flushed to the end but not yet cleared.
+        conns[1].outbox.extend_from_slice(&[1, 2, 3]);
+        conns[1].out_pos = 1;
+        conns[2].outbox.push(7);
+        conns[2].dead = true;
+        conns[3].outbox.extend_from_slice(&[4, 5]);
+        conns[3].out_pos = 2;
+        let live = [
+            PollFd::new(&conns[0].stream, POLLIN),
+            PollFd::new(&conns[1].stream, POLLIN | POLLOUT),
+            PollFd::new(&conns[3].stream, POLLIN),
+        ];
+
+        let mut set = Vec::new();
+        fill_wait_set(&mut set, Some(&listener), &conns);
+        assert_eq!(set[0], PollFd::new(&listener, POLLIN));
+        assert_eq!(set[1..], live);
+
+        // Draining: the same buffer, rebuilt without the listener.
+        fill_wait_set(&mut set, None, &conns);
+        assert_eq!(set, live);
+        assert!(set.iter().all(|p| p.fd != listener.as_raw_fd()));
+        assert!(set.iter().all(|p| p.fd != conns[2].stream.as_raw_fd()));
     }
 
     /// The streaming-decode wire contract: an opted-in stream gets a

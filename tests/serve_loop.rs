@@ -313,6 +313,56 @@ fn stop_flag_interrupts_an_idle_server() {
     });
 }
 
+/// A lone stream in lockstep finds the server idle at every frame, so its
+/// round trip is whatever the idle server adds on top of one tiny step.
+/// The server waits on socket readiness, so a frame is read as soon as it
+/// lands: the median round trip stays far below 500 µs, the idle sleep
+/// that used to sit in front of every such frame.
+///
+/// Up to three rounds of 200 frames, each on a fresh server: a sleep in
+/// front of every frame fails all three, while a burst of CPU contention
+/// from the suite's other tests (an unoptimised step is ≈ 175 µs of the
+/// round trip, and doubles under it) can spoil one.
+#[test]
+fn lone_stream_round_trip_is_not_quantized_by_an_idle_sleep() {
+    use std::time::{Duration, Instant};
+
+    let net = compiled(3);
+    let frames = stream(4, 200);
+    let serial = net.forward(&frames);
+    // The decoder is pinned to the default so that a beam search forced
+    // through `RTM_DECODER` does not add its per-frame cost to the round
+    // trip this test times.
+    let config = RuntimeConfig::default()
+        .with_batch(1)
+        .with_decoder(rtmobile::DecoderChoice::Argmax)
+        .with_serve(ServeOptions::default().with_max_streams(1));
+    let mut medians = Vec::new();
+    for _ in 0..3 {
+        let (_, mut rtts) = with_server(&net, config, |addr| {
+            let mut client = StreamClient::connect(addr).expect("connect");
+            client.start(0).expect("start");
+            let mut rtts = Vec::with_capacity(frames.len());
+            let mut rows = Vec::with_capacity(frames.len());
+            for f in &frames {
+                let t0 = Instant::now();
+                rows.push(client.infer(f).expect("infer"));
+                rtts.push(t0.elapsed());
+            }
+            client.finish().expect("finish");
+            assert_bits_equal(&serial, &rows, "lone stream");
+            rtts
+        });
+        rtts.sort();
+        let median = rtts[rtts.len() / 2];
+        if median < Duration::from_micros(500) {
+            return;
+        }
+        medians.push(median);
+    }
+    panic!("median lockstep round trip of every round ≥ 500 µs: {medians:?}");
+}
+
 // ---------------------------------------------------------------------------
 // Hot swap (DESIGN.md §15): reload under load, zero drops, per-generation
 // bit-identity; corrupted publishes leave the old generation serving.
