@@ -379,6 +379,7 @@ impl<'a> BatchedSession<'a> {
                 assert!(!seen[j], "token {} stepped twice", self.lanes[j]);
                 seen[j] = true;
             }
+            let _span = rtm_trace::span("deploy.lane_gather");
             for (plane, sub) in self.states.iter().zip(self.sub_states.iter_mut()) {
                 let rows = plane.len() / b;
                 sub.clear();
@@ -435,6 +436,7 @@ impl<'a> BatchedSession<'a> {
         self.stats.frames += 1;
         if !aligned {
             // Scatter the advanced states back into the resident planes.
+            let _span = rtm_trace::span("deploy.lane_scatter");
             for (plane, sub) in self.states.iter_mut().zip(&self.sub_states) {
                 let rows = plane.len() / b;
                 for i in 0..rows {
