@@ -49,6 +49,17 @@ for f in $(grep -l 'target_feature(enable' crates/tensor/src/*.rs); do
   fi
 done
 
+# FFI stays in one place: the serving crate's only `unsafe` is the call in
+# `serve/server.rs`'s `poll(2)` shim (the event loop's readiness wait).
+# Any other line of `crates/rtmobile/src` that says `unsafe` fails.
+echo "==> unsafe in rtmobile (the poll(2) shim only)"
+hits=$(grep -rn unsafe crates/rtmobile/src || true)
+if [[ $(grep -c . <<< "$hits") -ne 1 || "$hits" != crates/rtmobile/src/serve/server.rs:*"unsafe { poll("* ]]; then
+  echo "FAIL: unsafe outside the poll shim:" >&2
+  echo "$hits" >&2
+  exit 1
+fi
+
 # The fault-injection suite's decoder fuzz runs 10k seeded mutations by
 # default; --quick trims it to 1k (same seeds, shorter schedule).
 if [[ "$quick" -eq 1 ]]; then
