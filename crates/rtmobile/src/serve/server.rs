@@ -1063,8 +1063,6 @@ mod tests {
         // Draining: the same buffer, rebuilt without the listener.
         fill_wait_set(&mut set, None, &conns);
         assert_eq!(set, live);
-        assert!(set.iter().all(|p| p.fd != listener.as_raw_fd()));
-        assert!(set.iter().all(|p| p.fd != conns[2].stream.as_raw_fd()));
     }
 
     /// The streaming-decode wire contract: an opted-in stream gets a
