@@ -8,6 +8,7 @@ use rtm_exec::ExecError;
 use rtm_rnn::GruNetwork;
 use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix};
 use rtm_tensor::f16::{quantize_f16, quantize_f16_slice};
+use rtm_tensor::gemm::RowTiles;
 use rtm_tensor::{Matrix, Vector};
 
 /// One tuner measurement riding along with a compiled model: the seconds
@@ -32,7 +33,12 @@ pub struct TunerCost {
 #[derive(Debug, Clone)]
 pub struct CompiledNetwork {
     pub(crate) layers: Vec<CompiledGruLayer>,
-    pub(crate) head_w: Matrix,
+    /// The dense head: the reference `forward`, the batched lanes and the
+    /// wire read it row-major.
+    head_w: Matrix,
+    /// `head_w` as the one-lane production head runs it — derived, never
+    /// serialized, and private so that it cannot drift from `head_w`.
+    head_tiles: RowTiles,
     pub(crate) head_b: Vec<f32>,
     pub(crate) precision: RuntimePrecision,
     pub(crate) format: RuntimeFormat,
@@ -189,14 +195,45 @@ impl CompiledNetwork {
                 rtm_tensor::QuantizedMatrix::quantize(&net.head.w).dequantize()
             }
         };
-        Ok(CompiledNetwork {
+        Ok(CompiledNetwork::from_parts(
             layers,
             head_w,
-            head_b: net.head.b.clone(),
-            precision: default,
-            format: default_format,
+            net.head.b.clone(),
+            default,
+            default_format,
+        ))
+    }
+
+    /// Assembles a network from its stored parts — the one constructor,
+    /// shared by the compiler and the model-file reader: it derives the
+    /// one-lane head's row tiles from `head_w`. An f16 network whose head
+    /// binary16 holds exactly (every compiled one) stores them as f16 bits;
+    /// any other head, a hand-made f16 bundle's included, as f32.
+    pub(crate) fn from_parts(
+        layers: Vec<CompiledGruLayer>,
+        head_w: Matrix,
+        head_b: Vec<f32>,
+        precision: RuntimePrecision,
+        format: RuntimeFormat,
+    ) -> CompiledNetwork {
+        let f16 = match precision {
+            RuntimePrecision::F16 => RowTiles::f16(&head_w),
+            RuntimePrecision::F32 | RuntimePrecision::Int8 => None,
+        };
+        CompiledNetwork {
+            layers,
+            head_tiles: f16.unwrap_or_else(|| RowTiles::f32(&head_w)),
+            head_w,
+            head_b,
+            precision,
+            format,
             tuner_costs: Vec::new(),
-        })
+        }
+    }
+
+    /// The dense head's weights, row-major.
+    pub(crate) fn head_w(&self) -> &Matrix {
+        &self.head_w
     }
 
     /// Attaches tuner probe measurements to travel with the model (they
@@ -408,7 +445,16 @@ impl CompiledNetwork {
             xs.extend_from_slice(hs);
         }
         logits.resize(self.head_b.len() * b, 0.0);
-        rtm_tensor::gemm::gemv_batch_into(&self.head_w, xs, b, logits)?;
+        // At one lane the head's rows are the lanes (DESIGN.md §8); batched
+        // lanes stay the lanes of the row-major tile, which wins every
+        // measured `b > 1`.
+        let v = rtm_tensor::simd::active_variant();
+        if b == 1 && rtm_tensor::simd::tile_dots_available(v) {
+            self.head_tiles
+                .gemv_into(v, xs, logits, &mut scratch.head)?;
+        } else {
+            rtm_tensor::gemm::gemv_batch_into(&self.head_w, xs, b, logits)?;
+        }
         rtm_tensor::simd::broadcast_add(&self.head_b, b, logits);
         Ok(())
     }

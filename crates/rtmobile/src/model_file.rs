@@ -96,9 +96,10 @@ pub(crate) fn write_network_body(out: &mut Vec<u8>, net: &CompiledNetwork) {
             out.put_counted_f32s(b);
         }
     }
-    out.put_u32_le(net.head_w.rows() as u32);
-    out.put_u32_le(net.head_w.cols() as u32);
-    out.put_f32s(net.head_w.as_slice());
+    let head_w = net.head_w();
+    out.put_u32_le(head_w.rows() as u32);
+    out.put_u32_le(head_w.cols() as u32);
+    out.put_f32s(head_w.as_slice());
     out.put_counted_f32s(&net.head_b);
 }
 
@@ -154,14 +155,10 @@ pub(crate) fn read_network_body(r: &mut Reader<'_>) -> Result<CompiledNetwork, D
     let head_len = rows.checked_mul(cols).ok_or(DecodeError::Truncated)?;
     let head_w = Matrix::from_vec(rows, cols, r.f32s(head_len)?);
     let head_w = head_w.map_err(|_| DecodeError::Truncated)?;
-    Ok(CompiledNetwork {
-        layers,
-        head_w,
-        head_b: r.counted_f32s()?,
-        precision,
-        format,
-        tuner_costs: Vec::new(),
-    })
+    let head_b = r.counted_f32s()?;
+    Ok(CompiledNetwork::from_parts(
+        layers, head_w, head_b, precision, format,
+    ))
 }
 
 /// Decodes the tuner-cost records (the inverse of [`write_tuner_body`])
@@ -195,7 +192,7 @@ pub(crate) fn all_finite(net: &CompiledNetwork) -> bool {
             .iter()
             .all(|m| finite(m.values()))
             && [&l.b_z, &l.b_r, &l.b_n].iter().all(|b| finite(b))
-    }) && finite(net.head_w.as_slice())
+    }) && finite(net.head_w().as_slice())
         && finite(&net.head_b)
 }
 

@@ -398,10 +398,15 @@ mod tests {
         // Saturated head weights decode and pass the finiteness scan (the
         // stored weights are finite) but overflow at runtime — the canary
         // must catch it.
-        let mut bad = compiled(3);
-        let (rows, cols) = (bad.head_w.rows(), bad.head_w.cols());
-        bad.head_w = rtm_tensor::Matrix::from_vec(rows, cols, vec![f32::MAX; rows * cols]).unwrap();
-        bad.head_b = vec![f32::MAX; bad.head_b.len()];
+        let good = compiled(3);
+        let (rows, cols) = (good.head_w().rows(), good.head_w().cols());
+        let bad = CompiledNetwork::from_parts(
+            good.layers,
+            rtm_tensor::Matrix::from_vec(rows, cols, vec![f32::MAX; rows * cols]).unwrap(),
+            vec![f32::MAX; good.head_b.len()],
+            good.precision,
+            good.format,
+        );
         // Poison precondition: the exact canary utterance `validate` runs
         // must overflow (otherwise this test would assert nothing).
         let canary: Vec<Vec<f32>> = (0..3)

@@ -1004,11 +1004,15 @@ mod tests {
     /// load-time validation with the canary disabled, caught only by the
     /// runtime health scan.
     fn poisoned(seed: u64) -> CompiledNetwork {
-        let mut bad = compiled(seed);
-        let (rows, cols) = (bad.head_w.rows(), bad.head_w.cols());
-        bad.head_w = rtm_tensor::Matrix::from_vec(rows, cols, vec![f32::MAX; rows * cols]).unwrap();
-        bad.head_b = vec![f32::MAX; bad.head_b.len()];
-        bad
+        let good = compiled(seed);
+        let (rows, cols) = (good.head_w().rows(), good.head_w().cols());
+        CompiledNetwork::from_parts(
+            good.layers,
+            rtm_tensor::Matrix::from_vec(rows, cols, vec![f32::MAX; rows * cols]).unwrap(),
+            vec![f32::MAX; good.head_b.len()],
+            good.precision,
+            good.format,
+        )
     }
 
     fn frames(n: usize) -> Vec<Vec<f32>> {

@@ -174,13 +174,18 @@ fn one_lane_head_is_the_reference_head_on_every_tile_edge() {
                 let base = network(classes, hidden, (classes * 100 + hidden) as u64);
                 for precision in PRECISIONS {
                     let net = CompiledNetwork::compile(&base, 4, 2, precision).unwrap();
-                    let what = format!("{policy:?} {precision:?} classes {classes} hidden {hidden}");
+                    let what =
+                        format!("{policy:?} {precision:?} classes {classes} hidden {hidden}");
                     check(&net, &execs, &what);
                 }
             }
         }
         let net = f16_tagged_with_inexact_head();
-        check(&net, &execs, &format!("{policy:?} f16-tagged, inexact head"));
+        check(
+            &net,
+            &execs,
+            &format!("{policy:?} f16-tagged, inexact head"),
+        );
     }
     simd::set_policy(ambient);
 }
