@@ -13,9 +13,9 @@
 //! lane-major `[cols × b]` input through the parallel engine's SpMM path
 //! (the generic `Executor::spmm_into` / `gemm_dense_into`); a `head` row
 //! times the paper model's dense `39 × 1024` output layer the same way.
-//! Beside the one-lane, one-thread `head` cell, `head_tiles_f32` and
-//! `head_tiles_f16` time the head the production loop runs at one stream:
-//! `gemm::RowTiles`, its rows the lanes of the register tile (AVX2 only).
+//! Beside the one-lane, one-thread `head` cell, `head_tiles` times the head
+//! the production loop runs at one stream: `gemm::RowTiles`, its rows the
+//! lanes of the register tile (AVX2 only).
 //! Reported per row:
 //!
 //! * `wall_us` — one batched pass over all `b` lanes;
@@ -33,7 +33,6 @@
 use rtm_bench::{bsp_matrix, emit_bench_report, json_row, quick_requested, time_us, JsonValue};
 use rtm_exec::Executor;
 use rtm_sparse::{BspcMatrix, CsrMatrix, Precision, SparseKernel};
-use rtm_tensor::f16::quantize_f16;
 use rtm_tensor::gemm::RowTiles;
 use rtm_tensor::rng::StdRng;
 use rtm_tensor::simd;
@@ -123,28 +122,17 @@ fn main() {
     // After the sweep, so that its buffers sit where they always did.
     let v = simd::active_variant();
     if simd::tile_dots_available(v) {
-        let head_f16 = head.map(quantize_f16);
-        let tiles = [
-            ("head_tiles_f32", RowTiles::f32(&head)),
-            (
-                "head_tiles_f16",
-                RowTiles::f16(&head_f16).expect("rounded through f16"),
-            ),
-        ];
-        let (x, mut logits, mut decoded) =
-            (&xs_all[..cols_dim], vec![0.0; head.rows()], Vec::new());
-        for (format, t) in tiles {
-            let wall = time_us(iters(1), || {
-                t.gemv_into(v, x, &mut logits, &mut decoded)
-                    .expect("shapes match");
-            });
-            rows.push(Row {
-                format,
-                threads: 1,
-                b: 1,
-                wall_us: wall,
-            });
-        }
+        let tiles = RowTiles::new(&head);
+        let (x, mut logits) = (&xs_all[..cols_dim], vec![0.0; head.rows()]);
+        let wall = time_us(iters(1), || {
+            tiles.gemv_into(v, x, &mut logits).expect("shapes match");
+        });
+        rows.push(Row {
+            format: "head_tiles",
+            threads: 1,
+            b: 1,
+            wall_us: wall,
+        });
     }
 
     let base_per_stream = |format: &str, threads: usize| -> f64 {

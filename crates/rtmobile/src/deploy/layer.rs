@@ -45,9 +45,6 @@ pub struct GruRuntimeScratch {
     rh: Vec<f32>,
     /// The recurrent product of the gate being assembled.
     tmp: Vec<f32>,
-    /// Decode window of the one-lane head's f16 tile of fewer than eight
-    /// rows ([`rtm_tensor::gemm::RowTiles::gemv_into`]).
-    pub(super) head: Vec<f32>,
 }
 
 impl GruRuntimeScratch {

@@ -206,9 +206,7 @@ impl CompiledNetwork {
 
     /// Assembles a network from its stored parts — the one constructor,
     /// shared by the compiler and the model-file reader: it derives the
-    /// one-lane head's row tiles from `head_w`. An f16 network whose head
-    /// binary16 holds exactly (every compiled one) stores them as f16 bits;
-    /// any other head, a hand-made f16 bundle's included, as f32.
+    /// one-lane head's row tiles from `head_w`.
     pub(crate) fn from_parts(
         layers: Vec<CompiledGruLayer>,
         head_w: Matrix,
@@ -216,13 +214,9 @@ impl CompiledNetwork {
         precision: RuntimePrecision,
         format: RuntimeFormat,
     ) -> CompiledNetwork {
-        let f16 = match precision {
-            RuntimePrecision::F16 => RowTiles::f16(&head_w),
-            RuntimePrecision::F32 | RuntimePrecision::Int8 => None,
-        };
         CompiledNetwork {
             layers,
-            head_tiles: f16.unwrap_or_else(|| RowTiles::f32(&head_w)),
+            head_tiles: RowTiles::new(&head_w),
             head_w,
             head_b,
             precision,
@@ -450,8 +444,7 @@ impl CompiledNetwork {
         // measured `b > 1`.
         let v = rtm_tensor::simd::active_variant();
         if b == 1 && rtm_tensor::simd::tile_dots_available(v) {
-            self.head_tiles
-                .gemv_into(v, xs, logits, &mut scratch.head)?;
+            self.head_tiles.gemv_into(v, xs, logits)?;
         } else {
             rtm_tensor::gemm::gemv_batch_into(&self.head_w, xs, b, logits)?;
         }

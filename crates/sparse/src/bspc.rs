@@ -29,16 +29,13 @@
 
 use crate::footprint::Precision;
 use crate::kernel::{Activations, SparseKernel};
-use crate::scratch::{self, AlignedF32, FloatValues};
-use rtm_tensor::{simd, Matrix, ShapeError};
+use crate::scratch::{self, FloatValues};
+use rtm_tensor::aligned::AlignedF32;
+use rtm_tensor::simd::{self, TILE_ROWS};
+use rtm_tensor::{Matrix, ShapeError};
 use std::error::Error;
 use std::fmt;
 use std::ops::Range;
-
-/// Most rows of one row tile: two AVX2 registers of row lanes, which halves
-/// the walks over a stripe's gathered input against one register's worth
-/// (1024² at 103×, one lane, f32: 1.8 µs a gate against 2.6 µs).
-const TILE_ROWS: usize = 16;
 
 /// One kept row's contiguous value segment belonging to a single
 /// (stripe, block) — the granularity the int8 scales live at.
@@ -693,7 +690,7 @@ impl BspcMatrix {
         scratch::with_kernel(|scratch| {
             for (s, run) in self.stripe_tiles(tiles) {
                 let cols = &self.stripe_cols[s];
-                let gathered = scratch.gf32.gather(cols, xs, b);
+                let gathered = scratch::gather_f32(&mut scratch.gf32, cols, xs, b);
                 for t in run {
                     let (slots, base) = self.tile(t);
                     let m = slots.len();

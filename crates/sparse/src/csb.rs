@@ -400,7 +400,8 @@ impl CsbMatrix {
                 for blk in bs..be {
                     let (cs, ce) = (self.col_ptr[blk] as usize, self.col_ptr[blk + 1] as usize);
                     let kc = ce - cs;
-                    let gf32 = scratch.gf32.gather(&self.cols_idx[cs..ce], xs, b);
+                    let gf32 =
+                        scratch::gather_f32(&mut scratch.gf32, &self.cols_idx[cs..ce], xs, b);
                     let (vb, ve) = (self.val_ptr[blk] as usize, self.val_ptr[blk + 1] as usize);
                     let block = values.run(vb..ve, &mut scratch.conv);
                     let outs = ys[(r0 - y_base) * b..].chunks_exact_mut(b);

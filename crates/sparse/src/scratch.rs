@@ -11,69 +11,33 @@
 //! activation codes borrowed for the whole call while the calling thread
 //! runs its own chunk, which borrows the kernel scratch.
 
+use rtm_tensor::aligned::AlignedF32;
 use rtm_tensor::simd::{self, Variant};
 use std::cell::RefCell;
 use std::ops::Range;
 
-/// A reusable f32 buffer handed out as a window that starts on a cache-line
-/// boundary, wherever the allocator placed the block.
-///
-/// The gathered-activation and decoded-row operands are walked by 32-byte
-/// vector loads and stores at multiples of 8 elements; from an aligned
-/// start none of them splits a cache line or a page. With plain `Vec`s the
-/// kernels' speed depended on allocation history: a decoded-row buffer that
-/// happened to straddle a page cost the 1024² f16 SpMV 1.5× (38 vs 25 µs),
-/// 27 % of an on-device frame.
-pub(crate) struct AlignedF32 {
-    buf: Vec<f32>,
-}
-
-impl AlignedF32 {
-    /// f32s per 64-byte cache line.
-    const LINE: usize = 16;
-
-    const fn new() -> AlignedF32 {
-        AlignedF32 { buf: Vec::new() }
-    }
-
-    /// The aligned window's first `len` elements (contents unspecified —
-    /// callers overwrite all of it). Grows the block on demand; steady
-    /// state allocates nothing.
-    pub fn window(&mut self, len: usize) -> &mut [f32] {
-        if self.buf.len() < len + Self::LINE {
-            self.buf.resize(len + Self::LINE, 0.0);
+/// Gathers columns `cols` of the lane-major `[n × b]` plane `xs` into the
+/// aligned window of `out` — gathered element `i`, lane `j` at `[i·b + j]`
+/// (the plain indexed gather at `b == 1`) — the once-per-column-run load of
+/// the paper's redundant-load elimination.
+pub(crate) fn gather_f32<'s>(
+    out: &'s mut AlignedF32,
+    cols: &[u32],
+    xs: &[f32],
+    b: usize,
+) -> &'s [f32] {
+    let out = out.window(cols.len() * b);
+    if b == 1 {
+        for (g, &c) in out.iter_mut().zip(cols) {
+            *g = xs[c as usize];
         }
-        // `align_offset` may decline (usize::MAX); any in-range start is
-        // correct, alignment is only the fast case.
-        let start = self.buf.as_ptr().align_offset(64).min(Self::LINE);
-        &mut self.buf[start..start + len]
-    }
-
-    /// Gathers columns `cols` of the lane-major `[n × b]` plane `xs` into
-    /// the window — gathered element `i`, lane `j` at `[i·b + j]` (the
-    /// plain indexed gather at `b == 1`) — the once-per-column-run load of
-    /// the paper's redundant-load elimination.
-    pub fn gather(&mut self, cols: &[u32], xs: &[f32], b: usize) -> &[f32] {
-        let out = self.window(cols.len() * b);
-        if b == 1 {
-            for (g, &c) in out.iter_mut().zip(cols) {
-                *g = xs[c as usize];
-            }
-        } else {
-            for (lanes, &c) in out.chunks_exact_mut(b).zip(cols) {
-                let c = c as usize;
-                lanes.copy_from_slice(&xs[c * b..(c + 1) * b]);
-            }
+    } else {
+        for (lanes, &c) in out.chunks_exact_mut(b).zip(cols) {
+            let c = c as usize;
+            lanes.copy_from_slice(&xs[c * b..(c + 1) * b]);
         }
-        out
     }
-
-    /// Decodes raw f16 bit patterns into the window (exact).
-    pub fn decode_f16(&mut self, bits: &[u16]) -> &[f32] {
-        let out = self.window(bits.len());
-        rtm_tensor::f16::f16_bits_to_f32(bits, out);
-        out
-    }
+    out
 }
 
 /// Where a float row kernel's weights come from — the only thing the f32
@@ -134,7 +98,9 @@ impl FloatValues for &[u16] {
     where
         Self: 's,
     {
-        conv.decode_f16(&self[run])
+        let out = conv.window(run.len());
+        rtm_tensor::f16::f16_bits_to_f32(&self[run], out);
+        out
     }
 
     /// The primitive widens the bits in registers where the tile is the lane
@@ -157,7 +123,7 @@ impl FloatValues for &[u16] {
 }
 
 /// Gathers columns `cols` of the lane-major `[n × b]` code plane `xq` into
-/// `out` — the int8 twin of [`AlignedF32::gather`], same layout.
+/// `out` — the int8 twin of [`gather_f32`], same layout.
 pub(crate) fn gather_i8(out: &mut Vec<i8>, cols: &[u32], xq: &[i8], b: usize) {
     out.clear();
     if b == 1 {

@@ -16,7 +16,9 @@
 //! cycles analytically), but the accuracy experiments do, so correctness here
 //! is load-bearing for Table I.
 
+use crate::aligned::AlignedF32;
 use crate::matrix::{Matrix, ShapeError};
+use crate::simd::{Variant, TILE_ROWS};
 use std::ops::Range;
 
 /// Default cache-block edge for [`matmul_blocked`]; 64×64 f32 tiles fit
@@ -207,107 +209,42 @@ pub fn dense_rows_into(
     crate::simd::row_major_dots_variant(v, weights, rows.len(), xs, b, out);
 }
 
-/// Most rows of one [`RowTiles`] tile: two AVX2 registers of row lanes, the
-/// height of BSPC's row tiles.
-const TILE_ROWS: usize = 16;
-
-/// A dense matrix stored as lane-major row tiles — up to 16 adjacent rows
-/// each, element `k` of the tile's row `j` at `[k·m + j]` —
+/// A dense matrix stored as lane-major row tiles — up to [`TILE_ROWS`] = 16
+/// adjacent rows each, element `k` of the tile's row `j` at `[k·m + j]` —
 /// so that at one input stream its rows are the lanes of the register tile
 /// ([`simd::tile_dots_variant`](crate::simd::tile_dots_variant)) instead of
 /// one along-row dot and horizontal sum each. A 39-row matrix is three
-/// tiles: 16 + 16 + 7 rows.
-///
-/// The values are f32, or f16 bits widened in the registers they are
-/// loaded into ([`RowTiles::f16`]: only for a matrix binary16 holds
-/// exactly, so both store the same numbers).
+/// tiles: 16 + 16 + 7 rows. The plane starts on a cache line, so a full
+/// tile's 16-lane rows are whole lines.
 #[derive(Debug, Clone)]
 pub struct RowTiles {
     rows: usize,
     cols: usize,
-    values: TileValues,
-}
-
-#[derive(Debug, Clone)]
-enum TileValues {
-    F32(LinePlane<f32>),
-    F16(LinePlane<u16>),
-}
-
-/// A value plane that starts on a cache-line boundary wherever the
-/// allocator put its block, so that a full f32 tile's 16-lane rows are
-/// whole lines. From the 16-byte offset a heap block often has, every
-/// other lane row splits a line: the `39 × 1024` f32 head took 3.0–3.4 µs
-/// a call against 2.25 from a 64-byte boundary (AVX2, one stream).
-#[derive(Debug)]
-struct LinePlane<T> {
-    buf: Vec<T>,
-    start: usize,
-    len: usize,
-}
-
-impl<T: Copy + Default> LinePlane<T> {
-    fn new(values: &[T]) -> LinePlane<T> {
-        let pad = 64 / std::mem::size_of::<T>();
-        let mut buf = vec![T::default(); values.len() + pad];
-        // `align_offset` may decline (usize::MAX); any in-range start is
-        // correct, alignment is only the fast case.
-        let start = buf.as_ptr().align_offset(64).min(pad);
-        buf[start..start + values.len()].copy_from_slice(values);
-        LinePlane {
-            buf,
-            start,
-            len: values.len(),
-        }
-    }
-
-    fn get(&self) -> &[T] {
-        &self.buf[self.start..self.start + self.len]
-    }
-}
-
-/// A new block, aligned for itself (a derived clone would keep the old
-/// block's offset).
-impl<T: Copy + Default> Clone for LinePlane<T> {
-    fn clone(&self) -> LinePlane<T> {
-        LinePlane::new(self.get())
-    }
+    values: AlignedF32,
 }
 
 impl RowTiles {
-    /// `a`'s rows cut into f32 row tiles.
-    pub fn f32(a: &Matrix) -> RowTiles {
+    /// `a`'s rows cut into row tiles.
+    pub fn new(a: &Matrix) -> RowTiles {
+        let (rows, cols) = (a.rows(), a.cols());
+        let tiled: Vec<f32> = (0..rows)
+            .step_by(TILE_ROWS)
+            .flat_map(|r0| {
+                let m = TILE_ROWS.min(rows - r0);
+                (0..cols).flat_map(move |k| (r0..r0 + m).map(move |r| a[(r, k)]))
+            })
+            .collect();
         RowTiles {
-            rows: a.rows(),
-            cols: a.cols(),
-            values: TileValues::F32(LinePlane::new(&tiled(a))),
+            rows,
+            cols,
+            values: AlignedF32::from_slice(&tiled),
         }
-    }
-
-    /// `a`'s rows cut into row tiles of f16 bits, or `None` unless every
-    /// element round-trips through binary16 bit for bit.
-    pub fn f16(a: &Matrix) -> Option<RowTiles> {
-        let tiled = tiled(a);
-        let bits = crate::f16::f32_to_f16_bits(&tiled);
-        let mut back = vec![0.0f32; bits.len()];
-        crate::f16::f16_bits_to_f32(&bits, &mut back);
-        let exact = back
-            .iter()
-            .zip(&tiled)
-            .all(|(b, t)| b.to_bits() == t.to_bits());
-        exact.then_some(RowTiles {
-            rows: a.rows(),
-            cols: a.cols(),
-            values: TileValues::F16(LinePlane::new(&bits)),
-        })
     }
 
     /// `y = A · x` at one stream, one tile primitive call per row tile:
     /// `y[r]` is **bit-identical** to [`gemv_into`]`(A, x, ..)` under the
     /// variant `v` (by the tile primitive's lane contract, row `r` is `dot`
     /// of row `r` with `x`), and the call counts what [`gemv_into`] counts.
-    /// An f16 tile of fewer than eight rows is decoded into `decoded`, which
-    /// grows once to the largest tile.
     ///
     /// # Errors
     ///
@@ -316,13 +253,7 @@ impl RowTiles {
     /// # Panics
     ///
     /// Panics unless [`simd::tile_dots_available`](crate::simd::tile_dots_available)`(v)`.
-    pub fn gemv_into(
-        &self,
-        v: crate::simd::Variant,
-        x: &[f32],
-        y: &mut [f32],
-        decoded: &mut Vec<f32>,
-    ) -> Result<(), ShapeError> {
+    pub fn gemv_into(&self, v: Variant, x: &[f32], y: &mut [f32]) -> Result<(), ShapeError> {
         let (rows, cols) = (self.rows, self.cols);
         if x.len() != cols || y.len() != rows {
             return Err(ShapeError {
@@ -336,35 +267,14 @@ impl RowTiles {
             (rtm_trace::key::KERNEL_ROWS, rows as u64),
             (rtm_trace::key::KERNEL_NNZ, (rows * cols) as u64),
         ]);
-        if let TileValues::F16(_) = self.values {
-            decoded.resize(cols * rows.min(TILE_ROWS), 0.0);
-        }
+        let values = self.values.as_slice();
         for (t, out) in y.chunks_mut(TILE_ROWS).enumerate() {
             let m = out.len();
-            let span = t * TILE_ROWS * cols..(t * TILE_ROWS + m) * cols;
-            match &self.values {
-                TileValues::F32(w) => {
-                    crate::simd::tile_dots_variant(v, &w.get()[span], m, x, 1, out)
-                }
-                TileValues::F16(bits) => {
-                    let window = &mut decoded[..span.len()];
-                    crate::simd::tile_dots_f16_variant(v, &bits.get()[span], m, x, 1, out, window)
-                }
-            }
+            let tile = &values[t * TILE_ROWS * cols..(t * TILE_ROWS + m) * cols];
+            crate::simd::tile_dots_variant(v, tile, m, x, 1, out);
         }
         Ok(())
     }
-}
-
-/// `a`'s values in [`RowTiles`] order.
-fn tiled(a: &Matrix) -> Vec<f32> {
-    let cols = a.cols();
-    let mut out = Vec::with_capacity(a.rows() * cols);
-    for r0 in (0..a.rows()).step_by(TILE_ROWS) {
-        let m = TILE_ROWS.min(a.rows() - r0);
-        out.extend((0..cols).flat_map(|k| (r0..r0 + m).map(move |r| a[(r, k)])));
-    }
-    out
 }
 
 /// `y = Aᵀ * x` without materializing the transpose: one
@@ -576,7 +486,6 @@ mod tests {
 
     #[test]
     fn row_tiles_are_the_along_row_dot_on_every_tile_edge() {
-        use crate::f16::quantize_f16;
         use crate::simd::{self, Variant};
         let v = Variant::Vector;
         if !simd::tile_dots_available(v) {
@@ -584,11 +493,10 @@ mod tests {
         }
         let same = |x: f32, y: f32| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
         let mut rng = crate::rng::StdRng::seed_from_u64(0x7E4D);
-        let mut decoded = Vec::new();
         for rows in [1usize, 7, 8, 9, 15, 16, 17, 31, 32, 33, 39, 48] {
             for cols in [1usize, 7, 8, 9, 64, 102] {
-                // Both zeros, an f16 subnormal and the largest finite half
-                // among random weights; row 1 is all `-0.0`.
+                // Both zeros, a subnormal and ±65504 among random weights;
+                // row 1 is all `-0.0`.
                 let a = Matrix::from_fn(rows, cols, |r, c| match (r * 5 + c * 3) % 9 {
                     _ if r == 1 => -0.0,
                     0 => 0.0,
@@ -596,7 +504,7 @@ mod tests {
                     2 => 3.0 * 2.0f32.powi(-24),
                     3 => 65504.0,
                     4 => -65504.0,
-                    _ => quantize_f16(rng.gen_f32() * 2.0 - 1.0),
+                    _ => rng.gen_f32() * 2.0 - 1.0,
                 });
                 let plain: Vec<f32> = (0..cols).map(|_| rng.gen_f32().abs()).collect();
                 let mut special: Vec<f32> = (0..cols).map(|_| rng.gen_f32() * 2.0 - 1.0).collect();
@@ -608,65 +516,32 @@ mod tests {
                         special[(c * 5) % cols] = s;
                     }
                 }
-                let tiles = [
-                    ("f32", RowTiles::f32(&a)),
-                    ("f16", RowTiles::f16(&a).expect("f16-exact")),
-                ];
+                let t = RowTiles::new(&a);
                 for x in [&plain, &special] {
-                    for (what, t) in &tiles {
-                        let mut y = vec![f32::NAN; rows];
-                        t.gemv_into(v, x, &mut y, &mut decoded).unwrap();
-                        for (r, &got) in y.iter().enumerate() {
-                            let want = simd::dot_variant(v, a.row(r), x);
-                            assert!(
-                                same(got, want),
-                                "{rows}x{cols} {what} row {r}: {got} vs {want}"
-                            );
-                        }
+                    let mut y = vec![f32::NAN; rows];
+                    t.gemv_into(v, x, &mut y).unwrap();
+                    for (r, &got) in y.iter().enumerate() {
+                        let want = simd::dot_variant(v, a.row(r), x);
+                        assert!(same(got, want), "{rows}x{cols} row {r}: {got} vs {want}");
                     }
                 }
             }
         }
-        let t = RowTiles::f32(&Matrix::zeros(3, 4));
-        assert!(t
-            .gemv_into(v, &[0.0; 3], &mut [0.0; 3], &mut decoded)
-            .is_err());
-        assert!(t
-            .gemv_into(v, &[0.0; 4], &mut [0.0; 2], &mut decoded)
-            .is_err());
+        let t = RowTiles::new(&Matrix::zeros(3, 4));
+        assert!(t.gemv_into(v, &[0.0; 3], &mut [0.0; 3]).is_err());
+        assert!(t.gemv_into(v, &[0.0; 4], &mut [0.0; 2]).is_err());
     }
 
     #[test]
-    fn row_tiles_store_f16_only_for_an_exact_matrix() {
-        let exact = Matrix::from_fn(17, 5, |r, c| (r * 5 + c) as f32 * 0.25 - 9.0);
-        let t = RowTiles::f16(&exact).expect("quarter steps are f16-exact");
-        assert!(matches!(t.values, TileValues::F16(_)));
-        for bad in [0.1f32, 1e-40, 70000.0, f32::from_bits(0x7FC0_0001)] {
-            let mut a = exact.clone();
-            a[(16, 4)] = bad;
-            assert!(RowTiles::f16(&a).is_none(), "{bad:e}");
-        }
-        assert_eq!(
-            tiled(&exact)[..3],
-            [exact[(0, 0)], exact[(1, 0)], exact[(2, 0)]]
-        );
-        assert_eq!(tiled(&exact)[16 * 5], exact[(16, 0)]);
-    }
-
-    #[test]
-    fn row_tiles_start_on_a_cache_line_when_cloned_too() {
+    fn row_tiles_are_lane_major_and_start_on_a_cache_line_when_cloned_too() {
         let a = Matrix::from_fn(39, 33, |r, c| (r * 33 + c) as f32);
-        for t in [
-            RowTiles::f32(&a),
-            RowTiles::f16(&a).expect("small integers"),
-        ] {
-            for t in [t.clone(), t] {
-                let (addr, len) = match &t.values {
-                    TileValues::F32(p) => (p.get().as_ptr() as usize, p.get().len()),
-                    TileValues::F16(p) => (p.get().as_ptr() as usize, p.get().len()),
-                };
-                assert_eq!((addr % 64, len), (0, 39 * 33));
-            }
+        let t = RowTiles::new(&a);
+        for t in [t.clone(), t] {
+            let values = t.values.as_slice();
+            assert_eq!(values[..3], [a[(0, 0)], a[(1, 0)], a[(2, 0)]]);
+            assert_eq!(values[16], a[(0, 1)]);
+            assert_eq!(values[32 * 33..32 * 33 + 2], [a[(32, 0)], a[(33, 0)]]);
+            assert_eq!((values.as_ptr() as usize % 64, values.len()), (0, 39 * 33));
         }
     }
 

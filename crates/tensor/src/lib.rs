@@ -22,6 +22,8 @@
 //!   with no registry access).
 //! * [`wire`] — little-endian buffer read/write traits used by the
 //!   serialization formats in `rtm-sparse` and `rtmobile`.
+//! * [`aligned`] — the cache-line-aligned f32 buffer the kernels' value
+//!   planes and scratch windows live in.
 //!
 //! # Example
 //!
@@ -38,6 +40,7 @@
 //! ```
 
 pub mod activations;
+pub mod aligned;
 pub mod f16;
 pub mod gemm;
 pub mod init;
