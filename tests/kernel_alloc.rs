@@ -136,7 +136,10 @@ fn kernels_allocate_nothing(policy: &str) {
 fn production_step_allocates_only_the_returned_logits() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     rtm_trace::set_config(rtm_trace::TraceConfig::off());
-    let (input, classes, t) = (6usize, 5usize, 8usize);
+    let (input, classes) = (6usize, 5usize);
+    // A part of one 16-frame chunk, and past two whole chunks: the chunk
+    // planes are sized once per call, whatever the utterance's length.
+    let lengths = [8usize, 33];
     let net = GruNetwork::new(
         &NetworkConfig {
             input_dim: input,
@@ -145,7 +148,7 @@ fn production_step_allocates_only_the_returned_logits() {
         },
         77,
     );
-    let frames: Vec<Vec<f32>> = (0..2 * t)
+    let frames: Vec<Vec<f32>> = (0..2 * lengths[1])
         .map(|f| {
             (0..input)
                 .map(|i| ((f * input + i) as f32 * 0.37).sin())
@@ -179,13 +182,15 @@ fn production_step_allocates_only_the_returned_logits() {
                 compiled.forward_with(&exec, &frames[..n]);
                 allocated() - before
             };
-            bytes_for(t); // warm-up: the kernel scratch grows here, once
-            let per_frame = classes * 4 + std::mem::size_of::<Vec<f32>>();
-            assert_eq!(
-                bytes_for(2 * t) - bytes_for(t),
-                (t * per_frame) as u64,
-                "forward_with {what}"
-            );
+            for t in lengths {
+                bytes_for(t); // warm-up: the kernel scratch grows here, once
+                let per_frame = classes * 4 + std::mem::size_of::<Vec<f32>>();
+                assert_eq!(
+                    bytes_for(2 * t) - bytes_for(t),
+                    (t * per_frame) as u64,
+                    "forward_with {what} t={t}"
+                );
+            }
 
             // `forward_frame_batch`: caller-owned buffers, nothing else.
             for b in [1usize, 8] {

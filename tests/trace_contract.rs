@@ -247,7 +247,8 @@ fn serial_and_pooled_dense_counters_agree_at_every_lane_count() {
 #[test]
 fn single_stream_forward_counts_spmv_and_gemv_only() {
     let _guard = traced();
-    let (layers, frames_n) = (2u64, 7u64);
+    // Past two 16-frame chunks and into a third.
+    let (layers, frames_n) = (2u64, 37u64);
     let net = GruNetwork::new(
         &NetworkConfig {
             input_dim: 6,
