@@ -29,17 +29,22 @@ pub struct CompiledGruLayer {
 /// Reusable workspace for the compiled streaming loop.
 ///
 /// One instance serves every layer of every frame of a stream: the gate
-/// vectors and recurrent-SpMV temporaries live here and are resized on
-/// use, so the steady state of [`super::CompiledNetwork::forward`] /
+/// planes and recurrent-SpMV temporaries live here and are resized on use,
+/// so the steady state of [`super::CompiledNetwork::forward`] /
 /// [`super::CompiledNetwork::forward_with`] allocates nothing but the
 /// returned logits.
+///
+/// The three gate planes hold one slot per frame of the step's input
+/// products: one slot for a lockstep step, up to a chunk of frames for
+/// [`super::CompiledNetwork::forward_with`], which runs the input products
+/// of a whole chunk before its recurrence.
 #[derive(Debug, Clone, Default)]
 pub struct GruRuntimeScratch {
-    /// Update gate.
+    /// Update gate, `[frames × hidden·b]`.
     z: Vec<f32>,
-    /// Reset gate.
+    /// Reset gate, `[frames × hidden·b]`.
     r: Vec<f32>,
-    /// Candidate state.
+    /// Candidate state, `[frames × hidden·b]`.
     n: Vec<f32>,
     /// Reset-gated state `r ⊙ h_prev`.
     rh: Vec<f32>,
@@ -53,15 +58,16 @@ impl GruRuntimeScratch {
         GruRuntimeScratch::default()
     }
 
-    /// Sizes the per-gate buffers for a layer of width `hidden`.
+    /// Sizes the gate planes for `frames` slots of width `hidden`, and the
+    /// per-frame temporaries for one.
     ///
     /// The batched step reuses the same workspace with
     /// `hidden = layer_width × lanes`: every buffer is a flat lane-major
     /// `[width × b]` plane, so sizing is the only difference.
-    fn reserve(&mut self, hidden: usize) {
-        self.z.resize(hidden, 0.0);
-        self.r.resize(hidden, 0.0);
-        self.n.resize(hidden, 0.0);
+    pub(super) fn reserve(&mut self, frames: usize, hidden: usize) {
+        self.z.resize(frames * hidden, 0.0);
+        self.r.resize(frames * hidden, 0.0);
+        self.n.resize(frames * hidden, 0.0);
         self.rh.resize(hidden, 0.0);
         self.tmp.resize(hidden, 0.0);
     }
@@ -97,7 +103,7 @@ impl CompiledGruLayer {
             }
         };
         let prec = self.precision.storage();
-        scratch.reserve(self.hidden);
+        scratch.reserve(1, self.hidden);
         h_out.resize(self.hidden, 0.0);
 
         self.w_z
@@ -167,6 +173,11 @@ impl CompiledGruLayer {
     /// holds exactly: the batched kernel quantizes each lane's activation
     /// column with its own scale, reproducing the serial step's codes.
     ///
+    /// The step is its two halves back to back: the input half (the three
+    /// `W·x`) for one frame, then the recurrent half (the three `U·h` and
+    /// the gate epilogues). [`super::CompiledNetwork::forward_with`] runs
+    /// the same halves over a chunk of frames at a time.
+    ///
     /// `precision` is normally the layer's compiled
     /// [`precision`](CompiledGruLayer::precision); passing another value
     /// runs the gate kernels in that mode instead (the f32 weights are
@@ -190,6 +201,62 @@ impl CompiledGruLayer {
         scratch: &mut GruRuntimeScratch,
         hs_out: &mut Vec<f32>,
     ) -> Result<(), ExecError> {
+        let hb = self.hidden * b;
+        self.input_products_into(exec, xs, 1, b, precision, scratch)?;
+        hs_out.resize(hb, 0.0);
+        self.recurrent_into(exec, hs_prev, b, precision, scratch, 0, hs_out)
+    }
+
+    /// The input half of [`CompiledGruLayer::step_batch_into`]: the three
+    /// input products `W·x` of `frames` consecutive steps, each `[input × b]`
+    /// lane-major and laid end to end in `xs`, into the gate planes' slots
+    /// `0..frames`. Each gate's weights serve all `frames` inputs back to
+    /// back, one lane-count product per frame.
+    pub(super) fn input_products_into(
+        &self,
+        exec: &rtm_exec::Executor,
+        xs: &[f32],
+        frames: usize,
+        b: usize,
+        precision: RuntimePrecision,
+        scratch: &mut GruRuntimeScratch,
+    ) -> Result<(), ExecError> {
+        let hb = self.hidden * b;
+        scratch.reserve(frames, hb);
+        if frames == 0 {
+            return Ok(());
+        }
+        let width = xs.len() / frames;
+        debug_assert_eq!(width * frames, xs.len(), "whole frames");
+        let prec = precision.storage();
+        for (gate, plane) in [
+            (&self.w_z, &mut scratch.z),
+            (&self.w_r, &mut scratch.r),
+            (&self.w_n, &mut scratch.n),
+        ] {
+            for (x, out) in xs.chunks_exact(width).zip(plane.chunks_exact_mut(hb)) {
+                product(exec, gate, prec, x, b, out)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The recurrent half of [`CompiledGruLayer::step_batch_into`]: one
+    /// step from `hs_prev` on the input products in the gate planes' slot
+    /// `frame` (filled by [`CompiledGruLayer::input_products_into`]) —
+    /// `U·h`, the biases, the activations, the f16 rounding and the blend —
+    /// into `hs_out` (`[hidden × b]`).
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn recurrent_into(
+        &self,
+        exec: &rtm_exec::Executor,
+        hs_prev: &[f32],
+        b: usize,
+        precision: RuntimePrecision,
+        scratch: &mut GruRuntimeScratch,
+        frame: usize,
+        hs_out: &mut [f32],
+    ) -> Result<(), ExecError> {
         // Hardware rounding where the host has it; the reference step keeps
         // the software conversion, and the two agree on every `f32`.
         let quantize = |v: &mut [f32]| {
@@ -199,47 +266,50 @@ impl CompiledGruLayer {
         };
         let prec = precision.storage();
         let hb = self.hidden * b;
-        scratch.reserve(hb);
-        hs_out.resize(hb, 0.0);
-        let product = |gate: &GateMatrix, xs: &[f32], out: &mut [f32]| {
-            if b == 1 {
-                exec.spmv_into(gate.kernel(), prec, xs, out)
-            } else {
-                exec.spmm_into(gate.kernel(), prec, xs, b, out)
-            }
-        };
+        let slot = frame * hb..(frame + 1) * hb;
+        let GruRuntimeScratch { z, r, n, rh, tmp } = scratch;
+        let (z, r, n) = (&mut z[slot.clone()], &mut r[slot.clone()], &mut n[slot]);
 
-        product(&self.w_z, xs, &mut scratch.z)?;
-        product(&self.u_z, hs_prev, &mut scratch.tmp)?;
-        Vector::axpy(1.0, &scratch.tmp, &mut scratch.z);
-        rtm_tensor::simd::broadcast_add(&self.b_z, b, &mut scratch.z);
-        sigmoid_slice(&mut scratch.z);
-        quantize(&mut scratch.z);
+        product(exec, &self.u_z, prec, hs_prev, b, tmp)?;
+        Vector::axpy(1.0, tmp, z);
+        rtm_tensor::simd::broadcast_add(&self.b_z, b, z);
+        sigmoid_slice(z);
+        quantize(z);
 
-        product(&self.w_r, xs, &mut scratch.r)?;
-        product(&self.u_r, hs_prev, &mut scratch.tmp)?;
-        Vector::axpy(1.0, &scratch.tmp, &mut scratch.r);
-        rtm_tensor::simd::broadcast_add(&self.b_r, b, &mut scratch.r);
-        sigmoid_slice(&mut scratch.r);
-        quantize(&mut scratch.r);
+        product(exec, &self.u_r, prec, hs_prev, b, tmp)?;
+        Vector::axpy(1.0, tmp, r);
+        rtm_tensor::simd::broadcast_add(&self.b_r, b, r);
+        sigmoid_slice(r);
+        quantize(r);
 
-        Vector::hadamard_into(&scratch.r, hs_prev, &mut scratch.rh);
-        product(&self.w_n, xs, &mut scratch.n)?;
-        product(&self.u_n, &scratch.rh, &mut scratch.tmp)?;
-        Vector::axpy(1.0, &scratch.tmp, &mut scratch.n);
-        rtm_tensor::simd::broadcast_add(&self.b_n, b, &mut scratch.n);
-        tanh_slice(&mut scratch.n);
-        quantize(&mut scratch.n);
+        Vector::hadamard_into(r, hs_prev, rh);
+        product(exec, &self.u_n, prec, rh, b, tmp)?;
+        Vector::axpy(1.0, tmp, n);
+        rtm_tensor::simd::broadcast_add(&self.b_n, b, n);
+        tanh_slice(n);
+        quantize(n);
 
-        for (((hi, &zi), &ni), &hp) in hs_out
-            .iter_mut()
-            .zip(&scratch.z)
-            .zip(&scratch.n)
-            .zip(hs_prev)
-        {
+        for (((hi, &zi), &ni), &hp) in hs_out.iter_mut().zip(&*z).zip(&*n).zip(hs_prev) {
             *hi = (1.0 - zi) * ni + zi * hp;
         }
         quantize(hs_out);
         Ok(())
+    }
+}
+
+/// One gate product for `b` lanes: the production step's one kernel entry
+/// per lane count.
+fn product(
+    exec: &rtm_exec::Executor,
+    gate: &GateMatrix,
+    prec: rtm_sparse::Precision,
+    xs: &[f32],
+    b: usize,
+    out: &mut [f32],
+) -> Result<(), ExecError> {
+    if b == 1 {
+        exec.spmv_into(gate.kernel(), prec, xs, out)
+    } else {
+        exec.spmm_into(gate.kernel(), prec, xs, b, out)
     }
 }

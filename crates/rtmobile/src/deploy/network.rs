@@ -11,6 +11,12 @@ use rtm_tensor::f16::{quantize_f16, quantize_f16_slice};
 use rtm_tensor::gemm::RowTiles;
 use rtm_tensor::{Matrix, Vector};
 
+/// Frames per chunk of [`CompiledNetwork::forward_with`]: each gate's
+/// weights serve this many frames back to back. Sixteen `[hidden]` planes
+/// of three gates and two activations stay well inside L2 at hidden 1024,
+/// and sixteen frames are 160 ms of a 10 ms hop.
+const CHUNK: usize = 16;
+
 /// One tuner measurement riding along with a compiled model: the seconds
 /// the compile-time kernel probe measured for the format × precision a
 /// layer was deployed at (stored as microseconds). Persisting these in the
@@ -342,40 +348,110 @@ impl CompiledNetwork {
     }
 
     /// [`CompiledNetwork::forward`] on a parallel [`rtm_exec::Executor`]:
-    /// the production frame loop ([`CompiledNetwork::forward_frame_batch`])
-    /// at one lane, so every gate SpMV is row-parallel across the pool.
-    /// Bit-identical to the serial forward for any thread count: pooled and
-    /// serial steps run the same row-range kernel of each gate (see
-    /// [`GateMatrix::kernel`]), so the per-gate accumulation order is
-    /// preserved. Allocates nothing per frame but the returned logits row.
+    /// the production loop for one utterance. It runs the frames in chunks
+    /// of up to 16, layer by layer: each layer first takes the three input
+    /// products `W·x` of every frame of the chunk (so each gate's weights
+    /// serve the chunk back to back while they are cache-hot), then runs
+    /// the recurrence over the chunk's frames in order; the state carries
+    /// from chunk to chunk, and the head runs once per frame at the end of
+    /// the chunk. Both halves are those of
+    /// [`CompiledGruLayer::step_batch_into`] at one lane, so every gate
+    /// product is the one-lane row-parallel
+    /// [`spmv_into`](rtm_exec::Executor::spmv_into) and the head the
+    /// one-lane row tiles of [`CompiledNetwork::forward_frame_batch`]:
+    /// bit-identical to the serial forward for any thread count, with the
+    /// same kernel counts (see [`GateMatrix::kernel`]).
+    ///
+    /// The buffers are sized for one chunk once per call, whatever the
+    /// utterance's length; the call allocates nothing per frame but the
+    /// returned logits row.
     ///
     /// # Panics
     ///
     /// Panics if the frame dimension does not match the compiled model, or
     /// if a kernel task panics.
     pub fn forward_with(&self, exec: &rtm_exec::Executor, frames: &[Vec<f32>]) -> Vec<Vec<f32>> {
+        let widest = self.layers.iter().map(|l| l.hidden).max().unwrap_or(0);
         let mut states: Vec<Vec<f32>> = self.layers.iter().map(|l| vec![0.0; l.hidden]).collect();
         let mut scratch = GruRuntimeScratch::new();
-        let mut x: Vec<f32> = Vec::new();
-        let mut h_next: Vec<f32> = Vec::new();
+        scratch.reserve(CHUNK, widest);
+        let mut xs = Vec::with_capacity(CHUNK * self.input_dim().max(widest));
+        let mut ys = Vec::with_capacity(CHUNK * widest);
         let mut logits = Vec::with_capacity(frames.len());
-        for frame in frames {
-            x.clear();
-            x.extend_from_slice(frame);
-            let mut out = Vec::with_capacity(self.head_b.len());
-            self.forward_frame_batch(
+        for chunk in frames.chunks(CHUNK) {
+            self.forward_chunk(
                 exec,
-                &mut x,
-                1,
+                chunk,
                 &mut states,
                 &mut scratch,
-                &mut h_next,
-                &mut out,
+                [&mut xs, &mut ys],
+                &mut logits,
             )
             .expect("frame dims match the compiled model");
-            logits.push(out);
         }
         logits
+    }
+
+    /// One chunk of [`CompiledNetwork::forward_with`]: `chunk`'s frames
+    /// through every layer, carrying `states` (one `[hidden]` vector per
+    /// layer) across, and one logits row per frame appended to `logits`.
+    /// `planes` are the chunk's frame-major activation planes, in and out
+    /// of a layer.
+    fn forward_chunk(
+        &self,
+        exec: &rtm_exec::Executor,
+        chunk: &[Vec<f32>],
+        states: &mut [Vec<f32>],
+        scratch: &mut GruRuntimeScratch,
+        [xs, ys]: [&mut Vec<f32>; 2],
+        logits: &mut Vec<Vec<f32>>,
+    ) -> Result<(), ExecError> {
+        let mut width = self.input_dim();
+        xs.clear();
+        for frame in chunk {
+            if frame.len() != width {
+                return Err(ExecError::Shape(rtm_tensor::ShapeError {
+                    op: "forward_with frame",
+                    lhs: (width, 1),
+                    rhs: (frame.len(), 1),
+                }));
+            }
+            xs.extend_from_slice(frame);
+        }
+        if self.precision == RuntimePrecision::F16 {
+            quantize_f16_slice(xs);
+        }
+        let k = chunk.len();
+        for (layer, h) in self.layers.iter().zip(states.iter_mut()) {
+            layer.input_products_into(exec, xs, k, 1, layer.precision, scratch)?;
+            width = layer.hidden;
+            ys.resize(k * width, 0.0);
+            for t in 0..k {
+                let (done, rest) = ys.split_at_mut(t * width);
+                let h_prev = if t == 0 {
+                    &h[..]
+                } else {
+                    &done[(t - 1) * width..]
+                };
+                layer.recurrent_into(
+                    exec,
+                    h_prev,
+                    1,
+                    layer.precision,
+                    scratch,
+                    t,
+                    &mut rest[..width],
+                )?;
+            }
+            h.copy_from_slice(&ys[(k - 1) * width..]);
+            std::mem::swap(xs, ys);
+        }
+        for t in 0..k {
+            let mut out = vec![0.0; self.head_b.len()];
+            self.head_into(&xs[t * width..(t + 1) * width], 1, &mut out)?;
+            logits.push(out);
+        }
+        Ok(())
     }
 
     /// Per-frame argmax predictions through the parallel executor.
@@ -439,6 +515,12 @@ impl CompiledNetwork {
             xs.extend_from_slice(hs);
         }
         logits.resize(self.head_b.len() * b, 0.0);
+        self.head_into(xs, b, logits)
+    }
+
+    /// The dense head for `b` lanes: `xs` is `[hidden × b]` lane-major,
+    /// `logits` the `[classes × b]` output.
+    fn head_into(&self, xs: &[f32], b: usize, logits: &mut [f32]) -> Result<(), ExecError> {
         // At one lane the head's rows are the lanes (DESIGN.md §8); batched
         // lanes stay the lanes of the row-major tile, which wins every
         // measured `b > 1`.

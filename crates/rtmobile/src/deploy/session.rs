@@ -106,6 +106,12 @@ pub struct BatchedSession<'a> {
     xs: Vec<f32>,
     hs_next: Vec<f32>,
     logits: Vec<f32>,
+    /// `frame -> lane` of the step in progress.
+    step_lanes: Vec<usize>,
+    /// `lane -> stepped yet?`, the duplicate check of an unaligned step.
+    seen: Vec<bool>,
+    /// `frame -> quarantined this step?`.
+    condemned: Vec<bool>,
 }
 
 /// What one incremental [`BatchedSession::step`] produced.
@@ -178,6 +184,9 @@ impl<'a> BatchedSession<'a> {
             xs: Vec::new(),
             hs_next: Vec::new(),
             logits: Vec::new(),
+            step_lanes: Vec::with_capacity(capacity),
+            seen: Vec::with_capacity(capacity),
+            condemned: Vec::with_capacity(capacity),
         }
     }
 
@@ -360,30 +369,43 @@ impl<'a> BatchedSession<'a> {
     /// model and [`ExecError::WorkerPanicked`] if a kernel task panics; the
     /// lanes' states are unspecified afterwards.
     ///
+    /// The step's working buffers are the session's own: in steady state a
+    /// step allocates only what the returned [`StepOutput`] holds (and what
+    /// a configured decoder allocates).
+    ///
     /// # Panics
     ///
     /// Panics if a token holds no lane or appears twice in `frames`.
     pub fn step(&mut self, frames: &[(usize, &[f32])]) -> Result<StepOutput, ExecError> {
-        let mut out = StepOutput::default();
         let r = frames.len();
         if r == 0 {
-            return Ok(out);
+            return Ok(StepOutput::default());
         }
+        let mut out = StepOutput {
+            logits: Vec::with_capacity(r),
+            ..StepOutput::default()
+        };
         let b = self.lanes.len();
         let classes = self.net.head_b.len();
-        let lane_of: Vec<usize> = frames
-            .iter()
-            .map(|&(token, _)| self.lane_of(token).expect("token holds no lane"))
-            .collect();
+        let lanes = &self.lanes;
+        let lane_of = &mut self.step_lanes;
+        lane_of.clear();
+        lane_of.extend(frames.iter().map(|&(token, _)| {
+            lanes
+                .iter()
+                .position(|&t| t == token)
+                .expect("token holds no lane")
+        }));
         // The all-lanes-in-order case (every lockstep caller, and any tick
         // where all streams kept up) steps the resident planes directly;
         // a proper subset steps through gathered sub-batch planes.
         let aligned = r == b && lane_of.iter().enumerate().all(|(jj, &j)| jj == j);
         if !aligned {
-            let mut seen = vec![false; b];
-            for &j in &lane_of {
-                assert!(!seen[j], "token {} stepped twice", self.lanes[j]);
-                seen[j] = true;
+            self.seen.clear();
+            self.seen.resize(b, false);
+            for &j in lane_of.iter() {
+                assert!(!self.seen[j], "token {} stepped twice", lanes[j]);
+                self.seen[j] = true;
             }
             let _span = rtm_trace::span("deploy.lane_gather");
             for (plane, sub) in self.states.iter().zip(self.sub_states.iter_mut()) {
@@ -455,7 +477,10 @@ impl<'a> BatchedSession<'a> {
         // Health scan over the stepped lanes' planes and logits. Lanes are
         // arithmetically independent, so a fault in one implies nothing
         // about the others — only faulty lanes are condemned.
-        let mut condemned = vec![false; r];
+        let lane_of = &self.step_lanes;
+        let condemned = &mut self.condemned;
+        condemned.clear();
+        condemned.resize(r, false);
         if self.health.scans() {
             let stepped: &[Vec<f32>] = if aligned {
                 &self.states

@@ -117,9 +117,14 @@ RTM_DECODER=ctc-beam:4 cargo test -q "${knob_crates[@]}"
 #
 # The register tiles are `#[inline]` + `#[target_feature]` unsafe code that
 # serves only as a release build; the passes above test the debug one.
+#
+# The same holds one level up: the one-utterance chunked loop, the one-lane
+# head tiles and the f16 tiles run here as they ship, against the reference.
 if [[ "$quick" -eq 0 ]]; then
   echo "==> cargo test -q --release -p rtm-tensor -p rtm-sparse (the kernels as they ship)"
   cargo test -q --release -p rtm-tensor -p rtm-sparse
+  echo "==> cargo test -q --release -p rtmobile (the production loops as they ship)"
+  cargo test -q --release -p rtmobile --test forward_chunk_contract --test head_tile_contract --test f16_tile_contract
   echo "==> cargo test --release -p rtm-tensor -- --ignored (f16 rounding + sigmoid/tanh sweeps, all 2^32 inputs)"
   cargo test --release -p rtm-tensor -- --ignored
 fi

@@ -3,8 +3,10 @@
 //! needs, neither the serial driver nor a 1-thread executor touches the
 //! heap — for any format, precision or lane count. One level up the same
 //! holds for the production GRU step: a frame through
-//! `forward_frame_batch` allocates nothing, and `forward_with` allocates
-//! only the logits it returns.
+//! `forward_frame_batch` allocates nothing, `forward_with` allocates only
+//! the logits it returns (its chunk planes are sized once per call, not per
+//! frame), and a `BatchedSession::step` allocates only the `StepOutput` it
+//! returns.
 //!
 //! Own test binary (see `crates/rtmobile/Cargo.toml`): it installs a
 //! counting `#[global_allocator]` and pins the process-global trace switch
@@ -20,7 +22,9 @@ use rtm_rnn::GruNetwork;
 use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix, Precision, SparseKernel};
 use rtm_tensor::simd::{self, SimdPolicy, Variant};
 use rtm_tensor::Matrix;
-use rtmobile::deploy::{CompiledNetwork, GruRuntimeScratch, RuntimeFormat, RuntimePrecision};
+use rtmobile::deploy::{
+    BatchedSession, CompiledNetwork, GruRuntimeScratch, RuntimeFormat, RuntimePrecision, StepOutput,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Mutex;
@@ -224,6 +228,69 @@ fn production_step_allocates_only_the_returned_logits() {
                     step();
                 }
                 assert_eq!(allocated() - before, 0, "forward_frame_batch {what} b={b}");
+            }
+        }
+    }
+}
+
+/// The heap bytes `out` owns: its three vectors and every logits row.
+fn held_bytes(out: &StepOutput) -> u64 {
+    let rows: usize = out.logits.iter().map(|(_, row)| row.capacity() * 4).sum();
+    (out.logits.capacity() * std::mem::size_of::<(usize, Vec<f32>)>()
+        + rows
+        + out.quarantined.capacity() * std::mem::size_of::<usize>()
+        + out.hypotheses.capacity() * std::mem::size_of::<(usize, rtm_speech::Hypothesis)>())
+        as u64
+}
+
+#[test]
+fn session_step_allocates_only_its_output() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    rtm_trace::set_config(rtm_trace::TraceConfig::off());
+    let (input, classes) = (6usize, 5usize);
+    let net = GruNetwork::new(
+        &NetworkConfig {
+            input_dim: input,
+            hidden_dims: vec![16, 16],
+            num_classes: classes,
+        },
+        78,
+    );
+    let compiled = CompiledNetwork::compile(&net, 4, 4, RuntimePrecision::F16).unwrap();
+    let exec = Executor::new(1);
+    let frame: Vec<f32> = (0..input).map(|i| (i as f32 * 0.37).sin()).collect();
+
+    for b in [1usize, 8] {
+        let mut session = BatchedSession::new(&compiled, &exec, b);
+        (0..b).for_each(|token| assert!(session.admit(token)));
+        // Every lane in lane order steps the resident planes; every other
+        // lane, last lane first, steps gathered sub-batch planes (a subset
+        // exists only above one lane).
+        let aligned: Vec<(usize, &[f32])> = (0..b).map(|token| (token, &frame[..])).collect();
+        let subset: Vec<(usize, &[f32])> = (0..b)
+            .rev()
+            .step_by(2)
+            .map(|token| (token, &frame[..]))
+            .collect();
+        let mut cases = vec![("aligned", aligned)];
+        if b > 1 {
+            cases.push(("unaligned subset", subset));
+        }
+        // Warm-up: the session's planes and buffers grow to each case. A
+        // step swaps each stepped state plane with its output buffer, so
+        // the buffers circulate, and a few rounds grow every one of them.
+        for _ in 0..4 {
+            for (_, frames) in &cases {
+                session.step(frames).unwrap();
+            }
+        }
+        for _ in 0..20 {
+            for (what, frames) in &cases {
+                let before = allocated();
+                let out = session.step(frames).unwrap();
+                let spent = allocated() - before;
+                assert_eq!(out.logits.len(), frames.len(), "{what} b={b}");
+                assert_eq!(spent, held_bytes(&out), "step, {what} b={b}");
             }
         }
     }
