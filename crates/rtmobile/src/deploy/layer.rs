@@ -1,5 +1,6 @@
 //! One compiled GRU layer and its two step bodies: the serial reference
-//! and the lane-major production step.
+//! and the lane-major production step, in two halves (the input products,
+//! then the recurrence) that the production frame loops share.
 
 use super::format::{GateMatrix, RuntimeFormat, RuntimePrecision};
 use rtm_exec::ExecError;
@@ -223,10 +224,7 @@ impl CompiledGruLayer {
     ) -> Result<(), ExecError> {
         let hb = self.hidden * b;
         scratch.reserve(frames, hb);
-        if frames == 0 {
-            return Ok(());
-        }
-        let width = xs.len() / frames;
+        let width = xs.len() / frames.max(1);
         debug_assert_eq!(width * frames, xs.len(), "whole frames");
         let prec = precision.storage();
         for (gate, plane) in [
@@ -234,8 +232,9 @@ impl CompiledGruLayer {
             (&self.w_r, &mut scratch.r),
             (&self.w_n, &mut scratch.n),
         ] {
-            for (x, out) in xs.chunks_exact(width).zip(plane.chunks_exact_mut(hb)) {
-                product(exec, gate, prec, x, b, out)?;
+            for t in 0..frames {
+                let x = &xs[t * width..(t + 1) * width];
+                product(exec, gate, prec, x, b, &mut plane[t * hb..(t + 1) * hb])?;
             }
         }
         Ok(())

@@ -9,17 +9,19 @@
 //! activations round through IEEE binary16, modelling the paper's 16-bit
 //! GPU datapath.
 //!
-//! Two execution paths exist (DESIGN.md §9.1): the serial *reference*
+//! Three frame loops exist (DESIGN.md §9.1): the serial *reference*
 //! ([`CompiledNetwork::forward`], no executor, the oracle every
-//! bit-identity suite compares against) and the lane-major *production*
-//! path ([`CompiledNetwork::forward_frame_batch`] over
-//! [`CompiledGruLayer::step_batch_into`]) that every executor-driven entry
-//! — [`CompiledNetwork::forward_with`] at one lane, [`BatchedSession`] at
-//! any lane count — runs.
+//! bit-identity suite compares against) and two production loops over one
+//! split step body — the lockstep lanes of
+//! [`CompiledNetwork::forward_frame_batch`] (one frame of `b` streams
+//! through [`CompiledGruLayer::step_batch_into`], what [`BatchedSession`]
+//! runs) and the one-utterance loop of [`CompiledNetwork::forward_with`]
+//! (a chunk of frames of one stream, layer by layer, through the same
+//! step's input and recurrent halves).
 //!
 //! * `format` — [`RuntimePrecision`], [`RuntimeFormat`], [`GateMatrix`];
 //! * `layer` — [`CompiledGruLayer`], [`GruRuntimeScratch`], the two steps;
-//! * `network` — [`CompiledNetwork`]: compile, accessors, the two loops;
+//! * `network` — [`CompiledNetwork`]: compile, accessors, the three loops;
 //! * `session` — [`BatchedSession`]: lane scheduling only.
 
 mod format;

@@ -1,5 +1,6 @@
 //! The compiled network: lowering a trained GRU to sparse storage, and the
-//! two frame loops (serial reference, lane-major production) over it.
+//! three frame loops over it (serial reference, lockstep lanes, one
+//! utterance in chunks).
 
 use super::format::{GateMatrix, RuntimeFormat, RuntimePrecision};
 use super::layer::{CompiledGruLayer, GruRuntimeScratch};
@@ -12,9 +13,10 @@ use rtm_tensor::gemm::RowTiles;
 use rtm_tensor::{Matrix, Vector};
 
 /// Frames per chunk of [`CompiledNetwork::forward_with`]: each gate's
-/// weights serve this many frames back to back. Sixteen `[hidden]` planes
-/// of three gates and two activations stay well inside L2 at hidden 1024,
-/// and sixteen frames are 160 ms of a 10 ms hop.
+/// weights serve this many frames back to back. At hidden 1024 the chunk's
+/// three gate planes and two activation planes take 320 KB, which leaves a
+/// layer's recurrent weights room in L2; chunks of 4 to 32 frames measured
+/// alike (EXPERIMENTS.md B3).
 const CHUNK: usize = 16;
 
 /// One tuner measurement riding along with a compiled model: the seconds
@@ -395,8 +397,8 @@ impl CompiledNetwork {
     /// One chunk of [`CompiledNetwork::forward_with`]: `chunk`'s frames
     /// through every layer, carrying `states` (one `[hidden]` vector per
     /// layer) across, and one logits row per frame appended to `logits`.
-    /// `planes` are the chunk's frame-major activation planes, in and out
-    /// of a layer.
+    /// `xs` and `ys` are the chunk's frame-major activation planes, into and
+    /// out of a layer; they trade places between layers.
     fn forward_chunk(
         &self,
         exec: &rtm_exec::Executor,
