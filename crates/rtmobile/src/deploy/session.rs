@@ -401,11 +401,12 @@ impl<'a> BatchedSession<'a> {
         // a proper subset steps through gathered sub-batch planes.
         let aligned = r == b && lane_of.iter().enumerate().all(|(jj, &j)| jj == j);
         if !aligned {
-            self.seen.clear();
-            self.seen.resize(b, false);
+            let seen = &mut self.seen;
+            seen.clear();
+            seen.resize(b, false);
             for &j in lane_of.iter() {
-                assert!(!self.seen[j], "token {} stepped twice", lanes[j]);
-                self.seen[j] = true;
+                assert!(!seen[j], "token {} stepped twice", lanes[j]);
+                seen[j] = true;
             }
             let _span = rtm_trace::span("deploy.lane_gather");
             for (plane, sub) in self.states.iter().zip(self.sub_states.iter_mut()) {
