@@ -20,7 +20,7 @@
 
 use crate::plan::{ExecutionPlan, InputPlacement, StorageFormat};
 use rtm_sparse::footprint::Precision;
-use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix};
+use rtm_sparse::BspcMatrix;
 use rtm_tensor::Matrix;
 use std::fmt::Write as _;
 
@@ -49,8 +49,6 @@ pub fn generate(w: &Matrix, plan: &ExecutionPlan, name: &str) -> GeneratedKernel
         StorageFormat::Dense => generate_dense(w, plan, name),
         StorageFormat::Csr => generate_csr(w, plan, name),
         StorageFormat::Bspc => generate_bspc(w, plan, name),
-        StorageFormat::Bbs => generate_bbs(w, plan, name),
-        StorageFormat::Csb => generate_csb(w, plan, name),
     }
 }
 
@@ -144,94 +142,6 @@ fn generate_csr(w: &Matrix, plan: &ExecutionPlan, name: &str) -> GeneratedKernel
         s,
         "        acc += values[i] * x[col_idx[i]]; // scattered gather"
     );
-    let _ = writeln!(s, "    y[row] = acc;");
-    let _ = writeln!(s, "}}");
-    GeneratedKernel {
-        source: s,
-        entry_point: name.to_string(),
-        global_work_size: rows.next_multiple_of(plan.threads.max(1)),
-        local_work_size: plan.threads,
-    }
-}
-
-fn generate_bbs(w: &Matrix, plan: &ExecutionPlan, name: &str) -> GeneratedKernel {
-    let ty = scalar_type(plan);
-    let (rows, cols) = w.shape();
-    let banks = plan.bsp_blocks.min(cols.max(1)).max(1);
-    let bbs = BbsMatrix::from_dense(w, banks).expect("banks clamped to shape");
-    let stride = bbs.row_stride();
-    let mut s = header(plan, name);
-    let _ = writeln!(
-        s,
-        "    __global const {ty}* restrict values,  // padded ELL, {stride} slots/row"
-    );
-    let _ = writeln!(s, "    __global const uint* restrict col_idx,");
-    let _ = writeln!(s, "    __global const {ty}* restrict x,");
-    let _ = writeln!(s, "    __global {ty}* restrict y)");
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "    const int row = get_global_id(0);");
-    let _ = writeln!(s, "    if (row >= {rows}) return;");
-    let _ = writeln!(s, "    {ty} acc = ({ty})0;");
-    let _ = writeln!(s, "    const uint off = (uint)row * {stride};");
-    let _ = writeln!(s, "    #pragma unroll {}", plan.unroll);
-    let _ = writeln!(s, "    for (uint i = 0; i < {stride}; ++i)");
-    let _ = writeln!(
-        s,
-        "        acc += values[off + i] * x[col_idx[off + i]]; // pads hit value 0"
-    );
-    let _ = writeln!(s, "    y[row] = acc;");
-    let _ = writeln!(s, "}}");
-    GeneratedKernel {
-        source: s,
-        entry_point: name.to_string(),
-        global_work_size: rows.next_multiple_of(plan.threads.max(1)),
-        local_work_size: plan.threads,
-    }
-}
-
-fn generate_csb(w: &Matrix, plan: &ExecutionPlan, name: &str) -> GeneratedKernel {
-    let ty = scalar_type(plan);
-    let (rows, cols) = w.shape();
-    let bh = rows.div_ceil(plan.bsp_stripes.min(rows.max(1)).max(1));
-    let bw = cols.div_ceil(plan.bsp_blocks.min(cols.max(1)).max(1));
-    let csb = CsbMatrix::from_dense(w, bh, bw).expect("blocks clamped to shape");
-    let mut s = header(plan, name);
-    let _ = writeln!(
-        s,
-        "    __global const {ty}* restrict values,  // {} stored {bh}x{bw} block panels",
-        csb.stored_blocks()
-    );
-    let _ = writeln!(s, "    __global const uint* restrict block_ptr,");
-    let _ = writeln!(s, "    __global const uint* restrict col_ptr,");
-    let _ = writeln!(s, "    __global const uint* restrict cols_idx,");
-    let _ = writeln!(s, "    __global const uint* restrict val_ptr,");
-    let _ = writeln!(s, "    __global const {ty}* restrict x,");
-    let _ = writeln!(s, "    __global {ty}* restrict y)");
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "    const int row = get_global_id(0);");
-    let _ = writeln!(s, "    if (row >= {rows}) return;");
-    let _ = writeln!(s, "    const uint br = (uint)row / {bh};");
-    let _ = writeln!(s, "    const uint lr = (uint)row - br * {bh};");
-    let _ = writeln!(
-        s,
-        "    const uint bh_eff = min((uint){bh}, (uint){rows} - br * {bh});"
-    );
-    let _ = writeln!(s, "    {ty} acc = ({ty})0;");
-    let _ = writeln!(
-        s,
-        "    for (uint blk = block_ptr[br]; blk < block_ptr[br + 1]; ++blk) {{"
-    );
-    let _ = writeln!(s, "        const uint c0 = col_ptr[blk];");
-    let _ = writeln!(s, "        const uint kc = col_ptr[blk + 1] - c0;");
-    let _ = writeln!(s, "        const uint v0 = val_ptr[blk] + lr * kc;");
-    let _ = writeln!(s, "        #pragma unroll {}", plan.unroll);
-    let _ = writeln!(s, "        for (uint j = 0; j < kc; ++j)");
-    let _ = writeln!(
-        s,
-        "            acc += values[v0 + j] * x[cols_idx[c0 + j]]; // panel row dot"
-    );
-    let _ = writeln!(s, "    }}");
-    let _ = writeln!(s, "    (void)bh_eff;");
     let _ = writeln!(s, "    y[row] = acc;");
     let _ = writeln!(s, "}}");
     GeneratedKernel {

@@ -39,7 +39,6 @@
 //! ```
 
 pub mod codegen;
-pub mod fusion;
 pub mod plan;
 pub mod profile;
 pub mod reorder;
@@ -47,7 +46,6 @@ pub mod rle;
 pub mod tuner;
 
 pub use codegen::GeneratedKernel;
-pub use fusion::FusedMatrix;
 pub use plan::{ExecutionPlan, StorageFormat, Target};
 pub use profile::KernelProfile;
 pub use reorder::ReorderPlan;

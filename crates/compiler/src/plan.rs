@@ -37,12 +37,6 @@ pub enum StorageFormat {
     Csr,
     /// Block-based Structured Pruning Compact (paper §IV-B-c).
     Bspc,
-    /// Bank-balanced sparse (uniform per-row-per-bank nonzero budget,
-    /// padded ELL storage — load balance by construction).
-    Bbs,
-    /// Compressed structured blocks (CSR over dense-ish block panels —
-    /// pattern-pruned weights keep whole small blocks).
-    Csb,
 }
 
 impl fmt::Display for StorageFormat {
@@ -51,8 +45,6 @@ impl fmt::Display for StorageFormat {
             StorageFormat::Dense => write!(f, "dense"),
             StorageFormat::Csr => write!(f, "csr"),
             StorageFormat::Bspc => write!(f, "bspc"),
-            StorageFormat::Bbs => write!(f, "bbs"),
-            StorageFormat::Csb => write!(f, "csb"),
         }
     }
 }

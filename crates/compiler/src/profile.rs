@@ -11,7 +11,7 @@
 use crate::plan::{ExecutionPlan, InputPlacement, StorageFormat, Target};
 use crate::reorder::{divergence, imbalance, imbalance_round_robin, ReorderPlan};
 use rtm_sparse::footprint::Footprint;
-use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix};
+use rtm_sparse::{BspcMatrix, CsrMatrix};
 use rtm_tensor::Matrix;
 
 /// SIMT warp width used for the divergence metric (Adreno-class wave size).
@@ -124,36 +124,6 @@ impl KernelProfile {
                     fp.index_bytes,
                     bspc.index_words(),
                     loads,
-                )
-            }
-            StorageFormat::Bbs => {
-                let banks = plan.bsp_blocks.min(cols.max(1)).max(1);
-                let bbs = BbsMatrix::from_dense(w, banks).expect("banks clamped to shape");
-                let fp = Footprint::bbs(&bbs, plan.precision);
-                // Uniform slots per row: the padded ELL stream multiplies
-                // explicit zeros (like BSPC pattern zeros) and decodes one
-                // column index per slot.
-                (
-                    bbs.stored_len(),
-                    fp.value_bytes,
-                    fp.index_bytes,
-                    bbs.stored_len(),
-                    cols,
-                )
-            }
-            StorageFormat::Csb => {
-                let bh = rows.div_ceil(plan.bsp_stripes.min(rows.max(1)).max(1));
-                let bw = cols.div_ceil(plan.bsp_blocks.min(cols.max(1)).max(1));
-                let csb = CsbMatrix::from_dense(w, bh, bw).expect("blocks clamped to shape");
-                let fp = Footprint::csb(&csb, plan.precision);
-                // Index decode is per stored block plus its kept-column
-                // list, not per nonzero — the panel amortizes the rest.
-                (
-                    csb.stored_len(),
-                    fp.value_bytes,
-                    fp.index_bytes,
-                    csb.stored_blocks() + csb.cols_idx().len(),
-                    cols,
                 )
             }
         };

@@ -44,12 +44,7 @@ impl TuningSpace {
     pub fn gpu_default() -> TuningSpace {
         TuningSpace {
             target: Target::MobileGpu,
-            formats: vec![
-                StorageFormat::Csr,
-                StorageFormat::Bbs,
-                StorageFormat::Csb,
-                StorageFormat::Bspc,
-            ],
+            formats: vec![StorageFormat::Csr, StorageFormat::Bspc],
             tile_rows: vec![32, 64, 128],
             tile_cols: vec![128, 256, 512],
             unrolls: vec![2, 4, 8],
@@ -63,12 +58,7 @@ impl TuningSpace {
     pub fn cpu_default() -> TuningSpace {
         TuningSpace {
             target: Target::MobileCpu,
-            formats: vec![
-                StorageFormat::Csr,
-                StorageFormat::Bbs,
-                StorageFormat::Csb,
-                StorageFormat::Bspc,
-            ],
+            formats: vec![StorageFormat::Csr, StorageFormat::Bspc],
             tile_rows: vec![16, 32, 64],
             tile_cols: vec![256, 512],
             unrolls: vec![1, 4, 8],
@@ -293,9 +283,8 @@ pub struct FormatCost {
 /// lane-interleaved SpMM path instead of SpMV, matching how the runtime
 /// will actually call the layer.
 ///
-/// BSPC partitions into `stripes × blocks`; BBS uses `blocks` banks; CSB
-/// uses `rows/stripes × cols/blocks` block panels — the same mapping the
-/// deploy path applies, so the measured encodings are the ones that ship.
+/// BSPC partitions into `stripes × blocks` — the same mapping the deploy
+/// path applies, so the measured encodings are the ones that ship.
 ///
 /// Formats whose encoder rejects the matrix (degenerate partitions) cost
 /// `f64::INFINITY` and therefore lose the search rather than failing it.
@@ -308,7 +297,7 @@ pub fn measure_format_costs(
     batch: usize,
     iters: usize,
 ) -> Vec<FormatCost> {
-    use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix, SparseKernel};
+    use rtm_sparse::{BspcMatrix, CsrMatrix, SparseKernel};
     // Mirrors measure_precision_costs: each candidate's measured cost lands
     // as a `tuner.format_cost_us.<fmt>.<prec>` gauge under one span.
     let _span = rtm_trace::span("tuner.measure_format_costs");
@@ -322,9 +311,6 @@ pub fn measure_format_costs(
         .map(|_| rng.gen_f32() * 2.0 - 1.0)
         .collect();
     let mut ys = vec![0.0f32; rows * batch];
-    fn boxed<K: SparseKernel + 'static, E>(k: Result<K, E>) -> Option<Box<dyn SparseKernel>> {
-        k.ok().map(|k| Box::new(k) as Box<dyn SparseKernel>)
-    }
     formats
         .iter()
         .map(|&format| {
@@ -335,13 +321,9 @@ pub fn measure_format_costs(
             let encoded: Option<Box<dyn SparseKernel>> = match format {
                 StorageFormat::Dense => None,
                 StorageFormat::Csr => Some(Box::new(CsrMatrix::from_dense(w))),
-                StorageFormat::Bspc => boxed(BspcMatrix::from_dense(w, stripes, blocks)),
-                StorageFormat::Bbs => boxed(BbsMatrix::from_dense(w, blocks.min(cols.max(1)))),
-                StorageFormat::Csb => boxed(CsbMatrix::from_dense(
-                    w,
-                    rows.div_ceil(stripes).max(1),
-                    cols.div_ceil(blocks).max(1),
-                )),
+                StorageFormat::Bspc => BspcMatrix::from_dense(w, stripes, blocks)
+                    .ok()
+                    .map(|k| Box::new(k) as Box<dyn SparseKernel>),
             };
             let sweep = |ys: &mut [f32]| match (&encoded, batch) {
                 (Some(k), 1) => k.spmv_prec_into(precision, &xs, ys),
@@ -526,8 +508,6 @@ mod tests {
             StorageFormat::Dense,
             StorageFormat::Csr,
             StorageFormat::Bspc,
-            StorageFormat::Bbs,
-            StorageFormat::Csb,
         ];
         for batch in [1usize, 4] {
             let measured = measure_format_costs(&w, &formats, Precision::F32, 8, 8, batch, 2);
@@ -550,7 +530,7 @@ mod tests {
         use rtm_sparse::Precision;
         assert_eq!(select_format(&[]), StorageFormat::Bspc);
         let inf = [FormatCost {
-            format: StorageFormat::Csb,
+            format: StorageFormat::Csr,
             precision: Precision::F32,
             seconds: f64::INFINITY,
         }];
@@ -562,21 +542,12 @@ mod tests {
                 seconds: 2.0,
             },
             FormatCost {
-                format: StorageFormat::Bbs,
+                format: StorageFormat::Csr,
                 precision: Precision::F32,
                 seconds: 1.0,
             },
         ];
-        assert_eq!(select_format(&costs), StorageFormat::Bbs);
-    }
-
-    #[test]
-    fn tuning_space_includes_new_formats() {
-        for space in [TuningSpace::gpu_default(), TuningSpace::cpu_default()] {
-            let cands = space.candidates();
-            assert!(cands.iter().any(|p| p.format == StorageFormat::Bbs));
-            assert!(cands.iter().any(|p| p.format == StorageFormat::Csb));
-        }
+        assert_eq!(select_format(&costs), StorageFormat::Csr);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use spmv::Executor;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix, Precision, SparseKernel};
+    use rtm_sparse::{BspcMatrix, CsrMatrix, Precision, SparseKernel};
     use rtm_tensor::rng::StdRng;
     use rtm_tensor::Matrix;
 
@@ -129,29 +129,20 @@ mod tests {
 
     /// Checks serial SpMV against an oracle that shares no code with the
     /// kernels: the scalar-u1 dot of each row of `dense` (what
-    /// `gemm::gemv` computes under `RTM_SIMD=off`). A `column_ordered`
-    /// format accumulates a row's terms as one chain in ascending column
-    /// order — the oracle's order, zeros aside — so the simd contract
-    /// applies: exact under the scalar variants, within 4 ULPs at the
-    /// accumulation magnitude under the vector one. Otherwise (CSB sums
-    /// per-block partials) the classical reorder bound `2·nnz` ULPs holds.
-    fn assert_matches_dense(
-        y: &[f32],
-        dense: &Matrix,
-        x: &[f32],
-        column_ordered: bool,
-        what: &str,
-    ) {
+    /// `gemm::gemv` computes under `RTM_SIMD=off`). Every format
+    /// accumulates a row's terms as one chain in ascending column order —
+    /// the oracle's order, zeros aside — so the simd contract applies:
+    /// exact under the scalar variants, within 4 ULPs at the accumulation
+    /// magnitude under the vector one.
+    fn assert_matches_dense(y: &[f32], dense: &Matrix, x: &[f32], what: &str) {
         use rtm_tensor::simd::{self, Variant};
         for (r, &got) in y.iter().enumerate() {
             let row = dense.row(r);
             let want = simd::dot_variant(Variant::ScalarU1, row, x);
             let mag: f32 = row.iter().zip(x).map(|(&w, &xc)| (w * xc).abs()).sum();
-            let nnz = row.iter().filter(|&&w| w != 0.0).count();
-            let ulps = match (column_ordered, simd::active_variant()) {
-                (true, Variant::Vector) => 4.0,
-                (true, _) => 0.0,
-                (false, _) => 2.0 * nnz.max(1) as f32,
+            let ulps = match simd::active_variant() {
+                Variant::Vector => 4.0,
+                _ => 0.0,
             };
             assert!(
                 (got - want).abs() <= ulps * simd::ulp_at(mag),
@@ -165,7 +156,7 @@ mod tests {
     /// dense oracle; pooled SpMV bit-identical to serial; every lane of
     /// the serial SpMM bit-identical to the serial SpMV of its column; and
     /// pooled SpMM bit-identical to serial SpMM.
-    fn check<K: SparseKernel>(k: &K, dense: &Matrix, column_ordered: bool, seed: u64) {
+    fn check<K: SparseKernel>(k: &K, dense: &Matrix, seed: u64) {
         let (rows, cols) = (k.rows(), k.cols());
         let execs = pools();
         let x = input(cols, seed + 100);
@@ -174,12 +165,12 @@ mod tests {
             let mut serial = vec![f32::NAN; rows];
             k.spmv_prec_into(prec, &x, &mut serial).unwrap();
             match prec {
-                Precision::F32 => assert_matches_dense(&serial, dense, &x, column_ordered, &what),
+                Precision::F32 => assert_matches_dense(&serial, dense, &x, &what),
                 // Decoding f16 is exact: the f16 kernel is the f32 kernel
                 // on f16-rounded weights.
                 Precision::F16 => {
                     let rounded = dense.map(rtm_tensor::f16::quantize_f16);
-                    assert_matches_dense(&serial, &rounded, &x, column_ordered, &what);
+                    assert_matches_dense(&serial, &rounded, &x, &what);
                 }
                 // Int8 error bounds are format-specific (scale
                 // granularity) and pinned by the rtm-sparse unit tests.
@@ -219,7 +210,7 @@ mod tests {
     fn bspc_parallel_matches_serial_bit_exact() {
         for seed in 0..5u64 {
             let w = bsp_random(64, 48, 4, 4, 0.3, 0.8, seed);
-            check(&BspcMatrix::from_dense(&w, 4, 4).unwrap(), &w, true, seed);
+            check(&BspcMatrix::from_dense(&w, 4, 4).unwrap(), &w, seed);
         }
     }
 
@@ -227,23 +218,7 @@ mod tests {
     fn csr_parallel_matches_serial_bit_exact() {
         for seed in 0..5u64 {
             let w = bsp_random(57, 33, 3, 3, 0.4, 0.7, seed);
-            check(&CsrMatrix::from_dense(&w), &w, true, seed);
-        }
-    }
-
-    #[test]
-    fn bbs_parallel_matches_serial_every_precision() {
-        for seed in 0..3u64 {
-            let w = bsp_random(61, 47, 3, 3, 0.35, 0.8, seed);
-            check(&BbsMatrix::from_dense(&w, 4).unwrap(), &w, true, seed);
-        }
-    }
-
-    #[test]
-    fn csb_parallel_matches_serial_every_precision() {
-        for seed in 0..3u64 {
-            let w = bsp_random(53, 39, 3, 3, 0.35, 0.8, seed);
-            check(&CsbMatrix::from_dense(&w, 6, 5).unwrap(), &w, false, seed);
+            check(&CsrMatrix::from_dense(&w), &w, seed);
         }
     }
 
@@ -289,30 +264,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn bbs_csb_empty_and_shape_errors() {
-        let w = Matrix::zeros(8, 8);
-        let bb = BbsMatrix::from_dense(&w, 2).unwrap();
-        let cb = CsbMatrix::from_dense(&w, 2, 2).unwrap();
-        let exec = Executor::new(4);
-        assert_eq!(pooled_spmv(&exec, &bb, &[1.0; 8]), vec![0.0; 8]);
-        assert_eq!(pooled_spmv(&exec, &cb, &[1.0; 8]), vec![0.0; 8]);
-        let mut y = vec![0.0; 8];
-        assert!(exec
-            .spmv_into(&bb, Precision::F32, &[0.0; 7], &mut y)
-            .is_err());
-        assert!(exec
-            .spmv_into(&cb, Precision::F32, &[0.0; 7], &mut y)
-            .is_err());
-        let mut bad = vec![0.0; 9];
-        assert!(exec
-            .spmm_into(&bb, Precision::F32, &[0.0; 8], 1, &mut bad)
-            .is_err());
-        assert!(exec
-            .spmm_into(&cb, Precision::F32, &[0.0; 8], 1, &mut bad)
-            .is_err());
     }
 
     #[test]

@@ -354,8 +354,8 @@ impl Projection for BankBalanced {
 /// on ties, so runs are deterministic), and every block then adopts the
 /// dictionary pattern that retains the most energy (Σv²).
 ///
-/// The resulting support is exactly what `rtm_sparse::CsbMatrix` likes:
-/// whole small blocks share one of a few kept-column lists.
+/// The resulting support is block-structured: whole small blocks share one
+/// of a few kept-column lists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PatternMask {
     block_w: usize,

@@ -121,10 +121,10 @@ fn print_help() {
     println!();
     println!("  --format picks the sparse storage format of the compiled runtime:");
     println!("  bspc (default; the paper's block-based structured pruning format),");
-    println!("  csr, bbs, csb, or auto (time the four formats against each layer's");
-    println!("  actual pruned weights and pick the fastest per layer, with a");
-    println!("  PER-degradation guard). The RTM_FORMAT environment variable sets");
-    println!("  the same knob.");
+    println!("  csr (the unstructured baseline), or auto (time both formats against");
+    println!("  each layer's actual pruned weights and pick the fastest per layer,");
+    println!("  with a PER-degradation guard). The RTM_FORMAT environment variable");
+    println!("  sets the same knob.");
     println!();
     println!("  --decoder picks the streaming decoder: argmax (default; per-frame");
     println!("  best class), viterbi (transition-penalty smoothing), ctc-greedy");
@@ -464,7 +464,7 @@ fn compile(args: &[String]) -> ExitCode {
     let p = &report.performance;
     println!(
         "compiled PER {:.2}%, precision {} ({} f32 / {} f16 / {} int8), \
-         format {} ({} bspc / {} csr / {} bbs / {} csb), guards: precision {}, format {}",
+         format {} ({} bspc / {} csr), guards: precision {}, format {}",
         report.accuracy.compiled_per,
         p.precision,
         p.layers_f32,
@@ -473,8 +473,6 @@ fn compile(args: &[String]) -> ExitCode {
         p.format,
         p.layers_bspc,
         p.layers_csr,
-        p.layers_bbs,
-        p.layers_csb,
         if p.precision_guard_tripped {
             "TRIPPED"
         } else {

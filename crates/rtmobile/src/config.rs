@@ -59,7 +59,7 @@ impl PrecisionChoice {
 pub enum FormatChoice {
     /// Compile every layer into this format.
     Fixed(RuntimeFormat),
-    /// Measure the BSPC/CSR/BBS/CSB kernels per layer shape and pick the
+    /// Measure the BSPC and CSR kernels per layer shape and pick the
     /// fastest per layer, subject to the pipeline's accuracy guard (a
     /// PER-degradation bound versus the all-BSPC baseline; violations fall
     /// back to all-BSPC).
@@ -67,8 +67,8 @@ pub enum FormatChoice {
 }
 
 impl FormatChoice {
-    /// Parses `"bspc"`, `"csr"`, `"bbs"`, `"csb"` or `"auto"` (the
-    /// `RTM_FORMAT` / `--format` grammar).
+    /// Parses `"bspc"`, `"csr"` or `"auto"` (the `RTM_FORMAT` / `--format`
+    /// grammar).
     pub fn parse(s: &str) -> Option<FormatChoice> {
         if s == "auto" {
             Some(FormatChoice::Auto)
@@ -388,13 +388,13 @@ mod tests {
         for choice in [
             FormatChoice::Fixed(RuntimeFormat::Bspc),
             FormatChoice::Fixed(RuntimeFormat::Csr),
-            FormatChoice::Fixed(RuntimeFormat::Bbs),
-            FormatChoice::Fixed(RuntimeFormat::Csb),
             FormatChoice::Auto,
         ] {
             assert_eq!(FormatChoice::parse(choice.tag()), Some(choice));
         }
         assert_eq!(FormatChoice::parse("coo"), None);
+        assert_eq!(FormatChoice::parse("bbs"), None, "retired format");
+        assert_eq!(FormatChoice::parse("csb"), None, "retired format");
         assert_eq!(FormatChoice::parse("dense"), None);
         let c = RuntimeConfig::default().with_format(FormatChoice::Auto);
         assert_eq!(c.format, Some(FormatChoice::Auto));
@@ -479,7 +479,7 @@ mod tests {
             .with_simd(SimdPolicy::Fixed(Variant::ScalarU1))
             .with_health(HealthPolicy::Quarantine)
             .with_trace(rtm_trace::TraceConfig::on())
-            .with_format(FormatChoice::Fixed(crate::deploy::RuntimeFormat::Csb))
+            .with_format(FormatChoice::Fixed(crate::deploy::RuntimeFormat::Csr))
             .with_admission(
                 AdmissionConfig::unbounded()
                     .with_queue_depth(3)
@@ -499,7 +499,7 @@ mod tests {
         assert_eq!(c.trace, Some(rtm_trace::TraceConfig::on()));
         assert_eq!(
             c.format,
-            Some(FormatChoice::Fixed(crate::deploy::RuntimeFormat::Csb))
+            Some(FormatChoice::Fixed(crate::deploy::RuntimeFormat::Csr))
         );
         assert_eq!(c.admission.queue_depth, 3);
         assert_eq!(c.serve.port, 9099);

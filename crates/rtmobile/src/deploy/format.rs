@@ -4,7 +4,7 @@
 use rtm_compiler::StorageFormat;
 use rtm_sparse::footprint::Footprint;
 use rtm_sparse::io::DecodeError;
-use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix, SparseKernel};
+use rtm_sparse::{BspcMatrix, CsrMatrix, SparseKernel};
 
 /// Numeric mode of the compiled runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -60,9 +60,9 @@ impl RuntimePrecision {
 
 /// Sparse storage format the compiled runtime's gate kernels walk.
 ///
-/// The paper's BSPC is the default; the zoo adds the ESE-style CSR
-/// baseline, bank-balanced BBS, and block-panel CSB so the tuner can pick
-/// per layer (see [`super::CompiledNetwork::compile_with_formats`]).
+/// The paper's BSPC is the default; the ESE-style CSR baseline is the one
+/// alternative, so the tuner can pick per layer (see
+/// [`super::CompiledNetwork::compile_with_formats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RuntimeFormat {
     /// Block-based structured pruning compact storage (the paper's format).
@@ -71,12 +71,6 @@ pub enum RuntimeFormat {
     /// Compressed sparse row — the unstructured baseline with a per-nonzero
     /// index decode.
     Csr,
-    /// Bank-balanced sparse: padded ELL with a uniform per-row slot budget,
-    /// load-balanced by construction.
-    Bbs,
-    /// Compressed structured blocks: CSR over dense-ish block panels,
-    /// suited to pattern-pruned weights.
-    Csb,
 }
 
 impl RuntimeFormat {
@@ -85,18 +79,14 @@ impl RuntimeFormat {
         match self {
             RuntimeFormat::Bspc => StorageFormat::Bspc,
             RuntimeFormat::Csr => StorageFormat::Csr,
-            RuntimeFormat::Bbs => StorageFormat::Bbs,
-            RuntimeFormat::Csb => StorageFormat::Csb,
         }
     }
 
-    /// Short lowercase label ("bspc" / "csr" / "bbs" / "csb").
+    /// Short lowercase label ("bspc" / "csr").
     pub fn tag(self) -> &'static str {
         match self {
             RuntimeFormat::Bspc => "bspc",
             RuntimeFormat::Csr => "csr",
-            RuntimeFormat::Bbs => "bbs",
-            RuntimeFormat::Csb => "csb",
         }
     }
 
@@ -107,8 +97,6 @@ impl RuntimeFormat {
         match storage {
             StorageFormat::Bspc => Some(RuntimeFormat::Bspc),
             StorageFormat::Csr => Some(RuntimeFormat::Csr),
-            StorageFormat::Bbs => Some(RuntimeFormat::Bbs),
-            StorageFormat::Csb => Some(RuntimeFormat::Csb),
             StorageFormat::Dense => None,
         }
     }
@@ -118,8 +106,6 @@ impl RuntimeFormat {
         match s {
             "bspc" => Some(RuntimeFormat::Bspc),
             "csr" => Some(RuntimeFormat::Csr),
-            "bbs" => Some(RuntimeFormat::Bbs),
-            "csb" => Some(RuntimeFormat::Csb),
             _ => None,
         }
     }
@@ -132,18 +118,13 @@ impl RuntimeFormat {
 /// and pooled entries of every variant share the bit-exactness
 /// contract the executor tests pin down, so swapping the format never
 /// changes a computed number at f32/f16 (int8 codes differ per format
-/// because the scale granularity differs — per stripe-block, row block,
-/// row, or block panel).
+/// because the scale granularity differs — per stripe-block or row block).
 #[derive(Debug, Clone)]
 pub enum GateMatrix {
     /// BSPC storage (may carry the matrix-reorder permutation).
     Bspc(BspcMatrix),
     /// CSR storage.
     Csr(CsrMatrix),
-    /// Bank-balanced ELL storage.
-    Bbs(BbsMatrix),
-    /// Compressed-structured-block storage.
-    Csb(CsbMatrix),
 }
 
 impl GateMatrix {
@@ -152,8 +133,6 @@ impl GateMatrix {
         match self {
             GateMatrix::Bspc(_) => RuntimeFormat::Bspc,
             GateMatrix::Csr(_) => RuntimeFormat::Csr,
-            GateMatrix::Bbs(_) => RuntimeFormat::Bbs,
-            GateMatrix::Csb(_) => RuntimeFormat::Csb,
         }
     }
 
@@ -166,8 +145,6 @@ impl GateMatrix {
         match self {
             GateMatrix::Bspc(m) => m,
             GateMatrix::Csr(m) => m,
-            GateMatrix::Bbs(m) => m,
-            GateMatrix::Csb(m) => m,
         }
     }
 
@@ -187,8 +164,6 @@ impl GateMatrix {
         match self {
             GateMatrix::Bspc(m) => m.values(),
             GateMatrix::Csr(m) => m.values(),
-            GateMatrix::Bbs(m) => m.values(),
-            GateMatrix::Csb(m) => m.values(),
         }
     }
 
@@ -197,8 +172,6 @@ impl GateMatrix {
         match self {
             GateMatrix::Bspc(m) => Footprint::bspc(m, prec),
             GateMatrix::Csr(m) => Footprint::csr(m, prec),
-            GateMatrix::Bbs(m) => Footprint::bbs(m, prec),
-            GateMatrix::Csb(m) => Footprint::csb(m, prec),
         }
     }
 
@@ -208,8 +181,6 @@ impl GateMatrix {
         match self {
             GateMatrix::Bspc(m) => m.write_to(out, prec),
             GateMatrix::Csr(m) => m.write_to(out, prec),
-            GateMatrix::Bbs(m) => m.write_to(out, prec),
-            GateMatrix::Csb(m) => m.write_to(out, prec),
         }
     }
 
@@ -233,14 +204,6 @@ impl GateMatrix {
             RuntimeFormat::Csr => {
                 let (m, used) = CsrMatrix::read_from(bytes)?;
                 (GateMatrix::Csr(m), used)
-            }
-            RuntimeFormat::Bbs => {
-                let (m, used) = BbsMatrix::read_from(bytes)?;
-                (GateMatrix::Bbs(m), used)
-            }
-            RuntimeFormat::Csb => {
-                let (m, used) = CsbMatrix::read_from(bytes)?;
-                (GateMatrix::Csb(m), used)
             }
         })
     }

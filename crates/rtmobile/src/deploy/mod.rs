@@ -171,12 +171,7 @@ mod tests {
         assert!(p16 < p32, "f16 shrinks storage further: {p16} vs {p32}");
     }
 
-    const ALL_FORMATS: [RuntimeFormat; 4] = [
-        RuntimeFormat::Bspc,
-        RuntimeFormat::Csr,
-        RuntimeFormat::Bbs,
-        RuntimeFormat::Csb,
-    ];
+    const ALL_FORMATS: [RuntimeFormat; 2] = [RuntimeFormat::Bspc, RuntimeFormat::Csr];
 
     #[test]
     fn every_format_compiles_and_matches_dense() {
@@ -213,13 +208,13 @@ mod tests {
             4,
             &[],
             RuntimePrecision::F32,
-            &[RuntimeFormat::Bbs, RuntimeFormat::Csb],
+            &[RuntimeFormat::Csr],
             RuntimeFormat::Bspc,
         )
         .unwrap();
         assert_eq!(
             compiled.layer_formats(),
-            vec![RuntimeFormat::Bbs, RuntimeFormat::Csb]
+            vec![RuntimeFormat::Csr, RuntimeFormat::Bspc]
         );
         let dense = net.forward(&frames());
         for (d, s) in dense.iter().zip(&compiled.forward(&frames())) {
@@ -359,7 +354,7 @@ mod tests {
 
     #[test]
     fn format_zoo_storage_accounting_differs_per_format() {
-        // Same pruned weights, four formats: each format's byte accounting
+        // Same pruned weights, both formats: each format's byte accounting
         // reflects its own index structure, and every one prices all six
         // gates of both layers.
         let mut net = net();

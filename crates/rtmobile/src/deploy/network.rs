@@ -7,7 +7,7 @@ use super::layer::{CompiledGruLayer, GruRuntimeScratch};
 use rtm_compiler::reorder::ReorderPlan;
 use rtm_exec::ExecError;
 use rtm_rnn::GruNetwork;
-use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix};
+use rtm_sparse::{BspcMatrix, CsrMatrix};
 use rtm_tensor::f16::{quantize_f16, quantize_f16_slice};
 use rtm_tensor::gemm::RowTiles;
 use rtm_tensor::{Matrix, Vector};
@@ -36,8 +36,8 @@ pub struct TunerCost {
     pub micros: f32,
 }
 
-/// A GRU network compiled to sparse storage (BSPC by default; the format
-/// zoo's CSR/BBS/CSB per layer when selected).
+/// A GRU network compiled to sparse storage (BSPC by default; CSR per
+/// layer when selected).
 #[derive(Debug, Clone)]
 pub struct CompiledNetwork {
     pub(crate) layers: Vec<CompiledGruLayer>,
@@ -108,8 +108,7 @@ impl CompiledNetwork {
     /// into `per_layer_format[i]` (layers past the end use
     /// `default_format`). The `(stripes, blocks)` partition maps onto each
     /// format the same way the compiler's profiler prices them: BSPC uses
-    /// it directly, BBS takes `blocks` banks, CSB tiles `stripes × blocks`
-    /// block panels, CSR ignores it. This is the deployment hook for the
+    /// it directly, CSR ignores it. This is the deployment hook for the
     /// tuner's measured per-layer format selection.
     ///
     /// # Errors
@@ -155,23 +154,6 @@ impl CompiledNetwork {
                     GateMatrix::Bspc(BspcMatrix::from_dense(&q, s, b)?.with_reorder(perm)?)
                 }
                 RuntimeFormat::Csr => GateMatrix::Csr(CsrMatrix::from_dense(&q)),
-                // The clamps below mirror the compiler profile's pricing
-                // geometry exactly, so the tuner's measured costs describe
-                // the matrices actually deployed. Clamped geometry always
-                // fits the shape, hence the expects.
-                RuntimeFormat::Bbs => {
-                    let banks = blocks.min(cols.max(1)).max(1);
-                    GateMatrix::Bbs(
-                        BbsMatrix::from_dense(&q, banks).expect("banks clamped to shape"),
-                    )
-                }
-                RuntimeFormat::Csb => {
-                    let bh = rows.div_ceil(stripes.min(rows.max(1)).max(1));
-                    let bw = cols.div_ceil(blocks.min(cols.max(1)).max(1));
-                    GateMatrix::Csb(
-                        CsbMatrix::from_dense(&q, bh, bw).expect("blocks clamped to shape"),
-                    )
-                }
             })
         };
 

@@ -28,7 +28,7 @@ pub const HEALTH_VALUES: &str = "off, check or quarantine";
 /// Accepted values of `RTM_PRECISION` / `--precision`.
 pub const PRECISION_VALUES: &str = "f32, f16, int8 or auto";
 /// Accepted values of `RTM_FORMAT` / `--format`.
-pub const FORMAT_VALUES: &str = "bspc, csr, bbs, csb or auto";
+pub const FORMAT_VALUES: &str = "bspc, csr or auto";
 /// Accepted values of `RTM_DECODER` / `--decoder`.
 pub const DECODER_VALUES: &str = "argmax, viterbi, ctc-greedy or ctc-beam:N";
 
@@ -163,5 +163,16 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("RTM_SIMD"), "{msg}");
         assert!(msg.contains("warp"), "{msg}");
+    }
+
+    #[test]
+    fn format_grammar_is_exactly_what_the_parser_accepts() {
+        use crate::config::FormatChoice;
+        assert_eq!(super::FORMAT_VALUES, "bspc, csr or auto");
+        for word in super::FORMAT_VALUES.split([',', ' ']) {
+            if !word.is_empty() && word != "or" {
+                assert!(FormatChoice::parse(word).is_some(), "{word}");
+            }
+        }
     }
 }

@@ -27,7 +27,8 @@
 //!              micros f32
 //! ```
 //!
-//! Format bytes: 0 = BSPC, 1 = CSR, 2 = BBS, 3 = CSB. Version 5 (the
+//! Format bytes: 0 = BSPC, 1 = CSR. Tags 2 and 3 named the retired BBS and
+//! CSB formats and now fail with [`DecodeError::BadFormat`]. Version 5 (the
 //! checksummed bundle container) is the only container that decodes; any
 //! other version — including the flat, checksum-free versions 2–4 that
 //! predate it — is rejected with [`DecodeError::BadVersion`].
@@ -46,12 +47,7 @@ pub const MAGIC: &[u8; 4] = b"RTMF";
 pub const VERSION: u16 = 5;
 
 /// Wire tag of each storage format: the tag is the position in this table.
-const FORMAT_BY_TAG: [RuntimeFormat; 4] = [
-    RuntimeFormat::Bspc,
-    RuntimeFormat::Csr,
-    RuntimeFormat::Bbs,
-    RuntimeFormat::Csb,
-];
+const FORMAT_BY_TAG: [RuntimeFormat; 2] = [RuntimeFormat::Bspc, RuntimeFormat::Csr];
 
 /// The `[precision, format]` tag pair that opens the network body and
 /// closes every layer header, tuner record and health-table row.
@@ -332,12 +328,7 @@ mod tests {
             },
             31,
         );
-        for format in [
-            RuntimeFormat::Bspc,
-            RuntimeFormat::Csr,
-            RuntimeFormat::Bbs,
-            RuntimeFormat::Csb,
-        ] {
+        for format in [RuntimeFormat::Bspc, RuntimeFormat::Csr] {
             for precision in [
                 RuntimePrecision::F32,
                 RuntimePrecision::F16,
@@ -374,14 +365,14 @@ mod tests {
             2,
             &[],
             RuntimePrecision::F32,
-            &[RuntimeFormat::Bbs, RuntimeFormat::Csb],
+            &[RuntimeFormat::Csr],
             RuntimeFormat::Bspc,
         )
         .expect("partition fits");
         let decoded = from_bytes(&to_bytes(&net)).expect("decodes");
         assert_eq!(
             decoded.layer_formats(),
-            vec![RuntimeFormat::Bbs, RuntimeFormat::Csb]
+            vec![RuntimeFormat::Csr, RuntimeFormat::Bspc]
         );
         assert_eq!(decoded.format(), RuntimeFormat::Bspc);
         assert_eq!(net.forward(&frames()), decoded.forward(&frames()));
@@ -396,7 +387,7 @@ mod tests {
         let costs = vec![
             TunerCost {
                 layer: 0,
-                format: RuntimeFormat::Bbs,
+                format: RuntimeFormat::Csr,
                 precision: RuntimePrecision::Int8,
                 micros: 12.5,
             },
@@ -438,15 +429,27 @@ mod tests {
             .iter()
             .find(|s| &s.tag == b"WGHT")
             .expect("WGHT section");
-        // Without resealing, the corruption is caught by the file checksum
-        // before any field decoder sees it.
-        let mut corrupt = bytes.clone();
-        corrupt[wght.payload_offset + 1] = 9;
-        assert_eq!(from_bytes(&corrupt).unwrap_err(), DecodeError::FileChecksum);
-        // Resealed (an adversarial edit, not rot), the typed field error
-        // surfaces: body offset 1 is the network format byte.
-        assert!(crate::bundle::reseal(&mut corrupt));
-        assert_eq!(from_bytes(&corrupt).unwrap_err(), DecodeError::BadFormat(9));
+        // Tags 2 and 3 named the retired BBS and CSB formats: a bundle that
+        // still carries one fails with the same typed error as any unknown
+        // tag. Body offset 1 is the network format byte, offset 11 the
+        // first layer's (after the layer count, hidden width and precision).
+        for tag in [2u8, 3, 9] {
+            for offset in [1, 11] {
+                // Without resealing, the corruption is caught by the file
+                // checksum before any field decoder sees it.
+                let mut corrupt = bytes.clone();
+                corrupt[wght.payload_offset + offset] = tag;
+                assert_eq!(from_bytes(&corrupt).unwrap_err(), DecodeError::FileChecksum);
+                // Resealed (an adversarial edit, not rot), the typed field
+                // error surfaces.
+                assert!(crate::bundle::reseal(&mut corrupt));
+                assert_eq!(
+                    from_bytes(&corrupt).unwrap_err(),
+                    DecodeError::BadFormat(tag),
+                    "tag {tag} at body offset {offset}"
+                );
+            }
+        }
     }
 
     #[test]

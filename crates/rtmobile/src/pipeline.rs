@@ -243,15 +243,10 @@ impl RtMobile {
             }
         };
         // Format axis: a fixed choice compiles uniformly; `auto` encodes
-        // each layer's actual pruned recurrent gate in all four formats at
-        // the layer's resolved precision, times a real SpMV (and batched
-        // SpMM when `batch > 1`) sweep, and keeps the fastest per layer.
-        let format_candidates = [
-            StorageFormat::Bspc,
-            StorageFormat::Csr,
-            StorageFormat::Bbs,
-            StorageFormat::Csb,
-        ];
+        // each layer's actual pruned recurrent gate in both formats at the
+        // layer's resolved precision, times a real SpMV (and batched SpMM
+        // when `batch > 1`) sweep, and keeps the fastest per layer.
+        let format_candidates = [StorageFormat::Bspc, StorageFormat::Csr];
         let (default_format, per_layer_format): (RuntimeFormat, Vec<RuntimeFormat>) =
             match format_choice {
                 FormatChoice::Fixed(f) => (f, Vec::new()),
@@ -551,8 +546,6 @@ impl RtMobile {
                 format: format_choice.tag(),
                 layers_bspc: count_fmt(RuntimeFormat::Bspc),
                 layers_csr: count_fmt(RuntimeFormat::Csr),
-                layers_bbs: count_fmt(RuntimeFormat::Bbs),
-                layers_csb: count_fmt(RuntimeFormat::Csb),
                 storage_bytes: compiled.storage_bytes(),
                 precision_guard_tripped,
                 format_guard_tripped,

@@ -62,17 +62,13 @@ pub struct PerformanceReport {
     pub layers_f16: usize,
     /// Layers compiled at int8 storage.
     pub layers_int8: usize,
-    /// The storage-format choice the run resolved to (`"bspc"`, `"csr"`,
-    /// `"bbs"`, `"csb"` or `"auto"`).
+    /// The storage-format choice the run resolved to (`"bspc"`, `"csr"` or
+    /// `"auto"`).
     pub format: &'static str,
     /// Layers compiled to BSPC storage.
     pub layers_bspc: usize,
     /// Layers compiled to CSR storage.
     pub layers_csr: usize,
-    /// Layers compiled to BBS storage.
-    pub layers_bbs: usize,
-    /// Layers compiled to CSB storage.
-    pub layers_csb: usize,
     /// Compiled model storage in bytes at the deployed precisions and
     /// formats (sparse index structure plus values and scale metadata).
     pub storage_bytes: usize,
@@ -194,8 +190,8 @@ impl PipelineReport {
         );
         let _ = writeln!(
             s,
-            "  format: {} ({} bspc / {} csr / {} bbs / {} csb layers)",
-            p.format, p.layers_bspc, p.layers_csr, p.layers_bbs, p.layers_csb
+            "  format: {} ({} bspc / {} csr layers)",
+            p.format, p.layers_bspc, p.layers_csr
         );
         let _ = writeln!(
             s,
@@ -346,8 +342,6 @@ impl Report for PipelineReport {
                     ("format", JsonValue::Str(p.format.into())),
                     ("layers_bspc", JsonValue::Int(p.layers_bspc as i64)),
                     ("layers_csr", JsonValue::Int(p.layers_csr as i64)),
-                    ("layers_bbs", JsonValue::Int(p.layers_bbs as i64)),
-                    ("layers_csb", JsonValue::Int(p.layers_csb as i64)),
                     ("storage_bytes", JsonValue::Int(p.storage_bytes as i64)),
                     (
                         "precision_guard_tripped",
@@ -501,11 +495,9 @@ mod tests {
                 layers_f32: 0,
                 layers_f16: 2,
                 layers_int8: 0,
-                format: "bbs",
+                format: "csr",
                 layers_bspc: 0,
-                layers_csr: 0,
-                layers_bbs: 2,
-                layers_csb: 0,
+                layers_csr: 2,
                 storage_bytes: 2048,
                 precision_guard_tripped: false,
                 format_guard_tripped: false,
@@ -530,7 +522,7 @@ mod tests {
         assert!(text.contains("10.0x compression"));
         assert!(text.contains("31.70x ESE"));
         assert!(text.contains("precision: f16 (0 f32 / 2 f16 / 0 int8 layers)"));
-        assert!(text.contains("format: bbs (0 bspc / 0 csr / 2 bbs / 0 csb layers)"));
+        assert!(text.contains("format: csr (0 bspc / 2 csr layers)"));
         assert!(text.contains("2.0 KiB"));
         assert!(!text.contains("serving:"));
         assert!(!text.contains("guards:"), "untripped guards stay quiet");
@@ -579,8 +571,8 @@ mod tests {
         assert!(json.contains("\"gpu\": {\"time_us\": 100.00"));
         assert!(json.contains("\"precision\": \"f16\""));
         assert!(json.contains("\"layers_int8\": 0"));
-        assert!(json.contains("\"format\": \"bbs\""));
-        assert!(json.contains("\"layers_bbs\": 2"));
+        assert!(json.contains("\"format\": \"csr\""));
+        assert!(json.contains("\"layers_csr\": 2"));
         assert!(json.contains("\"storage_bytes\": 2048"));
         assert!(json.contains("\"precision_guard_tripped\": false"));
         assert!(json.contains("\"format_guard_tripped\": false"));

@@ -6,7 +6,7 @@
 //! bytes moved, so the numbers here directly drive the Table II and
 //! ablation-A3 results.
 
-use crate::{BbsMatrix, BspcMatrix, CsbMatrix, CscMatrix, CsrMatrix};
+use crate::{BspcMatrix, CscMatrix, CsrMatrix};
 use rtm_tensor::Matrix;
 
 /// Size in bytes of one stored weight scalar.
@@ -110,42 +110,6 @@ impl Footprint {
             index_bytes: m.index_words() * 4,
             scale_bytes: if prec == Precision::Int8 {
                 m.num_stripes() * m.num_blocks() * 4
-            } else {
-                0
-            },
-        }
-    }
-
-    /// Footprint of a bank-balanced matrix: every padded slot stores one
-    /// scalar and one `u32` column index (padding is the format's price —
-    /// it is charged here); int8 adds one f32 scale per row.
-    pub fn bbs(m: &BbsMatrix, prec: Precision) -> Footprint {
-        Footprint {
-            value_bytes: m.stored_len() * prec.bytes(),
-            index_bytes: m.col_idx().len() * 4,
-            scale_bytes: if prec == Precision::Int8 {
-                m.rows() * 4
-            } else {
-                0
-            },
-        }
-    }
-
-    /// Footprint of a compressed-structured-block matrix: the per-block
-    /// value panels plus all structural words (block pointers, block
-    /// columns, kept-column unions and both prefix arrays); int8 adds one
-    /// f32 scale per stored block.
-    pub fn csb(m: &CsbMatrix, prec: Precision) -> Footprint {
-        let index_words = m.block_ptr().len()
-            + m.block_col().len()
-            + m.col_ptr().len()
-            + m.cols_idx().len()
-            + m.val_ptr().len();
-        Footprint {
-            value_bytes: m.stored_len() * prec.bytes(),
-            index_bytes: index_words * 4,
-            scale_bytes: if prec == Precision::Int8 {
-                m.stored_blocks() * 4
             } else {
                 0
             },

@@ -1,11 +1,11 @@
-//! Binary (de)serialization of the four sparse storage formats — the
+//! Binary (de)serialization of the two runtime sparse storage formats — the
 //! on-flash "compact data format for pruned model storage" of §IV-B-c, made
-//! concrete for BSPC and for the CSR/BBS/CSB members of the format zoo.
+//! concrete for BSPC and for the CSR baseline.
 //!
 //! Every blob has the same three parts (all little-endian):
 //!
 //! ```text
-//! prologue  magic 4 B ("BSPC" | "CSRM" | "BBSM" | "CSBM"), version u16 (= 1),
+//! prologue  magic 4 B ("BSPC" | "CSRM"), version u16 (= 1),
 //!           precision u8 (0 = f32, 1 = f16, 2 = int8)
 //! index     the format's own header and index arrays (tables below)
 //! values    f32:  count × 4 B scalars
@@ -24,16 +24,11 @@
 //!       reorder_flag u8 (0/1), reorder rows × u32 when 1
 //! CSR   rows, cols u32 · row_ptr (rows + 1) · col_idx (nnz) ·
 //!       VALUES (one scale per block of `ROW_BLOCK` rows)
-//! BBS   rows, cols, num_banks, bank_nnz u32 · col_idx (one per slot) ·
-//!       VALUES (one per slot; one scale per row)
-//! CSB   rows, cols, block_h, block_w, stored_blocks u32 · block_ptr ·
-//!       block_col · col_ptr · cols_idx · val_ptr · VALUES (one scale per
-//!       stored block)
 //! ```
 //!
-//! Only BSPC stores a value count; the others derive it from their
-//! validated index arrays, so no count read from the wire is trusted
-//! further than the [`Reader`] can back it with bytes.
+//! Only BSPC stores a value count; CSR derives it from its validated row
+//! pointers, so no count read from the wire is trusted further than the
+//! [`Reader`] can back it with bytes.
 //!
 //! Values serialized at [`Precision::F16`] round through binary16, exactly
 //! the loss the mobile GPU path accepts; deserialization always restores
@@ -41,9 +36,7 @@
 //! and installs the stored codes as the authoritative int8 sidecar — the
 //! codes, not a float re-derivation, round-trip bit-exactly.
 
-use crate::bbs::BbsMatrix;
 use crate::bspc::{BspcError, BspcMatrix};
-use crate::csb::CsbMatrix;
 use crate::csr::CsrMatrix;
 use crate::footprint::Precision;
 use rtm_tensor::wire::{BufMut, Reader, Truncated};
@@ -53,12 +46,6 @@ use std::fmt;
 
 /// Magic bytes opening every serialized BSPC matrix.
 pub const MAGIC: &[u8; 4] = b"BSPC";
-
-/// Magic bytes opening every serialized BBS matrix.
-pub const MAGIC_BBS: &[u8; 4] = b"BBSM";
-
-/// Magic bytes opening every serialized CSB matrix.
-pub const MAGIC_CSB: &[u8; 4] = b"CSBM";
 
 /// Magic bytes opening every serialized CSR matrix.
 pub const MAGIC_CSR: &[u8; 4] = b"CSRM";
@@ -82,7 +69,7 @@ pub enum DecodeError {
     BadFormat(u8),
     /// The decoded structure failed validation.
     Invalid(BspcError),
-    /// The decoded structure of a shape-validated format (BBS/CSB) failed
+    /// The decoded structure of a shape-validated format (CSR) failed
     /// validation.
     InvalidShape(ShapeError),
     /// A decoded weight value is NaN or infinite (rejected when the caller
@@ -253,7 +240,7 @@ macro_rules! blob_entry_points {
     )*};
 }
 
-blob_entry_points!(BspcMatrix, CsrMatrix, BbsMatrix, CsbMatrix);
+blob_entry_points!(BspcMatrix, CsrMatrix);
 
 /// Writes the value payload: f32 scalars, f16 bit patterns, or the int8
 /// sidecar's scales followed by its codes.
@@ -457,89 +444,6 @@ impl Blob for CsrMatrix {
     }
 }
 
-impl Blob for BbsMatrix {
-    const MAGIC: &'static [u8; 4] = MAGIC_BBS;
-
-    fn write_body(&self, out: &mut Vec<u8>, precision: Precision) {
-        out.put_u32_le(self.rows() as u32);
-        out.put_u32_le(self.cols() as u32);
-        out.put_u32_le(self.num_banks() as u32);
-        out.put_u32_le(self.bank_nnz() as u32);
-        out.put_u32s(self.col_idx());
-        let (scales, codes) = (self.int8_scales(), self.values_i8());
-        put_values(out, precision, self.values(), scales, codes);
-    }
-
-    fn read_body(r: &mut Reader<'_>, precision: Precision) -> Result<Self, DecodeError> {
-        let [rows, cols, num_banks, bank_nnz] = header(r)?;
-        // The slot count is derived, never read from the wire.
-        let row_slots = num_banks.checked_mul(bank_nnz);
-        let row_slots = row_slots.ok_or(DecodeError::Truncated)?;
-        let slots = rows.checked_mul(row_slots).ok_or(DecodeError::Truncated)?;
-        let col_idx = r.u32s(slots)?;
-        let runs = (0..rows).map(|row| (row_slots, row));
-        let (values, int8) = read_values(r, precision, slots, rows, runs)?;
-        let matrix = BbsMatrix::from_parts(rows, cols, num_banks, bank_nnz, col_idx, values)?;
-        install_sidecar(matrix, int8, BbsMatrix::with_int8_sidecar)
-    }
-}
-
-impl Blob for CsbMatrix {
-    const MAGIC: &'static [u8; 4] = MAGIC_CSB;
-
-    fn write_body(&self, out: &mut Vec<u8>, precision: Precision) {
-        out.put_u32_le(self.rows() as u32);
-        out.put_u32_le(self.cols() as u32);
-        out.put_u32_le(self.block_h() as u32);
-        out.put_u32_le(self.block_w() as u32);
-        out.put_u32_le(self.stored_blocks() as u32);
-        out.put_u32s(self.block_ptr());
-        out.put_u32s(self.block_col());
-        out.put_u32s(self.col_ptr());
-        out.put_u32s(self.cols_idx());
-        out.put_u32s(self.val_ptr());
-        let (scales, codes) = (self.int8_scales(), self.values_i8());
-        put_values(out, precision, self.values(), scales, codes);
-    }
-
-    fn read_body(r: &mut Reader<'_>, precision: Precision) -> Result<Self, DecodeError> {
-        let [rows, cols, block_h, block_w, nblocks] = header(r)?;
-        let bad_shape = DecodeError::InvalidShape(ShapeError {
-            op: "csb_decode",
-            lhs: (rows, cols),
-            rhs: (block_h, block_w),
-        });
-        // Validate before trusting any count for a division or a read.
-        if block_h == 0 || block_w == 0 {
-            return Err(bad_shape);
-        }
-        let nbr = rows.div_ceil(block_h);
-        // A block row stores at most `num_block_cols` blocks.
-        if nblocks > nbr.saturating_mul(cols.div_ceil(block_w)) {
-            return Err(DecodeError::Truncated);
-        }
-
-        let block_ptr = r.u32s(nbr + 1)?;
-        let block_col = r.u32s(nblocks)?;
-        let col_ptr = r.u32s(nblocks + 1)?;
-        let cols_idx = r.u32s(col_ptr[nblocks] as usize)?;
-        let val_ptr = r.u32s(nblocks + 1)?;
-        if val_ptr[0] != 0 || val_ptr.windows(2).any(|w| w[0] > w[1]) {
-            return Err(bad_shape);
-        }
-        let value_count = val_ptr[nblocks] as usize;
-        let runs = val_ptr
-            .windows(2)
-            .enumerate()
-            .map(|(block, w)| ((w[1] - w[0]) as usize, block));
-        let (values, int8) = read_values(r, precision, value_count, nblocks, runs)?;
-        let matrix = CsbMatrix::from_parts(
-            rows, cols, block_h, block_w, block_ptr, block_col, col_ptr, cols_idx, val_ptr, values,
-        )?;
-        install_sidecar(matrix, int8, CsbMatrix::with_int8_sidecar)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -733,9 +637,8 @@ mod tests {
         }
     }
 
-    mod bbs_csb {
+    mod csr {
         use super::*;
-        use crate::{BbsMatrix, CsbMatrix};
 
         fn sample_dense() -> Matrix {
             Matrix::from_fn(9, 8, |r, c| {
@@ -745,53 +648,6 @@ mod tests {
                     0.0
                 }
             })
-        }
-
-        #[test]
-        fn bbs_roundtrips_all_precisions() {
-            let m = BbsMatrix::from_dense(&sample_dense(), 2).unwrap();
-            let bytes = m.to_bytes(Precision::F32);
-            let (d, used) = BbsMatrix::read_from(&bytes).expect("decodes");
-            assert_eq!(used, bytes.len());
-            assert_eq!(d, m);
-
-            let bytes = m.to_bytes(Precision::F16);
-            let (d, _) = BbsMatrix::read_from(&bytes).expect("decodes");
-            assert_eq!(d.col_idx(), m.col_idx());
-            for (a, b) in m.values().iter().zip(d.values()) {
-                assert!((a - b).abs() <= a.abs() * 1e-3 + 1e-4, "{a} vs {b}");
-            }
-
-            let bytes = m.to_bytes(Precision::Int8);
-            let (d, used) = BbsMatrix::read_from(&bytes).expect("decodes");
-            assert_eq!(used, bytes.len());
-            assert_eq!(d.values_i8(), m.values_i8());
-            assert_eq!(d.int8_scales(), m.int8_scales());
-            // Re-encode is byte-identical — the sidecar install guarantees it.
-            assert_eq!(d.to_bytes(Precision::Int8), bytes);
-        }
-
-        #[test]
-        fn csb_roundtrips_all_precisions() {
-            let m = CsbMatrix::from_dense(&sample_dense(), 3, 4).unwrap();
-            let bytes = m.to_bytes(Precision::F32);
-            let (d, used) = CsbMatrix::read_from(&bytes).expect("decodes");
-            assert_eq!(used, bytes.len());
-            assert_eq!(d, m);
-
-            let bytes = m.to_bytes(Precision::F16);
-            let (d, _) = CsbMatrix::read_from(&bytes).expect("decodes");
-            assert_eq!(d.cols_idx(), m.cols_idx());
-            for (a, b) in m.values().iter().zip(d.values()) {
-                assert!((a - b).abs() <= a.abs() * 1e-3 + 1e-4, "{a} vs {b}");
-            }
-
-            let bytes = m.to_bytes(Precision::Int8);
-            let (d, used) = CsbMatrix::read_from(&bytes).expect("decodes");
-            assert_eq!(used, bytes.len());
-            assert_eq!(d.values_i8(), m.values_i8());
-            assert_eq!(d.int8_scales(), m.int8_scales());
-            assert_eq!(d.to_bytes(Precision::Int8), bytes);
         }
 
         #[test]
@@ -830,44 +686,18 @@ mod tests {
 
         #[test]
         fn magics_are_disjoint() {
-            let m = BbsMatrix::from_dense(&sample_dense(), 2).unwrap();
-            let bytes = m.to_bytes(Precision::F32);
+            let m = CsrMatrix::from_dense(&sample_dense());
             assert_eq!(
-                CsbMatrix::read_from(&bytes).unwrap_err(),
+                BspcMatrix::read_from(&m.to_bytes(Precision::F32)).unwrap_err(),
                 DecodeError::BadMagic
             );
             assert_eq!(
-                BspcMatrix::read_from(&bytes).unwrap_err(),
-                DecodeError::BadMagic
-            );
-            let c = CsbMatrix::from_dense(&sample_dense(), 3, 3).unwrap();
-            assert_eq!(
-                BbsMatrix::read_from(&c.to_bytes(Precision::F32)).unwrap_err(),
+                CsrMatrix::read_from(&sample().to_bytes(Precision::F32)).unwrap_err(),
                 DecodeError::BadMagic
             );
         }
 
-        #[test]
-        fn decode_rejects_truncation_everywhere() {
-            let b = BbsMatrix::from_dense(&sample_dense(), 2).unwrap();
-            for prec in [Precision::F32, Precision::F16, Precision::Int8] {
-                let bytes = b.to_bytes(prec);
-                for n in 0..bytes.len() {
-                    assert!(BbsMatrix::read_from(&bytes[..n]).is_err(), "prefix {n}");
-                }
-                assert!(BbsMatrix::read_from(&bytes).is_ok());
-            }
-            let c = CsbMatrix::from_dense(&sample_dense(), 3, 4).unwrap();
-            for prec in [Precision::F32, Precision::F16, Precision::Int8] {
-                let bytes = c.to_bytes(prec);
-                for n in 0..bytes.len() {
-                    assert!(CsbMatrix::read_from(&bytes[..n]).is_err(), "prefix {n}");
-                }
-                assert!(CsbMatrix::read_from(&bytes).is_ok());
-            }
-        }
-
-        /// Arbitrary byte soup never panics either new decoder.
+        /// Arbitrary byte soup never panics the CSR decoder.
         #[test]
         fn prop_decoders_never_panic() {
             for seed in 0u64..300 {
@@ -875,33 +705,25 @@ mod tests {
                 let len = rng.gen_range(0usize..256);
                 let mut bytes = vec![0u8; len];
                 rng.fill_bytes(&mut bytes);
-                let _ = BbsMatrix::read_from(&bytes);
-                let _ = CsbMatrix::read_from(&bytes);
+                let _ = CsrMatrix::read_from(&bytes);
                 // Corrupting a valid stream must also fail cleanly.
-                let m = BbsMatrix::from_dense(&sample_dense(), 2).unwrap();
-                let mut valid = m.to_bytes(Precision::F32);
-                let at = rng.gen_range(0usize..valid.len());
-                valid[at] ^= 1 << rng.gen_range(0usize..8) as u8;
-                let _ = BbsMatrix::read_from(&valid);
-                let m = CsbMatrix::from_dense(&sample_dense(), 2, 3).unwrap();
-                let mut valid = m.to_bytes(Precision::Int8);
-                let at = rng.gen_range(0usize..valid.len());
-                valid[at] ^= 1 << rng.gen_range(0usize..8) as u8;
-                let _ = CsbMatrix::read_from(&valid);
+                let m = CsrMatrix::from_dense(&sample_dense());
+                for prec in [Precision::F32, Precision::Int8] {
+                    let mut valid = m.to_bytes(prec);
+                    let at = rng.gen_range(0usize..valid.len());
+                    valid[at] ^= 1 << rng.gen_range(0usize..8) as u8;
+                    let _ = CsrMatrix::read_from(&valid);
+                }
             }
         }
 
-        /// Random matrices round-trip at f32 exactly for arbitrary
-        /// bank/block geometry.
+        /// Random matrices round-trip at f32 exactly.
         #[test]
         fn prop_wire_roundtrip() {
             for seed in 0u64..150 {
                 let mut rng = rtm_tensor::init::rng_from_seed(seed);
                 let rows = rng.gen_range(1usize..12);
                 let cols = rng.gen_range(1usize..12);
-                let banks = rng.gen_range(1usize..4).min(cols);
-                let bh = rng.gen_range(1usize..5);
-                let bw = rng.gen_range(1usize..5);
                 let dense = rtm_tensor::init::uniform(rows, cols, -1.0, 1.0, &mut rng).map(|v| {
                     if v.abs() < 0.5 {
                         0.0
@@ -909,14 +731,9 @@ mod tests {
                         v
                     }
                 });
-                let m = BbsMatrix::from_dense(&dense, banks).unwrap();
+                let m = CsrMatrix::from_dense(&dense);
                 let bytes = m.to_bytes(Precision::F32);
-                let (d, used) = BbsMatrix::read_from(&bytes).expect("decodes");
-                assert_eq!(used, bytes.len(), "seed {seed}");
-                assert_eq!(d, m, "seed {seed}");
-                let m = CsbMatrix::from_dense(&dense, bh, bw).unwrap();
-                let bytes = m.to_bytes(Precision::F32);
-                let (d, used) = CsbMatrix::read_from(&bytes).expect("decodes");
+                let (d, used) = CsrMatrix::read_from(&bytes).expect("decodes");
                 assert_eq!(used, bytes.len(), "seed {seed}");
                 assert_eq!(d, m, "seed {seed}");
             }

@@ -70,8 +70,8 @@ pub type RangeKernel<'a> = dyn Fn(Range<usize>, &mut [f32], usize) + Sync + 'a;
 /// pool, batched, traced, tuned and dispatched from a compiled model.
 ///
 /// Work is described in **partition units**: contiguous, ascending pieces
-/// of the output (a row tile for BSPC, a row for CSR/BBS, a block row for
-/// CSB). Unit `u` writes output rows starting at
+/// of the output (a row tile for BSPC, a row for CSR). Unit `u` writes
+/// output rows starting at
 /// [`unit_first_row`](SparseKernel::unit_first_row)`(u)` and strictly
 /// before `unit_first_row(u + 1)`, so any cut of the unit range maps to
 /// disjoint output slices.
@@ -87,7 +87,7 @@ pub trait SparseKernel: Sync {
     /// does not compile rather than running uncounted.
     fn trace_keys(&self) -> &'static KernelKeys;
 
-    /// Short lowercase format label ("bspc" / "csr" / "bbs" / "csb").
+    /// Short lowercase format label ("bspc" / "csr").
     fn tag(&self) -> &'static str {
         self.trace_keys().format
     }

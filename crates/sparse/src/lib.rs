@@ -17,15 +17,9 @@
 //!   are shared by *all rows in a stripe* and need to be stored only once per
 //!   block, shrinking the index array by roughly the stripe height. BSPC also
 //!   carries the matrix-reorder permutation so the input feature map can be
-//!   matched to reordered rows;
-//! * **BBS** ([`BbsMatrix`]) — bank-balanced rows (the BBS scheme of Table I):
-//!   every row stores a fixed nonzero count per equal-width column bank, so
-//!   the layout is fully regular and the per-row cost uniform;
-//! * **CSB** ([`CsbMatrix`]) — compressed structured blocks (CSB-RNN family):
-//!   per-block column unions over short `block_h`-row spans, the middle ground
-//!   between CSR's per-entry indices and BSPC's per-stripe unions.
+//!   matched to reordered rows.
 //!
-//! The four runtime formats (BSPC, CSR, BBS, CSB) are executed through one
+//! The two runtime formats (BSPC, CSR) are executed through one
 //! contract, [`SparseKernel`] — partition units plus a single row-range
 //! kernel over a precision-typed activation view — and one driver,
 //! [`kernel::drive`], shared by the serial entries here and the pooled
@@ -49,9 +43,7 @@
 //! # }
 //! ```
 
-pub mod bbs;
 pub mod bspc;
-pub mod csb;
 pub mod csc;
 pub mod csr;
 pub mod footprint;
@@ -59,9 +51,7 @@ pub mod io;
 pub mod kernel;
 mod scratch;
 
-pub use bbs::BbsMatrix;
 pub use bspc::{BspcError, BspcMatrix};
-pub use csb::CsbMatrix;
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use footprint::{Footprint, Precision};

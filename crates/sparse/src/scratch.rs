@@ -144,7 +144,7 @@ pub(crate) struct KernelScratch {
     pub gf32: AlignedF32,
     /// f16 values decoded to f32: a BSPC tile whose values are broadcast
     /// operands (`b ≥ 2` lanes, a lone row) or that is de-tiled row by row
-    /// (no register-tile body), and every CSR / BBS / CSB run. A BSPC tile at
+    /// (no register-tile body), and every CSR run. A BSPC tile at
     /// one stream never passes through here — its halves are widened in the
     /// registers they are loaded into.
     pub conv: AlignedF32,
@@ -154,8 +154,6 @@ pub(crate) struct KernelScratch {
     pub gi8: Vec<i8>,
     /// Per-block segment lengths of the current BSPC stripe.
     pub seg: Vec<u32>,
-    /// Lane results of one row (CSB, before accumulation).
-    pub lanes: Vec<f32>,
 }
 
 thread_local! {
@@ -166,7 +164,6 @@ thread_local! {
             row: AlignedF32::new(),
             gi8: Vec::new(),
             seg: Vec::new(),
-            lanes: Vec::new(),
         })
     };
     static ACTIVATIONS: RefCell<(Vec<i8>, Vec<f32>)> =

@@ -37,9 +37,8 @@
 //! share the same lane grouping (consecutive chunks of one lane width, one
 //! accumulator register, identical reduction tree, in-order scalar tail),
 //! so gathering a sparse row into a dense scratch and dotting it — the
-//! BSPC and CSB row kernels — produces bit-identical results to the
-//! in-register gather of the CSR and BBS row kernels, under every
-//! [`SimdPolicy`].
+//! BSPC row kernel — produces bit-identical results to the in-register
+//! gather of the CSR row kernel, under every [`SimdPolicy`].
 //!
 //! **Batched lanes.** The SpMM kernels ([`dot_batch`], [`indexed_dot_batch`])
 //! take `b` interleaved input streams (element `c` of lane `j` at

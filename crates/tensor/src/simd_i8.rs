@@ -784,7 +784,7 @@ mod tests {
         let x = codes(80, 4);
         let idx: Vec<u32> = (0..50).map(|i| ((i * 13) % 80) as u32).collect();
         let gathered: Vec<i8> = idx.iter().map(|&i| x[i as usize]).collect();
-        // What the CSR/BBS int8 rows rely on: gathering the codes and
+        // What the CSR int8 rows rely on: gathering the codes and
         // running the dense dot is the indexed walk's exact sum.
         let indexed: i32 = vals
             .iter()

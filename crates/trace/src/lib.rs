@@ -262,10 +262,6 @@ pub mod key {
     pub static KERNEL_BSPC: KernelKeys = kernel_keys!("bspc");
     /// CSR kernel keys.
     pub static KERNEL_CSR: KernelKeys = kernel_keys!("csr");
-    /// BBS kernel keys.
-    pub static KERNEL_BBS: KernelKeys = kernel_keys!("bbs");
-    /// CSB kernel keys.
-    pub static KERNEL_CSB: KernelKeys = kernel_keys!("csb");
 }
 
 // ---------------------------------------------------------------------------
@@ -872,12 +868,7 @@ mod tests {
 
     #[test]
     fn kernel_keys_spell_the_registered_names() {
-        for keys in [
-            &key::KERNEL_BSPC,
-            &key::KERNEL_CSR,
-            &key::KERNEL_BBS,
-            &key::KERNEL_CSB,
-        ] {
+        for keys in [&key::KERNEL_BSPC, &key::KERNEL_CSR] {
             for (op, row) in [("spmv", &keys.spmv), ("spmm", &keys.spmm)] {
                 let base = format!("kernel.{op}.{}", keys.format);
                 assert_eq!(row[0], base);

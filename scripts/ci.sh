@@ -96,7 +96,7 @@ RTM_PRECISION=int8 cargo test -q "${knob_crates[@]}"
 
 # Fifth pass with the storage format resolved by the per-layer tuner:
 # every pipeline / end-to-end test must hold when each layer's weights can
-# land in any of the four formats (BSPC/CSR/BBS/CSB) behind the PER guard.
+# land in either format (BSPC/CSR) behind the PER guard.
 echo "==> cargo test -q ${knob_crates[*]} (RTM_FORMAT=auto)"
 RTM_FORMAT=auto cargo test -q "${knob_crates[@]}"
 
@@ -144,7 +144,7 @@ profile=()
 if [[ "$quick" -eq 0 ]]; then
   profile=(--release)
 fi
-for bin in parallel_spmv simd_kernels batched_spmm trace_overhead quant_kernels format_zoo serve_load reload_bench rtf_bench; do
+for bin in parallel_spmv simd_kernels batched_spmm trace_overhead quant_kernels serve_load reload_bench rtf_bench; do
   cargo run -q "${profile[@]}" -p rtm-bench --bin "$bin" -- --quick >/dev/null
 done
 
@@ -194,7 +194,7 @@ out=$(cargo run -q "${profile[@]}" -p rtmobile --bin rtm -- \
 # layer and the dense cells, the figure the simplicity PRs' acceptance
 # tables quote.
 echo "==> non-test lines of the kernel layer (scripts/loc.sh)"
-scripts/loc.sh crates/sparse/src/{bspc,csr,bbs,csb,kernel,scratch}.rs \
+scripts/loc.sh crates/sparse/src/{bspc,csr,kernel,scratch}.rs \
   crates/tensor/src/{simd,simd_i8,gemm,activations}.rs crates/exec/src/{spmv,dense}.rs \
   crates/rnn/src/{gru,lstm}.rs || true
 

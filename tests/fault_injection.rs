@@ -250,7 +250,7 @@ fn check_mode_observes_the_fault_without_dropping_it() {
 /// the whole decode stack. Every second case is passed through
 /// [`rtmobile::bundle::reseal`] so the corruption carries valid checksums:
 /// the whole-file CRC stops every raw mutation at the container, so without
-/// the reseal no field-level guard of the four blob codecs, the network
+/// the reseal no field-level guard of the two blob codecs, the network
 /// body or the section walk is ever reached. Decoding must never panic —
 /// every outcome is `Ok` or a typed `DecodeError` — and `bundle::probe`,
 /// which `rtm inspect` runs on files it only promises to report on, must
@@ -355,9 +355,9 @@ fn model_decoder_survives_bitflip_and_truncation_fuzz() {
 }
 
 /// The same fuzz over models whose layers use the non-default storage
-/// formats (CSR, BBS and CSB, one layer each) at every value-payload kind:
-/// every per-format wire codec behind the format-dispatched gate blobs
-/// must reject corruption with a typed `DecodeError`, never a panic — and
+/// format (CSR, every layer) at every value-payload kind: the CSR wire
+/// codec behind the format-dispatched gate blobs must reject corruption
+/// with a typed `DecodeError`, never a panic — and
 /// a flipped format tag byte must surface as `BadFormat`/`BadMagic`, not
 /// as a mis-dispatched decode.
 #[test]
@@ -386,12 +386,12 @@ fn format_zoo_decoder_survives_bitflip_and_truncation_fuzz() {
             4,
             &[],
             precision,
-            &[RuntimeFormat::Csr, RuntimeFormat::Bbs, RuntimeFormat::Csb],
+            &[RuntimeFormat::Csr; 3],
             RuntimeFormat::Bspc,
         )
         .unwrap();
         fuzz_model_bytes(
-            &format!("csr+bbs+csb {}", precision.tag()),
+            &format!("csr {}", precision.tag()),
             &compiled,
             0xF0F0 + k as u64,
             iters.div_ceil(3),

@@ -1,5 +1,5 @@
-//! Contracts of the sparse-format zoo (DESIGN.md §13): every storage
-//! format (BSPC, CSR, BBS, CSB) produces identical f32 logits to the dense
+//! Contracts of the two runtime storage formats (DESIGN.md §13): every
+//! storage format (BSPC, CSR) produces identical f32 logits to the dense
 //! reference, every format × precision is bit-identical across the serial,
 //! pooled and batched engines at every thread count, a mixed-format model
 //! survives the `.rtm` round-trip bit-exactly, and the `auto` format mode
@@ -11,12 +11,7 @@ use rtm_rnn::GruNetwork;
 use rtmobile::deploy::{BatchedSession, CompiledNetwork, RuntimeFormat, RuntimePrecision};
 use rtmobile::{model_file, FormatChoice, RtMobile, RuntimeConfig};
 
-const ALL_FORMATS: [RuntimeFormat; 4] = [
-    RuntimeFormat::Bspc,
-    RuntimeFormat::Csr,
-    RuntimeFormat::Bbs,
-    RuntimeFormat::Csb,
-];
+const ALL_FORMATS: [RuntimeFormat; 2] = [RuntimeFormat::Bspc, RuntimeFormat::Csr];
 
 const ALL_PRECISIONS: [RuntimePrecision; 3] = [
     RuntimePrecision::F32,
@@ -68,7 +63,7 @@ fn assert_bits_equal(a: &[Vec<f32>], b: &[Vec<f32>], what: &str) {
 }
 
 /// Storage format is a layout decision, never a semantic one: at f32 every
-/// format stores the exact same values, so all four compiled runtimes must
+/// format stores the exact same values, so both compiled runtimes must
 /// agree with the BSPC reference to within float-summation-reorder noise
 /// (each format accumulates its dot products in its own traversal order,
 /// so the last bits may differ — but nothing else may).
@@ -96,7 +91,7 @@ fn every_format_matches_the_bspc_reference_at_f32() {
 /// One numeric result per (format, precision), regardless of engine: the
 /// serial loop, the pooled executor at every thread count, and the
 /// lane-major batched session must agree bit for bit — the acceptance
-/// contract of the format zoo.
+/// contract of every runtime format.
 #[test]
 fn serial_pooled_and_batched_agree_bit_for_bit_per_format_and_precision() {
     let net = network(47);
@@ -142,7 +137,7 @@ fn serial_pooled_and_batched_agree_bit_for_bit_per_format_and_precision() {
 fn mixed_format_model_file_roundtrip_is_bit_exact() {
     let net = network(63);
     let input = frames(8, 6, 4);
-    let per_layer = [RuntimeFormat::Bbs, RuntimeFormat::Csb];
+    let per_layer = [RuntimeFormat::Csr, RuntimeFormat::Bspc];
     for precision in ALL_PRECISIONS {
         let compiled = CompiledNetwork::compile_with_formats(
             &net,
@@ -168,7 +163,7 @@ fn mixed_format_model_file_roundtrip_is_bit_exact() {
     }
 }
 
-/// The acceptance-criterion pipeline run: `auto` times the four formats
+/// The acceptance-criterion pipeline run: `auto` times both formats
 /// against each layer's actual pruned weights and ships a per-layer
 /// selection. Every layer must report a format, the resolved tag must be
 /// `auto`, and the compiled PER must stay coherent with the pruned f32
@@ -204,7 +199,7 @@ fn auto_format_selects_per_layer_within_per_guard() {
     let p = &report.performance;
     assert_eq!(p.format, "auto");
     assert_eq!(
-        p.layers_bspc + p.layers_csr + p.layers_bbs + p.layers_csb,
+        p.layers_bspc + p.layers_csr,
         2,
         "every layer reports a storage format"
     );
@@ -259,16 +254,16 @@ fn fixed_format_choice_flows_into_report_with_identical_accuracy() {
     // Pin both runs explicitly: the baseline must stay BSPC even when the
     // suite runs under `RTM_FORMAT=auto` (the CI fifth pass).
     let bspc = quick(RuntimeFormat::Bspc);
-    let csb = quick(RuntimeFormat::Csb);
+    let csr = quick(RuntimeFormat::Csr);
     assert_eq!(bspc.performance.format, "bspc");
     assert_eq!(bspc.performance.layers_bspc, 2);
-    assert_eq!(csb.performance.format, "csb");
-    assert_eq!(csb.performance.layers_csb, 2);
-    assert_eq!(csb.performance.layers_bspc, 0);
+    assert_eq!(csr.performance.format, "csr");
+    assert_eq!(csr.performance.layers_csr, 2);
+    assert_eq!(csr.performance.layers_bspc, 0);
     assert!(
-        (bspc.accuracy.compiled_per - csb.accuracy.compiled_per).abs() < 1.0,
-        "f32 accuracy must be format-independent: bspc {:.2}% csb {:.2}%",
+        (bspc.accuracy.compiled_per - csr.accuracy.compiled_per).abs() < 1.0,
+        "f32 accuracy must be format-independent: bspc {:.2}% csr {:.2}%",
         bspc.accuracy.compiled_per,
-        csb.accuracy.compiled_per
+        csr.accuracy.compiled_per
     );
 }

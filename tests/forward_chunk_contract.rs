@@ -28,12 +28,7 @@ use rtmobile::deploy::{CompiledNetwork, RuntimeFormat, RuntimePrecision};
 /// The chunk length the lengths below straddle.
 const K: usize = 16;
 const LENGTHS: [usize; 7] = [0, 1, K - 1, K, K + 1, 2 * K, 3 * K + 5];
-const FORMATS: [RuntimeFormat; 4] = [
-    RuntimeFormat::Bspc,
-    RuntimeFormat::Csr,
-    RuntimeFormat::Bbs,
-    RuntimeFormat::Csb,
-];
+const FORMATS: [RuntimeFormat; 2] = [RuntimeFormat::Bspc, RuntimeFormat::Csr];
 const PRECISIONS: [RuntimePrecision; 3] = [
     RuntimePrecision::F32,
     RuntimePrecision::F16,

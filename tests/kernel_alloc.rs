@@ -19,7 +19,7 @@
 use rtm_exec::Executor;
 use rtm_rnn::model::NetworkConfig;
 use rtm_rnn::GruNetwork;
-use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix, Precision, SparseKernel};
+use rtm_sparse::{BspcMatrix, CsrMatrix, Precision, SparseKernel};
 use rtm_tensor::simd::{self, SimdPolicy, Variant};
 use rtm_tensor::Matrix;
 use rtmobile::deploy::{
@@ -94,9 +94,7 @@ fn kernels_allocate_nothing(policy: &str) {
     });
     let bspc = BspcMatrix::from_dense(&w, 4, 4).unwrap();
     let csr = CsrMatrix::from_dense(&w);
-    let bbs = BbsMatrix::from_dense(&w, 4).unwrap();
-    let csb = CsbMatrix::from_dense(&w, 8, 8).unwrap();
-    let formats: [&dyn SparseKernel; 4] = [&bspc, &csr, &bbs, &csb];
+    let formats: [&dyn SparseKernel; 2] = [&bspc, &csr];
     let exec = Executor::new(1);
 
     for k in formats {
@@ -161,12 +159,7 @@ fn production_step_allocates_only_the_returned_logits() {
         .collect();
     let exec = Executor::new(1);
 
-    for format in [
-        RuntimeFormat::Bspc,
-        RuntimeFormat::Csr,
-        RuntimeFormat::Bbs,
-        RuntimeFormat::Csb,
-    ] {
+    for format in [RuntimeFormat::Bspc, RuntimeFormat::Csr] {
         for precision in [
             RuntimePrecision::F32,
             RuntimePrecision::F16,

@@ -28,7 +28,7 @@
 use rtm_exec::Executor;
 use rtm_rnn::model::NetworkConfig;
 use rtm_rnn::GruNetwork;
-use rtm_sparse::{BbsMatrix, BspcMatrix, CsbMatrix, CsrMatrix, Precision, SparseKernel};
+use rtm_sparse::{BspcMatrix, CsrMatrix, Precision, SparseKernel};
 use rtm_tensor::simd::{SimdPolicy, Variant};
 use rtm_tensor::Matrix;
 use rtmobile::deploy::{CompiledNetwork, RuntimePrecision};
@@ -145,9 +145,7 @@ fn serial_and_pooled_counters_agree_for_every_format_precision_and_batch() {
     let w = bsp_weight(32, 24);
     let bspc = BspcMatrix::from_dense(&w, 4, 3).expect("valid partition");
     let csr = CsrMatrix::from_dense(&w);
-    let bbs = BbsMatrix::from_dense(&w, 3).expect("valid banks");
-    let csb = CsbMatrix::from_dense(&w, 8, 8).expect("valid blocks");
-    let formats: [&dyn SparseKernel; 4] = [&bspc, &csr, &bbs, &csb];
+    let formats: [&dyn SparseKernel; 2] = [&bspc, &csr];
     let reg = rtm_trace::global();
     let kernel_counters = || -> Vec<(String, u64)> {
         let counters = reg.counters();
