@@ -38,14 +38,12 @@
 //! assert_eq!(profile.flops, 2 * 2); // 2 nonzeros, one FMA each
 //! ```
 
-pub mod codegen;
 pub mod plan;
 pub mod profile;
 pub mod reorder;
 pub mod rle;
 pub mod tuner;
 
-pub use codegen::GeneratedKernel;
 pub use plan::{ExecutionPlan, StorageFormat, Target};
 pub use profile::KernelProfile;
 pub use reorder::ReorderPlan;

@@ -17,9 +17,9 @@
 //! projection.
 
 use crate::mask::MaskSet;
-use crate::network::PrunableNetwork;
 use crate::projection::Projection;
 use rtm_rnn::optimizer::{Adam, GradClip, Optimizer};
+use rtm_rnn::GruNetwork;
 use rtm_tensor::Matrix;
 use std::collections::BTreeMap;
 
@@ -91,15 +91,14 @@ impl AdmmPruner {
     }
 
     /// Runs ADMM pruning of `net` on `data`, building one projection per
-    /// prunable tensor via `projection_for(name, tensor)`. Works on any
-    /// [`PrunableNetwork`] — the paper's GRU and the LSTM extension alike.
+    /// prunable tensor via `projection_for(name, tensor)`.
     ///
     /// With empty `data` the W-updates are skipped and the method reduces to
     /// one-shot projection + hard pruning (useful for performance-only
     /// experiments that do not need accuracy).
-    pub fn run<N: PrunableNetwork>(
+    pub fn run(
         &self,
-        net: &mut N,
+        net: &mut GruNetwork,
         data: &[Sequence],
         projection_for: &dyn Fn(&str, &Matrix) -> Box<dyn Projection>,
     ) -> AdmmOutcome {
@@ -205,9 +204,9 @@ impl AdmmPruner {
     /// decay. Folding the penalty into the Adam gradient instead would let
     /// Adam's per-coordinate normalization erase the ρ scaling and stall
     /// convergence toward the constraint set.
-    fn penalized_epoch<N: PrunableNetwork>(
+    fn penalized_epoch(
         &self,
-        net: &mut N,
+        net: &mut GruNetwork,
         data: &[Sequence],
         z: &BTreeMap<String, Matrix>,
         u: &BTreeMap<String, Matrix>,
@@ -217,7 +216,7 @@ impl AdmmPruner {
         let step = (self.cfg.rho * self.cfg.lr).min(0.9);
         let mut total = 0.0f32;
         for (frames, targets) in data {
-            total += net.train_sequence(frames, targets, opt, self.cfg.clip);
+            total += net.train_step(frames, targets, opt, self.cfg.clip).loss;
 
             // Decoupled proximal penalty step.
             for (name, w) in net.prunable_mut() {
@@ -233,16 +232,16 @@ impl AdmmPruner {
     }
 
     /// One masked training step; returns the data loss.
-    fn masked_step<N: PrunableNetwork>(
+    fn masked_step(
         &self,
-        net: &mut N,
+        net: &mut GruNetwork,
         frames: &[Vec<f32>],
         targets: &[usize],
         opt: &mut Adam,
         masks: &MaskSet,
         projections: &BTreeMap<String, Box<dyn Projection>>,
     ) -> f32 {
-        let loss = net.train_sequence(frames, targets, opt, self.cfg.clip);
+        let loss = net.train_step(frames, targets, opt, self.cfg.clip).loss;
         masks.apply(net);
         // Re-project value-transforming tensors (those without a mask).
         for (name, w) in net.prunable_mut() {

@@ -13,10 +13,10 @@
 
 use crate::admm::{AdmmConfig, AdmmPruner, Sequence};
 use crate::mask::MaskSet;
-use crate::network::PrunableNetwork;
 use crate::projection::{
     BankBalanced, BlockCirculant, ColumnPrune, Projection, RowPrune, UnstructuredMagnitude,
 };
+use rtm_rnn::GruNetwork;
 
 /// Result of a baseline pruning run.
 #[derive(Debug, Clone)]
@@ -33,7 +33,7 @@ pub struct BaselineReport {
     pub loss_history: Vec<f32>,
 }
 
-fn support_rate<N: PrunableNetwork>(net: &N) -> (f64, usize) {
+fn support_rate(net: &GruNetwork) -> (f64, usize) {
     let kept = net.nonzero_prunable_params();
     let total = net.total_prunable_params();
     let rate = if kept == 0 {
@@ -50,8 +50,8 @@ fn support_rate<N: PrunableNetwork>(net: &N) -> (f64, usize) {
 /// # Panics
 ///
 /// Panics if `rate < 1.0`.
-pub fn prune_unstructured<N: PrunableNetwork>(
-    net: &mut N,
+pub fn prune_unstructured(
+    net: &mut GruNetwork,
     data: &[Sequence],
     rate: f64,
     admm: AdmmConfig,
@@ -77,8 +77,8 @@ pub fn prune_unstructured<N: PrunableNetwork>(
 /// # Panics
 ///
 /// Panics if `rate < 1.0` or `num_banks == 0`.
-pub fn prune_bank_balanced<N: PrunableNetwork>(
-    net: &mut N,
+pub fn prune_bank_balanced(
+    net: &mut GruNetwork,
     data: &[Sequence],
     rate: f64,
     num_banks: usize,
@@ -105,8 +105,8 @@ pub fn prune_bank_balanced<N: PrunableNetwork>(
 /// # Panics
 ///
 /// Panics if either rate is below 1.0.
-pub fn prune_column_row<N: PrunableNetwork>(
-    net: &mut N,
+pub fn prune_column_row(
+    net: &mut GruNetwork,
     data: &[Sequence],
     col_rate: f64,
     row_rate: f64,
@@ -154,8 +154,8 @@ pub fn prune_column_row<N: PrunableNetwork>(
 /// # Panics
 ///
 /// Panics if `block_size == 0`.
-pub fn prune_block_circulant<N: PrunableNetwork>(
-    net: &mut N,
+pub fn prune_block_circulant(
+    net: &mut GruNetwork,
     data: &[Sequence],
     block_size: usize,
     admm: AdmmConfig,
@@ -193,8 +193,8 @@ pub fn prune_block_circulant<N: PrunableNetwork>(
 /// # Panics
 ///
 /// Panics if `candidates` is empty or `min_rate < 1.0`.
-pub fn prune_block_circulant_tuned<N: PrunableNetwork>(
-    net: &mut N,
+pub fn prune_block_circulant_tuned(
+    net: &mut GruNetwork,
     data: &[Sequence],
     candidates: &[usize],
     min_rate: f64,

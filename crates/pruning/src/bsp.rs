@@ -17,9 +17,9 @@
 
 use crate::admm::{AdmmConfig, AdmmOutcome, AdmmPruner, Sequence};
 use crate::mask::MaskSet;
-use crate::network::PrunableNetwork;
 use crate::projection::{BspColumnBlock, RowPrune};
 use crate::schedule::CompressionTarget;
+use rtm_rnn::GruNetwork;
 
 /// Configuration of a BSP pruning run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,9 +88,8 @@ impl BspPruner {
     }
 
     /// Executes Algorithm 1 on `net` over `data` (may be empty for one-shot
-    /// structural pruning without accuracy recovery). Works on any
-    /// [`PrunableNetwork`].
-    pub fn prune<N: PrunableNetwork>(&self, net: &mut N, data: &[Sequence]) -> BspReport {
+    /// structural pruning without accuracy recovery).
+    pub fn prune(&self, net: &mut GruNetwork, data: &[Sequence]) -> BspReport {
         let engine = AdmmPruner::new(self.cfg.admm);
         let mut loss_history = Vec::new();
         let mut residuals = Vec::new();
@@ -118,72 +117,6 @@ impl BspPruner {
         let mask2 = if self.cfg.target.row_rate > 1.0 {
             let keep = self.cfg.target.row_keep_ratio();
             let out = engine.run(net, data, &move |_name, _w| Box::new(RowPrune::new(keep)));
-            loss_history.extend(out.loss_history);
-            residuals.extend(out.residuals);
-            out.mask
-        } else {
-            MaskSet::ones_like(net)
-        };
-
-        let mask = mask1.intersect(&mask2);
-        mask.apply(net);
-
-        let kept = net.nonzero_prunable_params();
-        let total = net.total_prunable_params();
-        BspReport {
-            achieved_rate: if kept == 0 {
-                f64::INFINITY
-            } else {
-                total as f64 / kept as f64
-            },
-            kept_params: kept,
-            total_params: total,
-            mask,
-            loss_history,
-            residuals,
-        }
-    }
-
-    /// Executes Algorithm 1 with a *per-tensor* compression schedule
-    /// (DESIGN.md §6): each tensor is pruned at the `(col, row)` target the
-    /// schedule assigns to its name. The configured `target` acts as the
-    /// schedule's view of "skip entirely" only when the schedule resolves a
-    /// tensor to the dense target.
-    pub fn prune_scheduled<N: PrunableNetwork>(
-        &self,
-        net: &mut N,
-        data: &[Sequence],
-        schedule: &crate::schedule::LayerSchedule,
-    ) -> BspReport {
-        let engine = AdmmPruner::new(self.cfg.admm);
-        let mut loss_history = Vec::new();
-        let mut residuals = Vec::new();
-
-        // Step 1: per-tensor column-block pruning at the scheduled rate.
-        let mask1 = if schedule.any_col_pruning() {
-            let stripes = self.cfg.num_stripes;
-            let blocks = self.cfg.num_blocks;
-            let sched = schedule.clone();
-            let out = engine.run(net, data, &move |name, w| {
-                let t = sched.target_for(name);
-                let s = stripes.min(w.rows().max(1));
-                let b = blocks.min(w.cols().max(1));
-                // col_keep_ratio = 1 for dense targets keeps everything.
-                Box::new(BspColumnBlock::new(s, b, t.col_keep_ratio()))
-            });
-            loss_history.extend(out.loss_history);
-            residuals.extend(out.residuals);
-            out.mask
-        } else {
-            MaskSet::ones_like(net)
-        };
-
-        // Step 2: per-tensor row pruning at the scheduled rate.
-        let mask2 = if schedule.any_row_pruning() {
-            let sched = schedule.clone();
-            let out = engine.run(net, data, &move |name, _w| {
-                Box::new(RowPrune::new(sched.target_for(name).row_keep_ratio()))
-            });
             loss_history.extend(out.loss_history);
             residuals.extend(out.residuals);
             out.mask
@@ -422,66 +355,6 @@ mod tests {
         };
         let report = BspPruner::new(cfg).prune(&mut m, &[]);
         assert!((report.mask.compression_rate() - report.achieved_rate).abs() < 1e-9);
-    }
-
-    #[test]
-    fn scheduled_pruning_respects_per_tensor_rates() {
-        use crate::schedule::LayerSchedule;
-        let mut m = net(11);
-        let cfg = BspConfig {
-            num_stripes: 4,
-            num_blocks: 4,
-            target: CompressionTarget::new(8.0, 1.0), // unused default-carrier
-            admm: AdmmConfig {
-                admm_iterations: 1,
-                epochs_per_iteration: 0,
-                finetune_epochs: 0,
-                ..AdmmConfig::default()
-            },
-        };
-        // Layer 0 kept nearly dense, layer 1 pruned hard.
-        let schedule = LayerSchedule::new(CompressionTarget::new(8.0, 2.0))
-            .with_rule("layer0", CompressionTarget::new(2.0, 1.0));
-        let report = BspPruner::new(cfg).prune_scheduled(&mut m, &[], &schedule);
-
-        let sparsity_of = |prefix: &str, net: &GruNetwork| -> f64 {
-            let (nz, total) = net
-                .prunable()
-                .iter()
-                .filter(|(n, _)| n.starts_with(prefix))
-                .fold((0usize, 0usize), |(nz, t), (_, w)| {
-                    (nz + w.count_nonzero(), t + w.len())
-                });
-            1.0 - nz as f64 / total as f64
-        };
-        let s0 = sparsity_of("layer0", &m);
-        let s1 = sparsity_of("layer1", &m);
-        assert!(s0 < 0.6, "layer0 lightly pruned: {s0}");
-        assert!(s1 > 0.85, "layer1 heavily pruned: {s1}");
-        assert!(report.achieved_rate > 2.0 && report.achieved_rate < 16.0);
-        // Mask covers both layers.
-        assert!(report.mask.get("layer0.w_z").is_some());
-        assert!(report.mask.get("layer1.u_n").is_some());
-    }
-
-    #[test]
-    fn scheduled_dense_schedule_is_identity() {
-        use crate::schedule::LayerSchedule;
-        let mut m = net(12);
-        let before = m.clone();
-        let cfg = BspConfig {
-            admm: AdmmConfig {
-                admm_iterations: 1,
-                epochs_per_iteration: 0,
-                finetune_epochs: 0,
-                ..AdmmConfig::default()
-            },
-            ..BspConfig::default()
-        };
-        let schedule = LayerSchedule::new(CompressionTarget::dense());
-        let report = BspPruner::new(cfg).prune_scheduled(&mut m, &[], &schedule);
-        assert_eq!(m, before, "dense schedule must not touch weights");
-        assert_eq!(report.achieved_rate, 1.0);
     }
 
     #[test]

@@ -37,15 +37,12 @@
 pub mod admm;
 pub mod baselines;
 pub mod bsp;
-pub mod gradual;
 pub mod mask;
-pub mod network;
 pub mod projection;
 pub mod schedule;
 
 pub use admm::{AdmmConfig, AdmmPruner};
 pub use bsp::{BspConfig, BspPruner, BspReport};
 pub use mask::MaskSet;
-pub use network::PrunableNetwork;
 pub use projection::Projection;
 pub use schedule::CompressionTarget;

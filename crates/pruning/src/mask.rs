@@ -6,7 +6,7 @@
 //! masked-retraining loop: after every optimizer step the mask is re-applied
 //! so pruned weights stay exactly zero.
 
-use crate::network::PrunableNetwork;
+use rtm_rnn::GruNetwork;
 use rtm_tensor::Matrix;
 use std::collections::BTreeMap;
 
@@ -23,7 +23,7 @@ impl MaskSet {
     }
 
     /// All-ones masks matching every prunable tensor of `net`.
-    pub fn ones_like<N: PrunableNetwork>(net: &N) -> MaskSet {
+    pub fn ones_like(net: &GruNetwork) -> MaskSet {
         let mut set = MaskSet::new();
         for (name, m) in net.prunable() {
             set.insert(name, Matrix::filled(m.rows(), m.cols(), 1.0));
@@ -33,7 +33,7 @@ impl MaskSet {
 
     /// Derives masks from the current support of every prunable tensor
     /// (nonzero → 1).
-    pub fn from_support<N: PrunableNetwork>(net: &N) -> MaskSet {
+    pub fn from_support(net: &GruNetwork) -> MaskSet {
         let mut set = MaskSet::new();
         for (name, m) in net.prunable() {
             set.insert(name, m.map(|v| if v != 0.0 { 1.0 } else { 0.0 }));
@@ -80,7 +80,7 @@ impl MaskSet {
     /// # Panics
     ///
     /// Panics if a mask's shape does not match its tensor.
-    pub fn apply<N: PrunableNetwork>(&self, net: &mut N) {
+    pub fn apply(&self, net: &mut GruNetwork) {
         for (name, w) in net.prunable_mut() {
             if let Some(mask) = self.masks.get(&name) {
                 assert_eq!(mask.shape(), w.shape(), "mask shape mismatch for {name}");

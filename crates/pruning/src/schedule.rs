@@ -104,74 +104,6 @@ pub fn table2_rates() -> Vec<f64> {
     ]
 }
 
-/// A per-tensor compression schedule: the first rule whose name prefix
-/// matches a tensor wins; unmatched tensors use the default target.
-///
-/// Mixed per-layer rates are a DESIGN.md §6 extension: input-side matrices
-/// usually tolerate less pruning than the (much larger) recurrent ones, so
-/// a schedule like `layer0.w → 4×, everything else → 16×` preserves more
-/// accuracy at nearly the same overall rate.
-///
-/// # Example
-///
-/// ```
-/// use rtm_pruning::schedule::{CompressionTarget, LayerSchedule};
-///
-/// let sched = LayerSchedule::new(CompressionTarget::new(16.0, 2.0))
-///     .with_rule("layer0.w", CompressionTarget::new(4.0, 1.0));
-/// assert_eq!(sched.target_for("layer0.w_z").col_rate, 4.0);
-/// assert_eq!(sched.target_for("layer1.u_n").col_rate, 16.0);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayerSchedule {
-    rules: Vec<(String, CompressionTarget)>,
-    default: CompressionTarget,
-}
-
-impl LayerSchedule {
-    /// Creates a schedule with only a default target.
-    pub fn new(default: CompressionTarget) -> LayerSchedule {
-        LayerSchedule {
-            rules: Vec::new(),
-            default,
-        }
-    }
-
-    /// Appends a prefix rule (first match wins, in insertion order).
-    pub fn with_rule(
-        mut self,
-        prefix: impl Into<String>,
-        target: CompressionTarget,
-    ) -> LayerSchedule {
-        self.rules.push((prefix.into(), target));
-        self
-    }
-
-    /// The target for a tensor name.
-    pub fn target_for(&self, name: &str) -> CompressionTarget {
-        self.rules
-            .iter()
-            .find(|(prefix, _)| name.starts_with(prefix.as_str()))
-            .map(|(_, t)| *t)
-            .unwrap_or(self.default)
-    }
-
-    /// The default target.
-    pub fn default_target(&self) -> CompressionTarget {
-        self.default
-    }
-
-    /// Whether any tensor could be row-pruned under this schedule.
-    pub fn any_row_pruning(&self) -> bool {
-        self.default.row_rate > 1.0 || self.rules.iter().any(|(_, t)| t.row_rate > 1.0)
-    }
-
-    /// Whether any tensor could be column-pruned under this schedule.
-    pub fn any_col_pruning(&self) -> bool {
-        self.default.col_rate > 1.0 || self.rules.iter().any(|(_, t)| t.col_rate > 1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,23 +162,6 @@ mod tests {
                 nominal
             );
         }
-    }
-
-    #[test]
-    fn layer_schedule_matching() {
-        let sched = LayerSchedule::new(CompressionTarget::new(16.0, 2.0))
-            .with_rule("layer0.w", CompressionTarget::new(4.0, 1.0))
-            .with_rule("layer0", CompressionTarget::new(8.0, 1.0));
-        // First match wins.
-        assert_eq!(sched.target_for("layer0.w_z").col_rate, 4.0);
-        assert_eq!(sched.target_for("layer0.u_z").col_rate, 8.0);
-        assert_eq!(sched.target_for("layer1.w_z").col_rate, 16.0);
-        assert_eq!(sched.default_target().col_rate, 16.0);
-        assert!(sched.any_row_pruning());
-        assert!(sched.any_col_pruning());
-        let none = LayerSchedule::new(CompressionTarget::dense());
-        assert!(!none.any_row_pruning());
-        assert!(!none.any_col_pruning());
     }
 
     #[test]

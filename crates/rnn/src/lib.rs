@@ -2,7 +2,7 @@
 
 //! # rtm-rnn
 //!
-//! Recurrent-network substrate: GRU and LSTM cells with full
+//! Recurrent-network substrate: the GRU cell with full
 //! backpropagation-through-time, a dense classifier head, losses and
 //! optimizers.
 //!
@@ -12,8 +12,6 @@
 //! it under ADMM masks, which is what `rtm-pruning` does — in pure Rust.
 //!
 //! * [`gru`] — the GRU cell and layer (forward + BPTT);
-//! * [`lstm`] — an LSTM cell/layer (the baselines ESE and C-LSTM are LSTM
-//!   systems; also exercised by the extension experiments);
 //! * [`dense`] — the softmax classifier head;
 //! * [`model`] — [`model::GruNetwork`], the 2-layer-GRU + head stack of §V-A;
 //! * [`loss`] — frame-level softmax cross-entropy;
@@ -33,18 +31,11 @@
 //! assert_eq!(logits[0].len(), 5);
 //! ```
 
-pub mod bigru;
-pub mod bigru_model;
 pub mod dense;
 pub mod gru;
 pub mod loss;
-pub mod lstm;
-pub mod lstm_model;
 pub mod model;
 pub mod optimizer;
 
-pub use bigru::BiGruLayer;
-pub use bigru_model::BiGruNetwork;
-pub use lstm_model::LstmNetwork;
 pub use model::{GruNetwork, NetworkConfig};
 pub use optimizer::{Adam, GradClip, Optimizer, Sgd};

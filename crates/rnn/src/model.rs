@@ -387,6 +387,16 @@ mod tests {
         let mut net = GruNetwork::new(&tiny_cfg(), 1);
         let total = net.total_prunable_params();
         assert_eq!(net.nonzero_prunable_params(), total); // Xavier never exactly 0
+        let one_layer = GruNetwork::new(
+            &NetworkConfig {
+                input_dim: 3,
+                hidden_dims: vec![6],
+                num_classes: 2,
+            },
+            1,
+        );
+        // 3 gates x (6x3 input + 6x6 recurrent) weights; biases and head excluded.
+        assert_eq!(one_layer.total_prunable_params(), 3 * (18 + 36));
         for (_, m) in net.prunable_mut() {
             m.scale_inplace(0.0);
         }
@@ -411,6 +421,7 @@ mod tests {
 
         let first = net.train_step(&seq_a, &ta, &mut opt, None).loss
             + net.train_step(&seq_b, &tb, &mut opt, None).loss;
+        assert!(first.is_finite() && first > 0.0, "first loss {first}");
         for _ in 0..60 {
             net.train_step(&seq_a, &ta, &mut opt, None);
             net.train_step(&seq_b, &tb, &mut opt, None);

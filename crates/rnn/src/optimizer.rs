@@ -4,9 +4,9 @@
 //! "requires the most advanced optimizer in stochastic gradient descent
 //! (e.g., Adam optimizer)"; the ADMM retraining loop in `rtm-pruning` indeed
 //! drives [`Adam`]. Optimizers update flat parameter slices keyed by a
-//! caller-chosen *slot id*, so any parameter layout (GRU cells, LSTM cells,
-//! dense heads) can share one optimizer instance: the model walks its
-//! tensors in a fixed order and hands each one the same slot every step.
+//! caller-chosen *slot id*, so any parameter layout (GRU cells, dense heads)
+//! can share one optimizer instance: the model walks its tensors in a fixed
+//! order and hands each one the same slot every step.
 
 /// A stateful first-order optimizer over flat parameter slices.
 pub trait Optimizer {

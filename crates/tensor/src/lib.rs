@@ -11,7 +11,7 @@
 //! * [`gemm`] — general matrix multiply / matrix-vector kernels, including a
 //!   cache-blocked variant used by the dense baselines.
 //! * [`activations`] — sigmoid / tanh / ReLU / softmax and their derivatives,
-//!   as used by the GRU and LSTM cells in `rtm-rnn`.
+//!   as used by the GRU cell in `rtm-rnn`.
 //! * [`mod@f16`] — a software IEEE 754 binary16 module modelling the paper's
 //!   16-bit-float mobile-GPU datapath (§V, Table II caption).
 //! * [`init`] — seeded weight initializers (Xavier/He/uniform) so every

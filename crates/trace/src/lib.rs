@@ -18,7 +18,8 @@
 //!
 //! Tracing is **off by default** and the disabled path is near-free: every
 //! recording entry point is gated on [`enabled`], a single relaxed atomic
-//! load plus a branch (verified by the `trace_overhead` bench bin). The
+//! load plus a branch. `rtm-benchmark --trace 1` reports what switching it
+//! on costs as `trace.overhead_pct` (traced against untraced frames/s). The
 //! knob mirrors `RTM_SIMD`: programmatic [`set_config`] wins, otherwise the
 //! `RTM_TRACE` environment variable is read once on first use.
 //!
