@@ -263,115 +263,6 @@ pub fn select_precision(measured: &[PrecisionCost]) -> rtm_sparse::Precision {
         .map_or(rtm_sparse::Precision::F32, |m| m.precision)
 }
 
-/// One measured point of the format axis: the wall-clock cost of a real
-/// SpMV (and, when `batch > 1`, batched SpMM) sweep of one layer's actual
-/// weight matrix encoded in that storage format at that precision.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FormatCost {
-    /// The storage format that was measured.
-    pub format: StorageFormat,
-    /// The storage precision the sweep ran at.
-    pub precision: rtm_sparse::Precision,
-    /// Mean seconds per sweep (lower is better).
-    pub seconds: f64,
-}
-
-/// Times the real serial kernels of every candidate `format` on the
-/// *actual* layer matrix `w` — not a synthetic proxy — at precision
-/// `precision`, and returns one [`FormatCost`] per format (mean of
-/// `iters` timed sweeps after one warm-up). `batch > 1` measures the
-/// lane-interleaved SpMM path instead of SpMV, matching how the runtime
-/// will actually call the layer.
-///
-/// BSPC partitions into `stripes × blocks` — the same mapping the deploy
-/// path applies, so the measured encodings are the ones that ship.
-///
-/// Formats whose encoder rejects the matrix (degenerate partitions) cost
-/// `f64::INFINITY` and therefore lose the search rather than failing it.
-pub fn measure_format_costs(
-    w: &rtm_tensor::Matrix,
-    formats: &[StorageFormat],
-    precision: rtm_sparse::Precision,
-    stripes: usize,
-    blocks: usize,
-    batch: usize,
-    iters: usize,
-) -> Vec<FormatCost> {
-    use rtm_sparse::{BspcMatrix, CsrMatrix, SparseKernel};
-    // Mirrors measure_precision_costs: each candidate's measured cost lands
-    // as a `tuner.format_cost_us.<fmt>.<prec>` gauge under one span.
-    let _span = rtm_trace::span("tuner.measure_format_costs");
-    let (rows, cols) = w.shape();
-    let stripes = stripes.max(1);
-    let blocks = blocks.max(1);
-    let batch = batch.max(1);
-    let iters = iters.max(1);
-    let mut rng = rtm_tensor::init::rng_from_seed(0x5eed_cafe);
-    let xs: Vec<f32> = (0..cols * batch)
-        .map(|_| rng.gen_f32() * 2.0 - 1.0)
-        .collect();
-    let mut ys = vec![0.0f32; rows * batch];
-    formats
-        .iter()
-        .map(|&format| {
-            // Every sparse candidate is swept through the serial entry of
-            // the one kernel contract — the function the runtime runs,
-            // serial or pooled. Dense has no sparse encoding and keeps its
-            // gemv arm.
-            let encoded: Option<Box<dyn SparseKernel>> = match format {
-                StorageFormat::Dense => None,
-                StorageFormat::Csr => Some(Box::new(CsrMatrix::from_dense(w))),
-                StorageFormat::Bspc => BspcMatrix::from_dense(w, stripes, blocks)
-                    .ok()
-                    .map(|k| Box::new(k) as Box<dyn SparseKernel>),
-            };
-            let sweep = |ys: &mut [f32]| match (&encoded, batch) {
-                (Some(k), 1) => k.spmv_prec_into(precision, &xs, ys),
-                (Some(k), _) => k.spmm_prec_into(precision, &xs, batch, ys),
-                (None, 1) => rtm_tensor::gemm::gemv_into(w, &xs, ys),
-                (None, _) => rtm_tensor::gemm::gemv_batch_into(w, &xs, batch, ys),
-            };
-            // Formats whose encoder rejected the matrix lose the search.
-            let seconds = if encoded.is_none() && format != StorageFormat::Dense {
-                f64::INFINITY
-            } else {
-                sweep(&mut ys).expect("shapes agree"); // warm-up
-                let t0 = std::time::Instant::now();
-                for _ in 0..iters {
-                    sweep(&mut ys).expect("shapes agree");
-                    std::hint::black_box(&ys);
-                }
-                t0.elapsed().as_secs_f64() / iters as f64
-            };
-            let cost = FormatCost {
-                format,
-                precision,
-                seconds,
-            };
-            if rtm_trace::enabled() {
-                let reg = rtm_trace::global();
-                reg.gauge_set(
-                    &format!("tuner.format_cost_us.{format}.{}", precision.tag()),
-                    cost.seconds * 1e6,
-                );
-                reg.counter_add(rtm_trace::key::TUNER_FORMAT_MEASUREMENTS, 1);
-            }
-            cost
-        })
-        .collect()
-}
-
-/// Picks the fastest measured format (lowest finite seconds). Falls back
-/// to BSPC when `measured` is empty or nothing measured finite — the
-/// paper's format is always a safe default.
-pub fn select_format(measured: &[FormatCost]) -> StorageFormat {
-    measured
-        .iter()
-        .filter(|m| m.seconds.is_finite())
-        .min_by(|a, b| a.seconds.partial_cmp(&b.seconds).expect("finite costs"))
-        .map_or(StorageFormat::Bspc, |m| m.format)
-}
-
 /// Searches only the BSP partition axis — the paper's "best block size"
 /// search — against a cost that sees the `(stripes, blocks)` pair, e.g. a
 /// weighted combination of pruned-model accuracy and simulated latency.
@@ -492,62 +383,6 @@ mod tests {
         }];
         assert_eq!(select_precision(&nan), Precision::F32);
         assert_eq!(select_precision(&[]), Precision::F32);
-    }
-
-    #[test]
-    fn format_measurement_covers_every_candidate() {
-        use rtm_sparse::Precision;
-        let w = rtm_tensor::Matrix::from_fn(48, 64, |r, c| {
-            if (r / 6 + c / 8) % 3 == 0 {
-                0.1 + (r * 7 + c) as f32 / 100.0
-            } else {
-                0.0
-            }
-        });
-        let formats = [
-            StorageFormat::Dense,
-            StorageFormat::Csr,
-            StorageFormat::Bspc,
-        ];
-        for batch in [1usize, 4] {
-            let measured = measure_format_costs(&w, &formats, Precision::F32, 8, 8, batch, 2);
-            assert_eq!(measured.len(), formats.len());
-            for m in &measured {
-                assert!(m.seconds.is_finite() && m.seconds > 0.0, "{m:?}");
-                assert_eq!(m.precision, Precision::F32);
-            }
-            let winner = select_format(&measured);
-            let fastest = measured
-                .iter()
-                .min_by(|a, b| a.seconds.partial_cmp(&b.seconds).expect("finite"))
-                .expect("nonempty");
-            assert_eq!(winner, fastest.format);
-        }
-    }
-
-    #[test]
-    fn format_selection_defaults_to_bspc() {
-        use rtm_sparse::Precision;
-        assert_eq!(select_format(&[]), StorageFormat::Bspc);
-        let inf = [FormatCost {
-            format: StorageFormat::Csr,
-            precision: Precision::F32,
-            seconds: f64::INFINITY,
-        }];
-        assert_eq!(select_format(&inf), StorageFormat::Bspc);
-        let costs = [
-            FormatCost {
-                format: StorageFormat::Bspc,
-                precision: Precision::F32,
-                seconds: 2.0,
-            },
-            FormatCost {
-                format: StorageFormat::Csr,
-                precision: Precision::F32,
-                seconds: 1.0,
-            },
-        ];
-        assert_eq!(select_format(&costs), StorageFormat::Csr);
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //! ```text
 //! rtm pipeline [--hidden N] [--col X] [--row Y] [--stripes S] [--blocks B]
 //!              [--seed K] [--threads T] [--batch B] [--simd POLICY]
-//!              [--health POLICY] [--precision CHOICE] [--format CHOICE]
-//!              [--decoder CHOICE] [--trace OUT.json] [--save FILE.rtm]
+//!              [--health POLICY] [--precision CHOICE] [--decoder CHOICE]
+//!              [--trace OUT.json] [--save FILE.rtm]
 //! rtm compile --out FILE.rtm [--hidden N] [--col X] [--row Y] [--stripes S]
 //!             [--blocks B] [--seed K] [--threads T] [--batch B]
 //!             [--simd POLICY] [--health POLICY] [--precision CHOICE]
-//!             [--format CHOICE] [--decoder CHOICE]
+//!             [--decoder CHOICE]
 //! rtm serve FILE.rtm [--port P] [--max-conns N] [--tenant-quota Q]
 //!           [--max-streams N] [--threads T] [--batch B] [--queue-depth D]
 //!           [--shed POLICY] [--simd POLICY] [--health POLICY]
@@ -20,8 +20,8 @@
 //!
 //! The compile-once-serve-many flow (DESIGN.md §15): `compile` runs the
 //! full train → BSP-prune → compile flow ahead of time and publishes the
-//! result as a checksummed v5 bundle — weights in their final per-layer
-//! format and precision, tuner costs, and health metadata (compiled PER,
+//! result as a checksummed v5 bundle — BSPC weights at their final
+//! per-layer precision, tuner costs, and health metadata (compiled PER,
 //! guard verdicts) — via an atomic temp-file + rename write. `serve` loads
 //! a bundle and runs the continuous-batching TCP front end on loopback
 //! (DESIGN.md §14); with `--reload` (or `RTM_RELOAD`) it watches the
@@ -64,8 +64,8 @@ fn print_help() {
     println!("USAGE:");
     println!("  rtm pipeline [--hidden N] [--col X] [--row Y] [--stripes S] [--blocks B]");
     println!("               [--seed K] [--threads T] [--batch B] [--simd POLICY]");
-    println!("               [--health POLICY] [--precision CHOICE] [--format CHOICE]");
-    println!("               [--decoder CHOICE] [--trace OUT.json] [--save FILE.rtm]");
+    println!("               [--health POLICY] [--precision CHOICE] [--decoder CHOICE]");
+    println!("               [--trace OUT.json] [--save FILE.rtm]");
     println!("  rtm compile --out FILE.rtm [pipeline flags except --trace/--save]");
     println!("  rtm serve FILE.rtm [--port P] [--max-conns N] [--tenant-quota Q]");
     println!("            [--max-streams N] [--threads T] [--batch B] [--queue-depth D]");
@@ -77,8 +77,8 @@ fn print_help() {
     println!();
     println!("  compile is the ahead-of-time half of compile-once-serve-many: it runs");
     println!("  the train -> prune -> compile pipeline and atomically publishes the");
-    println!("  result to --out as a checksummed bundle (weights in their final");
-    println!("  per-layer format/precision, tuner costs, health metadata, per-section");
+    println!("  result to --out as a checksummed bundle (BSPC weights at their final");
+    println!("  per-layer precision, tuner costs, health metadata, per-section");
     println!("  CRCs and a whole-file checksum). Republishing to the same path bumps");
     println!("  the bundle generation. pipeline --save writes the same bundle format.");
     println!();
@@ -117,13 +117,6 @@ fn print_help() {
     println!("  runtime: f32, f16 (default; the paper's mobile-GPU datapath), int8,");
     println!("  or auto (measure the kernels per layer and pick the fastest, with");
     println!("  a PER-degradation guard). The RTM_PRECISION environment variable");
-    println!("  sets the same knob.");
-    println!();
-    println!("  --format picks the sparse storage format of the compiled runtime:");
-    println!("  bspc (default; the paper's block-based structured pruning format),");
-    println!("  csr (the unstructured baseline), or auto (time both formats against");
-    println!("  each layer's actual pruned weights and pick the fastest per layer,");
-    println!("  with a PER-degradation guard). The RTM_FORMAT environment variable");
     println!("  sets the same knob.");
     println!();
     println!("  --decoder picks the streaming decoder: argmax (default; per-frame");
@@ -196,7 +189,6 @@ const PIPELINE_FLAGS: &[&str] = &[
     "simd",
     "health",
     "precision",
-    "format",
     "decoder",
     "trace",
     "save",
@@ -215,7 +207,6 @@ const COMPILE_FLAGS: &[&str] = &[
     "simd",
     "health",
     "precision",
-    "format",
     "decoder",
 ];
 
@@ -226,7 +217,7 @@ type InstallKnob = fn(RuntimeConfig, &str) -> Option<RuntimeConfig>;
 /// The runtime knobs shared by every subcommand, in the order they apply:
 /// flag name, the accepted-values string its error quotes (the one the
 /// `RTM_*` errors quote), and parse-then-install.
-const RUNTIME_FLAGS: [(&str, &str, InstallKnob); 5] = [
+const RUNTIME_FLAGS: [(&str, &str, InstallKnob); 4] = [
     ("simd", rtmobile::env::SIMD_VALUES, |rt, v| {
         rtm_tensor::simd::parse_policy(v).map(|p| rt.with_simd(p))
     }),
@@ -235,9 +226,6 @@ const RUNTIME_FLAGS: [(&str, &str, InstallKnob); 5] = [
     }),
     ("precision", rtmobile::env::PRECISION_VALUES, |rt, v| {
         rtmobile::PrecisionChoice::parse(v).map(|p| rt.with_precision(p))
-    }),
-    ("format", rtmobile::env::FORMAT_VALUES, |rt, v| {
-        rtmobile::FormatChoice::parse(v).map(|f| rt.with_format(f))
     }),
     ("decoder", rtmobile::env::DECODER_VALUES, |rt, v| {
         rtmobile::DecoderChoice::parse(v).map(|d| rt.with_decoder(d))
@@ -271,7 +259,6 @@ fn publish_bundle(
         generation: bundle::next_generation(target),
         compiled_per: report.accuracy.compiled_per as f32,
         precision_guard_tripped: report.performance.precision_guard_tripped,
-        format_guard_tripped: report.performance.format_guard_tripped,
     };
     let bytes = bundle::to_bytes_with(compiled, &meta);
     bundle::write_bytes_atomic(target, &bytes)
@@ -464,21 +451,13 @@ fn compile(args: &[String]) -> ExitCode {
     let p = &report.performance;
     println!(
         "compiled PER {:.2}%, precision {} ({} f32 / {} f16 / {} int8), \
-         format {} ({} bspc / {} csr), guards: precision {}, format {}",
+         guards: precision {}",
         report.accuracy.compiled_per,
         p.precision,
         p.layers_f32,
         p.layers_f16,
         p.layers_int8,
-        p.format,
-        p.layers_bspc,
-        p.layers_csr,
         if p.precision_guard_tripped {
-            "TRIPPED"
-        } else {
-            "ok"
-        },
-        if p.format_guard_tripped {
             "TRIPPED"
         } else {
             "ok"
@@ -864,29 +843,19 @@ fn inspect(args: &[String]) -> ExitCode {
         loaded.meta.compiled_per
     );
     println!(
-        "  guards        : precision {}, format {}",
+        "  guards        : precision {}",
         if loaded.meta.precision_guard_tripped {
             "TRIPPED (shipped f32)"
-        } else {
-            "ok"
-        },
-        if loaded.meta.format_guard_tripped {
-            "TRIPPED (shipped bspc)"
         } else {
             "ok"
         }
     );
     let net = loaded.into_network();
     println!("  precision     : {:?}", net.precision());
-    let formats: Vec<&str> = net.layer_formats().iter().map(|f| f.tag()).collect();
     println!(
-        "  format        : {} (layers: {})",
-        net.format().tag(),
-        formats.join(", ")
-    );
-    println!(
-        "  sparse storage: {:.1} KiB",
-        net.storage_bytes() as f64 / 1024.0
+        "  sparse storage: {:.1} KiB {}",
+        net.storage_bytes() as f64 / 1024.0,
+        net.format().tag()
     );
     if net.tuner_costs().is_empty() {
         println!("  tuner costs   : none (fixed-choice compile)");
@@ -894,9 +863,8 @@ fn inspect(args: &[String]) -> ExitCode {
         println!("  tuner costs   :");
         for c in net.tuner_costs() {
             println!(
-                "    layer {}: {}/{} measured {:.1} us",
+                "    layer {}: {} measured {:.1} us",
                 c.layer,
-                c.format.tag(),
                 c.precision.tag(),
                 c.micros
             );

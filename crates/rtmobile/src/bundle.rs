@@ -21,12 +21,12 @@
 //! Sections (unknown tags are skipped, so future sections are
 //! forward-compatible):
 //!
-//! * `WGHT` — the network body of [`crate::model_file`]: per-layer weights
-//!   in their final storage format/precision (reorder permutations ride
-//!   inside the BSPC blobs), biases, dense head.
+//! * `WGHT` — the network body of [`crate::model_file`]: per-layer BSPC
+//!   weights at their final storage precision (reorder permutations ride
+//!   inside the blobs), biases, dense head.
 //! * `TUNE` — tuner probe measurements.
 //! * `HLTH` — health metadata: compiled PER, accuracy-guard verdicts, and
-//!   the per-layer format/precision table, cross-checked against the
+//!   the per-layer precision table, cross-checked against the
 //!   decoded network so the sections cannot drift apart unnoticed.
 //!
 //! The decode order is deliberate: the whole-file CRC is verified *first*,
@@ -120,9 +120,6 @@ pub struct BundleMeta {
     /// Whether the pipeline's precision accuracy-guard rejected the
     /// requested precision and shipped f32 instead.
     pub precision_guard_tripped: bool,
-    /// Whether the pipeline's format accuracy-guard rejected the requested
-    /// format and shipped BSPC instead.
-    pub format_guard_tripped: bool,
 }
 
 impl BundleMeta {
@@ -233,11 +230,12 @@ fn put_section(out: &mut Vec<u8>, tag: [u8; 4], payload: &[u8]) {
 fn write_health_body(out: &mut Vec<u8>, net: &CompiledNetwork, meta: &BundleMeta) {
     out.put_f32_le(meta.compiled_per);
     out.put_u8(meta.precision_guard_tripped as u8);
-    out.put_u8(meta.format_guard_tripped as u8);
+    // The retired format guard's byte: always 0, never read back.
+    out.put_u8(0);
     out.put_u32_le(net.layers.len() as u32);
     for layer in &net.layers {
         out.put_u32_le(layer.hidden as u32);
-        out.put_slice(&model_file::mode_tags(layer.precision, layer.format));
+        out.put_slice(&model_file::mode_tags(layer.precision));
     }
 }
 
@@ -359,16 +357,17 @@ fn read_health_body(
 ) -> Result<(), DecodeError> {
     let mut r = Reader::new(payload);
     meta.compiled_per = r.f32()?;
-    let [precision_guard, format_guard] = r.array()?;
+    // The second byte flagged the retired format guard; a bundle that set
+    // it still shipped BSPC, so it loads.
+    let [precision_guard, _] = r.array()?;
     meta.precision_guard_tripped = precision_guard != 0;
-    meta.format_guard_tripped = format_guard != 0;
     if r.u32()? as usize != net.layers.len() {
         return Err(DecodeError::MetaMismatch);
     }
     for layer in &net.layers {
         let hidden = r.u32()? as usize;
-        let mode = model_file::mode_from_tags(r.array()?)?;
-        if hidden != layer.hidden || mode != (layer.precision, layer.format) {
+        let precision = model_file::mode_from_tags(r.array()?)?;
+        if hidden != layer.hidden || precision != layer.precision {
             return Err(DecodeError::MetaMismatch);
         }
     }
@@ -618,7 +617,6 @@ mod tests {
             generation: 42,
             compiled_per: 0.125,
             precision_guard_tripped: true,
-            format_guard_tripped: false,
         };
         let bytes = to_bytes_with(&net, &meta);
         let bundle = from_bytes(&bytes).expect("decodes");
@@ -626,6 +624,21 @@ mod tests {
         assert_eq!(bundle.generation(), 42);
         // Same inputs, same bytes: the writer is deterministic.
         assert_eq!(bytes, to_bytes_with(&net, &meta));
+        // HLTH payload: compiled PER f32, two guard bytes, layer count, then
+        // per layer hidden u32 + [precision, format]. The second guard byte
+        // is reserved: a bundle that set it (the retired format guard, which
+        // still shipped BSPC) loads with the same metadata. A row's format
+        // byte other than BSPC's 0 is refused like in any other header.
+        let health = probe(&bytes).expect("probe").sections[2];
+        assert_eq!(&health.tag, b"HLTH");
+        let edited = |offset: usize, byte: u8| {
+            let mut edited = bytes.clone();
+            edited[health.payload_offset + offset] = byte;
+            assert!(reseal(&mut edited));
+            from_bytes(&edited)
+        };
+        assert_eq!(edited(5, 1).expect("reserved byte ignored").meta, meta);
+        assert_eq!(edited(15, 1).unwrap_err(), DecodeError::BadFormat(1));
     }
 
     #[test]

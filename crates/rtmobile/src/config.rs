@@ -8,14 +8,13 @@
 //! environment ([`RuntimeConfig::from_env`], via [`crate::env`]) all flow
 //! through, so "how is this process configured?" has a single answer.
 //!
-//! The `Option` knobs (`simd`, `health`, `trace`, `precision`, `format`,
-//! `decoder`) distinguish "explicitly chosen" from "let the environment
-//! variable decide": a `None` leaves the corresponding variable
-//! (`RTM_SIMD`, `RTM_HEALTH`, `RTM_TRACE`, `RTM_PRECISION`, `RTM_FORMAT`,
-//! `RTM_DECODER`) in charge, exactly as the pre-consolidation builder
+//! The `Option` knobs (`simd`, `health`, `trace`, `precision`, `decoder`)
+//! distinguish "explicitly chosen" from "let the environment variable
+//! decide": a `None` leaves the corresponding variable (`RTM_SIMD`,
+//! `RTM_HEALTH`, `RTM_TRACE`, `RTM_PRECISION`, `RTM_DECODER`) in charge, exactly as the pre-consolidation builder
 //! methods did.
 
-use crate::deploy::{RuntimeFormat, RuntimePrecision};
+use crate::deploy::RuntimePrecision;
 use crate::health::HealthPolicy;
 use crate::serve::{AdmissionConfig, ServeOptions};
 use rtm_tensor::simd::SimdPolicy;
@@ -49,39 +48,6 @@ impl PrecisionChoice {
         match self {
             PrecisionChoice::Fixed(p) => p.tag(),
             PrecisionChoice::Auto => "auto",
-        }
-    }
-}
-
-/// How the pipeline picks the sparse storage format of the compiled
-/// weights.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FormatChoice {
-    /// Compile every layer into this format.
-    Fixed(RuntimeFormat),
-    /// Measure the BSPC and CSR kernels per layer shape and pick the
-    /// fastest per layer, subject to the pipeline's accuracy guard (a
-    /// PER-degradation bound versus the all-BSPC baseline; violations fall
-    /// back to all-BSPC).
-    Auto,
-}
-
-impl FormatChoice {
-    /// Parses `"bspc"`, `"csr"` or `"auto"` (the `RTM_FORMAT` / `--format`
-    /// grammar).
-    pub fn parse(s: &str) -> Option<FormatChoice> {
-        if s == "auto" {
-            Some(FormatChoice::Auto)
-        } else {
-            RuntimeFormat::parse(s).map(FormatChoice::Fixed)
-        }
-    }
-
-    /// The label [`FormatChoice::parse`] accepts for this value.
-    pub fn tag(self) -> &'static str {
-        match self {
-            FormatChoice::Fixed(f) => f.tag(),
-            FormatChoice::Auto => "auto",
         }
     }
 }
@@ -189,9 +155,6 @@ pub struct RuntimeConfig {
     /// Weight storage precision; `None` defers to `RTM_PRECISION` (and the
     /// pipeline's f16 default when that is unset too).
     pub precision: Option<PrecisionChoice>,
-    /// Sparse weight storage format; `None` defers to `RTM_FORMAT` (and
-    /// the pipeline's BSPC default when that is unset too).
-    pub format: Option<FormatChoice>,
     /// Utterance decoder; `None` defers to `RTM_DECODER` (and the legacy
     /// argmax-collapse default when that is unset too).
     pub decoder: Option<DecoderChoice>,
@@ -211,7 +174,6 @@ impl Default for RuntimeConfig {
             health: None,
             trace: None,
             precision: None,
-            format: None,
             decoder: None,
             admission: AdmissionConfig::unbounded(),
             serve: ServeOptions::default(),
@@ -222,7 +184,7 @@ impl Default for RuntimeConfig {
 impl RuntimeConfig {
     /// The default configuration with every environment-settable knob
     /// resolved from its variable (`RTM_SIMD`, `RTM_HEALTH`, `RTM_TRACE`,
-    /// `RTM_PRECISION`, `RTM_FORMAT`, `RTM_DECODER`).
+    /// `RTM_PRECISION`, `RTM_DECODER`).
     ///
     /// # Errors
     ///
@@ -235,7 +197,6 @@ impl RuntimeConfig {
             health: crate::env::health_policy()?,
             trace: crate::env::trace_config()?,
             precision: crate::env::precision_choice()?,
-            format: crate::env::format_choice()?,
             decoder: crate::env::decoder_choice()?,
             ..RuntimeConfig::default()
         })
@@ -287,12 +248,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Pins the sparse weight storage format (overrides `RTM_FORMAT`).
-    pub fn with_format(mut self, format: FormatChoice) -> RuntimeConfig {
-        self.format = Some(format);
-        self
-    }
-
     /// Pins the utterance decoder (overrides `RTM_DECODER`).
     pub fn with_decoder(mut self, decoder: DecoderChoice) -> RuntimeConfig {
         self.decoder = Some(decoder);
@@ -318,15 +273,6 @@ impl RuntimeConfig {
         self.precision
             .or_else(|| crate::env::precision_choice().ok().flatten())
             .unwrap_or(PrecisionChoice::Fixed(RuntimePrecision::F16))
-    }
-
-    /// The format choice a run resolves to: the pinned one, otherwise the
-    /// `RTM_FORMAT` deployment default, otherwise the pipeline's BSPC
-    /// default (the paper's block-based structured pruning format).
-    pub fn resolved_format(&self) -> FormatChoice {
-        self.format
-            .or_else(|| crate::env::format_choice().ok().flatten())
-            .unwrap_or(FormatChoice::Fixed(RuntimeFormat::Bspc))
     }
 
     /// The decoder a run resolves to: the pinned one, otherwise the
@@ -374,31 +320,11 @@ mod tests {
         assert_eq!(c.health, None);
         assert_eq!(c.trace, None);
         assert_eq!(c.precision, None);
-        assert_eq!(c.format, None);
         assert_eq!(c.decoder, None);
         assert_eq!(c.admission, AdmissionConfig::unbounded());
         assert_eq!(c.serve, ServeOptions::default());
         assert_eq!(c.serve.port, 0, "default serve port is ephemeral");
         assert_eq!(c.serve.max_conns, 64);
-    }
-
-    #[test]
-    fn format_choice_parses_and_roundtrips() {
-        use crate::deploy::RuntimeFormat;
-        for choice in [
-            FormatChoice::Fixed(RuntimeFormat::Bspc),
-            FormatChoice::Fixed(RuntimeFormat::Csr),
-            FormatChoice::Auto,
-        ] {
-            assert_eq!(FormatChoice::parse(choice.tag()), Some(choice));
-        }
-        assert_eq!(FormatChoice::parse("coo"), None);
-        assert_eq!(FormatChoice::parse("bbs"), None, "retired format");
-        assert_eq!(FormatChoice::parse("csb"), None, "retired format");
-        assert_eq!(FormatChoice::parse("dense"), None);
-        let c = RuntimeConfig::default().with_format(FormatChoice::Auto);
-        assert_eq!(c.format, Some(FormatChoice::Auto));
-        assert_eq!(c.resolved_format(), FormatChoice::Auto);
     }
 
     #[test]
@@ -479,7 +405,7 @@ mod tests {
             .with_simd(SimdPolicy::Fixed(Variant::ScalarU1))
             .with_health(HealthPolicy::Quarantine)
             .with_trace(rtm_trace::TraceConfig::on())
-            .with_format(FormatChoice::Fixed(crate::deploy::RuntimeFormat::Csr))
+            .with_precision(PrecisionChoice::Fixed(RuntimePrecision::Int8))
             .with_admission(
                 AdmissionConfig::unbounded()
                     .with_queue_depth(3)
@@ -498,8 +424,8 @@ mod tests {
         assert_eq!(c.health, Some(HealthPolicy::Quarantine));
         assert_eq!(c.trace, Some(rtm_trace::TraceConfig::on()));
         assert_eq!(
-            c.format,
-            Some(FormatChoice::Fixed(crate::deploy::RuntimeFormat::Csr))
+            c.precision,
+            Some(PrecisionChoice::Fixed(RuntimePrecision::Int8))
         );
         assert_eq!(c.admission.queue_depth, 3);
         assert_eq!(c.serve.port, 9099);

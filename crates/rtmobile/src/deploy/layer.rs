@@ -2,29 +2,29 @@
 //! and the lane-major production step, in two halves (the input products,
 //! then the recurrence) that the production frame loops share.
 
-use super::format::{GateMatrix, RuntimeFormat, RuntimePrecision};
+use super::format::RuntimePrecision;
 use rtm_exec::ExecError;
+use rtm_sparse::BspcMatrix;
 use rtm_tensor::activations::{sigmoid_slice, tanh_slice};
 use rtm_tensor::f16::{quantize_f16, quantize_f16_slice};
 use rtm_tensor::Vector;
 
-/// One compiled GRU layer: six sparse gate matrices plus biases, executed
-/// at the layer's own storage precision and format (per-layer selection is
-/// the tuner's job).
+/// One compiled GRU layer: six BSPC gate matrices plus biases, executed
+/// at the layer's own storage precision (per-layer selection is the
+/// tuner's job).
 #[derive(Debug, Clone)]
 pub struct CompiledGruLayer {
-    pub(crate) w_z: GateMatrix,
-    pub(crate) u_z: GateMatrix,
+    pub(crate) w_z: BspcMatrix,
+    pub(crate) u_z: BspcMatrix,
     pub(crate) b_z: Vec<f32>,
-    pub(crate) w_r: GateMatrix,
-    pub(crate) u_r: GateMatrix,
+    pub(crate) w_r: BspcMatrix,
+    pub(crate) u_r: BspcMatrix,
     pub(crate) b_r: Vec<f32>,
-    pub(crate) w_n: GateMatrix,
-    pub(crate) u_n: GateMatrix,
+    pub(crate) w_n: BspcMatrix,
+    pub(crate) u_n: BspcMatrix,
     pub(crate) b_n: Vec<f32>,
     pub(crate) hidden: usize,
     pub(crate) precision: RuntimePrecision,
-    pub(crate) format: RuntimeFormat,
 }
 
 /// Reusable workspace for the compiled streaming loop.
@@ -80,11 +80,6 @@ impl CompiledGruLayer {
         self.precision
     }
 
-    /// The storage format this layer's gate kernels walk.
-    pub fn format(&self) -> RuntimeFormat {
-        self.format
-    }
-
     /// The reference step: one serial GRU step, allocation-free — gates and
     /// temporaries live in `scratch`, the fresh state lands in `h_out`
     /// (resized on entry). Every gate SpMV streams the layer's compiled
@@ -108,11 +103,9 @@ impl CompiledGruLayer {
         h_out.resize(self.hidden, 0.0);
 
         self.w_z
-            .kernel()
             .spmv_prec_into(prec, x, &mut scratch.z)
             .expect("dims");
         self.u_z
-            .kernel()
             .spmv_prec_into(prec, h_prev, &mut scratch.tmp)
             .expect("dims");
         Vector::axpy(1.0, &scratch.tmp, &mut scratch.z);
@@ -121,11 +114,9 @@ impl CompiledGruLayer {
         quantize(&mut scratch.z);
 
         self.w_r
-            .kernel()
             .spmv_prec_into(prec, x, &mut scratch.r)
             .expect("dims");
         self.u_r
-            .kernel()
             .spmv_prec_into(prec, h_prev, &mut scratch.tmp)
             .expect("dims");
         Vector::axpy(1.0, &scratch.tmp, &mut scratch.r);
@@ -135,11 +126,9 @@ impl CompiledGruLayer {
 
         Vector::hadamard_into(&scratch.r, h_prev, &mut scratch.rh);
         self.w_n
-            .kernel()
             .spmv_prec_into(prec, x, &mut scratch.n)
             .expect("dims");
         self.u_n
-            .kernel()
             .spmv_prec_into(prec, &scratch.rh, &mut scratch.tmp)
             .expect("dims");
         Vector::axpy(1.0, &scratch.tmp, &mut scratch.n);
@@ -300,15 +289,15 @@ impl CompiledGruLayer {
 /// per lane count.
 fn product(
     exec: &rtm_exec::Executor,
-    gate: &GateMatrix,
+    gate: &BspcMatrix,
     prec: rtm_sparse::Precision,
     xs: &[f32],
     b: usize,
     out: &mut [f32],
 ) -> Result<(), ExecError> {
     if b == 1 {
-        exec.spmv_into(gate.kernel(), prec, xs, out)
+        exec.spmv_into(gate, prec, xs, out)
     } else {
-        exec.spmm_into(gate.kernel(), prec, xs, b, out)
+        exec.spmm_into(gate, prec, xs, b, out)
     }
 }

@@ -19,7 +19,7 @@
 //! (a chunk of frames of one stream, layer by layer, through the same
 //! step's input and recurrent halves).
 //!
-//! * `format` — [`RuntimePrecision`], [`RuntimeFormat`], [`GateMatrix`];
+//! * `format` — [`RuntimePrecision`], [`RuntimeFormat`];
 //! * `layer` — [`CompiledGruLayer`], [`GruRuntimeScratch`], the two steps;
 //! * `network` — [`CompiledNetwork`]: compile, accessors, the three loops;
 //! * `session` — [`BatchedSession`]: lane scheduling only.
@@ -29,7 +29,7 @@ mod layer;
 mod network;
 mod session;
 
-pub use format::{GateMatrix, RuntimeFormat, RuntimePrecision};
+pub use format::{RuntimeFormat, RuntimePrecision};
 pub use layer::{CompiledGruLayer, GruRuntimeScratch};
 pub use network::{CompiledNetwork, TunerCost};
 pub use session::{BatchedSession, StepOutput};
@@ -171,53 +171,14 @@ mod tests {
         assert!(p16 < p32, "f16 shrinks storage further: {p16} vs {p32}");
     }
 
-    const ALL_FORMATS: [RuntimeFormat; 2] = [RuntimeFormat::Bspc, RuntimeFormat::Csr];
-
     #[test]
     fn every_format_compiles_and_matches_dense() {
         let net = net();
         let dense = net.forward(&frames());
-        for format in ALL_FORMATS {
-            let compiled = CompiledNetwork::compile_with_formats(
-                &net,
-                4,
-                4,
-                &[],
-                RuntimePrecision::F32,
-                &[],
-                format,
-            )
-            .unwrap();
-            assert_eq!(compiled.format(), format);
-            assert_eq!(compiled.layer_formats(), vec![format; 2]);
-            let sparse = compiled.forward(&frames());
-            for (d, s) in dense.iter().zip(&sparse) {
-                for (a, b) in d.iter().zip(s) {
-                    assert!((a - b).abs() < 1e-5, "{format:?}: {a} vs {b}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn mixed_format_layers_compile_and_run() {
-        let net = net();
-        let compiled = CompiledNetwork::compile_with_formats(
-            &net,
-            4,
-            4,
-            &[],
-            RuntimePrecision::F32,
-            &[RuntimeFormat::Csr],
-            RuntimeFormat::Bspc,
-        )
-        .unwrap();
-        assert_eq!(
-            compiled.layer_formats(),
-            vec![RuntimeFormat::Csr, RuntimeFormat::Bspc]
-        );
-        let dense = net.forward(&frames());
-        for (d, s) in dense.iter().zip(&compiled.forward(&frames())) {
+        let compiled = CompiledNetwork::compile(&net, 4, 4, RuntimePrecision::F32).unwrap();
+        assert_eq!(compiled.format(), RuntimeFormat::Bspc);
+        let sparse = compiled.forward(&frames());
+        for (d, s) in dense.iter().zip(&sparse) {
             for (a, b) in d.iter().zip(s) {
                 assert!((a - b).abs() < 1e-5, "{a} vs {b}");
             }
@@ -227,24 +188,20 @@ mod tests {
     #[test]
     fn forward_with_matches_forward_every_format_and_precision() {
         let net = net();
-        for format in ALL_FORMATS {
-            for precision in [
-                RuntimePrecision::F32,
-                RuntimePrecision::F16,
-                RuntimePrecision::Int8,
-            ] {
-                let compiled =
-                    CompiledNetwork::compile_with_formats(&net, 4, 4, &[], precision, &[], format)
-                        .unwrap();
-                let serial = compiled.forward(&frames());
-                for threads in [1usize, 3] {
-                    let exec = rtm_exec::Executor::new(threads);
-                    assert_eq!(
-                        compiled.forward_with(&exec, &frames()),
-                        serial,
-                        "{format:?} {precision:?} {threads} threads"
-                    );
-                }
+        for precision in [
+            RuntimePrecision::F32,
+            RuntimePrecision::F16,
+            RuntimePrecision::Int8,
+        ] {
+            let compiled = CompiledNetwork::compile(&net, 4, 4, precision).unwrap();
+            let serial = compiled.forward(&frames());
+            for threads in [1usize, 3] {
+                let exec = rtm_exec::Executor::new(threads);
+                assert_eq!(
+                    compiled.forward_with(&exec, &frames()),
+                    serial,
+                    "{precision:?} {threads} threads"
+                );
             }
         }
     }
@@ -266,21 +223,10 @@ mod tests {
             })
             .collect();
         let exec = rtm_exec::Executor::new(2);
-        for format in ALL_FORMATS {
-            let compiled = CompiledNetwork::compile_with_formats(
-                &net,
-                4,
-                4,
-                &[],
-                RuntimePrecision::F16,
-                &[],
-                format,
-            )
-            .unwrap();
-            let serial: Vec<Vec<Vec<f32>>> = streams.iter().map(|s| compiled.forward(s)).collect();
-            let mut session = BatchedSession::new(&compiled, &exec, 2);
-            assert_eq!(session.run(&streams), serial, "{format:?} lane contract");
-        }
+        let compiled = CompiledNetwork::compile(&net, 4, 4, RuntimePrecision::F16).unwrap();
+        let serial: Vec<Vec<Vec<f32>>> = streams.iter().map(|s| compiled.forward(s)).collect();
+        let mut session = BatchedSession::new(&compiled, &exec, 2);
+        assert_eq!(session.run(&streams), serial, "lane contract");
     }
 
     #[test]
@@ -354,9 +300,9 @@ mod tests {
 
     #[test]
     fn format_zoo_storage_accounting_differs_per_format() {
-        // Same pruned weights, both formats: each format's byte accounting
-        // reflects its own index structure, and every one prices all six
-        // gates of both layers.
+        // Same pruned weights: the compiled model's byte accounting is
+        // BSPC's own index structure over all six gates of both layers,
+        // not what the CSR baseline would charge for them.
         let mut net = net();
         for (_, m) in net.prunable_mut() {
             let cols = m.cols();
@@ -368,42 +314,25 @@ mod tests {
                 }
             }
         }
-        let bytes: Vec<usize> = ALL_FORMATS
-            .iter()
-            .map(|&f| {
-                CompiledNetwork::compile_with_formats(
-                    &net,
-                    4,
-                    4,
-                    &[],
-                    RuntimePrecision::F32,
-                    &[],
-                    f,
-                )
-                .unwrap()
-                .storage_bytes()
+        let bspc = CompiledNetwork::compile(&net, 4, 4, RuntimePrecision::F32)
+            .unwrap()
+            .storage_bytes();
+        let csr: usize = net
+            .prunable()
+            .into_iter()
+            .map(|(_, m)| {
+                let csr = rtm_sparse::CsrMatrix::from_dense(m);
+                rtm_sparse::Footprint::csr(&csr, rtm_sparse::Precision::F32).total()
             })
-            .collect();
-        for &b in &bytes {
-            assert!(b > 0);
-        }
-        assert!(
-            bytes.windows(2).any(|w| w[0] != w[1]),
-            "formats must not all price identically: {bytes:?}"
-        );
+            .sum();
+        assert!(bspc > 0 && csr > 0);
+        assert_ne!(bspc, csr, "BSPC must not price like CSR");
     }
 
     #[test]
     fn runtime_format_tags_roundtrip() {
-        for format in ALL_FORMATS {
-            assert_eq!(RuntimeFormat::parse(format.tag()), Some(format));
-            assert_eq!(RuntimeFormat::from_storage(format.storage()), Some(format));
-        }
-        assert_eq!(RuntimeFormat::parse("dense"), None);
-        assert_eq!(
-            RuntimeFormat::from_storage(rtm_compiler::StorageFormat::Dense),
-            None
-        );
+        assert_eq!(RuntimeFormat::default(), RuntimeFormat::Bspc);
+        assert_eq!(RuntimeFormat::Bspc.tag(), "bspc");
     }
 
     #[test]

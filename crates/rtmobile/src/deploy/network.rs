@@ -2,12 +2,13 @@
 //! three frame loops over it (serial reference, lockstep lanes, one
 //! utterance in chunks).
 
-use super::format::{GateMatrix, RuntimeFormat, RuntimePrecision};
+use super::format::{RuntimeFormat, RuntimePrecision};
 use super::layer::{CompiledGruLayer, GruRuntimeScratch};
 use rtm_compiler::reorder::ReorderPlan;
 use rtm_exec::ExecError;
 use rtm_rnn::GruNetwork;
-use rtm_sparse::{BspcMatrix, CsrMatrix};
+use rtm_sparse::footprint::Footprint;
+use rtm_sparse::BspcMatrix;
 use rtm_tensor::f16::{quantize_f16, quantize_f16_slice};
 use rtm_tensor::gemm::RowTiles;
 use rtm_tensor::{Matrix, Vector};
@@ -20,24 +21,21 @@ use rtm_tensor::{Matrix, Vector};
 const CHUNK: usize = 16;
 
 /// One tuner measurement riding along with a compiled model: the seconds
-/// the compile-time kernel probe measured for the format × precision a
-/// layer was deployed at (stored as microseconds). Persisting these in the
+/// the compile-time kernel probe measured for the precision a layer was
+/// deployed at (stored as microseconds). Persisting these in the
 /// model file lets a serving-side load answer "what did the tuner see?"
 /// without re-running the probe.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TunerCost {
     /// Layer index the measurement belongs to.
     pub layer: usize,
-    /// Storage format the probe timed.
-    pub format: RuntimeFormat,
     /// Storage precision the probe timed.
     pub precision: RuntimePrecision,
     /// Measured per-step kernel cost in microseconds.
     pub micros: f32,
 }
 
-/// A GRU network compiled to sparse storage (BSPC by default; CSR per
-/// layer when selected).
+/// A GRU network compiled to BSPC storage.
 #[derive(Debug, Clone)]
 pub struct CompiledNetwork {
     pub(crate) layers: Vec<CompiledGruLayer>,
@@ -49,7 +47,6 @@ pub struct CompiledNetwork {
     head_tiles: RowTiles,
     pub(crate) head_b: Vec<f32>,
     pub(crate) precision: RuntimePrecision,
-    pub(crate) format: RuntimeFormat,
     /// Tuner probe measurements (empty unless an Auto compile recorded
     /// them; see [`CompiledNetwork::with_tuner_costs`]).
     pub(crate) tuner_costs: Vec<TunerCost>,
@@ -92,39 +89,6 @@ impl CompiledNetwork {
         per_layer: &[RuntimePrecision],
         default: RuntimePrecision,
     ) -> Result<CompiledNetwork, rtm_sparse::BspcError> {
-        CompiledNetwork::compile_with_formats(
-            net,
-            stripes,
-            blocks,
-            per_layer,
-            default,
-            &[],
-            RuntimeFormat::Bspc,
-        )
-    }
-
-    /// [`CompiledNetwork::compile_with_precisions`] with a per-layer
-    /// storage-format override on top: layer `i` compiles its six gates
-    /// into `per_layer_format[i]` (layers past the end use
-    /// `default_format`). The `(stripes, blocks)` partition maps onto each
-    /// format the same way the compiler's profiler prices them: BSPC uses
-    /// it directly, CSR ignores it. This is the deployment hook for the
-    /// tuner's measured per-layer format selection.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying [`rtm_sparse::BspcError`] when the partition
-    /// does not fit a tensor (a zero `stripes`/`blocks` is rejected for
-    /// every format so the partition contract stays format-independent).
-    pub fn compile_with_formats(
-        net: &GruNetwork,
-        stripes: usize,
-        blocks: usize,
-        per_layer: &[RuntimePrecision],
-        default: RuntimePrecision,
-        per_layer_format: &[RuntimeFormat],
-        default_format: RuntimeFormat,
-    ) -> Result<CompiledNetwork, rtm_sparse::BspcError> {
         if stripes == 0 || blocks == 0 {
             return Err(rtm_sparse::BspcError::ZeroPartition);
         }
@@ -140,40 +104,31 @@ impl CompiledNetwork {
             }
         };
         let lower = |m: &Matrix,
-                     precision: RuntimePrecision,
-                     format: RuntimeFormat|
-         -> Result<GateMatrix, rtm_sparse::BspcError> {
+                     precision: RuntimePrecision|
+         -> Result<BspcMatrix, rtm_sparse::BspcError> {
             let q = quant(m, precision);
-            let (rows, cols) = (q.rows(), q.cols());
-            Ok(match format {
-                RuntimeFormat::Bspc => {
-                    let s = stripes.min(rows.max(1));
-                    let b = blocks.min(cols.max(1));
-                    let reorder = ReorderPlan::compute(&q, 8);
-                    let perm: Vec<u32> = reorder.perm.iter().map(|&r| r as u32).collect();
-                    GateMatrix::Bspc(BspcMatrix::from_dense(&q, s, b)?.with_reorder(perm)?)
-                }
-                RuntimeFormat::Csr => GateMatrix::Csr(CsrMatrix::from_dense(&q)),
-            })
+            let s = stripes.min(q.rows().max(1));
+            let b = blocks.min(q.cols().max(1));
+            let reorder = ReorderPlan::compute(&q, 8);
+            let perm: Vec<u32> = reorder.perm.iter().map(|&r| r as u32).collect();
+            BspcMatrix::from_dense(&q, s, b)?.with_reorder(perm)
         };
 
         let mut layers = Vec::with_capacity(net.layers.len());
         for (i, cell) in net.layers.iter().enumerate() {
             let precision = per_layer.get(i).copied().unwrap_or(default);
-            let format = per_layer_format.get(i).copied().unwrap_or(default_format);
             layers.push(CompiledGruLayer {
-                w_z: lower(&cell.w_z, precision, format)?,
-                u_z: lower(&cell.u_z, precision, format)?,
+                w_z: lower(&cell.w_z, precision)?,
+                u_z: lower(&cell.u_z, precision)?,
                 b_z: cell.b_z.clone(),
-                w_r: lower(&cell.w_r, precision, format)?,
-                u_r: lower(&cell.u_r, precision, format)?,
+                w_r: lower(&cell.w_r, precision)?,
+                u_r: lower(&cell.u_r, precision)?,
                 b_r: cell.b_r.clone(),
-                w_n: lower(&cell.w_n, precision, format)?,
-                u_n: lower(&cell.u_n, precision, format)?,
+                w_n: lower(&cell.w_n, precision)?,
+                u_n: lower(&cell.u_n, precision)?,
                 b_n: cell.b_n.clone(),
                 hidden: cell.hidden_dim(),
                 precision,
-                format,
             });
         }
         // The head stays a dense f32 gemv; int8 models weight-only
@@ -190,7 +145,6 @@ impl CompiledNetwork {
             head_w,
             net.head.b.clone(),
             default,
-            default_format,
         ))
     }
 
@@ -202,7 +156,6 @@ impl CompiledNetwork {
         head_w: Matrix,
         head_b: Vec<f32>,
         precision: RuntimePrecision,
-        format: RuntimeFormat,
     ) -> CompiledNetwork {
         CompiledNetwork {
             layers,
@@ -210,7 +163,6 @@ impl CompiledNetwork {
             head_w,
             head_b,
             precision,
-            format,
             tuner_costs: Vec::new(),
         }
     }
@@ -257,15 +209,9 @@ impl CompiledNetwork {
         self.layers.iter().map(|l| l.precision).collect()
     }
 
-    /// The network-level storage format (per-layer overrides may differ;
-    /// see [`CompiledNetwork::layer_formats`]).
+    /// The storage format of every compiled gate: always BSPC.
     pub fn format(&self) -> RuntimeFormat {
-        self.format
-    }
-
-    /// The storage format each compiled layer's gates walk, in layer order.
-    pub fn layer_formats(&self) -> Vec<RuntimeFormat> {
-        self.layers.iter().map(|l| l.format).collect()
+        RuntimeFormat::Bspc
     }
 
     /// The compiled GRU layers, in execution order.
@@ -274,14 +220,13 @@ impl CompiledNetwork {
     }
 
     /// Total bytes of the compiled weight storage (values + indices +
-    /// quantization scale metadata) at each layer's runtime precision and
-    /// format.
+    /// quantization scale metadata) at each layer's runtime precision.
     pub fn storage_bytes(&self) -> usize {
         self.layers
             .iter()
             .flat_map(|l| {
                 [&l.w_z, &l.u_z, &l.w_r, &l.u_r, &l.w_n, &l.u_n]
-                    .map(|m| m.footprint(l.precision.storage()).total())
+                    .map(|m| Footprint::bspc(m, l.precision.storage()).total())
             })
             .sum()
     }
@@ -344,7 +289,7 @@ impl CompiledNetwork {
     /// [`spmv_into`](rtm_exec::Executor::spmv_into) and the head the
     /// one-lane row tiles of [`CompiledNetwork::forward_frame_batch`]:
     /// bit-identical to the serial forward for any thread count, with the
-    /// same kernel counts (see [`GateMatrix::kernel`]).
+    /// same kernel counts.
     ///
     /// The buffers are sized for one chunk once per call, whatever the
     /// utterance's length; the call allocates nothing per frame but the

@@ -21,14 +21,12 @@ use rtm_tensor::simd::SimdPolicy;
 use rtm_trace::TraceConfig;
 
 /// Accepted values of `RTM_SIMD` / `--simd`; the environment error and
-/// the CLI flag error both quote this grammar (likewise the four below).
+/// the CLI flag error both quote this grammar (likewise the three below).
 pub const SIMD_VALUES: &str = "auto, off, scalar, u1 or vector";
 /// Accepted values of `RTM_HEALTH` / `--health`.
 pub const HEALTH_VALUES: &str = "off, check or quarantine";
 /// Accepted values of `RTM_PRECISION` / `--precision`.
 pub const PRECISION_VALUES: &str = "f32, f16, int8 or auto";
-/// Accepted values of `RTM_FORMAT` / `--format`.
-pub const FORMAT_VALUES: &str = "bspc, csr or auto";
 /// Accepted values of `RTM_DECODER` / `--decoder`.
 pub const DECODER_VALUES: &str = "argmax, viterbi, ctc-greedy or ctc-beam:N";
 
@@ -77,21 +75,6 @@ pub fn precision_choice() -> Result<Option<crate::config::PrecisionChoice>, EnvE
         "RTM_PRECISION",
         PRECISION_VALUES,
         crate::config::PrecisionChoice::parse,
-    )
-}
-
-/// `RTM_FORMAT`: the sparse weight storage format of the compiled
-/// pipeline.
-///
-/// # Errors
-///
-/// [`EnvError`] if the variable is set to something
-/// [`crate::config::FormatChoice::parse`] rejects.
-pub fn format_choice() -> Result<Option<crate::config::FormatChoice>, EnvError> {
-    rtm_trace::env::parsed(
-        "RTM_FORMAT",
-        FORMAT_VALUES,
-        crate::config::FormatChoice::parse,
     )
 }
 
@@ -163,16 +146,5 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("RTM_SIMD"), "{msg}");
         assert!(msg.contains("warp"), "{msg}");
-    }
-
-    #[test]
-    fn format_grammar_is_exactly_what_the_parser_accepts() {
-        use crate::config::FormatChoice;
-        assert_eq!(super::FORMAT_VALUES, "bspc, csr or auto");
-        for word in super::FORMAT_VALUES.split([',', ' ']) {
-            if !word.is_empty() && word != "or" {
-                assert!(FormatChoice::parse(word).is_some(), "{word}");
-            }
-        }
     }
 }

@@ -46,9 +46,9 @@ pub mod report;
 pub mod serve;
 
 pub use bundle::{BundleError, BundleMeta, CompiledBundle};
-pub use config::{DecoderChoice, FormatChoice, PrecisionChoice, RuntimeConfig};
+pub use config::{DecoderChoice, PrecisionChoice, RuntimeConfig};
 pub use deploy::{
-    BatchedSession, CompiledNetwork, GateMatrix, GruRuntimeScratch, RuntimeFormat, RuntimePrecision,
+    BatchedSession, CompiledNetwork, GruRuntimeScratch, RuntimeFormat, RuntimePrecision,
 };
 pub use health::HealthPolicy;
 pub use pipeline::RtMobile;

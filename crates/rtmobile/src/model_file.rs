@@ -18,25 +18,24 @@
 //! ```text
 //! precision u8, format u8 (network defaults), layer_count u32
 //! per layer: hidden u32, precision u8, format u8,
-//!            6 x gate blobs (w_z u_z w_r u_r w_n u_n) in the layer's
-//!            storage format's wire codec at the layer's storage precision
-//!            (int8 layers ship native codes + scales),
+//!            6 x BSPC gate blobs (w_z u_z w_r u_r w_n u_n) at the layer's
+//!            storage precision (int8 layers ship native codes + scales),
 //!            3 x bias runs (len u32 + f32s)
 //! head: rows u32, cols u32, f32 weights, f32 bias
 //! tuner costs: count u32, per entry layer u32, precision u8, format u8,
 //!              micros f32
 //! ```
 //!
-//! Format bytes: 0 = BSPC, 1 = CSR. Tags 2 and 3 named the retired BBS and
-//! CSB formats and now fail with [`DecodeError::BadFormat`]. Version 5 (the
+//! Format bytes: 0 = BSPC, the one runtime format. Tags 1, 2 and 3 named
+//! the retired CSR, BBS and CSB formats and now fail with
+//! [`DecodeError::BadFormat`], like any other nonzero tag. Version 5 (the
 //! checksummed bundle container) is the only container that decodes; any
 //! other version — including the flat, checksum-free versions 2–4 that
 //! predate it — is rejected with [`DecodeError::BadVersion`].
 
-use crate::deploy::{
-    CompiledGruLayer, CompiledNetwork, GateMatrix, RuntimeFormat, RuntimePrecision, TunerCost,
-};
+use crate::deploy::{CompiledGruLayer, CompiledNetwork, RuntimePrecision, TunerCost};
 use rtm_sparse::io::{precision_from_tag, precision_tag, DecodeError};
+use rtm_sparse::BspcMatrix;
 use rtm_tensor::wire::{BufMut, Reader};
 use rtm_tensor::Matrix;
 
@@ -46,17 +45,13 @@ pub const MAGIC: &[u8; 4] = b"RTMF";
 /// Current model-file version (the sectioned bundle container).
 pub const VERSION: u16 = 5;
 
-/// Wire tag of each storage format: the tag is the position in this table.
-const FORMAT_BY_TAG: [RuntimeFormat; 2] = [RuntimeFormat::Bspc, RuntimeFormat::Csr];
+/// Wire tag of BSPC, the one storage format.
+const BSPC_TAG: u8 = 0;
 
 /// The `[precision, format]` tag pair that opens the network body and
 /// closes every layer header, tuner record and health-table row.
-pub(crate) fn mode_tags(precision: RuntimePrecision, format: RuntimeFormat) -> [u8; 2] {
-    let format_tag = FORMAT_BY_TAG.iter().position(|&f| f == format);
-    [
-        precision_tag(precision.storage()),
-        format_tag.expect("every format is in the tag table") as u8,
-    ]
+pub(crate) fn mode_tags(precision: RuntimePrecision) -> [u8; 2] {
+    [precision_tag(precision.storage()), BSPC_TAG]
 }
 
 /// Inverse of [`mode_tags`]. Takes the two bytes already read so that a
@@ -64,10 +59,12 @@ pub(crate) fn mode_tags(precision: RuntimePrecision, format: RuntimeFormat) -> [
 /// a short header is `Truncated` even when its tags are also bad.
 pub(crate) fn mode_from_tags(
     [precision, format]: [u8; 2],
-) -> Result<(RuntimePrecision, RuntimeFormat), DecodeError> {
+) -> Result<RuntimePrecision, DecodeError> {
     let precision = RuntimePrecision::from_storage(precision_from_tag(precision)?);
-    let known = FORMAT_BY_TAG.get(usize::from(format)).copied();
-    Ok((precision, known.ok_or(DecodeError::BadFormat(format))?))
+    if format != BSPC_TAG {
+        return Err(DecodeError::BadFormat(format));
+    }
+    Ok(precision)
 }
 
 /// Serializes the network body (weights, biases, head — no container
@@ -78,11 +75,11 @@ pub(crate) fn mode_from_tags(
 /// and scales — the decoded network's int8 kernels stream the exact same
 /// sidecar, so the functional roundtrip is bit-exact for every precision.
 pub(crate) fn write_network_body(out: &mut Vec<u8>, net: &CompiledNetwork) {
-    out.put_slice(&mode_tags(net.precision, net.format));
+    out.put_slice(&mode_tags(net.precision));
     out.put_u32_le(net.layers.len() as u32);
     for layer in &net.layers {
         out.put_u32_le(layer.hidden as u32);
-        out.put_slice(&mode_tags(layer.precision, layer.format));
+        out.put_slice(&mode_tags(layer.precision));
         for m in [
             &layer.w_z, &layer.u_z, &layer.w_r, &layer.u_r, &layer.w_n, &layer.u_n,
         ] {
@@ -104,13 +101,13 @@ pub(crate) fn write_tuner_body(out: &mut Vec<u8>, costs: &[TunerCost]) {
     out.put_u32_le(costs.len() as u32);
     for c in costs {
         out.put_u32_le(c.layer as u32);
-        out.put_slice(&mode_tags(c.precision, c.format));
+        out.put_slice(&mode_tags(c.precision));
         out.put_f32_le(c.micros);
     }
 }
 
-fn read_gate(r: &mut Reader<'_>, format: RuntimeFormat) -> Result<GateMatrix, DecodeError> {
-    let (gate, used) = GateMatrix::read_from(r.rest(), format)?;
+fn read_gate(r: &mut Reader<'_>) -> Result<BspcMatrix, DecodeError> {
+    let (gate, used) = BspcMatrix::read_from(r.rest())?;
     r.take(used)?;
     Ok(gate)
 }
@@ -119,7 +116,7 @@ fn read_gate(r: &mut Reader<'_>, format: RuntimeFormat) -> Result<GateMatrix, De
 /// the front of `r`, advancing it.
 pub(crate) fn read_network_body(r: &mut Reader<'_>) -> Result<CompiledNetwork, DecodeError> {
     let (tags, layer_count) = (r.array()?, r.u32()? as usize);
-    let (precision, format) = mode_from_tags(tags)?;
+    let precision = mode_from_tags(tags)?;
     // Each layer needs at least its hidden-width word plus six gate blobs;
     // reject counts the buffer cannot possibly hold before looping.
     if layer_count > r.remaining() / 4 {
@@ -128,22 +125,21 @@ pub(crate) fn read_network_body(r: &mut Reader<'_>) -> Result<CompiledNetwork, D
     let mut layers = Vec::new();
     for _ in 0..layer_count {
         let hidden = r.u32()? as usize;
-        let (precision, format) = mode_from_tags(r.array()?)?;
+        let precision = mode_from_tags(r.array()?)?;
         // Field initializers run in the order written, which is the wire
         // order: six gates, then three biases.
         layers.push(CompiledGruLayer {
-            w_z: read_gate(r, format)?,
-            u_z: read_gate(r, format)?,
-            w_r: read_gate(r, format)?,
-            u_r: read_gate(r, format)?,
-            w_n: read_gate(r, format)?,
-            u_n: read_gate(r, format)?,
+            w_z: read_gate(r)?,
+            u_z: read_gate(r)?,
+            w_r: read_gate(r)?,
+            u_r: read_gate(r)?,
+            w_n: read_gate(r)?,
+            u_n: read_gate(r)?,
             b_z: r.counted_f32s()?,
             b_r: r.counted_f32s()?,
             b_n: r.counted_f32s()?,
             hidden,
             precision,
-            format,
         });
     }
 
@@ -153,7 +149,7 @@ pub(crate) fn read_network_body(r: &mut Reader<'_>) -> Result<CompiledNetwork, D
     let head_w = head_w.map_err(|_| DecodeError::Truncated)?;
     let head_b = r.counted_f32s()?;
     Ok(CompiledNetwork::from_parts(
-        layers, head_w, head_b, precision, format,
+        layers, head_w, head_b, precision,
     ))
 }
 
@@ -169,10 +165,9 @@ pub(crate) fn read_tuner_body(r: &mut Reader<'_>) -> Result<Vec<TunerCost>, Deco
     let mut tuner_costs = Vec::with_capacity(cost_count);
     for _ in 0..cost_count {
         let layer = r.u32()? as usize;
-        let (precision, format) = mode_from_tags(r.array()?)?;
+        let precision = mode_from_tags(r.array()?)?;
         tuner_costs.push(TunerCost {
             layer,
-            format,
             precision,
             micros: r.f32()?,
         });
@@ -234,6 +229,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<CompiledNetwork, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deploy::RuntimeFormat;
     use rtm_rnn::model::{GruNetwork, NetworkConfig};
 
     fn compiled(precision: RuntimePrecision) -> CompiledNetwork {
@@ -328,54 +324,24 @@ mod tests {
             },
             31,
         );
-        for format in [RuntimeFormat::Bspc, RuntimeFormat::Csr] {
-            for precision in [
-                RuntimePrecision::F32,
-                RuntimePrecision::F16,
-                RuntimePrecision::Int8,
-            ] {
-                let net =
-                    CompiledNetwork::compile_with_formats(&base, 4, 2, &[], precision, &[], format)
-                        .expect("partition fits");
-                let decoded = from_bytes(&to_bytes(&net)).expect("decodes");
-                assert_eq!(decoded.format(), format);
-                assert_eq!(decoded.layer_formats(), net.layer_formats());
-                assert_eq!(
-                    net.forward(&frames()),
-                    decoded.forward(&frames()),
-                    "{format:?} {precision:?} file roundtrip must be functionally exact"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn mixed_format_layers_roundtrip_bit_exact() {
-        let base = GruNetwork::new(
-            &NetworkConfig {
-                input_dim: 5,
-                hidden_dims: vec![8, 8],
-                num_classes: 3,
-            },
-            31,
-        );
-        let net = CompiledNetwork::compile_with_formats(
-            &base,
-            4,
-            2,
-            &[],
+        for precision in [
             RuntimePrecision::F32,
-            &[RuntimeFormat::Csr],
-            RuntimeFormat::Bspc,
-        )
-        .expect("partition fits");
-        let decoded = from_bytes(&to_bytes(&net)).expect("decodes");
-        assert_eq!(
-            decoded.layer_formats(),
-            vec![RuntimeFormat::Csr, RuntimeFormat::Bspc]
-        );
-        assert_eq!(decoded.format(), RuntimeFormat::Bspc);
-        assert_eq!(net.forward(&frames()), decoded.forward(&frames()));
+            RuntimePrecision::F16,
+            RuntimePrecision::Int8,
+        ] {
+            let net = CompiledNetwork::compile(&base, 4, 2, precision).expect("partition fits");
+            let bytes = to_bytes(&net);
+            let decoded = from_bytes(&bytes).expect("decodes");
+            assert_eq!(decoded.format(), RuntimeFormat::Bspc);
+            assert_eq!(
+                net.forward(&frames()),
+                decoded.forward(&frames()),
+                "{precision:?} file roundtrip must be functionally exact"
+            );
+            // Re-encoding the decoded network is byte-identical: the codec
+            // has one canonical form per model.
+            assert_eq!(to_bytes(&decoded), bytes, "{precision:?} re-encode");
+        }
     }
 
     #[test]
@@ -387,13 +353,11 @@ mod tests {
         let costs = vec![
             TunerCost {
                 layer: 0,
-                format: RuntimeFormat::Csr,
                 precision: RuntimePrecision::Int8,
                 micros: 12.5,
             },
             TunerCost {
                 layer: 1,
-                format: RuntimeFormat::Bspc,
                 precision: RuntimePrecision::F16,
                 micros: 7.25,
             },
@@ -418,6 +382,12 @@ mod tests {
             .copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(crate::bundle::reseal(&mut corrupt));
         assert_eq!(from_bytes(&corrupt).unwrap_err(), DecodeError::Truncated);
+        // A record's format byte (after count u32, layer u32, precision u8)
+        // other than BSPC's 0 is refused like in any other header.
+        let mut csr = bytes.clone();
+        csr[tune.payload_offset + 9] = 1;
+        assert!(crate::bundle::reseal(&mut csr));
+        assert_eq!(from_bytes(&csr).unwrap_err(), DecodeError::BadFormat(1));
     }
 
     #[test]
@@ -429,11 +399,11 @@ mod tests {
             .iter()
             .find(|s| &s.tag == b"WGHT")
             .expect("WGHT section");
-        // Tags 2 and 3 named the retired BBS and CSB formats: a bundle that
-        // still carries one fails with the same typed error as any unknown
-        // tag. Body offset 1 is the network format byte, offset 11 the
+        // Tags 1, 2 and 3 named the retired CSR, BBS and CSB formats: a
+        // bundle that still carries one fails with the same typed error as
+        // any unknown tag. Body offset 1 is the network format byte, offset 11 the
         // first layer's (after the layer count, hidden width and precision).
-        for tag in [2u8, 3, 9] {
+        for tag in [1u8, 2, 3, 9] {
             for offset in [1, 11] {
                 // Without resealing, the corruption is caught by the file
                 // checksum before any field decoder sees it.

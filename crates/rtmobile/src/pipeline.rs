@@ -17,8 +17,8 @@
 //!
 //! The builder exposes every knob with laptop-scale defaults.
 
-use crate::config::{FormatChoice, PrecisionChoice, RuntimeConfig};
-use crate::deploy::{CompiledNetwork, RuntimeFormat, RuntimePrecision, TunerCost};
+use crate::config::{PrecisionChoice, RuntimeConfig};
+use crate::deploy::{CompiledNetwork, RuntimePrecision, TunerCost};
 use crate::report::{AccuracyReport, DecodeStats, PerformanceReport, PipelineReport};
 use crate::serve::ServeStats;
 use rtm_compiler::plan::{ExecutionPlan, StorageFormat};
@@ -128,7 +128,7 @@ impl RtMobile {
     }
 
     /// Sets the runtime knobs (threads, batch, simd, health, precision,
-    /// format, trace, decoder) as one [`RuntimeConfig`], assembled with its
+    /// trace, decoder) as one [`RuntimeConfig`], assembled with its
     /// `with_*` builders or [`RuntimeConfig::from_env`]. Every knob left
     /// unset falls back to its `RTM_*` environment variable, then its
     /// default; none of them changes a reported accuracy number's meaning
@@ -143,12 +143,11 @@ impl RtMobile {
         &self.runtime
     }
 
-    /// The accuracy guard of the `auto` precision and format selectors: if
-    /// a measured-fastest per-layer mix degrades PER by more than this many
-    /// percentage points versus the reference compile of the same pruned
-    /// network (all-f32 for the precision axis, all-BSPC for the format
-    /// axis), the pipeline ships the reference compile instead (default
-    /// 2.0). Ignored for fixed choices.
+    /// The accuracy guard of the `auto` precision selector: if a
+    /// measured-fastest per-layer mix degrades PER by more than this many
+    /// percentage points versus an all-f32 compile of the same pruned
+    /// network, the pipeline ships the f32 compile instead (default 2.0).
+    /// Ignored for a fixed choice.
     pub fn precision_guard(mut self, points: f64) -> RtMobile {
         self.precision_guard = points;
         self
@@ -198,11 +197,10 @@ impl RtMobile {
         };
         drop(prune_span);
 
-        // 3. Compile to the runtime at the resolved precision and storage
-        //    format, and score the compiled path.
+        // 3. Compile to the runtime at the resolved precision, and score
+        //    the compiled path.
         let compile_span = rtm_trace::span("pipeline.compile");
         let choice = self.runtime.resolved_precision();
-        let format_choice = self.runtime.resolved_format();
         // Precision axis: a fixed choice compiles uniformly; `auto` times
         // the f32/f16/int8 SpMV kernels at each layer's gate shape
         // (inflated to at least 256 so timing noise does not dominate the
@@ -231,7 +229,6 @@ impl RtMobile {
                         if let Some(c) = costs.iter().find(|c| c.precision == storage) {
                             tuner_costs.push(TunerCost {
                                 layer: i,
-                                format: RuntimeFormat::Bspc,
                                 precision: RuntimePrecision::from_storage(storage),
                                 micros: (c.seconds * 1e6) as f32,
                             });
@@ -242,55 +239,12 @@ impl RtMobile {
                 (RuntimePrecision::F32, per_layer)
             }
         };
-        // Format axis: a fixed choice compiles uniformly; `auto` encodes
-        // each layer's actual pruned recurrent gate in both formats at the
-        // layer's resolved precision, times a real SpMV (and batched SpMM
-        // when `batch > 1`) sweep, and keeps the fastest per layer.
-        let format_candidates = [StorageFormat::Bspc, StorageFormat::Csr];
-        let (default_format, per_layer_format): (RuntimeFormat, Vec<RuntimeFormat>) =
-            match format_choice {
-                FormatChoice::Fixed(f) => (f, Vec::new()),
-                FormatChoice::Auto => {
-                    let per_layer = net
-                        .layers
-                        .iter()
-                        .enumerate()
-                        .map(|(i, cell)| {
-                            let prec = per_layer_prec.get(i).copied().unwrap_or(default_prec);
-                            let costs = rtm_compiler::tuner::measure_format_costs(
-                                &cell.u_z,
-                                &format_candidates,
-                                prec.storage(),
-                                self.stripes,
-                                self.blocks,
-                                self.runtime.batch,
-                                4,
-                            );
-                            let storage = rtm_compiler::tuner::select_format(&costs);
-                            let format =
-                                RuntimeFormat::from_storage(storage).unwrap_or(RuntimeFormat::Bspc);
-                            if let Some(c) = costs.iter().find(|c| c.format == storage) {
-                                tuner_costs.push(TunerCost {
-                                    layer: i,
-                                    format,
-                                    precision: RuntimePrecision::from_storage(c.precision),
-                                    micros: (c.seconds * 1e6) as f32,
-                                });
-                            }
-                            format
-                        })
-                        .collect();
-                    (RuntimeFormat::Bspc, per_layer)
-                }
-            };
-        let mut compiled = CompiledNetwork::compile_with_formats(
+        let mut compiled = CompiledNetwork::compile_with_precisions(
             &net,
             self.stripes,
             self.blocks,
             &per_layer_prec,
             default_prec,
-            &per_layer_format,
-            default_format,
         )
         .expect("partition validated by BSP config");
         let exec = rtm_exec::Executor::new(self.runtime.threads);
@@ -328,27 +282,19 @@ impl RtMobile {
         };
         let (mut compiled_report, mut serve) = score(&compiled);
         let mut precision_guard_tripped = false;
-        let mut format_guard_tripped = false;
         // Accuracy guard of the auto precision selector: if the
         // measured-fastest per-layer mix degrades PER beyond the bound
-        // versus an all-f32 compile of the same pruned network (at the same
-        // per-layer formats), ship the f32 compile.
+        // versus an all-f32 compile of the same pruned network, ship the f32
+        // compile.
         if choice == PrecisionChoice::Auto
             && compiled
                 .layer_precisions()
                 .iter()
                 .any(|p| *p != RuntimePrecision::F32)
         {
-            let f32_compiled = CompiledNetwork::compile_with_formats(
-                &net,
-                self.stripes,
-                self.blocks,
-                &[],
-                RuntimePrecision::F32,
-                &per_layer_format,
-                default_format,
-            )
-            .expect("partition validated by BSP config");
+            let f32_compiled =
+                CompiledNetwork::compile(&net, self.stripes, self.blocks, RuntimePrecision::F32)
+                    .expect("partition validated by BSP config");
             let (f32_report, f32_serve) = score(&f32_compiled);
             if compiled_report.per_percent() - f32_report.per_percent() > self.precision_guard {
                 precision_guard_tripped = true;
@@ -357,37 +303,7 @@ impl RtMobile {
                 serve = f32_serve;
             }
         }
-        // Accuracy guard of the auto format selector: every format stores
-        // the same quantized values, so this should never fire — but the
-        // contract is measured, not assumed. If the per-layer format mix
-        // degrades PER beyond the bound versus an all-BSPC compile at the
-        // same per-layer precisions, ship the BSPC compile.
-        if format_choice == FormatChoice::Auto
-            && compiled
-                .layer_formats()
-                .iter()
-                .any(|f| *f != RuntimeFormat::Bspc)
-        {
-            let layer_precs = compiled.layer_precisions();
-            let bspc_compiled = CompiledNetwork::compile_with_formats(
-                &net,
-                self.stripes,
-                self.blocks,
-                &layer_precs,
-                default_prec,
-                &[],
-                RuntimeFormat::Bspc,
-            )
-            .expect("partition validated by BSP config");
-            let (bspc_report, bspc_serve) = score(&bspc_compiled);
-            if compiled_report.per_percent() - bspc_report.per_percent() > self.precision_guard {
-                format_guard_tripped = true;
-                compiled = bspc_compiled;
-                compiled_report = bspc_report;
-                serve = bspc_serve;
-            }
-        }
-        // Whichever compile the guards shipped carries the probe record.
+        // Whichever compile the guard shipped carries the probe record.
         compiled = compiled.with_tuner_costs(tuner_costs);
         drop(deploy_span);
 
@@ -520,8 +436,6 @@ impl RtMobile {
 
         let layer_precisions = compiled.layer_precisions();
         let count = |p: RuntimePrecision| layer_precisions.iter().filter(|&&q| q == p).count();
-        let layer_formats = compiled.layer_formats();
-        let count_fmt = |f: RuntimeFormat| layer_formats.iter().filter(|&&g| g == f).count();
         let report = PipelineReport {
             accuracy: AccuracyReport {
                 baseline_per: baseline.per_percent(),
@@ -543,12 +457,8 @@ impl RtMobile {
                 layers_f32: count(RuntimePrecision::F32),
                 layers_f16: count(RuntimePrecision::F16),
                 layers_int8: count(RuntimePrecision::Int8),
-                format: format_choice.tag(),
-                layers_bspc: count_fmt(RuntimeFormat::Bspc),
-                layers_csr: count_fmt(RuntimeFormat::Csr),
                 storage_bytes: compiled.storage_bytes(),
                 precision_guard_tripped,
-                format_guard_tripped,
             },
             decode: Some(decode),
             serve,

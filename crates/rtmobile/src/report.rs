@@ -62,22 +62,12 @@ pub struct PerformanceReport {
     pub layers_f16: usize,
     /// Layers compiled at int8 storage.
     pub layers_int8: usize,
-    /// The storage-format choice the run resolved to (`"bspc"`, `"csr"` or
-    /// `"auto"`).
-    pub format: &'static str,
-    /// Layers compiled to BSPC storage.
-    pub layers_bspc: usize,
-    /// Layers compiled to CSR storage.
-    pub layers_csr: usize,
-    /// Compiled model storage in bytes at the deployed precisions and
-    /// formats (sparse index structure plus values and scale metadata).
+    /// Compiled BSPC model storage in bytes at the deployed precisions
+    /// (sparse index structure plus values and scale metadata).
     pub storage_bytes: usize,
     /// `true` when the auto-precision PER guard rejected the
     /// measured-fastest mix and shipped the all-f32 compile instead.
     pub precision_guard_tripped: bool,
-    /// `true` when the auto-format PER guard rejected the per-layer format
-    /// mix and shipped the all-BSPC compile instead.
-    pub format_guard_tripped: bool,
 }
 
 /// Utterance-decode results of a pipeline run: what the resolved
@@ -190,29 +180,11 @@ impl PipelineReport {
         );
         let _ = writeln!(
             s,
-            "  format: {} ({} bspc / {} csr layers)",
-            p.format, p.layers_bspc, p.layers_csr
-        );
-        let _ = writeln!(
-            s,
             "  model storage: {:.1} KiB",
             p.storage_bytes as f64 / 1024.0
         );
-        if p.precision_guard_tripped || p.format_guard_tripped {
-            let _ = writeln!(
-                s,
-                "  guards: precision {}, format {}",
-                if p.precision_guard_tripped {
-                    "TRIPPED (shipped f32)"
-                } else {
-                    "ok"
-                },
-                if p.format_guard_tripped {
-                    "TRIPPED (shipped bspc)"
-                } else {
-                    "ok"
-                }
-            );
+        if p.precision_guard_tripped {
+            let _ = writeln!(s, "  guards: precision TRIPPED (shipped f32)");
         }
         if let Some(d) = &self.decode {
             let _ = writeln!(
@@ -339,17 +311,10 @@ impl Report for PipelineReport {
                     ("layers_f32", JsonValue::Int(p.layers_f32 as i64)),
                     ("layers_f16", JsonValue::Int(p.layers_f16 as i64)),
                     ("layers_int8", JsonValue::Int(p.layers_int8 as i64)),
-                    ("format", JsonValue::Str(p.format.into())),
-                    ("layers_bspc", JsonValue::Int(p.layers_bspc as i64)),
-                    ("layers_csr", JsonValue::Int(p.layers_csr as i64)),
                     ("storage_bytes", JsonValue::Int(p.storage_bytes as i64)),
                     (
                         "precision_guard_tripped",
                         JsonValue::Raw(p.precision_guard_tripped.to_string()),
-                    ),
-                    (
-                        "format_guard_tripped",
-                        JsonValue::Raw(p.format_guard_tripped.to_string()),
                     ),
                 ])),
             ),
@@ -495,12 +460,8 @@ mod tests {
                 layers_f32: 0,
                 layers_f16: 2,
                 layers_int8: 0,
-                format: "csr",
-                layers_bspc: 0,
-                layers_csr: 2,
                 storage_bytes: 2048,
                 precision_guard_tripped: false,
-                format_guard_tripped: false,
             },
             decode: None,
             serve: None,
@@ -522,7 +483,6 @@ mod tests {
         assert!(text.contains("10.0x compression"));
         assert!(text.contains("31.70x ESE"));
         assert!(text.contains("precision: f16 (0 f32 / 2 f16 / 0 int8 layers)"));
-        assert!(text.contains("format: csr (0 bspc / 2 csr layers)"));
         assert!(text.contains("2.0 KiB"));
         assert!(!text.contains("serving:"));
         assert!(!text.contains("guards:"), "untripped guards stay quiet");
@@ -530,7 +490,6 @@ mod tests {
         tripped.performance.precision_guard_tripped = true;
         let text_tripped = tripped.render();
         assert!(text_tripped.contains("precision TRIPPED (shipped f32)"));
-        assert!(text_tripped.contains("format ok"));
         let mut r = dummy();
         r.serve = Some(ServeStats {
             admitted: 5,
@@ -571,11 +530,8 @@ mod tests {
         assert!(json.contains("\"gpu\": {\"time_us\": 100.00"));
         assert!(json.contains("\"precision\": \"f16\""));
         assert!(json.contains("\"layers_int8\": 0"));
-        assert!(json.contains("\"format\": \"csr\""));
-        assert!(json.contains("\"layers_csr\": 2"));
         assert!(json.contains("\"storage_bytes\": 2048"));
         assert!(json.contains("\"precision_guard_tripped\": false"));
-        assert!(json.contains("\"format_guard_tripped\": false"));
         assert!(json.contains("\"serve\": null"));
 
         assert!(json.contains("\"decode\": null"));

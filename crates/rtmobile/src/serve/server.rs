@@ -1011,7 +1011,6 @@ mod tests {
             rtm_tensor::Matrix::from_vec(rows, cols, vec![f32::MAX; rows * cols]).unwrap(),
             vec![f32::MAX; good.head_b.len()],
             good.precision,
-            good.format,
         )
     }
 

@@ -103,93 +103,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Builds from raw parts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if the arrays are inconsistent (wrong `row_ptr`
-    /// length, mismatched value/index lengths, out-of-range columns, or a
-    /// decreasing `row_ptr`).
-    pub fn from_parts(
-        rows: usize,
-        cols: usize,
-        row_ptr: Vec<u32>,
-        col_idx: Vec<u32>,
-        values: Vec<f32>,
-    ) -> Result<CsrMatrix, ShapeError> {
-        let bad = || ShapeError {
-            op: "csr_from_parts",
-            lhs: (rows, cols),
-            rhs: (row_ptr.len(), values.len()),
-        };
-        if row_ptr.len() != rows + 1
-            || col_idx.len() != values.len()
-            || row_ptr.last().copied().unwrap_or(0) as usize != values.len()
-        {
-            return Err(bad());
-        }
-        if row_ptr.windows(2).any(|w| w[0] > w[1]) {
-            return Err(bad());
-        }
-        if col_idx.iter().any(|&c| c as usize >= cols) && !values.is_empty() {
-            return Err(bad());
-        }
-        let mut m = CsrMatrix {
-            rows,
-            cols,
-            row_ptr,
-            col_idx,
-            values,
-            values_f16: Vec::new(),
-            values_i8: Vec::new(),
-            scales_i8: Vec::new(),
-        };
-        m.build_sidecars();
-        Ok(m)
-    }
-
-    /// Replaces the int8 sidecar with externally supplied codes and
-    /// per-row-block scales (used by the wire decoder so stored codes
-    /// round-trip bit-exactly instead of being re-derived from floats).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when `codes` does not have one entry per
-    /// stored value or `scales` one entry per [`CsrMatrix::ROW_BLOCK`]
-    /// row block.
-    pub fn with_int8_sidecar(
-        mut self,
-        codes: Vec<i8>,
-        scales: Vec<f32>,
-    ) -> Result<CsrMatrix, ShapeError> {
-        if codes.len() != self.values.len() || scales.len() != self.rows.div_ceil(Self::ROW_BLOCK) {
-            return Err(ShapeError {
-                op: "csr_int8_sidecar",
-                lhs: (self.rows, self.cols),
-                rhs: (codes.len(), scales.len()),
-            });
-        }
-        self.values_i8 = codes;
-        self.scales_i8 = scales;
-        Ok(self)
-    }
-
-    /// The nonzero values as raw f16 bit patterns (same layout as
-    /// [`CsrMatrix::values`]).
-    pub fn values_f16(&self) -> &[u16] {
-        &self.values_f16
-    }
-
-    /// The nonzero values as int8 codes under [`CsrMatrix::int8_scales`].
-    pub fn values_i8(&self) -> &[i8] {
-        &self.values_i8
-    }
-
-    /// Symmetric int8 scale per block of [`CsrMatrix::ROW_BLOCK`] rows.
-    pub fn int8_scales(&self) -> &[f32] {
-        &self.scales_i8
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -208,16 +121,6 @@ impl CsrMatrix {
     /// Row-pointer array (`rows + 1` entries).
     pub fn row_ptr(&self) -> &[u32] {
         &self.row_ptr
-    }
-
-    /// Column index of every nonzero, row-major.
-    pub fn col_idx(&self) -> &[u32] {
-        &self.col_idx
-    }
-
-    /// Value of every nonzero, row-major.
-    pub fn values(&self) -> &[f32] {
-        &self.values
     }
 
     /// Nonzero count of row `r`.
@@ -452,21 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_validation() {
-        // Good.
-        assert!(CsrMatrix::from_parts(2, 2, vec![0, 1, 2], vec![0, 1], vec![1.0, 2.0]).is_ok());
-        // Wrong row_ptr length.
-        assert!(CsrMatrix::from_parts(2, 2, vec![0, 2], vec![0, 1], vec![1.0, 2.0]).is_err());
-        // Mismatched idx/value lengths.
-        assert!(CsrMatrix::from_parts(2, 2, vec![0, 1, 2], vec![0], vec![1.0, 2.0]).is_err());
-        // Column out of range.
-        assert!(CsrMatrix::from_parts(2, 2, vec![0, 1, 2], vec![0, 5], vec![1.0, 2.0]).is_err());
-        // Decreasing row_ptr.
-        assert!(CsrMatrix::from_parts(2, 2, vec![0, 2, 2], vec![0, 1], vec![1.0, 2.0]).is_ok());
-        assert!(CsrMatrix::from_parts(2, 2, vec![2, 0, 2], vec![0, 1], vec![1.0, 2.0]).is_err());
-    }
-
-    #[test]
     fn spmm_lanes_match_spmv_columns() {
         let csr = CsrMatrix::from_dense(&example());
         for b in [1usize, 2, 4, 7, 8, 9] {
@@ -528,17 +416,14 @@ mod tests {
             }
         });
         let m = CsrMatrix::from_dense(&d);
-        assert_eq!(
-            m.int8_scales().len(),
-            19usize.div_ceil(CsrMatrix::ROW_BLOCK)
-        );
+        assert_eq!(m.scales_i8.len(), 19usize.div_ceil(CsrMatrix::ROW_BLOCK));
         let x: Vec<f32> = (0..13).map(|i| (i as f32 * 0.61).sin()).collect();
         let want = gemm::gemv(&d, &x).unwrap();
         let mut got = vec![0.0f32; 19];
         m.spmv_prec_into(Precision::Int8, &x, &mut got).unwrap();
         let wmax = d.as_slice().iter().fold(0.0f32, |a, v| a.max(v.abs()));
         let xmax = x.iter().fold(0.0f32, |a, v| a.max(v.abs()));
-        let smax = m.int8_scales().iter().fold(0.0f32, |a, v| a.max(*v));
+        let smax = m.scales_i8.iter().fold(0.0f32, |a, v| a.max(*v));
         let sx = xmax / 127.0;
         let bound = 13.0 * (0.5 * smax * xmax + 0.5 * sx * wmax + 0.25 * smax * sx) + 1e-4;
         for (w, g) in want.iter().zip(&got) {

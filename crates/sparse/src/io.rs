@@ -1,34 +1,24 @@
-//! Binary (de)serialization of the two runtime sparse storage formats — the
+//! Binary (de)serialization of the runtime sparse storage format — the
 //! on-flash "compact data format for pruned model storage" of §IV-B-c, made
-//! concrete for BSPC and for the CSR baseline.
+//! concrete for BSPC.
 //!
-//! Every blob has the same three parts (all little-endian):
+//! A blob has three parts (all little-endian):
 //!
 //! ```text
-//! prologue  magic 4 B ("BSPC" | "CSRM"), version u16 (= 1),
+//! prologue  magic 4 B ("BSPC"), version u16 (= 1),
 //!           precision u8 (0 = f32, 1 = f16, 2 = int8)
-//! index     the format's own header and index arrays (tables below)
+//! index     rows, cols, stripes, blocks u32 · kept_row_count u32,
+//!           kept_rows · per stripe-block: col_count u32, cols ·
+//!           row_offsets (one per kept row) · value_count u32
 //! values    f32:  count × 4 B scalars
 //!           f16:  count × 2 B binary16 bit patterns
-//!           int8: scales × 4 B f32 scales, then count × 1 B codes
+//!           int8: stripes·blocks × 4 B f32 scales (one per stripe-block),
+//!                 then count × 1 B codes
+//! reorder   flag u8 (0/1), rows × u32 when 1
 //! ```
 //!
-//! The prologue and the value payload are written and read once, here, for
-//! all formats; a format contributes only its body (the private `Blob`
-//! trait):
-//!
-//! ```text
-//! BSPC  rows, cols, stripes, blocks u32 · kept_row_count u32, kept_rows ·
-//!       per stripe-block: col_count u32, cols · row_offsets (one per kept
-//!       row) · value_count u32 · VALUES (one scale per stripe-block) ·
-//!       reorder_flag u8 (0/1), reorder rows × u32 when 1
-//! CSR   rows, cols u32 · row_ptr (rows + 1) · col_idx (nnz) ·
-//!       VALUES (one scale per block of `ROW_BLOCK` rows)
-//! ```
-//!
-//! Only BSPC stores a value count; CSR derives it from its validated row
-//! pointers, so no count read from the wire is trusted further than the
-//! [`Reader`] can back it with bytes.
+//! No count read from the wire is trusted further than the [`Reader`] can
+//! back it with bytes.
 //!
 //! Values serialized at [`Precision::F16`] round through binary16, exactly
 //! the loss the mobile GPU path accepts; deserialization always restores
@@ -37,18 +27,14 @@
 //! codes, not a float re-derivation, round-trip bit-exactly.
 
 use crate::bspc::{BspcError, BspcMatrix};
-use crate::csr::CsrMatrix;
 use crate::footprint::Precision;
 use rtm_tensor::wire::{BufMut, Reader, Truncated};
-use rtm_tensor::{ShapeError, F16};
+use rtm_tensor::F16;
 use std::error::Error;
 use std::fmt;
 
 /// Magic bytes opening every serialized BSPC matrix.
 pub const MAGIC: &[u8; 4] = b"BSPC";
-
-/// Magic bytes opening every serialized CSR matrix.
-pub const MAGIC_CSR: &[u8; 4] = b"CSRM";
 
 /// Current format version.
 pub const VERSION: u16 = 1;
@@ -64,14 +50,11 @@ pub enum DecodeError {
     BadVersion(u16),
     /// Unknown precision tag.
     BadPrecision(u8),
-    /// Unknown storage-format tag (used by containers that embed
-    /// format-dispatched matrix blobs, e.g. `.rtm` model files).
+    /// Storage-format tag other than BSPC's (used by containers that tag
+    /// their matrix blobs, e.g. `.rtm` model files).
     BadFormat(u8),
     /// The decoded structure failed validation.
     Invalid(BspcError),
-    /// The decoded structure of a shape-validated format (CSR) failed
-    /// validation.
-    InvalidShape(ShapeError),
     /// A decoded weight value is NaN or infinite (rejected when the caller
     /// asks for load-time finiteness validation).
     NonFinite,
@@ -100,7 +83,6 @@ impl fmt::Display for DecodeError {
             DecodeError::BadPrecision(p) => write!(f, "unknown precision tag {p}"),
             DecodeError::BadFormat(t) => write!(f, "unknown storage-format tag {t}"),
             DecodeError::Invalid(e) => write!(f, "invalid structure: {e}"),
-            DecodeError::InvalidShape(e) => write!(f, "invalid structure: {e}"),
             DecodeError::NonFinite => write!(f, "non-finite weight value"),
             DecodeError::SectionChecksum(tag) => {
                 write!(
@@ -138,12 +120,6 @@ impl From<BspcError> for DecodeError {
     }
 }
 
-impl From<ShapeError> for DecodeError {
-    fn from(e: ShapeError) -> DecodeError {
-        DecodeError::InvalidShape(e)
-    }
-}
-
 impl From<Truncated> for DecodeError {
     fn from(_: Truncated) -> DecodeError {
         DecodeError::Truncated
@@ -169,78 +145,6 @@ pub fn precision_from_tag(tag: u8) -> Result<Precision, DecodeError> {
     let known = PRECISION_BY_TAG.get(usize::from(tag)).copied();
     known.ok_or(DecodeError::BadPrecision(tag))
 }
-
-/// What one storage format contributes to the blob codec: its magic and
-/// the body between the shared prologue and the end of the blob. Bodies
-/// call [`put_values`] / [`read_values`] for the value payload.
-trait Blob: Sized {
-    const MAGIC: &'static [u8; 4];
-
-    /// Writes the header, the index arrays, the value payload and whatever
-    /// follows it.
-    fn write_body(&self, out: &mut Vec<u8>, precision: Precision);
-
-    /// Reads what [`Blob::write_body`] wrote, validating the header before
-    /// any count derived from it sizes a read.
-    fn read_body(r: &mut Reader<'_>, precision: Precision) -> Result<Self, DecodeError>;
-}
-
-fn write_blob<B: Blob>(matrix: &B, out: &mut Vec<u8>, precision: Precision) {
-    out.put_slice(B::MAGIC);
-    out.put_u16_le(VERSION);
-    out.put_u8(precision_tag(precision));
-    matrix.write_body(out, precision);
-}
-
-fn read_blob<B: Blob>(bytes: &[u8]) -> Result<(B, usize), DecodeError> {
-    let mut r = Reader::new(bytes);
-    if &r.array::<4>()? != B::MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let (version, tag) = (r.u16()?, r.u8()?);
-    if version != VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let matrix = B::read_body(&mut r, precision_from_tag(tag)?)?;
-    Ok((matrix, bytes.len() - r.remaining()))
-}
-
-/// The three public entry points of every format, provided from its
-/// [`Blob`] body.
-macro_rules! blob_entry_points {
-    ($($matrix:ident),*) => {$(
-        impl $matrix {
-            /// Serializes into `out` at the given value precision (layout in
-            /// the [module docs](crate::io)). [`Precision::Int8`] writes the
-            /// scales followed by the one-byte codes of the int8 sidecar;
-            /// decoding restores the codes bit-exactly.
-            pub fn write_to(&self, out: &mut Vec<u8>, precision: Precision) {
-                write_blob(self, out, precision);
-            }
-
-            /// Serializes into a fresh buffer.
-            pub fn to_bytes(&self, precision: Precision) -> Vec<u8> {
-                let mut out = Vec::new();
-                self.write_to(&mut out, precision);
-                out
-            }
-
-            /// Decodes one matrix from the front of `bytes`, returning it
-            /// together with the number of bytes consumed. Int8 payloads
-            /// install the stored codes as the authoritative sidecar.
-            ///
-            /// # Errors
-            ///
-            /// Returns [`DecodeError`] on truncation, bad
-            /// magic/version/precision, or a structurally invalid payload.
-            pub fn read_from(bytes: &[u8]) -> Result<($matrix, usize), DecodeError> {
-                read_blob(bytes)
-            }
-        }
-    )*};
-}
-
-blob_entry_points!(BspcMatrix, CsrMatrix);
 
 /// Writes the value payload: f32 scalars, f16 bit patterns, or the int8
 /// sidecar's scales followed by its codes.
@@ -271,13 +175,13 @@ fn put_values(
 type Int8Sidecar = Option<(Vec<i8>, Vec<f32>)>;
 
 /// Reads a value payload of `count` values at `precision`: the f32 values
-/// every format is built from, plus the int8 sidecar when that is what the
+/// the matrix is built from, plus the int8 sidecar when that is what the
 /// blob stored. Int8 payloads carry `scales` scales ahead of the codes;
 /// `runs` lists, in payload order, how many consecutive codes share which
 /// scale, and the f32 values are rebuilt as `code · scale` along it. A run
-/// list that disagrees with `count` is clipped or leaves zeros: the
-/// format's `from_parts` is what rejects an inconsistent structure, so the
-/// walk only has to stay in bounds.
+/// list that disagrees with `count` is clipped or leaves zeros:
+/// `BspcMatrix::from_parts` is what rejects an inconsistent structure, so
+/// the walk only has to stay in bounds.
 fn read_values(
     r: &mut Reader<'_>,
     precision: Precision,
@@ -305,20 +209,6 @@ fn read_values(
     })
 }
 
-/// Installs the stored int8 codes as the authoritative sidecar of a freshly
-/// built matrix: re-deriving codes from the reconstructed floats could flip
-/// values sitting exactly on a rounding boundary.
-fn install_sidecar<M, E: Into<DecodeError>>(
-    matrix: M,
-    int8: Int8Sidecar,
-    with_sidecar: fn(M, Vec<i8>, Vec<f32>) -> Result<M, E>,
-) -> Result<M, DecodeError> {
-    match int8 {
-        Some((codes, scales)) => with_sidecar(matrix, codes, scales).map_err(Into::into),
-        None => Ok(matrix),
-    }
-}
-
 /// Reads `N` consecutive `u32` header fields as sizes.
 fn header<const N: usize>(r: &mut Reader<'_>) -> Result<[usize; N], Truncated> {
     let mut fields = [0usize; N];
@@ -328,10 +218,15 @@ fn header<const N: usize>(r: &mut Reader<'_>) -> Result<[usize; N], Truncated> {
     Ok(fields)
 }
 
-impl Blob for BspcMatrix {
-    const MAGIC: &'static [u8; 4] = MAGIC;
-
-    fn write_body(&self, out: &mut Vec<u8>, precision: Precision) {
+impl BspcMatrix {
+    /// Serializes into `out` at the given value precision (layout in the
+    /// [module docs](crate::io)). [`Precision::Int8`] writes the scales
+    /// followed by the one-byte codes of the int8 sidecar; decoding
+    /// restores the codes bit-exactly.
+    pub fn write_to(&self, out: &mut Vec<u8>, precision: Precision) {
+        out.put_slice(MAGIC);
+        out.put_u16_le(VERSION);
+        out.put_u8(precision_tag(precision));
         out.put_u32_le(self.rows() as u32);
         out.put_u32_le(self.cols() as u32);
         out.put_u32_le(self.num_stripes() as u32);
@@ -353,7 +248,37 @@ impl Blob for BspcMatrix {
         out.put_u32s(self.reorder().unwrap_or(&[]));
     }
 
-    fn read_body(r: &mut Reader<'_>, precision: Precision) -> Result<Self, DecodeError> {
+    /// Serializes into a fresh buffer.
+    pub fn to_bytes(&self, precision: Precision) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.write_to(&mut out, precision);
+        out
+    }
+
+    /// Decodes one matrix from the front of `bytes`, returning it together
+    /// with the number of bytes consumed. Int8 payloads install the stored
+    /// codes as the authoritative sidecar.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError`] on truncation, bad magic/version/precision,
+    /// or a structurally invalid payload.
+    pub fn read_from(bytes: &[u8]) -> Result<(BspcMatrix, usize), DecodeError> {
+        let mut r = Reader::new(bytes);
+        if &r.array::<4>()? != MAGIC {
+            return Err(DecodeError::BadMagic);
+        }
+        let (version, tag) = (r.u16()?, r.u8()?);
+        if version != VERSION {
+            return Err(DecodeError::BadVersion(version));
+        }
+        let matrix = BspcMatrix::read_body(&mut r, precision_from_tag(tag)?)?;
+        Ok((matrix, bytes.len() - r.remaining()))
+    }
+
+    /// Reads everything [`BspcMatrix::write_to`] writes after the prologue,
+    /// validating the header before any count derived from it sizes a read.
+    fn read_body(r: &mut Reader<'_>, precision: Precision) -> Result<BspcMatrix, DecodeError> {
         let [rows, cols, stripes, blocks] = header(r)?;
         // Validate the header *before* any count derived from it sizes a
         // read — a corrupted file must fail cleanly, never OOM.
@@ -403,44 +328,13 @@ impl Blob for BspcMatrix {
             values,
             reorder,
         )?;
-        install_sidecar(matrix, int8, BspcMatrix::with_int8_sidecar)
-    }
-}
-
-impl Blob for CsrMatrix {
-    const MAGIC: &'static [u8; 4] = MAGIC_CSR;
-
-    fn write_body(&self, out: &mut Vec<u8>, precision: Precision) {
-        out.put_u32_le(self.rows() as u32);
-        out.put_u32_le(self.cols() as u32);
-        out.put_u32s(self.row_ptr());
-        out.put_u32s(self.col_idx());
-        let (scales, codes) = (self.int8_scales(), self.values_i8());
-        put_values(out, precision, self.values(), scales, codes);
-    }
-
-    fn read_body(r: &mut Reader<'_>, precision: Precision) -> Result<Self, DecodeError> {
-        let [rows, cols] = header(r)?;
-        let row_ptr = r.u32s(rows + 1)?;
-        if row_ptr[0] != 0 || row_ptr.windows(2).any(|w| w[0] > w[1]) {
-            return Err(DecodeError::InvalidShape(ShapeError {
-                op: "csr_decode",
-                lhs: (rows, cols),
-                rhs: (row_ptr.len(), 0),
-            }));
+        // The stored codes are the authoritative sidecar: re-deriving them
+        // from the reconstructed floats could flip values sitting exactly
+        // on a rounding boundary.
+        match int8 {
+            Some((codes, scales)) => Ok(matrix.with_int8_sidecar(codes, scales)?),
+            None => Ok(matrix),
         }
-        // The nonzero count is derived from the validated row pointers,
-        // never read from the wire.
-        let nnz = row_ptr[rows] as usize;
-        let col_idx = r.u32s(nnz)?;
-        let runs = row_ptr
-            .windows(2)
-            .enumerate()
-            .map(|(row, w)| ((w[1] - w[0]) as usize, row / CsrMatrix::ROW_BLOCK));
-        let scales = rows.div_ceil(CsrMatrix::ROW_BLOCK);
-        let (values, int8) = read_values(r, precision, nnz, scales, runs)?;
-        let matrix = CsrMatrix::from_parts(rows, cols, row_ptr, col_idx, values)?;
-        install_sidecar(matrix, int8, CsrMatrix::with_int8_sidecar)
     }
 }
 
@@ -634,109 +528,6 @@ mod tests {
             let valid = m.to_bytes(Precision::F32);
             let cut = rng.gen_range(0usize..valid.len());
             let _ = BspcMatrix::read_from(&valid[..cut]);
-        }
-    }
-
-    mod csr {
-        use super::*;
-
-        fn sample_dense() -> Matrix {
-            Matrix::from_fn(9, 8, |r, c| {
-                if (r * 7 + c * 3) % 5 < 2 {
-                    0.2 + (r * 8 + c) as f32 * 0.01
-                } else {
-                    0.0
-                }
-            })
-        }
-
-        #[test]
-        fn csr_roundtrips_all_precisions() {
-            let m = CsrMatrix::from_dense(&sample_dense());
-            let bytes = m.to_bytes(Precision::F32);
-            let (d, used) = CsrMatrix::read_from(&bytes).expect("decodes");
-            assert_eq!(used, bytes.len());
-            assert_eq!(d, m);
-
-            let bytes = m.to_bytes(Precision::F16);
-            let (d, _) = CsrMatrix::read_from(&bytes).expect("decodes");
-            assert_eq!(d.col_idx(), m.col_idx());
-            for (a, b) in m.values().iter().zip(d.values()) {
-                assert!((a - b).abs() <= a.abs() * 1e-3 + 1e-4, "{a} vs {b}");
-            }
-
-            let bytes = m.to_bytes(Precision::Int8);
-            let (d, used) = CsrMatrix::read_from(&bytes).expect("decodes");
-            assert_eq!(used, bytes.len());
-            assert_eq!(d.values_i8(), m.values_i8());
-            assert_eq!(d.int8_scales(), m.int8_scales());
-            assert_eq!(d.to_bytes(Precision::Int8), bytes);
-
-            for prec in [Precision::F32, Precision::F16, Precision::Int8] {
-                let bytes = m.to_bytes(prec);
-                for n in 0..bytes.len() {
-                    assert!(CsrMatrix::read_from(&bytes[..n]).is_err(), "prefix {n}");
-                }
-            }
-            assert_eq!(
-                CsrMatrix::read_from(&m.to_bytes(Precision::F32)[4..]).unwrap_err(),
-                DecodeError::BadMagic
-            );
-        }
-
-        #[test]
-        fn magics_are_disjoint() {
-            let m = CsrMatrix::from_dense(&sample_dense());
-            assert_eq!(
-                BspcMatrix::read_from(&m.to_bytes(Precision::F32)).unwrap_err(),
-                DecodeError::BadMagic
-            );
-            assert_eq!(
-                CsrMatrix::read_from(&sample().to_bytes(Precision::F32)).unwrap_err(),
-                DecodeError::BadMagic
-            );
-        }
-
-        /// Arbitrary byte soup never panics the CSR decoder.
-        #[test]
-        fn prop_decoders_never_panic() {
-            for seed in 0u64..300 {
-                let mut rng = rtm_tensor::rng::StdRng::seed_from_u64(seed);
-                let len = rng.gen_range(0usize..256);
-                let mut bytes = vec![0u8; len];
-                rng.fill_bytes(&mut bytes);
-                let _ = CsrMatrix::read_from(&bytes);
-                // Corrupting a valid stream must also fail cleanly.
-                let m = CsrMatrix::from_dense(&sample_dense());
-                for prec in [Precision::F32, Precision::Int8] {
-                    let mut valid = m.to_bytes(prec);
-                    let at = rng.gen_range(0usize..valid.len());
-                    valid[at] ^= 1 << rng.gen_range(0usize..8) as u8;
-                    let _ = CsrMatrix::read_from(&valid);
-                }
-            }
-        }
-
-        /// Random matrices round-trip at f32 exactly.
-        #[test]
-        fn prop_wire_roundtrip() {
-            for seed in 0u64..150 {
-                let mut rng = rtm_tensor::init::rng_from_seed(seed);
-                let rows = rng.gen_range(1usize..12);
-                let cols = rng.gen_range(1usize..12);
-                let dense = rtm_tensor::init::uniform(rows, cols, -1.0, 1.0, &mut rng).map(|v| {
-                    if v.abs() < 0.5 {
-                        0.0
-                    } else {
-                        v
-                    }
-                });
-                let m = CsrMatrix::from_dense(&dense);
-                let bytes = m.to_bytes(Precision::F32);
-                let (d, used) = CsrMatrix::read_from(&bytes).expect("decodes");
-                assert_eq!(used, bytes.len(), "seed {seed}");
-                assert_eq!(d, m, "seed {seed}");
-            }
         }
     }
 }

@@ -19,8 +19,8 @@
 //!   carries the matrix-reorder permutation so the input feature map can be
 //!   matched to reordered rows.
 //!
-//! The two runtime formats (BSPC, CSR) are executed through one
-//! contract, [`SparseKernel`] — partition units plus a single row-range
+//! BSPC, the runtime format, and CSR, the baseline it is measured against,
+//! are executed through one contract, [`SparseKernel`] — partition units plus a single row-range
 //! kernel over a precision-typed activation view — and one driver,
 //! [`kernel::drive`], shared by the serial entries here and the pooled
 //! ones in `rtm-exec` (see [`kernel`]).

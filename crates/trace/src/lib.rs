@@ -218,9 +218,6 @@ pub mod key {
     pub const SERVE_GENERATION: &str = "serve.generation";
     /// Precision candidates timed by the tuner's per-layer precision hook.
     pub const TUNER_PRECISION_MEASUREMENTS: &str = "tuner.precision_measurements";
-    /// (format × precision) candidates timed by the tuner's per-layer
-    /// format hook.
-    pub const TUNER_FORMAT_MEASUREMENTS: &str = "tuner.format_measurements";
 
     /// The registered `kernel.*` counter keys of one sparse storage format.
     /// Each row is `[kernel.<op>.<format>, .f32, .f16, .int8]`: the base key

@@ -81,7 +81,7 @@ RTM_SIMD=off cargo test -q --workspace
 echo "==> cargo test -q (RTM_TRACE=on)"
 RTM_TRACE=on cargo test -q --workspace
 
-# Passes four to six flip knobs that only `rtmobile::{env, config}` read,
+# Passes four and five flip knobs that only `rtmobile::{env, config}` read,
 # so they re-run the crates that depend on `rtmobile` rather than the
 # whole workspace; the root `tests/` suites are `rtmobile` test targets,
 # so every contract suite still runs under every knob.
@@ -94,13 +94,7 @@ knob_crates=(-p rtmobile -p rtm-bench -p rtm-benchmark)
 echo "==> cargo test -q ${knob_crates[*]} (RTM_PRECISION=int8)"
 RTM_PRECISION=int8 cargo test -q "${knob_crates[@]}"
 
-# Fifth pass with the storage format resolved by the per-layer tuner:
-# every pipeline / end-to-end test must hold when each layer's weights can
-# land in either format (BSPC/CSR) behind the PER guard.
-echo "==> cargo test -q ${knob_crates[*]} (RTM_FORMAT=auto)"
-RTM_FORMAT=auto cargo test -q "${knob_crates[@]}"
-
-# Sixth pass with the streaming decoder rerouted to CTC prefix beam
+# Fifth pass with the streaming decoder rerouted to CTC prefix beam
 # search: every pipeline / serve / decode-contract test must hold when the
 # default decode path is the beam decoder (per-lane state, partials and
 # endpoints live on every served stream).

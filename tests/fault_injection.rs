@@ -354,51 +354,6 @@ fn model_decoder_survives_bitflip_and_truncation_fuzz() {
     }
 }
 
-/// The same fuzz over models whose layers use the non-default storage
-/// format (CSR, every layer) at every value-payload kind: the CSR wire
-/// codec behind the format-dispatched gate blobs must reject corruption
-/// with a typed `DecodeError`, never a panic — and
-/// a flipped format tag byte must surface as `BadFormat`/`BadMagic`, not
-/// as a mis-dispatched decode.
-#[test]
-fn format_zoo_decoder_survives_bitflip_and_truncation_fuzz() {
-    use rtmobile::RuntimeFormat;
-    let iters: usize = rtmobile::env::fuzz_iters().ok().flatten().unwrap_or(10_000);
-    let three_layers = GruNetwork::new(
-        &NetworkConfig {
-            input_dim: 6,
-            hidden_dims: vec![12, 12, 12],
-            num_classes: 4,
-        },
-        23,
-    );
-    for (k, precision) in [
-        RuntimePrecision::Int8,
-        RuntimePrecision::F16,
-        RuntimePrecision::F32,
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let compiled = CompiledNetwork::compile_with_formats(
-            &three_layers,
-            4,
-            4,
-            &[],
-            precision,
-            &[RuntimeFormat::Csr; 3],
-            RuntimeFormat::Bspc,
-        )
-        .unwrap();
-        fuzz_model_bytes(
-            &format!("csr {}", precision.tag()),
-            &compiled,
-            0xF0F0 + k as u64,
-            iters.div_ceil(3),
-        );
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Connection-level faults against the `rtm serve` front end (DESIGN.md §14).
 // ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@
 //!
 //! The utterance lengths sit on both sides of every edge of a 16-frame
 //! chunk (empty, one frame, one short of a chunk, one chunk, one past it,
-//! two chunks, three and a part), for every storage format × precision, on
+//! two chunks, three and a part), for every precision of BSPC, on
 //! one thread and three, under the host's SIMD variant and the scalar
 //! reference. Two networks: a two-layer one whose layers differ in width
 //! (the activation planes change size between layers) and a one-layer one
@@ -23,12 +23,11 @@ use rtm_rnn::GruNetwork;
 use rtm_speech::Hypothesis;
 use rtm_tensor::simd::{self, SimdPolicy, Variant};
 use rtmobile::config::DecoderChoice;
-use rtmobile::deploy::{CompiledNetwork, RuntimeFormat, RuntimePrecision};
+use rtmobile::deploy::{CompiledNetwork, RuntimePrecision};
 
 /// The chunk length the lengths below straddle.
 const K: usize = 16;
 const LENGTHS: [usize; 7] = [0, 1, K - 1, K, K + 1, 2 * K, 3 * K + 5];
-const FORMATS: [RuntimeFormat; 2] = [RuntimeFormat::Bspc, RuntimeFormat::Csr];
 const PRECISIONS: [RuntimePrecision; 3] = [
     RuntimePrecision::F32,
     RuntimePrecision::F16,
@@ -149,21 +148,10 @@ fn forward_with_is_the_reference_across_every_chunk_edge() {
     for policy in [SimdPolicy::Auto, SimdPolicy::Fixed(Variant::ScalarU1)] {
         simd::set_policy(policy);
         for (n, base) in networks().iter().enumerate() {
-            for format in FORMATS {
-                for precision in PRECISIONS {
-                    let net = CompiledNetwork::compile_with_formats(
-                        base,
-                        4,
-                        2,
-                        &[],
-                        precision,
-                        &[],
-                        format,
-                    )
-                    .unwrap();
-                    let what = format!("{policy:?} net {n} {} {precision:?}", format.tag());
-                    check(&net, &execs, &what);
-                }
+            for precision in PRECISIONS {
+                let net = CompiledNetwork::compile(base, 4, 2, precision).unwrap();
+                let what = format!("{policy:?} net {n} bspc {precision:?}");
+                check(&net, &execs, &what);
             }
         }
     }

@@ -23,7 +23,7 @@ use rtm_sparse::{BspcMatrix, CsrMatrix, Precision, SparseKernel};
 use rtm_tensor::simd::{self, SimdPolicy, Variant};
 use rtm_tensor::Matrix;
 use rtmobile::deploy::{
-    BatchedSession, CompiledNetwork, GruRuntimeScratch, RuntimeFormat, RuntimePrecision, StepOutput,
+    BatchedSession, CompiledNetwork, GruRuntimeScratch, RuntimePrecision, StepOutput,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -159,69 +159,65 @@ fn production_step_allocates_only_the_returned_logits() {
         .collect();
     let exec = Executor::new(1);
 
-    for format in [RuntimeFormat::Bspc, RuntimeFormat::Csr] {
-        for precision in [
-            RuntimePrecision::F32,
-            RuntimePrecision::F16,
-            RuntimePrecision::Int8,
-        ] {
-            let compiled =
-                CompiledNetwork::compile_with_formats(&net, 4, 4, &[], precision, &[], format)
+    for precision in [
+        RuntimePrecision::F32,
+        RuntimePrecision::F16,
+        RuntimePrecision::Int8,
+    ] {
+        let compiled = CompiledNetwork::compile(&net, 4, 4, precision).unwrap();
+        let what = format!("bspc {precision:?}");
+
+        // `forward_with`: states, scratch and activation buffers are
+        // per call, so doubling the frame count adds exactly the
+        // returned logits — one row plus its slot in the outer `Vec`
+        // per frame.
+        let bytes_for = |n: usize| {
+            let before = allocated();
+            compiled.forward_with(&exec, &frames[..n]);
+            allocated() - before
+        };
+        for t in lengths {
+            bytes_for(t); // warm-up: the kernel scratch grows here, once
+            let per_frame = classes * 4 + std::mem::size_of::<Vec<f32>>();
+            assert_eq!(
+                bytes_for(2 * t) - bytes_for(t),
+                (t * per_frame) as u64,
+                "forward_with {what} t={t}"
+            );
+        }
+
+        // `forward_frame_batch`: caller-owned buffers, nothing else.
+        for b in [1usize, 8] {
+            let mut states: Vec<Vec<f32>> = compiled
+                .layers()
+                .iter()
+                .map(|_| vec![0.0f32; 16 * b])
+                .collect();
+            let frame: Vec<f32> = (0..input * b).map(|i| (i as f32 * 0.37).sin()).collect();
+            let mut xs = Vec::with_capacity(16 * b);
+            let mut scratch = GruRuntimeScratch::new();
+            let (mut hs_next, mut logits) = (Vec::new(), Vec::new());
+            let mut step = || {
+                xs.clear();
+                xs.extend_from_slice(&frame);
+                compiled
+                    .forward_frame_batch(
+                        &exec,
+                        &mut xs,
+                        b,
+                        &mut states,
+                        &mut scratch,
+                        &mut hs_next,
+                        &mut logits,
+                    )
                     .unwrap();
-            let what = format!("{} {precision:?}", format.tag());
-
-            // `forward_with`: states, scratch and activation buffers are
-            // per call, so doubling the frame count adds exactly the
-            // returned logits — one row plus its slot in the outer `Vec`
-            // per frame.
-            let bytes_for = |n: usize| {
-                let before = allocated();
-                compiled.forward_with(&exec, &frames[..n]);
-                allocated() - before
             };
-            for t in lengths {
-                bytes_for(t); // warm-up: the kernel scratch grows here, once
-                let per_frame = classes * 4 + std::mem::size_of::<Vec<f32>>();
-                assert_eq!(
-                    bytes_for(2 * t) - bytes_for(t),
-                    (t * per_frame) as u64,
-                    "forward_with {what} t={t}"
-                );
-            }
-
-            // `forward_frame_batch`: caller-owned buffers, nothing else.
-            for b in [1usize, 8] {
-                let mut states: Vec<Vec<f32>> = compiled
-                    .layers()
-                    .iter()
-                    .map(|_| vec![0.0f32; 16 * b])
-                    .collect();
-                let frame: Vec<f32> = (0..input * b).map(|i| (i as f32 * 0.37).sin()).collect();
-                let mut xs = Vec::with_capacity(16 * b);
-                let mut scratch = GruRuntimeScratch::new();
-                let (mut hs_next, mut logits) = (Vec::new(), Vec::new());
-                let mut step = || {
-                    xs.clear();
-                    xs.extend_from_slice(&frame);
-                    compiled
-                        .forward_frame_batch(
-                            &exec,
-                            &mut xs,
-                            b,
-                            &mut states,
-                            &mut scratch,
-                            &mut hs_next,
-                            &mut logits,
-                        )
-                        .unwrap();
-                };
+            step();
+            let before = allocated();
+            for _ in 0..100 {
                 step();
-                let before = allocated();
-                for _ in 0..100 {
-                    step();
-                }
-                assert_eq!(allocated() - before, 0, "forward_frame_batch {what} b={b}");
             }
+            assert_eq!(allocated() - before, 0, "forward_frame_batch {what} b={b}");
         }
     }
 }

@@ -8,8 +8,8 @@ use rtm_pruning::schedule::CompressionTarget;
 use rtm_speech::corpus::CorpusConfig;
 use rtm_speech::task::SpeechTask;
 use rtm_tensor::simd;
-use rtmobile::config::{FormatChoice, PrecisionChoice, RuntimeConfig};
-use rtmobile::deploy::{CompiledNetwork, RuntimeFormat, RuntimePrecision};
+use rtmobile::config::{PrecisionChoice, RuntimeConfig};
+use rtmobile::deploy::{CompiledNetwork, RuntimePrecision};
 use rtmobile::{bundle, model_file, RtMobile};
 
 fn build_compiled() -> (SpeechTask, CompiledNetwork) {
@@ -122,9 +122,8 @@ fn row_major_bundle_of_the_parent_loads_reencodes_and_scores() {
     if simd::vector_isa() != "avx2+fma" || simd::active_variant() != simd::Variant::Vector {
         return;
     }
-    let runtime = RuntimeConfig::default()
-        .with_precision(PrecisionChoice::Fixed(RuntimePrecision::F16))
-        .with_format(FormatChoice::Fixed(RuntimeFormat::Bspc));
+    let runtime =
+        RuntimeConfig::default().with_precision(PrecisionChoice::Fixed(RuntimePrecision::F16));
     let (_, _, twin) = RtMobile::builder()
         .hidden(12)
         .seed(7)

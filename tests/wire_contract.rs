@@ -9,11 +9,11 @@
 use rtm_rnn::model::NetworkConfig;
 use rtm_rnn::GruNetwork;
 use rtm_sparse::io::DecodeError;
-use rtm_sparse::{BspcMatrix, CsrMatrix, Precision};
+use rtm_sparse::{BspcMatrix, Precision};
 use rtm_tensor::rng::StdRng;
 use rtm_tensor::Matrix;
 use rtmobile::bundle::{self, crc32, BundleMeta};
-use rtmobile::deploy::{CompiledNetwork, RuntimeFormat, RuntimePrecision};
+use rtmobile::deploy::{CompiledNetwork, RuntimePrecision};
 use rtmobile::serve::protocol::{put_client_msg, put_server_msg};
 use rtmobile::serve::{ClientMsg, ServerMsg};
 
@@ -38,19 +38,16 @@ fn golden_gate_blob_bytes_per_format_and_precision() {
     let w = bsp_weight();
     let bspc = BspcMatrix::from_dense(&w, 4, 2).unwrap();
     let reordered = bspc.clone().with_reorder((0..24).rev().collect()).unwrap();
-    let csr = CsrMatrix::from_dense(&w);
     let got: Vec<(&str, [u32; 3])> = vec![
         ("bspc", PRECISIONS.map(|p| crc32(&bspc.to_bytes(p)))),
         (
             "bspc+reorder",
             PRECISIONS.map(|p| crc32(&reordered.to_bytes(p))),
         ),
-        ("csr", PRECISIONS.map(|p| crc32(&csr.to_bytes(p)))),
     ];
     let want: Vec<(&str, [u32; 3])> = vec![
         ("bspc", [0x80f0_4aa8, 0xe662_3712, 0x68bb_5c61]),
         ("bspc+reorder", [0xcb3b_1a61, 0xdcca_83e7, 0x3a8c_d30c]),
-        ("csr", [0x19bc_2008, 0xbbc6_9a22, 0xb4b4_ed04]),
     ];
     assert_eq!(got, want, "[f32, f16, int8] blob CRC32s: {got:#010x?}");
 }
@@ -66,17 +63,8 @@ fn network(hidden_dims: Vec<usize>) -> GruNetwork {
     )
 }
 
-fn mixed_int8() -> CompiledNetwork {
-    CompiledNetwork::compile_with_formats(
-        &network(vec![12, 12, 12]),
-        4,
-        4,
-        &[],
-        RuntimePrecision::Int8,
-        &[RuntimeFormat::Csr, RuntimeFormat::Bspc, RuntimeFormat::Csr],
-        RuntimeFormat::Bspc,
-    )
-    .unwrap()
+fn bspc_int8() -> CompiledNetwork {
+    CompiledNetwork::compile(&network(vec![12, 12, 12]), 4, 4, RuntimePrecision::Int8).unwrap()
 }
 
 #[test]
@@ -85,7 +73,6 @@ fn golden_bundle_bytes() {
         generation: 7,
         compiled_per: 12.5,
         precision_guard_tripped: false,
-        format_guard_tripped: true,
     };
     let bspc_f16 =
         CompiledNetwork::compile(&network(vec![12, 12]), 4, 4, RuntimePrecision::F16).unwrap();
@@ -95,14 +82,14 @@ fn golden_bundle_bytes() {
         let bytes = bundle::to_bytes_with(net, &meta);
         (bytes.len(), crc32(&bytes[..bytes.len() - 4]))
     };
-    // The second pin was recorded by the codec that still carried the
-    // retired BBS and CSB formats, whose layers this model's CSR layers
-    // replace: retiring them moved no byte of a BSPC or CSR bundle.
-    let got = [pin(&bspc_f16), pin(&mixed_int8())];
+    // Both pins were recorded by the codec that still carried CSR and the
+    // format guard, from these networks with that guard's flag clear: the
+    // flag's byte, now always 0, is the only byte retiring them moved.
+    let got = [pin(&bspc_f16), pin(&bspc_int8())];
     assert_eq!(
         got,
-        [(8570, 0xad51_5bfd), (13118, 0xe476_9e39)],
-        "[bspc f16, csr+bspc+csr int8] bundle (len, CRC32): {got:#010x?}"
+        [(8570, 0xec55_31c9), (11834, 0xacd5_30bc)],
+        "[bspc f16, bspc int8] bundle (len, CRC32): {got:#010x?}"
     );
 }
 
@@ -148,7 +135,7 @@ fn golden_protocol_frames() {
 /// report as corrupt.
 #[test]
 fn hostile_section_length_is_a_typed_refusal_everywhere() {
-    let pristine = bundle::to_bytes(&mixed_int8());
+    let pristine = bundle::to_bytes(&bspc_int8());
     let first_len_at = 4 + 2 + 4 + 4; // header, then the first section's tag
     let dir = std::env::temp_dir().join(format!("rtm-wire-contract-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
