@@ -9,8 +9,8 @@
 //! (BSP guarantees whole stripes share patterns, so the buckets are large),
 //! then buckets are ordered by descending row cost (nonzero count). The
 //! resulting permutation, its groups, and before/after imbalance metrics are
-//! returned in a [`ReorderPlan`]; the permutation itself travels with the
-//! BSPC format (`rtm_sparse::BspcMatrix::with_reorder`).
+//! returned in a [`ReorderPlan`] — an analysis only: BSPC stores each
+//! stripe's kept rows together, so compiled gates carry no permutation.
 
 use rtm_tensor::Matrix;
 use std::collections::HashMap;

@@ -2,21 +2,20 @@
 
 //! # rtm-exec
 //!
-//! The multi-threaded SpMV execution engine — the runtime the compiler's
-//! reorder/RLE machinery in `rtm-compiler` was always optimizing *for*.
+//! The multi-threaded SpMV execution engine.
 //!
 //! The paper's claim (§IV-B, Fig. 4) is that BSP sparsity only pays off
-//! because matrix reorder hands parallel threads balanced row groups. This
-//! crate makes that concrete on CPU:
+//! because matrix reorder hands parallel threads balanced row groups; BSPC's
+//! stripe-grouped row tiles are those groups. This crate makes that
+//! concrete on CPU:
 //!
 //! * [`pool`] — a persistent worker pool over `std::thread` + channels
 //!   (no registry dependencies), caller-participating, with contained task
 //!   panics (a typed [`ExecError::WorkerPanicked`] instead of a re-panic,
 //!   dead workers respawned) and a serial fast path at `threads = 1`;
 //! * [`partition`] — cost-balanced contiguous chunking of a format's
-//!   partition units (balancing nonzeros, not rows), derivable directly from a
-//!   `ReorderPlan`'s pattern groups, with the *measured* imbalance factor
-//!   the device model consumes;
+//!   partition units (balancing nonzeros, not rows), with the *measured*
+//!   imbalance factor the device model consumes;
 //! * [`spmv`] — the [`Executor`] handle: one lock-free pooled driver for
 //!   every format implementing [`rtm_sparse::SparseKernel`]
 //!   ([`Executor::spmv_into`], [`Executor::spmm_into`]) — per-thread

@@ -1,18 +1,15 @@
-//! Cost-balanced work partitioning driven by the compiler's reorder groups.
+//! Cost-balanced work partitioning over a format's partition units.
 //!
 //! The paper's matrix reorder (§IV-B-a) exists so that parallel workers
 //! receive *balanced row groups*: rows with the same nonzero pattern cost
-//! the same, so contiguous chunks of the reordered (or BSP-striped) row
-//! space can be cut at positions that equalize **nonzeros per thread, not
-//! rows per thread**. [`Partition::balanced`] performs that cut over an
-//! explicit per-slot cost vector; [`Partition::from_reorder`] derives the
-//! cost vector straight from a [`ReorderPlan`]'s pattern groups.
+//! the same. BSPC's row tiles never leave a stripe, so its units are grouped
+//! already and runs of them can be cut at positions that equalize
+//! **nonzeros per thread, not rows per thread**: [`Partition::balanced`]
+//! over an explicit per-slot cost vector.
 //!
 //! Chunks are contiguous and non-overlapping, so each maps to a disjoint
 //! output range — the property the executor uses to hand every thread its
 //! own `&mut` output slice with no locks on the hot path.
-
-use rtm_compiler::reorder::ReorderPlan;
 
 /// One thread's contiguous share of the work: slots `start..end` with their
 /// summed cost.
@@ -128,23 +125,6 @@ impl Partition {
         }
     }
 
-    /// Builds the partition straight from the compiler's reorder output:
-    /// each pattern group contributes `len` slots of `row_nnz` cost, in
-    /// execution order, and the cut points balance nonzeros across
-    /// `threads`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn from_reorder(plan: &ReorderPlan, threads: usize) -> Partition {
-        let costs: Vec<usize> = plan
-            .groups
-            .iter()
-            .flat_map(|g| std::iter::repeat_n(g.row_nnz, g.len))
-            .collect();
-        Partition::balanced(&costs, threads)
-    }
-
     /// The chunks, in slot order.
     pub fn chunks(&self) -> &[Chunk] {
         &self.chunks
@@ -173,7 +153,7 @@ impl Partition {
     /// Measured load-imbalance factor: `max chunk cost / mean chunk cost`,
     /// 1.0 when perfectly balanced or when there is no work. This is the
     /// *achieved* imbalance of the actual chunking, as opposed to the
-    /// analytic estimates in `rtm_compiler::reorder`.
+    /// analytic estimates of the compiler's reorder model.
     pub fn imbalance(&self) -> f64 {
         if self.chunks.is_empty() || self.total_cost == 0 {
             return 1.0;
@@ -186,7 +166,6 @@ impl Partition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtm_tensor::Matrix;
 
     #[test]
     fn uniform_costs_split_evenly() {
@@ -274,31 +253,6 @@ mod tests {
         assert_eq!(z.imbalance(), 1.0);
         let covered: usize = z.chunks().iter().map(Chunk::len).sum();
         assert_eq!(covered, 6);
-    }
-
-    #[test]
-    fn from_reorder_balances_grouped_rows() {
-        // Alternating heavy/light rows; reorder groups them by pattern.
-        let w = Matrix::from_fn(32, 64, |r, c| {
-            let heavy = r % 2 == 0;
-            if (heavy && c < 48) || (!heavy && c < 4) {
-                1.0
-            } else {
-                0.0
-            }
-        });
-        let plan = ReorderPlan::compute(&w, 4);
-        let p = Partition::from_reorder(&plan, 4);
-        assert_eq!(
-            p.total_cost(),
-            16 * 48 + 16 * 4,
-            "costs come from group nnz"
-        );
-        assert!(
-            p.imbalance() < 1.3,
-            "reorder-driven chunks stay balanced: {}",
-            p.imbalance()
-        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Three design rules, all from the paper's mobile runtime (§IV-B):
 //!
-//! 1. **Reorder-driven chunking.** Work is partitioned by cost (nonzeros),
+//! 1. **Pattern-grouped chunking.** Work is partitioned by cost (nonzeros),
 //!    not by row count, over the format's partition units — for BSPC the
 //!    units are row tiles (adjacent kept rows of one stripe) and the stripes
 //!    *are* the pattern groups the reorder produces, so contiguous chunks

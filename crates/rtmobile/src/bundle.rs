@@ -1,7 +1,7 @@
 //! Compiled-model bundles: the checksummed, sectioned `.rtm` v5 container
 //! plus crash-safe writes and generation stamping (DESIGN.md §15).
 //!
-//! RTMobile's whole premise is that compilation (pruning, reorder, tuner
+//! RTMobile's whole premise is that compilation (pruning, lowering, tuner
 //! selection) is paid once so the runtime is lean — which makes the model
 //! *artifact* the contract between the compiler and every serving process.
 //! This module hardens that contract: a torn write, a truncated copy, or
@@ -22,8 +22,8 @@
 //! forward-compatible):
 //!
 //! * `WGHT` — the network body of [`crate::model_file`]: per-layer BSPC
-//!   weights at their final storage precision (reorder permutations ride
-//!   inside the blobs), biases, dense head.
+//!   weights at their final storage precision (no reorder permutation),
+//!   biases, dense head.
 //! * `TUNE` — tuner probe measurements.
 //! * `HLTH` — health metadata: compiled PER, accuracy-guard verdicts, and
 //!   the per-layer precision table, cross-checked against the
@@ -800,5 +800,50 @@ mod tests {
         assert!(!p.file_crc_ok);
         assert!(!p.sections[0].crc_ok, "WGHT damage localized");
         assert!(p.sections[1].crc_ok && p.sections[2].crc_ok);
+    }
+
+    /// `tests/fixtures/bspc_rowmajor_v5.bundle` was written when compiled
+    /// gates still carried a reorder permutation. A fresh compile of the
+    /// same pipeline carries none; given the fixture's permutations back,
+    /// it must write the fixture's every byte, so everything the
+    /// permutations are not stays pinned.
+    #[test]
+    fn fixture_is_a_fresh_compile_plus_its_permutations() {
+        use crate::config::{PrecisionChoice, RuntimeConfig};
+        use rtm_tensor::simd;
+
+        let bytes = include_bytes!("../../../tests/fixtures/bspc_rowmajor_v5.bundle");
+        let loaded = from_bytes(bytes).expect("the fixture decodes");
+        // The twin repeats the fixture's training, whose bits depend on the
+        // dot kernels (see `tests/serialization.rs`).
+        if simd::vector_isa() != "avx2+fma" || simd::active_variant() != simd::Variant::Vector {
+            return;
+        }
+        let runtime =
+            RuntimeConfig::default().with_precision(PrecisionChoice::Fixed(RuntimePrecision::F16));
+        let (_, _, mut twin) = crate::RtMobile::builder()
+            .hidden(12)
+            .seed(7)
+            .runtime(runtime)
+            .run_keeping_model();
+        assert_eq!(twin.layers.len(), loaded.net.layers().len());
+        for (t, f) in twin.layers.iter_mut().zip(loaded.net.layers()) {
+            let gates = [
+                &mut t.w_z, &mut t.u_z, &mut t.w_r, &mut t.u_r, &mut t.w_n, &mut t.u_n,
+            ];
+            for (gate, fixture) in gates.into_iter().zip(f.gates()) {
+                assert_eq!(gate.reorder(), None, "a fresh compile attaches none");
+                let perm = fixture.reorder().expect("the fixture carries one");
+                *gate = gate
+                    .clone()
+                    .with_reorder(perm.to_vec())
+                    .expect("a row permutation");
+            }
+        }
+        assert_eq!(
+            to_bytes_with(&twin, &loaded.meta),
+            &bytes[..],
+            "the fresh compile plus the fixture's permutations is the fixture"
+        );
     }
 }

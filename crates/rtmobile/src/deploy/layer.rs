@@ -80,6 +80,13 @@ impl CompiledGruLayer {
         self.precision
     }
 
+    /// The six gate matrices in wire order: `w_z u_z w_r u_r w_n u_n`.
+    pub(crate) fn gates(&self) -> [&BspcMatrix; 6] {
+        [
+            &self.w_z, &self.u_z, &self.w_r, &self.u_r, &self.w_n, &self.u_n,
+        ]
+    }
+
     /// The reference step: one serial GRU step, allocation-free — gates and
     /// temporaries live in `scratch`, the fresh state lands in `h_out`
     /// (resized on entry). Every gate SpMV streams the layer's compiled
@@ -148,8 +155,9 @@ impl CompiledGruLayer {
     /// of stream `j` at `i·b + j`; a single stream is `b == 1`.
     ///
     /// Each gate product walks its index structure once and applies every
-    /// row to all `b` input columns via the reorder-aware parallel engine
-    /// (§IV-B: row groups of one kernel go to parallel threads), so index
+    /// row to all `b` input columns via the parallel engine (§IV-B: row
+    /// groups of one kernel go to parallel threads; BSPC's stripe-grouped
+    /// row tiles are those groups), so index
     /// decode and weight traffic amortize across the batch. One lane runs
     /// [`rtm_exec::Executor::spmv_into`], more run
     /// [`spmm_into`](rtm_exec::Executor::spmm_into) — the same row-range

@@ -1,8 +1,9 @@
 //! The deployed runtime artifact: BSPC-compiled GRU inference.
 //!
 //! [`CompiledNetwork`] lowers a (pruned) [`rtm_rnn::GruNetwork`] into
-//! per-gate [`rtm_sparse::BspcMatrix`] storage carrying the matrix-reorder
-//! permutation, then *executes* inference through the sparse kernels. This
+//! per-gate [`rtm_sparse::BspcMatrix`] storage, then *executes* inference
+//! through the sparse kernels. No reorder permutation is attached: BSPC
+//! stores each stripe's same-pattern rows together already. This
 //! is the functional counterpart of the simulator's cost model: the
 //! simulator prices the kernels, this module proves they compute the right
 //! thing. With [`RuntimePrecision::F16`] all weights and intermediate
@@ -169,6 +170,24 @@ mod tests {
             .storage_bytes();
         assert!(p32 < d32 / 2, "pruning shrinks storage: {p32} vs {d32}");
         assert!(p16 < p32, "f16 shrinks storage further: {p16} vs {p32}");
+    }
+
+    #[test]
+    fn compiled_gates_carry_no_reorder_permutation() {
+        // Each stripe's kept rows are stored together already, which is the
+        // grouping the reorder exists for; no kernel reads a permutation.
+        for precision in [
+            RuntimePrecision::F32,
+            RuntimePrecision::F16,
+            RuntimePrecision::Int8,
+        ] {
+            let compiled = CompiledNetwork::compile(&net(), 4, 4, precision).unwrap();
+            for layer in compiled.layers() {
+                for gate in layer.gates() {
+                    assert_eq!(gate.reorder(), None, "{precision:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,6 @@
 
 use super::format::{RuntimeFormat, RuntimePrecision};
 use super::layer::{CompiledGruLayer, GruRuntimeScratch};
-use rtm_compiler::reorder::ReorderPlan;
 use rtm_exec::ExecError;
 use rtm_rnn::GruNetwork;
 use rtm_sparse::footprint::Footprint;
@@ -55,9 +54,10 @@ pub struct CompiledNetwork {
 impl CompiledNetwork {
     /// Compiles `net` with the given BSP partition and precision.
     ///
-    /// Every gate matrix is converted to BSPC (with the matrix-reorder
-    /// permutation attached per §IV-B-c) and, under
-    /// [`RuntimePrecision::F16`], quantized through binary16 first.
+    /// Every gate matrix is converted to BSPC and, under
+    /// [`RuntimePrecision::F16`], quantized through binary16 first. No
+    /// reorder permutation is attached: BSPC's row tiles already keep each
+    /// stripe's same-pattern rows together (§IV-B-c).
     ///
     /// # Errors
     ///
@@ -109,9 +109,7 @@ impl CompiledNetwork {
             let q = quant(m, precision);
             let s = stripes.min(q.rows().max(1));
             let b = blocks.min(q.cols().max(1));
-            let reorder = ReorderPlan::compute(&q, 8);
-            let perm: Vec<u32> = reorder.perm.iter().map(|&r| r as u32).collect();
-            BspcMatrix::from_dense(&q, s, b)?.with_reorder(perm)
+            BspcMatrix::from_dense(&q, s, b)
         };
 
         let mut layers = Vec::with_capacity(net.layers.len());
@@ -225,7 +223,7 @@ impl CompiledNetwork {
         self.layers
             .iter()
             .flat_map(|l| {
-                [&l.w_z, &l.u_z, &l.w_r, &l.u_r, &l.w_n, &l.u_n]
+                l.gates()
                     .map(|m| Footprint::bspc(m, l.precision.storage()).total())
             })
             .sum()

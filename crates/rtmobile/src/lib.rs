@@ -6,7 +6,8 @@
 //! compile → deploy.
 //!
 //! * [`deploy`] — the mobile runtime artifact: every pruned GRU layer
-//!   compiled to BSPC storage with its reorder permutation, plus a
+//!   compiled to BSPC storage (each stripe's kept rows stored together, so
+//!   no reorder permutation is attached), plus a
 //!   *functional* executor that runs inference through the sparse kernels
 //!   (optionally through f16, the GPU datapath) and must agree with the
 //!   dense reference — the correctness proof of the compiled path;

@@ -80,9 +80,7 @@ pub(crate) fn write_network_body(out: &mut Vec<u8>, net: &CompiledNetwork) {
     for layer in &net.layers {
         out.put_u32_le(layer.hidden as u32);
         out.put_slice(&mode_tags(layer.precision));
-        for m in [
-            &layer.w_z, &layer.u_z, &layer.w_r, &layer.u_r, &layer.w_n, &layer.u_n,
-        ] {
+        for m in layer.gates() {
             m.write_to(out, layer.precision.storage());
         }
         for b in [&layer.b_z, &layer.b_r, &layer.b_n] {
@@ -179,9 +177,7 @@ pub(crate) fn read_tuner_body(r: &mut Reader<'_>) -> Result<Vec<TunerCost>, Deco
 pub(crate) fn all_finite(net: &CompiledNetwork) -> bool {
     let finite = |vals: &[f32]| vals.iter().all(|v| v.is_finite());
     net.layers.iter().all(|l| {
-        [&l.w_z, &l.u_z, &l.w_r, &l.u_r, &l.w_n, &l.u_n]
-            .iter()
-            .all(|m| finite(m.values()))
+        l.gates().iter().all(|m| finite(m.values()))
             && [&l.b_z, &l.b_r, &l.b_n].iter().all(|b| finite(b))
     }) && finite(net.head_w().as_slice())
         && finite(&net.head_b)

@@ -6,8 +6,9 @@
 //!    PER — Table I's "w/o pruning" row);
 //! 2. run BSP: ADMM-driven column-block pruning, then row pruning, then
 //!    masked fine-tuning (pruned PER and achieved compression rate);
-//! 3. compile the pruned network to BSPC with matrix reorder at the
-//!    resolved storage precision (f32, f16, int8 or per-layer `auto`
+//! 3. compile the pruned network to BSPC (a stripe's kept rows stored
+//!    together: the matrix reorder's grouping, no permutation attached) at
+//!    the resolved storage precision (f32, f16, int8 or per-layer `auto`
 //!    selection from measured kernel costs, guarded by a PER-degradation
 //!    bound), and re-score the PER through the *compiled* path — the
 //!    accuracy actually shipped to the device;

@@ -23,9 +23,9 @@
 //! its lanes. *A sparse row is never a call.* The wire format and the int8
 //! sidecar (whose block dots run along a row) keep the row-major order.
 //!
-//! BSPC also carries the matrix-reorder permutation (see
-//! `rtm_compiler::reorder`) so the runtime can match the reordered rows back
-//! to the original output ordering, as the paper specifies.
+//! The paper's BSPC also carries the matrix-reorder permutation; here a
+//! stripe's kept rows are stored together, which is the reorder's grouping,
+//! so compiled gates carry none ([`BspcMatrix::with_reorder`]).
 
 use crate::footprint::Precision;
 use crate::kernel::{Activations, SparseKernel};
@@ -390,8 +390,8 @@ impl BspcMatrix {
     }
 
     /// Attaches a matrix-reorder permutation (original row index per
-    /// execution slot). The permutation travels with the format, as §IV-B-c
-    /// requires, so downstream consumers can reconstruct original row order.
+    /// execution slot). No kernel reads it and the compiler attaches none;
+    /// it is kept for files written with one and for the layer probe.
     ///
     /// # Errors
     ///
@@ -829,8 +829,8 @@ fn detiled_rows(
 
 /// Partition units are row tiles: a unit costs the `L·m` values it streams
 /// and writes `m` adjacent output rows, so a pool chunk never splits a tile,
-/// and contiguous tile chunks are exactly the reorder's "similar-pattern
-/// rows → one chunk per thread".
+/// and contiguous tile chunks are exactly the paper reorder's
+/// "similar-pattern rows → one chunk per thread", with no permutation.
 impl SparseKernel for BspcMatrix {
     fn rows(&self) -> usize {
         self.rows

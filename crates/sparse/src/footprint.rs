@@ -6,7 +6,7 @@
 //! bytes moved, so the numbers here directly drive the Table II and
 //! ablation-A3 results.
 
-use crate::{BspcMatrix, CscMatrix, CsrMatrix};
+use crate::{BspcMatrix, CsrMatrix};
 use rtm_tensor::Matrix;
 
 /// Size in bytes of one stored weight scalar.
@@ -18,7 +18,7 @@ pub enum Precision {
     /// 16-bit float (the paper's mobile-GPU path).
     F16,
     /// Symmetric int8 weights (one byte per weight plus explicit f32 scale
-    /// metadata — per stripe-block for BSPC, per row block for CSR/CSC, one
+    /// metadata — per stripe-block for BSPC, per row block for CSR, one
     /// per tensor for dense).
     Int8,
 }
@@ -81,20 +81,6 @@ impl Footprint {
             index_bytes: (m.nnz() + m.row_ptr().len()) * 4,
             scale_bytes: if prec == Precision::Int8 {
                 m.rows().div_ceil(CsrMatrix::ROW_BLOCK) * 4
-            } else {
-                0
-            },
-        }
-    }
-
-    /// Footprint of a CSC matrix (mirror of CSR; int8 scales go per column
-    /// block of the same width).
-    pub fn csc(m: &CscMatrix, prec: Precision) -> Footprint {
-        Footprint {
-            value_bytes: m.nnz() * prec.bytes(),
-            index_bytes: (m.nnz() + m.col_ptr().len()) * 4,
-            scale_bytes: if prec == Precision::Int8 {
-                m.cols().div_ceil(CsrMatrix::ROW_BLOCK) * 4
             } else {
                 0
             },
@@ -169,8 +155,6 @@ mod tests {
             64usize.div_ceil(CsrMatrix::ROW_BLOCK) * 4
         );
         assert_eq!(Footprint::csr(&csr, Precision::F32).scale_bytes, 0);
-        let csc = Footprint::csc(&CscMatrix::from_dense(&m), Precision::Int8);
-        assert_eq!(csc.scale_bytes, fp_csr.scale_bytes); // square matrix
         assert_eq!(Footprint::dense(&m, Precision::Int8).scale_bytes, 4);
         // Int8 still wins on total bytes despite the metadata.
         assert!(fp.total() < Footprint::bspc(&bspc, Precision::F16).total());
@@ -221,15 +205,5 @@ mod tests {
         assert!(ratio > 1.0, "pruned CSR should compress: {ratio}");
         let empty = Footprint::default();
         assert!(empty.compression_vs(100).is_infinite());
-    }
-
-    #[test]
-    fn csc_mirrors_csr() {
-        let m = structured(32, 32, 4, 8);
-        let a = Footprint::csr(&CsrMatrix::from_dense(&m), Precision::F32);
-        let b = Footprint::csc(&CscMatrix::from_dense(&m), Precision::F32);
-        assert_eq!(a.value_bytes, b.value_bytes);
-        // Same nnz; pointer arrays differ by (rows vs cols) + 1 — equal here.
-        assert_eq!(a.index_bytes, b.index_bytes);
     }
 }

@@ -14,7 +14,8 @@
 //!           f16:  count × 2 B binary16 bit patterns
 //!           int8: stripes·blocks × 4 B f32 scales (one per stripe-block),
 //!                 then count × 1 B codes
-//! reorder   flag u8 (0/1), rows × u32 when 1
+//! reorder   flag u8 (0/1), rows × u32 when 1 (compiled gates write 0;
+//!           1 is read for older files, other values are rejected)
 //! ```
 //!
 //! No count read from the wire is trusted further than the [`Reader`] can
@@ -316,7 +317,11 @@ impl BspcMatrix {
         let scales = stripes.saturating_mul(blocks);
         let (values, int8) = read_values(r, precision, value_count, scales, runs)?;
 
-        let reorder = (r.u8()? == 1).then(|| r.u32s(rows)).transpose()?;
+        let reorder = match r.u8()? {
+            0 => None,
+            1 => Some(r.u32s(rows)?),
+            _ => return Err(DecodeError::Invalid(BspcError::BadPermutation)),
+        };
         let matrix = BspcMatrix::from_parts(
             rows,
             cols,
@@ -450,6 +455,17 @@ mod tests {
             BspcMatrix::read_from(&bytes).unwrap_err(),
             DecodeError::BadPrecision(7)
         ));
+        // The reorder flag is the last byte of a blob without a
+        // permutation: 0 and 1 are the only values it may take.
+        for flag in [2u8, 255] {
+            let mut bytes = sample().to_bytes(Precision::F32);
+            *bytes.last_mut().unwrap() = flag;
+            assert_eq!(
+                BspcMatrix::read_from(&bytes).unwrap_err(),
+                DecodeError::Invalid(BspcError::BadPermutation),
+                "reorder flag {flag}"
+            );
+        }
     }
 
     #[test]

@@ -4,20 +4,19 @@
 //!
 //! Sparse matrix formats and kernels for the RTMobile reproduction.
 //!
-//! The paper contrasts three ways of storing a pruned RNN weight matrix:
+//! Two ways of storing a pruned RNN weight matrix live here:
 //!
 //! * **CSR** ([`CsrMatrix`]) — the conventional compressed-sparse-row format
 //!   that unstructured pruning (ESE-style) is stuck with: one explicit column
 //!   index per nonzero;
-//! * **CSC** ([`CscMatrix`]) — column-compressed twin, provided for the
-//!   comparison experiments and for transposed products;
 //! * **BSPC** ([`BspcMatrix`]) — the paper's *Block-based Structured Pruning
 //!   Compact* format (§IV-B-c): because BSP prunes whole columns inside each
 //!   (row-stripe × column-block) and whole rows globally, the column indices
 //!   are shared by *all rows in a stripe* and need to be stored only once per
-//!   block, shrinking the index array by roughly the stripe height. BSPC also
-//!   carries the matrix-reorder permutation so the input feature map can be
-//!   matched to reordered rows.
+//!   block, shrinking the index array by roughly the stripe height. The
+//!   paper's BSPC also carries the matrix-reorder permutation; here each
+//!   stripe's kept rows are already stored together, which is the grouping
+//!   the reorder exists for, so compiled gates carry no permutation.
 //!
 //! BSPC, the runtime format, and CSR, the baseline it is measured against,
 //! are executed through one contract, [`SparseKernel`] — partition units plus a single row-range
@@ -44,7 +43,6 @@
 //! ```
 
 pub mod bspc;
-pub mod csc;
 pub mod csr;
 pub mod footprint;
 pub mod io;
@@ -52,7 +50,6 @@ pub mod kernel;
 mod scratch;
 
 pub use bspc::{BspcError, BspcMatrix};
-pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use footprint::{Footprint, Precision};
 pub use io::DecodeError;

@@ -8,7 +8,8 @@
 //!
 //! The paper's compiler half *runs on* measured execution behaviour — the
 //! auto-tuner picks unroll factors from observed kernel cost and the matrix
-//! reorder exists to fix observable thread imbalance — so the runtime needs
+//! reorder exists to fix observable thread imbalance (BSPC's stripe-grouped
+//! row tiles provide that grouping here) — so the runtime needs
 //! a way to observe itself that every layer can reach. This crate sits at
 //! the bottom of the workspace (no dependencies, like `rtm-tensor`), so the
 //! kernel layer, the execution engine, the batched scheduler and the

@@ -28,6 +28,14 @@ if grep -q rtm-exec <<< "$closure"; then
   echo "FAIL: rtm-rnn depends on rtm-exec" >&2
   exit 1
 fi
+# The engine runs the formats of rtm-sparse and needs none of the compiler's
+# analyses: BSPC's stripe-grouped row tiles are the reorder's grouping.
+echo "==> layering (rtm-exec's dependency closure has no rtm-compiler)"
+closure=$(cargo tree --offline -e normal -p rtm-exec)
+if grep -q rtm-compiler <<< "$closure"; then
+  echo "FAIL: rtm-exec depends on rtm-compiler" >&2
+  exit 1
+fi
 
 # Feature sets: a `#[target_feature]` body may only name features its
 # dispatcher detects at run time — an `f16c` body behind an `avx2 && fma`

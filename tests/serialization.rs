@@ -129,11 +129,10 @@ fn row_major_bundle_of_the_parent_loads_reencodes_and_scores() {
         .seed(7)
         .runtime(runtime)
         .run_keeping_model();
-    assert_eq!(
-        bundle::to_bytes_with(&twin, &loaded.meta),
-        bytes,
-        "a fresh compile writes the bytes the parent wrote"
-    );
+    // A fresh compile attaches no reorder permutation, so its bytes are the
+    // fixture's less the permutations; `rtmobile::bundle`'s unit test
+    // `fixture_is_a_fresh_compile_plus_its_permutations` re-attaches them
+    // and pins every other byte.
     let task = SpeechTask::new(&CorpusConfig::default_scaled(), 7);
     let frames = &task.test_utterances()[0].frames;
     let bits = |logits: Vec<Vec<f32>>| -> Vec<u32> {

@@ -82,13 +82,16 @@ fn golden_bundle_bytes() {
         let bytes = bundle::to_bytes_with(net, &meta);
         (bytes.len(), crc32(&bytes[..bytes.len() - 4]))
     };
-    // Both pins were recorded by the codec that still carried CSR and the
-    // format guard, from these networks with that guard's flag clear: the
-    // flag's byte, now always 0, is the only byte retiring them moved.
+    // Both pins were re-recorded when the compiler stopped attaching a
+    // reorder permutation to its gates: each gate blob now ends in flag 0
+    // with no `rows × u32` after it, 2 × 6 × 12 × 4 = 576 and
+    // 3 × 6 × 12 × 4 = 864 bytes fewer than the (8570, _) / (11834, _)
+    // written with them. `rtmobile::bundle`'s fixture test re-attaches the
+    // permutations to a fresh compile and matches a whole older file.
     let got = [pin(&bspc_f16), pin(&bspc_int8())];
     assert_eq!(
         got,
-        [(8570, 0xec55_31c9), (11834, 0xacd5_30bc)],
+        [(7994, 0x3948_d606), (10970, 0xa0c7_bbc8)],
         "[bspc f16, bspc int8] bundle (len, CRC32): {got:#010x?}"
     );
 }
