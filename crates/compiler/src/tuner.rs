@@ -169,100 +169,6 @@ pub fn tune(space: &TuningSpace, cost: impl Fn(&ExecutionPlan) -> f64 + Sync) ->
     }
 }
 
-/// One measured point of the precision axis: the wall-clock cost of a
-/// representative BSPC SpMV executed at that storage precision.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PrecisionCost {
-    /// The storage precision that was measured.
-    pub precision: rtm_sparse::Precision,
-    /// Mean seconds per SpMV sweep (lower is better).
-    pub seconds: f64,
-}
-
-/// Times the real f32 / f16 / int8 BSPC SpMV kernels on a seeded,
-/// BSP-structured `rows × cols` workload partitioned into
-/// `stripes × blocks`, and returns one [`PrecisionCost`] per precision
-/// (mean of `iters` timed sweeps after one warm-up).
-///
-/// This is the measurement half of per-layer precision selection: the
-/// pipeline measures each distinct layer shape once, then picks the
-/// fastest precision per layer with [`select_precision`] — subject to its
-/// accuracy gate, which the tuner deliberately knows nothing about.
-pub fn measure_precision_costs(
-    rows: usize,
-    cols: usize,
-    stripes: usize,
-    blocks: usize,
-    iters: usize,
-) -> Vec<PrecisionCost> {
-    use rtm_sparse::{BspcMatrix, Precision};
-    // The tuner records into the same registry it reads: every candidate's
-    // measured cost lands as a `tuner.precision_cost_us.<tag>` gauge under
-    // one span, so traced pipeline runs show what the precision search saw.
-    let _span = rtm_trace::span("tuner.measure_precision_costs");
-    let mut rng = rtm_tensor::init::rng_from_seed(0x5eed_cafe);
-    let stripes = stripes.max(1);
-    let blocks = blocks.max(1);
-    let stripe_h = rows.div_ceil(stripes).max(1);
-    let block_w = cols.div_ceil(blocks).max(1);
-    // A BSP-structured pattern with roughly one kept block in four: the
-    // kept-block diagonal wraps, so every stripe and every block column
-    // carries weight and the kernel sees realistic gather strides.
-    let dense = rtm_tensor::Matrix::from_fn(rows, cols, |r, c| {
-        if (r / stripe_h + c / block_w).is_multiple_of(4) {
-            ((r * 31 + c * 17) % 1009) as f32 / 1009.0 - 0.5
-        } else {
-            0.0
-        }
-    });
-    let m = match BspcMatrix::from_dense(&dense, stripes, blocks) {
-        Ok(m) => m,
-        // Degenerate partitions (more stripes than rows, …) fall back to a
-        // 1×1 partition rather than failing the whole tuning run.
-        Err(_) => BspcMatrix::from_dense(&dense, 1, 1).expect("1x1 partition is always valid"),
-    };
-    let x: Vec<f32> = (0..cols).map(|_| rng.gen_f32() * 2.0 - 1.0).collect();
-    let mut y = vec![0.0f32; rows];
-    let iters = iters.max(1);
-    [Precision::F32, Precision::F16, Precision::Int8]
-        .into_iter()
-        .map(|precision| {
-            m.spmv_prec_into(precision, &x, &mut y)
-                .expect("measurement shapes agree"); // warm-up
-            let t0 = std::time::Instant::now();
-            for _ in 0..iters {
-                m.spmv_prec_into(precision, &x, &mut y)
-                    .expect("measurement shapes agree");
-                std::hint::black_box(&y);
-            }
-            let cost = PrecisionCost {
-                precision,
-                seconds: t0.elapsed().as_secs_f64() / iters as f64,
-            };
-            if rtm_trace::enabled() {
-                let reg = rtm_trace::global();
-                reg.gauge_set(
-                    &format!("tuner.precision_cost_us.{}", precision.tag()),
-                    cost.seconds * 1e6,
-                );
-                reg.counter_add(rtm_trace::key::TUNER_PRECISION_MEASUREMENTS, 1);
-            }
-            cost
-        })
-        .collect()
-}
-
-/// Picks the fastest measured precision (lowest finite seconds). Falls
-/// back to f32 when `measured` is empty or nothing measured finite —
-/// the full-precision kernel is always safe.
-pub fn select_precision(measured: &[PrecisionCost]) -> rtm_sparse::Precision {
-    measured
-        .iter()
-        .filter(|m| m.seconds.is_finite())
-        .min_by(|a, b| a.seconds.partial_cmp(&b.seconds).expect("finite costs"))
-        .map_or(rtm_sparse::Precision::F32, |m| m.precision)
-}
-
 /// Searches only the BSP partition axis — the paper's "best block size"
 /// search — against a cost that sees the `(stripes, blocks)` pair, e.g. a
 /// weighted combination of pruned-model accuracy and simulated latency.
@@ -343,46 +249,6 @@ mod tests {
         };
         let result = tune(&space, cost);
         assert_eq!(result.best.format, StorageFormat::Bspc);
-    }
-
-    #[test]
-    fn precision_measurement_covers_all_precisions() {
-        use rtm_sparse::Precision;
-        let measured = measure_precision_costs(48, 96, 4, 4, 2);
-        let precs: Vec<Precision> = measured.iter().map(|m| m.precision).collect();
-        assert_eq!(precs, [Precision::F32, Precision::F16, Precision::Int8]);
-        for m in &measured {
-            assert!(m.seconds.is_finite() && m.seconds > 0.0, "{m:?}");
-        }
-        // Degenerate partition falls back instead of panicking.
-        let tiny = measure_precision_costs(2, 2, 64, 64, 1);
-        assert_eq!(tiny.len(), 3);
-    }
-
-    #[test]
-    fn precision_selection_picks_fastest_and_defaults_to_f32() {
-        use rtm_sparse::Precision;
-        let costs = [
-            PrecisionCost {
-                precision: Precision::F32,
-                seconds: 3.0,
-            },
-            PrecisionCost {
-                precision: Precision::F16,
-                seconds: 2.0,
-            },
-            PrecisionCost {
-                precision: Precision::Int8,
-                seconds: 1.0,
-            },
-        ];
-        assert_eq!(select_precision(&costs), Precision::Int8);
-        let nan = [PrecisionCost {
-            precision: Precision::Int8,
-            seconds: f64::NAN,
-        }];
-        assert_eq!(select_precision(&nan), Precision::F32);
-        assert_eq!(select_precision(&[]), Precision::F32);
     }
 
     #[test]

@@ -21,10 +21,9 @@
 //! The compile-once-serve-many flow (DESIGN.md §15): `compile` runs the
 //! full train → BSP-prune → compile flow ahead of time and publishes the
 //! result as a checksummed v5 bundle — BSPC weights at their final
-//! per-layer precision, tuner costs, and health metadata (compiled PER,
-//! guard verdicts) — via an atomic temp-file + rename write. `serve` loads
-//! a bundle and runs the continuous-batching TCP front end on loopback
-//! (DESIGN.md §14); with `--reload` (or `RTM_RELOAD`) it watches the
+//! precision and health metadata (compiled PER) — via an atomic
+//! temp-file-and-rename write. `serve` loads a bundle and runs the
+//! continuous-batching TCP front end on loopback (DESIGN.md §14); with `--reload` (or `RTM_RELOAD`) it watches the
 //! bundle path and hot-swaps validated republishes with zero dropped
 //! streams, rolling back if the new generation's quarantine rate trips
 //! `--rollback-threshold`. `inspect` summarizes a saved model including
@@ -78,9 +77,9 @@ fn print_help() {
     println!("  compile is the ahead-of-time half of compile-once-serve-many: it runs");
     println!("  the train -> prune -> compile pipeline and atomically publishes the");
     println!("  result to --out as a checksummed bundle (BSPC weights at their final");
-    println!("  per-layer precision, tuner costs, health metadata, per-section");
-    println!("  CRCs and a whole-file checksum). Republishing to the same path bumps");
-    println!("  the bundle generation. pipeline --save writes the same bundle format.");
+    println!("  precision, health metadata, per-section CRCs and a whole-file");
+    println!("  checksum). Republishing to the same path bumps the bundle");
+    println!("  generation. pipeline --save writes the same bundle format.");
     println!();
     println!("  --reload watches FILE.rtm while serving (on, off, or a poll interval");
     println!("  in milliseconds; RTM_RELOAD sets the same knob). A validated");
@@ -114,10 +113,10 @@ fn print_help() {
     println!("  The RTM_HEALTH environment variable sets the same knob.");
     println!();
     println!("  --precision picks the weight storage precision of the compiled");
-    println!("  runtime: f32, f16 (default; the paper's mobile-GPU datapath), int8,");
-    println!("  or auto (measure the kernels per layer and pick the fastest, with");
-    println!("  a PER-degradation guard). The RTM_PRECISION environment variable");
-    println!("  sets the same knob.");
+    println!("  runtime, one for every layer: f32, f16 (default; the paper's");
+    println!("  mobile-GPU datapath), int8, or auto (the f16 default: the same");
+    println!("  flags and seed always write the same bytes). The RTM_PRECISION");
+    println!("  environment variable sets the same knob.");
     println!();
     println!("  --decoder picks the streaming decoder: argmax (default; per-frame");
     println!("  best class), viterbi (transition-penalty smoothing), ctc-greedy");
@@ -258,7 +257,6 @@ fn publish_bundle(
     let meta = rtmobile::BundleMeta {
         generation: bundle::next_generation(target),
         compiled_per: report.accuracy.compiled_per as f32,
-        precision_guard_tripped: report.performance.precision_guard_tripped,
     };
     let bytes = bundle::to_bytes_with(compiled, &meta);
     bundle::write_bytes_atomic(target, &bytes)
@@ -450,18 +448,8 @@ fn compile(args: &[String]) -> ExitCode {
         .run_keeping_model();
     let p = &report.performance;
     println!(
-        "compiled PER {:.2}%, precision {} ({} f32 / {} f16 / {} int8), \
-         guards: precision {}",
-        report.accuracy.compiled_per,
-        p.precision,
-        p.layers_f32,
-        p.layers_f16,
-        p.layers_int8,
-        if p.precision_guard_tripped {
-            "TRIPPED"
-        } else {
-            "ok"
-        },
+        "compiled PER {:.2}%, precision {} ({} f32 / {} f16 / {} int8)",
+        report.accuracy.compiled_per, p.precision, p.layers_f32, p.layers_f16, p.layers_int8,
     );
     match publish_bundle(&out, &compiled, &report) {
         Ok((generation, len)) => {
@@ -646,12 +634,6 @@ fn serve(args: &[String]) -> ExitCode {
         }
     };
     let net = std::sync::Arc::clone(&model.net);
-    if !net.tuner_costs().is_empty() {
-        println!(
-            "tuner costs loaded from model ({} layers) — no serve-side kernel probe",
-            net.tuner_costs().len()
-        );
-    }
 
     let generation = model.generation();
     let exec = rtm_exec::Executor::new(runtime.threads);
@@ -794,6 +776,15 @@ fn inspect(args: &[String]) -> ExitCode {
         eprintln!("usage: rtm inspect FILE.rtm");
         return ExitCode::FAILURE;
     };
+    // Load-time weight validation follows the deployment-side health knob;
+    // a set-but-garbage `RTM_HEALTH` is an error, as in every other command.
+    let policy = match RuntimeConfig::from_env() {
+        Ok(r) => r.resolved_health(),
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) => {
@@ -829,8 +820,6 @@ fn inspect(args: &[String]) -> ExitCode {
             }
         }
     }
-    // Load-time weight validation follows the deployment-side health knob.
-    let policy = rtmobile::health::policy_from_env();
     let loaded = match bundle::from_bytes_with(&bytes, policy) {
         Ok(b) => b,
         Err(e) => {
@@ -842,14 +831,6 @@ fn inspect(args: &[String]) -> ExitCode {
         "  compiled PER  : {:.2}% (at publish time)",
         loaded.meta.compiled_per
     );
-    println!(
-        "  guards        : precision {}",
-        if loaded.meta.precision_guard_tripped {
-            "TRIPPED (shipped f32)"
-        } else {
-            "ok"
-        }
-    );
     let net = loaded.into_network();
     println!("  precision     : {:?}", net.precision());
     println!(
@@ -857,19 +838,6 @@ fn inspect(args: &[String]) -> ExitCode {
         net.storage_bytes() as f64 / 1024.0,
         net.format().tag()
     );
-    if net.tuner_costs().is_empty() {
-        println!("  tuner costs   : none (fixed-choice compile)");
-    } else {
-        println!("  tuner costs   :");
-        for c in net.tuner_costs() {
-            println!(
-                "    layer {}: {} measured {:.1} us",
-                c.layer,
-                c.precision.tag(),
-                c.micros
-            );
-        }
-    }
     ExitCode::SUCCESS
 }
 

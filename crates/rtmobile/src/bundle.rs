@@ -1,8 +1,8 @@
 //! Compiled-model bundles: the checksummed, sectioned `.rtm` v5 container
 //! plus crash-safe writes and generation stamping (DESIGN.md §15).
 //!
-//! RTMobile's whole premise is that compilation (pruning, lowering, tuner
-//! selection) is paid once so the runtime is lean — which makes the model
+//! RTMobile's whole premise is that compilation (pruning, lowering) is
+//! paid once so the runtime is lean — which makes the model
 //! *artifact* the contract between the compiler and every serving process.
 //! This module hardens that contract: a torn write, a truncated copy, or
 //! bit rot is detected by checksum before a single byte reaches a kernel,
@@ -19,15 +19,18 @@
 //! ```
 //!
 //! Sections (unknown tags are skipped, so future sections are
-//! forward-compatible):
+//! forward-compatible; a tag that appears twice is refused):
 //!
 //! * `WGHT` — the network body of [`crate::model_file`]: per-layer BSPC
 //!   weights at their final storage precision (no reorder permutation),
 //!   biases, dense head.
-//! * `TUNE` — tuner probe measurements.
-//! * `HLTH` — health metadata: compiled PER, accuracy-guard verdicts, and
-//!   the per-layer precision table, cross-checked against the
-//!   decoded network so the sections cannot drift apart unnoticed.
+//! * `TUNE` — written empty (a zero record count), skipped on read. It held
+//!   the measurements of a retired compile-time precision probe; the
+//!   writer keeps it so that no byte of the format moves.
+//! * `HLTH` — health metadata: compiled PER, two retired guard bytes
+//!   (written 0, ignored), and the per-layer precision table,
+//!   cross-checked against the decoded network so the sections cannot
+//!   drift apart unnoticed.
 //!
 //! The decode order is deliberate: the whole-file CRC is verified *first*,
 //! so any random corruption yields
@@ -55,10 +58,9 @@ pub const TRAILER_MAGIC: &[u8; 4] = b"RTMZ";
 
 /// Section tag: network weights/biases/head (required).
 pub const SEC_WEIGHTS: [u8; 4] = *b"WGHT";
-/// Section tag: tuner probe measurements.
+/// Section tag: written empty, skipped on read (see the module docs).
 pub const SEC_TUNER: [u8; 4] = *b"TUNE";
-/// Section tag: health metadata (compiled PER, guard verdicts, layer
-/// table).
+/// Section tag: health metadata (compiled PER, layer table).
 pub const SEC_HEALTH: [u8; 4] = *b"HLTH";
 
 const SECTION_HEADER_LEN: usize = 4 + 8 + 4;
@@ -105,10 +107,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 ///
 /// `generation` orders bundles at one path: the crash-safe [`write()`]
 /// publishes atomically, and the serving-side reloader treats a changed
-/// file as a new generation. The remaining fields record what the compile
+/// file as a new generation. `compiled_per` records what the compile
 /// pipeline measured, so a serving process can answer "what accuracy did
-/// this model ship with, and did a guard intervene?" without the training
-/// set.
+/// this model ship with?" without the training set.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BundleMeta {
     /// Monotonic publish counter (0 = unstamped).
@@ -117,9 +118,6 @@ pub struct BundleMeta {
     /// measured by the pipeline (0 when compiled straight from a config
     /// without evaluation).
     pub compiled_per: f32,
-    /// Whether the pipeline's precision accuracy-guard rejected the
-    /// requested precision and shipped f32 instead.
-    pub precision_guard_tripped: bool,
 }
 
 impl BundleMeta {
@@ -229,9 +227,9 @@ fn put_section(out: &mut Vec<u8>, tag: [u8; 4], payload: &[u8]) {
 
 fn write_health_body(out: &mut Vec<u8>, net: &CompiledNetwork, meta: &BundleMeta) {
     out.put_f32_le(meta.compiled_per);
-    out.put_u8(meta.precision_guard_tripped as u8);
-    // The retired format guard's byte: always 0, never read back.
-    out.put_u8(0);
+    // The retired precision and format guards' bytes: always 0, never
+    // read back.
+    out.put_slice(&[0, 0]);
     out.put_u32_le(net.layers.len() as u32);
     for layer in &net.layers {
         out.put_u32_le(layer.hidden as u32);
@@ -259,9 +257,9 @@ pub fn to_bytes_with(net: &CompiledNetwork, meta: &BundleMeta) -> Vec<u8> {
     model_file::write_network_body(&mut payload, net);
     put_section(&mut out, SEC_WEIGHTS, &payload);
 
-    payload.clear();
-    model_file::write_tuner_body(&mut payload, net.tuner_costs());
-    put_section(&mut out, SEC_TUNER, &payload);
+    // A zero record count: the empty `TUNE` every bundle has carried since
+    // compiles stopped probing kernels.
+    put_section(&mut out, SEC_TUNER, &0u32.to_le_bytes());
 
     payload.clear();
     write_health_body(&mut payload, net, meta);
@@ -357,10 +355,9 @@ fn read_health_body(
 ) -> Result<(), DecodeError> {
     let mut r = Reader::new(payload);
     meta.compiled_per = r.f32()?;
-    // The second byte flagged the retired format guard; a bundle that set
-    // it still shipped BSPC, so it loads.
-    let [precision_guard, _] = r.array()?;
-    meta.precision_guard_tripped = precision_guard != 0;
+    // The retired precision and format guards' bytes: a bundle that set
+    // either still shipped its weights as they are, so it loads.
+    r.take(2)?;
     if r.u32()? as usize != net.layers.len() {
         return Err(DecodeError::MetaMismatch);
     }
@@ -395,7 +392,8 @@ pub fn from_bytes(bytes: &[u8]) -> Result<CompiledBundle, DecodeError> {
 /// # Errors
 ///
 /// Returns a typed [`DecodeError`] on truncation, bad magic/version,
-/// checksum mismatch, a missing `WGHT` section, health metadata that
+/// checksum mismatch, a missing or repeated section, bytes between the
+/// last declared section and the trailer, health metadata that
 /// disagrees with the weights, invalid embedded blobs, or (under a
 /// scanning policy) non-finite weights.
 pub fn from_bytes_with(bytes: &[u8], policy: HealthPolicy) -> Result<CompiledBundle, DecodeError> {
@@ -403,27 +401,34 @@ pub fn from_bytes_with(bytes: &[u8], policy: HealthPolicy) -> Result<CompiledBun
     if !container.file_crc_ok() {
         return Err(DecodeError::FileChecksum);
     }
-    let (mut weights, mut tuner, mut health) = (None, None, None);
+    let (mut weights, mut health) = (None, None);
+    let mut seen = Vec::new();
     for _ in 0..container.section_count {
         let (section, payload) = container.next_section()?.ok_or(DecodeError::Truncated)?;
         if !section.crc_ok {
             return Err(DecodeError::SectionChecksum(section.tag));
         }
+        // One payload per tag: a second `WGHT` must not replace the first
+        // behind the back of a reader that lists both.
+        if seen.contains(&section.tag) {
+            return Err(DecodeError::DuplicateSection(section.tag));
+        }
+        seen.push(section.tag);
         match section.tag {
             SEC_WEIGHTS => weights = Some(payload),
-            SEC_TUNER => tuner = Some(payload),
             SEC_HEALTH => health = Some(payload),
-            // Unknown sections are skipped: new tags can ship without
-            // breaking old readers.
+            // `TUNE` and unknown sections are skipped: new tags can ship
+            // without breaking old readers.
             _ => {}
         }
     }
+    // The trailer follows the last declared section directly.
+    if container.table.remaining() != 0 {
+        return Err(DecodeError::BadTrailer);
+    }
 
     let body = weights.ok_or(DecodeError::MissingSection(SEC_WEIGHTS))?;
-    let mut net = model_file::read_network_body(&mut Reader::new(body))?;
-    if let Some(t) = tuner {
-        net.tuner_costs = model_file::read_tuner_body(&mut Reader::new(t))?;
-    }
+    let net = model_file::read_network_body(&mut Reader::new(body))?;
     let mut meta = BundleMeta::default().with_generation(container.generation);
     if let Some(h) = health {
         read_health_body(h, &mut meta, &net)?;
@@ -604,6 +609,34 @@ mod tests {
         CompiledNetwork::compile(&net, 4, 2, RuntimePrecision::F16).expect("partition fits")
     }
 
+    /// Frames `sections` as a v5 bundle of generation 0.
+    fn assemble(sections: &[([u8; 4], &[u8])]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.put_slice(model_file::MAGIC);
+        out.put_u16_le(model_file::VERSION);
+        out.put_u32_le(sections.len() as u32);
+        for &(tag, payload) in sections {
+            put_section(&mut out, tag, payload);
+        }
+        out.put_slice(TRAILER_MAGIC);
+        out.put_u64_le(0);
+        let crc = crc32(&out);
+        out.put_u32_le(crc);
+        out
+    }
+
+    fn weights(net: &CompiledNetwork) -> Vec<u8> {
+        let mut body = Vec::new();
+        model_file::write_network_body(&mut body, net);
+        body
+    }
+
+    fn health(net: &CompiledNetwork, meta: &BundleMeta) -> Vec<u8> {
+        let mut body = Vec::new();
+        write_health_body(&mut body, net, meta);
+        body
+    }
+
     #[test]
     fn crc32_matches_the_ieee_check_value() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
@@ -616,7 +649,6 @@ mod tests {
         let meta = BundleMeta {
             generation: 42,
             compiled_per: 0.125,
-            precision_guard_tripped: true,
         };
         let bytes = to_bytes_with(&net, &meta);
         let bundle = from_bytes(&bytes).expect("decodes");
@@ -625,10 +657,10 @@ mod tests {
         // Same inputs, same bytes: the writer is deterministic.
         assert_eq!(bytes, to_bytes_with(&net, &meta));
         // HLTH payload: compiled PER f32, two guard bytes, layer count, then
-        // per layer hidden u32 + [precision, format]. The second guard byte
-        // is reserved: a bundle that set it (the retired format guard, which
-        // still shipped BSPC) loads with the same metadata. A row's format
-        // byte other than BSPC's 0 is refused like in any other header.
+        // per layer hidden u32 + [precision, format]. Both guard bytes are
+        // retired: a bundle that set either loads with the same metadata. A
+        // row's format byte other than BSPC's 0 is refused like in any other
+        // header.
         let health = probe(&bytes).expect("probe").sections[2];
         assert_eq!(&health.tag, b"HLTH");
         let edited = |offset: usize, byte: u8| {
@@ -637,7 +669,8 @@ mod tests {
             assert!(reseal(&mut edited));
             from_bytes(&edited)
         };
-        assert_eq!(edited(5, 1).expect("reserved byte ignored").meta, meta);
+        assert_eq!(edited(4, 1).expect("retired byte ignored").meta, meta);
+        assert_eq!(edited(5, 1).expect("retired byte ignored").meta, meta);
         assert_eq!(edited(15, 1).unwrap_err(), DecodeError::BadFormat(1));
     }
 
@@ -700,24 +733,86 @@ mod tests {
     fn a_missing_weights_section_is_typed() {
         let net = compiled(13);
         // Hand-assemble a bundle with only TUNE + HLTH.
-        let mut out = Vec::new();
-        out.put_slice(model_file::MAGIC);
-        out.put_u16_le(5);
-        out.put_u32_le(2);
-        let mut payload = Vec::new();
-        model_file::write_tuner_body(&mut payload, &[]);
-        put_section(&mut out, SEC_TUNER, &payload);
-        payload.clear();
-        write_health_body(&mut payload, &net, &BundleMeta::default());
-        put_section(&mut out, SEC_HEALTH, &payload);
-        out.put_slice(TRAILER_MAGIC);
-        out.put_u64_le(0);
-        let crc = crc32(&out);
-        out.put_u32_le(crc);
+        let out = assemble(&[
+            (SEC_TUNER, &0u32.to_le_bytes()),
+            (SEC_HEALTH, &health(&net, &BundleMeta::default())),
+        ]);
         assert_eq!(
             from_bytes(&out).unwrap_err(),
             DecodeError::MissingSection(SEC_WEIGHTS)
         );
+    }
+
+    #[test]
+    fn a_repeated_section_is_refused() {
+        // A decoy second `WGHT` behind a sealed, well-formed table: the
+        // reader must not serve it while `probe` lists both.
+        let (net, decoy) = (compiled(23), compiled(25));
+        let bytes = assemble(&[
+            (SEC_WEIGHTS, &weights(&net)),
+            (SEC_TUNER, &0u32.to_le_bytes()),
+            (SEC_HEALTH, &health(&net, &BundleMeta::default())),
+            (SEC_WEIGHTS, &weights(&decoy)),
+        ]);
+        let p = probe(&bytes).expect("probe");
+        assert!(p.file_crc_ok && p.sections.iter().all(|s| s.crc_ok));
+        let tags: Vec<[u8; 4]> = p.sections.iter().map(|s| s.tag).collect();
+        assert_eq!(tags, [SEC_WEIGHTS, SEC_TUNER, SEC_HEALTH, SEC_WEIGHTS]);
+        assert_eq!(
+            from_bytes(&bytes).unwrap_err(),
+            DecodeError::DuplicateSection(SEC_WEIGHTS)
+        );
+    }
+
+    #[test]
+    fn bytes_between_the_last_section_and_the_trailer_are_refused() {
+        let bytes = to_bytes(&compiled(27));
+        let trailer_at = bytes.len() - TRAILER_LEN;
+        // Fewer stray bytes than a section header, and more.
+        for stray in [1, 9, 15, 16, 40] {
+            let mut padded = bytes[..trailer_at].to_vec();
+            padded.extend(std::iter::repeat_n(0xAB, stray));
+            padded.extend_from_slice(&bytes[trailer_at..]);
+            // Reseal the file CRC only: no section payload changed.
+            let n = padded.len();
+            let crc = crc32(&padded[..n - 4]);
+            padded[n - 4..].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(
+                from_bytes(&padded).unwrap_err(),
+                DecodeError::BadTrailer,
+                "{stray} stray bytes"
+            );
+        }
+    }
+
+    /// A bundle as compiles that timed kernels wrote it: tuner records in
+    /// `TUNE` (count u32, then per record layer u32, [precision, format],
+    /// micros f32) and the precision-guard byte of `HLTH` set.
+    #[test]
+    fn a_bundle_with_tuner_records_and_a_tripped_guard_loads() {
+        let net = compiled(29);
+        let mut tune = Vec::new();
+        tune.put_u32_le(net.layers.len() as u32);
+        for (i, layer) in net.layers.iter().enumerate() {
+            tune.put_u32_le(i as u32);
+            tune.put_slice(&model_file::mode_tags(layer.precision));
+            tune.put_f32_le(2.5);
+        }
+        let meta = BundleMeta {
+            generation: 0,
+            compiled_per: 12.5,
+        };
+        let mut hlth = health(&net, &meta);
+        hlth[4] = 1;
+        let bytes = assemble(&[
+            (SEC_WEIGHTS, &weights(&net)),
+            (SEC_TUNER, &tune),
+            (SEC_HEALTH, &hlth),
+        ]);
+        let bundle = from_bytes(&bytes).expect("loads");
+        assert_eq!(bundle.meta, meta);
+        let x = [vec![0.1; 5]];
+        assert_eq!(bundle.net.forward(&x), net.forward(&x));
     }
 
     #[test]

@@ -25,10 +25,10 @@ use rtm_trace::TraceConfig;
 pub enum PrecisionChoice {
     /// Compile every layer at this precision.
     Fixed(RuntimePrecision),
-    /// Measure the f32/f16/int8 kernels per layer shape and pick the
-    /// fastest per layer, subject to the pipeline's accuracy guard (a
-    /// PER-degradation bound versus the f32 baseline; violations fall back
-    /// to all-f32).
+    /// The f16 default (the paper's mobile-GPU datapath), still accepted as
+    /// `"auto"`: [`RuntimeConfig::resolved_precision`] maps it to
+    /// `Fixed(RuntimePrecision::F16)`, so nothing is chosen by timing
+    /// kernels and a compile's bytes depend only on its flags and seed.
     Auto,
 }
 
@@ -268,11 +268,22 @@ impl RuntimeConfig {
 
     /// The precision choice a run resolves to: the pinned one, otherwise
     /// the `RTM_PRECISION` deployment default, otherwise the pipeline's
-    /// f16 default (the paper's mobile-GPU datapath).
+    /// f16 default (the paper's mobile-GPU datapath). Always `Fixed`:
+    /// [`PrecisionChoice::Auto`] resolves to that f16 default.
     pub fn resolved_precision(&self) -> PrecisionChoice {
-        self.precision
+        PrecisionChoice::Fixed(self.compile_precision())
+    }
+
+    /// The one precision a compile gives every layer
+    /// ([`RuntimeConfig::resolved_precision`]'s).
+    pub(crate) fn compile_precision(&self) -> RuntimePrecision {
+        match self
+            .precision
             .or_else(|| crate::env::precision_choice().ok().flatten())
-            .unwrap_or(PrecisionChoice::Fixed(RuntimePrecision::F16))
+        {
+            Some(PrecisionChoice::Fixed(p)) => p,
+            Some(PrecisionChoice::Auto) | None => RuntimePrecision::F16,
+        }
     }
 
     /// The decoder a run resolves to: the pinned one, otherwise the
@@ -341,7 +352,11 @@ mod tests {
         assert_eq!(PrecisionChoice::parse("fp64"), None);
         let c = RuntimeConfig::default().with_precision(PrecisionChoice::Auto);
         assert_eq!(c.precision, Some(PrecisionChoice::Auto));
-        assert_eq!(c.resolved_precision(), PrecisionChoice::Auto);
+        assert_eq!(
+            c.resolved_precision(),
+            PrecisionChoice::Fixed(RuntimePrecision::F16),
+            "auto is the f16 default"
+        );
     }
 
     #[test]

@@ -10,8 +10,8 @@ use rtm_tensor::f16::{quantize_f16, quantize_f16_slice};
 use rtm_tensor::Vector;
 
 /// One compiled GRU layer: six BSPC gate matrices plus biases, executed
-/// at the layer's own storage precision (per-layer selection is the
-/// tuner's job).
+/// at the layer's own storage precision (a compile gives every layer the
+/// same one; a bundle written with per-layer precisions still loads).
 #[derive(Debug, Clone)]
 pub struct CompiledGruLayer {
     pub(crate) w_z: BspcMatrix,

@@ -32,7 +32,7 @@ mod session;
 
 pub use format::{RuntimeFormat, RuntimePrecision};
 pub use layer::{CompiledGruLayer, GruRuntimeScratch};
-pub use network::{CompiledNetwork, TunerCost};
+pub use network::CompiledNetwork;
 pub use session::{BatchedSession, StepOutput};
 
 #[cfg(test)]

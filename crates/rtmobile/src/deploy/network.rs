@@ -19,21 +19,6 @@ use rtm_tensor::{Matrix, Vector};
 /// alike (EXPERIMENTS.md B3).
 const CHUNK: usize = 16;
 
-/// One tuner measurement riding along with a compiled model: the seconds
-/// the compile-time kernel probe measured for the precision a layer was
-/// deployed at (stored as microseconds). Persisting these in the
-/// model file lets a serving-side load answer "what did the tuner see?"
-/// without re-running the probe.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TunerCost {
-    /// Layer index the measurement belongs to.
-    pub layer: usize,
-    /// Storage precision the probe timed.
-    pub precision: RuntimePrecision,
-    /// Measured per-step kernel cost in microseconds.
-    pub micros: f32,
-}
-
 /// A GRU network compiled to BSPC storage.
 #[derive(Debug, Clone)]
 pub struct CompiledNetwork {
@@ -46,9 +31,6 @@ pub struct CompiledNetwork {
     head_tiles: RowTiles,
     pub(crate) head_b: Vec<f32>,
     pub(crate) precision: RuntimePrecision,
-    /// Tuner probe measurements (empty unless an Auto compile recorded
-    /// them; see [`CompiledNetwork::with_tuner_costs`]).
-    pub(crate) tuner_costs: Vec<TunerCost>,
 }
 
 impl CompiledNetwork {
@@ -69,26 +51,6 @@ impl CompiledNetwork {
         blocks: usize,
         precision: RuntimePrecision,
     ) -> Result<CompiledNetwork, rtm_sparse::BspcError> {
-        CompiledNetwork::compile_with_precisions(net, stripes, blocks, &[], precision)
-    }
-
-    /// [`CompiledNetwork::compile`] with a per-layer precision override:
-    /// layer `i` compiles and runs at `per_layer[i]` (layers past the end
-    /// of the slice use `default`). `default` also sets the network-level
-    /// activation rounding and head precision. This is the deployment hook
-    /// for the tuner's measured per-layer precision selection.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying [`rtm_sparse::BspcError`] when the partition
-    /// does not fit a tensor.
-    pub fn compile_with_precisions(
-        net: &GruNetwork,
-        stripes: usize,
-        blocks: usize,
-        per_layer: &[RuntimePrecision],
-        default: RuntimePrecision,
-    ) -> Result<CompiledNetwork, rtm_sparse::BspcError> {
         if stripes == 0 || blocks == 0 {
             return Err(rtm_sparse::BspcError::ZeroPartition);
         }
@@ -97,33 +59,30 @@ impl CompiledNetwork {
         // f32 kernels bit for bit on these values); int8 keeps the original
         // f32 values — the int8 sidecar derived from them is what the
         // kernels stream, and dequantizing here would round the codes twice.
-        let quant = |m: &Matrix, precision: RuntimePrecision| -> Matrix {
+        let quant = |m: &Matrix| -> Matrix {
             match precision {
                 RuntimePrecision::F32 | RuntimePrecision::Int8 => m.clone(),
                 RuntimePrecision::F16 => m.map(quantize_f16),
             }
         };
-        let lower = |m: &Matrix,
-                     precision: RuntimePrecision|
-         -> Result<BspcMatrix, rtm_sparse::BspcError> {
-            let q = quant(m, precision);
+        let lower = |m: &Matrix| -> Result<BspcMatrix, rtm_sparse::BspcError> {
+            let q = quant(m);
             let s = stripes.min(q.rows().max(1));
             let b = blocks.min(q.cols().max(1));
             BspcMatrix::from_dense(&q, s, b)
         };
 
         let mut layers = Vec::with_capacity(net.layers.len());
-        for (i, cell) in net.layers.iter().enumerate() {
-            let precision = per_layer.get(i).copied().unwrap_or(default);
+        for cell in &net.layers {
             layers.push(CompiledGruLayer {
-                w_z: lower(&cell.w_z, precision)?,
-                u_z: lower(&cell.u_z, precision)?,
+                w_z: lower(&cell.w_z)?,
+                u_z: lower(&cell.u_z)?,
                 b_z: cell.b_z.clone(),
-                w_r: lower(&cell.w_r, precision)?,
-                u_r: lower(&cell.u_r, precision)?,
+                w_r: lower(&cell.w_r)?,
+                u_r: lower(&cell.u_r)?,
                 b_r: cell.b_r.clone(),
-                w_n: lower(&cell.w_n, precision)?,
-                u_n: lower(&cell.u_n, precision)?,
+                w_n: lower(&cell.w_n)?,
+                u_n: lower(&cell.u_n)?,
                 b_n: cell.b_n.clone(),
                 hidden: cell.hidden_dim(),
                 precision,
@@ -131,7 +90,7 @@ impl CompiledNetwork {
         }
         // The head stays a dense f32 gemv; int8 models weight-only
         // per-tensor quantization there (the DESIGN.md §6 what-if).
-        let head_w = match default {
+        let head_w = match precision {
             RuntimePrecision::F32 => net.head.w.clone(),
             RuntimePrecision::F16 => net.head.w.map(quantize_f16),
             RuntimePrecision::Int8 => {
@@ -142,7 +101,7 @@ impl CompiledNetwork {
             layers,
             head_w,
             net.head.b.clone(),
-            default,
+            precision,
         ))
     }
 
@@ -161,26 +120,12 @@ impl CompiledNetwork {
             head_w,
             head_b,
             precision,
-            tuner_costs: Vec::new(),
         }
     }
 
     /// The dense head's weights, row-major.
     pub(crate) fn head_w(&self) -> &Matrix {
         &self.head_w
-    }
-
-    /// Attaches tuner probe measurements to travel with the model (they
-    /// serialize into the bundle's `TUNE` section).
-    pub fn with_tuner_costs(mut self, costs: Vec<TunerCost>) -> CompiledNetwork {
-        self.tuner_costs = costs;
-        self
-    }
-
-    /// Tuner probe measurements recorded at compile time (empty when the
-    /// model was compiled with explicit, un-probed settings).
-    pub fn tuner_costs(&self) -> &[TunerCost] {
-        &self.tuner_costs
     }
 
     /// Input frame dimension the compiled model expects.
@@ -196,7 +141,8 @@ impl CompiledNetwork {
         self.head_b.len()
     }
 
-    /// The network-level numeric mode (per-layer overrides may differ; see
+    /// The network-level numeric mode (a compile runs every layer at it; a
+    /// loaded bundle's layers may differ, see
     /// [`CompiledNetwork::layer_precisions`]).
     pub fn precision(&self) -> RuntimePrecision {
         self.precision

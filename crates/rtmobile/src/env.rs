@@ -26,7 +26,7 @@ pub const SIMD_VALUES: &str = "auto, off, scalar, u1 or vector";
 /// Accepted values of `RTM_HEALTH` / `--health`.
 pub const HEALTH_VALUES: &str = "off, check or quarantine";
 /// Accepted values of `RTM_PRECISION` / `--precision`.
-pub const PRECISION_VALUES: &str = "f32, f16, int8 or auto";
+pub const PRECISION_VALUES: &str = "f32, f16, int8 or auto (= f16)";
 /// Accepted values of `RTM_DECODER` / `--decoder`.
 pub const DECODER_VALUES: &str = "argmax, viterbi, ctc-greedy or ctc-beam:N";
 

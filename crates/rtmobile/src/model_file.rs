@@ -8,10 +8,9 @@
 //!
 //! Since version 5 the container is the **sectioned bundle** of
 //! [`crate::bundle`]: the network body below becomes the `WGHT` section
-//! payload, tuner costs move to `TUNE`, health metadata lands in `HLTH`,
-//! and every section carries a CRC32 with a whole-file checksum in the
-//! trailer. This module keeps the *body* codecs (shared with the bundle
-//! reader/writer).
+//! payload, health metadata lands in `HLTH`, and every section carries a
+//! CRC32 with a whole-file checksum in the trailer. This module keeps the
+//! *body* codecs (shared with the bundle reader/writer).
 //!
 //! Network body layout (little-endian):
 //!
@@ -22,8 +21,6 @@
 //!            storage precision (int8 layers ship native codes + scales),
 //!            3 x bias runs (len u32 + f32s)
 //! head: rows u32, cols u32, f32 weights, f32 bias
-//! tuner costs: count u32, per entry layer u32, precision u8, format u8,
-//!              micros f32
 //! ```
 //!
 //! Format bytes: 0 = BSPC, the one runtime format. Tags 1, 2 and 3 named
@@ -33,7 +30,7 @@
 //! other version — including the flat, checksum-free versions 2–4 that
 //! predate it — is rejected with [`DecodeError::BadVersion`].
 
-use crate::deploy::{CompiledGruLayer, CompiledNetwork, RuntimePrecision, TunerCost};
+use crate::deploy::{CompiledGruLayer, CompiledNetwork, RuntimePrecision};
 use rtm_sparse::io::{precision_from_tag, precision_tag, DecodeError};
 use rtm_sparse::BspcMatrix;
 use rtm_tensor::wire::{BufMut, Reader};
@@ -49,7 +46,7 @@ pub const VERSION: u16 = 5;
 const BSPC_TAG: u8 = 0;
 
 /// The `[precision, format]` tag pair that opens the network body and
-/// closes every layer header, tuner record and health-table row.
+/// closes every layer header and health-table row.
 pub(crate) fn mode_tags(precision: RuntimePrecision) -> [u8; 2] {
     [precision_tag(precision.storage()), BSPC_TAG]
 }
@@ -68,7 +65,7 @@ pub(crate) fn mode_from_tags(
 }
 
 /// Serializes the network body (weights, biases, head — no container
-/// framing, no tuner costs) into `out`.
+/// framing) into `out`.
 ///
 /// Each layer's gate blobs are stored at that layer's runtime precision:
 /// f16 halves the value bytes, int8 ships the native per-stripe-block codes
@@ -92,16 +89,6 @@ pub(crate) fn write_network_body(out: &mut Vec<u8>, net: &CompiledNetwork) {
     out.put_u32_le(head_w.cols() as u32);
     out.put_f32s(head_w.as_slice());
     out.put_counted_f32s(&net.head_b);
-}
-
-/// Serializes the tuner-cost records (count + rows, no framing).
-pub(crate) fn write_tuner_body(out: &mut Vec<u8>, costs: &[TunerCost]) {
-    out.put_u32_le(costs.len() as u32);
-    for c in costs {
-        out.put_u32_le(c.layer as u32);
-        out.put_slice(&mode_tags(c.precision));
-        out.put_f32_le(c.micros);
-    }
 }
 
 fn read_gate(r: &mut Reader<'_>) -> Result<BspcMatrix, DecodeError> {
@@ -149,28 +136,6 @@ pub(crate) fn read_network_body(r: &mut Reader<'_>) -> Result<CompiledNetwork, D
     Ok(CompiledNetwork::from_parts(
         layers, head_w, head_b, precision,
     ))
-}
-
-/// Decodes the tuner-cost records (the inverse of [`write_tuner_body`])
-/// from the front of `r`, advancing it.
-pub(crate) fn read_tuner_body(r: &mut Reader<'_>) -> Result<Vec<TunerCost>, DecodeError> {
-    let cost_count = r.u32()? as usize;
-    // 10 bytes per entry; reject counts the buffer cannot hold before
-    // allocating.
-    if cost_count > r.remaining() / 10 {
-        return Err(DecodeError::Truncated);
-    }
-    let mut tuner_costs = Vec::with_capacity(cost_count);
-    for _ in 0..cost_count {
-        let layer = r.u32()? as usize;
-        let precision = mode_from_tags(r.array()?)?;
-        tuner_costs.push(TunerCost {
-            layer,
-            precision,
-            micros: r.f32()?,
-        });
-    }
-    Ok(tuner_costs)
 }
 
 /// Whether every weight, bias and head value of `net` is finite.
@@ -293,14 +258,13 @@ mod tests {
             },
             31,
         );
-        let net = CompiledNetwork::compile_with_precisions(
-            &base,
-            4,
-            2,
-            &[RuntimePrecision::Int8, RuntimePrecision::F16],
-            RuntimePrecision::F32,
-        )
-        .expect("partition fits");
+        // A compile has one precision; a bundle may still carry one per
+        // layer. Splice layer 0 of an int8 and layer 1 of an f16 compile
+        // into an f32 one.
+        let uniform = |precision| CompiledNetwork::compile(&base, 4, 2, precision).expect("fits");
+        let mut net = uniform(RuntimePrecision::F32);
+        net.layers[0] = uniform(RuntimePrecision::Int8).layers.remove(0);
+        net.layers[1] = uniform(RuntimePrecision::F16).layers.remove(1);
         let decoded = from_bytes(&to_bytes(&net)).expect("decodes");
         assert_eq!(
             decoded.layer_precisions(),
@@ -338,52 +302,6 @@ mod tests {
             // has one canonical form per model.
             assert_eq!(to_bytes(&decoded), bytes, "{precision:?} re-encode");
         }
-    }
-
-    #[test]
-    fn tuner_costs_roundtrip_and_default_empty() {
-        let plain = compiled(RuntimePrecision::F16);
-        let decoded = from_bytes(&to_bytes(&plain)).expect("decodes");
-        assert!(decoded.tuner_costs().is_empty());
-
-        let costs = vec![
-            TunerCost {
-                layer: 0,
-                precision: RuntimePrecision::Int8,
-                micros: 12.5,
-            },
-            TunerCost {
-                layer: 1,
-                precision: RuntimePrecision::F16,
-                micros: 7.25,
-            },
-        ];
-        let tuned = compiled(RuntimePrecision::F16).with_tuner_costs(costs.clone());
-        let bytes = to_bytes(&tuned);
-        let decoded = from_bytes(&bytes).expect("decodes");
-        assert_eq!(decoded.tuner_costs(), &costs[..]);
-        // The probe metadata never changes the numbers the model computes.
-        assert_eq!(decoded.forward(&frames()), tuned.forward(&frames()));
-        // A corrupt cost count cannot force an allocation the buffer
-        // cannot back: poison the TUNE section's count and reseal the
-        // checksums so the corruption reaches the body decoder.
-        let mut corrupt = bytes.clone();
-        let probe = crate::bundle::probe(&bytes).expect("probe");
-        let tune = probe
-            .sections
-            .iter()
-            .find(|s| &s.tag == b"TUNE")
-            .expect("TUNE section");
-        corrupt[tune.payload_offset..tune.payload_offset + 4]
-            .copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(crate::bundle::reseal(&mut corrupt));
-        assert_eq!(from_bytes(&corrupt).unwrap_err(), DecodeError::Truncated);
-        // A record's format byte (after count u32, layer u32, precision u8)
-        // other than BSPC's 0 is refused like in any other header.
-        let mut csr = bytes.clone();
-        csr[tune.payload_offset + 9] = 1;
-        assert!(crate::bundle::reseal(&mut csr));
-        assert_eq!(from_bytes(&csr).unwrap_err(), DecodeError::BadFormat(1));
     }
 
     #[test]

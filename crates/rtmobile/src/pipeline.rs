@@ -8,9 +8,8 @@
 //!    masked fine-tuning (pruned PER and achieved compression rate);
 //! 3. compile the pruned network to BSPC (a stripe's kept rows stored
 //!    together: the matrix reorder's grouping, no permutation attached) at
-//!    the resolved storage precision (f32, f16, int8 or per-layer `auto`
-//!    selection from measured kernel costs, guarded by a PER-degradation
-//!    bound), and re-score the PER through the *compiled* path — the
+//!    the resolved storage precision (f32, f16 or int8, one for every
+//!    layer), and re-score the PER through the *compiled* path — the
 //!    accuracy actually shipped to the device;
 //! 4. price one inference frame of the paper-scale workload (hidden 1024)
 //!    at the same compression on the simulated Adreno-640 GPU and
@@ -18,10 +17,9 @@
 //!
 //! The builder exposes every knob with laptop-scale defaults.
 
-use crate::config::{PrecisionChoice, RuntimeConfig};
-use crate::deploy::{CompiledNetwork, RuntimePrecision, TunerCost};
+use crate::config::RuntimeConfig;
+use crate::deploy::{CompiledNetwork, RuntimePrecision};
 use crate::report::{AccuracyReport, DecodeStats, PerformanceReport, PipelineReport};
-use crate::serve::ServeStats;
 use rtm_compiler::plan::{ExecutionPlan, StorageFormat};
 use rtm_pruning::admm::AdmmConfig;
 use rtm_pruning::bsp::{BspConfig, BspPruner};
@@ -45,7 +43,6 @@ pub struct RtMobile {
     seed: u64,
     sim_hidden: usize,
     runtime: RuntimeConfig,
-    precision_guard: f64,
 }
 
 impl RtMobile {
@@ -70,7 +67,6 @@ impl RtMobile {
             seed: 1,
             sim_hidden: 1024,
             runtime: RuntimeConfig::default(),
-            precision_guard: 2.0,
         }
     }
 
@@ -144,16 +140,6 @@ impl RtMobile {
         &self.runtime
     }
 
-    /// The accuracy guard of the `auto` precision selector: if a
-    /// measured-fastest per-layer mix degrades PER by more than this many
-    /// percentage points versus an all-f32 compile of the same pruned
-    /// network, the pipeline ships the f32 compile instead (default 2.0).
-    /// Ignored for a fixed choice.
-    pub fn precision_guard(mut self, points: f64) -> RtMobile {
-        self.precision_guard = points;
-        self
-    }
-
     /// Executes the pipeline.
     ///
     /// # Panics
@@ -201,111 +187,40 @@ impl RtMobile {
         // 3. Compile to the runtime at the resolved precision, and score
         //    the compiled path.
         let compile_span = rtm_trace::span("pipeline.compile");
-        let choice = self.runtime.resolved_precision();
-        // Precision axis: a fixed choice compiles uniformly; `auto` times
-        // the f32/f16/int8 SpMV kernels at each layer's gate shape
-        // (inflated to at least 256 so timing noise does not dominate the
-        // tiny laptop-scale widths) and keeps the fastest per layer.
-        // Probe measurements recorded along the way ride with the shipped
-        // model (the bundle's `TUNE` section), so a serving-side load reports
-        // what the tuner saw without re-running the probe.
-        let mut tuner_costs: Vec<TunerCost> = Vec::new();
-        let (default_prec, per_layer_prec): (RuntimePrecision, Vec<RuntimePrecision>) = match choice
-        {
-            PrecisionChoice::Fixed(p) => (p, Vec::new()),
-            PrecisionChoice::Auto => {
-                let per_layer = net
-                    .layers
-                    .iter()
-                    .enumerate()
-                    .map(|(i, cell)| {
-                        let costs = rtm_compiler::tuner::measure_precision_costs(
-                            cell.hidden_dim().max(256),
-                            cell.input_dim().max(256),
-                            self.stripes,
-                            self.blocks,
-                            4,
-                        );
-                        let storage = rtm_compiler::tuner::select_precision(&costs);
-                        if let Some(c) = costs.iter().find(|c| c.precision == storage) {
-                            tuner_costs.push(TunerCost {
-                                layer: i,
-                                precision: RuntimePrecision::from_storage(storage),
-                                micros: (c.seconds * 1e6) as f32,
-                            });
-                        }
-                        RuntimePrecision::from_storage(storage)
-                    })
-                    .collect();
-                (RuntimePrecision::F32, per_layer)
-            }
-        };
-        let mut compiled = CompiledNetwork::compile_with_precisions(
-            &net,
-            self.stripes,
-            self.blocks,
-            &per_layer_prec,
-            default_prec,
-        )
-        .expect("partition validated by BSP config");
+        let precision = self.runtime.compile_precision();
+        let compiled = CompiledNetwork::compile(&net, self.stripes, self.blocks, precision)
+            .expect("partition validated by BSP config");
         let exec = rtm_exec::Executor::new(self.runtime.threads);
         drop(compile_span);
 
         let deploy_span = rtm_trace::span("pipeline.deploy");
         let health = self.runtime.resolved_health();
         let decoder_choice = self.runtime.resolved_decoder();
-        let score = |compiled: &CompiledNetwork| -> (PerReport, Option<ServeStats>) {
-            let mut report = PerReport::default();
-            if self.runtime.batch > 1 {
-                // Multi-stream scoring: up to `batch` utterances share
-                // each weight pass. Bit-identical to the serial loop
-                // below (the per-lane decoder rides on the side and never
-                // touches the logits).
-                let utterances = task.test_utterances();
-                let streams: Vec<&[Vec<f32>]> =
-                    utterances.iter().map(|u| u.frames.as_slice()).collect();
-                let mut session =
-                    crate::deploy::BatchedSession::new(compiled, &exec, self.runtime.batch)
-                        .with_health(health)
-                        .with_admission(self.runtime.admission)
-                        .with_decoder(decoder_choice);
-                for (u, preds) in utterances.iter().zip(session.predict(&streams)) {
-                    report.add(&preds, &u.labels, &u.phones);
-                }
-                (report, Some(session.stats()))
-            } else {
-                for u in task.test_utterances() {
-                    let preds = compiled.predict_with(&exec, &u.frames);
-                    report.add(&preds, &u.labels, &u.phones);
-                }
-                (report, None)
+        let mut compiled_report = PerReport::default();
+        let serve = if self.runtime.batch > 1 {
+            // Multi-stream scoring: up to `batch` utterances share each
+            // weight pass. Bit-identical to the serial loop below (the
+            // per-lane decoder rides on the side and never touches the
+            // logits).
+            let utterances = task.test_utterances();
+            let streams: Vec<&[Vec<f32>]> =
+                utterances.iter().map(|u| u.frames.as_slice()).collect();
+            let mut session =
+                crate::deploy::BatchedSession::new(&compiled, &exec, self.runtime.batch)
+                    .with_health(health)
+                    .with_admission(self.runtime.admission)
+                    .with_decoder(decoder_choice);
+            for (u, preds) in utterances.iter().zip(session.predict(&streams)) {
+                compiled_report.add(&preds, &u.labels, &u.phones);
             }
+            Some(session.stats())
+        } else {
+            for u in task.test_utterances() {
+                let preds = compiled.predict_with(&exec, &u.frames);
+                compiled_report.add(&preds, &u.labels, &u.phones);
+            }
+            None
         };
-        let (mut compiled_report, mut serve) = score(&compiled);
-        let mut precision_guard_tripped = false;
-        // Accuracy guard of the auto precision selector: if the
-        // measured-fastest per-layer mix degrades PER beyond the bound
-        // versus an all-f32 compile of the same pruned network, ship the f32
-        // compile.
-        if choice == PrecisionChoice::Auto
-            && compiled
-                .layer_precisions()
-                .iter()
-                .any(|p| *p != RuntimePrecision::F32)
-        {
-            let f32_compiled =
-                CompiledNetwork::compile(&net, self.stripes, self.blocks, RuntimePrecision::F32)
-                    .expect("partition validated by BSP config");
-            let (f32_report, f32_serve) = score(&f32_compiled);
-            if compiled_report.per_percent() - f32_report.per_percent() > self.precision_guard {
-                precision_guard_tripped = true;
-                compiled = f32_compiled;
-                compiled_report = f32_report;
-                serve = f32_serve;
-            }
-        }
-        // Whichever compile the guard shipped carries the probe record.
-        compiled = compiled.with_tuner_costs(tuner_costs);
         drop(deploy_span);
 
         // Decode scoring: stream the resolved decoder over every test
@@ -454,12 +369,11 @@ impl RtMobile {
                 gop: gpu.gop,
                 gpu,
                 cpu,
-                precision: choice.tag(),
+                precision: precision.tag(),
                 layers_f32: count(RuntimePrecision::F32),
                 layers_f16: count(RuntimePrecision::F16),
                 layers_int8: count(RuntimePrecision::Int8),
                 storage_bytes: compiled.storage_bytes(),
-                precision_guard_tripped,
             },
             decode: Some(decode),
             serve,
@@ -472,6 +386,7 @@ impl RtMobile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PrecisionChoice;
 
     fn quick() -> RtMobile {
         RtMobile::builder()

@@ -53,8 +53,8 @@ pub struct PerformanceReport {
     pub gpu: FrameReport,
     /// Simulated mobile-CPU frame report.
     pub cpu: FrameReport,
-    /// The precision choice the run resolved to (`"f32"`, `"f16"`,
-    /// `"int8"` or `"auto"`).
+    /// The precision the run compiled every layer at (`"f32"`, `"f16"` or
+    /// `"int8"`; `auto` resolves to `"f16"`).
     pub precision: &'static str,
     /// Layers compiled at f32 storage.
     pub layers_f32: usize,
@@ -65,9 +65,6 @@ pub struct PerformanceReport {
     /// Compiled BSPC model storage in bytes at the deployed precisions
     /// (sparse index structure plus values and scale metadata).
     pub storage_bytes: usize,
-    /// `true` when the auto-precision PER guard rejected the
-    /// measured-fastest mix and shipped the all-f32 compile instead.
-    pub precision_guard_tripped: bool,
 }
 
 /// Utterance-decode results of a pipeline run: what the resolved
@@ -183,9 +180,6 @@ impl PipelineReport {
             "  model storage: {:.1} KiB",
             p.storage_bytes as f64 / 1024.0
         );
-        if p.precision_guard_tripped {
-            let _ = writeln!(s, "  guards: precision TRIPPED (shipped f32)");
-        }
         if let Some(d) = &self.decode {
             let _ = writeln!(
                 s,
@@ -312,10 +306,6 @@ impl Report for PipelineReport {
                     ("layers_f16", JsonValue::Int(p.layers_f16 as i64)),
                     ("layers_int8", JsonValue::Int(p.layers_int8 as i64)),
                     ("storage_bytes", JsonValue::Int(p.storage_bytes as i64)),
-                    (
-                        "precision_guard_tripped",
-                        JsonValue::Raw(p.precision_guard_tripped.to_string()),
-                    ),
                 ])),
             ),
             (
@@ -461,7 +451,6 @@ mod tests {
                 layers_f16: 2,
                 layers_int8: 0,
                 storage_bytes: 2048,
-                precision_guard_tripped: false,
             },
             decode: None,
             serve: None,
@@ -485,11 +474,6 @@ mod tests {
         assert!(text.contains("precision: f16 (0 f32 / 2 f16 / 0 int8 layers)"));
         assert!(text.contains("2.0 KiB"));
         assert!(!text.contains("serving:"));
-        assert!(!text.contains("guards:"), "untripped guards stay quiet");
-        let mut tripped = dummy();
-        tripped.performance.precision_guard_tripped = true;
-        let text_tripped = tripped.render();
-        assert!(text_tripped.contains("precision TRIPPED (shipped f32)"));
         let mut r = dummy();
         r.serve = Some(ServeStats {
             admitted: 5,
@@ -531,7 +515,6 @@ mod tests {
         assert!(json.contains("\"precision\": \"f16\""));
         assert!(json.contains("\"layers_int8\": 0"));
         assert!(json.contains("\"storage_bytes\": 2048"));
-        assert!(json.contains("\"precision_guard_tripped\": false"));
         assert!(json.contains("\"serve\": null"));
 
         assert!(json.contains("\"decode\": null"));

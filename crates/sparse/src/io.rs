@@ -66,10 +66,13 @@ pub enum DecodeError {
     /// a torn write, a truncated rename, or bit rot.
     FileChecksum,
     /// A bundle's integrity trailer is missing or malformed (typically a
-    /// torn or interrupted write).
+    /// torn or interrupted write), or does not follow the last declared
+    /// section.
     BadTrailer,
     /// A required bundle section is absent.
     MissingSection([u8; 4]),
+    /// A bundle carries the same section tag twice.
+    DuplicateSection([u8; 4]),
     /// Bundle health metadata disagrees with the decoded network (the
     /// sections were edited independently).
     MetaMismatch,
@@ -95,11 +98,18 @@ impl fmt::Display for DecodeError {
             DecodeError::FileChecksum => {
                 write!(f, "file checksum mismatch (torn write or bit rot)")
             }
-            DecodeError::BadTrailer => write!(f, "missing or malformed bundle trailer"),
+            DecodeError::BadTrailer => write!(f, "missing, malformed or misplaced bundle trailer"),
             DecodeError::MissingSection(tag) => {
                 write!(
                     f,
                     "missing bundle section {:?}",
+                    String::from_utf8_lossy(tag)
+                )
+            }
+            DecodeError::DuplicateSection(tag) => {
+                write!(
+                    f,
+                    "duplicate bundle section {:?}",
                     String::from_utf8_lossy(tag)
                 )
             }
@@ -491,6 +501,7 @@ mod tests {
             DecodeError::FileChecksum,
             DecodeError::BadTrailer,
             DecodeError::MissingSection(*b"WGHT"),
+            DecodeError::DuplicateSection(*b"WGHT"),
             DecodeError::MetaMismatch,
         ] {
             assert!(!format!("{e}").is_empty());

@@ -13,7 +13,7 @@
 //! a way to observe itself that every layer can reach. This crate sits at
 //! the bottom of the workspace (no dependencies, like `rtm-tensor`), so the
 //! kernel layer, the execution engine, the batched scheduler and the
-//! pipeline all record into the *same* registry the tuner reads.
+//! pipeline all record into the *same* registry.
 //!
 //! # Switching it on
 //!
@@ -217,8 +217,6 @@ pub mod key {
     pub const SERVE_RELOAD_ROLLBACK: &str = "serve.reload.rollback";
     /// Gauge: generation of the bundle admitting new streams.
     pub const SERVE_GENERATION: &str = "serve.generation";
-    /// Precision candidates timed by the tuner's per-layer precision hook.
-    pub const TUNER_PRECISION_MEASUREMENTS: &str = "tuner.precision_measurements";
 
     /// The registered `kernel.*` counter keys of one sparse storage format.
     /// Each row is `[kernel.<op>.<format>, .f32, .f16, .int8]`: the base key

@@ -192,6 +192,30 @@ out=$(cargo run -q "${profile[@]}" -p rtmobile --bin rtm -- \
   inspect target/quick/compile_smoke.rtm)
 [[ $(grep -c "checksum ok" <<< "$out") -eq 3 ]]
 
+# One precision per compile: `--precision auto` is the f16 default, so a
+# compile's bytes depend only on its flags and seed. Two auto compiles and
+# one default compile, each to a fresh path (a republish bumps the
+# generation stamp), must be byte-identical.
+echo "==> rtm compile is reproducible (auto twice, default once, same bytes)"
+for run in auto_1 auto_2 default; do
+  rm -f "target/quick/repro_$run.rtm"
+  prec=(--precision auto)
+  [[ $run == default ]] && prec=()
+  cargo run -q "${profile[@]}" -p rtmobile --bin rtm -- \
+    compile --hidden 12 "${prec[@]}" --out "target/quick/repro_$run.rtm" >/dev/null
+done
+cmp target/quick/repro_auto_1.rtm target/quick/repro_auto_2.rtm
+cmp target/quick/repro_auto_1.rtm target/quick/repro_default.rtm
+
+# `inspect` reads RTM_HEALTH like every other command: a typo exits 1 and
+# names the variable instead of silently meaning `off`.
+echo "==> rtm inspect refuses a bad RTM_HEALTH"
+status=0
+err=$(RTM_HEALTH=bogus cargo run -q "${profile[@]}" -p rtmobile --bin rtm -- \
+  inspect target/quick/compile_smoke.rtm 2>&1 >/dev/null) || status=$?
+[[ $status -eq 1 ]] || { echo "FAIL: inspect exited $status under RTM_HEALTH=bogus" >&2; exit 1; }
+grep -q RTM_HEALTH <<< "$err"
+
 # Informational, never failing: the non-test line counts of the kernel
 # layer and the dense cells, the figure the simplicity PRs' acceptance
 # tables quote.

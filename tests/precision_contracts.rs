@@ -3,16 +3,13 @@
 //! every precision is bit-identical across the serial, pooled and batched
 //! engines at every thread count, binary16 edge cases (subnormal flush,
 //! ±∞ saturation, NaN) survive the storage round-trip through a full
-//! quantized forward, and the `Auto` precision mode ships, per layer, the
-//! fastest precision of the kernel costs the pipeline itself measured
-//! while the pipeline's PER guard holds.
+//! quantized forward.
 
 use rtm_exec::Executor;
 use rtm_rnn::model::NetworkConfig;
 use rtm_rnn::GruNetwork;
 use rtm_tensor::f16::quantize_f16;
 use rtmobile::deploy::{BatchedSession, CompiledNetwork, RuntimePrecision};
-use rtmobile::{PrecisionChoice, RtMobile, RuntimeConfig};
 
 fn network(seed: u64) -> GruNetwork {
     GruNetwork::new(
@@ -208,112 +205,4 @@ fn f16_edge_cases_survive_the_quantized_forward() {
             );
         }
     }
-}
-
-/// The acceptance-criterion pipeline run: `Auto` measures per-layer kernel
-/// costs and ships the mixed-precision compile that follows them. Which
-/// precision wins is a property of the host's kernels (while the serial f32
-/// BSPC SpMV was a slower, indexed twin of the pooled kernel the quantized
-/// ones always won; against the one gathered kernel f32 can), so the test
-/// holds the selection to the pipeline's own measurements, not to a host:
-/// every layer ships the precision its probe record names — or all-f32 if
-/// the PER guard tripped, never a quantized layer past a tripped guard —
-/// and the record of the last layer probed is the minimum of the three
-/// candidate costs that probe published (`tuner.precision_cost_us.*`). PER
-/// itself stays coherent with the f32-eval pruned accuracy at this quick
-/// scale.
-#[test]
-fn auto_precision_selects_quantized_layers_within_per_guard() {
-    // The probe publishes its candidate costs as gauges only when traced.
-    let trace_before = rtm_trace::config();
-    rtm_trace::set_config(rtm_trace::TraceConfig::on());
-    let (report, _net, compiled) = RtMobile::builder()
-        .corpus(rtm_speech::corpus::CorpusConfig {
-            speakers: 12,
-            sentences_per_speaker: 3,
-            phones_per_sentence: 5,
-            noise: 0.35,
-            ..rtm_speech::corpus::CorpusConfig::default_scaled()
-        })
-        .hidden(24)
-        .dense_training(8, 0.01)
-        .compression(4.0, 2.0)
-        .partition(4, 4)
-        .admm(rtm_pruning::admm::AdmmConfig {
-            rho: 2.0,
-            admm_iterations: 1,
-            epochs_per_iteration: 3,
-            finetune_epochs: 6,
-            lr: 4e-3,
-            clip: Some(rtm_rnn::GradClip::new(5.0)),
-        })
-        .sim_hidden(256)
-        .seed(3)
-        .runtime(RuntimeConfig::default().with_precision(PrecisionChoice::Auto))
-        .run_keeping_model();
-    rtm_trace::set_config(trace_before);
-
-    let p = &report.performance;
-    assert_eq!(p.precision, "auto");
-    assert_eq!(
-        p.layers_f32 + p.layers_f16 + p.layers_int8,
-        2,
-        "every layer reports a storage precision"
-    );
-    // The precision probe's records come first, one per layer, each naming
-    // the candidate `select_precision` kept.
-    let shipped = compiled.layer_precisions();
-    let probed = &compiled.tuner_costs()[..shipped.len()];
-    for (i, (record, &layer)) in probed.iter().zip(&shipped).enumerate() {
-        assert_eq!(record.layer, i);
-        assert!(
-            record.micros > 0.0,
-            "layer {i} measured cost must be positive"
-        );
-        let expected = if p.precision_guard_tripped {
-            RuntimePrecision::F32
-        } else {
-            record.precision
-        };
-        assert_eq!(
-            layer, expected,
-            "layer {i} must ship what its probe selected"
-        );
-    }
-    assert_eq!(
-        p.layers_f16 + p.layers_int8,
-        shipped
-            .iter()
-            .filter(|&&q| q != RuntimePrecision::F32)
-            .count()
-    );
-    // The gauges hold the costs of the last probe run — the last layer's.
-    let last = probed.last().expect("two layers");
-    let cost_us = |q: RuntimePrecision| {
-        rtm_trace::global()
-            .gauge(&format!("tuner.precision_cost_us.{}", q.tag()))
-            .expect("a traced probe publishes every candidate")
-    };
-    assert_eq!(cost_us(last.precision) as f32, last.micros);
-    for q in [
-        RuntimePrecision::F32,
-        RuntimePrecision::F16,
-        RuntimePrecision::Int8,
-    ] {
-        assert!(
-            cost_us(last.precision) <= cost_us(q),
-            "auto kept {} at {:.2} µs although the same probe measured {} at {:.2} µs",
-            last.precision.tag(),
-            cost_us(last.precision),
-            q.tag(),
-            cost_us(q)
-        );
-    }
-    let a = &report.accuracy;
-    assert!(
-        (a.compiled_per - a.pruned_per).abs() < 20.0,
-        "auto-mix PER {:.2}% incoherent with pruned f32 PER {:.2}%",
-        a.compiled_per,
-        a.pruned_per
-    );
 }

@@ -72,7 +72,6 @@ fn golden_bundle_bytes() {
     let meta = BundleMeta {
         generation: 7,
         compiled_per: 12.5,
-        precision_guard_tripped: false,
     };
     let bspc_f16 =
         CompiledNetwork::compile(&network(vec![12, 12]), 4, 4, RuntimePrecision::F16).unwrap();
