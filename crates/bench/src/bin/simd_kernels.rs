@@ -230,7 +230,7 @@ fn main() {
                      actually executed (a vector request resolves to scalar-u1 without \
                      the ISA). The sweeps are bit-identical in both variants: scalar-u1 \
                      is one loop over the scalar sigmoid / tanh, the vector one runs the \
-                     same operation sequence eight lanes at a time. Each sweep \
+                     same operation sequence lane_width lanes at a time. Each sweep \
                      iteration refills its plane (1024, or 1024 x 12 for _b12) from seeded \
                      N(0, 2^2) pre-activations; the copy is timed with it. speedup = \
                      scalar-u1 time / vector time."

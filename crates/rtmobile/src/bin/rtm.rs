@@ -346,9 +346,10 @@ fn pipeline(args: &[String]) -> ExitCode {
         .runtime(runtime);
     let (report, _net, compiled) = builder.run_keeping_model();
     println!(
-        "Kernel dispatch: {} (vector ISA: {})",
+        "Kernel dispatch: {} (vector ISA: {}, {} lanes)",
         rtm_tensor::simd::active_variant().name(),
-        rtm_tensor::simd::vector_isa()
+        rtm_tensor::simd::vector_isa(),
+        rtm_tensor::simd::lane_width()
     );
     println!("{}", report.render());
 

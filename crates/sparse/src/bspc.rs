@@ -109,8 +109,10 @@ pub struct BspcMatrix {
     /// count. Derived from `kept_rows`, like the sidecars.
     tiles: Vec<u32>,
     /// Values of the kept rows at their stripe's kept columns, tile after
-    /// tile, lane-major `[L × m]` inside a tile of `m` rows.
-    values: Vec<f32>,
+    /// tile, lane-major `[L × m]` inside a tile of `m` rows. The plane starts
+    /// on a cache line: from a 16-byte offset the one-lane f32 SpMV of a
+    /// 1024², 10× gate took 11.0–12.0 µs against 8.6–9.0.
+    values: AlignedF32,
     /// Optional reorder permutation: `reorder[i]` is the *original* row index
     /// executed at position `i`.
     reorder: Option<Vec<u32>>,
@@ -220,7 +222,7 @@ impl BspcMatrix {
             stripe_cols,
             row_offsets,
             tiles: Vec::new(),
-            values: Vec::new(),
+            values: AlignedF32::new(),
             reorder: None,
             values_f16: Vec::new(),
             values_i8: Vec::new(),
@@ -258,7 +260,7 @@ impl BspcMatrix {
         let mut tiled = vec![0.0f32; values.len()];
         self.for_each_value(|wire, stored| tiled[stored] = values[wire]);
         self.values_f16 = rtm_tensor::f16::f32_to_f16_bits(&tiled);
-        self.values = tiled;
+        self.values = AlignedF32::from_slice(&tiled);
         self
     }
 
@@ -314,8 +316,9 @@ impl BspcMatrix {
     /// [`BspcMatrix::from_parts`]): kept row after kept row, row `k` at
     /// [`BspcMatrix::row_offset`]`(k)`.
     pub fn row_major_values(&self) -> Vec<f32> {
-        let mut wire_order = vec![0.0f32; self.values.len()];
-        self.for_each_value(|wire, stored| wire_order[wire] = self.values[stored]);
+        let values = self.values.as_slice();
+        let mut wire_order = vec![0.0f32; values.len()];
+        self.for_each_value(|wire, stored| wire_order[wire] = values[stored]);
         wire_order
     }
 
@@ -440,7 +443,7 @@ impl BspcMatrix {
 
     /// Stored (pattern) entries — the number of f32 values held.
     pub fn stored_len(&self) -> usize {
-        self.values.len()
+        self.values.as_slice().len()
     }
 
     /// Surviving row indices, ascending.
@@ -475,7 +478,7 @@ impl BspcMatrix {
     /// tile, lane-major inside a tile): every stored value once, for scans,
     /// not indexing — [`BspcMatrix::row_major_values`] is the indexable order.
     pub fn values(&self) -> &[f32] {
-        &self.values
+        self.values.as_slice()
     }
 
     /// Offset of the `k`-th kept row's value run in the row-major order
@@ -586,7 +589,7 @@ impl BspcMatrix {
             stripe_cols,
             row_offsets,
             tiles: Vec::new(),
-            values: Vec::new(),
+            values: AlignedF32::new(),
             reorder: None,
             values_f16: Vec::new(),
             values_i8: Vec::new(),
@@ -612,7 +615,9 @@ impl BspcMatrix {
         codes: Vec<i8>,
         scales: Vec<f32>,
     ) -> Result<BspcMatrix, BspcError> {
-        if codes.len() != self.values.len() || scales.len() != self.num_stripes * self.num_blocks {
+        if codes.len() != self.values.as_slice().len()
+            || scales.len() != self.num_stripes * self.num_blocks
+        {
             return Err(BspcError::SidecarMismatch);
         }
         self.values_i8 = codes;
@@ -845,7 +850,7 @@ impl SparseKernel for BspcMatrix {
     }
 
     fn stored_len(&self) -> usize {
-        self.values.len()
+        self.values.as_slice().len()
     }
 
     fn computed_rows(&self) -> usize {
@@ -858,7 +863,7 @@ impl SparseKernel for BspcMatrix {
 
     fn unit_cost(&self, u: usize) -> usize {
         let next = self.row_offsets.get(self.tiles[u + 1] as usize);
-        next.map_or(self.values.len(), |&o| o as usize) - self.tile(u).1
+        next.map_or(self.values.as_slice().len(), |&o| o as usize) - self.tile(u).1
     }
 
     fn unit_first_row(&self, u: usize) -> usize {
@@ -1465,7 +1470,7 @@ mod tests {
                         for t in run {
                             let (slots, base) = m.tile(t);
                             let rows = slots.len();
-                            let tile = &m.values[base..base + cols.len() * rows];
+                            let tile = &m.values.as_slice()[base..base + cols.len() * rows];
                             let mut want = vec![f32::NAN; rows * b];
                             for (i, w) in want.iter_mut().enumerate() {
                                 let row: Vec<f32> =
@@ -1573,6 +1578,30 @@ mod tests {
                 for (i, &c) in cols.iter().enumerate() {
                     assert_eq!(wire[m.row_offset(k) + i], dense[(r as usize, c as usize)]);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn values_plane_starts_on_a_cache_line() {
+        // A paper-scale plane (1024², every tenth column of a block kept:
+        // 419 KB) comes from its own mapping, whose data the allocator puts
+        // 16 bytes into a line; the small edge matrices come from the heap.
+        // Built, cloned and decoded from the wire, each plane starts on a
+        // line.
+        let big = Matrix::from_fn(
+            1024,
+            1024,
+            |r, c| if c % 10 == 3 { (r + c) as f32 } else { 0.0 },
+        );
+        let mut planes = vec![BspcMatrix::from_dense(&big, 8, 8).unwrap()];
+        planes.extend(edge_matrices());
+        for m in planes {
+            let decoded = BspcMatrix::read_from(&m.to_bytes(Precision::F32))
+                .unwrap()
+                .0;
+            for m in [m.clone(), decoded, m] {
+                assert_eq!(m.values().as_ptr() as usize % 64, 0, "{} rows", m.rows());
             }
         }
     }

@@ -67,6 +67,13 @@ impl AlignedF32 {
     }
 }
 
+/// Equal windows, wherever their blocks sit.
+impl PartialEq for AlignedF32 {
+    fn eq(&self, other: &AlignedF32) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
 /// A new block, aligned for itself (a derived clone would keep the old
 /// block's offset).
 impl Clone for AlignedF32 {

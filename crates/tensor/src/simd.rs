@@ -6,10 +6,10 @@
 //! indexed dot of the CSR/BSPC SpMV, and the sigmoid/tanh activation
 //! sweeps — has exactly two **realizations**, and nothing in between:
 //!
-//! | variant     | realization                            | numeric contract           |
-//! |-------------|----------------------------------------|----------------------------|
-//! | `scalar-u1` | the naive loop — the scalar definition | bit-exact reference        |
-//! | `vector`    | AVX2+FMA (x86_64) / NEON (aarch64)     | ≤ 4 ULPs of u1 (see below) |
+//! | variant     | realization                                       | numeric contract           |
+//! |-------------|---------------------------------------------------|----------------------------|
+//! | `scalar-u1` | the naive loop — the scalar definition            | bit-exact reference        |
+//! | `vector`    | AVX2+FMA, batches in AVX-512 registers (x86_64) / NEON (aarch64) | ≤ 4 ULPs of u1 (see below) |
 //!
 //! The scalar definition is what the bit-identity and ULP contracts are
 //! stated against (one accumulator, left-to-right association); the vector
@@ -80,13 +80,25 @@
 //! two chains of each row per pass. *A sublane chain, not a row, is the unit
 //! of order: the chains of a row may run in separate passes, a chain's
 //! elements only in `k` order* — the bits stay `dot`'s per (row, lane). The
-//! one AVX2 tile body is parameterised by `(R rows, S chains, G lane groups)`
-//! with `R·S·G = 8` accumulators, times the lane element: `(4, 2, 1)` here,
-//! `(1, 4, 2)` for pairs of lane groups under one broadcast, `(1, 8, 1)` for
-//! what either leaves over.
+//! one x86 tile body is parameterised by `(R rows, S chains, G lane groups)`
+//! with `R·S·G = 8` accumulators, times the lane element and the register:
+//! `(4, 2, 1)` here, `(1, 4, 2)` for pairs of lane groups under one
+//! broadcast, `(1, 8, 1)` for what either leaves over.
 //!
-//! **Lane tails.** On AVX2 the `b % 8` lanes after the last full group of
-//! eight are one more register tile, loaded with `vmaskmovps` and stored
+//! **Register width.** The batched bodies and the sigmoid / tanh sweeps are
+//! one source over the register: eight lanes in `__m256` (AVX2+FMA), or
+//! sixteen in `__m512` where the host also has AVX-512F/BW/VL/DQ (detected
+//! once; [`lane_width`] reports it). *A wider register holds more lanes —
+//! streams, rows or elements —, never more chains*: each lane keeps its
+//! eight k-sublane chains, the `hsum256` tree and the in-order tail, so
+//! every output bit is the same at either width, and [`vector_isa`] still
+//! names the arithmetic, `"avx2+fma"`. Every `b ≥ 2` body runs sixteen lanes
+//! per register (1024², 10× SpMM: 0.6× the eight-lane time at `b ∈ {12, 16,
+//! 32}`); the one-stream row tiles stay at eight, where sixteen-lane rows
+//! have shown no end-to-end gain, and so do the along-row kernels.
+//!
+//! **Lane tails.** The `b % 8` lanes after the last full group of eight on
+//! AVX2 are one more register tile, loaded with `vmaskmovps` and stored
 //! through the same mask: *a partial lane group is a masked tile, never a
 //! scalar lane loop*. The masked tile runs the accumulators, the tree and
 //! the tail of a full tile, so its live lanes carry the same bits and any
@@ -97,7 +109,11 @@
 //! still replay their `b % 4` tail lanes in scalar code.) A plane of f16
 //! bits has no masked load on AVX2; its last lanes are the *full* tile that
 //! ends at lane `b`, which recomputes the lanes it shares with the tile
-//! before it to the same bits.
+//! before it to the same bits. The sixteen-lane register masks with a
+//! k-mask and loads halves under it natively (`vmovdqu16`, then
+//! `vcvtph2ps`); its last `b % 16` lanes run in the eight-lane register
+//! when they fit it (a sixteen-lane row of eight live lanes cost 1.13–1.27×
+//! an eight-lane one), so `b ≤ 8` runs the eight-lane tile.
 //!
 //! Dispatch is process-global: [`active_variant`] resolves the
 //! [`SimdPolicy`] (programmatic [`set_policy`] wins over the `RTM_SIMD`
@@ -253,6 +269,24 @@ fn detect() -> bool {
     false
 }
 
+// The sixteen-lane x86 bodies are compiled for AVX2+FMA plus the AVX-512
+// subsets they use: F (the 512-bit arithmetic and k-masks), BW + VL (the
+// masked halfword load of an f16 lane tail), DQ (the bitwise float ops of
+// the sweeps).
+#[cfg(target_arch = "x86_64")]
+fn detect_wide() -> bool {
+    detect()
+        && std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512bw")
+        && std::arch::is_x86_feature_detected!("avx512vl")
+        && std::arch::is_x86_feature_detected!("avx512dq")
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn detect_wide() -> bool {
+    false
+}
+
 /// Whether the host CPU supports this build's vector path (AVX2+FMA with
 /// F16C on x86_64, NEON on aarch64). Detection runs once and is cached.
 pub fn vector_available() -> bool {
@@ -260,11 +294,33 @@ pub fn vector_available() -> bool {
     *AVAIL.get_or_init(detect)
 }
 
-/// SIMD lanes per register of the vector path: 8 on AVX2, 4 on NEON,
-/// 1 when no vector path is available.
+/// Whether the batched bodies and the sweeps hold sixteen lanes per
+/// register here: x86_64 with AVX-512F/BW/VL/DQ on top of the vector path.
+/// Detection runs once and is cached.
+fn wide_available() -> bool {
+    static WIDE: OnceLock<bool> = OnceLock::new();
+    *WIDE.get_or_init(detect_wide)
+}
+
+/// The register the x86 batched bodies and sweeps run in on this host.
+#[cfg(target_arch = "x86_64")]
+fn width() -> x86::Width {
+    if wide_available() {
+        x86::Width::Zmm
+    } else {
+        x86::Width::Ymm
+    }
+}
+
+/// SIMD lanes per register of the vector path's batched bodies and sweeps:
+/// 16 on AVX-512F/BW/VL/DQ, 8 on AVX2, 4 on NEON, 1 when no vector path is
+/// available. (The along-row kernels and the one-stream row tiles are eight
+/// lanes wide on every x86 host.)
 pub fn lane_width() -> usize {
     if !vector_available() {
         1
+    } else if wide_available() {
+        16
     } else if cfg!(target_arch = "x86_64") {
         8
     } else {
@@ -273,7 +329,9 @@ pub fn lane_width() -> usize {
 }
 
 /// Human-readable name of the detected vector ISA (`"avx2+fma"`, `"neon"`
-/// or `"none"`), recorded by the benchmark JSON.
+/// or `"none"`), recorded by the benchmark JSON. An AVX-512 host reports
+/// `"avx2+fma"` too: it names the arithmetic, which the sixteen-lane bodies
+/// reproduce bit for bit; [`lane_width`] tells the widths apart.
 pub fn vector_isa() -> &'static str {
     if !vector_available() {
         "none"
@@ -346,16 +404,18 @@ fn indexed_dot_batch_scalar(vals: &[f32], idx: &[u32], xs: &[f32], b: usize, out
 }
 
 // ---------------------------------------------------------------------------
-// AVX2+FMA (x86_64). One accumulator register, fixed reduction tree,
-// in-order scalar tail. The dense dot and the indexed (gather) dot use the
-// *same* lane grouping so gathered-then-dotted sparse rows are bit-identical
-// to in-register gathers — see the module docs. Every body is compiled for
-// the one feature set `detect` checks — `avx2,fma,f16c`, "AVX2+FMA" below.
+// x86_64. The along-row kernels are AVX2+FMA: one accumulator register,
+// fixed reduction tree, in-order scalar tail. The dense dot and the indexed
+// (gather) dot use the *same* lane grouping so gathered-then-dotted sparse
+// rows are bit-identical to in-register gathers — see the module docs. The
+// batched bodies and the sweeps are one source over the register (`Reg`),
+// entered through one function per width: eight lanes compiled for the
+// feature set `detect` checks — `avx2,fma,f16c`, "AVX2+FMA" below — and
+// sixteen for that set plus the AVX-512 subsets `detect_wide` checks.
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{sigmoid, tanh};
     use crate::activations::coef::*;
     use std::arch::x86_64::*;
 
@@ -446,18 +506,294 @@ mod x86 {
         }
     }
 
+    /// The register a batched body and a sweep hold their lanes in:
+    /// `__m256` (eight lanes) or `__m512` (sixteen).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Width {
+        Ymm,
+        Zmm,
+    }
+
+    /// A register of `f32` lanes, what the batched bodies and the sweeps are
+    /// generic over: `__m256`, eight lanes (AVX2+FMA), or `__m512`, sixteen
+    /// (AVX-512F/BW/VL/DQ). Each operation is one element-wise instruction
+    /// with the same IEEE semantics at either width — `max`'s and the
+    /// compares' NaN cases included —, so a lane carries the same bits in
+    /// both: a wider register holds more lanes, never more of one lane's
+    /// work.
+    ///
+    /// The operations name no feature set (a `#[target_feature]` function is
+    /// not inlined into one without it): they are inlined into a body that
+    /// is, one `_ymm` / `_zmm` entry below per register, and the intrinsics
+    /// they call are inlined there.
+    ///
+    /// # Safety
+    ///
+    /// An operation may only run where its register's feature set is
+    /// available. A pointer must be valid for the lanes it covers — all of
+    /// them, or those of a [`Reg::first`] mask, whose other lanes are
+    /// neither read nor written.
+    pub trait Reg: Copy {
+        /// Lanes per register.
+        const LANES: usize;
+        /// Whether a plane of f16 bits loads under a mask (AVX2 has no
+        /// masked halfword load).
+        const MASKED_HALVES: bool;
+        /// A per-lane predicate: a comparison's result, or a tail's lanes.
+        type Mask: Copy;
+        /// The register of half the lanes — itself at eight.
+        type Half: Reg;
+        /// The first `live ≤ LANES` lanes.
+        unsafe fn first(live: usize) -> Self::Mask;
+        unsafe fn zero() -> Self;
+        unsafe fn splat(x: f32) -> Self;
+        /// A lane row of `E`s, f16 bits widened as they are loaded (exactly).
+        unsafe fn load<E: Lane>(p: *const E) -> Self;
+        /// [`Reg::load`] of the lanes of `live`; the others read as zero.
+        unsafe fn load_first<E: Lane>(p: *const E, live: Self::Mask) -> Self;
+        unsafe fn store(p: *mut f32, v: Self);
+        unsafe fn store_first(p: *mut f32, live: Self::Mask, v: Self);
+        unsafe fn add(a: Self, b: Self) -> Self;
+        unsafe fn sub(a: Self, b: Self) -> Self;
+        unsafe fn mul(a: Self, b: Self) -> Self;
+        unsafe fn div(a: Self, b: Self) -> Self;
+        /// `a · b + c`, rounded once.
+        unsafe fn fmadd(a: Self, b: Self, c: Self) -> Self;
+        /// `a > b ? a : b`, so `b` where either is NaN.
+        unsafe fn max(a: Self, b: Self) -> Self;
+        unsafe fn or(a: Self, b: Self) -> Self;
+        unsafe fn and(a: Self, b: Self) -> Self;
+        /// `!a & b`, bitwise.
+        unsafe fn andnot(a: Self, b: Self) -> Self;
+        /// `a < b`, false where either is NaN.
+        unsafe fn lt(a: Self, b: Self) -> Self::Mask;
+        /// `a ≥ b`, false where either is NaN.
+        unsafe fn ge(a: Self, b: Self) -> Self::Mask;
+        /// Where either is NaN.
+        unsafe fn unord(a: Self, b: Self) -> Self::Mask;
+        /// `b` in the lanes of `m`, `a` in the others.
+        unsafe fn select(m: Self::Mask, a: Self, b: Self) -> Self;
+        /// `k`'s bits shifted up 23 plus `1.0`'s: `2ⁿ` for `k = n + ROUND`
+        /// (`activations::exp_nonpos`).
+        unsafe fn pow2(k: Self) -> Self;
+    }
+
+    impl Reg for __m256 {
+        const LANES: usize = 8;
+        const MASKED_HALVES: bool = false;
+        type Mask = __m256;
+        type Half = __m256;
+        #[inline(always)]
+        unsafe fn first(live: usize) -> __m256 {
+            let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            _mm256_castsi256_ps(_mm256_cmpgt_epi32(_mm256_set1_epi32(live as i32), lanes))
+        }
+        #[inline(always)]
+        unsafe fn zero() -> __m256 {
+            _mm256_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> __m256 {
+            _mm256_set1_ps(x)
+        }
+        #[inline(always)]
+        unsafe fn load<E: Lane>(p: *const E) -> __m256 {
+            if E::HALF {
+                _mm256_cvtph_ps(_mm_loadu_si128(p as *const __m128i))
+            } else {
+                _mm256_loadu_ps(p as *const f32)
+            }
+        }
+        /// `vmaskmovps` reads the lanes whose mask element has its sign bit
+        /// set and zeroes the rest, without accessing their addresses.
+        #[inline(always)]
+        unsafe fn load_first<E: Lane>(p: *const E, live: __m256) -> __m256 {
+            assert!(!E::HALF, "AVX2 has no masked halfword load");
+            _mm256_maskload_ps(p as *const f32, _mm256_castps_si256(live))
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut f32, v: __m256) {
+            _mm256_storeu_ps(p, v)
+        }
+        #[inline(always)]
+        unsafe fn store_first(p: *mut f32, live: __m256, v: __m256) {
+            _mm256_maskstore_ps(p, _mm256_castps_si256(live), v)
+        }
+        #[inline(always)]
+        unsafe fn add(a: __m256, b: __m256) -> __m256 {
+            _mm256_add_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn sub(a: __m256, b: __m256) -> __m256 {
+            _mm256_sub_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn mul(a: __m256, b: __m256) -> __m256 {
+            _mm256_mul_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn div(a: __m256, b: __m256) -> __m256 {
+            _mm256_div_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn fmadd(a: __m256, b: __m256, c: __m256) -> __m256 {
+            _mm256_fmadd_ps(a, b, c)
+        }
+        #[inline(always)]
+        unsafe fn max(a: __m256, b: __m256) -> __m256 {
+            _mm256_max_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn or(a: __m256, b: __m256) -> __m256 {
+            _mm256_or_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn and(a: __m256, b: __m256) -> __m256 {
+            _mm256_and_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn andnot(a: __m256, b: __m256) -> __m256 {
+            _mm256_andnot_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn lt(a: __m256, b: __m256) -> __m256 {
+            _mm256_cmp_ps::<_CMP_LT_OQ>(a, b)
+        }
+        #[inline(always)]
+        unsafe fn ge(a: __m256, b: __m256) -> __m256 {
+            _mm256_cmp_ps::<_CMP_GE_OQ>(a, b)
+        }
+        #[inline(always)]
+        unsafe fn unord(a: __m256, b: __m256) -> __m256 {
+            _mm256_cmp_ps::<_CMP_UNORD_Q>(a, b)
+        }
+        #[inline(always)]
+        unsafe fn select(m: __m256, a: __m256, b: __m256) -> __m256 {
+            _mm256_blendv_ps(a, b, m)
+        }
+        #[inline(always)]
+        unsafe fn pow2(k: __m256) -> __m256 {
+            let one = _mm256_castps_si256(_mm256_set1_ps(1.0));
+            let shifted = _mm256_slli_epi32::<23>(_mm256_castps_si256(k));
+            _mm256_castsi256_ps(_mm256_add_epi32(shifted, one))
+        }
+    }
+
+    impl Reg for __m512 {
+        const LANES: usize = 16;
+        const MASKED_HALVES: bool = true;
+        type Mask = __mmask16;
+        type Half = __m256;
+        #[inline(always)]
+        unsafe fn first(live: usize) -> __mmask16 {
+            debug_assert!(live <= 16);
+            ((1u32 << live) - 1) as __mmask16
+        }
+        #[inline(always)]
+        unsafe fn zero() -> __m512 {
+            _mm512_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> __m512 {
+            _mm512_set1_ps(x)
+        }
+        #[inline(always)]
+        unsafe fn load<E: Lane>(p: *const E) -> __m512 {
+            if E::HALF {
+                _mm512_cvtph_ps(_mm256_loadu_si256(p as *const __m256i))
+            } else {
+                _mm512_loadu_ps(p as *const f32)
+            }
+        }
+        /// A zero-masking load suppresses the masked-off lanes' accesses
+        /// (and their faults), halfwords too.
+        #[inline(always)]
+        unsafe fn load_first<E: Lane>(p: *const E, live: __mmask16) -> __m512 {
+            if E::HALF {
+                _mm512_cvtph_ps(_mm256_maskz_loadu_epi16(live, p as *const i16))
+            } else {
+                _mm512_maskz_loadu_ps(live, p as *const f32)
+            }
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut f32, v: __m512) {
+            _mm512_storeu_ps(p, v)
+        }
+        #[inline(always)]
+        unsafe fn store_first(p: *mut f32, live: __mmask16, v: __m512) {
+            _mm512_mask_storeu_ps(p, live, v)
+        }
+        #[inline(always)]
+        unsafe fn add(a: __m512, b: __m512) -> __m512 {
+            _mm512_add_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn sub(a: __m512, b: __m512) -> __m512 {
+            _mm512_sub_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn mul(a: __m512, b: __m512) -> __m512 {
+            _mm512_mul_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn div(a: __m512, b: __m512) -> __m512 {
+            _mm512_div_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn fmadd(a: __m512, b: __m512, c: __m512) -> __m512 {
+            _mm512_fmadd_ps(a, b, c)
+        }
+        #[inline(always)]
+        unsafe fn max(a: __m512, b: __m512) -> __m512 {
+            _mm512_max_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn or(a: __m512, b: __m512) -> __m512 {
+            _mm512_or_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn and(a: __m512, b: __m512) -> __m512 {
+            _mm512_and_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn andnot(a: __m512, b: __m512) -> __m512 {
+            _mm512_andnot_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn lt(a: __m512, b: __m512) -> __mmask16 {
+            _mm512_cmp_ps_mask::<_CMP_LT_OQ>(a, b)
+        }
+        #[inline(always)]
+        unsafe fn ge(a: __m512, b: __m512) -> __mmask16 {
+            _mm512_cmp_ps_mask::<_CMP_GE_OQ>(a, b)
+        }
+        #[inline(always)]
+        unsafe fn unord(a: __m512, b: __m512) -> __mmask16 {
+            _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(a, b)
+        }
+        #[inline(always)]
+        unsafe fn select(m: __mmask16, a: __m512, b: __m512) -> __m512 {
+            _mm512_mask_blend_ps(m, a, b)
+        }
+        #[inline(always)]
+        unsafe fn pow2(k: __m512) -> __m512 {
+            let one = _mm512_castps_si512(_mm512_set1_ps(1.0));
+            let shifted = _mm512_slli_epi32::<23>(_mm512_castps_si512(k));
+            _mm512_castsi512_ps(_mm512_add_epi32(shifted, one))
+        }
+    }
+
     /// The `hsum256` reduction tree applied element-wise across eight
     /// accumulator registers: per batch lane this is exactly the scalar
     /// `((a0+a4)+(a2+a6)) + ((a1+a5)+(a3+a7))` that `hsum256` performs on
     /// one register's eight k-sublanes.
-    #[inline]
-    #[target_feature(enable = "avx2,fma,f16c")]
-    unsafe fn tree_reduce8(acc: &[__m256; 8]) -> __m256 {
-        let q0 = _mm256_add_ps(acc[0], acc[4]);
-        let q1 = _mm256_add_ps(acc[1], acc[5]);
-        let q2 = _mm256_add_ps(acc[2], acc[6]);
-        let q3 = _mm256_add_ps(acc[3], acc[7]);
-        _mm256_add_ps(_mm256_add_ps(q0, q2), _mm256_add_ps(q1, q3))
+    #[inline(always)]
+    unsafe fn tree_reduce8<V: Reg>(acc: &[V; 8]) -> V {
+        let q0 = V::add(acc[0], acc[4]);
+        let q1 = V::add(acc[1], acc[5]);
+        let q2 = V::add(acc[2], acc[6]);
+        let q3 = V::add(acc[3], acc[7]);
+        V::add(V::add(q0, q2), V::add(q1, q3))
     }
 
     /// What a lane row is stored as: `f32`, loaded as it is, or raw f16 bits
@@ -475,7 +811,7 @@ mod x86 {
 
     /// One register tile of a batched dot over `R` rows that share their
     /// input: for row `r` and each lane `j` of the `G` adjacent lane groups
-    /// (eight lanes each) at `xp`,
+    /// (a register's `V::LANES` each) at `xp`,
     /// `op[r·b + j] = Σₖ wp[wat(k, r)] · xp[at(k) + j]` over `k < len` in
     /// exactly `dot`'s arithmetic — element `k` goes to k-sublane chain
     /// `k % 8` by FMA in `k` order, the eight chains meet in the `hsum256`
@@ -488,25 +824,33 @@ mod x86 {
     /// `G` lane rows, and parks its finished chains on the stack until the
     /// tree. `(1, 8, 1)` is one row in one pass; `(4, 2, 1)` pays 1.25 loads
     /// per FMA where four `(1, 8, 1)` tiles pay 2; `(1, 4, 2)` pays 1.5 and
-    /// walks the weights once per sixteen lanes.
+    /// walks the weights once per two lane groups.
     ///
     /// Every operation is element-wise across the register and an
     /// accumulator takes one row's weights, so a result depends on its own
     /// (row, lane) inputs alone: whatever a masked-off lane computes from its
     /// zeros (`∞ · 0` included) or a neighbouring row from a NaN weight stays
-    /// there, and a masked-off lane is never stored.
+    /// there, and a masked-off lane is never stored. The register's width
+    /// changes which lanes share an instruction, never a lane's operations.
     ///
     /// # Safety
     ///
-    /// AVX2+FMA must be available, `R·S·G == 8`, `wp` must be readable
-    /// at `wat(k, r)` for every `k < len` and `r < R`, and the lanes this tile
-    /// covers — `8·G`, or the first `live < 8` when `MASKED` (then `G == 1`
-    /// and the lanes are `f32`) — must be readable at `xp + at(k)` and
-    /// writable at `op + r·b`.
-    #[inline]
-    #[target_feature(enable = "avx2,fma,f16c")]
+    /// `V`'s feature set must be available, `R·S·G == 8`, `wp` must be
+    /// readable at `wat(k, r)` for every `k < len` and `r < R`, and the lanes
+    /// this tile covers — `V::LANES·G`, or the first `live < V::LANES` when
+    /// `MASKED` (then `G == 1`, and the lanes are `f32` unless
+    /// `V::MASKED_HALVES`) — must be readable at `xp + at(k)` and writable at
+    /// `op + r·b`.
+    #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn rows_tile<const MASKED: bool, const R: usize, const S: usize, const G: usize, E>(
+    unsafe fn rows_tile<
+        V: Reg,
+        const MASKED: bool,
+        const R: usize,
+        const S: usize,
+        const G: usize,
+        E: Lane,
+    >(
         len: usize,
         wp: *const f32,
         wat: &impl Fn(usize, usize) -> usize,
@@ -515,45 +859,31 @@ mod x86 {
         live: usize,
         op: *mut f32,
         b: usize,
-    ) where
-        E: Lane,
-    {
-        // Lane `l` of a masked group is live iff `l < live`.
-        let mask = _mm256_cmpgt_epi32(
-            _mm256_set1_epi32(live as i32),
-            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-        );
-        // AVX2 has no masked halfword load (`rows_lanes` ends a half plane
-        // with a full group instead).
-        debug_assert!(!(MASKED && E::HALF));
-        // A full group is a plain load; a masked load reads the lanes whose
-        // `mask` element has its sign bit set and zeroes the rest, without
-        // accessing their addresses.
+    ) {
+        let mask = V::first(live);
         // SAFETY: the caller vouches for the covered lanes of every row.
         let load = |k: usize, g: usize| unsafe {
-            let p = xp.add(at(k) + 8 * g);
-            if E::HALF {
-                _mm256_cvtph_ps(_mm_loadu_si128(p as *const __m128i))
-            } else if MASKED {
-                _mm256_maskload_ps(p as *const f32, mask)
+            let p = xp.add(at(k) + V::LANES * g);
+            if MASKED {
+                V::load_first(p, mask)
             } else {
-                _mm256_loadu_ps(p as *const f32)
+                V::load(p)
             }
         };
         // SAFETY: the caller vouches for `wat(k, r)` at every `k < len`.
-        let w = |k: usize, r: usize| unsafe { _mm256_set1_ps(*wp.add(wat(k, r))) };
+        let w = |k: usize, r: usize| unsafe { V::splat(*wp.add(wat(k, r))) };
         let chunks = len / 8;
-        let mut chains = [[[_mm256_setzero_ps(); 8]; G]; R];
+        let mut chains = [[[V::zero(); 8]; G]; R];
         for p in 0..8 / S {
-            let mut acc = [[[_mm256_setzero_ps(); G]; S]; R];
+            let mut acc = [[[V::zero(); G]; S]; R];
             for i in 0..chunks {
                 for s in 0..S {
                     let k = i * 8 + p * S + s;
-                    let x: [__m256; G] = std::array::from_fn(|g| load(k, g));
+                    let x: [V; G] = std::array::from_fn(|g| load(k, g));
                     for (r, row) in acc.iter_mut().enumerate() {
                         let w = w(k, r);
                         for (a, &x) in row[s].iter_mut().zip(&x) {
-                            *a = _mm256_fmadd_ps(w, x, *a);
+                            *a = V::fmadd(w, x, *a);
                         }
                     }
                 }
@@ -566,54 +896,53 @@ mod x86 {
                 }
             }
         }
-        let mut sums = [[_mm256_setzero_ps(); G]; R];
+        let mut sums = [[V::zero(); G]; R];
         for (row, parked) in sums.iter_mut().zip(&chains) {
             for (s, chain) in row.iter_mut().zip(parked) {
                 *s = tree_reduce8(chain);
             }
         }
         for k in chunks * 8..len {
-            let x: [__m256; G] = std::array::from_fn(|g| load(k, g));
+            let x: [V; G] = std::array::from_fn(|g| load(k, g));
             for (r, row) in sums.iter_mut().enumerate() {
                 let w = w(k, r);
                 for (s, &x) in row.iter_mut().zip(&x) {
-                    *s = _mm256_add_ps(*s, _mm256_mul_ps(w, x));
+                    *s = V::add(*s, V::mul(w, x));
                 }
             }
         }
         for (r, row) in sums.iter().enumerate() {
             for (g, &s) in row.iter().enumerate() {
+                let p = op.add(r * b + V::LANES * g);
                 if MASKED {
-                    _mm256_maskstore_ps(op.add(r * b + 8 * g), mask, s);
+                    V::store_first(p, mask, s);
                 } else {
-                    _mm256_storeu_ps(op.add(r * b + 8 * g), s);
+                    V::store(p, s);
                 }
             }
         }
     }
 
     /// `out[r·b + j] = Σₖ w[wat(k, r)] · xs[at(k) + j]` over `k < len` for
-    /// `R` rows and the lanes `from..b`: full tiles of eight, then the last
-    /// `(b - from) % 8` lanes as one masked tile. A partial lane group is a
-    /// masked tile, never a scalar lane loop — or, in a half plane, which
-    /// AVX2 cannot load under a mask, the full tile that *ends* at lane `b`:
-    /// the lanes it shares with the tile before it are computed twice, to the
-    /// same bits. (Putting a group together from its live halves, through the
-    /// stack or in registers, cost 2–10× the tile on 3- to 12-row tiles.) The
-    /// weight address is taken the way the lane address is — through the
-    /// caller's map — so a row may sit contiguous, or strided inside a
-    /// lane-major tile.
+    /// `R` rows and the lanes `from..b`: full tiles of a register each, then
+    /// the lanes left over as one tile (`last_lanes`) — in the register of
+    /// half the lanes when they fit it: a sixteen-lane row of eight live
+    /// lanes costs more than an eight-lane one (1.13–1.27× at `b ≤ 8`, 1024²,
+    /// 10×) — unless they are a half plane narrower than that register, which
+    /// only a mask can load. The weight address is taken the way the lane
+    /// address is — through the caller's map — so a row may sit contiguous,
+    /// or strided inside a lane-major tile.
     ///
     /// # Safety
     ///
-    /// AVX2+FMA must be available, `R·S == 8`, `from <= b` — and `8 <= b`
-    /// for a half plane —, `out` must hold `R·b` elements, `wat` must not
-    /// decrease in either argument and `wat(len - 1, R - 1)` must be inside
-    /// `w`, and for every `k < len`, `xs[at(k)..at(k) + b]` must be in bounds.
-    #[inline]
-    #[target_feature(enable = "avx2,fma,f16c")]
+    /// `V`'s feature set must be available, `R·S == 8`, `from <= b` — and
+    /// `V::LANES <= b` for a half plane unless `V::MASKED_HALVES` —, `out`
+    /// must hold `R·b` elements, `wat` must not decrease in either argument
+    /// and `wat(len - 1, R - 1)` must be inside `w`, and for every `k < len`,
+    /// `xs[at(k)..at(k) + b]` must be in bounds.
+    #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn rows_lanes<const R: usize, const S: usize, E: Lane>(
+    unsafe fn rows_lanes<V: Reg, const R: usize, const S: usize, E: Lane>(
         len: usize,
         w: &[f32],
         wat: impl Fn(usize, usize) -> usize,
@@ -627,45 +956,111 @@ mod x86 {
         // the 1024², 10× SpMM 1.2–1.5× at 12–32 lanes); the one address that
         // bounds them all is checked here, once per row block.
         debug_assert!(R * S == 8 && from <= b && out.len() == R * b);
-        debug_assert!(!E::HALF || b >= 8);
+        debug_assert!(!E::HALF || V::MASKED_HALVES || b >= V::LANES);
         debug_assert!(len == 0 || wat(len - 1, R - 1) < w.len());
         let (wp, xp, op) = (w.as_ptr(), xs.as_ptr(), out.as_mut_ptr());
-        let jb = b - (b - from) % 8;
-        // SAFETY (all tiles): lanes `j0..j0 + 8 ≤ b` of a full tile — the
-        // one at `b - 8` too — and lanes `jb..b` of the masked one lie inside
+        let (n, h) = (V::LANES, V::Half::LANES);
+        let jb = b - (b - from) % n;
+        // SAFETY: lanes `j0..j0 + n ≤ b` lie inside `xs[at(k)..at(k) + b]`
+        // and inside each row of `out`.
+        for j0 in (from..jb).step_by(n) {
+            rows_tile::<V, false, R, S, 1, E>(len, wp, &wat, &at, xp.add(j0), n, op.add(j0), b);
+        }
+        let fits_half = h < n && b - jb <= h && (!E::HALF || V::Half::MASKED_HALVES || b >= h);
+        if jb < b && fits_half {
+            last_lanes::<V::Half, R, S, E>(len, wp, &wat, &at, xp, b, jb, op);
+        } else if jb < b {
+            last_lanes::<V, R, S, E>(len, wp, &wat, &at, xp, b, jb, op);
+        }
+    }
+
+    /// The lanes `jb..b` of `rows_lanes`, at most a register of them, as one
+    /// tile: a full one, a masked one — *a partial lane group is a masked
+    /// tile, never a scalar lane loop* — or, in a half plane of a register
+    /// that cannot load halfwords under a mask (AVX2), the full tile that
+    /// *ends* at lane `b`: the lanes it shares with the tile before it are
+    /// computed twice, to the same bits. (Putting a group together from its
+    /// live halves, through the stack or in registers, cost 2–10× the tile
+    /// on 3- to 12-row tiles.)
+    ///
+    /// # Safety
+    ///
+    /// As `rows_lanes`, with `b - jb <= V::LANES`, and `V::LANES <= b` for a
+    /// half plane unless `V::MASKED_HALVES`.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn last_lanes<V: Reg, const R: usize, const S: usize, E: Lane>(
+        len: usize,
+        wp: *const f32,
+        wat: &impl Fn(usize, usize) -> usize,
+        at: &impl Fn(usize) -> usize,
+        xp: *const E,
+        b: usize,
+        jb: usize,
+        op: *mut f32,
+    ) {
+        let n = V::LANES;
+        // SAFETY (all tiles): lanes `jb..b` of the masked tile and the
+        // `n ≤ b` lanes of a full one that ends at `b` lie inside
         // `xs[at(k)..at(k) + b]` and inside each row of `out`; the masked
         // tile touches nothing beyond lane `b`.
-        for j0 in (from..jb).step_by(8) {
-            rows_tile::<false, R, S, 1, E>(len, wp, &wat, &at, xp.add(j0), 8, op.add(j0), b);
-        }
-        if jb < b && E::HALF {
-            rows_tile::<false, R, S, 1, E>(len, wp, &wat, &at, xp.add(b - 8), 8, op.add(b - 8), b);
-        } else if jb < b {
-            rows_tile::<true, R, S, 1, E>(len, wp, &wat, &at, xp.add(jb), b - jb, op.add(jb), b);
+        if b - jb == n {
+            rows_tile::<V, false, R, S, 1, E>(len, wp, wat, at, xp.add(jb), n, op.add(jb), b);
+        } else if E::HALF && !V::MASKED_HALVES {
+            rows_tile::<V, false, R, S, 1, E>(len, wp, wat, at, xp.add(b - n), n, op.add(b - n), b);
+        } else {
+            rows_tile::<V, true, R, S, 1, E>(len, wp, wat, at, xp.add(jb), b - jb, op.add(jb), b);
         }
     }
 
     /// Batched dense dot: lane `j` of `out` is bit-identical to `dot` of
     /// `a` with column `j` of the lane-major `xs` plane — f32, or raw f16
     /// bits widened as they are loaded. Pairs of full lane groups share each
-    /// broadcast element of `a` (the `(1, 4, 2)` tile); the `b % 16` lanes
-    /// left over are one-group tiles.
+    /// broadcast element of `a` (the `(1, 4, 2)` tile); the lanes left over
+    /// are one-group tiles.
     ///
     /// # Safety
     ///
-    /// AVX2+FMA must be available, `xs.len() == a.len() * b`,
-    /// `out.len() == b`, and `b >= 8` for a half plane.
+    /// `w`'s feature set must be available, `xs.len() == a.len() * b`,
+    /// `out.len() == b`, and `b >= 8` for a half plane in [`Width::Ymm`].
+    pub unsafe fn dot_batch<E: Lane>(w: Width, a: &[f32], xs: &[E], b: usize, out: &mut [f32]) {
+        match w {
+            Width::Ymm => dot_batch_ymm(a, xs, b, out),
+            Width::Zmm => dot_batch_zmm(a, xs, b, out),
+        }
+    }
+
     #[target_feature(enable = "avx2,fma,f16c")]
-    pub unsafe fn dot_batch<E: Lane>(a: &[f32], xs: &[E], b: usize, out: &mut [f32]) {
+    unsafe fn dot_batch_ymm<E: Lane>(a: &[f32], xs: &[E], b: usize, out: &mut [f32]) {
+        dot_batch_in::<__m256, E>(a, xs, b, out)
+    }
+
+    #[target_feature(enable = "avx2,fma,f16c,avx512f,avx512bw,avx512vl,avx512dq")]
+    unsafe fn dot_batch_zmm<E: Lane>(a: &[f32], xs: &[E], b: usize, out: &mut [f32]) {
+        dot_batch_in::<__m512, E>(a, xs, b, out)
+    }
+
+    #[inline(always)]
+    unsafe fn dot_batch_in<V: Reg, E: Lane>(a: &[f32], xs: &[E], b: usize, out: &mut [f32]) {
         let (wat, at) = (|k: usize, _| k, |k: usize| k * b);
         let (ap, xp, op) = (a.as_ptr(), xs.as_ptr(), out.as_mut_ptr());
-        let paired = b - b % 16;
-        // SAFETY: lanes `j0..j0 + 16 ≤ b` lie inside every row of `xs` and
+        let pair = 2 * V::LANES;
+        let paired = b - b % pair;
+        // SAFETY: lanes `j0..j0 + pair ≤ b` lie inside every row of `xs` and
         // inside `out`, and `wat(k, 0) = k < a.len()`.
-        for j0 in (0..paired).step_by(16) {
-            rows_tile::<false, 1, 4, 2, E>(a.len(), ap, &wat, &at, xp.add(j0), 8, op.add(j0), b);
+        for j0 in (0..paired).step_by(pair) {
+            rows_tile::<V, false, 1, 4, 2, E>(
+                a.len(),
+                ap,
+                &wat,
+                &at,
+                xp.add(j0),
+                V::LANES,
+                op.add(j0),
+                b,
+            );
         }
-        rows_lanes::<1, 8, E>(a.len(), a, wat, at, xs, b, paired, out)
+        rows_lanes::<V, 1, 8, E>(a.len(), a, wat, at, xs, b, paired, out)
     }
 
     /// Batched indexed dot: lane `j` of `out` is bit-identical to
@@ -687,7 +1082,7 @@ mod x86 {
         out: &mut [f32],
     ) {
         let at = |k: usize| idx[k] as usize * b;
-        rows_lanes::<1, 8, f32>(vals.len(), vals, |k, _| k, at, xs, b, 0, out)
+        rows_lanes::<__m256, 1, 8, f32>(vals.len(), vals, |k, _| k, at, xs, b, 0, out)
     }
 
     /// `m` rows of `xs.len() / b` elements against the lane-major input they
@@ -699,11 +1094,47 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// AVX2+FMA must be available, `b > 0`, `out.len() == m * b`, `wat` must
-    /// not decrease in either argument and `wat(xs.len() / b - 1, m - 1)`
-    /// must be inside `w`.
-    #[target_feature(enable = "avx2,fma,f16c")]
+    /// `width`'s feature set must be available, `b > 0`, `out.len() == m * b`,
+    /// `wat` must not decrease in either argument and
+    /// `wat(xs.len() / b - 1, m - 1)` must be inside `w`.
     pub unsafe fn tile_dots(
+        width: Width,
+        w: &[f32],
+        wat: impl Fn(usize, usize) -> usize,
+        xs: &[f32],
+        b: usize,
+        out: &mut [f32],
+    ) {
+        match width {
+            Width::Ymm => tile_dots_ymm(w, wat, xs, b, out),
+            Width::Zmm => tile_dots_zmm(w, wat, xs, b, out),
+        }
+    }
+
+    #[target_feature(enable = "avx2,fma,f16c")]
+    unsafe fn tile_dots_ymm(
+        w: &[f32],
+        wat: impl Fn(usize, usize) -> usize,
+        xs: &[f32],
+        b: usize,
+        out: &mut [f32],
+    ) {
+        tile_dots_in::<__m256>(w, wat, xs, b, out)
+    }
+
+    #[target_feature(enable = "avx2,fma,f16c,avx512f,avx512bw,avx512vl,avx512dq")]
+    unsafe fn tile_dots_zmm(
+        w: &[f32],
+        wat: impl Fn(usize, usize) -> usize,
+        xs: &[f32],
+        b: usize,
+        out: &mut [f32],
+    ) {
+        tile_dots_in::<__m512>(w, wat, xs, b, out)
+    }
+
+    #[inline(always)]
+    unsafe fn tile_dots_in<V: Reg>(
         w: &[f32],
         wat: impl Fn(usize, usize) -> usize,
         xs: &[f32],
@@ -714,96 +1145,115 @@ mod x86 {
         let mut quads = out.chunks_exact_mut(4 * b);
         let mut j = 0;
         for quad in &mut quads {
-            rows_lanes::<4, 2, f32>(len, w, |k, r| wat(k, j + r), |k| k * b, xs, b, 0, quad);
+            rows_lanes::<V, 4, 2, f32>(len, w, |k, r| wat(k, j + r), |k| k * b, xs, b, 0, quad);
             j += 4;
         }
         for lanes in quads.into_remainder().chunks_exact_mut(b) {
-            rows_lanes::<1, 8, f32>(len, w, |k, _| wat(k, j), |k| k * b, xs, b, 0, lanes);
+            rows_lanes::<V, 1, 8, f32>(len, w, |k, _| wat(k, j), |k| k * b, xs, b, 0, lanes);
             j += 1;
         }
     }
 
-    /// `activations::exp_nonpos` on eight lanes: the same operations in the
-    /// same order, multiplies and adds kept apart (no FMA), so each lane
-    /// carries the scalar function's bits.
-    #[inline]
-    #[target_feature(enable = "avx2,fma,f16c")]
-    unsafe fn exp_nonpos(t: __m256) -> __m256 {
-        let round = _mm256_set1_ps(ROUND);
-        // `max_ps(a, b)` is `a > b ? a : b`: the scalar select, NaN included.
-        let c = _mm256_max_ps(_mm256_set1_ps(EXP_CLAMP), t);
-        let k = _mm256_add_ps(_mm256_mul_ps(c, _mm256_set1_ps(LOG2_E)), round);
-        let n = _mm256_sub_ps(k, round);
-        let r = _mm256_sub_ps(
-            _mm256_sub_ps(c, _mm256_mul_ps(n, _mm256_set1_ps(LN2_HI))),
-            _mm256_mul_ps(n, _mm256_set1_ps(LN2_LO)),
+    /// `activations::exp_nonpos` per lane: the same operations in the same
+    /// order, multiplies and adds kept apart (no FMA), so each lane carries
+    /// the scalar function's bits.
+    #[inline(always)]
+    unsafe fn exp_nonpos<V: Reg>(t: V) -> V {
+        let round = V::splat(ROUND);
+        // `max(a, b)` is `a > b ? a : b`: the scalar select, NaN included.
+        let c = V::max(V::splat(EXP_CLAMP), t);
+        let k = V::add(V::mul(c, V::splat(LOG2_E)), round);
+        let n = V::sub(k, round);
+        let r = V::sub(
+            V::sub(c, V::mul(n, V::splat(LN2_HI))),
+            V::mul(n, V::splat(LN2_LO)),
         );
-        let mut p = _mm256_set1_ps(EXP_P[0]);
+        let mut p = V::splat(EXP_P[0]);
         for &q in &EXP_P[1..] {
-            p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(q));
+            p = V::add(V::mul(p, r), V::splat(q));
         }
-        let one = _mm256_set1_ps(1.0);
-        let e = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r), one);
-        let scale = _mm256_add_epi32(
-            _mm256_slli_epi32::<23>(_mm256_castps_si256(k)),
-            _mm256_castps_si256(one),
-        );
-        let zero = _mm256_cmp_ps::<_CMP_LT_OQ>(t, _mm256_set1_ps(EXP_ZERO));
-        _mm256_andnot_ps(zero, _mm256_mul_ps(e, _mm256_castsi256_ps(scale)))
+        let e = V::add(V::add(V::mul(p, V::mul(r, r)), r), V::splat(1.0));
+        let zero = V::lt(t, V::splat(EXP_ZERO));
+        V::select(zero, V::mul(e, V::pow2(k)), V::zero())
     }
 
-    /// `activations::sigmoid` on eight lanes.
-    #[inline]
-    #[target_feature(enable = "avx2,fma,f16c")]
-    unsafe fn sigmoid8(x: __m256) -> __m256 {
-        let one = _mm256_set1_ps(1.0);
-        let e = exp_nonpos(_mm256_or_ps(x, _mm256_set1_ps(-0.0)));
-        let nonneg = _mm256_cmp_ps::<_CMP_GE_OQ>(x, _mm256_setzero_ps());
-        let y = _mm256_div_ps(_mm256_blendv_ps(e, one, nonneg), _mm256_add_ps(one, e));
-        _mm256_blendv_ps(y, x, _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x))
+    /// `activations::sigmoid` per lane.
+    #[inline(always)]
+    unsafe fn sigmoid_lanes<V: Reg>(x: V) -> V {
+        let one = V::splat(1.0);
+        let e = exp_nonpos(V::or(x, V::splat(-0.0)));
+        let nonneg = V::ge(x, V::zero());
+        let y = V::div(V::select(nonneg, e, one), V::add(one, e));
+        V::select(V::unord(x, x), y, x)
     }
 
-    /// `activations::tanh` on eight lanes; both branches are computed and
-    /// the lane's own is selected.
-    #[inline]
-    #[target_feature(enable = "avx2,fma,f16c")]
-    unsafe fn tanh8(x: __m256) -> __m256 {
-        let sign = _mm256_set1_ps(-0.0);
-        let one = _mm256_set1_ps(1.0);
-        let a = _mm256_andnot_ps(sign, x);
-        let z = _mm256_mul_ps(a, a);
-        let mut p = _mm256_set1_ps(TANH_P[0]);
+    /// `activations::tanh` per lane; both branches are computed and the
+    /// lane's own is selected.
+    #[inline(always)]
+    unsafe fn tanh_lanes<V: Reg>(x: V) -> V {
+        let sign = V::splat(-0.0);
+        let one = V::splat(1.0);
+        let a = V::andnot(sign, x);
+        let z = V::mul(a, a);
+        let mut p = V::splat(TANH_P[0]);
         for &q in &TANH_P[1..] {
-            p = _mm256_add_ps(_mm256_mul_ps(p, z), _mm256_set1_ps(q));
+            p = V::add(V::mul(p, z), V::splat(q));
         }
-        let small = _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(p, z), a), a);
-        let e = exp_nonpos(_mm256_mul_ps(_mm256_set1_ps(-2.0), a));
-        let large = _mm256_div_ps(_mm256_sub_ps(one, e), _mm256_add_ps(one, e));
-        let is_small = _mm256_cmp_ps::<_CMP_LT_OQ>(a, _mm256_set1_ps(TANH_SMALL));
-        let y = _mm256_or_ps(
-            _mm256_blendv_ps(large, small, is_small),
-            _mm256_and_ps(sign, x),
-        );
-        _mm256_blendv_ps(y, x, _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x))
+        let small = V::add(V::mul(V::mul(p, z), a), a);
+        let e = exp_nonpos(V::mul(V::splat(-2.0), a));
+        let large = V::div(V::sub(one, e), V::add(one, e));
+        let is_small = V::lt(a, V::splat(TANH_SMALL));
+        let y = V::or(V::select(is_small, large, small), V::and(sign, x));
+        V::select(V::unord(x, x), y, x)
     }
 
-    /// In-place sweep of `activations::sigmoid` (or `tanh` when `TANH`):
-    /// eight elements per step through the lane body, the last `len % 8`
-    /// through the scalar definition it replays.
+    /// In-place sweep of `activations::sigmoid` (or `tanh` when `TANH`): a
+    /// register of elements per step through the lane body, the last
+    /// `len % LANES` as one masked register.
     ///
     /// # Safety
     ///
-    /// AVX2+FMA must be available.
-    #[target_feature(enable = "avx2,fma,f16c")]
-    pub unsafe fn activation_sweep<const TANH: bool>(xs: &mut [f32]) {
-        let mut chunks = xs.chunks_exact_mut(8);
-        for c in &mut chunks {
-            // A chunk is exactly eight elements.
-            let x = _mm256_loadu_ps(c.as_ptr());
-            _mm256_storeu_ps(c.as_mut_ptr(), if TANH { tanh8(x) } else { sigmoid8(x) });
+    /// `w`'s feature set must be available.
+    pub unsafe fn activation_sweep<const TANH: bool>(w: Width, xs: &mut [f32]) {
+        match w {
+            Width::Ymm => activation_sweep_ymm::<TANH>(xs),
+            Width::Zmm => activation_sweep_zmm::<TANH>(xs),
         }
-        for x in chunks.into_remainder() {
-            *x = if TANH { tanh(*x) } else { sigmoid(*x) };
+    }
+
+    #[target_feature(enable = "avx2,fma,f16c")]
+    unsafe fn activation_sweep_ymm<const TANH: bool>(xs: &mut [f32]) {
+        activation_sweep_in::<__m256, TANH>(xs)
+    }
+
+    #[target_feature(enable = "avx2,fma,f16c,avx512f,avx512bw,avx512vl,avx512dq")]
+    unsafe fn activation_sweep_zmm<const TANH: bool>(xs: &mut [f32]) {
+        activation_sweep_in::<__m512, TANH>(xs)
+    }
+
+    #[inline(always)]
+    unsafe fn activation_sweep_in<V: Reg, const TANH: bool>(xs: &mut [f32]) {
+        let lanes = |x: V| unsafe {
+            if TANH {
+                tanh_lanes(x)
+            } else {
+                sigmoid_lanes(x)
+            }
+        };
+        let mut chunks = xs.chunks_exact_mut(V::LANES);
+        for c in &mut chunks {
+            // A chunk is exactly one register.
+            V::store(c.as_mut_ptr(), lanes(V::load(c.as_ptr())));
+        }
+        let rest = chunks.into_remainder();
+        if !rest.is_empty() {
+            // Lanes past the slice are neither read nor written.
+            let live = V::first(rest.len());
+            V::store_first(
+                rest.as_mut_ptr(),
+                live,
+                lanes(V::load_first(rest.as_ptr(), live)),
+            );
         }
     }
 }
@@ -1060,9 +1510,10 @@ fn hadamard_into_vector(a: &[f32], b: &[f32], out: &mut [f32]) {
 fn dot_batch_vector(a: &[f32], xs: &[f32], b: usize, out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if vector_available() {
-        // SAFETY: the feature set verified by `vector_available`; the
-        // lengths by `dot_batch_variant` and `dot_lanes`, the only callers.
-        return unsafe { x86::dot_batch::<f32>(a, xs, b, out) };
+        // SAFETY: the feature set of `width()` verified by
+        // `vector_available` / `wide_available`; the lengths by
+        // `dot_batch_variant` and `dot_lanes`, the only callers.
+        return unsafe { x86::dot_batch::<f32>(width(), a, xs, b, out) };
     }
     #[cfg(target_arch = "aarch64")]
     if vector_available() {
@@ -1267,9 +1718,11 @@ pub const TILE_ROWS: usize = 16;
 /// share their input — the kept rows of a BSPC stripe — are stored this way
 /// so that they can be the lanes: at `b == 1` this *is*
 /// [`dot_batch_variant`] with the operands exchanged (`xs` the row, `tile`
-/// the lane plane; a product commutes, so the bits are `dot`'s). At `b > 1`
-/// the batch lanes stay the lanes, each row's weights are read through the
-/// stride `m`, and four rows at a time share every loaded lane row.
+/// the lane plane; a product commutes, so the bits are `dot`'s), in
+/// eight-lane registers on every x86 host — sixteen-lane rows have shown no
+/// end-to-end gain there (EXPERIMENTS.md B4). At `b > 1` the batch lanes stay the lanes, in the
+/// widest register ([`lane_width`]), each row's weights are read through
+/// the stride `m`, and four rows at a time share every loaded lane row.
 ///
 /// # Panics
 ///
@@ -1285,19 +1738,25 @@ pub fn tile_dots_variant(
     out: &mut [f32],
 ) {
     assert!(tile_dots_available(v), "tile_dots: no register-tile body");
-    if b == 1 {
-        // Checks `tile` against `xs` and `out` against `m` itself.
-        return dot_batch_variant(v, xs, tile, m, out);
-    }
     assert!(
         b != 0 && out.len() == m * b && tile.len() * b == xs.len() * m,
         "tile_dots: size mismatch"
     );
-    // SAFETY: AVX2+FMA presence and the sizes — `m` rows of `xs.len() / b`
-    // elements end at `tile.len()` — were checked just above.
+    if b == 1 && m == 1 {
+        out[0] = dot_variant(v, xs, tile);
+        return;
+    }
+    // SAFETY: the feature set of the width — eight lanes: `vector_available`,
+    // `width()`: `wide_available` too — and the sizes — `m` rows of
+    // `xs.len() / b` elements end at `tile.len()`, at one stream `m` lanes
+    // of `xs.len()` rows and `m` outputs — were checked just above.
     #[cfg(target_arch = "x86_64")]
     unsafe {
-        x86::tile_dots(tile, |k, j| k * m + j, xs, b, out)
+        if b == 1 {
+            x86::dot_batch::<f32>(x86::Width::Ymm, xs, tile, m, out)
+        } else {
+            x86::tile_dots(width(), tile, |k, j| k * m + j, xs, b, out)
+        }
     }
 }
 
@@ -1333,9 +1792,9 @@ pub fn tile_dots_f16_variant(
             out.len() == m && tile_bits.len() == xs.len() * m,
             "tile_dots: size mismatch"
         );
-        // SAFETY: the feature set and the sizes — `xs.len()` lane rows of
-        // `m` halves, `m` outputs — were checked just above.
-        return unsafe { x86::dot_batch::<u16>(xs, tile_bits, m, out) };
+        // SAFETY: the feature set of eight lanes and the sizes — `xs.len()`
+        // lane rows of `m ≥ 8` halves, `m` outputs — were checked just above.
+        return unsafe { x86::dot_batch::<u16>(x86::Width::Ymm, xs, tile_bits, m, out) };
     }
     crate::f16::f16_bits_to_f32(tile_bits, decoded);
     tile_dots_variant(v, decoded, m, xs, b, out)
@@ -1345,8 +1804,8 @@ pub fn tile_dots_f16_variant(
 /// dense matrix's row range: `out[j·b + l]` is **bit-identical** to
 /// [`dot_batch_variant`]`(v, row_j, xs, b, ..)`, lane `l`. With the
 /// register-tile body ([`tile_dots_available`]) and `b ≥ 2` lanes, four rows
-/// at a time share every loaded lane row; otherwise this is that call per
-/// row.
+/// at a time share every loaded lane row of the widest register; otherwise
+/// this is that call per row.
 ///
 /// # Panics
 ///
@@ -1367,8 +1826,9 @@ pub fn row_major_dots_variant(
     let len = xs.len() / b;
     #[cfg(target_arch = "x86_64")]
     if b >= 2 && tile_dots_available(v) {
-        // SAFETY: AVX2+FMA presence and the sizes were checked just above.
-        return unsafe { x86::tile_dots(rows, |k, j| j * len + k, xs, b, out) };
+        // SAFETY: the feature set of `width()` and the sizes were checked
+        // just above.
+        return unsafe { x86::tile_dots(width(), rows, |k, j| j * len + k, xs, b, out) };
     }
     for (j, lanes) in out.chunks_exact_mut(b).enumerate() {
         dot_batch_variant(v, &rows[j * len..(j + 1) * len], xs, b, lanes);
@@ -1476,16 +1936,20 @@ pub fn broadcast_add(bias: &[f32], b: usize, out: &mut [f32]) {
 /// In-place sigmoid sweep under an explicit variant.
 ///
 /// The scalar definition is one loop over `activations::sigmoid`.
-/// `Vector` is the AVX2 body, which runs that definition's operation
-/// sequence eight lanes at a time (no FMA, both branches computed and
-/// selected): bit-identical to the scalar loop on all 2³² inputs, checked
-/// exhaustively. Without AVX2 — aarch64 included, until a NEON body can be
-/// checked the same way — `Vector` is the scalar loop.
+/// `Vector` is the x86 body, which runs that definition's operation
+/// sequence a register of lanes at a time — sixteen with AVX-512, eight on
+/// AVX2, a partial register masked — (no FMA, both branches computed and
+/// selected): bit-identical to the scalar loop on all 2³² inputs at either
+/// width, checked exhaustively. Without AVX2 — aarch64 included, until a
+/// NEON body can be checked the same way — `Vector` is the scalar loop.
 pub fn sigmoid_sweep_variant(v: Variant, xs: &mut [f32]) {
     match v {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2+FMA presence verified by `vector_available`.
-        Variant::Vector if vector_available() => unsafe { x86::activation_sweep::<false>(xs) },
+        // SAFETY: the feature set of `width()` verified by `vector_available`
+        // / `wide_available`.
+        Variant::Vector if vector_available() => unsafe {
+            x86::activation_sweep::<false>(width(), xs)
+        },
         _ => xs.iter_mut().for_each(|x| *x = sigmoid(*x)),
     }
 }
@@ -1500,8 +1964,11 @@ pub fn sigmoid_sweep(xs: &mut [f32]) {
 pub fn tanh_sweep_variant(v: Variant, xs: &mut [f32]) {
     match v {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2+FMA presence verified by `vector_available`.
-        Variant::Vector if vector_available() => unsafe { x86::activation_sweep::<true>(xs) },
+        // SAFETY: the feature set of `width()` verified by `vector_available`
+        // / `wide_available`.
+        Variant::Vector if vector_available() => unsafe {
+            x86::activation_sweep::<true>(width(), xs)
+        },
         _ => xs.iter_mut().for_each(|x| *x = tanh(*x)),
     }
 }
@@ -1526,6 +1993,19 @@ mod tests {
 
     fn rand_vec(n: usize, rng: &mut StdRng) -> Vec<f32> {
         (0..n).map(|_| rng.gen_f32() * 2.0 - 1.0).collect()
+    }
+
+    /// The registers the x86 batched bodies and sweeps run in on this host —
+    /// eight lanes, and sixteen with AVX-512 —, for the tests to call each
+    /// one directly: the eight-lane body stays covered where production
+    /// dispatches sixteen.
+    #[cfg(target_arch = "x86_64")]
+    fn widths() -> Vec<x86::Width> {
+        match (vector_available(), wide_available()) {
+            (false, _) => vec![],
+            (true, false) => vec![x86::Width::Ymm],
+            (true, true) => vec![x86::Width::Ymm, x86::Width::Zmm],
+        }
     }
 
     #[test]
@@ -1596,8 +2076,11 @@ mod tests {
 
     #[test]
     fn sweeps_bit_identical_across_variants() {
+        // Lengths around one and two registers of either width: a masked
+        // last register, a full one, none. Exact-length: the last register
+        // ends where the allocation ends.
         let mut rng = StdRng::seed_from_u64(5);
-        for n in [0usize, 3, 8, 21, 100] {
+        for n in [0usize, 3, 8, 15, 16, 17, 21, 31, 33, 47, 48, 100] {
             let base = rand_vec(n, &mut rng);
             let mut want_s = base.clone();
             sigmoid_sweep_variant(Variant::ScalarU1, &mut want_s);
@@ -1611,27 +2094,46 @@ mod tests {
                 tanh_sweep_variant(v, &mut t);
                 assert_eq!(t, want_t, "tanh {} n={n}", v.name());
             }
+            #[cfg(target_arch = "x86_64")]
+            for width in widths() {
+                let (mut s, mut t) = (base.clone(), base.clone());
+                // SAFETY: `widths` lists only registers this host has.
+                unsafe {
+                    x86::activation_sweep::<false>(width, &mut s);
+                    x86::activation_sweep::<true>(width, &mut t);
+                }
+                assert_eq!(s, want_s, "sigmoid {width:?} n={n}");
+                assert_eq!(t, want_t, "tanh {width:?} n={n}");
+            }
         }
     }
 
     /// The element-wise contract in full: both sweeps over all 2³² bit
-    /// patterns (NaNs included), the AVX2 body against the scalar loop,
-    /// compared as bits. Two threads; `scripts/ci.sh` runs it with
-    /// `--release -- --ignored`.
+    /// patterns (NaNs included), the x86 body in each register width
+    /// against the scalar loop, compared as bits. Two threads;
+    /// `scripts/ci.sh` runs it with `--release -- --ignored`.
+    #[cfg(target_arch = "x86_64")]
     #[test]
     #[ignore = "exhaustive over 2^32 inputs; run in release"]
     fn sweeps_match_scalar_on_every_f32() {
-        if !(cfg!(target_arch = "x86_64") && vector_available()) {
+        let widths = widths();
+        if widths.is_empty() {
             println!("skipped: no vector body, every sweep variant is the scalar loop");
             return;
         }
         type Sweep = fn(Variant, &mut [f32]);
-        let sweeps: [(Sweep, &str); 2] = [
-            (sigmoid_sweep_variant, "sigmoid"),
-            (tanh_sweep_variant, "tanh"),
+        type Lanes = unsafe fn(x86::Width, &mut [f32]);
+        let sweeps: [(Sweep, Lanes, &str); 2] = [
+            (
+                sigmoid_sweep_variant,
+                x86::activation_sweep::<false>,
+                "sigmoid",
+            ),
+            (tanh_sweep_variant, x86::activation_sweep::<true>, "tanh"),
         ];
         std::thread::scope(|s| {
             for half in 0..2u32 {
+                let widths = &widths;
                 s.spawn(move || {
                     let mut input = vec![0.0f32; 1 << 16];
                     let (mut want, mut got) = (input.clone(), input.clone());
@@ -1639,18 +2141,22 @@ mod tests {
                         for (i, x) in input.iter_mut().enumerate() {
                             *x = f32::from_bits((block << 16) | i as u32);
                         }
-                        for (sweep, name) in sweeps {
+                        for (scalar, lanes, name) in sweeps {
                             want.copy_from_slice(&input);
-                            got.copy_from_slice(&input);
-                            sweep(Variant::ScalarU1, &mut want);
-                            sweep(Variant::Vector, &mut got);
-                            for ((x, w), g) in input.iter().zip(&want).zip(&got) {
-                                assert_eq!(
-                                    g.to_bits(),
-                                    w.to_bits(),
-                                    "{name}({:#010x}): vector {g:e}, scalar {w:e}",
-                                    x.to_bits()
-                                );
+                            scalar(Variant::ScalarU1, &mut want);
+                            for &width in widths {
+                                got.copy_from_slice(&input);
+                                // SAFETY: `widths` lists only registers this
+                                // host has.
+                                unsafe { lanes(width, &mut got) };
+                                for ((x, w), g) in input.iter().zip(&want).zip(&got) {
+                                    assert_eq!(
+                                        g.to_bits(),
+                                        w.to_bits(),
+                                        "{name}({:#010x}): {width:?} {g:e}, scalar {w:e}",
+                                        x.to_bits()
+                                    );
+                                }
                             }
                         }
                     }
@@ -1664,24 +2170,40 @@ mod tests {
         // The batched kernels' core contract: every lane is bit-identical to
         // the serial kernel of the same variant on that lane's column, across
         // ragged nnz counts AND ragged batch widths (tails on both axes).
-        // Every tail width around two register tiles, then around pairs of
-        // them (two pairs; a pair, a group and a partial one); `xs` and `out`
-        // are exact-length, so the last row's tail ends where the buffer ends.
+        // Every tail width around two register tiles of eight, then around
+        // pairs and groups of eight and of sixteen lanes, in both registers;
+        // `xs` and `out` are exact-length, so the last row's tail ends where
+        // the buffer ends.
         let mut rng = StdRng::seed_from_u64(0xBA7C);
         for n in [0usize, 1, 5, 7, 8, 9, 24, 61, 102] {
-            for b in (1usize..=17).chain([19, 24, 31, 32, 33, 40]) {
+            for b in (1usize..=17).chain([19, 24, 31, 32, 33, 40, 47, 48]) {
                 let a = rand_vec(n, &mut rng);
                 let xs = rand_vec(n * b, &mut rng);
+                let col = |j: usize| -> Vec<f32> { (0..n).map(|k| xs[k * b + j]).collect() };
                 for v in Variant::ALL {
                     let mut out = vec![f32::NAN; b];
                     dot_batch_variant(v, &a, &xs, b, &mut out);
                     for (j, &oj) in out.iter().enumerate() {
-                        let col: Vec<f32> = (0..n).map(|k| xs[k * b + j]).collect();
                         assert_eq!(
                             oj,
-                            dot_variant(v, &a, &col),
+                            dot_variant(v, &a, &col(j)),
                             "{} n={n} b={b} lane {j}",
                             v.name()
+                        );
+                    }
+                }
+                #[cfg(target_arch = "x86_64")]
+                for width in widths() {
+                    let mut out = vec![f32::NAN; b];
+                    // SAFETY: `widths` lists only registers this host has;
+                    // `xs` holds `n` rows of `b` lanes, `out` one per lane.
+                    unsafe { x86::dot_batch::<f32>(width, &a, &xs, b, &mut out) };
+                    for (j, &oj) in out.iter().enumerate() {
+                        let want = dot_variant(Variant::Vector, &a, &col(j));
+                        assert_eq!(
+                            oj.to_bits(),
+                            want.to_bits(),
+                            "{width:?} n={n} b={b} lane {j}"
                         );
                     }
                 }
@@ -1726,9 +2248,10 @@ mod tests {
         // third lane: ∞ · 0 = NaN) next to lanes with finite inputs (±∞): a
         // lane's result is its serial result whatever its neighbours — or the
         // zero-filled masked-off lanes of a partial tile — compute, and
-        // nothing is stored past lane `b`.
+        // nothing is stored past lane `b`, in either register.
         let same = |x: f32, y: f32| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
         let mut rng = StdRng::seed_from_u64(0x1F);
+        let lanes = || (1usize..=17).chain([31, 33]);
         for n in [9usize, 102] {
             let poisons: [&[(usize, f32)]; 4] = [
                 &[(1, f32::INFINITY)],
@@ -1742,27 +2265,40 @@ mod tests {
                 for &(k, w) in poison {
                     a[k] = w;
                 }
-                for b in 1usize..=17 {
+                for b in lanes() {
                     let mut xs = vec![0.0f32; n * b];
                     for (i, x) in xs.iter_mut().enumerate() {
                         if (i % b) % 3 != 0 {
                             *x = (0.5 + rng.gen_f32()) * if i % 2 == 0 { 1.0 } else { -1.0 };
                         }
                     }
+                    let col = |j: usize| -> Vec<f32> { (0..n).map(|k| xs[k * b + j]).collect() };
                     for v in Variant::ALL {
-                        let mut dense = vec![7.0f32; b + 8];
+                        let mut dense = vec![7.0f32; b + 16];
                         dot_batch_variant(v, &a, &xs, b, &mut dense[..b]);
-                        let mut indexed = vec![7.0f32; b + 8];
+                        let mut indexed = vec![7.0f32; b + 16];
                         indexed_dot_batch_variant(v, &a, &idx, &xs, b, &mut indexed[..b]);
                         for j in 0..b {
-                            let col: Vec<f32> = (0..n).map(|k| xs[k * b + j]).collect();
-                            let d = dot_variant(v, &a, &col);
-                            let i = indexed_dot_variant(v, &a, &idx, &col);
+                            let d = dot_variant(v, &a, &col(j));
+                            let i = indexed_dot_variant(v, &a, &idx, &col(j));
                             let what = format!("{} n={n} b={b} lane {j}", v.name());
                             assert!(same(dense[j], d), "dense {what}: {} vs {d}", dense[j]);
                             assert!(same(indexed[j], i), "indexed {what}: {} vs {i}", indexed[j]);
                         }
                         assert!(dense[b..].iter().chain(&indexed[b..]).all(|&s| s == 7.0));
+                    }
+                    #[cfg(target_arch = "x86_64")]
+                    for width in widths() {
+                        let mut dense = vec![7.0f32; b + 16];
+                        // SAFETY: `widths` lists only registers this host
+                        // has; `xs` holds `n` rows of `b` lanes.
+                        unsafe { x86::dot_batch::<f32>(width, &a, &xs, b, &mut dense[..b]) };
+                        for (j, &got) in dense[..b].iter().enumerate() {
+                            let d = dot_variant(Variant::Vector, &a, &col(j));
+                            let what = format!("{width:?} n={n} b={b} lane {j}");
+                            assert!(same(got, d), "dense {what}: {got} vs {d}");
+                        }
+                        assert!(dense[b..].iter().all(|&s| s == 7.0));
                     }
                 }
             }
@@ -1784,31 +2320,55 @@ mod tests {
                         rows[bad][len / 2] = poison;
                     }
                     let tile: Vec<f32> = (0..len * m).map(|i| rows[i % m][i / m]).collect();
-                    for b in 1usize..=17 {
+                    let row_major = rows.concat();
+                    for b in lanes() {
                         let mut xs = vec![0.0f32; len * b];
                         for (i, x) in xs.iter_mut().enumerate() {
                             if (i % b) % 3 != 0 {
                                 *x = 0.5 + rng.gen_f32();
                             }
                         }
-                        let (mut out, mut out_rm) =
-                            (vec![7.0f32; m * b + 8], vec![7.0f32; m * b + 8]);
-                        tile_dots_variant(v, &tile, m, &xs, b, &mut out[..m * b]);
-                        row_major_dots_variant(v, &rows.concat(), m, &xs, b, &mut out_rm[..m * b]);
-                        for l in 0..b {
-                            let col: Vec<f32> = (0..len).map(|k| xs[k * b + l]).collect();
-                            for (j, row) in rows.iter().enumerate() {
-                                let (got, want) = (out[j * b + l], dot_variant(v, row, &col));
-                                assert!(
-                                    same(got, want) && same(out_rm[j * b + l], want),
-                                    "m={m} bad row {bad} ({poison}) b={b} row {j} lane {l}: {got} vs {want}"
-                                );
+                        let check = |out: &[f32], out_rm: &[f32], what: &str| {
+                            for l in 0..b {
+                                let col: Vec<f32> = (0..len).map(|k| xs[k * b + l]).collect();
+                                for (j, row) in rows.iter().enumerate() {
+                                    let (got, want) = (out[j * b + l], dot_variant(v, row, &col));
+                                    assert!(
+                                        same(got, want) && same(out_rm[j * b + l], want),
+                                        "{what} m={m} bad row {bad} ({poison}) b={b} row {j} lane {l}: {got} vs {want}"
+                                    );
+                                }
                             }
+                            assert!(out[m * b..]
+                                .iter()
+                                .chain(&out_rm[m * b..])
+                                .all(|&s| s == 7.0));
+                        };
+                        let (mut out, mut out_rm) =
+                            (vec![7.0f32; m * b + 16], vec![7.0f32; m * b + 16]);
+                        tile_dots_variant(v, &tile, m, &xs, b, &mut out[..m * b]);
+                        row_major_dots_variant(v, &row_major, m, &xs, b, &mut out_rm[..m * b]);
+                        check(&out, &out_rm, "dispatched");
+                        #[cfg(target_arch = "x86_64")]
+                        for width in widths() {
+                            let (mut out, mut out_rm) =
+                                (vec![7.0f32; m * b + 16], vec![7.0f32; m * b + 16]);
+                            // SAFETY: `widths` lists only registers this host
+                            // has; both planes hold `m` rows of `len`.
+                            unsafe {
+                                x86::tile_dots(
+                                    width,
+                                    &tile,
+                                    |k, j| k * m + j,
+                                    &xs,
+                                    b,
+                                    &mut out[..m * b],
+                                );
+                                let rm = |k, j| j * len + k;
+                                x86::tile_dots(width, &row_major, rm, &xs, b, &mut out_rm[..m * b]);
+                            }
+                            check(&out, &out_rm, &format!("{width:?}"));
                         }
-                        assert!(out[m * b..]
-                            .iter()
-                            .chain(&out_rm[m * b..])
-                            .all(|&s| s == 7.0));
                     }
                 }
             }
@@ -1819,9 +2379,10 @@ mod tests {
     fn tile_rows_match_per_row_dot_on_every_block_edge() {
         // Row counts around the row blocks (one to two blocks of four, every
         // remainder, a full 16-row tile), row lengths around the eight
-        // sublane chains, lane counts around the register tiles. `tile` and
-        // `xs` are exact-length: the last row block and the last lane group
-        // end where their allocation ends.
+        // sublane chains, lane counts around the register tiles of eight and
+        // sixteen lanes, in either register. `tile` and `xs` are
+        // exact-length: the last row block and the last lane group end where
+        // their allocation ends.
         let v = Variant::Vector;
         if !tile_dots_available(v) {
             return;
@@ -1829,21 +2390,43 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x7113);
         for m in (1usize..=9).chain([12, 15, 16]) {
             for len in [0usize, 1, 7, 8, 9, 16, 17, 102] {
-                for b in [2usize, 3, 7, 8, 9, 12, 16, 25] {
+                for b in [2usize, 3, 7, 8, 9, 12, 15, 16, 17, 25, 31, 33, 47, 48] {
                     let rows: Vec<Vec<f32>> = (0..m).map(|_| rand_vec(len, &mut rng)).collect();
                     let tile: Box<[f32]> = (0..len * m).map(|i| rows[i % m][i / m]).collect();
                     let xs = rand_vec(len * b, &mut rng).into_boxed_slice();
                     let row_major = rows.concat().into_boxed_slice();
+                    let check = |out: &[f32], out_rm: &[f32], what: &str| {
+                        for l in 0..b {
+                            let col: Vec<f32> = (0..len).map(|k| xs[k * b + l]).collect();
+                            for (j, row) in rows.iter().enumerate() {
+                                let want = dot_variant(v, row, &col).to_bits();
+                                let got = (out[j * b + l].to_bits(), out_rm[j * b + l].to_bits());
+                                let at = format!("{what} m={m} len={len} b={b} row {j} lane {l}");
+                                assert_eq!(got, (want, want), "{at}");
+                            }
+                        }
+                    };
                     let (mut out, mut out_rm) = (vec![f32::NAN; m * b], vec![f32::NAN; m * b]);
                     tile_dots_variant(v, &tile, m, &xs, b, &mut out);
                     row_major_dots_variant(v, &row_major, m, &xs, b, &mut out_rm);
-                    for l in 0..b {
-                        let col: Vec<f32> = (0..len).map(|k| xs[k * b + l]).collect();
-                        for (j, row) in rows.iter().enumerate() {
-                            let want = dot_variant(v, row, &col).to_bits();
-                            let got = (out[j * b + l].to_bits(), out_rm[j * b + l].to_bits());
-                            assert_eq!(got, (want, want), "m={m} len={len} b={b} row {j} lane {l}");
+                    check(&out, &out_rm, "dispatched");
+                    #[cfg(target_arch = "x86_64")]
+                    for width in widths() {
+                        let (mut out, mut out_rm) = (vec![f32::NAN; m * b], vec![f32::NAN; m * b]);
+                        // SAFETY: `widths` lists only registers this host
+                        // has; both planes hold `m` rows of `len`.
+                        unsafe {
+                            x86::tile_dots(width, &tile, |k, j| k * m + j, &xs, b, &mut out);
+                            x86::tile_dots(
+                                width,
+                                &row_major,
+                                |k, j| j * len + k,
+                                &xs,
+                                b,
+                                &mut out_rm,
+                            );
                         }
+                        check(&out, &out_rm, &format!("{width:?}"));
                     }
                 }
             }
@@ -1852,21 +2435,22 @@ mod tests {
 
     #[test]
     fn f16_tile_matches_the_decoded_tile_on_every_edge() {
-        // Row counts around one, two and four lane groups (a pair, a pair
-        // and a group, a partial group behind either), row lengths around
-        // the eight sublane chains, one stream — the bits are the lane plane,
-        // converted as they are loaded, from eight rows up — and several,
-        // where they are decoded first. The bit plane is exact-length: the
-        // tile that ends a partial group ends with the allocation. Then one
-        // row carries a NaN / ±∞ half: every other row keeps the clean run's
-        // bits.
+        // Row counts around one, two and four lane groups of eight and
+        // sixteen (a pair, a pair and a group, a partial group behind
+        // either), row lengths around the eight sublane chains, one stream —
+        // the bits are the lane plane, converted as they are loaded, from
+        // eight rows up, and in the sixteen-lane register, which masks a
+        // partial group of halves, from one — and several, where they are
+        // decoded first. The bit plane is exact-length: the tile that ends a
+        // partial group ends with the allocation. Then one row carries a
+        // NaN / ±∞ half: every other row keeps the clean run's bits.
         let v = Variant::Vector;
         if !tile_dots_available(v) {
             return;
         }
         let same = |x: f32, y: f32| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
         let mut rng = StdRng::seed_from_u64(0xF16C);
-        for m in (1usize..=17).chain([24, 31, 32]) {
+        for m in (1usize..=17).chain([24, 31, 32, 33, 47, 48]) {
             for len in [0usize, 1, 7, 8, 9, 16, 17, 102] {
                 for b in [1usize, 2, 8, 12] {
                     let xs = rand_vec(len * b, &mut rng).into_boxed_slice();
@@ -1882,6 +2466,26 @@ mod tests {
                         assert!(got[m * b..].iter().all(|&s| s == 7.0));
                         for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
                             assert!(same(g, w), "m={m} len={len} b={b} out[{i}]: {g} vs {w}");
+                        }
+                        // The rows as the lanes of each register that can
+                        // load the plane, its halves widened in place.
+                        #[cfg(target_arch = "x86_64")]
+                        for width in widths() {
+                            if b != 1 || (width == x86::Width::Ymm && m < 8) {
+                                continue;
+                            }
+                            let mut got = vec![7.0f32; m + 16];
+                            // SAFETY: `widths` lists only registers this host
+                            // has; `bits` holds `len` lane rows of `m` halves,
+                            // at least eight of them for the eight-lane one.
+                            unsafe { x86::dot_batch::<u16>(width, &xs, &bits, m, &mut got[..m]) };
+                            assert!(got[m..].iter().all(|&s| s == 7.0));
+                            for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                                assert!(
+                                    same(g, w),
+                                    "{width:?} m={m} len={len} out[{i}]: {g} vs {w}"
+                                );
+                            }
                         }
                         want
                     };

@@ -76,3 +76,22 @@ fn policy_resolution_override_and_dispatch() {
     simd::set_policy(initial);
     assert_eq!(simd::policy(), initial);
 }
+
+/// The register width follows the host: sixteen lanes wherever the CPU
+/// reports AVX-512F/BW/VL/DQ, eight on any other x86 vector host. Every
+/// bit-exactness test passes at either width, so only this one sees a
+/// sixteen-lane host fall back to eight.
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn lane_width_follows_the_host_registers() {
+    if !simd::vector_available() {
+        assert_eq!(simd::lane_width(), 1);
+        return;
+    }
+    let wide = is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512bw")
+        && is_x86_feature_detected!("avx512vl")
+        && is_x86_feature_detected!("avx512dq");
+    assert_eq!(simd::lane_width(), if wide { 16 } else { 8 });
+    assert_eq!(simd::vector_isa(), "avx2+fma");
+}
