@@ -3,9 +3,11 @@
 //! The serving contract (DESIGN.md §10) is that a fault inside a kernel
 //! task is *contained*: it surfaces to the caller as a value, the pool
 //! stays serviceable, and the next batch runs clean. [`ExecError`] is that
-//! value — either a shape mismatch detected before any work was dispatched,
-//! or a panic caught on whichever thread ran the offending task.
+//! value — a shape mismatch or a value store the matrix does not hold,
+//! detected before any work was dispatched, or a panic caught on whichever
+//! thread ran the offending task.
 
+use rtm_sparse::{KernelError, Precision};
 use rtm_tensor::ShapeError;
 use std::error::Error;
 use std::fmt;
@@ -17,6 +19,9 @@ pub enum ExecError {
     /// Operand shapes disagree; nothing was dispatched and no output byte
     /// was written.
     Shape(ShapeError),
+    /// The matrix — or a compiled layer — holds no value store at this
+    /// precision; nothing was dispatched and no output byte was written.
+    NotHeld(Precision),
     /// A task panicked while the batch ran. The batch fully drained before
     /// this was returned (no task is left running against caller memory),
     /// the pool remains serviceable, and any output buffer the batch was
@@ -43,6 +48,7 @@ impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExecError::Shape(e) => write!(f, "{e}"),
+            ExecError::NotHeld(p) => write!(f, "no {} value store is held", p.tag()),
             ExecError::WorkerPanicked { message } => {
                 write!(f, "worker task panicked: {message}")
             }
@@ -54,7 +60,7 @@ impl Error for ExecError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             ExecError::Shape(e) => Some(e),
-            ExecError::WorkerPanicked { .. } => None,
+            ExecError::NotHeld(_) | ExecError::WorkerPanicked { .. } => None,
         }
     }
 }
@@ -62,6 +68,15 @@ impl Error for ExecError {
 impl From<ShapeError> for ExecError {
     fn from(e: ShapeError) -> ExecError {
         ExecError::Shape(e)
+    }
+}
+
+impl From<KernelError> for ExecError {
+    fn from(e: KernelError) -> ExecError {
+        match e {
+            KernelError::Shape(e) => ExecError::Shape(e),
+            KernelError::NotHeld(p) => ExecError::NotHeld(p),
+        }
     }
 }
 

@@ -10,10 +10,9 @@ pub enum RuntimePrecision {
     /// Round weights and activations through binary16 (GPU path); the gate
     /// kernels then stream the 2-byte stored form and accumulate in f32.
     F16,
-    /// Symmetric int8 storage: gate weights keep their f32 values but the
-    /// kernels stream the per-stripe-block int8 sidecar, quantize the
-    /// activation vector per call, and accumulate in i32 (one dequantize
-    /// at store).
+    /// Symmetric int8 storage: gate weights are held as per-stripe-block
+    /// int8 codes and scales only; the kernels quantize the activation
+    /// vector per call and accumulate in i32 (one dequantize at store).
     Int8,
 }
 

@@ -10,8 +10,9 @@ use rtm_tensor::f16::{quantize_f16, quantize_f16_slice};
 use rtm_tensor::Vector;
 
 /// One compiled GRU layer: six BSPC gate matrices plus biases, executed
-/// at the layer's own storage precision (a compile gives every layer the
-/// same one; a bundle written with per-layer precisions still loads).
+/// at the layer's own storage precision — the one value store each gate
+/// holds (a compile gives every layer the same one; a bundle written with
+/// per-layer precisions still loads).
 #[derive(Debug, Clone)]
 pub struct CompiledGruLayer {
     pub(crate) w_z: BspcMatrix,
@@ -80,8 +81,9 @@ impl CompiledGruLayer {
         self.precision
     }
 
-    /// The six gate matrices in wire order: `w_z u_z w_r u_r w_n u_n`.
-    pub(crate) fn gates(&self) -> [&BspcMatrix; 6] {
+    /// The six gate matrices in wire order: `w_z u_z w_r u_r w_n u_n`,
+    /// each holding the one value store of the layer's precision.
+    pub fn gates(&self) -> [&BspcMatrix; 6] {
         [
             &self.w_z, &self.u_z, &self.w_r, &self.u_r, &self.w_n, &self.u_n,
         ]
@@ -176,18 +178,19 @@ impl CompiledGruLayer {
     /// the gate epilogues). [`super::CompiledNetwork::forward_with`] runs
     /// the same halves over a chunk of frames at a time.
     ///
-    /// `precision` is normally the layer's compiled
-    /// [`precision`](CompiledGruLayer::precision); passing another value
-    /// runs the gate kernels in that mode instead (the f32 weights are
-    /// always present, and the f16/int8 sidecars ride along).
+    /// `precision` must be the layer's compiled
+    /// [`precision`](CompiledGruLayer::precision): its gates hold the value
+    /// store of that precision and no other.
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError::Shape`] when `xs` is not `[input × b]` or
-    /// `hs_prev` is not `[hidden × b]` lane-major (nothing is dispatched
-    /// for the failing kernel), and [`ExecError::WorkerPanicked`] if a
-    /// kernel task panics. On error the scratch buffers and `hs_out` hold
-    /// unspecified — but initialized — data.
+    /// Returns [`ExecError::NotHeld`] when `precision` is not the layer's
+    /// (nothing is dispatched), [`ExecError::Shape`] when `xs` is not
+    /// `[input × b]` or `hs_prev` is not `[hidden × b]` lane-major (nothing
+    /// is dispatched for the failing kernel), and
+    /// [`ExecError::WorkerPanicked`] if a kernel task panics. On error the
+    /// scratch buffers and `hs_out` hold unspecified — but initialized —
+    /// data.
     #[allow(clippy::too_many_arguments)]
     pub fn step_batch_into(
         &self,
@@ -199,10 +202,12 @@ impl CompiledGruLayer {
         scratch: &mut GruRuntimeScratch,
         hs_out: &mut Vec<f32>,
     ) -> Result<(), ExecError> {
-        let hb = self.hidden * b;
-        self.input_products_into(exec, xs, 1, b, precision, scratch)?;
-        hs_out.resize(hb, 0.0);
-        self.recurrent_into(exec, hs_prev, b, precision, scratch, 0, hs_out)
+        if precision != self.precision {
+            return Err(ExecError::NotHeld(precision.storage()));
+        }
+        self.input_products_into(exec, xs, 1, b, scratch)?;
+        hs_out.resize(self.hidden * b, 0.0);
+        self.recurrent_into(exec, hs_prev, b, scratch, 0, hs_out)
     }
 
     /// The input half of [`CompiledGruLayer::step_batch_into`]: the three
@@ -216,14 +221,13 @@ impl CompiledGruLayer {
         xs: &[f32],
         frames: usize,
         b: usize,
-        precision: RuntimePrecision,
         scratch: &mut GruRuntimeScratch,
     ) -> Result<(), ExecError> {
         let hb = self.hidden * b;
         scratch.reserve(frames, hb);
         let width = xs.len() / frames.max(1);
         debug_assert_eq!(width * frames, xs.len(), "whole frames");
-        let prec = precision.storage();
+        let prec = self.precision.storage();
         for (gate, plane) in [
             (&self.w_z, &mut scratch.z),
             (&self.w_r, &mut scratch.r),
@@ -242,13 +246,11 @@ impl CompiledGruLayer {
     /// `frame` (filled by [`CompiledGruLayer::input_products_into`]) —
     /// `U·h`, the biases, the activations, the f16 rounding and the blend —
     /// into `hs_out` (`[hidden × b]`).
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn recurrent_into(
         &self,
         exec: &rtm_exec::Executor,
         hs_prev: &[f32],
         b: usize,
-        precision: RuntimePrecision,
         scratch: &mut GruRuntimeScratch,
         frame: usize,
         hs_out: &mut [f32],
@@ -256,11 +258,11 @@ impl CompiledGruLayer {
         // Hardware rounding where the host has it; the reference step keeps
         // the software conversion, and the two agree on every `f32`.
         let quantize = |v: &mut [f32]| {
-            if precision == RuntimePrecision::F16 {
+            if self.precision == RuntimePrecision::F16 {
                 quantize_f16_slice(v);
             }
         };
-        let prec = precision.storage();
+        let prec = self.precision.storage();
         let hb = self.hidden * b;
         let slot = frame * hb..(frame + 1) * hb;
         let GruRuntimeScratch { z, r, n, rh, tmp } = scratch;

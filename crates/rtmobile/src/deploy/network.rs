@@ -36,10 +36,10 @@ pub struct CompiledNetwork {
 impl CompiledNetwork {
     /// Compiles `net` with the given BSP partition and precision.
     ///
-    /// Every gate matrix is converted to BSPC and, under
-    /// [`RuntimePrecision::F16`], quantized through binary16 first. No
-    /// reorder permutation is attached: BSPC's row tiles already keep each
-    /// stripe's same-pattern rows together (§IV-B-c).
+    /// Every gate matrix is converted to BSPC holding the one value store
+    /// of `precision` — under [`RuntimePrecision::F16`] quantized through
+    /// binary16 first. No reorder permutation is attached: BSPC's row tiles
+    /// already keep each stripe's same-pattern rows together (§IV-B-c).
     ///
     /// # Errors
     ///
@@ -54,11 +54,10 @@ impl CompiledNetwork {
         if stripes == 0 || blocks == 0 {
             return Err(rtm_sparse::BspcError::ZeroPartition);
         }
-        // What the stored weights look like per precision: f16 pre-rounds
-        // (the 2-byte sidecar is then exact, so the f16 kernels match the
-        // f32 kernels bit for bit on these values); int8 keeps the original
-        // f32 values — the int8 sidecar derived from them is what the
-        // kernels stream, and dequantizing here would round the codes twice.
+        // What the lowering sees per precision: f16 pre-rounds (so a weight
+        // that rounds to zero leaves the kept pattern, and the 2-byte store
+        // holds exactly these values); int8 derives its codes from the
+        // original f32 values — dequantizing here would round them twice.
         let quant = |m: &Matrix| -> Matrix {
             match precision {
                 RuntimePrecision::F32 | RuntimePrecision::Int8 => m.clone(),
@@ -69,7 +68,7 @@ impl CompiledNetwork {
             let q = quant(m);
             let s = stripes.min(q.rows().max(1));
             let b = blocks.min(q.cols().max(1));
-            BspcMatrix::from_dense(&q, s, b)
+            BspcMatrix::from_dense_at(&q, s, b, precision.storage())
         };
 
         let mut layers = Vec::with_capacity(net.layers.len());
@@ -296,7 +295,7 @@ impl CompiledNetwork {
         }
         let k = chunk.len();
         for (layer, h) in self.layers.iter().zip(states.iter_mut()) {
-            layer.input_products_into(exec, xs, k, 1, layer.precision, scratch)?;
+            layer.input_products_into(exec, xs, k, 1, scratch)?;
             width = layer.hidden;
             ys.resize(k * width, 0.0);
             for t in 0..k {
@@ -306,15 +305,7 @@ impl CompiledNetwork {
                 } else {
                     &done[(t - 1) * width..]
                 };
-                layer.recurrent_into(
-                    exec,
-                    h_prev,
-                    1,
-                    layer.precision,
-                    scratch,
-                    t,
-                    &mut rest[..width],
-                )?;
+                layer.recurrent_into(exec, h_prev, 1, scratch, t, &mut rest[..width])?;
             }
             h.copy_from_slice(&ys[(k - 1) * width..]);
             std::mem::swap(xs, ys);

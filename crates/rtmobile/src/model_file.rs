@@ -67,10 +67,11 @@ pub(crate) fn mode_from_tags(
 /// Serializes the network body (weights, biases, head — no container
 /// framing) into `out`.
 ///
-/// Each layer's gate blobs are stored at that layer's runtime precision:
-/// f16 halves the value bytes, int8 ships the native per-stripe-block codes
-/// and scales — the decoded network's int8 kernels stream the exact same
-/// sidecar, so the functional roundtrip is bit-exact for every precision.
+/// Each layer's gate blobs carry the one value store its gates hold, at
+/// the layer's runtime precision: f16 halves the value bytes, int8 ships
+/// the per-stripe-block codes and scales — the decoded network's kernels
+/// stream the exact same store, so the functional roundtrip is bit-exact
+/// for every precision.
 pub(crate) fn write_network_body(out: &mut Vec<u8>, net: &CompiledNetwork) {
     out.put_slice(&mode_tags(net.precision));
     out.put_u32_le(net.layers.len() as u32);
@@ -138,11 +139,12 @@ pub(crate) fn read_network_body(r: &mut Reader<'_>) -> Result<CompiledNetwork, D
     ))
 }
 
-/// Whether every weight, bias and head value of `net` is finite.
+/// Whether every weight, bias and head value of `net` is finite (a gate's
+/// weights as the exact decode of the one store it holds).
 pub(crate) fn all_finite(net: &CompiledNetwork) -> bool {
     let finite = |vals: &[f32]| vals.iter().all(|v| v.is_finite());
     net.layers.iter().all(|l| {
-        l.gates().iter().all(|m| finite(m.values()))
+        l.gates().iter().all(|m| finite(&m.row_major_values()))
             && [&l.b_z, &l.b_r, &l.b_n].iter().all(|b| finite(b))
     }) && finite(net.head_w().as_slice())
         && finite(&net.head_b)
@@ -237,9 +239,9 @@ mod tests {
 
     #[test]
     fn int8_model_roundtrips_bit_exact() {
-        // The int8 blobs ship the native codes and scales, and the int8
-        // kernels read only that sidecar — so the functional roundtrip is
-        // exact, not merely close.
+        // The int8 blobs ship the codes and scales, and the int8 gates hold
+        // exactly those — so the functional roundtrip is exact, not merely
+        // close.
         let net = compiled(RuntimePrecision::Int8);
         let bytes = to_bytes(&net);
         let decoded = from_bytes(&bytes).expect("decodes");
@@ -404,6 +406,68 @@ mod tests {
             from_bytes_with(&bad, HealthPolicy::Quarantine).unwrap_err(),
             DecodeError::NonFinite
         );
+    }
+
+    /// A gate's weights are checked as its one store holds them: a NaN in
+    /// an f32 plane, an infinity or a NaN among f16 bits, a non-finite int8
+    /// scale. Each bundle is refused by every scanning policy and loads
+    /// under `Off`.
+    #[test]
+    fn load_time_validation_rejects_non_finite_gate_weights() {
+        use crate::health::HealthPolicy;
+        use rtm_sparse::Payload;
+        let poisoned = |precision: RuntimePrecision, poison: fn(&mut Payload)| {
+            let mut net = compiled(precision);
+            let gate = &mut net.layers[1].u_r;
+            let mut payload = gate.payload(precision.storage());
+            poison(&mut payload);
+            *gate = gate.clone().with_payload(payload).expect("same counts");
+            to_bytes(&net)
+        };
+        let bad = [
+            poisoned(RuntimePrecision::F32, |p| match p {
+                Payload::F32(v) => v[3] = f32::NAN,
+                _ => unreachable!("an f32 payload"),
+            }),
+            poisoned(RuntimePrecision::F16, |p| match p {
+                Payload::F16(h) => h[0] = 0x7C00,
+                _ => unreachable!("an f16 payload"),
+            }),
+            poisoned(RuntimePrecision::F16, |p| match p {
+                Payload::F16(h) => *h.last_mut().expect("kept values") = 0x7E00,
+                _ => unreachable!("an f16 payload"),
+            }),
+            poisoned(RuntimePrecision::Int8, |p| match p {
+                Payload::Int8 { scales, .. } => scales.fill(f32::INFINITY),
+                _ => unreachable!("an int8 payload"),
+            }),
+            poisoned(RuntimePrecision::Int8, |p| match p {
+                Payload::Int8 { scales, .. } => scales.fill(f32::NAN),
+                _ => unreachable!("an int8 payload"),
+            }),
+        ];
+        for (case, bad) in bad.iter().enumerate() {
+            assert!(
+                from_bytes_with(bad, HealthPolicy::Off).is_ok(),
+                "case {case}"
+            );
+            for policy in [HealthPolicy::Check, HealthPolicy::Quarantine] {
+                let got = from_bytes_with(bad, policy).unwrap_err();
+                assert_eq!(got, DecodeError::NonFinite, "case {case} {policy:?}");
+            }
+        }
+        // The clean twins of every store load under every policy.
+        for precision in [
+            RuntimePrecision::F32,
+            RuntimePrecision::F16,
+            RuntimePrecision::Int8,
+        ] {
+            let good = to_bytes(&compiled(precision));
+            assert!(
+                from_bytes_with(&good, HealthPolicy::Check).is_ok(),
+                "{precision:?}"
+            );
+        }
     }
 
     #[test]

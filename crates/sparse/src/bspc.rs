@@ -21,32 +21,31 @@
 //! row `j` at `[k·m + j]`), so one loaded input element feeds every row of
 //! the tile and a single-stream SpMV is the lane primitive with the rows as
 //! its lanes. *A sparse row is never a call.* The wire format and the int8
-//! sidecar (whose block dots run along a row) keep the row-major order.
+//! store (whose block dots run along a row) keep the row-major order.
+//!
+//! **One store per gate.** The values are held at a precision: an f32
+//! plane, f16 bit patterns, or int8 codes with one scale per stripe-block.
+//! A gate lowered for the runtime ([`BspcMatrix::from_dense_at`]) or
+//! decoded from a blob ([`BspcMatrix::read_from`]) holds exactly the one
+//! store of its precision, and a kernel call at any other precision is a
+//! [`KernelError::NotHeld`].
+//! [`BspcMatrix::from_dense`] holds all three, for the kernel benches that
+//! time one matrix at every precision.
 //!
 //! The paper's BSPC also carries the matrix-reorder permutation; here a
 //! stripe's kept rows are stored together, which is the reorder's grouping,
 //! so compiled gates carry none ([`BspcMatrix::with_reorder`]).
 
 use crate::footprint::Precision;
-use crate::kernel::{Activations, SparseKernel};
+use crate::kernel::{Activations, KernelError, SparseKernel};
 use crate::scratch::{self, FloatValues};
-use rtm_tensor::aligned::AlignedF32;
+use rtm_tensor::aligned::{Aligned, AlignedF32};
+use rtm_tensor::f16::{f16_bits_to_f32, f32_to_f16_bits};
 use rtm_tensor::simd::{self, TILE_ROWS};
-use rtm_tensor::{Matrix, ShapeError};
+use rtm_tensor::Matrix;
 use std::error::Error;
 use std::fmt;
 use std::ops::Range;
-
-/// One kept row's contiguous value segment belonging to a single
-/// (stripe, block) — the granularity the int8 scales live at.
-struct BlockSegment<'a> {
-    /// Flat stripe-block index `stripe * num_blocks + block`.
-    block: usize,
-    /// Segment start inside the row-major value order.
-    offset: usize,
-    /// The segment's values.
-    values: &'a [f32],
-}
 
 /// Error building a [`BspcMatrix`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,9 +61,9 @@ pub enum BspcError {
     },
     /// A supplied permutation was not a valid permutation of `0..rows`.
     BadPermutation,
-    /// A supplied int8 sidecar did not match the matrix shape (one code per
-    /// stored value, one scale per stripe-block).
-    SidecarMismatch,
+    /// A value payload did not match the stored pattern (one value or code
+    /// per stored entry, one int8 scale per stripe-block).
+    PayloadMismatch,
 }
 
 impl fmt::Display for BspcError {
@@ -77,14 +76,44 @@ impl fmt::Display for BspcError {
                 requested.0, requested.1, shape.0, shape.1
             ),
             BspcError::BadPermutation => write!(f, "row permutation is not a bijection"),
-            BspcError::SidecarMismatch => {
-                write!(f, "int8 sidecar does not match the stored pattern")
+            BspcError::PayloadMismatch => {
+                write!(f, "value payload does not match the stored pattern")
             }
         }
     }
 }
 
 impl Error for BspcError {}
+
+/// Why a kernel may expect the store of its precision.
+const HELD: &str = "drive refuses a precision the matrix does not hold";
+
+/// One value store in the row-major wire order (kept row after kept row,
+/// row `k` at [`BspcMatrix::row_offset`]`(k)`): what a blob carries, what
+/// [`BspcMatrix::from_parts`] installs as stored, and what
+/// [`BspcMatrix::payload`] hands back.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Payload {
+    /// f32 values.
+    F32(Vec<f32>),
+    /// binary16 bit patterns.
+    F16(Vec<u16>),
+    /// Symmetric int8 codes under one scale per `stripe * num_blocks + block`.
+    Int8 {
+        /// One code per stored value.
+        codes: Vec<i8>,
+        /// One scale per stripe-block.
+        scales: Vec<f32>,
+    },
+}
+
+/// The int8 store: codes row-major (the int8 block dots run along a row),
+/// one symmetric scale per `stripe * num_blocks + block`.
+#[derive(Debug, Clone, PartialEq)]
+struct Int8Store {
+    codes: Vec<i8>,
+    scales: Vec<f32>,
+}
 
 /// A sparse matrix in the Block-based Structured Pruning Compact format.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,32 +130,35 @@ pub struct BspcMatrix {
     /// Flattened kept columns per stripe (concatenation of the stripe's
     /// block column lists) — the shared index stream of the SpMV.
     stripe_cols: Vec<Vec<u32>>,
-    /// Offset of each kept row's value run in the row-major order (wire, int8
-    /// sidecar); a tile's span in `values` starts at its first row's offset.
+    /// Offset of each kept row's value run in the row-major order (wire,
+    /// int8 store); a tile's span in a tiled store starts at its first
+    /// row's offset.
     row_offsets: Vec<u32>,
     /// First kept-row slot of each row tile — up to [`TILE_ROWS`] kept rows
     /// of one stripe with consecutive row numbers — closed by the slot
-    /// count. Derived from `kept_rows`, like the sidecars.
+    /// count. Derived from `kept_rows`.
     tiles: Vec<u32>,
-    /// Values of the kept rows at their stripe's kept columns, tile after
-    /// tile, lane-major `[L × m]` inside a tile of `m` rows. The plane starts
-    /// on a cache line: from a 16-byte offset the one-lane f32 SpMV of a
-    /// 1024², 10× gate took 11.0–12.0 µs against 8.6–9.0.
-    values: AlignedF32,
+    /// The f32 store: values of the kept rows at their stripe's kept
+    /// columns, tile after tile, lane-major `[L × m]` inside a tile of `m`
+    /// rows. The plane starts on a cache line: from a 16-byte offset the
+    /// one-lane f32 SpMV of a 1024², 10× gate took 11.0–12.0 µs against
+    /// 8.6–9.0.
+    values: Option<AlignedF32>,
+    /// The f16 store: binary16 bit patterns in the layout of `values`, on a
+    /// cache line too (from the 16-byte offset a paper-scale block gets,
+    /// every other 32-byte lane row of a one-lane tile splits a line).
+    values_f16: Option<Aligned<u16>>,
+    /// The int8 store.
+    int8: Option<Int8Store>,
     /// Optional reorder permutation: `reorder[i]` is the *original* row index
     /// executed at position `i`.
     reorder: Option<Vec<u32>>,
-    /// `values` as raw f16 bit patterns (fp16 weight-storage sidecar).
-    values_f16: Vec<u16>,
-    /// The values as int8 codes under the per-(stripe, block) scales,
-    /// row-major (kept row after kept row).
-    values_i8: Vec<i8>,
-    /// Symmetric int8 scale per `stripe * num_blocks + block`.
-    scales_i8: Vec<f32>,
 }
 
 impl BspcMatrix {
-    /// Builds a BSPC matrix from a dense (pruned) matrix.
+    /// Builds a BSPC matrix from a dense (pruned) matrix, holding a store at
+    /// every precision (the matrix the kernel benches time at all three;
+    /// [`BspcMatrix::from_dense_at`] builds the one store a gate runs).
     ///
     /// The kept pattern is detected conservatively: a column survives in a
     /// stripe-block iff *any* row of the stripe is nonzero there, and a row
@@ -146,6 +178,34 @@ impl BspcMatrix {
         dense: &Matrix,
         num_stripes: usize,
         num_blocks: usize,
+    ) -> Result<BspcMatrix, BspcError> {
+        let every = [Precision::F32, Precision::F16, Precision::Int8];
+        BspcMatrix::lower(dense, num_stripes, num_blocks, &every)
+    }
+
+    /// [`BspcMatrix::from_dense`] holding the one store at `precision`: f16
+    /// rounds each value to nearest-even, int8 derives the codes and scales
+    /// (see [`BspcMatrix::payload`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`BspcMatrix::from_dense`].
+    pub fn from_dense_at(
+        dense: &Matrix,
+        num_stripes: usize,
+        num_blocks: usize,
+        precision: Precision,
+    ) -> Result<BspcMatrix, BspcError> {
+        BspcMatrix::lower(dense, num_stripes, num_blocks, &[precision])
+    }
+
+    /// Detects the pattern of `dense` and installs a store at each of
+    /// `precisions`, every one derived from the dense values.
+    fn lower(
+        dense: &Matrix,
+        num_stripes: usize,
+        num_blocks: usize,
+        precisions: &[Precision],
     ) -> Result<BspcMatrix, BspcError> {
         if num_stripes == 0 || num_blocks == 0 {
             return Err(BspcError::ZeroPartition);
@@ -212,7 +272,7 @@ impl BspcMatrix {
             }
         }
 
-        let m = BspcMatrix {
+        let mut m = BspcMatrix {
             rows,
             cols,
             num_stripes,
@@ -222,24 +282,22 @@ impl BspcMatrix {
             stripe_cols,
             row_offsets,
             tiles: Vec::new(),
-            values: AlignedF32::new(),
+            values: None,
+            values_f16: None,
+            int8: None,
             reorder: None,
-            values_f16: Vec::new(),
-            values_i8: Vec::new(),
-            scales_i8: Vec::new(),
-        };
-        Ok(m.with_values(&values))
+        }
+        .with_tiles();
+        for &precision in precisions {
+            let payload = m.derive(precision, values.clone());
+            m = m.install(payload)?;
+        }
+        Ok(m)
     }
 
-    /// Installs the row-major `values` (kept row after kept row — the order
-    /// `from_dense` packs and the wire carries): cuts the kept rows into row
-    /// tiles, stores the values in tile order and derives both sidecars.
-    ///
-    /// The derivation is deterministic — tiles and sidecars are a pure
-    /// function of the structural fields plus the values — so two matrices
-    /// with equal values always compare equal, and the f32 wire round trip
-    /// stays bit-exact.
-    fn with_values(mut self, values: &[f32]) -> BspcMatrix {
+    /// Cuts the kept rows into row tiles. The cut is a pure function of the
+    /// structure, so two matrices with equal stores always compare equal.
+    fn with_tiles(mut self) -> BspcMatrix {
         let stripe_h = self.stripe_height();
         let kept = &self.kept_rows;
         for (k, &r) in kept.iter().enumerate() {
@@ -256,16 +314,99 @@ impl BspcMatrix {
             }
         }
         self.tiles.push(kept.len() as u32);
-        self.build_int8_sidecar(values);
-        let mut tiled = vec![0.0f32; values.len()];
-        self.for_each_value(|wire, stored| tiled[stored] = values[wire]);
-        self.values_f16 = rtm_tensor::f16::f32_to_f16_bits(&tiled);
-        self.values = AlignedF32::from_slice(&tiled);
         self
     }
 
+    /// Installs `payload` as the store of its precision, as carried: f32
+    /// and f16 cut into the tile order, int8 kept row-major.
+    fn install(mut self, payload: Payload) -> Result<BspcMatrix, BspcError> {
+        let (len, blocks) = (self.stored_len(), self.num_stripes * self.num_blocks);
+        match payload {
+            Payload::F32(v) if v.len() == len => self.values = Some(self.tiled(&v)),
+            Payload::F16(h) if h.len() == len => self.values_f16 = Some(self.tiled(&h)),
+            Payload::Int8 { codes, scales } if codes.len() == len && scales.len() == blocks => {
+                self.int8 = Some(Int8Store { codes, scales })
+            }
+            _ => return Err(BspcError::PayloadMismatch),
+        }
+        Ok(self)
+    }
+
+    /// This matrix's structure holding `payload` as its one value store
+    /// (the stores it held are dropped).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BspcError::PayloadMismatch`] when the payload's value,
+    /// code or scale count disagrees with the structure.
+    pub fn with_payload(mut self, payload: Payload) -> Result<BspcMatrix, BspcError> {
+        (self.values, self.values_f16, self.int8) = (None, None, None);
+        self.install(payload)
+    }
+
+    /// The store at `precision` derived from the row-major `values` — the
+    /// one place a store is computed rather than carried.
+    ///
+    /// F16 rounds each value to nearest-even. Int8 uses one symmetric scale
+    /// per (stripe, block): within each kept row, the value run splits into
+    /// contiguous block segments (the stripe column stream is the
+    /// concatenation of its block lists), and every segment of block
+    /// `(s, b)` shares `scale = max|v| / 127` over the whole stripe-block.
+    /// All-zero blocks get scale 1.0.
+    fn derive(&self, precision: Precision, values: Vec<f32>) -> Payload {
+        match precision {
+            Precision::F32 => Payload::F32(values),
+            Precision::F16 => Payload::F16(f32_to_f16_bits(&values)),
+            Precision::Int8 => {
+                let mut max_abs = vec![0.0f32; self.num_stripes * self.num_blocks];
+                self.for_each_block_segment(|block, run| {
+                    let m = &mut max_abs[block];
+                    for &v in &values[run] {
+                        // f32::max ignores a NaN operand, so non-finite
+                        // weights (rejected later by model validation
+                        // anyway) cannot poison the scale.
+                        *m = m.max(v.abs());
+                    }
+                });
+                let scales: Vec<f32> = max_abs
+                    .iter()
+                    .map(|&m| {
+                        if m > 0.0 && m.is_finite() {
+                            m / 127.0
+                        } else {
+                            1.0
+                        }
+                    })
+                    .collect();
+                let mut codes = vec![0i8; values.len()];
+                self.for_each_block_segment(|block, run| {
+                    let scale = scales[block];
+                    for i in run {
+                        codes[i] = (values[i] / scale).round().clamp(-127.0, 127.0) as i8;
+                    }
+                });
+                Payload::Int8 { codes, scales }
+            }
+        }
+    }
+
+    /// The values at `precision` in the row-major wire order: the store at
+    /// `precision` as held, or — when the matrix holds another — derived
+    /// from the exact decode of the one it holds
+    /// ([`BspcMatrix::row_major_values`]).
+    pub fn payload(&self, precision: Precision) -> Payload {
+        match (precision, &self.values_f16, &self.int8) {
+            (Precision::F16, Some(h), _) => Payload::F16(self.row_major(h.as_slice())),
+            (Precision::Int8, _, Some(q)) => Payload::Int8 {
+                codes: q.codes.clone(),
+                scales: q.scales.clone(),
+            },
+            _ => self.derive(precision, self.row_major_values()),
+        }
+    }
+
     /// The kept-row slots of row tile `t` and where its span starts in
-    /// `values`.
+    /// a tiled store.
     fn tile(&self, t: usize) -> (Range<usize>, usize) {
         let slots = self.tiles[t] as usize..self.tiles[t + 1] as usize;
         let base = self.row_offsets[slots.start] as usize;
@@ -312,80 +453,59 @@ impl BspcMatrix {
         }
     }
 
-    /// The values in the row-major order of the wire format (and of
-    /// [`BspcMatrix::from_parts`]): kept row after kept row, row `k` at
-    /// [`BspcMatrix::row_offset`]`(k)`.
+    /// The row-major `values` in the tile order, on a cache line.
+    fn tiled<T: Copy + Default>(&self, values: &[T]) -> Aligned<T> {
+        let mut out = Aligned::new();
+        let tiled = out.window(values.len());
+        self.for_each_value(|wire, stored| tiled[stored] = values[wire]);
+        out
+    }
+
+    /// The tile-order `tiled` back in the row-major wire order.
+    fn row_major<T: Copy + Default>(&self, tiled: &[T]) -> Vec<T> {
+        let mut out = vec![T::default(); tiled.len()];
+        self.for_each_value(|wire, stored| out[wire] = tiled[stored]);
+        out
+    }
+
+    /// The held values decoded exactly to f32, in the row-major order of
+    /// the wire format (and of [`BspcMatrix::from_parts`]): kept row after
+    /// kept row, row `k` at [`BspcMatrix::row_offset`]`(k)`. An int8 value
+    /// decodes as `code · scale`.
     pub fn row_major_values(&self) -> Vec<f32> {
-        let values = self.values.as_slice();
-        let mut wire_order = vec![0.0f32; values.len()];
-        self.for_each_value(|wire, stored| wire_order[wire] = values[stored]);
-        wire_order
+        match (&self.values, &self.values_f16) {
+            (Some(v), _) => self.row_major(v.as_slice()),
+            (_, Some(h)) => {
+                let mut out = vec![0.0f32; h.as_slice().len()];
+                f16_bits_to_f32(&self.row_major(h.as_slice()), &mut out);
+                out
+            }
+            (None, None) => {
+                let q = self.int8.as_ref().expect("a matrix holds a store");
+                let mut out = vec![0.0f32; q.codes.len()];
+                self.for_each_block_segment(|block, run| {
+                    for i in run {
+                        out[i] = q.codes[i] as f32 * q.scales[block];
+                    }
+                });
+                out
+            }
+        }
     }
 
-    /// Derives the int8 storage sidecar from the row-major `values`.
-    ///
-    /// Int8 uses one symmetric scale per (stripe, block): within each kept
-    /// row, the value run splits into contiguous block segments (the stripe
-    /// column stream is the concatenation of its block lists), and every
-    /// segment of block `(s, b)` shares `scale = max|v| / 127` over the whole
-    /// stripe-block. All-zero blocks get scale 1.0.
-    fn build_int8_sidecar(&mut self, values: &[f32]) {
-        let nb = self.num_blocks;
-        let mut max_abs = vec![0.0f32; self.num_stripes * nb];
-        self.for_each_block_segment(values, |sb, _| {
-            let m = &mut max_abs[sb.block];
-            for &v in sb.values {
-                // f32::max ignores a NaN operand, so non-finite weights
-                // (rejected later by model validation anyway) cannot poison
-                // the scale.
-                *m = m.max(v.abs());
-            }
-        });
-        let scales: Vec<f32> = max_abs
-            .iter()
-            .map(|&m| {
-                if m > 0.0 && m.is_finite() {
-                    m / 127.0
-                } else {
-                    1.0
-                }
-            })
-            .collect();
-        let mut codes = vec![0i8; values.len()];
-        self.for_each_block_segment(values, |sb, _| {
-            let scale = scales[sb.block];
-            for (i, &v) in sb.values.iter().enumerate() {
-                codes[sb.offset + i] = (v / scale).round().clamp(-127.0, 127.0) as i8;
-            }
-        });
-        self.scales_i8 = scales;
-        self.values_i8 = codes;
-    }
-
-    /// Walks every kept row's contiguous block segments of the row-major
-    /// `values`, in order.
-    ///
-    /// The callback receives the segment descriptor and the kept-row index.
-    fn for_each_block_segment<'v>(
-        &self,
-        values: &'v [f32],
-        mut f: impl FnMut(BlockSegment<'v>, usize),
-    ) {
+    /// Calls `f(block, run)` for every kept row's contiguous block segment,
+    /// in order: `block` is the flat stripe-block index
+    /// `stripe * num_blocks + block`, `run` the segment's span in the
+    /// row-major value order (the granularity the int8 scales live at).
+    fn for_each_block_segment(&self, mut f: impl FnMut(usize, Range<usize>)) {
         let stripe_h = self.stripe_height();
         for (k, &r) in self.kept_rows.iter().enumerate() {
-            let s = ((r as usize) / stripe_h).min(self.num_stripes - 1);
+            let s = (r as usize) / stripe_h;
             let mut off = self.row_offsets[k] as usize;
             for b in 0..self.num_blocks {
                 let len = self.block_cols[s * self.num_blocks + b].len();
                 if len > 0 {
-                    f(
-                        BlockSegment {
-                            block: s * self.num_blocks + b,
-                            offset: off,
-                            values: &values[off..off + len],
-                        },
-                        k,
-                    );
+                    f(s * self.num_blocks + b, off..off + len);
                 }
                 off += len;
             }
@@ -441,9 +561,15 @@ impl BspcMatrix {
         self.rows.div_ceil(self.num_stripes)
     }
 
-    /// Stored (pattern) entries — the number of f32 values held.
+    /// Stored (pattern) entries — the number of values a store holds, at
+    /// whichever precision.
     pub fn stored_len(&self) -> usize {
-        self.values.as_slice().len()
+        match (self.kept_rows.last(), self.row_offsets.last()) {
+            (Some(&r), Some(&off)) => {
+                off as usize + self.stripe_cols[r as usize / self.stripe_height()].len()
+            }
+            _ => 0,
+        }
     }
 
     /// Surviving row indices, ascending.
@@ -474,15 +600,24 @@ impl BspcMatrix {
         self.reorder.as_deref()
     }
 
-    /// The packed value array in its execution layout (row tile after row
-    /// tile, lane-major inside a tile): every stored value once, for scans,
-    /// not indexing — [`BspcMatrix::row_major_values`] is the indexable order.
-    pub fn values(&self) -> &[f32] {
-        self.values.as_slice()
+    /// The f32 store in its execution layout (row tile after row tile,
+    /// lane-major inside a tile) when the matrix holds one: every stored
+    /// value once, for scans, not indexing —
+    /// [`BspcMatrix::row_major_values`] is the indexable order.
+    pub fn values(&self) -> Option<&[f32]> {
+        self.values.as_ref().map(AlignedF32::as_slice)
+    }
+
+    /// The f16 store as raw bit patterns (same layout as
+    /// [`BspcMatrix::values`]) when the matrix holds one. Decoding each bit
+    /// pattern back to f32 is exact, so the f16 kernels match the f32
+    /// kernels run on pre-rounded values bit for bit.
+    pub fn values_f16(&self) -> Option<&[u16]> {
+        self.values_f16.as_ref().map(Aligned::as_slice)
     }
 
     /// Offset of the `k`-th kept row's value run in the row-major order
-    /// ([`BspcMatrix::row_major_values`], [`BspcMatrix::values_i8`]).
+    /// ([`BspcMatrix::row_major_values`], the int8 codes).
     ///
     /// # Panics
     ///
@@ -491,35 +626,16 @@ impl BspcMatrix {
         self.row_offsets[k] as usize
     }
 
-    /// The packed values as raw f16 bit patterns (same layout as
-    /// [`BspcMatrix::values`]). Decoding each bit pattern back to f32 is
-    /// exact, so the f16 kernels match the f32 kernels run on pre-rounded
-    /// values bit for bit.
-    pub fn values_f16(&self) -> &[u16] {
-        &self.values_f16
-    }
-
-    /// The packed values as int8 codes under [`BspcMatrix::int8_scales`],
-    /// row-major like [`BspcMatrix::row_major_values`] (the int8 block dots
-    /// run along a row).
-    pub fn values_i8(&self) -> &[i8] {
-        &self.values_i8
-    }
-
-    /// Symmetric int8 scale per `stripe * num_blocks + block`.
-    pub fn int8_scales(&self) -> &[f32] {
-        &self.scales_i8
-    }
-
-    /// Reassembles a matrix from raw parts (the deserialization path);
-    /// `values` in the row-major order of
-    /// [`BspcMatrix::row_major_values`].
+    /// Reassembles a matrix from raw parts (the deserialization path),
+    /// holding `payload` as its one store.
     ///
     /// # Errors
     ///
     /// Returns [`BspcError`] when the parts are structurally inconsistent:
     /// empty partition, out-of-range or non-ascending kept rows / block
-    /// columns, offset/value-length mismatches, or a bad permutation.
+    /// columns, offsets that do not tile the values, a payload whose value,
+    /// code or scale count disagrees with the structure, or a bad
+    /// permutation.
     #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         rows: usize,
@@ -529,7 +645,7 @@ impl BspcMatrix {
         kept_rows: Vec<u32>,
         block_cols: Vec<Vec<u32>>,
         row_offsets: Vec<u32>,
-        values: Vec<f32>,
+        payload: Payload,
         reorder: Option<Vec<u32>>,
     ) -> Result<BspcMatrix, BspcError> {
         if num_stripes == 0 || num_blocks == 0 {
@@ -567,17 +683,14 @@ impl BspcMatrix {
                 v
             })
             .collect();
-        // Offsets must tile the value array exactly, in kept-row order.
+        // Offsets must tile the value runs exactly, in kept-row order.
         let stripe_h = rows.div_ceil(num_stripes);
         let mut expected = 0usize;
         for (k, &r) in kept_rows.iter().enumerate() {
             if row_offsets[k] as usize != expected {
                 return Err(bad());
             }
-            expected += stripe_cols[(r as usize / stripe_h).min(num_stripes - 1)].len();
-        }
-        if expected != values.len() {
-            return Err(bad());
+            expected += stripe_cols[r as usize / stripe_h].len();
         }
         let m = BspcMatrix {
             rows,
@@ -589,40 +702,17 @@ impl BspcMatrix {
             stripe_cols,
             row_offsets,
             tiles: Vec::new(),
-            values: AlignedF32::new(),
+            values: None,
+            values_f16: None,
+            int8: None,
             reorder: None,
-            values_f16: Vec::new(),
-            values_i8: Vec::new(),
-            scales_i8: Vec::new(),
         }
-        .with_values(&values);
+        .with_tiles()
+        .with_payload(payload)?;
         match reorder {
             Some(perm) => m.with_reorder(perm),
             None => Ok(m),
         }
-    }
-
-    /// Replaces the derived int8 sidecar with an authoritative one (the
-    /// deserialization path for int8-precision wire data, where the stored
-    /// codes — not a float re-derivation — are the source of truth).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BspcError::SidecarMismatch`] when `codes` does not have one
-    /// entry per stored value or `scales` one entry per stripe-block.
-    pub fn with_int8_sidecar(
-        mut self,
-        codes: Vec<i8>,
-        scales: Vec<f32>,
-    ) -> Result<BspcMatrix, BspcError> {
-        if codes.len() != self.values.as_slice().len()
-            || scales.len() != self.num_stripes * self.num_blocks
-        {
-            return Err(BspcError::SidecarMismatch);
-        }
-        self.values_i8 = codes;
-        self.scales_i8 = scales;
-        Ok(self)
     }
 
     /// Count of explicit index words stored (`u32` units): kept rows + one
@@ -641,14 +731,14 @@ impl BspcMatrix {
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] when `x.len() != self.cols()` or
-    /// `y.len() != self.rows()`.
+    /// Returns [`KernelError`] on a shape mismatch or a precision the matrix
+    /// does not hold.
     pub fn spmv_prec_into(
         &self,
         prec: Precision,
         x: &[f32],
         y: &mut [f32],
-    ) -> Result<(), ShapeError> {
+    ) -> Result<(), KernelError> {
         SparseKernel::spmv_prec_into(self, prec, x, y)
     }
 
@@ -657,15 +747,15 @@ impl BspcMatrix {
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] when `xs.len() != self.cols() * b` or
-    /// `ys.len() != self.rows() * b`.
+    /// Returns [`KernelError`] on a shape mismatch or a precision the matrix
+    /// does not hold.
     pub fn spmm_prec_into(
         &self,
         prec: Precision,
         xs: &[f32],
         b: usize,
         ys: &mut [f32],
-    ) -> Result<(), ShapeError> {
+    ) -> Result<(), KernelError> {
         SparseKernel::spmm_prec_into(self, prec, xs, b, ys)
     }
 
@@ -677,7 +767,7 @@ impl BspcMatrix {
     /// carried into registers: per stripe run the shared column stream is
     /// gathered from `xs` into dense lane-major `[len × b]` scratch once,
     /// then every tile is ONE primitive call over its `[len × m]` values —
-    /// the f32 plane, or the f16 sidecar's bits as stored: which primitive is
+    /// the f32 plane, or the f16 store's bits as stored: which primitive is
     /// the value view's business, the only thing the two precisions differ
     /// in ([`detiled_rows`] over the decoded tile without the register-tile
     /// body).
@@ -727,6 +817,7 @@ impl BspcMatrix {
         ys: &mut [f32],
         y_base: usize,
     ) {
+        let q = self.int8.as_ref().expect(HELD);
         let v = simd::active_variant();
         scratch::with_kernel(|scratch| {
             for (s, run) in self.stripe_tiles(tiles) {
@@ -737,11 +828,11 @@ impl BspcMatrix {
                     (0..self.num_blocks)
                         .map(|blk| self.block_cols[s * self.num_blocks + blk].len() as u32),
                 );
-                let scales = &self.scales_i8[s * self.num_blocks..(s + 1) * self.num_blocks];
+                let scales = &q.scales[s * self.num_blocks..(s + 1) * self.num_blocks];
                 let nnz = cols.len();
                 let row_vals = |kk: usize| {
                     let off = self.row_offsets[kk] as usize;
-                    &self.values_i8[off..off + nnz]
+                    &q.codes[off..off + nnz]
                 };
                 for t in run {
                     let (slots, _) = self.tile(t);
@@ -790,8 +881,9 @@ impl BspcMatrix {
         });
     }
 
-    /// Expands back to a dense matrix (exact round trip of the input of
-    /// [`BspcMatrix::from_dense`]).
+    /// Expands the exact decode of the held store
+    /// ([`BspcMatrix::row_major_values`]) back to a dense matrix: the exact
+    /// round trip of the input of [`BspcMatrix::from_dense`].
     pub fn to_dense(&self) -> Matrix {
         let stripe_h = self.stripe_height();
         let values = self.row_major_values();
@@ -850,7 +942,7 @@ impl SparseKernel for BspcMatrix {
     }
 
     fn stored_len(&self) -> usize {
-        self.values.as_slice().len()
+        BspcMatrix::stored_len(self)
     }
 
     fn computed_rows(&self) -> usize {
@@ -863,11 +955,21 @@ impl SparseKernel for BspcMatrix {
 
     fn unit_cost(&self, u: usize) -> usize {
         let next = self.row_offsets.get(self.tiles[u + 1] as usize);
-        next.map_or(self.values.as_slice().len(), |&o| o as usize) - self.tile(u).1
+        next.map_or(self.stored_len(), |&o| o as usize) - self.tile(u).1
     }
 
     fn unit_first_row(&self, u: usize) -> usize {
         self.kept_rows[self.tiles[u] as usize] as usize
+    }
+
+    /// The one store a lowered or decoded gate holds; all three for a
+    /// matrix built by [`BspcMatrix::from_dense`].
+    fn holds(&self, prec: Precision) -> bool {
+        match prec {
+            Precision::F32 => self.values.is_some(),
+            Precision::F16 => self.values_f16.is_some(),
+            Precision::Int8 => self.int8.is_some(),
+        }
     }
 
     /// Every kept row is stored; only pruned rows are left to the driver.
@@ -885,10 +987,12 @@ impl SparseKernel for BspcMatrix {
     ) {
         match activations {
             Activations::F32(xs) => {
-                self.float_rows_into(self.values.as_slice(), xs, b, units, ys, y_base)
+                let values = self.values().expect(HELD);
+                self.float_rows_into(values, xs, b, units, ys, y_base)
             }
             Activations::F16(xs) => {
-                self.float_rows_into(self.values_f16.as_slice(), xs, b, units, ys, y_base)
+                let values = self.values_f16().expect(HELD);
+                self.float_rows_into(values, xs, b, units, ys, y_base)
             }
             Activations::Int8 { codes, scales } => {
                 self.int8_rows_into(codes, scales, b, units, ys, y_base)
@@ -1107,40 +1211,62 @@ mod tests {
     }
 
     #[test]
-    fn sidecars_derived_deterministically() {
+    fn stores_derived_deterministically() {
         let d = bsp_example();
-        let a = BspcMatrix::from_dense(&d, 2, 2).unwrap();
-        // from_parts on the same raw parts derives identical sidecars, so
-        // the PartialEq derive (which includes them) still holds.
-        let b = BspcMatrix::from_parts(
-            a.rows(),
-            a.cols(),
-            a.num_stripes(),
-            a.num_blocks(),
-            a.kept_rows().to_vec(),
-            (0..4)
-                .map(|i| a.block_kept_cols(i / 2, i % 2).to_vec())
-                .collect(),
-            (0..a.kept_rows().len())
-                .map(|k| a.row_offset(k) as u32)
-                .collect(),
-            a.row_major_values(),
-            None,
-        )
-        .unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.values_f16().len(), a.stored_len());
-        assert_eq!(a.values_i8().len(), a.stored_len());
-        assert_eq!(a.int8_scales().len(), 4);
+        let every = BspcMatrix::from_dense(&d, 2, 2).unwrap();
+        // Each store is a pure function of the structure plus the values:
+        // the one-store lowering, the store of the every-store matrix and a
+        // matrix reassembled from that store's payload all agree, so the
+        // PartialEq derive (which includes the stores) holds.
+        for prec in [Precision::F32, Precision::F16, Precision::Int8] {
+            let one = BspcMatrix::from_dense_at(&d, 2, 2, prec).unwrap();
+            assert_eq!(one.payload(prec), every.payload(prec), "{prec:?}");
+            assert_eq!(
+                every.clone().with_payload(every.payload(prec)),
+                Ok(one.clone())
+            );
+            for other in [Precision::F32, Precision::F16, Precision::Int8] {
+                assert_eq!(one.holds(other), other == prec, "{prec:?} holds {other:?}");
+                assert!(every.holds(other));
+            }
+        }
+        let Payload::Int8 { codes, scales } = every.payload(Precision::Int8) else {
+            unreachable!("an int8 payload")
+        };
+        assert_eq!(codes.len(), every.stored_len());
+        assert_eq!(scales.len(), 4);
         // Stripe 0 block 0 holds values {1, 3} -> scale 3/127; the max code
         // in each nonempty block is exactly ±127.
-        assert!((a.int8_scales()[0] - 3.0 / 127.0).abs() < 1e-7);
-        assert!(a.values_i8().contains(&127));
+        assert!((scales[0] - 3.0 / 127.0).abs() < 1e-7);
+        assert!(codes.contains(&127));
+    }
+
+    /// A kernel call at a precision the matrix does not hold is a typed
+    /// refusal before any output byte is written, serial or batched.
+    #[test]
+    fn a_store_not_held_is_refused() {
+        let d = bsp_example();
+        for held in [Precision::F32, Precision::F16, Precision::Int8] {
+            let m = BspcMatrix::from_dense_at(&d, 2, 2, held).unwrap();
+            for prec in [Precision::F32, Precision::F16, Precision::Int8] {
+                let mut y = vec![7.0f32; 4];
+                let got = m.spmv_prec_into(prec, &[1.0; 4], &mut y);
+                let mut ys = vec![7.0f32; 8];
+                let batched = m.spmm_prec_into(prec, &[1.0; 8], 2, &mut ys);
+                if prec == held {
+                    assert_eq!((got, batched), (Ok(()), Ok(())));
+                } else {
+                    assert_eq!(got, Err(KernelError::NotHeld(prec)), "{held:?} at {prec:?}");
+                    assert_eq!(batched, Err(KernelError::NotHeld(prec)));
+                    assert_eq!((y, ys), (vec![7.0; 4], vec![7.0; 8]));
+                }
+            }
+        }
     }
 
     #[test]
     fn f16_spmv_matches_f32_on_rounded_values() {
-        // Round the dense weights through f16 first: then the f16 sidecar is
+        // Round the dense weights through f16 first: then the f16 store is
         // exact and the f16 kernel must match the f32 kernel bit for bit.
         let mut rng = rtm_tensor::init::rng_from_seed(21);
         let d = rtm_tensor::init::uniform(24, 16, -1.0, 1.0, &mut rng).map(|v| {
@@ -1193,7 +1319,10 @@ mod tests {
         // error (sx/2 · |w|) plus the cross term.
         let wmax = d.as_slice().iter().fold(0.0f32, |a, v| a.max(v.abs()));
         let xmax = x.iter().fold(0.0f32, |a, v| a.max(v.abs()));
-        let smax = m.int8_scales().iter().fold(0.0f32, |a, v| a.max(*v));
+        let Payload::Int8 { scales, .. } = m.payload(Precision::Int8) else {
+            unreachable!("an int8 payload")
+        };
+        let smax = scales.iter().fold(0.0f32, |a, v| a.max(*v));
         let sx = xmax / 127.0;
         let bound = 18.0 * (0.5 * smax * xmax + 0.5 * sx * wmax + 0.25 * smax * sx) + 1e-4;
         for (w, g) in want.iter().zip(&got) {
@@ -1231,24 +1360,22 @@ mod tests {
     }
 
     #[test]
-    fn int8_sidecar_replacement_validated() {
+    fn payload_counts_are_validated() {
         let m = BspcMatrix::from_dense(&bsp_example(), 2, 2).unwrap();
-        let codes = m.values_i8().to_vec();
-        let scales = m.int8_scales().to_vec();
-        assert!(m
-            .clone()
-            .with_int8_sidecar(codes.clone(), scales.clone())
-            .is_ok());
-        assert_eq!(
-            m.clone()
-                .with_int8_sidecar(vec![0; 1], scales.clone())
-                .unwrap_err(),
-            BspcError::SidecarMismatch
-        );
-        assert_eq!(
-            m.clone().with_int8_sidecar(codes, vec![1.0]).unwrap_err(),
-            BspcError::SidecarMismatch
-        );
+        let Payload::Int8 { codes, scales } = m.payload(Precision::Int8) else {
+            unreachable!("an int8 payload")
+        };
+        let int8 = |codes, scales| m.clone().with_payload(Payload::Int8 { codes, scales });
+        assert!(int8(codes.clone(), scales.clone()).is_ok());
+        for (codes, scales) in [(vec![0; 1], scales), (codes, vec![1.0])] {
+            assert_eq!(int8(codes, scales), Err(BspcError::PayloadMismatch));
+        }
+        for short in [Payload::F32(vec![1.0; 5]), Payload::F16(vec![0; 7])] {
+            assert_eq!(
+                m.clone().with_payload(short),
+                Err(BspcError::PayloadMismatch)
+            );
+        }
     }
 
     #[test]
@@ -1470,7 +1597,7 @@ mod tests {
                         for t in run {
                             let (slots, base) = m.tile(t);
                             let rows = slots.len();
-                            let tile = &m.values.as_slice()[base..base + cols.len() * rows];
+                            let tile = &m.values().unwrap()[base..base + cols.len() * rows];
                             let mut want = vec![f32::NAN; rows * b];
                             for (i, w) in want.iter_mut().enumerate() {
                                 let row: Vec<f32> =
@@ -1505,11 +1632,12 @@ mod tests {
     #[test]
     fn kept_rows_of_an_empty_stripe_read_zero() {
         let (kept, cols) = (vec![0, 1, 2, 3], vec![vec![1, 2], vec![]]);
-        let m =
-            BspcMatrix::from_parts(4, 4, 2, 1, kept, cols, vec![0, 2, 4, 4], vec![1.0; 4], None);
+        let ones = Payload::F32(vec![1.0; 4]);
+        let m = BspcMatrix::from_parts(4, 4, 2, 1, kept, cols, vec![0, 2, 4, 4], ones, None);
         let m = m.unwrap();
         for b in [1usize, 2, 9] {
             for prec in [Precision::F32, Precision::F16, Precision::Int8] {
+                let m = m.clone().with_payload(m.payload(prec)).unwrap();
                 let mut ys = vec![f32::NAN; 4 * b];
                 m.spmm_prec_into(prec, &vec![1.0; 4 * b], b, &mut ys)
                     .unwrap();
@@ -1552,7 +1680,8 @@ mod tests {
 
     /// The codec through the tile layout: the wire keeps the row-major
     /// order, so a decoded matrix re-encodes to the very same bytes and
-    /// decodes to an equal matrix, at every precision; f32 is lossless.
+    /// decodes to an equal matrix, at every precision — the one-store
+    /// lowering at that precision; f32 is lossless.
     #[test]
     fn codec_round_trips_through_the_tile_layout() {
         for (dense, stripes, blocks) in edge_denses() {
@@ -1567,8 +1696,10 @@ mod tests {
                     BspcMatrix::read_from(&decoded.to_bytes(prec)).unwrap().0,
                     decoded
                 );
+                let lowered = BspcMatrix::from_dense_at(&dense, stripes, blocks, prec);
+                assert_eq!(lowered.as_ref(), Ok(&decoded), "{prec:?}");
                 if prec == Precision::F32 {
-                    assert_eq!(decoded, m);
+                    assert_eq!(decoded.to_dense(), dense);
                 }
             }
             // The wire order is the order `from_dense` packs: row after row.
@@ -1585,23 +1716,36 @@ mod tests {
     #[test]
     fn values_plane_starts_on_a_cache_line() {
         // A paper-scale plane (1024², every tenth column of a block kept:
-        // 419 KB) comes from its own mapping, whose data the allocator puts
-        // 16 bytes into a line; the small edge matrices come from the heap.
-        // Built, cloned and decoded from the wire, each plane starts on a
-        // line.
+        // 419 KB of f32, 210 KB of f16) comes from its own mapping, whose
+        // data the allocator puts 16 bytes into a line; the small edge
+        // matrices come from the heap. Built with every store or lowered
+        // with one, cloned and decoded from the wire, each f32 and f16
+        // store starts on a line.
         let big = Matrix::from_fn(
             1024,
             1024,
             |r, c| if c % 10 == 3 { (r + c) as f32 } else { 0.0 },
         );
-        let mut planes = vec![BspcMatrix::from_dense(&big, 8, 8).unwrap()];
-        planes.extend(edge_matrices());
-        for m in planes {
-            let decoded = BspcMatrix::read_from(&m.to_bytes(Precision::F32))
-                .unwrap()
-                .0;
-            for m in [m.clone(), decoded, m] {
-                assert_eq!(m.values().as_ptr() as usize % 64, 0, "{} rows", m.rows());
+        let mut denses = vec![(big, 8, 8)];
+        denses.extend(edge_denses());
+        for (dense, stripes, blocks) in denses {
+            let every = BspcMatrix::from_dense(&dense, stripes, blocks).unwrap();
+            for prec in [Precision::F32, Precision::F16] {
+                let lowered = BspcMatrix::from_dense_at(&dense, stripes, blocks, prec).unwrap();
+                let decoded = BspcMatrix::read_from(&every.to_bytes(prec)).unwrap().0;
+                for m in [
+                    every.clone(),
+                    lowered.clone(),
+                    lowered,
+                    decoded,
+                    every.clone(),
+                ] {
+                    let start = match prec {
+                        Precision::F16 => m.values_f16().unwrap().as_ptr() as usize,
+                        _ => m.values().unwrap().as_ptr() as usize,
+                    };
+                    assert_eq!(start % 64, 0, "{prec:?} {} rows", m.rows());
+                }
             }
         }
     }

@@ -6,9 +6,9 @@
 //! stored index" overhead §II-B-a calls out.
 
 use crate::footprint::Precision;
-use crate::kernel::{Activations, SparseKernel};
+use crate::kernel::{Activations, KernelError, SparseKernel};
 use crate::scratch::{self, FloatValues};
-use rtm_tensor::{Matrix, ShapeError};
+use rtm_tensor::Matrix;
 use std::ops::Range;
 
 /// A sparse matrix in compressed-sparse-row format.
@@ -154,9 +154,9 @@ impl CsrMatrix {
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] when `x.len() != self.cols()` or
+    /// Returns [`KernelError::Shape`] when `x.len() != self.cols()` or
     /// `y.len() != self.rows()`.
-    pub fn spmv_into(&self, x: &[f32], y: &mut [f32]) -> Result<(), ShapeError> {
+    pub fn spmv_into(&self, x: &[f32], y: &mut [f32]) -> Result<(), KernelError> {
         self.spmv_prec_into(Precision::F32, x, y)
     }
 

@@ -21,16 +21,17 @@
 //! No count read from the wire is trusted further than the [`Reader`] can
 //! back it with bytes.
 //!
-//! Values serialized at [`Precision::F16`] round through binary16, exactly
-//! the loss the mobile GPU path accepts; deserialization always restores
-//! `f32` values. Int8 decoding reconstructs `f32` values as `code · scale`
-//! and installs the stored codes as the authoritative int8 sidecar — the
-//! codes, not a float re-derivation, round-trip bit-exactly.
+//! A decoded matrix holds the payload as stored — f32 values, f16 bit
+//! patterns, or int8 codes and scales — as its one value store, so the
+//! codec round-trips every precision bit-exactly and nothing is rebuilt in
+//! another precision. Writing at the precision a matrix holds writes that
+//! store; writing at another derives it from the exact decode of the held
+//! one ([`BspcMatrix::payload`]): f16 rounds through binary16, exactly the
+//! loss the mobile GPU path accepts.
 
-use crate::bspc::{BspcError, BspcMatrix};
+use crate::bspc::{BspcError, BspcMatrix, Payload};
 use crate::footprint::Precision;
 use rtm_tensor::wire::{BufMut, Reader, Truncated};
-use rtm_tensor::F16;
 use std::error::Error;
 use std::fmt;
 
@@ -158,22 +159,16 @@ pub fn precision_from_tag(tag: u8) -> Result<Precision, DecodeError> {
 }
 
 /// Writes the value payload: f32 scalars, f16 bit patterns, or the int8
-/// sidecar's scales followed by its codes.
-fn put_values(
-    out: &mut Vec<u8>,
-    precision: Precision,
-    values: &[f32],
-    scales: &[f32],
-    codes: &[i8],
-) {
-    match precision {
-        Precision::F32 => out.put_f32s(values),
-        Precision::F16 => {
-            for &v in values {
-                out.put_u16_le(F16::from_f32(v).to_bits());
+/// scales followed by the codes.
+fn put_payload(out: &mut Vec<u8>, payload: &Payload) {
+    match payload {
+        Payload::F32(values) => out.put_f32s(values),
+        Payload::F16(bits) => {
+            for &h in bits {
+                out.put_u16_le(h);
             }
         }
-        Precision::Int8 => {
+        Payload::Int8 { codes, scales } => {
             out.put_f32s(scales);
             for &q in codes {
                 out.put_u8(q as u8);
@@ -182,40 +177,25 @@ fn put_values(
     }
 }
 
-/// The stored int8 codes and scales of a decoded int8 payload.
-type Int8Sidecar = Option<(Vec<i8>, Vec<f32>)>;
-
-/// Reads a value payload of `count` values at `precision`: the f32 values
-/// the matrix is built from, plus the int8 sidecar when that is what the
-/// blob stored. Int8 payloads carry `scales` scales ahead of the codes;
-/// `runs` lists, in payload order, how many consecutive codes share which
-/// scale, and the f32 values are rebuilt as `code · scale` along it. A run
-/// list that disagrees with `count` is clipped or leaves zeros:
-/// `BspcMatrix::from_parts` is what rejects an inconsistent structure, so
-/// the walk only has to stay in bounds.
-fn read_values(
+/// Reads a value payload of `count` values at `precision`, as stored; int8
+/// payloads carry `scales` scales ahead of the codes.
+/// `BspcMatrix::from_parts` is what rejects a count that disagrees with
+/// the structure.
+fn read_payload(
     r: &mut Reader<'_>,
     precision: Precision,
     count: usize,
     scales: usize,
-    runs: impl Iterator<Item = (usize, usize)>,
-) -> Result<(Vec<f32>, Int8Sidecar), DecodeError> {
+) -> Result<Payload, Truncated> {
     Ok(match precision {
-        Precision::F32 => (r.f32s(count)?, None),
-        Precision::F16 => (r.f16s(count)?, None),
+        Precision::F32 => Payload::F32(r.f32s(count)?),
+        Precision::F16 => Payload::F16(r.u16s(count)?),
         Precision::Int8 => {
             let scales = r.f32s(scales)?;
-            let codes = r.i8s(count)?;
-            let mut values = vec![0.0f32; count];
-            let mut at = 0usize;
-            for (len, scale) in runs {
-                let end = at.saturating_add(len).min(count);
-                for i in at..end {
-                    values[i] = codes[i] as f32 * scales[scale];
-                }
-                at = end;
+            Payload::Int8 {
+                codes: r.i8s(count)?,
+                scales,
             }
-            (values, Some((codes, scales)))
         }
     })
 }
@@ -231,9 +211,9 @@ fn header<const N: usize>(r: &mut Reader<'_>) -> Result<[usize; N], Truncated> {
 
 impl BspcMatrix {
     /// Serializes into `out` at the given value precision (layout in the
-    /// [module docs](crate::io)). [`Precision::Int8`] writes the scales
-    /// followed by the one-byte codes of the int8 sidecar; decoding
-    /// restores the codes bit-exactly.
+    /// [module docs](crate::io)): the held store at its own precision, or
+    /// [`BspcMatrix::payload`]'s derivation at another. Decoding restores
+    /// the payload bit-exactly.
     pub fn write_to(&self, out: &mut Vec<u8>, precision: Precision) {
         out.put_slice(MAGIC);
         out.put_u16_le(VERSION);
@@ -253,8 +233,7 @@ impl BspcMatrix {
         }
         out.put_u32_le(self.stored_len() as u32);
         // The wire keeps the row-major order; the tiles are in-memory only.
-        let (scales, codes) = (self.int8_scales(), self.values_i8());
-        put_values(out, precision, &self.row_major_values(), scales, codes);
+        put_payload(out, &self.payload(precision));
         out.put_u8(u8::from(self.reorder().is_some()));
         out.put_u32s(self.reorder().unwrap_or(&[]));
     }
@@ -267,8 +246,8 @@ impl BspcMatrix {
     }
 
     /// Decodes one matrix from the front of `bytes`, returning it together
-    /// with the number of bytes consumed. Int8 payloads install the stored
-    /// codes as the authoritative sidecar.
+    /// with the number of bytes consumed. The matrix holds the blob's
+    /// payload, as stored, as its one value store.
     ///
     /// # Errors
     ///
@@ -317,22 +296,14 @@ impl BspcMatrix {
         let row_offsets = r.u32s(kept_count)?;
 
         let value_count = r.u32()? as usize;
-        // The packing order: kept row → its stripe's block segments, one
-        // scale per (stripe, block).
-        let stripe_h = rows.div_ceil(stripes).max(1);
-        let runs = kept_rows.iter().flat_map(|&row| {
-            let s = ((row as usize) / stripe_h).min(stripes - 1);
-            (s * blocks..(s + 1) * blocks).map(|sb| (block_cols[sb].len(), sb))
-        });
-        let scales = stripes.saturating_mul(blocks);
-        let (values, int8) = read_values(r, precision, value_count, scales, runs)?;
+        let payload = read_payload(r, precision, value_count, stripes.saturating_mul(blocks))?;
 
         let reorder = match r.u8()? {
             0 => None,
             1 => Some(r.u32s(rows)?),
             _ => return Err(DecodeError::Invalid(BspcError::BadPermutation)),
         };
-        let matrix = BspcMatrix::from_parts(
+        Ok(BspcMatrix::from_parts(
             rows,
             cols,
             stripes,
@@ -340,16 +311,9 @@ impl BspcMatrix {
             kept_rows,
             block_cols,
             row_offsets,
-            values,
+            payload,
             reorder,
-        )?;
-        // The stored codes are the authoritative sidecar: re-deriving them
-        // from the reconstructed floats could flip values sitting exactly
-        // on a rounding boundary.
-        match int8 {
-            Some((codes, scales)) => Ok(matrix.with_int8_sidecar(codes, scales)?),
-            None => Ok(matrix),
-        }
+        )?)
     }
 }
 
@@ -376,7 +340,7 @@ mod tests {
         let bytes = m.to_bytes(Precision::F32);
         let (decoded, consumed) = BspcMatrix::read_from(&bytes).expect("decodes");
         assert_eq!(consumed, bytes.len());
-        assert_eq!(decoded, m);
+        assert_eq!(decoded.values(), m.values());
         assert_eq!(decoded.to_dense(), m.to_dense());
     }
 
@@ -388,8 +352,11 @@ mod tests {
         // Structure identical.
         assert_eq!(decoded.kept_rows(), m.kept_rows());
         assert_eq!(decoded.stored_len(), m.stored_len());
-        // Values within f16 tolerance of the originals.
-        for (a, b) in m.values().iter().zip(decoded.values()) {
+        // The decoded store holds the f16 bits as stored, and only them:
+        // their exact decode is within f16 tolerance of the originals.
+        assert_eq!(decoded.payload(Precision::F16), m.payload(Precision::F16));
+        assert_eq!(decoded.values(), None);
+        for (a, b) in m.row_major_values().iter().zip(decoded.row_major_values()) {
             assert!((a - b).abs() <= a.abs() * 0.001 + 1e-4, "{a} vs {b}");
         }
         // And the f16 file is smaller.
@@ -404,16 +371,19 @@ mod tests {
         assert_eq!(consumed, bytes.len());
         // Structure identical; codes and scales round-trip bit for bit.
         assert_eq!(decoded.kept_rows(), m.kept_rows());
-        assert_eq!(decoded.values_i8(), m.values_i8());
-        assert_eq!(decoded.int8_scales(), m.int8_scales());
-        // Reconstructed values are code · scale, within the quantization
-        // error bound of the originals.
-        for (a, b) in m.values().iter().zip(decoded.values()) {
-            let bound = m.int8_scales().iter().fold(0.0f32, |x, s| x.max(*s)) * 0.5 + 1e-6;
+        let int8 = m.payload(Precision::Int8);
+        assert_eq!(decoded.payload(Precision::Int8), int8);
+        let Payload::Int8 { scales, .. } = int8 else {
+            unreachable!("an int8 payload")
+        };
+        // The decode is code · scale, within the quantization error bound
+        // of the originals.
+        for (a, b) in m.row_major_values().iter().zip(decoded.row_major_values()) {
+            let bound = scales.iter().fold(0.0f32, |x, s| x.max(*s)) * 0.5 + 1e-6;
             assert!((a - b).abs() <= bound, "{a} vs {b}");
         }
         // A second encode of the decoded matrix is byte-identical — the
-        // sidecar install, not float re-derivation, is what guarantees this.
+        // codes installed as stored, not re-derived, guarantee this.
         assert_eq!(decoded.to_bytes(Precision::Int8), bytes);
         // The int8 file beats f32 even here; on this tiny sample the 16 B
         // of scale metadata outweighs the byte-per-value saving vs f16
@@ -439,7 +409,7 @@ mod tests {
         b.write_to(&mut bytes, Precision::F16);
         let (da, used) = BspcMatrix::read_from(&bytes).expect("first");
         let (db, _) = BspcMatrix::read_from(&bytes[used..]).expect("second");
-        assert_eq!(da, a);
+        assert_eq!(da.to_dense(), a.to_dense());
         assert_eq!(db.stored_len(), b.stored_len());
     }
 
@@ -530,12 +500,12 @@ mod tests {
             let bytes = m.to_bytes(Precision::F32);
             let (d32, used) = BspcMatrix::read_from(&bytes).expect("decodes");
             assert_eq!(used, bytes.len(), "seed {seed}");
-            assert_eq!(&d32, &m, "seed {seed}");
+            assert_eq!(d32.to_dense(), dense, "seed {seed}");
 
             let bytes = m.to_bytes(Precision::F16);
             let (d16, _) = BspcMatrix::read_from(&bytes).expect("decodes");
             assert_eq!(d16.kept_rows(), m.kept_rows(), "seed {seed}");
-            for (a, b) in m.values().iter().zip(d16.values()) {
+            for (a, b) in m.row_major_values().iter().zip(d16.row_major_values()) {
                 assert!((a - b).abs() <= a.abs() * 1e-3 + 1e-4, "seed {seed}");
             }
         }

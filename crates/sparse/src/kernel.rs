@@ -7,7 +7,7 @@
 //! interface — a format says how its work splits into *partition units*
 //! and provides one row-range kernel over a precision-typed
 //! [`Activations`] view — and [`drive`] is the only prologue in the
-//! workspace: shape check, zero-fill, trace counters, int8
+//! workspace: shape and store check, zero-fill, trace counters, int8
 //! quantize-once, run. Serial execution ([`SparseKernel::spmv_prec_into`],
 //! [`SparseKernel::spmm_prec_into`]) passes a runner that covers the whole
 //! unit range on the calling thread; `rtm_exec::Executor` passes one that
@@ -19,7 +19,37 @@ use crate::footprint::Precision;
 use crate::scratch;
 use rtm_tensor::ShapeError;
 use rtm_trace::key::KernelKeys;
+use std::error::Error;
+use std::fmt;
 use std::ops::Range;
+
+/// Error of a kernel call, returned before any output byte is written.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum KernelError {
+    /// Operand shapes disagree with the matrix.
+    Shape(ShapeError),
+    /// The matrix holds no value store at this precision (a compiled or
+    /// decoded BSPC gate holds only the one it was lowered at).
+    NotHeld(Precision),
+}
+
+impl fmt::Display for KernelError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            KernelError::Shape(e) => write!(f, "{e}"),
+            KernelError::NotHeld(p) => write!(f, "the matrix holds no {} values", p.tag()),
+        }
+    }
+}
+
+impl Error for KernelError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            KernelError::Shape(e) => Some(e),
+            KernelError::NotHeld(_) => None,
+        }
+    }
+}
 
 /// The activations of one kernel call, typed by the weight precision that
 /// will stream against them. Lane-major for `b` lanes: element `c` of lane
@@ -28,10 +58,10 @@ use std::ops::Range;
 pub enum Activations<'a> {
     /// f32 activations against the f32 weights.
     F32(&'a [f32]),
-    /// f32 activations against the f16 weight sidecar.
+    /// f32 activations against the f16 weights.
     F16(&'a [f32]),
     /// Activations quantized once per call — every chunk shares the codes —
-    /// against the int8 weight sidecar.
+    /// against the int8 weights.
     Int8 {
         /// int8 activation codes, same layout as the f32 plane.
         codes: &'a [i8],
@@ -111,6 +141,12 @@ pub trait SparseKernel: Sync {
     /// First output row unit `u` writes.
     fn unit_first_row(&self, u: usize) -> usize;
 
+    /// Whether the matrix holds a value store at `prec` (every format holds
+    /// all three unless it says otherwise; [`drive`] refuses the others).
+    fn holds(&self, _prec: Precision) -> bool {
+        true
+    }
+
     /// Whether [`rows_into`](SparseKernel::rows_into) leaves output rows
     /// untouched (pruned rows) or accumulates into them, so the driver
     /// must zero the output first.
@@ -126,8 +162,9 @@ pub trait SparseKernel: Sync {
     ///
     /// # Panics
     ///
-    /// May panic on out-of-range units, `b == 0`, or buffers that do not
-    /// cover the range; [`drive`] validates shapes first.
+    /// May panic on out-of-range units, `b == 0`, buffers that do not
+    /// cover the range, or a precision the matrix does not
+    /// [`hold`](SparseKernel::holds); [`drive`] validates all of them first.
     fn rows_into(
         &self,
         activations: Activations<'_>,
@@ -140,7 +177,7 @@ pub trait SparseKernel: Sync {
     /// Serial SpMV `y = A x` at storage precision `prec`.
     ///
     /// * [`Precision::F32`] streams the f32 values.
-    /// * [`Precision::F16`] decodes the fp16 sidecar; decoding is exact,
+    /// * [`Precision::F16`] streams the stored f16 bits; decoding is exact,
     ///   so the result is bit-identical to the f32 kernel run on
     ///   f16-rounded values under every SIMD policy.
     /// * [`Precision::Int8`] quantizes `x` once (`sx = max|x| / 127`),
@@ -150,9 +187,10 @@ pub trait SparseKernel: Sync {
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] when `x.len() != self.cols()` or
-    /// `y.len() != self.rows()`.
-    fn spmv_prec_into(&self, prec: Precision, x: &[f32], y: &mut [f32]) -> Result<(), ShapeError> {
+    /// Returns [`KernelError::Shape`] when `x.len() != self.cols()` or
+    /// `y.len() != self.rows()`, and [`KernelError::NotHeld`] when the
+    /// matrix holds no store at `prec`.
+    fn spmv_prec_into(&self, prec: Precision, x: &[f32], y: &mut [f32]) -> Result<(), KernelError> {
         drive(self, KernelOp::Spmv, prec, x, 1, y, |kernel, y| {
             kernel(0..self.units(), y, 0);
             Ok(())
@@ -167,15 +205,16 @@ pub trait SparseKernel: Sync {
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] when `xs.len() != self.cols() * b` or
-    /// `ys.len() != self.rows() * b`.
+    /// Returns [`KernelError::Shape`] when `xs.len() != self.cols() * b` or
+    /// `ys.len() != self.rows() * b`, and [`KernelError::NotHeld`] when the
+    /// matrix holds no store at `prec`.
     fn spmm_prec_into(
         &self,
         prec: Precision,
         xs: &[f32],
         b: usize,
         ys: &mut [f32],
-    ) -> Result<(), ShapeError> {
+    ) -> Result<(), KernelError> {
         drive(self, KernelOp::Spmm, prec, xs, b, ys, |kernel, ys| {
             kernel(0..self.units(), ys, 0);
             Ok(())
@@ -186,8 +225,9 @@ pub trait SparseKernel: Sync {
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] when `x.len() != self.cols()`.
-    fn spmv(&self, x: &[f32]) -> Result<Vec<f32>, ShapeError> {
+    /// Returns [`KernelError`] when `x.len() != self.cols()` or the matrix
+    /// holds no f32 store.
+    fn spmv(&self, x: &[f32]) -> Result<Vec<f32>, KernelError> {
         let mut y = vec![0.0f32; self.rows()];
         self.spmv_prec_into(Precision::F32, x, &mut y)?;
         Ok(y)
@@ -197,15 +237,16 @@ pub trait SparseKernel: Sync {
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] when `xs.len() != self.cols() * b`.
-    fn spmm(&self, xs: &[f32], b: usize) -> Result<Vec<f32>, ShapeError> {
+    /// Returns [`KernelError`] when `xs.len() != self.cols() * b` or the
+    /// matrix holds no f32 store.
+    fn spmm(&self, xs: &[f32], b: usize) -> Result<Vec<f32>, KernelError> {
         let mut ys = vec![0.0f32; self.rows() * b];
         self.spmm_prec_into(Precision::F32, xs, b, &mut ys)?;
         Ok(ys)
     }
 }
 
-/// Executes one kernel call: validates shapes, zero-fills if the format
+/// Executes one kernel call: validates shapes and the store, zero-fills if the format
 /// needs it, counts the call, quantizes int8 activations once into
 /// thread-local scratch, then hands the bound row-range kernel and the
 /// output to `run`, which decides where the unit range executes — all of
@@ -215,9 +256,9 @@ pub trait SparseKernel: Sync {
 ///
 /// # Errors
 ///
-/// Returns a [`ShapeError`] (converted into `E`) when `xs` is not
-/// `[cols × b]` or `ys` not `[rows × b]` — before any output byte is
-/// written — and whatever `run` returns.
+/// Returns a [`KernelError`] (converted into `E`) when `xs` is not
+/// `[cols × b]`, `ys` not `[rows × b]` or `k` holds no store at `prec` —
+/// before any output byte is written — and whatever `run` returns.
 pub fn drive<K, E>(
     k: &K,
     op: KernelOp,
@@ -229,15 +270,18 @@ pub fn drive<K, E>(
 ) -> Result<(), E>
 where
     K: SparseKernel + ?Sized,
-    E: From<ShapeError>,
+    E: From<KernelError>,
 {
     if xs.len() != k.cols() * b || ys.len() != k.rows() * b {
-        return Err(ShapeError {
+        let shape = ShapeError {
             op: op.tag(),
             lhs: (k.rows(), k.cols()),
             rhs: (xs.len(), ys.len()),
-        }
-        .into());
+        };
+        return Err(KernelError::Shape(shape).into());
+    }
+    if !k.holds(prec) {
+        return Err(KernelError::NotHeld(prec).into());
     }
     if b == 0 {
         return Ok(());

@@ -33,7 +33,7 @@
 //! use rtm_tensor::Matrix;
 //! use rtm_sparse::{CsrMatrix, SparseKernel};
 //!
-//! # fn main() -> Result<(), rtm_tensor::ShapeError> {
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let dense = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 2.0]])?;
 //! let csr = CsrMatrix::from_dense(&dense);
 //! assert_eq!(csr.nnz(), 2);
@@ -49,11 +49,11 @@ pub mod io;
 pub mod kernel;
 mod scratch;
 
-pub use bspc::{BspcError, BspcMatrix};
+pub use bspc::{BspcError, BspcMatrix, Payload};
 pub use csr::CsrMatrix;
 pub use footprint::{Footprint, Precision};
 pub use io::DecodeError;
-pub use kernel::{Activations, KernelOp, SparseKernel};
+pub use kernel::{Activations, KernelError, KernelOp, SparseKernel};
 
 #[cfg(test)]
 mod tests {

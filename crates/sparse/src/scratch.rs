@@ -90,7 +90,7 @@ impl FloatValues for &[f32] {
     }
 }
 
-/// The f16 sidecar (raw bit patterns): decoded (exactly) run by run into
+/// The f16 store (raw bit patterns): decoded (exactly) run by run into
 /// the conversion scratch, or handed to the tile primitive as stored.
 impl FloatValues for &[u16] {
     #[inline]

@@ -1,7 +1,7 @@
-//! [`AlignedF32`] — an f32 buffer whose window starts on a cache line.
+//! [`Aligned`] — a buffer whose window starts on a cache line.
 
-/// A reusable f32 buffer handed out as a window that starts on a cache-line
-/// boundary, wherever the allocator placed the block.
+/// A reusable buffer of `T` handed out as a window that starts on a
+/// cache-line boundary, wherever the allocator placed the block.
 ///
 /// Kernel operands are walked by 32-byte vector loads and stores at
 /// multiples of 8 elements; from an aligned start none of them splits a
@@ -9,29 +9,34 @@
 /// allocation history: a decoded-row buffer that happened to straddle a page
 /// cost the 1024² f16 SpMV 1.5× (38 vs 25 µs), 27 % of an on-device frame,
 /// and the `39 × 1024` head's row tiles took 3.0–3.4 µs a call from a
-/// 16-byte offset against 2.25 from a line (AVX2, one stream).
+/// 16-byte offset against 2.25 from a line (AVX2, one stream). The element
+/// is `f32` for planes and scratch ([`AlignedF32`]) and `u16` for stored
+/// f16 bit patterns.
 #[derive(Debug, Default)]
-pub struct AlignedF32 {
-    buf: Vec<f32>,
+pub struct Aligned<T> {
+    buf: Vec<T>,
     /// Length of the last window handed out.
     len: usize,
 }
 
-impl AlignedF32 {
-    /// f32s per 64-byte cache line.
-    const LINE: usize = 16;
+/// The f32 plane and kernel-scratch buffer.
+pub type AlignedF32 = Aligned<f32>;
+
+impl<T: Copy + Default> Aligned<T> {
+    /// Elements per 64-byte cache line.
+    const LINE: usize = 64 / std::mem::size_of::<T>();
 
     /// An empty buffer (allocates nothing until the first window).
-    pub const fn new() -> AlignedF32 {
-        AlignedF32 {
+    pub const fn new() -> Aligned<T> {
+        Aligned {
             buf: Vec::new(),
             len: 0,
         }
     }
 
     /// A buffer whose window holds a copy of `values`.
-    pub fn from_slice(values: &[f32]) -> AlignedF32 {
-        let mut out = AlignedF32::new();
+    pub fn from_slice(values: &[T]) -> Aligned<T> {
+        let mut out = Aligned::new();
         out.window(values.len()).copy_from_slice(values);
         out
     }
@@ -40,9 +45,9 @@ impl AlignedF32 {
     /// callers overwrite all of it). Grows the block on demand; steady
     /// state allocates nothing.
     #[inline]
-    pub fn window(&mut self, len: usize) -> &mut [f32] {
+    pub fn window(&mut self, len: usize) -> &mut [T] {
         if self.buf.len() < len + Self::LINE {
-            self.buf.resize(len + Self::LINE, 0.0);
+            self.buf.resize(len + Self::LINE, T::default());
         }
         self.len = len;
         let start = self.start();
@@ -52,7 +57,7 @@ impl AlignedF32 {
     /// The last window handed out (by [`window`](Self::window) or
     /// [`from_slice`](Self::from_slice)).
     #[inline]
-    pub fn as_slice(&self) -> &[f32] {
+    pub fn as_slice(&self) -> &[T] {
         let start = self.start();
         &self.buf[start..start + self.len]
     }
@@ -68,17 +73,17 @@ impl AlignedF32 {
 }
 
 /// Equal windows, wherever their blocks sit.
-impl PartialEq for AlignedF32 {
-    fn eq(&self, other: &AlignedF32) -> bool {
+impl<T: Copy + Default + PartialEq> PartialEq for Aligned<T> {
+    fn eq(&self, other: &Aligned<T>) -> bool {
         self.as_slice() == other.as_slice()
     }
 }
 
 /// A new block, aligned for itself (a derived clone would keep the old
 /// block's offset).
-impl Clone for AlignedF32 {
-    fn clone(&self) -> AlignedF32 {
-        AlignedF32::from_slice(self.as_slice())
+impl<T: Copy + Default> Clone for Aligned<T> {
+    fn clone(&self) -> Aligned<T> {
+        Aligned::from_slice(self.as_slice())
     }
 }
 
@@ -100,6 +105,12 @@ mod tests {
             assert_eq!(w.window(len).len(), len);
             assert_eq!(w.as_slice().as_ptr() as usize % 64, 0);
             assert_eq!(w.as_slice().len(), len);
+        }
+        let halves: Vec<u16> = (0..100_000).map(|i| i as u16).collect();
+        let h = Aligned::from_slice(&halves);
+        for t in [h.clone(), h] {
+            assert_eq!(t.as_slice().as_ptr() as usize % 64, 0);
+            assert_eq!(t.as_slice(), &halves[..]);
         }
     }
 }

@@ -186,11 +186,11 @@ impl<'a> Reader<'a> {
         self.counted(Reader::f32s)
     }
 
-    /// Reads `count` binary16 bit patterns, widened to `f32`.
-    pub fn f16s(&mut self, count: usize) -> Result<Vec<f32>, Truncated> {
+    /// Reads `count` little-endian `u16`s (binary16 bit patterns, as
+    /// stored).
+    pub fn u16s(&mut self, count: usize) -> Result<Vec<u16>, Truncated> {
         let raw = self.elements(count)?;
-        let widen = |&b| crate::F16::from_bits(u16::from_le_bytes(b)).to_f32();
-        Ok(raw.iter().map(widen).collect())
+        Ok(raw.iter().map(|&b| u16::from_le_bytes(b)).collect())
     }
 
     /// Reads `count` signed bytes.
@@ -332,7 +332,7 @@ mod tests {
         assert_eq!(r.array(), Ok([1, 2, 3]));
         assert_eq!(r.u32s(2), Ok(vec![7, 0xFFFF_FFFF]));
         assert_eq!(r.f32s(2), Ok(vec![0.25, -8.0]));
-        assert_eq!(r.f16s(1), Ok(vec![0.5]));
+        assert_eq!(r.u16s(1), Ok(vec![0x3800])); // binary16 0.5
         assert_eq!(r.counted_u32s(), Ok(vec![5]));
         assert_eq!(r.counted_f32s(), Ok(Vec::new()));
         assert_eq!(r.rest(), [0xFF, 0x7F]);
@@ -376,7 +376,7 @@ mod tests {
             ("take", 5, |r| r.take(5).map(drop)),
             ("u32s", 12, |r| r.u32s(3).map(drop)),
             ("f32s", 12, |r| r.f32s(3).map(drop)),
-            ("f16s", 6, |r| r.f16s(3).map(drop)),
+            ("u16s", 6, |r| r.u16s(3).map(drop)),
             ("i8s", 3, |r| r.i8s(3).map(drop)),
             ("take 0", 0, |r| r.take(0).map(drop)),
             ("counted_u32s", 12, |r| r.counted_u32s().map(drop)),
@@ -408,7 +408,7 @@ mod tests {
             let mut r = Reader::new(&bytes);
             assert_eq!(r.u32s(count), Err(Truncated), "u32s({count})");
             assert_eq!(r.f32s(count), Err(Truncated), "f32s({count})");
-            assert_eq!(r.f16s(count.max(33)), Err(Truncated), "f16s({count})");
+            assert_eq!(r.u16s(count.max(33)), Err(Truncated), "u16s({count})");
             assert_eq!(r.i8s(count.max(65)), Err(Truncated), "i8s({count})");
             assert_eq!(r.take(count.max(65)), Err(Truncated), "take({count})");
             assert_eq!(r.remaining(), 64, "count {count}");

@@ -217,11 +217,13 @@ err=$(RTM_HEALTH=bogus cargo run -q "${profile[@]}" -p rtmobile --bin rtm -- \
 grep -q RTM_HEALTH <<< "$err"
 
 # Informational, never failing: the non-test line counts of the kernel
-# layer and the dense cells, the figure the simplicity PRs' acceptance
-# tables quote.
-echo "==> non-test lines of the kernel layer (scripts/loc.sh)"
-scripts/loc.sh crates/sparse/src/{bspc,csr,kernel,scratch}.rs \
-  crates/tensor/src/{simd,simd_i8,gemm,activations}.rs crates/exec/src/{spmv,dense}.rs \
-  crates/rnn/src/gru.rs || true
+# layer, the dense cells and the compiled-gate path (BSPC codec, aligned
+# buffers, deploy layer and network, model file), the figure the
+# simplicity PRs' acceptance tables quote.
+echo "==> non-test lines of the kernel layer and the gate path (scripts/loc.sh)"
+scripts/loc.sh crates/sparse/src/{bspc,csr,kernel,scratch,io}.rs \
+  crates/tensor/src/{simd,simd_i8,gemm,activations,aligned}.rs crates/exec/src/{spmv,dense}.rs \
+  crates/rnn/src/gru.rs crates/rtmobile/src/deploy/{layer,network}.rs \
+  crates/rtmobile/src/model_file.rs || true
 
 echo "CI gate passed."

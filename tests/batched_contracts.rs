@@ -167,6 +167,45 @@ fn step_batch_into_rejects_wrong_lane_widths() {
     assert!(matches!(err, ExecError::Shape(_)), "{err:?}");
 }
 
+/// A compiled layer's gates hold the value store of its precision and no
+/// other: a step at any other precision is a typed refusal before a kernel
+/// runs, never a run in another mode.
+#[test]
+fn step_batch_into_refuses_a_precision_the_layer_does_not_hold() {
+    let net = GruNetwork::new(
+        &NetworkConfig {
+            input_dim: 6,
+            hidden_dims: vec![12],
+            num_classes: 4,
+        },
+        41,
+    );
+    let precisions = [
+        RuntimePrecision::F32,
+        RuntimePrecision::F16,
+        RuntimePrecision::Int8,
+    ];
+    let exec = Executor::new(2);
+    let b = 3;
+    let xs = vec![0.1f32; 6 * b];
+    let hs = vec![0.2f32; 12 * b];
+    for held in precisions {
+        let net = CompiledNetwork::compile(&net, 4, 4, held).unwrap();
+        let layer = &net.layers()[0];
+        for asked in precisions {
+            let mut scratch = GruRuntimeScratch::new();
+            let mut hs_out = vec![7.0f32; 12 * b];
+            let got = layer.step_batch_into(&exec, &xs, &hs, b, asked, &mut scratch, &mut hs_out);
+            if asked == held {
+                assert_eq!(got, Ok(()));
+            } else {
+                assert_eq!(got, Err(ExecError::NotHeld(asked.storage())), "{held:?}");
+                assert_eq!(hs_out, vec![7.0f32; 12 * b], "{held:?} at {asked:?}");
+            }
+        }
+    }
+}
+
 #[test]
 fn forward_frame_batch_rejects_mismatched_activation_planes() {
     let net = compiled();
