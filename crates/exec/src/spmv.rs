@@ -22,7 +22,7 @@
 use crate::error::ExecError;
 use crate::partition::Partition;
 use crate::pool::{Task, WorkerPool};
-use rtm_sparse::kernel::{drive, KernelOp, RangeKernel};
+use rtm_sparse::kernel::{drive, drive_frames, FramesKernel, KernelOp, RangeKernel};
 use rtm_sparse::{BspcMatrix, Precision, SparseKernel};
 
 /// The parallel execution engine: a persistent [`WorkerPool`] plus the
@@ -145,6 +145,62 @@ impl Executor {
             let first_row = |u| k.unit_first_row(u);
             self.run_chunks(k.units(), |u| k.unit_cost(u), first_row, b, ys, kernel)
         })
+    }
+
+    /// Pooled SpMV of `frames` one-lane inputs back to back: `xs` is
+    /// `[frames × cols]` and frame `t`'s output lands at `ys[t·rows..]`,
+    /// through the format's frame-major kernel
+    /// ([`SparseKernel::frames_into`]: BSPC's float stores run four frames
+    /// per loaded weight). Counted as `frames` SpMV calls, and bit-identical
+    /// to [`Executor::spmv_into`] per frame for every thread count: a frame's
+    /// bits do not depend on the frames it runs with.
+    ///
+    /// The pool splits the frames, not the rows: a frame's output is one
+    /// slice, and every thread keeps the frames' shared weight loads.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError::Shape`] when `xs.len() != frames · k.cols()` or
+    /// `ys.len() != frames · k.rows()` (nothing is dispatched), and
+    /// [`ExecError::WorkerPanicked`] if a task panics.
+    pub fn spmv_frames_into<K: SparseKernel + ?Sized>(
+        &self,
+        k: &K,
+        prec: Precision,
+        xs: &[f32],
+        frames: usize,
+        ys: &mut [f32],
+    ) -> Result<(), ExecError> {
+        drive_frames(k, prec, xs, frames, ys, |kernel, ys| {
+            self.run_frames(frames, k.rows(), ys, kernel)
+        })
+    }
+
+    /// Runs a frame-major kernel over `frames` frames of `rows` outputs
+    /// each: all of them on the calling thread for a one-thread engine,
+    /// otherwise contiguous runs of frames, one per thread (as many as
+    /// there are runs).
+    fn run_frames(
+        &self,
+        frames: usize,
+        rows: usize,
+        ys: &mut [f32],
+        kernel: &FramesKernel<'_>,
+    ) -> Result<(), ExecError> {
+        if self.threads() == 1 {
+            kernel(0..frames, ys);
+            return Ok(());
+        }
+        let per = frames.div_ceil(self.threads());
+        let tasks: Vec<Task<'_>> = ys
+            .chunks_mut(per * rows)
+            .enumerate()
+            .map(|(i, ys)| {
+                let range = i * per..i * per + ys.len() / rows;
+                Box::new(move || kernel(range, ys)) as Task<'_>
+            })
+            .collect();
+        self.pool.run(tasks)
     }
 
     /// Fans a row-range kernel out over the cost-balanced partition of

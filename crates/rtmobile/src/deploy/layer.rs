@@ -213,8 +213,10 @@ impl CompiledGruLayer {
     /// The input half of [`CompiledGruLayer::step_batch_into`]: the three
     /// input products `W·x` of `frames` consecutive steps, each `[input × b]`
     /// lane-major and laid end to end in `xs`, into the gate planes' slots
-    /// `0..frames`. Each gate's weights serve all `frames` inputs back to
-    /// back, one lane-count product per frame.
+    /// `0..frames`. At one lane each gate is one frame-major product over
+    /// all the frames ([`rtm_exec::Executor::spmv_frames_into`]: four frames
+    /// per loaded weight), and the slots are its frame-major output; more
+    /// lanes run one product per frame.
     pub(super) fn input_products_into(
         &self,
         exec: &rtm_exec::Executor,
@@ -233,6 +235,10 @@ impl CompiledGruLayer {
             (&self.w_r, &mut scratch.r),
             (&self.w_n, &mut scratch.n),
         ] {
+            if b == 1 && frames > 1 {
+                exec.spmv_frames_into(gate, prec, xs, frames, &mut plane[..frames * hb])?;
+                continue;
+            }
             for t in 0..frames {
                 let x = &xs[t * width..(t + 1) * width];
                 product(exec, gate, prec, x, b, &mut plane[t * hb..(t + 1) * hb])?;

@@ -222,17 +222,20 @@ impl CompiledNetwork {
     /// [`CompiledNetwork::forward`] on a parallel [`rtm_exec::Executor`]:
     /// the production loop for one utterance. It runs the frames in chunks
     /// of up to 16, layer by layer: each layer first takes the three input
-    /// products `W·x` of every frame of the chunk (so each gate's weights
-    /// serve the chunk back to back while they are cache-hot), then runs
-    /// the recurrence over the chunk's frames in order; the state carries
-    /// from chunk to chunk, and the head runs once per frame at the end of
-    /// the chunk. Both halves are those of
-    /// [`CompiledGruLayer::step_batch_into`] at one lane, so every gate
-    /// product is the one-lane row-parallel
-    /// [`spmv_into`](rtm_exec::Executor::spmv_into) and the head the
-    /// one-lane row tiles of [`CompiledNetwork::forward_frame_batch`]:
-    /// bit-identical to the serial forward for any thread count, with the
-    /// same kernel counts.
+    /// products `W·x` of every frame of the chunk, one frame-major product
+    /// per gate ([`spmv_frames_into`](rtm_exec::Executor::spmv_frames_into):
+    /// the chunk's frames are the broadcast rows of each register tile, four
+    /// per loaded weight), then runs the recurrence over the chunk's frames
+    /// in order; the state carries from chunk to chunk, and the head runs
+    /// once per chunk, over its frames the same way
+    /// ([`RowTiles::gemv_frames_into`]). Both halves are those of
+    /// [`CompiledGruLayer::step_batch_into`] at one lane, and a frame of a
+    /// frame-major product carries the bits of the one-lane
+    /// [`spmv_into`](rtm_exec::Executor::spmv_into) and row-tile head of
+    /// [`CompiledNetwork::forward_frame_batch`]: bit-identical to the serial
+    /// forward for any thread count, with the same kernel counts (one
+    /// `kernel.spmv.*` per gate and frame, one `kernel.gemv.dense` per
+    /// frame).
     ///
     /// The buffers are sized for one chunk once per call, whatever the
     /// utterance's length; the call allocates nothing per frame but the
@@ -248,7 +251,7 @@ impl CompiledNetwork {
         let mut scratch = GruRuntimeScratch::new();
         scratch.reserve(CHUNK, widest);
         let mut xs = Vec::with_capacity(CHUNK * self.input_dim().max(widest));
-        let mut ys = Vec::with_capacity(CHUNK * widest);
+        let mut ys = Vec::with_capacity(CHUNK * widest.max(self.num_classes()));
         let mut logits = Vec::with_capacity(frames.len());
         for chunk in frames.chunks(CHUNK) {
             self.forward_chunk(
@@ -268,7 +271,8 @@ impl CompiledNetwork {
     /// through every layer, carrying `states` (one `[hidden]` vector per
     /// layer) across, and one logits row per frame appended to `logits`.
     /// `xs` and `ys` are the chunk's frame-major activation planes, into and
-    /// out of a layer; they trade places between layers.
+    /// out of a layer; they trade places between layers, and `ys` ends as
+    /// the chunk's frame-major logits plane.
     fn forward_chunk(
         &self,
         exec: &rtm_exec::Executor,
@@ -310,11 +314,24 @@ impl CompiledNetwork {
             h.copy_from_slice(&ys[(k - 1) * width..]);
             std::mem::swap(xs, ys);
         }
-        for t in 0..k {
-            let mut out = vec![0.0; self.head_b.len()];
-            self.head_into(&xs[t * width..(t + 1) * width], 1, &mut out)?;
-            logits.push(out);
+        let classes = self.head_b.len();
+        ys.resize(k * classes, 0.0);
+        let v = rtm_tensor::simd::active_variant();
+        if rtm_tensor::simd::tile_dots_available(v) {
+            // The chunk's frames share each loaded lane row of the head's
+            // row tiles, as they do the gates'.
+            self.head_tiles.gemv_frames_into(v, xs, k, ys)?;
+            for t in 0..k {
+                let row = &mut ys[t * classes..(t + 1) * classes];
+                rtm_tensor::simd::broadcast_add(&self.head_b, 1, row);
+            }
+        } else {
+            for t in 0..k {
+                let x = &xs[t * width..(t + 1) * width];
+                self.head_into(x, 1, &mut ys[t * classes..(t + 1) * classes])?;
+            }
         }
+        logits.extend((0..k).map(|t| ys[t * classes..(t + 1) * classes].to_vec()));
         Ok(())
     }
 

@@ -37,7 +37,7 @@
 //! so compiled gates carry none ([`BspcMatrix::with_reorder`]).
 
 use crate::footprint::Precision;
-use crate::kernel::{Activations, KernelError, SparseKernel};
+use crate::kernel::{self, Activations, KernelError, SparseKernel};
 use crate::scratch::{self, FloatValues};
 use rtm_tensor::aligned::{Aligned, AlignedF32};
 use rtm_tensor::f16::{f16_bits_to_f32, f32_to_f16_bits};
@@ -803,6 +803,44 @@ impl BspcMatrix {
         });
     }
 
+    /// The float kernel over `frames` one-lane inputs (`[frames × cols]`)
+    /// into the frame-major `ys` (`[frames × rows]`), with the register-tile
+    /// body: per stripe run the shared column stream is gathered from every
+    /// frame once, then each tile is ONE frame-major primitive call, writing
+    /// each frame's rows in place — the frames are its broadcast rows, so
+    /// they share every loaded (and widened) lane row of the tile.
+    fn float_frames_into(
+        &self,
+        v: simd::Variant,
+        values: impl FloatValues,
+        xs: &[f32],
+        frames: usize,
+        ys: &mut [f32],
+    ) {
+        scratch::with_kernel(|scratch| {
+            for (s, run) in self.stripe_tiles(0..self.units()) {
+                let cols = &self.stripe_cols[s];
+                let gathered = scratch::gather_frames_f32(&mut scratch.gf32, cols, xs, frames);
+                for t in run {
+                    let (slots, base) = self.tile(t);
+                    let m = slots.len();
+                    let out = &mut ys[self.unit_first_row(t)..];
+                    let span = base..base + cols.len() * m;
+                    values.tile_frames(
+                        v,
+                        span,
+                        m,
+                        gathered,
+                        frames,
+                        out,
+                        self.rows,
+                        &mut scratch.conv,
+                    );
+                }
+            }
+        });
+    }
+
     /// The int8 row kernel over the kept rows of the row tiles `tiles` (the
     /// codes are row-major; a tile is its adjacent rows) on pre-quantized
     /// lane-major activations `xq` with per-lane scales `sxs`:
@@ -997,6 +1035,25 @@ impl SparseKernel for BspcMatrix {
             Activations::Int8 { codes, scales } => {
                 self.int8_rows_into(codes, scales, b, units, ys, y_base)
             }
+        }
+    }
+
+    /// The float stores with the register-tile body run their frames as the
+    /// broadcast rows of each tile ([`simd::tile_frames_variant`]); int8,
+    /// whose block dots run along a row, and the scalar definition run the
+    /// one-lane kernel frame by frame.
+    fn frames_into(&self, activations: Activations<'_>, frames: usize, ys: &mut [f32]) {
+        let v = simd::active_variant();
+        match activations {
+            Activations::F32(xs) if simd::tile_dots_available(v) => {
+                let values = self.values().expect(HELD);
+                self.float_frames_into(v, values, xs, frames, ys)
+            }
+            Activations::F16(xs) if simd::tile_dots_available(v) => {
+                let values = self.values_f16().expect(HELD);
+                self.float_frames_into(v, values, xs, frames, ys)
+            }
+            _ => kernel::frame_by_frame(self, activations, frames, ys),
         }
     }
 }

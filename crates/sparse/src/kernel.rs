@@ -70,6 +70,22 @@ pub enum Activations<'a> {
     },
 }
 
+impl<'a> Activations<'a> {
+    /// The activations of frames `frames` of a frame-major plane of
+    /// `cols`-element frames (one int8 scale per frame).
+    pub(crate) fn frames(self, frames: Range<usize>, cols: usize) -> Activations<'a> {
+        let values = frames.start * cols..frames.end * cols;
+        match self {
+            Activations::F32(xs) => Activations::F32(&xs[values]),
+            Activations::F16(xs) => Activations::F16(&xs[values]),
+            Activations::Int8 { codes, scales } => Activations::Int8 {
+                codes: &codes[values],
+                scales: &scales[frames],
+            },
+        }
+    }
+}
+
 /// Which entry point a call came through. SpMV is SpMM at `b == 1` as far
 /// as the kernels are concerned; the distinction only names the trace
 /// counter (`kernel.spmv.*` vs `kernel.spmm.*`).
@@ -95,6 +111,11 @@ impl KernelOp {
 /// `(units, ys, y_base)` computes the output rows of partition units
 /// `units` into `ys`, which starts at logical row `y_base`.
 pub type RangeKernel<'a> = dyn Fn(Range<usize>, &mut [f32], usize) + Sync + 'a;
+
+/// A frame-major kernel bound to its activations: `(frames, ys)` computes
+/// the frames `frames` of the call into `ys`, their `[frames × rows]` part
+/// of the output.
+pub type FramesKernel<'a> = dyn Fn(Range<usize>, &mut [f32]) + Sync + 'a;
 
 /// What a sparse storage format provides to be executed — serially, on the
 /// pool, batched, traced, tuned and dispatched from a compiled model.
@@ -174,6 +195,21 @@ pub trait SparseKernel: Sync {
         y_base: usize,
     );
 
+    /// The frame-major kernel: `frames` one-lane inputs back to back
+    /// (`[frames × cols]`, an int8 scale per frame) into `ys`
+    /// (`[frames × rows]`, row `r` of frame `t` at `ys[t·rows + r]`), every
+    /// unit of every frame; frame `t` is bit-identical to the one-lane
+    /// [`rows_into`](SparseKernel::rows_into) on frame `t`, which is what
+    /// this default runs, frame by frame. A format overrides it where frames
+    /// can share its weight loads. Never traces.
+    ///
+    /// # Panics
+    ///
+    /// As [`rows_into`](SparseKernel::rows_into), for each frame.
+    fn frames_into(&self, activations: Activations<'_>, frames: usize, ys: &mut [f32]) {
+        frame_by_frame(self, activations, frames, ys)
+    }
+
     /// Serial SpMV `y = A x` at storage precision `prec`.
     ///
     /// * [`Precision::F32`] streams the f32 values.
@@ -246,6 +282,21 @@ pub trait SparseKernel: Sync {
     }
 }
 
+/// [`SparseKernel::frames_into`] one frame at a time: the one-lane
+/// [`SparseKernel::rows_into`] over every unit, per frame.
+pub(crate) fn frame_by_frame<K: SparseKernel + ?Sized>(
+    k: &K,
+    activations: Activations<'_>,
+    frames: usize,
+    ys: &mut [f32],
+) {
+    let (rows, cols) = (k.rows(), k.cols());
+    for t in 0..frames {
+        let y = &mut ys[t * rows..(t + 1) * rows];
+        k.rows_into(activations.frames(t..t + 1, cols), 1, 0..k.units(), y, 0);
+    }
+}
+
 /// Executes one kernel call: validates shapes and the store, zero-fills if the format
 /// needs it, counts the call, quantizes int8 activations once into
 /// thread-local scratch, then hands the bound row-range kernel and the
@@ -272,19 +323,93 @@ where
     K: SparseKernel + ?Sized,
     E: From<KernelError>,
 {
-    if xs.len() != k.cols() * b || ys.len() != k.rows() * b {
+    if !prologue(k, op, prec, xs, b, ys, 1)? {
+        return Ok(());
+    }
+    let go = |activations: Activations<'_>| {
+        run(
+            &|units, ys, y_base| k.rows_into(activations, b, units, ys, y_base),
+            ys,
+        )
+    };
+    match prec {
+        Precision::F32 => go(Activations::F32(xs)),
+        Precision::F16 => go(Activations::F16(xs)),
+        Precision::Int8 => scratch::with_quantized(xs, b, |codes, scales| {
+            go(Activations::Int8 { codes, scales })
+        }),
+    }
+}
+
+/// [`drive`] for `frames` one-lane inputs back to back (`xs` is
+/// `[frames × cols]`, `ys` `[frames × rows]`): the same checks and
+/// zero-fill, the call counted as `frames` SpMV calls, int8 quantized once
+/// per frame (each frame with its own scale, its codes those of a one-frame
+/// call), and the bound [`SparseKernel::frames_into`] handed to `run`, which
+/// decides where the frames execute.
+///
+/// # Errors
+///
+/// As [`drive`], with `frames` in the place of `b`.
+pub fn drive_frames<K, E>(
+    k: &K,
+    prec: Precision,
+    xs: &[f32],
+    frames: usize,
+    ys: &mut [f32],
+    run: impl FnOnce(&FramesKernel<'_>, &mut [f32]) -> Result<(), E>,
+) -> Result<(), E>
+where
+    K: SparseKernel + ?Sized,
+    E: From<KernelError>,
+{
+    if !prologue(k, KernelOp::Spmv, prec, xs, frames, ys, frames as u64)? {
+        return Ok(());
+    }
+    let cols = k.cols();
+    let go = |activations: Activations<'_>| {
+        run(
+            &|range: Range<usize>, ys| {
+                let n = range.len();
+                k.frames_into(activations.frames(range, cols), n, ys)
+            },
+            ys,
+        )
+    };
+    match prec {
+        Precision::F32 => go(Activations::F32(xs)),
+        Precision::F16 => go(Activations::F16(xs)),
+        Precision::Int8 => scratch::with_quantized_frames(xs, frames, |codes, scales| {
+            go(Activations::Int8 { codes, scales })
+        }),
+    }
+}
+
+/// The checks, zero-fill and counters [`drive`] and [`drive_frames`] share:
+/// `xs` must be `[cols × n]` and `ys` `[rows × n]`, the call is counted
+/// `calls` times. `Ok(false)` when there is nothing to run.
+fn prologue<K: SparseKernel + ?Sized>(
+    k: &K,
+    op: KernelOp,
+    prec: Precision,
+    xs: &[f32],
+    n: usize,
+    ys: &mut [f32],
+    calls: u64,
+) -> Result<bool, KernelError> {
+    if xs.len() != k.cols() * n || ys.len() != k.rows() * n {
         let shape = ShapeError {
             op: op.tag(),
             lhs: (k.rows(), k.cols()),
             rhs: (xs.len(), ys.len()),
         };
-        return Err(KernelError::Shape(shape).into());
+        return Err(KernelError::Shape(shape));
     }
     if !k.holds(prec) {
-        return Err(KernelError::NotHeld(prec).into());
+        return Err(KernelError::NotHeld(prec));
     }
-    if b == 0 {
-        return Ok(());
+    if n == 0 {
+        return Ok(false);
     }
     if k.needs_zero_fill() {
         ys.fill(0.0);
@@ -301,26 +426,14 @@ where
             Precision::Int8 => keys[3],
         };
         rtm_trace::count_many(&[
-            (keys[0], 1),
-            (by_precision, 1),
-            (rtm_trace::key::KERNEL_ROWS, k.computed_rows() as u64),
-            (rtm_trace::key::KERNEL_NNZ, k.stored_len() as u64),
+            (keys[0], calls),
+            (by_precision, calls),
+            (
+                rtm_trace::key::KERNEL_ROWS,
+                calls * k.computed_rows() as u64,
+            ),
+            (rtm_trace::key::KERNEL_NNZ, calls * k.stored_len() as u64),
         ]);
     }
-    if k.units() == 0 {
-        return Ok(());
-    }
-    let go = |activations: Activations<'_>| {
-        run(
-            &|units, ys, y_base| k.rows_into(activations, b, units, ys, y_base),
-            ys,
-        )
-    };
-    match prec {
-        Precision::F32 => go(Activations::F32(xs)),
-        Precision::F16 => go(Activations::F16(xs)),
-        Precision::Int8 => scratch::with_quantized(xs, b, |codes, scales| {
-            go(Activations::Int8 { codes, scales })
-        }),
-    }
+    Ok(k.units() != 0)
 }

@@ -40,6 +40,27 @@ pub(crate) fn gather_f32<'s>(
     out
 }
 
+/// Gathers columns `cols` of each of the `frames` frames of the frame-major
+/// plane `xs` into the aligned window of `out`, frame-major too — gathered
+/// element `i` of frame `t` at `[t·cols.len() + i]`: one gather of a column
+/// run for every frame of a frame-major call.
+pub(crate) fn gather_frames_f32<'s>(
+    out: &'s mut AlignedF32,
+    cols: &[u32],
+    xs: &[f32],
+    frames: usize,
+) -> &'s [f32] {
+    let width = xs.len() / frames.max(1);
+    let out = out.window(cols.len() * frames);
+    for (t, gathered) in out.chunks_exact_mut(cols.len().max(1)).enumerate() {
+        let x = &xs[t * width..(t + 1) * width];
+        for (g, &c) in gathered.iter_mut().zip(cols) {
+            *g = x[c as usize];
+        }
+    }
+    out
+}
+
 /// Where a float row kernel's weights come from — the only thing the f32
 /// and f16 kernels of a format ever differed in. A format's float kernel is
 /// generic over this view, so each precision compiles to its own loop.
@@ -61,6 +82,23 @@ pub(crate) trait FloatValues: Copy {
         xs: &[f32],
         b: usize,
         out: &mut [f32],
+        conv: &mut AlignedF32,
+    );
+
+    /// The lane-major `[len × m]` tile stored at `span` against `frames`
+    /// one-lane inputs `xs` (`[frames × len]`), frame `t`'s outputs at
+    /// `out[t·stride..][..m]`, through the frame-major register-tile
+    /// primitive of this element type.
+    #[allow(clippy::too_many_arguments)]
+    fn tile_frames(
+        self,
+        v: Variant,
+        span: Range<usize>,
+        m: usize,
+        xs: &[f32],
+        frames: usize,
+        out: &mut [f32],
+        stride: usize,
         conv: &mut AlignedF32,
     );
 }
@@ -87,6 +125,21 @@ impl FloatValues for &[f32] {
         _conv: &mut AlignedF32,
     ) {
         simd::tile_dots_variant(v, &self[span], m, xs, b, out)
+    }
+
+    #[inline]
+    fn tile_frames(
+        self,
+        v: Variant,
+        span: Range<usize>,
+        m: usize,
+        xs: &[f32],
+        frames: usize,
+        out: &mut [f32],
+        stride: usize,
+        _conv: &mut AlignedF32,
+    ) {
+        simd::tile_frames_variant(v, &self[span], m, xs, frames, out, stride)
     }
 }
 
@@ -119,6 +172,22 @@ impl FloatValues for &[u16] {
     ) {
         let decoded = conv.window(span.len());
         simd::tile_dots_f16_variant(v, &self[span], m, xs, b, out, decoded)
+    }
+
+    #[inline]
+    fn tile_frames(
+        self,
+        v: Variant,
+        span: Range<usize>,
+        m: usize,
+        xs: &[f32],
+        frames: usize,
+        out: &mut [f32],
+        stride: usize,
+        conv: &mut AlignedF32,
+    ) {
+        let decoded = conv.window(span.len());
+        simd::tile_frames_f16_variant(v, &self[span], m, xs, frames, out, stride, decoded)
     }
 }
 
@@ -166,13 +235,40 @@ thread_local! {
             seg: Vec::new(),
         })
     };
-    static ACTIVATIONS: RefCell<(Vec<i8>, Vec<f32>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
+    /// Activation codes, their scales, and one frame's codes on their way
+    /// into a frame-major plane.
+    static ACTIVATIONS: RefCell<(Vec<i8>, Vec<f32>, Vec<i8>)> =
+        const { RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
 }
 
 /// Runs `f` with this thread's kernel scratch.
 pub(crate) fn with_kernel<R>(f: impl FnOnce(&mut KernelScratch) -> R) -> R {
     KERNEL.with(|cell| f(&mut cell.borrow_mut()))
+}
+
+/// Quantizes each of the `frames` frames of the frame-major plane `xs`
+/// with its own scale — frame `t`'s codes and scale those of a one-frame
+/// call on it — into this thread's activation scratch, and runs `f` on the
+/// codes (frame-major too) and the scales (one per frame).
+pub(crate) fn with_quantized_frames<R>(
+    xs: &[f32],
+    frames: usize,
+    f: impl FnOnce(&[i8], &[f32]) -> R,
+) -> R {
+    ACTIVATIONS.with(|cell| {
+        let (codes, scales, frame) = &mut *cell.borrow_mut();
+        let cols = xs.len() / frames.max(1);
+        codes.clear();
+        scales.clear();
+        for t in 0..frames {
+            scales.push(rtm_tensor::simd_i8::quantize_activations(
+                &xs[t * cols..(t + 1) * cols],
+                frame,
+            ));
+            codes.extend_from_slice(frame);
+        }
+        f(codes, scales)
+    })
 }
 
 /// Quantizes the lane-major `[cols × b]` plane `xs` into this thread's
@@ -181,7 +277,7 @@ pub(crate) fn with_kernel<R>(f: impl FnOnce(&mut KernelScratch) -> R) -> R {
 /// scales. `b == 1` takes the contiguous single-vector quantizer.
 pub(crate) fn with_quantized<R>(xs: &[f32], b: usize, f: impl FnOnce(&[i8], &[f32]) -> R) -> R {
     ACTIVATIONS.with(|cell| {
-        let (codes, scales) = &mut *cell.borrow_mut();
+        let (codes, scales, _) = &mut *cell.borrow_mut();
         if b == 1 {
             let sx = rtm_tensor::simd_i8::quantize_activations(xs, codes);
             scales.clear();

@@ -275,6 +275,52 @@ impl RowTiles {
         }
         Ok(())
     }
+
+    /// [`RowTiles::gemv_into`] for `frames` inputs back to back: `xs` is
+    /// `[frames × cols]` and frame `t`'s output lands at `ys[t·rows..]`
+    /// (`[frames × rows]`), one frame-major tile primitive call
+    /// ([`simd::tile_frames_variant`](crate::simd::tile_frames_variant)) per
+    /// row tile, so the frames share each loaded lane row. Frame `t` is
+    /// **bit-identical** to [`RowTiles::gemv_into`] on it, and the call
+    /// counts what `frames` of those count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] when `xs.len() != frames · cols` or
+    /// `ys.len() != frames · rows`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`simd::tile_dots_available`](crate::simd::tile_dots_available)`(v)`.
+    pub fn gemv_frames_into(
+        &self,
+        v: Variant,
+        xs: &[f32],
+        frames: usize,
+        ys: &mut [f32],
+    ) -> Result<(), ShapeError> {
+        let (rows, cols) = (self.rows, self.cols);
+        if xs.len() != frames * cols || ys.len() != frames * rows {
+            return Err(ShapeError {
+                op: "row_tiles_gemv_frames",
+                lhs: (rows, cols),
+                rhs: (xs.len(), frames),
+            });
+        }
+        let calls = frames as u64;
+        rtm_trace::count_many(&[
+            (rtm_trace::key::GEMV_DENSE, calls),
+            (rtm_trace::key::KERNEL_ROWS, calls * rows as u64),
+            (rtm_trace::key::KERNEL_NNZ, calls * (rows * cols) as u64),
+        ]);
+        let values = self.values.as_slice();
+        for r0 in (0..rows).step_by(TILE_ROWS) {
+            let m = TILE_ROWS.min(rows - r0);
+            let tile = &values[r0 * cols..(r0 + m) * cols];
+            crate::simd::tile_frames_variant(v, tile, m, xs, frames, &mut ys[r0..], rows);
+        }
+        Ok(())
+    }
 }
 
 /// `y = Aᵀ * x` without materializing the transpose: one

@@ -94,8 +94,18 @@
 //! every output bit is the same at either width, and [`vector_isa`] still
 //! names the arithmetic, `"avx2+fma"`. Every `b ≥ 2` body runs sixteen lanes
 //! per register (1024², 10× SpMM: 0.6× the eight-lane time at `b ∈ {12, 16,
-//! 32}`); the one-stream row tiles stay at eight, where sixteen-lane rows
-//! have shown no end-to-end gain, and so do the along-row kernels.
+//! 32}`); a one-frame call of the one-stream row tiles stays at eight, where
+//! sixteen-lane rows have shown no end-to-end gain, and so do the along-row
+//! kernels.
+//!
+//! **Frames as broadcast rows.** At one stream several frames may share a
+//! tile — a chunk's input products, its head. [`tile_frames_variant`] keeps
+//! the tile's rows as the lanes and makes four frames the broadcast rows of
+//! one sixteen-lane register tile, so every loaded (and widened) lane row
+//! serves four frames and each frame's outputs are written where it wants
+//! them, with the one-frame body's bits. Eight-lane hosts run the one-frame
+//! body per frame: the eight-lane shape did not gain at 103× (EXPERIMENTS.md
+//! B3).
 //!
 //! **Lane tails.** The `b % 8` lanes after the last full group of eight on
 //! AVX2 are one more register tile, loaded with `vmaskmovps` and stored
@@ -314,8 +324,8 @@ fn width() -> x86::Width {
 
 /// SIMD lanes per register of the vector path's batched bodies and sweeps:
 /// 16 on AVX-512F/BW/VL/DQ, 8 on AVX2, 4 on NEON, 1 when no vector path is
-/// available. (The along-row kernels and the one-stream row tiles are eight
-/// lanes wide on every x86 host.)
+/// available. (The along-row kernels and one-frame calls of the one-stream
+/// row tiles are eight lanes wide on every x86 host.)
 pub fn lane_width() -> usize {
     if !vector_available() {
         1
@@ -812,7 +822,7 @@ mod x86 {
     /// One register tile of a batched dot over `R` rows that share their
     /// input: for row `r` and each lane `j` of the `G` adjacent lane groups
     /// (a register's `V::LANES` each) at `xp`,
-    /// `op[r·b + j] = Σₖ wp[wat(k, r)] · xp[at(k) + j]` over `k < len` in
+    /// `op[r·stride + j] = Σₖ wp[wat(k, r)] · xp[at(k) + j]` over `k < len` in
     /// exactly `dot`'s arithmetic — element `k` goes to k-sublane chain
     /// `k % 8` by FMA in `k` order, the eight chains meet in the `hsum256`
     /// tree, the last `len % 8` elements follow in order as mul+add.
@@ -840,7 +850,7 @@ mod x86 {
     /// this tile covers — `V::LANES·G`, or the first `live < V::LANES` when
     /// `MASKED` (then `G == 1`, and the lanes are `f32` unless
     /// `V::MASKED_HALVES`) — must be readable at `xp + at(k)` and writable at
-    /// `op + r·b`.
+    /// `op + r·stride`.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     unsafe fn rows_tile<
@@ -858,7 +868,7 @@ mod x86 {
         xp: *const E,
         live: usize,
         op: *mut f32,
-        b: usize,
+        stride: usize,
     ) {
         let mask = V::first(live);
         // SAFETY: the caller vouches for the covered lanes of every row.
@@ -913,7 +923,7 @@ mod x86 {
         }
         for (r, row) in sums.iter().enumerate() {
             for (g, &s) in row.iter().enumerate() {
-                let p = op.add(r * b + V::LANES * g);
+                let p = op.add(r * stride + V::LANES * g);
                 if MASKED {
                     V::store_first(p, mask, s);
                 } else {
@@ -923,8 +933,8 @@ mod x86 {
         }
     }
 
-    /// `out[r·b + j] = Σₖ w[wat(k, r)] · xs[at(k) + j]` over `k < len` for
-    /// `R` rows and the lanes `from..b`: full tiles of a register each, then
+    /// `out[r·stride + j] = Σₖ w[wat(k, r)] · xs[at(k) + j]` over `k < len`
+    /// for `R` rows and the lanes `from..b`: full tiles of a register each, then
     /// the lanes left over as one tile (`last_lanes`) — in the register of
     /// half the lanes when they fit it: a sixteen-lane row of eight live
     /// lanes costs more than an eight-lane one (1.13–1.27× at `b ≤ 8`, 1024²,
@@ -936,8 +946,9 @@ mod x86 {
     /// # Safety
     ///
     /// `V`'s feature set must be available, `R·S == 8`, `from <= b` — and
-    /// `V::LANES <= b` for a half plane unless `V::MASKED_HALVES` —, `out`
-    /// must hold `R·b` elements, `wat` must not decrease in either argument
+    /// `V::LANES <= b` for a half plane unless `V::MASKED_HALVES` —,
+    /// `b <= stride`, `out` must hold `(R - 1)·stride + b` elements, `wat`
+    /// must not decrease in either argument
     /// and `wat(len - 1, R - 1)` must be inside `w`, and for every `k < len`,
     /// `xs[at(k)..at(k) + b]` must be in bounds.
     #[inline(always)]
@@ -951,11 +962,13 @@ mod x86 {
         b: usize,
         from: usize,
         out: &mut [f32],
+        stride: usize,
     ) {
         // The weights are read unchecked (an index check per broadcast cost
         // the 1024², 10× SpMM 1.2–1.5× at 12–32 lanes); the one address that
         // bounds them all is checked here, once per row block.
-        debug_assert!(R * S == 8 && from <= b && out.len() == R * b);
+        debug_assert!(R * S == 8 && from <= b && b <= stride);
+        debug_assert!(out.len() >= (R - 1) * stride + b);
         debug_assert!(!E::HALF || V::MASKED_HALVES || b >= V::LANES);
         debug_assert!(len == 0 || wat(len - 1, R - 1) < w.len());
         let (wp, xp, op) = (w.as_ptr(), xs.as_ptr(), out.as_mut_ptr());
@@ -964,13 +977,14 @@ mod x86 {
         // SAFETY: lanes `j0..j0 + n ≤ b` lie inside `xs[at(k)..at(k) + b]`
         // and inside each row of `out`.
         for j0 in (from..jb).step_by(n) {
-            rows_tile::<V, false, R, S, 1, E>(len, wp, &wat, &at, xp.add(j0), n, op.add(j0), b);
+            let o = op.add(j0);
+            rows_tile::<V, false, R, S, 1, E>(len, wp, &wat, &at, xp.add(j0), n, o, stride);
         }
         let fits_half = h < n && b - jb <= h && (!E::HALF || V::Half::MASKED_HALVES || b >= h);
         if jb < b && fits_half {
-            last_lanes::<V::Half, R, S, E>(len, wp, &wat, &at, xp, b, jb, op);
+            last_lanes::<V::Half, R, S, E>(len, wp, &wat, &at, xp, b, jb, op, stride);
         } else if jb < b {
-            last_lanes::<V, R, S, E>(len, wp, &wat, &at, xp, b, jb, op);
+            last_lanes::<V, R, S, E>(len, wp, &wat, &at, xp, b, jb, op, stride);
         }
     }
 
@@ -998,6 +1012,7 @@ mod x86 {
         b: usize,
         jb: usize,
         op: *mut f32,
+        stride: usize,
     ) {
         let n = V::LANES;
         // SAFETY (all tiles): lanes `jb..b` of the masked tile and the
@@ -1005,11 +1020,14 @@ mod x86 {
         // `xs[at(k)..at(k) + b]` and inside each row of `out`; the masked
         // tile touches nothing beyond lane `b`.
         if b - jb == n {
-            rows_tile::<V, false, R, S, 1, E>(len, wp, wat, at, xp.add(jb), n, op.add(jb), b);
+            let (x, o) = (xp.add(jb), op.add(jb));
+            rows_tile::<V, false, R, S, 1, E>(len, wp, wat, at, x, n, o, stride);
         } else if E::HALF && !V::MASKED_HALVES {
-            rows_tile::<V, false, R, S, 1, E>(len, wp, wat, at, xp.add(b - n), n, op.add(b - n), b);
+            let (x, o) = (xp.add(b - n), op.add(b - n));
+            rows_tile::<V, false, R, S, 1, E>(len, wp, wat, at, x, n, o, stride);
         } else {
-            rows_tile::<V, true, R, S, 1, E>(len, wp, wat, at, xp.add(jb), b - jb, op.add(jb), b);
+            let (x, o) = (xp.add(jb), op.add(jb));
+            rows_tile::<V, true, R, S, 1, E>(len, wp, wat, at, x, b - jb, o, stride);
         }
     }
 
@@ -1060,7 +1078,7 @@ mod x86 {
                 b,
             );
         }
-        rows_lanes::<V, 1, 8, E>(a.len(), a, wat, at, xs, b, paired, out)
+        rows_lanes::<V, 1, 8, E>(a.len(), a, wat, at, xs, b, paired, out, b)
     }
 
     /// Batched indexed dot: lane `j` of `out` is bit-identical to
@@ -1082,7 +1100,7 @@ mod x86 {
         out: &mut [f32],
     ) {
         let at = |k: usize| idx[k] as usize * b;
-        rows_lanes::<__m256, 1, 8, f32>(vals.len(), vals, |k, _| k, at, xs, b, 0, out)
+        rows_lanes::<__m256, 1, 8, f32>(vals.len(), vals, |k, _| k, at, xs, b, 0, out, b)
     }
 
     /// `m` rows of `xs.len() / b` elements against the lane-major input they
@@ -1145,12 +1163,59 @@ mod x86 {
         let mut quads = out.chunks_exact_mut(4 * b);
         let mut j = 0;
         for quad in &mut quads {
-            rows_lanes::<V, 4, 2, f32>(len, w, |k, r| wat(k, j + r), |k| k * b, xs, b, 0, quad);
+            let wat = |k, r| wat(k, j + r);
+            rows_lanes::<V, 4, 2, f32>(len, w, wat, |k| k * b, xs, b, 0, quad, b);
             j += 4;
         }
         for lanes in quads.into_remainder().chunks_exact_mut(b) {
-            rows_lanes::<V, 1, 8, f32>(len, w, |k, _| wat(k, j), |k| k * b, xs, b, 0, lanes);
+            rows_lanes::<V, 1, 8, f32>(len, w, |k, _| wat(k, j), |k| k * b, xs, b, 0, lanes, b);
             j += 1;
+        }
+    }
+
+    /// `frames` inputs of `len` elements, frame after frame in `xs`, against
+    /// one lane plane of `m` lanes (`tile[k·m + j]`, `f32` or f16 bits), in
+    /// sixteen-lane registers: `out[t·stride + j] = Σₖ xs[t·len + k] ·
+    /// tile[k·m + j]`, frame `t` bit-identical to
+    /// `dot_batch(Width::Ymm, frame t, tile, m, ..)`, the one-frame body. Four
+    /// frames at a time are the broadcast rows `R` of one `(4, 2, 1)` register
+    /// tile — a 16-row tile is one register —, so each loaded lane row, each
+    /// widened half, meets four frames' elements. The `frames % 4` left over
+    /// run the one-frame body.
+    ///
+    /// # Safety
+    ///
+    /// The sixteen-lane feature set must be available, `m > 0`,
+    /// `tile.len() == len·m`, `xs.len() == frames·len`, `m <= stride`, and
+    /// `out` must hold `(frames - 1)·stride + m` elements when `frames > 0`.
+    #[target_feature(enable = "avx2,fma,f16c,avx512f,avx512bw,avx512vl,avx512dq")]
+    pub unsafe fn tile_frames_zmm<E: Lane>(
+        xs: &[f32],
+        frames: usize,
+        tile: &[E],
+        m: usize,
+        out: &mut [f32],
+        stride: usize,
+    ) {
+        let len = tile.len() / m;
+        let (wat, at) = (|k: usize, r: usize| r * len + k, |k: usize| k * m);
+        let quads = frames - frames % 4;
+        for t0 in (0..quads).step_by(4) {
+            let (w, o) = (&xs[t0 * len..(t0 + 4) * len], &mut out[t0 * stride..]);
+            rows_lanes::<__m512, 4, 2, E>(len, w, wat, at, tile, m, 0, o, stride);
+        }
+        for t in quads..frames {
+            let (x, o) = (
+                &xs[t * len..(t + 1) * len],
+                &mut out[t * stride..t * stride + m],
+            );
+            // The one-frame body in eight-lane registers, or in sixteen where
+            // only their mask loads a half plane narrower than eight lanes.
+            if E::HALF && m < 8 {
+                dot_batch_in::<__m512, E>(x, tile, m, o);
+            } else {
+                dot_batch_in::<__m256, E>(x, tile, m, o);
+            }
         }
     }
 
@@ -1798,6 +1863,114 @@ pub fn tile_dots_f16_variant(
     }
     crate::f16::f16_bits_to_f32(tile_bits, decoded);
     tile_dots_variant(v, decoded, m, xs, b, out)
+}
+
+/// [`tile_dots_variant`] at one stream for `frames` inputs that share the
+/// tile — a row tile's part of a frame-major product: `xs` holds the frames
+/// back to back (`xs[t·len + k]`, `len = tile.len() / m`) and frame `t`'s `m`
+/// outputs land at `out[t·stride..][..m]`, each **bit-identical** to
+/// [`tile_dots_variant`]`(v, tile, m, frame_t, 1, ..)`. *Rows stay the lanes
+/// and frames are the broadcast rows*: with sixteen-lane registers four
+/// frames at a time share every loaded lane row, so the output is frame-major
+/// as computed — no transpose. Eight-lane hosts run the one-frame body per
+/// frame (EXPERIMENTS.md B3).
+///
+/// # Panics
+///
+/// Panics unless [`tile_dots_available`]`(v)`, or if `tile` is not `m` lanes
+/// of `len` rows, `xs.len() != frames · len`, `stride < m` or `out` is
+/// shorter than `(frames - 1) · stride + m`.
+pub fn tile_frames_variant(
+    v: Variant,
+    tile: &[f32],
+    m: usize,
+    xs: &[f32],
+    frames: usize,
+    out: &mut [f32],
+    stride: usize,
+) {
+    assert!(tile_dots_available(v), "tile_frames: no register-tile body");
+    if m == 0 || frames == 0 {
+        return;
+    }
+    let len = frame_len(tile.len(), m, xs, frames, out, stride);
+    #[cfg(target_arch = "x86_64")]
+    if wide_available() {
+        // SAFETY: the feature set of sixteen lanes verified by
+        // `wide_available`, the sizes just above.
+        return unsafe { x86::tile_frames_zmm::<f32>(xs, frames, tile, m, out, stride) };
+    }
+    for t in 0..frames {
+        let (x, o) = (
+            &xs[t * len..(t + 1) * len],
+            &mut out[t * stride..t * stride + m],
+        );
+        tile_dots_variant(v, tile, m, x, 1, o);
+    }
+}
+
+/// The rows of each frame of a frame-major tile call (`tile_len / m`),
+/// checked against the operands' sizes.
+fn frame_len(
+    tile_len: usize,
+    m: usize,
+    xs: &[f32],
+    frames: usize,
+    out: &[f32],
+    stride: usize,
+) -> usize {
+    let len = tile_len / m;
+    assert!(
+        len * m == tile_len
+            && xs.len() == frames * len
+            && m <= stride
+            && out.len() >= (frames - 1) * stride + m,
+        "tile_frames: size mismatch"
+    );
+    len
+}
+
+/// [`tile_frames_variant`] over a tile stored as raw f16 bits: bit-identical
+/// to it on the decoded tile. With sixteen-lane registers the bits are
+/// widened in the registers they are loaded into, once for four frames;
+/// eight-lane hosts run [`tile_dots_f16_variant`] per frame.
+///
+/// # Panics
+///
+/// As [`tile_frames_variant`], or if `decoded.len() != tile_bits.len()`.
+#[allow(clippy::too_many_arguments)]
+pub fn tile_frames_f16_variant(
+    v: Variant,
+    tile_bits: &[u16],
+    m: usize,
+    xs: &[f32],
+    frames: usize,
+    out: &mut [f32],
+    stride: usize,
+    decoded: &mut [f32],
+) {
+    assert!(tile_dots_available(v), "tile_frames: no register-tile body");
+    assert!(
+        decoded.len() == tile_bits.len(),
+        "tile_frames: decode window"
+    );
+    if m == 0 || frames == 0 {
+        return;
+    }
+    let len = frame_len(tile_bits.len(), m, xs, frames, out, stride);
+    #[cfg(target_arch = "x86_64")]
+    if wide_available() {
+        // SAFETY: the feature set of sixteen lanes verified by
+        // `wide_available`, the sizes just above.
+        return unsafe { x86::tile_frames_zmm::<u16>(xs, frames, tile_bits, m, out, stride) };
+    }
+    for t in 0..frames {
+        let (x, o) = (
+            &xs[t * len..(t + 1) * len],
+            &mut out[t * stride..t * stride + m],
+        );
+        tile_dots_f16_variant(v, tile_bits, m, x, 1, o, decoded);
+    }
 }
 
 /// [`tile_dots_variant`] over `m` row-major rows (`rows[j·len + k]`) — a
@@ -2504,6 +2677,118 @@ mod tests {
                                 "m={m} len={len} b={b} row {} next to {poison:#06x}",
                                 i / b
                             );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frame_tiles_match_the_one_frame_body_per_frame() {
+        // Frame counts through two groups of four and every remainder, tile
+        // heights through a lane group of eight and a sixteen-lane register
+        // (partial ones of halves too), row lengths around the eight sublane
+        // chains; f32 lanes and f16 bits, dispatched and — where the host
+        // has sixteen lanes — the register body itself. Each frame's
+        // outputs land in a plane whose stride leaves a gap the call must
+        // not touch, nor anything past the plane, and carry the one-frame
+        // body's bits. Then one frame carries a NaN / ±∞ input: it matches
+        // its own one-frame result, and every other frame keeps its clean
+        // bits.
+        let v = Variant::Vector;
+        if !tile_dots_available(v) {
+            return;
+        }
+        let same = |x: f32, y: f32| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+        let mut rng = StdRng::seed_from_u64(0xF4A3);
+        for frames in 1usize..=9 {
+            for m in 1usize..=16 {
+                for len in [0usize, 1, 7, 8, 9, 102] {
+                    let (stride, bad) = (m + 3, frames / 2);
+                    let n = (frames - 1) * stride + m;
+                    let tile = rand_vec(len * m, &mut rng);
+                    let bits = crate::f16::f32_to_f16_bits(&tile);
+                    let mut halves = vec![0.0f32; bits.len()];
+                    crate::f16::f16_bits_to_f32(&bits, &mut halves);
+                    // The contract: the one-frame body, frame by frame.
+                    let one_frame = |half: bool, xs: &[f32]| {
+                        let plane = if half { &halves } else { &tile };
+                        let mut want = vec![7.0f32; n];
+                        for t in 0..frames {
+                            let o = &mut want[t * stride..t * stride + m];
+                            tile_dots_variant(v, plane, m, &xs[t * len..(t + 1) * len], 1, o);
+                        }
+                        want
+                    };
+                    // Every realization of the frame-major call: (name,
+                    // whether it runs the f16 bits, its output plane).
+                    let frame_major = |xs: &[f32]| {
+                        let mut runs: Vec<(&str, bool, Vec<f32>)> = Vec::new();
+                        let mut run = |name, half, call: &mut dyn FnMut(&mut [f32])| {
+                            let mut out = vec![7.0f32; n + 16];
+                            call(&mut out[..n]);
+                            assert!(out[n..].iter().all(|&s| s == 7.0), "{name}: past the plane");
+                            out.truncate(n);
+                            runs.push((name, half, out));
+                        };
+                        run("f32", false, &mut |o| {
+                            tile_frames_variant(v, &tile, m, xs, frames, o, stride)
+                        });
+                        run("f16", true, &mut |o| {
+                            let mut decoded = vec![f32::NAN; bits.len()];
+                            tile_frames_f16_variant(
+                                v,
+                                &bits,
+                                m,
+                                xs,
+                                frames,
+                                o,
+                                stride,
+                                &mut decoded,
+                            )
+                        });
+                        #[cfg(target_arch = "x86_64")]
+                        if widths().contains(&x86::Width::Zmm) {
+                            // SAFETY: `widths` lists only registers this host
+                            // has; the sizes are those the dispatched calls
+                            // check.
+                            run("Zmm f32", false, &mut |o| unsafe {
+                                x86::tile_frames_zmm::<f32>(xs, frames, &tile, m, o, stride)
+                            });
+                            run("Zmm f16", true, &mut |o| unsafe {
+                                x86::tile_frames_zmm::<u16>(xs, frames, &bits, m, o, stride)
+                            });
+                        }
+                        runs
+                    };
+                    let clean = rand_vec(frames * len, &mut rng);
+                    let base = frame_major(&clean);
+                    for (name, half, got) in &base {
+                        let want = one_frame(*half, &clean);
+                        for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                            let (t, j) = (i / stride, i % stride);
+                            let at =
+                                format!("{name} frames={frames} m={m} len={len} frame {t} row {j}");
+                            assert_eq!(g.to_bits(), w.to_bits(), "{at}: {g:e} vs {w:e}");
+                        }
+                    }
+                    if len == 0 {
+                        continue;
+                    }
+                    for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                        let mut xs = clean.clone();
+                        xs[bad * len + len / 2] = poison;
+                        for ((name, half, got), (_, _, clean_got)) in
+                            frame_major(&xs).iter().zip(&base)
+                        {
+                            let want = one_frame(*half, &xs);
+                            for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                                let t = i / stride;
+                                let at = format!("{name} frames={frames} m={m} len={len} frame {t} ({poison} in frame {bad})");
+                                assert!(same(g, w), "{at}: {g:e} vs {w:e}");
+                                assert!(t == bad || g.to_bits() == clean_got[i].to_bits(), "{at}");
+                            }
                         }
                     }
                 }

@@ -120,13 +120,16 @@ RTM_DECODER=ctc-beam:4 cargo test -q "${knob_crates[@]}"
 # The register tiles are `#[inline]` + `#[target_feature]` unsafe code that
 # serves only as a release build; the passes above test the debug one.
 #
-# The same holds one level up: the one-utterance chunked loop, the one-lane
-# head tiles and the f16 tiles run here as they ship, against the reference.
+# The same holds one level up: the one-utterance chunked loop (its
+# frame-major gate and head tiles), the one-lane head tiles, the f16 tiles
+# and the serve step's lane copies and batched tiles run here as they ship,
+# against the reference.
 if [[ "$quick" -eq 0 ]]; then
   echo "==> cargo test -q --release -p rtm-tensor -p rtm-sparse (the kernels as they ship)"
   cargo test -q --release -p rtm-tensor -p rtm-sparse
   echo "==> cargo test -q --release -p rtmobile (the production loops as they ship)"
-  cargo test -q --release -p rtmobile --test forward_chunk_contract --test head_tile_contract --test f16_tile_contract
+  cargo test -q --release -p rtmobile --test forward_chunk_contract --test head_tile_contract \
+    --test f16_tile_contract --test batched_contracts
   echo "==> cargo test --release -p rtm-tensor -- --ignored (f16 rounding + sigmoid/tanh sweeps, all 2^32 inputs)"
   cargo test --release -p rtm-tensor -- --ignored
 fi
@@ -218,12 +221,12 @@ grep -q RTM_HEALTH <<< "$err"
 
 # Informational, never failing: the non-test line counts of the kernel
 # layer, the dense cells and the compiled-gate path (BSPC codec, aligned
-# buffers, deploy layer and network, model file), the figure the
+# buffers, deploy layer, network and session, model file), the figure the
 # simplicity PRs' acceptance tables quote.
 echo "==> non-test lines of the kernel layer and the gate path (scripts/loc.sh)"
 scripts/loc.sh crates/sparse/src/{bspc,csr,kernel,scratch,io}.rs \
   crates/tensor/src/{simd,simd_i8,gemm,activations,aligned}.rs crates/exec/src/{spmv,dense}.rs \
-  crates/rnn/src/gru.rs crates/rtmobile/src/deploy/{layer,network}.rs \
+  crates/rnn/src/gru.rs crates/rtmobile/src/deploy/{layer,network,session}.rs \
   crates/rtmobile/src/model_file.rs || true
 
 echo "CI gate passed."

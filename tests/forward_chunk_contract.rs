@@ -6,11 +6,14 @@
 //!
 //! The utterance lengths sit on both sides of every edge of a 16-frame
 //! chunk (empty, one frame, one short of a chunk, one chunk, one past it,
-//! two chunks, three and a part), for every precision of BSPC, on
-//! one thread and three, under the host's SIMD variant and the scalar
-//! reference. Two networks: a two-layer one whose layers differ in width
-//! (the activation planes change size between layers) and a one-layer one
-//! whose input is wider than its state, with the 39-class head. Frames
+//! two chunks, three and a part) and of every group of four frames inside
+//! one (`4k ± 1`), for every precision of BSPC, on one thread and three,
+//! under the host's SIMD variant and the scalar reference. Four networks:
+//! a two-layer one whose layers differ in width (the activation planes
+//! change size between layers), a one-layer one whose input is wider than
+//! its state, with the 39-class head, and two whose gates cut into the row
+//! tiles production runs — 16 rows at hidden 64, 12 at hidden 48 (a full
+//! lane group and a partial one), with heads of 39 and 11 classes. Frames
 //! carry both zeros everywhere; `±∞` and NaN enter in the middle of a
 //! chunk.
 //!
@@ -27,7 +30,7 @@ use rtmobile::deploy::{CompiledNetwork, RuntimePrecision};
 
 /// The chunk length the lengths below straddle.
 const K: usize = 16;
-const LENGTHS: [usize; 7] = [0, 1, K - 1, K, K + 1, 2 * K, 3 * K + 5];
+const LENGTHS: [usize; 13] = [0, 1, 3, 5, 7, 9, 11, 13, K - 1, K, K + 1, 2 * K, 3 * K + 5];
 const PRECISIONS: [RuntimePrecision; 3] = [
     RuntimePrecision::F32,
     RuntimePrecision::F16,
@@ -39,7 +42,7 @@ const DECODERS: [DecoderChoice; 3] = [
     DecoderChoice::CtcBeam(4),
 ];
 
-fn networks() -> [GruNetwork; 2] {
+fn networks() -> [GruNetwork; 4] {
     let net = |input_dim, hidden_dims, num_classes, seed| {
         GruNetwork::new(
             &NetworkConfig {
@@ -50,7 +53,12 @@ fn networks() -> [GruNetwork; 2] {
             seed,
         )
     };
-    [net(6, vec![24, 16], 7, 0xC4), net(33, vec![9], 39, 0x16)]
+    [
+        net(6, vec![24, 16], 7, 0xC4),
+        net(33, vec![9], 39, 0x16),
+        net(20, vec![64], 39, 0x64),
+        net(6, vec![48, 48], 11, 0x48),
+    ]
 }
 
 /// Three utterances of `t` frames: finite frames with both zeros; the same

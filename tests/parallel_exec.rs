@@ -131,6 +131,55 @@ fn pooled_cuts_match_serial_on_every_tile_edge() {
 }
 
 #[test]
+fn frame_major_products_match_per_frame_spmv() {
+    // The frame-major entry on the tile-edge shapes,
+    // a 24-row-stripe BSPC (16 + 8-row tiles) and CSR, for frame counts
+    // around groups of four and thread counts above and below them: frame
+    // `t` of the output is the one-lane SpMV of frame `t`, every row of it
+    // written (the buffers start as NaN).
+    let w = bsp_weight(96, 64, 5);
+    let mut formats: Vec<Box<dyn SparseKernel>> = vec![
+        Box::new(BspcMatrix::from_dense(&w, 4, 4).unwrap()),
+        Box::new(CsrMatrix::from_dense(&w)),
+    ];
+    for m in tile_edge_matrices() {
+        formats.push(Box::new(m));
+    }
+    let execs = THREADS.map(Executor::new);
+    let mut rng = StdRng::seed_from_u64(77);
+    for (shape, k) in formats.iter().enumerate() {
+        let (rows, cols) = (k.rows(), k.cols());
+        for frames in [1usize, 2, 3, 4, 5, 7, 8, 9, 16] {
+            let xs: Vec<f32> = (0..frames * cols)
+                .map(|_| rng.gen_f32() * 2.0 - 1.0)
+                .collect();
+            for prec in [Precision::F32, Precision::F16, Precision::Int8] {
+                let what = format!("{} shape {shape} {prec:?} frames={frames}", k.tag());
+                let mut want = vec![f32::NAN; frames * rows];
+                for (x, y) in xs.chunks_exact(cols).zip(want.chunks_exact_mut(rows)) {
+                    k.spmv_prec_into(prec, x, y).unwrap();
+                }
+                for exec in &execs {
+                    let mut ys = vec![f32::NAN; frames * rows];
+                    exec.spmv_frames_into(k.as_ref(), prec, &xs, frames, &mut ys)
+                        .unwrap();
+                    assert_eq!(ys, want, "{what}, {} threads", exec.threads());
+                }
+            }
+        }
+        // A plane of the wrong shape is refused before anything is written.
+        for exec in &execs {
+            let mut ys = vec![7.0f32; 3 * rows];
+            let short = vec![0.0f32; 3 * cols - 1];
+            assert!(exec
+                .spmv_frames_into(k.as_ref(), Precision::F32, &short, 3, &mut ys)
+                .is_err());
+            assert!(ys.iter().all(|&y| y == 7.0));
+        }
+    }
+}
+
+#[test]
 fn compiled_network_parallel_inference_bit_exact() {
     let net = GruNetwork::new(
         &NetworkConfig {

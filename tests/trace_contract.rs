@@ -245,44 +245,47 @@ fn serial_and_pooled_dense_counters_agree_at_every_lane_count() {
 #[test]
 fn single_stream_forward_counts_spmv_and_gemv_only() {
     let _guard = traced();
-    // Past two 16-frame chunks and into a third.
+    // Past two 16-frame chunks and into a third; at hidden 16 and at
+    // hidden 64, whose gates cut into full 16-row tiles.
     let (layers, frames_n) = (2u64, 37u64);
-    let net = GruNetwork::new(
-        &NetworkConfig {
-            input_dim: 6,
-            hidden_dims: vec![16; layers as usize],
-            num_classes: 5,
-        },
-        77,
-    );
-    let compiled = CompiledNetwork::compile(&net, 4, 4, RuntimePrecision::F16).unwrap();
-    let frames: Vec<Vec<f32>> = (0..frames_n)
-        .map(|t| (0..6).map(|i| ((t * 6 + i) as f32 * 0.37).sin()).collect())
-        .collect();
     let reg = rtm_trace::global();
-    for threads in [1usize, 3] {
-        reg.reset();
-        compiled.forward_with(&Executor::new(threads), &frames);
-        let what = format!("{threads} threads");
-        assert_eq!(
-            reg.counter("kernel.spmv.bspc"),
-            6 * layers * frames_n,
-            "{what}"
+    for hidden in [16usize, 64] {
+        let net = GruNetwork::new(
+            &NetworkConfig {
+                input_dim: 6,
+                hidden_dims: vec![hidden; layers as usize],
+                num_classes: 5,
+            },
+            77,
         );
-        assert_eq!(
-            reg.counter("kernel.spmv.bspc.f16"),
-            6 * layers * frames_n,
-            "{what}"
-        );
-        assert_eq!(reg.counter(rtm_trace::key::GEMV_DENSE), frames_n, "{what}");
-        assert_eq!(reg.counter(rtm_trace::key::GEMM_DENSE), 0, "{what}");
-        let batched: Vec<String> = reg
-            .counters()
-            .into_iter()
-            .map(|(name, _)| name)
-            .filter(|name| name.starts_with("kernel.spmm."))
+        let compiled = CompiledNetwork::compile(&net, 4, 4, RuntimePrecision::F16).unwrap();
+        let frames: Vec<Vec<f32>> = (0..frames_n)
+            .map(|t| (0..6).map(|i| ((t * 6 + i) as f32 * 0.37).sin()).collect())
             .collect();
-        assert!(batched.is_empty(), "{what}: {batched:?}");
+        for threads in [1usize, 3] {
+            reg.reset();
+            compiled.forward_with(&Executor::new(threads), &frames);
+            let what = format!("hidden {hidden}, {threads} threads");
+            assert_eq!(
+                reg.counter("kernel.spmv.bspc"),
+                6 * layers * frames_n,
+                "{what}"
+            );
+            assert_eq!(
+                reg.counter("kernel.spmv.bspc.f16"),
+                6 * layers * frames_n,
+                "{what}"
+            );
+            assert_eq!(reg.counter(rtm_trace::key::GEMV_DENSE), frames_n, "{what}");
+            assert_eq!(reg.counter(rtm_trace::key::GEMM_DENSE), 0, "{what}");
+            let batched: Vec<String> = reg
+                .counters()
+                .into_iter()
+                .map(|(name, _)| name)
+                .filter(|name| name.starts_with("kernel.spmm."))
+                .collect();
+            assert!(batched.is_empty(), "{what}: {batched:?}");
+        }
     }
     rtm_trace::set_config(TraceConfig::off());
 }
