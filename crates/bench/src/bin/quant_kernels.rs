@@ -3,8 +3,9 @@
 //! Writes `BENCH_quant_kernels.json` at the repository root (or under
 //! `target/quick/` with `--quick`, which runs a tiny smoke configuration
 //! for CI). Times the precision-dispatched serial entry points
-//! ([`BspcMatrix::spmv_prec_into`], [`BspcMatrix::spmm_prec_into`] and the
-//! CSR equivalents) — exactly what the compiled runtime calls — on the
+//! ([`BspcMatrix::spmv_prec_into`], [`BspcMatrix::spmm_prec_into`], and the
+//! CSR SpMV at f32, the one precision the baseline holds) — exactly what the
+//! compiled runtime calls — on the
 //! 1024×1024 BSP-patterned matrix at 2.5× and 10× compression, under the
 //! `Auto` SIMD policy. The `bytes` field records each format's total
 //! footprint (index structure + values + scale metadata, via
@@ -19,7 +20,8 @@
 //! the byte reduction itself is the `bytes` column.
 //!
 //! The headline `speedups` section divides the f32 time by the f16/int8
-//! time per kernel × compression (below 1: the narrower kernel is slower).
+//! time per BSPC kernel × compression (below 1: the narrower kernel is
+//! slower).
 //!
 //! Dependency-free: std + workspace crates only.
 
@@ -62,7 +64,6 @@ fn main() {
         for prec in [Precision::F32, Precision::F16, Precision::Int8] {
             let tag = prec.tag();
             let bspc_bytes = Footprint::bspc(&bspc, prec).total();
-            let csr_bytes = Footprint::csr(&csr, prec).total();
 
             let us = time_us(scale(200), || {
                 bspc.spmv_prec_into(prec, &x, &mut y).expect("shapes match");
@@ -87,16 +88,18 @@ fn main() {
                 us,
             });
 
-            let us = time_us(scale(200), || {
-                csr.spmv_prec_into(prec, &x, &mut y).expect("shapes match");
-            });
-            rows.push(Row {
-                kernel: "csr_spmv",
-                compression: rate,
-                precision: tag,
-                bytes: csr_bytes,
-                us,
-            });
+            if csr.holds(prec) {
+                let us = time_us(scale(200), || {
+                    csr.spmv_prec_into(prec, &x, &mut y).expect("shapes match");
+                });
+                rows.push(Row {
+                    kernel: "csr_spmv",
+                    compression: rate,
+                    precision: tag,
+                    bytes: Footprint::csr(&csr, prec).total(),
+                    us,
+                });
+            }
         }
         eprintln!("[{rate:>4}x] precision kernels done");
     }
@@ -121,7 +124,7 @@ fn main() {
         .collect();
 
     let mut speedups: Vec<String> = Vec::new();
-    for kernel in ["bspc_spmv", "bspc_spmm", "csr_spmv"] {
+    for kernel in ["bspc_spmv", "bspc_spmm"] {
         for &rate in compressions {
             let (Some(f32_us), Some(f16_us), Some(i8_us)) = (
                 us_of(kernel, rate, "f32"),

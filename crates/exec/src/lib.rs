@@ -59,7 +59,7 @@ pub use spmv::Executor;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtm_sparse::{BspcMatrix, CsrMatrix, Precision, SparseKernel};
+    use rtm_sparse::{BspcMatrix, CsrMatrix, KernelError, Precision, SparseKernel};
     use rtm_tensor::rng::StdRng;
     use rtm_tensor::Matrix;
 
@@ -150,8 +150,8 @@ mod tests {
         }
     }
 
-    /// The one equivalence check every format runs, swept over precision ×
-    /// lanes × thread counts: serial f32/f16 SpMV against the independent
+    /// The one equivalence check every format runs, swept over the
+    /// precisions it holds × lanes × thread counts: serial f32/f16 SpMV against the independent
     /// dense oracle; pooled SpMV bit-identical to serial; every lane of
     /// the serial SpMM bit-identical to the serial SpMV of its column; and
     /// pooled SpMM bit-identical to serial SpMM.
@@ -159,7 +159,7 @@ mod tests {
         let (rows, cols) = (k.rows(), k.cols());
         let execs = pools();
         let x = input(cols, seed + 100);
-        for prec in PRECISIONS {
+        for prec in PRECISIONS.into_iter().filter(|&p| k.holds(p)) {
             let what = format!("{} {prec:?} seed {seed}", k.tag());
             let mut serial = vec![f32::NAN; rows];
             k.spmv_prec_into(prec, &x, &mut serial).unwrap();
@@ -219,6 +219,34 @@ mod tests {
             let w = bsp_random(57, 33, 3, 3, 0.4, 0.7, seed);
             check(&CsrMatrix::from_dense(&w), &w, seed);
         }
+    }
+
+    #[test]
+    fn csr_refuses_the_precisions_it_does_not_hold() {
+        // CSR holds f32 only: f16 and int8 are a typed refusal from the
+        // serial entries and through the pool, before anything is written.
+        let w = bsp_random(12, 10, 2, 2, 0.5, 1.0, 3);
+        let csr = CsrMatrix::from_dense(&w);
+        let exec = Executor::new(2);
+        for prec in [Precision::F16, Precision::Int8] {
+            assert!(!csr.holds(prec), "{prec:?}");
+            for b in [1usize, 3] {
+                let xs = input(10 * b, b as u64);
+                let mut ys = vec![7.0f32; 12 * b];
+                let serial = csr.spmm_prec_into(prec, &xs, b, &mut ys);
+                let pooled = exec.spmm_into(&csr, prec, &xs, b, &mut ys);
+                assert_eq!(serial, Err(KernelError::NotHeld(prec)), "{prec:?} b={b}");
+                assert_eq!(pooled, Err(ExecError::NotHeld(prec)), "{prec:?} b={b}");
+                if b == 1 {
+                    let serial = csr.spmv_prec_into(prec, &xs, &mut ys);
+                    let pooled = exec.spmv_into(&csr, prec, &xs, &mut ys);
+                    assert_eq!(serial, Err(KernelError::NotHeld(prec)));
+                    assert_eq!(pooled, Err(ExecError::NotHeld(prec)));
+                }
+                assert!(ys.iter().all(|&y| y == 7.0), "nothing written");
+            }
+        }
+        assert!(csr.holds(Precision::F32));
     }
 
     #[test]

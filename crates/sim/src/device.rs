@@ -150,7 +150,7 @@ impl GpuModel {
 /// A Kryo-485-class mobile CPU cluster.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuModel {
-    /// Aggregate NEON fp32 throughput in GFLOP/s across the big cores.
+    /// Aggregate SIMD fp32 throughput in GFLOP/s across the big cores.
     pub peak_gflops_f32: f64,
     /// DRAM bandwidth in GB/s (shared with the GPU).
     pub dram_bw_gbs: f64,

@@ -940,7 +940,7 @@ impl BspcMatrix {
 }
 
 /// The rows of one `[len × m]` tile for a variant without the register-tile
-/// body — the scalar definition, NEON: each row is de-tiled into `row` and
+/// body — the scalar definition: each row is de-tiled into `row` and
 /// goes through the unchanged lane primitive, a one-lane row through the
 /// variant's own `dot` (`Sum` from `-0.0` for the scalar definition, whose
 /// batch lanes start at `+0.0`: see [`simd::tile_dots_available`]).

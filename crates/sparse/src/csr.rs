@@ -4,10 +4,13 @@
 //! nonzero carries an explicit `u32` column index, and each SpMV row walk
 //! performs an indirect gather through those indices — the "decoding of each
 //! stored index" overhead §II-B-a calls out.
+//!
+//! CSR is the baseline the BSPC kernels are measured against, at f32: it
+//! holds one f32 value store, and a kernel call at f16 or int8 is
+//! [`KernelError::NotHeld`].
 
 use crate::footprint::Precision;
 use crate::kernel::{Activations, KernelError, SparseKernel};
-use crate::scratch::{self, FloatValues};
 use rtm_tensor::Matrix;
 use std::ops::Range;
 
@@ -24,12 +27,6 @@ pub struct CsrMatrix {
     row_ptr: Vec<u32>,
     col_idx: Vec<u32>,
     values: Vec<f32>,
-    /// `values` as raw f16 bit patterns (fp16 weight-storage sidecar).
-    values_f16: Vec<u16>,
-    /// `values` as int8 codes under the per-row-block scales.
-    values_i8: Vec<i8>,
-    /// Symmetric int8 scale per block of [`CsrMatrix::ROW_BLOCK`] rows.
-    scales_i8: Vec<f32>,
 }
 
 impl CsrMatrix {
@@ -51,57 +48,21 @@ impl CsrMatrix {
             }
             row_ptr.push(values.len() as u32);
         }
-        let mut m = CsrMatrix {
+        CsrMatrix {
             rows,
             cols,
             row_ptr,
             col_idx,
             values,
-            values_f16: Vec::new(),
-            values_i8: Vec::new(),
-            scales_i8: Vec::new(),
-        };
-        m.build_sidecars();
-        m
+        }
     }
 
-    /// Rows sharing one symmetric int8 scale. CSR has no stripe structure to
-    /// hang scales on, so the int8 sidecar uses fixed blocks of 8 rows — the
-    /// same granularity ESE-style row batching uses.
+    /// Rows that would share one symmetric int8 scale. CSR has no stripe
+    /// structure to hang scales on, so [`crate::Footprint::csr`] prices an
+    /// int8 CSR store with a scale per fixed block of 8 rows — the
+    /// granularity ESE-style row batching uses. A pricing convention only:
+    /// the matrix holds f32.
     pub const ROW_BLOCK: usize = 8;
-
-    /// Rebuilds the f16 and int8 sidecars from `values` (deterministic, so
-    /// the `PartialEq` derive and serialization round trips are unaffected).
-    fn build_sidecars(&mut self) {
-        self.values_f16 = rtm_tensor::f16::f32_to_f16_bits(&self.values);
-        let nb = self.rows.div_ceil(Self::ROW_BLOCK);
-        let mut max_abs = vec![0.0f32; nb];
-        for r in 0..self.rows {
-            let (start, end) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-            let m = &mut max_abs[r / Self::ROW_BLOCK];
-            for &v in &self.values[start..end] {
-                *m = m.max(v.abs());
-            }
-        }
-        self.scales_i8 = max_abs
-            .iter()
-            .map(|&m| {
-                if m > 0.0 && m.is_finite() {
-                    m / 127.0
-                } else {
-                    1.0
-                }
-            })
-            .collect();
-        self.values_i8 = vec![0; self.values.len()];
-        for r in 0..self.rows {
-            let (start, end) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-            let scale = self.scales_i8[r / Self::ROW_BLOCK];
-            for i in start..end {
-                self.values_i8[i] = (self.values[i] / scale).round().clamp(-127.0, 127.0) as i8;
-            }
-        }
-    }
 
     /// Number of rows.
     pub fn rows(&self) -> usize {
@@ -160,16 +121,15 @@ impl CsrMatrix {
         self.spmv_prec_into(Precision::F32, x, y)
     }
 
-    /// The float row kernel over the row range `rows` for `b` lanes: one
-    /// lane-major indexed dot per row over its `values` (the f32 plane or
-    /// the decoded f16 sidecar). Each row's column indices are decoded
-    /// **once** and applied to all `b` lanes — the index-traversal cost
-    /// §II-B-a identifies is amortized `b`×. Output row `r` lands at
-    /// `ys[(r - y_base) · b ..]`; every row in the range is written (empty
-    /// rows get 0).
+    /// The row kernel over the row range `rows` for `b` lanes: one
+    /// lane-major indexed dot per row over its f32 values. Each row's column
+    /// indices are decoded **once** and applied to all `b` lanes — the
+    /// index-traversal cost §II-B-a identifies is amortized `b`×. Output row
+    /// `r` lands at `ys[(r - y_base) · b ..]`; every row in the range is
+    /// written (empty rows get 0).
     fn float_rows_into(
         &self,
-        values: impl FloatValues,
+        values: &[f32],
         xs: &[f32],
         b: usize,
         rows: Range<usize>,
@@ -178,49 +138,11 @@ impl CsrMatrix {
     ) {
         let v = rtm_tensor::simd::active_variant();
         let outs = ys[(rows.start - y_base) * b..].chunks_exact_mut(b);
-        scratch::with_kernel(|scratch| {
-            for (r, out) in rows.zip(outs) {
-                let (start, end) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-                let vals = values.run(start..end, &mut scratch.conv);
-                let idx = &self.col_idx[start..end];
-                rtm_tensor::simd::indexed_dot_batch_variant(v, vals, idx, xs, b, out);
-            }
-        });
-    }
-
-    /// The int8 row kernel over the row range `rows` on pre-quantized
-    /// lane-major activations `xq` with per-lane scales `sxs`: the row's
-    /// codes are gathered once, lane-major, and a CSR row is a single scale
-    /// segment ([`CsrMatrix::ROW_BLOCK`] rows share a scale) of the fused
-    /// tile — `sxs[j] · (acc_j · scale)` with exact i32 accumulation.
-    fn int8_rows_into(
-        &self,
-        xq: &[i8],
-        sxs: &[f32],
-        b: usize,
-        rows: Range<usize>,
-        ys: &mut [f32],
-        y_base: usize,
-    ) {
-        let v = rtm_tensor::simd::active_variant();
-        let outs = ys[(rows.start - y_base) * b..].chunks_exact_mut(b);
-        scratch::with_kernel(|scratch| {
-            let gi8 = &mut scratch.gi8;
-            for (r, out) in rows.zip(outs) {
-                let (start, end) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-                scratch::gather_i8(gi8, &self.col_idx[start..end], xq, b);
-                rtm_tensor::simd_i8::row_block_dots_batch_i8(
-                    v,
-                    &self.values_i8[start..end],
-                    gi8,
-                    b,
-                    &[(end - start) as u32],
-                    &[self.scales_i8[r / Self::ROW_BLOCK]],
-                    sxs,
-                    out,
-                );
-            }
-        });
+        for (r, out) in rows.zip(outs) {
+            let (start, end) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
+            let (vals, idx) = (&values[start..end], &self.col_idx[start..end]);
+            rtm_tensor::simd::indexed_dot_batch_variant(v, vals, idx, xs, b, out);
+        }
     }
 
     /// Expands back to a dense matrix.
@@ -265,6 +187,11 @@ impl SparseKernel for CsrMatrix {
         u
     }
 
+    /// The f32 store only.
+    fn holds(&self, prec: Precision) -> bool {
+        prec == Precision::F32
+    }
+
     fn needs_zero_fill(&self) -> bool {
         false
     }
@@ -278,14 +205,9 @@ impl SparseKernel for CsrMatrix {
         y_base: usize,
     ) {
         match activations {
-            Activations::F32(xs) => {
-                self.float_rows_into(self.values.as_slice(), xs, b, units, ys, y_base)
-            }
-            Activations::F16(xs) => {
-                self.float_rows_into(self.values_f16.as_slice(), xs, b, units, ys, y_base)
-            }
-            Activations::Int8 { codes, scales } => {
-                self.int8_rows_into(codes, scales, b, units, ys, y_base)
+            Activations::F32(xs) => self.float_rows_into(&self.values, xs, b, units, ys, y_base),
+            Activations::F16(_) | Activations::Int8 { .. } => {
+                unreachable!("the driver refuses a precision CSR does not hold")
             }
         }
     }
@@ -377,72 +299,6 @@ mod tests {
         assert!(csr
             .spmm_prec_into(Precision::F32, &[0.0; 8], 2, &mut [0.0; 5])
             .is_err());
-    }
-
-    #[test]
-    fn f16_kernels_match_f32_on_rounded_values() {
-        let mut rng = rtm_tensor::init::rng_from_seed(51);
-        let d = rtm_tensor::init::uniform(20, 14, -1.0, 1.0, &mut rng).map(|v| {
-            if v.abs() < 0.4 {
-                0.0
-            } else {
-                rtm_tensor::f16::quantize_f16(v)
-            }
-        });
-        let m = CsrMatrix::from_dense(&d);
-        let x: Vec<f32> = (0..14).map(|i| (i as f32 * 0.43).sin()).collect();
-        let want = m.spmv(&x).unwrap();
-        let mut got = vec![f32::NAN; 20];
-        m.spmv_prec_into(Precision::F16, &x, &mut got).unwrap();
-        assert_eq!(got, want);
-        let b = 4usize;
-        let xs: Vec<f32> = (0..14 * b).map(|i| (i as f32 * 0.19).cos()).collect();
-        let mut ys = vec![f32::NAN; 20 * b];
-        m.spmm_prec_into(Precision::F16, &xs, b, &mut ys).unwrap();
-        let mut want_m = vec![0.0f32; 20 * b];
-        m.spmm_prec_into(Precision::F32, &xs, b, &mut want_m)
-            .unwrap();
-        assert_eq!(ys, want_m);
-    }
-
-    #[test]
-    fn i8_kernels_bounded_and_lane_consistent() {
-        let mut rng = rtm_tensor::init::rng_from_seed(62);
-        let d = rtm_tensor::init::uniform(19, 13, -1.5, 1.5, &mut rng).map(|v| {
-            if v.abs() < 0.4 {
-                0.0
-            } else {
-                v
-            }
-        });
-        let m = CsrMatrix::from_dense(&d);
-        assert_eq!(m.scales_i8.len(), 19usize.div_ceil(CsrMatrix::ROW_BLOCK));
-        let x: Vec<f32> = (0..13).map(|i| (i as f32 * 0.61).sin()).collect();
-        let want = gemm::gemv(&d, &x).unwrap();
-        let mut got = vec![0.0f32; 19];
-        m.spmv_prec_into(Precision::Int8, &x, &mut got).unwrap();
-        let wmax = d.as_slice().iter().fold(0.0f32, |a, v| a.max(v.abs()));
-        let xmax = x.iter().fold(0.0f32, |a, v| a.max(v.abs()));
-        let smax = m.scales_i8.iter().fold(0.0f32, |a, v| a.max(*v));
-        let sx = xmax / 127.0;
-        let bound = 13.0 * (0.5 * smax * xmax + 0.5 * sx * wmax + 0.25 * smax * sx) + 1e-4;
-        for (w, g) in want.iter().zip(&got) {
-            assert!((w - g).abs() <= bound, "{w} vs {g} (bound {bound})");
-        }
-        // Batched int8 lanes are exactly the serial int8 columns.
-        for b in [1usize, 3, 6] {
-            let xs: Vec<f32> = (0..13 * b).map(|i| (i as f32 * 0.83).cos()).collect();
-            let mut ys = vec![f32::NAN; 19 * b];
-            m.spmm_prec_into(Precision::Int8, &xs, b, &mut ys).unwrap();
-            for j in 0..b {
-                let col: Vec<f32> = (0..13).map(|c| xs[c * b + j]).collect();
-                let mut yy = vec![0.0f32; 19];
-                m.spmv_prec_into(Precision::Int8, &col, &mut yy).unwrap();
-                for r in 0..19 {
-                    assert_eq!(ys[r * b + j], yy[r], "b={b} lane {j} row {r}");
-                }
-            }
-        }
     }
 
     /// Randomized (seed-driven) dense↔CSR round-trip.

@@ -72,9 +72,11 @@ impl Footprint {
         }
     }
 
-    /// Footprint of a CSR matrix: one scalar and one `u32` column index per
-    /// nonzero plus the `rows + 1` row-pointer array; int8 adds one f32
-    /// scale per [`CsrMatrix::ROW_BLOCK`] rows.
+    /// Footprint of a CSR matrix stored at `prec`: one scalar and one `u32`
+    /// column index per nonzero plus the `rows + 1` row-pointer array; int8
+    /// adds one f32 scale per [`CsrMatrix::ROW_BLOCK`] rows. Structural
+    /// pricing (the simulator's and the benches' byte counts): a
+    /// [`CsrMatrix`] itself holds f32.
     pub fn csr(m: &CsrMatrix, prec: Precision) -> Footprint {
         Footprint {
             value_bytes: m.nnz() * prec.bytes(),

@@ -29,7 +29,8 @@ pub enum KernelError {
     /// Operand shapes disagree with the matrix.
     Shape(ShapeError),
     /// The matrix holds no value store at this precision (a compiled or
-    /// decoded BSPC gate holds only the one it was lowered at).
+    /// decoded BSPC gate holds only the one it was lowered at, CSR only
+    /// f32).
     NotHeld(Precision),
 }
 

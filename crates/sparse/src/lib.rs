@@ -8,7 +8,7 @@
 //!
 //! * **CSR** ([`CsrMatrix`]) — the conventional compressed-sparse-row format
 //!   that unstructured pruning (ESE-style) is stuck with: one explicit column
-//!   index per nonzero;
+//!   index per nonzero, over one f32 value store;
 //! * **BSPC** ([`BspcMatrix`]) — the paper's *Block-based Structured Pruning
 //!   Compact* format (§IV-B-c): because BSP prunes whole columns inside each
 //!   (row-stripe × column-block) and whole rows globally, the column indices

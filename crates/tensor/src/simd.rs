@@ -9,12 +9,12 @@
 //! | variant     | realization                                       | numeric contract           |
 //! |-------------|---------------------------------------------------|----------------------------|
 //! | `scalar-u1` | the naive loop — the scalar definition            | bit-exact reference        |
-//! | `vector`    | AVX2+FMA, batches in AVX-512 registers (x86_64) / NEON (aarch64) | ≤ 4 ULPs of u1 (see below) |
+//! | `vector`    | AVX2+FMA, batches in AVX-512 registers (x86_64)   | ≤ 4 ULPs of u1 (see below) |
 //!
 //! The scalar definition is what the bit-identity and ULP contracts are
 //! stated against (one accumulator, left-to-right association); the vector
-//! body is what production runs. It uses one 8-lane (AVX2) / 4-lane (NEON)
-//! FMA accumulator register plus a fixed-tree horizontal reduction, which
+//! body is what production runs. It uses one 8-lane AVX2 FMA accumulator
+//! register plus a fixed-tree horizontal reduction, which
 //! reassociates the sum and contracts multiply-adds. There is no unrolled
 //! scalar middle: one accumulator is one dependency chain, so an unroll buys
 //! nothing, and a hand-unrolled `axpy` keeps the compiler from vectorising
@@ -40,7 +40,7 @@
 //! BSPC row kernel — produces bit-identical results to the in-register
 //! gather of the CSR row kernel, under every [`SimdPolicy`].
 //!
-//! **Batched lanes.** The SpMM kernels ([`dot_batch`], [`indexed_dot_batch`])
+//! **Batched lanes.** The SpMM kernels ([`dot_batch`], [`indexed_dot_batch_variant`])
 //! take `b` interleaved input streams (element `c` of lane `j` at
 //! `xs[c·b + j]`) and walk the row's values/indices once for all of them.
 //! Their contract is stronger than the 4-ULP reduction bound: lane `j` of a
@@ -115,8 +115,7 @@
 //! `b ≥ 2` costs what its `⌈b / 8⌉` tiles cost — continuous batching rarely
 //! holds a multiple of eight lanes. It is safe at the end of the buffer:
 //! lanes `jb..b` of row `k` lie inside `xs[k·b .. (k+1)·b]`, and masked-off
-//! lanes are not accessed — neither read nor written. (The NEON kernels
-//! still replay their `b % 4` tail lanes in scalar code.) A plane of f16
+//! lanes are not accessed — neither read nor written. A plane of f16
 //! bits has no masked load on AVX2; its last lanes are the *full* tile that
 //! ends at lane `b`, which recomputes the lanes it shares with the tile
 //! before it to the same bits. The sixteen-lane register masks with a
@@ -124,6 +123,11 @@
 //! `vcvtph2ps`); its last `b % 16` lanes run in the eight-lane register
 //! when they fit it (a sixteen-lane row of eight live lanes cost 1.13–1.27×
 //! an eight-lane one), so `b ≤ 8` runs the eight-lane tile.
+//!
+//! There is one vector body, x86_64's: every other target — aarch64
+//! included — runs the scalar definitions, which is what every contract here
+//! is stated against. A body for another ISA comes with a CI target that
+//! compiles and tests it.
 //!
 //! Dispatch is process-global: [`active_variant`] resolves the
 //! [`SimdPolicy`] (programmatic [`set_policy`] wins over the `RTM_SIMD`
@@ -140,7 +144,8 @@ use std::sync::OnceLock;
 pub enum Variant {
     /// The naive loop — the scalar definition, the bit-exact reference.
     ScalarU1,
-    /// AVX2+FMA on x86_64 / NEON on aarch64 (≤ 4-ULP contract).
+    /// AVX2+FMA on x86_64 (≤ 4-ULP contract); the scalar definition
+    /// elsewhere.
     Vector,
 }
 
@@ -164,7 +169,7 @@ pub enum SimdPolicy {
     /// otherwise.
     Auto,
     /// Always use the given variant ([`Variant::Vector`] still resolves to
-    /// the scalar definition on CPUs without AVX2+FMA / NEON).
+    /// the scalar definition on CPUs without AVX2+FMA).
     Fixed(Variant),
 }
 
@@ -269,12 +274,7 @@ fn detect() -> bool {
         && std::arch::is_x86_feature_detected!("f16c")
 }
 
-#[cfg(target_arch = "aarch64")]
-fn detect() -> bool {
-    std::arch::is_aarch64_feature_detected!("neon")
-}
-
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(not(target_arch = "x86_64"))]
 fn detect() -> bool {
     false
 }
@@ -298,7 +298,8 @@ fn detect_wide() -> bool {
 }
 
 /// Whether the host CPU supports this build's vector path (AVX2+FMA with
-/// F16C on x86_64, NEON on aarch64). Detection runs once and is cached.
+/// F16C on x86_64; no other target has one). Detection runs once and is
+/// cached.
 pub fn vector_available() -> bool {
     static AVAIL: OnceLock<bool> = OnceLock::new();
     *AVAIL.get_or_init(detect)
@@ -323,32 +324,27 @@ fn width() -> x86::Width {
 }
 
 /// SIMD lanes per register of the vector path's batched bodies and sweeps:
-/// 16 on AVX-512F/BW/VL/DQ, 8 on AVX2, 4 on NEON, 1 when no vector path is
-/// available. (The along-row kernels and one-frame calls of the one-stream
+/// 16 on AVX-512F/BW/VL/DQ, 8 on AVX2, 1 when no vector path is available. (The along-row kernels and one-frame calls of the one-stream
 /// row tiles are eight lanes wide on every x86 host.)
 pub fn lane_width() -> usize {
     if !vector_available() {
         1
     } else if wide_available() {
         16
-    } else if cfg!(target_arch = "x86_64") {
-        8
     } else {
-        4
+        8
     }
 }
 
-/// Human-readable name of the detected vector ISA (`"avx2+fma"`, `"neon"`
-/// or `"none"`), recorded by the benchmark JSON. An AVX-512 host reports
+/// Human-readable name of the detected vector ISA (`"avx2+fma"` or
+/// `"none"`), recorded by the benchmark JSON. An AVX-512 host reports
 /// `"avx2+fma"` too: it names the arithmetic, which the sixteen-lane bodies
 /// reproduce bit for bit; [`lane_width`] tells the widths apart.
 pub fn vector_isa() -> &'static str {
-    if !vector_available() {
-        "none"
-    } else if cfg!(target_arch = "x86_64") {
+    if vector_available() {
         "avx2+fma"
     } else {
-        "neon"
+        "none"
     }
 }
 
@@ -1324,194 +1320,6 @@ mod x86 {
 }
 
 // ---------------------------------------------------------------------------
-// NEON (aarch64). 4-lane counterpart of the AVX2 kernels with the same
-// structure: one accumulator register, `vaddvq` reduction, in-order tail.
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use std::arch::aarch64::*;
-
-    #[target_feature(enable = "neon")]
-    pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
-        let n = a.len();
-        let chunks = n / 4;
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut acc = vdupq_n_f32(0.0);
-        for i in 0..chunks {
-            let va = vld1q_f32(ap.add(i * 4));
-            let vb = vld1q_f32(bp.add(i * 4));
-            acc = vfmaq_f32(acc, va, vb);
-        }
-        let mut sum = vaddvq_f32(acc);
-        for i in chunks * 4..n {
-            sum += a[i] * b[i];
-        }
-        sum
-    }
-
-    #[target_feature(enable = "neon")]
-    pub unsafe fn indexed_dot(vals: &[f32], idx: &[u32], x: &[f32]) -> f32 {
-        let n = vals.len();
-        let chunks = n / 4;
-        let vp = vals.as_ptr();
-        let mut acc = vdupq_n_f32(0.0);
-        for i in 0..chunks {
-            let j = i * 4;
-            // NEON has no gather: stage the four inputs through a stack
-            // array so the lane grouping matches the dense dot exactly.
-            let g = [
-                x[idx[j] as usize],
-                x[idx[j + 1] as usize],
-                x[idx[j + 2] as usize],
-                x[idx[j + 3] as usize],
-            ];
-            let w = vld1q_f32(vp.add(j));
-            acc = vfmaq_f32(acc, w, vld1q_f32(g.as_ptr()));
-        }
-        let mut sum = vaddvq_f32(acc);
-        for i in chunks * 4..n {
-            sum += vals[i] * x[idx[i] as usize];
-        }
-        sum
-    }
-
-    #[target_feature(enable = "neon")]
-    pub unsafe fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-        let n = x.len();
-        let chunks = n / 4;
-        let va = vdupq_n_f32(alpha);
-        let xp = x.as_ptr();
-        let yp = y.as_mut_ptr();
-        for i in 0..chunks {
-            let vx = vld1q_f32(xp.add(i * 4));
-            let vy = vld1q_f32(yp.add(i * 4));
-            vst1q_f32(yp.add(i * 4), vfmaq_f32(vy, va, vx));
-        }
-        for i in chunks * 4..n {
-            y[i] += alpha * x[i];
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    pub unsafe fn hadamard_into(a: &[f32], b: &[f32], out: &mut [f32]) {
-        let n = a.len();
-        let chunks = n / 4;
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let op = out.as_mut_ptr();
-        for i in 0..chunks {
-            vst1q_f32(
-                op.add(i * 4),
-                vmulq_f32(vld1q_f32(ap.add(i * 4)), vld1q_f32(bp.add(i * 4))),
-            );
-        }
-        for i in chunks * 4..n {
-            out[i] = a[i] * b[i];
-        }
-    }
-
-    /// Scalar replay of one batch lane of the NEON dot: four k-sublane
-    /// accumulators (`mul_add` = the same single-rounding FMA as `vfmaq`),
-    /// the `vaddvq` pairwise tree `(a0+a1)+(a2+a3)`, then the in-order
-    /// mul+add tail.
-    #[inline]
-    fn lane_dot<F: Fn(usize) -> f32>(a: &[f32], fetch: F) -> f32 {
-        let n = a.len();
-        let chunks = n / 4;
-        let mut acc = [0.0f32; 4];
-        for i in 0..chunks {
-            for (l, al) in acc.iter_mut().enumerate() {
-                let k = i * 4 + l;
-                *al = a[k].mul_add(fetch(k), *al);
-            }
-        }
-        let mut sum = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-        for k in chunks * 4..n {
-            sum += a[k] * fetch(k);
-        }
-        sum
-    }
-
-    /// Batched dense dot: lane `j` of `out` is bit-identical to `dot` of
-    /// `a` with column `j` of the lane-major `xs` buffer. The reduction
-    /// applies `vaddvq`'s pairwise tree element-wise across the four
-    /// k-sublane accumulators.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn dot_batch(a: &[f32], xs: &[f32], b: usize, out: &mut [f32]) {
-        let n = a.len();
-        let chunks = n / 4;
-        let xp = xs.as_ptr();
-        let op = out.as_mut_ptr();
-        let jb = b - b % 4;
-        let mut j0 = 0;
-        while j0 < jb {
-            let mut acc = [vdupq_n_f32(0.0); 4];
-            for i in 0..chunks {
-                for (l, al) in acc.iter_mut().enumerate() {
-                    let k = i * 4 + l;
-                    let w = vdupq_n_f32(a[k]);
-                    let xv = vld1q_f32(xp.add(k * b + j0));
-                    *al = vfmaq_f32(*al, w, xv);
-                }
-            }
-            let mut s = vaddq_f32(vaddq_f32(acc[0], acc[1]), vaddq_f32(acc[2], acc[3]));
-            for k in chunks * 4..n {
-                let w = vdupq_n_f32(a[k]);
-                let xv = vld1q_f32(xp.add(k * b + j0));
-                s = vaddq_f32(s, vmulq_f32(w, xv));
-            }
-            vst1q_f32(op.add(j0), s);
-            j0 += 4;
-        }
-        for j in jb..b {
-            out[j] = lane_dot(a, |k| xs[k * b + j]);
-        }
-    }
-
-    /// Batched indexed dot: lane `j` of `out` is bit-identical to
-    /// `indexed_dot` against column `j` of the lane-major `xs` buffer.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn indexed_dot_batch(
-        vals: &[f32],
-        idx: &[u32],
-        xs: &[f32],
-        b: usize,
-        out: &mut [f32],
-    ) {
-        let n = vals.len();
-        let chunks = n / 4;
-        let xp = xs.as_ptr();
-        let op = out.as_mut_ptr();
-        let jb = b - b % 4;
-        let mut j0 = 0;
-        while j0 < jb {
-            let mut acc = [vdupq_n_f32(0.0); 4];
-            for i in 0..chunks {
-                for (l, al) in acc.iter_mut().enumerate() {
-                    let k = i * 4 + l;
-                    let w = vdupq_n_f32(vals[k]);
-                    let xv = vld1q_f32(xp.add(idx[k] as usize * b + j0));
-                    *al = vfmaq_f32(*al, w, xv);
-                }
-            }
-            let mut s = vaddq_f32(vaddq_f32(acc[0], acc[1]), vaddq_f32(acc[2], acc[3]));
-            for k in chunks * 4..n {
-                let w = vdupq_n_f32(vals[k]);
-                let xv = vld1q_f32(xp.add(idx[k] as usize * b + j0));
-                s = vaddq_f32(s, vmulq_f32(w, xv));
-            }
-            vst1q_f32(op.add(j0), s);
-            j0 += 4;
-        }
-        for j in jb..b {
-            out[j] = lane_dot(vals, |k| xs[idx[k] as usize * b + j]);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Vector dispatchers: runtime-checked entry into the unsafe ISA modules,
 // ending in the scalar definition when the CPU lacks the features.
 // ---------------------------------------------------------------------------
@@ -1522,11 +1330,6 @@ fn dot_vector(a: &[f32], b: &[f32]) -> f32 {
         // SAFETY: AVX2+FMA presence verified by `vector_available`.
         return unsafe { x86::dot(a, b) };
     }
-    #[cfg(target_arch = "aarch64")]
-    if vector_available() {
-        // SAFETY: NEON presence verified by `vector_available`.
-        return unsafe { neon::dot(a, b) };
-    }
     dot_u1(a, b)
 }
 
@@ -1535,11 +1338,6 @@ fn indexed_dot_vector(vals: &[f32], idx: &[u32], x: &[f32]) -> f32 {
     if vector_available() {
         // SAFETY: AVX2+FMA presence verified by `vector_available`.
         return unsafe { x86::indexed_dot(vals, idx, x) };
-    }
-    #[cfg(target_arch = "aarch64")]
-    if vector_available() {
-        // SAFETY: NEON presence verified by `vector_available`.
-        return unsafe { neon::indexed_dot(vals, idx, x) };
     }
     indexed_dot_u1(vals, idx, x)
 }
@@ -1550,11 +1348,6 @@ fn axpy_vector(alpha: f32, x: &[f32], y: &mut [f32]) {
         // SAFETY: AVX2+FMA presence verified by `vector_available`.
         return unsafe { x86::axpy(alpha, x, y) };
     }
-    #[cfg(target_arch = "aarch64")]
-    if vector_available() {
-        // SAFETY: NEON presence verified by `vector_available`.
-        return unsafe { neon::axpy(alpha, x, y) };
-    }
     axpy_u1(alpha, x, y)
 }
 
@@ -1563,11 +1356,6 @@ fn hadamard_into_vector(a: &[f32], b: &[f32], out: &mut [f32]) {
     if vector_available() {
         // SAFETY: AVX2+FMA presence verified by `vector_available`.
         return unsafe { x86::hadamard_into(a, b, out) };
-    }
-    #[cfg(target_arch = "aarch64")]
-    if vector_available() {
-        // SAFETY: NEON presence verified by `vector_available`.
-        return unsafe { neon::hadamard_into(a, b, out) };
     }
     hadamard_into_u1(a, b, out)
 }
@@ -1579,11 +1367,6 @@ fn dot_batch_vector(a: &[f32], xs: &[f32], b: usize, out: &mut [f32]) {
         // `vector_available` / `wide_available`; the lengths by
         // `dot_batch_variant` and `dot_lanes`, the only callers.
         return unsafe { x86::dot_batch::<f32>(width(), a, xs, b, out) };
-    }
-    #[cfg(target_arch = "aarch64")]
-    if vector_available() {
-        // SAFETY: NEON presence verified by `vector_available`.
-        return unsafe { neon::dot_batch(a, xs, b, out) };
     }
     // Without the ISA the serial vector kernels are the scalar definition,
     // which the scalar batch realization runs per lane.
@@ -1597,11 +1380,6 @@ fn indexed_dot_batch_vector(vals: &[f32], idx: &[u32], xs: &[f32], b: usize, out
         // lengths and the index range by `indexed_dot_batch_variant` and
         // `indexed_dot_lanes`, the only callers.
         return unsafe { x86::indexed_dot_batch(vals, idx, xs, b, out) };
-    }
-    #[cfg(target_arch = "aarch64")]
-    if vector_available() {
-        // SAFETY: NEON presence verified by `vector_available`.
-        return unsafe { neon::indexed_dot_batch(vals, idx, xs, b, out) };
     }
     indexed_dot_batch_scalar(vals, idx, xs, b, out)
 }
@@ -1650,15 +1428,6 @@ pub fn indexed_dot_variant(v: Variant, vals: &[f32], idx: &[u32], x: &[f32]) -> 
         Variant::ScalarU1 => indexed_dot_u1(vals, idx, x),
         Variant::Vector => indexed_dot_vector(vals, idx, x),
     }
-}
-
-/// Sparse (indexed) dot under the [`active_variant`].
-///
-/// # Panics
-///
-/// Panics if `vals` and `idx` lengths differ or an index is out of range.
-pub fn indexed_dot(vals: &[f32], idx: &[u32], x: &[f32]) -> f32 {
-    indexed_dot_variant(active_variant(), vals, idx, x)
 }
 
 /// `y += alpha * x` under an explicit variant.
@@ -2065,15 +1834,6 @@ fn indexed_dot_lanes(v: Variant, vals: &[f32], idx: &[u32], xs: &[f32], b: usize
     }
 }
 
-/// Batched sparse (indexed) dot under the [`active_variant`].
-///
-/// # Panics
-///
-/// As [`indexed_dot_batch_variant`].
-pub fn indexed_dot_batch(vals: &[f32], idx: &[u32], xs: &[f32], b: usize, out: &mut [f32]) {
-    indexed_dot_batch_variant(active_variant(), vals, idx, xs, b, out)
-}
-
 /// Broadcasts `bias[i]` into every lane of row `i` of a lane-major buffer:
 /// `out[i·b + j] += bias[i]`.
 ///
@@ -2113,8 +1873,8 @@ pub fn broadcast_add(bias: &[f32], b: usize, out: &mut [f32]) {
 /// sequence a register of lanes at a time — sixteen with AVX-512, eight on
 /// AVX2, a partial register masked — (no FMA, both branches computed and
 /// selected): bit-identical to the scalar loop on all 2³² inputs at either
-/// width, checked exhaustively. Without AVX2 — aarch64 included, until a
-/// NEON body can be checked the same way — `Vector` is the scalar loop.
+/// width, checked exhaustively. Without AVX2 — every other target
+/// included — `Vector` is the scalar loop.
 pub fn sigmoid_sweep_variant(v: Variant, xs: &mut [f32]) {
     match v {
         #[cfg(target_arch = "x86_64")]

@@ -5,7 +5,8 @@
 //! layer's precision — never a second store beside it. Measured, not
 //! inferred: a counting `#[global_allocator]` reads the live heap bytes a
 //! clone of each gate takes; less the bytes of its index structure, what
-//! is left is its value store.
+//! is left is its value store. CSR, the kernel baseline, holds its f32
+//! values beside its row pointers and column indices, and nothing else.
 //!
 //! Own test binary (see `crates/rtmobile/Cargo.toml`) for the allocator,
 //! and one test in it, so no other test's allocations interleave.
@@ -13,7 +14,7 @@
 use rtm_pruning::projection::{BspColumnBlock, Projection, RowPrune};
 use rtm_rnn::model::NetworkConfig;
 use rtm_rnn::GruNetwork;
-use rtm_sparse::{BspcMatrix, Precision, SparseKernel};
+use rtm_sparse::{BspcMatrix, CsrMatrix, Precision, SparseKernel};
 use rtmobile::deploy::{CompiledNetwork, RuntimePrecision};
 use rtmobile::model_file;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -59,7 +60,7 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Live heap bytes a clone of `gate` takes.
-fn resident(gate: &BspcMatrix) -> usize {
+fn resident<T: Clone>(gate: &T) -> usize {
     let before = LIVE.with(Cell::get);
     let copy = gate.clone();
     let bytes = LIVE.with(Cell::get) - before;
@@ -103,6 +104,18 @@ fn pruned() -> GruNetwork {
 #[test]
 fn a_gate_holds_one_value_store_at_its_precision() {
     let net = pruned();
+    // CSR: row pointers, then a `u32` column and an f32 value per nonzero.
+    for layer in &net.layers {
+        for (name, w) in layer.prunable() {
+            let csr = CsrMatrix::from_dense(w);
+            let store = (csr.rows() + 1) * 4 + csr.nnz() * 8;
+            let held = resident(&csr);
+            assert!(
+                held <= store + 64,
+                "CSR {name}: {held} B held for {store} B of f32 CSR"
+            );
+        }
+    }
     for precision in [
         RuntimePrecision::F32,
         RuntimePrecision::F16,

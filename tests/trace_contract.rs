@@ -158,6 +158,9 @@ fn serial_and_pooled_counters_agree_for_every_format_precision_and_batch() {
 
     for k in formats {
         for prec in [Precision::F32, Precision::F16, Precision::Int8] {
+            if !k.holds(prec) {
+                continue;
+            }
             for b in [0usize, 1, 3] {
                 let xs = vec![0.25f32; 24 * b];
                 let mut ys = vec![0.0f32; 32 * b];
