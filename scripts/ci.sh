@@ -40,14 +40,17 @@ fi
 # Feature sets: a `#[target_feature]` body may only name features its
 # dispatcher detects at run time — an `f16c` body behind an `avx2 && fma`
 # check is an illegal instruction on the one host that differs, and no test
-# on this host can see it. Per kernel file: the features its attributes
-# enable must all appear in its own `is_*_feature_detected!` calls, or, for a
-# file that has none, in `simd.rs`'s (`simd::vector_available`, the check
-# every other kernel file dispatches on).
+# on this host can see it. Per kernel file, at any depth under
+# crates/tensor/src: the features its attributes enable must all appear in
+# its own `is_*_feature_detected!` calls, or, for a file that has none, in
+# `simd/mod.rs`'s (`simd::detect` / `simd::detect_wide`, the checks every
+# other kernel file dispatches on).
 echo "==> feature sets (every enabled target feature is one the dispatcher detects)"
-for f in $(grep -l 'target_feature(enable' crates/tensor/src/*.rs); do
+kernel_files=$(grep -rl --include='*.rs' 'target_feature(enable' crates/tensor/src)
+[[ -n "$kernel_files" ]] || { echo "FAIL: no #[target_feature] body found" >&2; exit 1; }
+for f in $kernel_files; do
   checks=$f
-  grep -q 'is_x86_feature_detected!' "$f" || checks=crates/tensor/src/simd.rs
+  grep -q 'is_x86_feature_detected!' "$f" || checks=crates/tensor/src/simd/mod.rs
   enabled=$(grep -oh 'target_feature(enable = "[^"]*")' "$f" | cut -d'"' -f2 | tr ',' '\n' | sort -u)
   detected=$(grep -oh 'is_[a-z0-9_]*_feature_detected!("[^"]*")' "$checks" | cut -d'"' -f2 | sort -u)
   missing=$(comm -23 <(echo "$enabled") <(echo "$detected") | tr '\n' ' ')
@@ -224,8 +227,8 @@ grep -q RTM_HEALTH <<< "$err"
 # buffers, deploy layer, network and session, model file), the figure the
 # simplicity PRs' acceptance tables quote.
 echo "==> non-test lines of the kernel layer and the gate path (scripts/loc.sh)"
-scripts/loc.sh crates/sparse/src/{bspc,csr,kernel,scratch,io}.rs \
-  crates/tensor/src/{simd,simd_i8,gemm,activations,aligned}.rs crates/exec/src/{spmv,dense}.rs \
+scripts/loc.sh crates/sparse/src/{bspc,csr,kernel,scratch,io}.rs crates/tensor/src/simd/*.rs \
+  crates/tensor/src/{simd_i8,gemm,activations,aligned}.rs crates/exec/src/{spmv,dense}.rs \
   crates/rnn/src/gru.rs crates/rtmobile/src/deploy/{layer,network,session}.rs \
   crates/rtmobile/src/model_file.rs || true
 
