@@ -151,10 +151,10 @@ mod tests {
     }
 
     /// The one equivalence check every format runs, swept over the
-    /// precisions it holds × lanes × thread counts: serial f32/f16 SpMV against the independent
-    /// dense oracle; pooled SpMV bit-identical to serial; every lane of
-    /// the serial SpMM bit-identical to the serial SpMV of its column; and
-    /// pooled SpMM bit-identical to serial SpMM.
+    /// precisions it holds × lanes × thread counts: serial f32/f16 SpMV
+    /// against the independent dense oracle; pooled SpMV bit-identical to
+    /// serial; every lane of the serial SpMM bit-identical to the serial
+    /// SpMV of its column; and pooled SpMM bit-identical to serial SpMM.
     fn check<K: SparseKernel>(k: &K, dense: &Matrix, seed: u64) {
         let (rows, cols) = (k.rows(), k.cols());
         let execs = pools();

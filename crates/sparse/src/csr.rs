@@ -207,7 +207,7 @@ impl SparseKernel for CsrMatrix {
         match activations {
             Activations::F32(xs) => self.float_rows_into(&self.values, xs, b, units, ys, y_base),
             Activations::F16(_) | Activations::Int8 { .. } => {
-                unreachable!("the driver refuses a precision CSR does not hold")
+                unreachable!("`drive` refuses a precision CSR does not hold")
             }
         }
     }

@@ -163,11 +163,9 @@ pub trait SparseKernel: Sync {
     /// First output row unit `u` writes.
     fn unit_first_row(&self, u: usize) -> usize;
 
-    /// Whether the matrix holds a value store at `prec` (every format holds
-    /// all three unless it says otherwise; [`drive`] refuses the others).
-    fn holds(&self, _prec: Precision) -> bool {
-        true
-    }
+    /// Whether the matrix holds a value store at `prec` ([`drive`] refuses
+    /// the others).
+    fn holds(&self, prec: Precision) -> bool;
 
     /// Whether [`rows_into`](SparseKernel::rows_into) leaves output rows
     /// untouched (pruned rows) or accumulates into them, so the driver

@@ -213,9 +213,9 @@ pub(crate) struct KernelScratch {
     pub gf32: AlignedF32,
     /// f16 values decoded to f32: a BSPC tile whose values are broadcast
     /// operands (`b ≥ 2` lanes, a lone row) or that is de-tiled row by row
-    /// (no register-tile body), and every CSR run. A BSPC tile at
-    /// one stream never passes through here — its halves are widened in the
-    /// registers they are loaded into.
+    /// (no register-tile body). A BSPC tile at one stream never passes
+    /// through here — its halves are widened in the registers they are
+    /// loaded into.
     pub conv: AlignedF32,
     /// One row de-tiled out of a BSPC row tile.
     pub row: AlignedF32,

@@ -15,7 +15,7 @@
 //! `x ≥ −87` and within 2⁻¹²⁵ absolute below (the tests assert 4 ULP).
 
 /// Constants of the activation arithmetic, shared by the scalar definitions
-/// and their per-lane AVX2 replay in `simd::x86`. The polynomials are the
+/// and their per-lane x86 replay in `simd::sweeps`. The polynomials are the
 /// f32 roundings of Cephes `expf` / `tanhf`.
 pub(crate) mod coef {
     /// `exp_nonpos` clamps its argument here: `e^-87` is still a normal f32.

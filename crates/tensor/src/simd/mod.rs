@@ -127,7 +127,9 @@
 //! There is one vector body, x86_64's: every other target — aarch64
 //! included — runs the scalar definitions, which is what every contract here
 //! is stated against. A body for another ISA comes with a CI target that
-//! compiles and tests it.
+//! compiles and tests it. This file holds the policy, the dispatch and the
+//! public entries; `scalar.rs` the scalar definitions, `x86.rs` the x86
+//! bodies and register tiles, `sweeps.rs` the x86 activation sweeps.
 //!
 //! Dispatch is process-global: [`active_variant`] resolves the
 //! [`SimdPolicy`] (programmatic [`set_policy`] wins over the `RTM_SIMD`
@@ -331,8 +333,9 @@ fn width() -> x86::Width {
 }
 
 /// SIMD lanes per register of the vector path's batched bodies and sweeps:
-/// 16 on AVX-512F/BW/VL/DQ, 8 on AVX2, 1 when no vector path is available. (The along-row kernels and one-frame calls of the one-stream
-/// row tiles are eight lanes wide on every x86 host.)
+/// 16 on AVX-512F/BW/VL/DQ, 8 on AVX2, 1 when no vector path is available.
+/// (The along-row kernels and one-frame calls of the one-stream row tiles
+/// are eight lanes wide on every x86 host.)
 pub fn lane_width() -> usize {
     if !vector_available() {
         1

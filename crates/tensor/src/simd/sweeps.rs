@@ -1,3 +1,10 @@
+// ---------------------------------------------------------------------------
+// x86_64 activation sweeps: `activations::{sigmoid, tanh}` replayed a
+// register of lanes at a time over `x86::Reg`, entered through one function
+// per width like the batched bodies (eight lanes for `avx2,fma,f16c`, sixteen
+// for that set plus the AVX-512 subsets).
+// ---------------------------------------------------------------------------
+
 use super::x86::{Reg, Width};
 use crate::activations::coef::*;
 use std::arch::x86_64::*;
