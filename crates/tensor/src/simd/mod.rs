@@ -94,9 +94,12 @@
 //! every output bit is the same at either width, and [`vector_isa`] still
 //! names the arithmetic, `"avx2+fma"`. Every `b ≥ 2` body runs sixteen lanes
 //! per register (1024², 10× SpMM: 0.6× the eight-lane time at `b ∈ {12, 16,
-//! 32}`); a one-frame call of the one-stream row tiles stays at eight, where
-//! sixteen-lane rows have shown no end-to-end gain, and so do the along-row
-//! kernels.
+//! 32}`), and so does a one-frame call of a row tile of more than eight rows
+//! — a 16-row tile is one register where eight lanes take two (half the
+//! lane-row loads and FMAs), a 9- to 15-row tile one masked register that
+//! walks the input once where two eight-lane tiles walk it twice (1024², 10×
+//! one-lane f16 gate: 0.84×). A tile of at most eight rows stays in the
+//! eight-lane register, and so do the along-row kernels.
 //!
 //! **Frames as broadcast rows.** At one stream several frames may share a
 //! tile — a chunk's input products, its head. [`tile_frames_variant`] keeps
@@ -332,10 +335,26 @@ fn width() -> x86::Width {
     }
 }
 
-/// SIMD lanes per register of the vector path's batched bodies and sweeps:
-/// 16 on AVX-512F/BW/VL/DQ, 8 on AVX2, 1 when no vector path is available.
-/// (The along-row kernels and one-frame calls of the one-stream row tiles
-/// are eight lanes wide on every x86 host.)
+/// The register a one-lane call of an `m`-row tile runs in, its rows the
+/// lanes: a tile of more than eight rows takes the host's widest ([`width`]),
+/// one (masked) sixteen-lane row per input element where eight lanes need
+/// two; a tile that fits eight lanes stays in their register, which the
+/// sixteen-lane body would only reach through its wider entry
+/// (EXPERIMENTS.md B4b).
+#[cfg(target_arch = "x86_64")]
+fn row_tile_width(m: usize) -> x86::Width {
+    if m > 8 {
+        width()
+    } else {
+        x86::Width::Ymm
+    }
+}
+
+/// SIMD lanes per register of the vector path's batched bodies, sweeps and
+/// one-lane row tiles of more than eight rows: 16 on AVX-512F/BW/VL/DQ, 8 on
+/// AVX2, 1 when no vector path is available. (The along-row kernels, and
+/// row tiles of at most eight rows at one lane, are eight lanes wide on
+/// every x86 host.)
 pub fn lane_width() -> usize {
     if !vector_available() {
         1
@@ -582,7 +601,8 @@ pub fn tile_dots_available(v: Variant) -> bool {
 /// Most rows of one stored row tile (BSPC's, the dense head's): two AVX2
 /// registers of row lanes, which halves the walks over a tile's input against
 /// one register's worth (1024² BSPC at 103×, one lane, f32: 1.8 µs a gate
-/// against 2.6 µs).
+/// against 2.6 µs), or one AVX-512 register, which halves the loads and FMAs
+/// of a one-lane walk again.
 pub const TILE_ROWS: usize = 16;
 
 /// The `m` rows of one lane-major weight tile against a shared lane-major
@@ -591,11 +611,12 @@ pub const TILE_ROWS: usize = 16;
 /// share their input — the kept rows of a BSPC stripe — are stored this way
 /// so that they can be the lanes: at `b == 1` this *is*
 /// [`dot_batch_variant`] with the operands exchanged (`xs` the row, `tile`
-/// the lane plane; a product commutes, so the bits are `dot`'s), in
-/// eight-lane registers on every x86 host — sixteen-lane rows have shown no
-/// end-to-end gain there (EXPERIMENTS.md B4). At `b > 1` the batch lanes stay the lanes, in the
-/// widest register ([`lane_width`]), each row's weights are read through
-/// the stride `m`, and four rows at a time share every loaded lane row.
+/// the lane plane; a product commutes, so the bits are `dot`'s), in the
+/// widest register for a tile of more than eight rows and in the eight-lane
+/// one for a shorter tile (EXPERIMENTS.md B4b). At `b > 1` the batch lanes
+/// stay the lanes, in the widest register ([`lane_width`]), each row's
+/// weights are read through the stride `m`, and four rows at a time share
+/// every loaded lane row.
 ///
 /// # Panics
 ///
@@ -620,13 +641,13 @@ pub fn tile_dots_variant(
         return;
     }
     // SAFETY: the feature set of the width — eight lanes: `vector_available`,
-    // `width()`: `wide_available` too — and the sizes — `m` rows of
-    // `xs.len() / b` elements end at `tile.len()`, at one stream `m` lanes
-    // of `xs.len()` rows and `m` outputs — were checked just above.
+    // `width()` / `row_tile_width`: `wide_available` too — and the sizes —
+    // `m` rows of `xs.len() / b` elements end at `tile.len()`, at one stream
+    // `m` lanes of `xs.len()` rows and `m` outputs — were checked just above.
     #[cfg(target_arch = "x86_64")]
     unsafe {
         if b == 1 {
-            x86::dot_batch::<f32>(x86::Width::Ymm, xs, tile, m, out)
+            x86::dot_batch::<f32>(row_tile_width(m), xs, tile, m, out)
         } else {
             x86::tile_dots(width(), tile, |k, j| k * m + j, xs, b, out)
         }
@@ -665,9 +686,10 @@ pub fn tile_dots_f16_variant(
             out.len() == m && tile_bits.len() == xs.len() * m,
             "tile_dots: size mismatch"
         );
-        // SAFETY: the feature set of eight lanes and the sizes — `xs.len()`
-        // lane rows of `m ≥ 8` halves, `m` outputs — were checked just above.
-        return unsafe { x86::dot_batch::<u16>(x86::Width::Ymm, xs, tile_bits, m, out) };
+        // SAFETY: the feature set of `row_tile_width` and the sizes —
+        // `xs.len()` lane rows of `m ≥ 8` halves, `m` outputs — were checked
+        // just above.
+        return unsafe { x86::dot_batch::<u16>(row_tile_width(m), xs, tile_bits, m, out) };
     }
     crate::f16::f16_bits_to_f32(tile_bits, decoded);
     tile_dots_variant(v, decoded, m, xs, b, out)

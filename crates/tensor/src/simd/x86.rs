@@ -752,12 +752,13 @@ unsafe fn tile_dots_in<V: Reg>(
 /// `frames` inputs of `len` elements, frame after frame in `xs`, against
 /// one lane plane of `m` lanes (`tile[k·m + j]`, `f32` or f16 bits), in
 /// sixteen-lane registers: `out[t·stride + j] = Σₖ xs[t·len + k] ·
-/// tile[k·m + j]`, frame `t` bit-identical to
-/// `dot_batch(Width::Ymm, frame t, tile, m, ..)`, the one-frame body. Four
-/// frames at a time are the broadcast rows `R` of one `(4, 2, 1)` register
-/// tile — a 16-row tile is one register —, so each loaded lane row, each
-/// widened half, meets four frames' elements. The `frames % 4` left over
-/// run the one-frame body.
+/// tile[k·m + j]`, frame `t` bit-identical to `dot_batch(_, frame t, tile,
+/// m, ..)`, the one-frame body (at either width). Four frames at a time are
+/// the broadcast rows `R` of one `(4, 2, 1)` register tile — a 16-row tile
+/// is one register —, so each loaded lane row, each widened half, meets
+/// four frames' elements. The `frames % 4` left over run the sixteen-lane
+/// one-frame body, which runs a tile of at most eight rows in the eight-lane
+/// register (as `rows_lanes` runs such a tail).
 ///
 /// # Safety
 ///
@@ -785,12 +786,6 @@ pub unsafe fn tile_frames_zmm<E: Lane>(
             &xs[t * len..(t + 1) * len],
             &mut out[t * stride..t * stride + m],
         );
-        // The one-frame body in eight-lane registers, or in sixteen where
-        // only their mask loads a half plane narrower than eight lanes.
-        if E::HALF && m < 8 {
-            dot_batch_in::<__m512, E>(x, tile, m, o);
-        } else {
-            dot_batch_in::<__m256, E>(x, tile, m, o);
-        }
+        dot_batch_in::<__m512, E>(x, tile, m, o);
     }
 }

@@ -135,6 +135,13 @@ if [[ "$quick" -eq 0 ]]; then
     --test f16_tile_contract --test batched_contracts
   echo "==> cargo test --release -p rtm-tensor -- --ignored (f16 rounding + sigmoid/tanh sweeps, all 2^32 inputs)"
   cargo test --release -p rtm-tensor -- --ignored
+  # The A/B script builds a parent and the working tree and alternates
+  # their benchmark runs; one smoke-scale pair against HEAD keeps it from
+  # rotting (its builds land in target/ab, so the next gate's are
+  # incremental).
+  echo "==> scripts/ab.sh smoke (one pair against HEAD, smoke scale)"
+  scripts/ab.sh --parent HEAD --pairs 1 --workload ondevice_10x --seed 7 --smoke \
+    --work target/ab >/dev/null
 fi
 
 echo "==> cargo clippy -- -D warnings"

@@ -8,14 +8,17 @@
 //! chunk (empty, one frame, one short of a chunk, one chunk, one past it,
 //! two chunks, three and a part) and of every group of four frames inside
 //! one (`4k ± 1`), for every precision of BSPC, on one thread and three,
-//! under the host's SIMD variant and the scalar reference. Four networks:
+//! under the host's SIMD variant and the scalar reference. Five networks:
 //! a two-layer one whose layers differ in width (the activation planes
 //! change size between layers), a one-layer one whose input is wider than
-//! its state, with the 39-class head, and two whose gates cut into the row
+//! its state, with the 39-class head, two whose gates cut into the row
 //! tiles production runs — 16 rows at hidden 64, 12 at hidden 48 (a full
-//! lane group and a partial one), with heads of 39 and 11 classes. Frames
-//! carry both zeros everywhere; `±∞` and NaN enter in the middle of a
-//! chunk.
+//! lane group and a partial one), with heads of 39 and 11 classes —, and
+//! one whose 20-row stripes (hidden 40 in two stripes) hold a full 16-row
+//! tile and a 4-row one, so that one gate runs both tile heights in one
+//! call. Each network also takes one-lane `forward_frame_batch` steps,
+//! the serve path of a lone stream. Frames carry both zeros everywhere;
+//! `±∞` and NaN enter in the middle of a chunk.
 //!
 //! Own test binary (see `crates/rtmobile/Cargo.toml`): it walks the
 //! process-global SIMD policy, so everything lives in ONE `#[test]`.
@@ -26,7 +29,7 @@ use rtm_rnn::GruNetwork;
 use rtm_speech::Hypothesis;
 use rtm_tensor::simd::{self, SimdPolicy, Variant};
 use rtmobile::config::DecoderChoice;
-use rtmobile::deploy::{CompiledNetwork, RuntimePrecision};
+use rtmobile::deploy::{CompiledNetwork, GruRuntimeScratch, RuntimePrecision};
 
 /// The chunk length the lengths below straddle.
 const K: usize = 16;
@@ -42,7 +45,8 @@ const DECODERS: [DecoderChoice; 3] = [
     DecoderChoice::CtcBeam(4),
 ];
 
-fn networks() -> [GruNetwork; 4] {
+/// Each network with the stripe count it is compiled at.
+fn networks() -> [(GruNetwork, usize); 5] {
     let net = |input_dim, hidden_dims, num_classes, seed| {
         GruNetwork::new(
             &NetworkConfig {
@@ -54,10 +58,11 @@ fn networks() -> [GruNetwork; 4] {
         )
     };
     [
-        net(6, vec![24, 16], 7, 0xC4),
-        net(33, vec![9], 39, 0x16),
-        net(20, vec![64], 39, 0x64),
-        net(6, vec![48, 48], 11, 0x48),
+        (net(6, vec![24, 16], 7, 0xC4), 4),
+        (net(33, vec![9], 39, 0x16), 4),
+        (net(20, vec![64], 39, 0x64), 4),
+        (net(6, vec![48, 48], 11, 0x48), 4),
+        (net(20, vec![40], 39, 0x40), 2),
     ]
 }
 
@@ -117,8 +122,42 @@ fn assert_same_hypothesis(got: &Hypothesis, want: &Hypothesis, what: &str) {
     );
 }
 
+/// The utterance as one-lane `forward_frame_batch` steps, frame by frame.
+fn frame_batch_one_lane(
+    net: &CompiledNetwork,
+    exec: &Executor,
+    frames: &[Vec<f32>],
+) -> Vec<Vec<f32>> {
+    let mut states: Vec<Vec<f32>> = net
+        .layers()
+        .iter()
+        .map(|l| vec![0.0; l.gates()[0].rows()])
+        .collect();
+    let mut scratch = GruRuntimeScratch::new();
+    let (mut xs, mut hs_next, mut logits) = (Vec::new(), Vec::new(), Vec::new());
+    frames
+        .iter()
+        .map(|frame| {
+            xs.clear();
+            xs.extend_from_slice(frame);
+            net.forward_frame_batch(
+                exec,
+                &mut xs,
+                1,
+                &mut states,
+                &mut scratch,
+                &mut hs_next,
+                &mut logits,
+            )
+            .unwrap();
+            logits.clone()
+        })
+        .collect()
+}
+
 /// Every executor-driven entry against its reference, on every utterance
-/// length: `forward_with` on every executor; `predict_with` and
+/// length: `forward_with` and one-lane `forward_frame_batch` steps on
+/// every executor; `predict_with` and
 /// `decode_with` (the decoders take turns over the lengths and utterances)
 /// on one executor each, taking turns, since both are `forward_with`
 /// underneath.
@@ -129,6 +168,8 @@ fn check(net: &CompiledNetwork, execs: &[Executor], what: &str) {
             for exec in execs {
                 let what = format!("{what} T={t} utterance {u} {} threads", exec.threads());
                 assert_same_bits(&net.forward_with(exec, frames), &want, &what);
+                let stepped = frame_batch_one_lane(net, exec, frames);
+                assert_same_bits(&stepped, &want, &format!("one-lane steps, {what}"));
             }
             let exec = &execs[u % execs.len()];
             let what = format!("{what} T={t} utterance {u} {} threads", exec.threads());
@@ -155,9 +196,16 @@ fn forward_with_is_the_reference_across_every_chunk_edge() {
     let execs = [1usize, 3].map(Executor::new);
     for policy in [SimdPolicy::Auto, SimdPolicy::Fixed(Variant::ScalarU1)] {
         simd::set_policy(policy);
-        for (n, base) in networks().iter().enumerate() {
+        for (n, (base, stripes)) in networks().iter().enumerate() {
             for precision in PRECISIONS {
-                let net = CompiledNetwork::compile(base, 4, 2, precision).unwrap();
+                let net = CompiledNetwork::compile(base, *stripes, 2, precision).unwrap();
+                if *stripes == 2 {
+                    // Every row of each 20-row stripe is kept: 16 + 4 rows.
+                    for gate in net.layers()[0].gates() {
+                        assert_eq!(gate.stripe_height(), 20, "net {n}: stripe height");
+                        assert_eq!(gate.kept_rows().len(), 40, "net {n}: kept rows");
+                    }
+                }
                 let what = format!("{policy:?} net {n} bspc {precision:?}");
                 check(&net, &execs, &what);
             }

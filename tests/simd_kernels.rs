@@ -29,8 +29,8 @@ use rtm_tensor::simd::{
 };
 use rtm_tensor::{gemm, Matrix};
 
-/// Shape matrix with ragged tails around every vector-width boundary (4 on
-/// NEON, 8 on AVX2), plus large GRU-realistic sizes.
+/// Shape matrix with ragged tails around every vector-width boundary (8
+/// lanes on AVX2, 16 with AVX-512), plus large GRU-realistic sizes.
 const SHAPES: [usize; 22] = [
     0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 255, 1000, 1024, 1037,
 ];
