@@ -94,12 +94,13 @@
 //! every output bit is the same at either width, and [`vector_isa`] still
 //! names the arithmetic, `"avx2+fma"`. Every `b ≥ 2` body runs sixteen lanes
 //! per register (1024², 10× SpMM: 0.6× the eight-lane time at `b ∈ {12, 16,
-//! 32}`), and so does a one-frame call of a row tile of more than eight rows
-//! — a 16-row tile is one register where eight lanes take two (half the
+//! 32}`), and so does a one-frame call of a row tile, its rows the lanes —
+//! a 16-row tile is one register where eight lanes take two (half the
 //! lane-row loads and FMAs), a 9- to 15-row tile one masked register that
 //! walks the input once where two eight-lane tiles walk it twice (1024², 10×
-//! one-lane f16 gate: 0.84×). A tile of at most eight rows stays in the
-//! eight-lane register, and so do the along-row kernels.
+//! one-lane f16 gate: 0.84×). A tile of at most eight rows is a lane tail
+//! that fits the eight-lane register, which the sixteen-lane body runs it in
+//! (below). The along-row kernels stay eight lanes wide.
 //!
 //! **Frames as broadcast rows.** At one stream several frames may share a
 //! tile — a chunk's input products, its head. [`tile_frames_variant`] keeps
@@ -335,26 +336,11 @@ fn width() -> x86::Width {
     }
 }
 
-/// The register a one-lane call of an `m`-row tile runs in, its rows the
-/// lanes: a tile of more than eight rows takes the host's widest ([`width`]),
-/// one (masked) sixteen-lane row per input element where eight lanes need
-/// two; a tile that fits eight lanes stays in their register, which the
-/// sixteen-lane body would only reach through its wider entry
-/// (EXPERIMENTS.md B4b).
-#[cfg(target_arch = "x86_64")]
-fn row_tile_width(m: usize) -> x86::Width {
-    if m > 8 {
-        width()
-    } else {
-        x86::Width::Ymm
-    }
-}
-
 /// SIMD lanes per register of the vector path's batched bodies, sweeps and
-/// one-lane row tiles of more than eight rows: 16 on AVX-512F/BW/VL/DQ, 8 on
-/// AVX2, 1 when no vector path is available. (The along-row kernels, and
-/// row tiles of at most eight rows at one lane, are eight lanes wide on
-/// every x86 host.)
+/// one-lane row tiles: 16 on AVX-512F/BW/VL/DQ, 8 on AVX2, 1 when no vector
+/// path is available. (The along-row kernels are eight lanes wide on every
+/// x86 host, and a sixteen-lane body runs a tail of at most eight lanes in
+/// the eight-lane register where it fits.)
 pub fn lane_width() -> usize {
     if !vector_available() {
         1
@@ -612,11 +598,10 @@ pub const TILE_ROWS: usize = 16;
 /// so that they can be the lanes: at `b == 1` this *is*
 /// [`dot_batch_variant`] with the operands exchanged (`xs` the row, `tile`
 /// the lane plane; a product commutes, so the bits are `dot`'s), in the
-/// widest register for a tile of more than eight rows and in the eight-lane
-/// one for a shorter tile (EXPERIMENTS.md B4b). At `b > 1` the batch lanes
-/// stay the lanes, in the widest register ([`lane_width`]), each row's
-/// weights are read through the stride `m`, and four rows at a time share
-/// every loaded lane row.
+/// widest register ([`lane_width`]; EXPERIMENTS.md B4b). At `b > 1` the
+/// batch lanes stay the lanes, in the widest register, each row's weights
+/// are read through the stride `m`, and four rows at a time share every
+/// loaded lane row.
 ///
 /// # Panics
 ///
@@ -640,14 +625,14 @@ pub fn tile_dots_variant(
         out[0] = dot_variant(v, xs, tile);
         return;
     }
-    // SAFETY: the feature set of the width — eight lanes: `vector_available`,
-    // `width()` / `row_tile_width`: `wide_available` too — and the sizes —
-    // `m` rows of `xs.len() / b` elements end at `tile.len()`, at one stream
-    // `m` lanes of `xs.len()` rows and `m` outputs — were checked just above.
+    // SAFETY: the feature set of `width()` — `vector_available`, and
+    // `wide_available` for sixteen lanes — and the sizes — `m` rows of
+    // `xs.len() / b` elements end at `tile.len()`, at one stream `m` lanes
+    // of `xs.len()` rows and `m` outputs — were checked just above.
     #[cfg(target_arch = "x86_64")]
     unsafe {
         if b == 1 {
-            x86::dot_batch::<f32>(row_tile_width(m), xs, tile, m, out)
+            x86::dot_batch::<f32>(width(), xs, tile, m, out)
         } else {
             x86::tile_dots(width(), tile, |k, j| k * m + j, xs, b, out)
         }
@@ -686,10 +671,9 @@ pub fn tile_dots_f16_variant(
             out.len() == m && tile_bits.len() == xs.len() * m,
             "tile_dots: size mismatch"
         );
-        // SAFETY: the feature set of `row_tile_width` and the sizes —
-        // `xs.len()` lane rows of `m ≥ 8` halves, `m` outputs — were checked
-        // just above.
-        return unsafe { x86::dot_batch::<u16>(row_tile_width(m), xs, tile_bits, m, out) };
+        // SAFETY: the feature set of `width()` and the sizes — `xs.len()`
+        // lane rows of `m ≥ 8` halves, `m` outputs — were checked just above.
+        return unsafe { x86::dot_batch::<u16>(width(), xs, tile_bits, m, out) };
     }
     crate::f16::f16_bits_to_f32(tile_bits, decoded);
     tile_dots_variant(v, decoded, m, xs, b, out)

@@ -10,9 +10,9 @@
 #   --seed S       the benchmark's --seed (2020)
 #   --seconds T    window of each run (the benchmark's default, 16 s)
 #   --smoke        the benchmark's smoke scale (tiny models, short windows)
-#   --work DIR     where the parent's source and both builds live (a fresh
+#   --work DIR     where the parent's source and build live (a fresh
 #                  temporary directory, removed at the end); a kept DIR
-#                  makes the next run's builds incremental
+#                  makes the next run's parent build incremental
 #
 # Why two builds: `rtm-benchmark` deletes every `RTM_*` variable from its
 # environment before anything reads it (`scrub_env`,
@@ -22,8 +22,10 @@
 # in a target directory that has never held the other's build — cargo
 # fingerprints by workspace-relative path and mtime, so a target directory
 # shared between two checkouts can hand back one tree's binary for the
-# other. The parent is exported with `git archive` (nothing is registered
-# in `.git`, so an interrupted run leaves nothing to prune).
+# other. The working tree builds into its usual target directory; the
+# parent is exported with `git archive` (nothing is registered in `.git`,
+# so an interrupted run leaves nothing to prune) and builds into its own,
+# under the work directory.
 #
 # Prints the five end-to-end metrics and the failed / attempted operations
 # of every run, then per metric each side's median and quartiles and how
@@ -66,9 +68,9 @@ fi
 echo "==> building the parent (${rev:0:12}) and the working tree"
 (cd "$work/parent" && CARGO_TARGET_DIR="$work/target-parent" \
   cargo build -q --release -p rtm-benchmark)
-CARGO_TARGET_DIR="$work/target-change" cargo build -q --release -p rtm-benchmark
+cargo build -q --release -p rtm-benchmark
 bin_parent=$work/target-parent/release/rtm-benchmark
-bin_change=$work/target-change/release/rtm-benchmark
+bin_change=$(cd "${CARGO_TARGET_DIR:-target}" && pwd)/release/rtm-benchmark
 if cmp -s "$bin_parent" "$bin_change"; then
   echo "note: the two binaries are byte-identical"
 fi
@@ -82,7 +84,7 @@ failed=0
 # One run of `$1`'s binary; appends its metrics to `$work/$1.tsv`.
 run() {
   local side=$1 bin out line values=() failed_ops attempted
-  bin=$work/target-$side/release/rtm-benchmark
+  if [[ $side == parent ]]; then bin=$bin_parent; else bin=$bin_change; fi
   if ! out=$("$bin" --workload "$workload" --seed "$seed" "${window[@]}" --trace 0 \
       "${smoke[@]}" 2>/dev/null); then
     echo "  $side: run failed" >&2

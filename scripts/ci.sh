@@ -137,8 +137,8 @@ if [[ "$quick" -eq 0 ]]; then
   cargo test --release -p rtm-tensor -- --ignored
   # The A/B script builds a parent and the working tree and alternates
   # their benchmark runs; one smoke-scale pair against HEAD keeps it from
-  # rotting (its builds land in target/ab, so the next gate's are
-  # incremental).
+  # rotting (the working tree's build is the gate's own `target/`, the
+  # parent's lands in target/ab, so the next gate's is incremental).
   echo "==> scripts/ab.sh smoke (one pair against HEAD, smoke scale)"
   scripts/ab.sh --parent HEAD --pairs 1 --workload ondevice_10x --seed 7 --smoke \
     --work target/ab >/dev/null
