@@ -15,7 +15,7 @@
 //! times the paper model's dense `39 × 1024` output layer the same way.
 //! Beside the one-lane, one-thread `head` cell, `head_tiles` times the head
 //! the production loop runs at one stream: `gemm::RowTiles`, its rows the
-//! lanes of the register tile (AVX2 only).
+//! lanes of the register tile (the scalar tile under `RTM_SIMD=off`).
 //! Reported per row:
 //!
 //! * `wall_us` — one batched pass over all `b` lanes;
@@ -121,19 +121,17 @@ fn main() {
 
     // After the sweep, so that its buffers sit where they always did.
     let v = simd::active_variant();
-    if simd::tile_dots_available(v) {
-        let tiles = RowTiles::new(&head);
-        let (x, mut logits) = (&xs_all[..cols_dim], vec![0.0; head.rows()]);
-        let wall = time_us(iters(1), || {
-            tiles.gemv_into(v, x, &mut logits).expect("shapes match");
-        });
-        rows.push(Row {
-            format: "head_tiles",
-            threads: 1,
-            b: 1,
-            wall_us: wall,
-        });
-    }
+    let tiles = RowTiles::new(&head);
+    let (x, mut logits) = (&xs_all[..cols_dim], vec![0.0; head.rows()]);
+    let wall = time_us(iters(1), || {
+        tiles.gemv_into(v, x, &mut logits).expect("shapes match");
+    });
+    rows.push(Row {
+        format: "head_tiles",
+        threads: 1,
+        b: 1,
+        wall_us: wall,
+    });
 
     let base_per_stream = |format: &str, threads: usize| -> f64 {
         rows.iter()

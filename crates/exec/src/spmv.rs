@@ -153,7 +153,8 @@ impl Executor {
     /// ([`SparseKernel::frames_into`]: BSPC's float stores run four frames
     /// per loaded weight). Counted as `frames` SpMV calls, and bit-identical
     /// to [`Executor::spmv_into`] per frame for every thread count: a frame's
-    /// bits do not depend on the frames it runs with.
+    /// bits do not depend on the frames it runs with. One frame *is* that
+    /// call, so a caller never branches on the frame count.
     ///
     /// The pool splits the frames, not the rows: a frame's output is one
     /// slice, and every thread keeps the frames' shared weight loads.
@@ -171,6 +172,9 @@ impl Executor {
         frames: usize,
         ys: &mut [f32],
     ) -> Result<(), ExecError> {
+        if frames == 1 {
+            return self.spmv_into(k, prec, xs, ys);
+        }
         drive_frames(k, prec, xs, frames, ys, |kernel, ys| {
             self.run_frames(frames, k.rows(), ys, kernel)
         })

@@ -235,7 +235,7 @@ impl CompiledGruLayer {
             (&self.w_r, &mut scratch.r),
             (&self.w_n, &mut scratch.n),
         ] {
-            if b == 1 && frames > 1 {
+            if b == 1 {
                 exec.spmv_frames_into(gate, prec, xs, frames, &mut plane[..frames * hb])?;
                 continue;
             }

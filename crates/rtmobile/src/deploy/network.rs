@@ -316,20 +316,13 @@ impl CompiledNetwork {
         }
         let classes = self.head_b.len();
         ys.resize(k * classes, 0.0);
+        // The chunk's frames share each loaded lane row of the head's row
+        // tiles, as they do the gates'.
         let v = rtm_tensor::simd::active_variant();
-        if rtm_tensor::simd::tile_dots_available(v) {
-            // The chunk's frames share each loaded lane row of the head's
-            // row tiles, as they do the gates'.
-            self.head_tiles.gemv_frames_into(v, xs, k, ys)?;
-            for t in 0..k {
-                let row = &mut ys[t * classes..(t + 1) * classes];
-                rtm_tensor::simd::broadcast_add(&self.head_b, 1, row);
-            }
-        } else {
-            for t in 0..k {
-                let x = &xs[t * width..(t + 1) * width];
-                self.head_into(x, 1, &mut ys[t * classes..(t + 1) * classes])?;
-            }
+        self.head_tiles.gemv_frames_into(v, xs, k, ys)?;
+        for t in 0..k {
+            let row = &mut ys[t * classes..(t + 1) * classes];
+            rtm_tensor::simd::broadcast_add(&self.head_b, 1, row);
         }
         logits.extend((0..k).map(|t| ys[t * classes..(t + 1) * classes].to_vec()));
         Ok(())
@@ -406,7 +399,7 @@ impl CompiledNetwork {
         // lanes stay the lanes of the row-major tile, which wins every
         // measured `b > 1`.
         let v = rtm_tensor::simd::active_variant();
-        if b == 1 && rtm_tensor::simd::tile_dots_available(v) {
+        if b == 1 {
             self.head_tiles.gemv_into(v, xs, logits)?;
         } else {
             rtm_tensor::gemm::gemv_batch_into(&self.head_w, xs, b, logits)?;

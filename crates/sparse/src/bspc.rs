@@ -769,8 +769,7 @@ impl BspcMatrix {
     /// then every tile is ONE primitive call over its `[len × m]` values —
     /// the f32 plane, or the f16 store's bits as stored: which primitive is
     /// the value view's business, the only thing the two precisions differ
-    /// in ([`detiled_rows`] over the decoded tile without the register-tile
-    /// body).
+    /// in.
     fn float_rows_into(
         &self,
         values: impl FloatValues,
@@ -781,7 +780,6 @@ impl BspcMatrix {
         y_base: usize,
     ) {
         let v = simd::active_variant();
-        let rows_are_lanes = simd::tile_dots_available(v);
         scratch::with_kernel(|scratch| {
             for (s, run) in self.stripe_tiles(tiles) {
                 let cols = &self.stripe_cols[s];
@@ -792,31 +790,25 @@ impl BspcMatrix {
                     let r = self.unit_first_row(t) - y_base;
                     let out = &mut ys[r * b..(r + m) * b];
                     let span = base..base + cols.len() * m;
-                    if rows_are_lanes {
-                        values.tile_dots(v, span, m, gathered, b, out, &mut scratch.conv);
-                    } else {
-                        let tile = values.run(span, &mut scratch.conv);
-                        detiled_rows(v, tile, gathered, b, out, &mut scratch.row);
-                    }
+                    values.tile_dots(v, span, m, gathered, b, out, &mut scratch.conv);
                 }
             }
         });
     }
 
     /// The float kernel over `frames` one-lane inputs (`[frames × cols]`)
-    /// into the frame-major `ys` (`[frames × rows]`), with the register-tile
-    /// body: per stripe run the shared column stream is gathered from every
+    /// into the frame-major `ys` (`[frames × rows]`): per stripe run the shared column stream is gathered from every
     /// frame once, then each tile is ONE frame-major primitive call, writing
     /// each frame's rows in place — the frames are its broadcast rows, so
     /// they share every loaded (and widened) lane row of the tile.
     fn float_frames_into(
         &self,
-        v: simd::Variant,
         values: impl FloatValues,
         xs: &[f32],
         frames: usize,
         ys: &mut [f32],
     ) {
+        let v = simd::active_variant();
         scratch::with_kernel(|scratch| {
             for (s, run) in self.stripe_tiles(0..self.units()) {
                 let cols = &self.stripe_cols[s];
@@ -939,29 +931,6 @@ impl BspcMatrix {
     }
 }
 
-/// The rows of one `[len × m]` tile for a variant without the register-tile
-/// body — the scalar definition: each row is de-tiled into `row` and
-/// goes through the unchanged lane primitive, a one-lane row through the
-/// variant's own `dot` (`Sum` from `-0.0` for the scalar definition, whose
-/// batch lanes start at `+0.0`: see [`simd::tile_dots_available`]).
-fn detiled_rows(
-    v: simd::Variant,
-    tile: &[f32],
-    gathered: &[f32],
-    b: usize,
-    out: &mut [f32],
-    row: &mut AlignedF32,
-) {
-    let (m, len) = (out.len() / b, gathered.len() / b);
-    for (j, lanes) in out.chunks_exact_mut(b).enumerate() {
-        let row = row.window(len);
-        for (k, w) in row.iter_mut().enumerate() {
-            *w = tile[k * m + j];
-        }
-        simd::dot_batch_variant(v, row, gathered, b, lanes);
-    }
-}
-
 /// Partition units are row tiles: a unit costs the `L·m` values it streams
 /// and writes `m` adjacent output rows, so a pool chunk never splits a tile,
 /// and contiguous tile chunks are exactly the paper reorder's
@@ -1038,22 +1007,20 @@ impl SparseKernel for BspcMatrix {
         }
     }
 
-    /// The float stores with the register-tile body run their frames as the
-    /// broadcast rows of each tile ([`simd::tile_frames_variant`]); int8,
-    /// whose block dots run along a row, and the scalar definition run the
-    /// one-lane kernel frame by frame.
+    /// The float stores run their frames as the broadcast rows of each tile
+    /// ([`simd::tile_frames_variant`]); int8, whose block dots run along a
+    /// row, runs the one-lane kernel frame by frame.
     fn frames_into(&self, activations: Activations<'_>, frames: usize, ys: &mut [f32]) {
-        let v = simd::active_variant();
         match activations {
-            Activations::F32(xs) if simd::tile_dots_available(v) => {
+            Activations::F32(xs) => {
                 let values = self.values().expect(HELD);
-                self.float_frames_into(v, values, xs, frames, ys)
+                self.float_frames_into(values, xs, frames, ys)
             }
-            Activations::F16(xs) if simd::tile_dots_available(v) => {
+            Activations::F16(xs) => {
                 let values = self.values_f16().expect(HELD);
-                self.float_frames_into(v, values, xs, frames, ys)
+                self.float_frames_into(values, xs, frames, ys)
             }
-            _ => kernel::frame_by_frame(self, activations, frames, ys),
+            Activations::Int8 { .. } => kernel::frame_by_frame(self, activations, frames, ys),
         }
     }
 }
@@ -1632,13 +1599,12 @@ mod tests {
         }
     }
 
-    /// The per-row fallback, called directly (on this host the production
-    /// path may never take it): every tile of every edge shape, de-tiled row
-    /// by row under both variants, lands on the per-row reference's bits —
-    /// and, where the register-tile body exists, on what that body computes
-    /// from the tile in place.
+    /// Every tile of every edge shape, through the tile primitive in each
+    /// variant, lands on the per-row reference's bits: row `j`, lane `l` is
+    /// lane `l` of that variant's one-row product — the scalar realization
+    /// included, which no production call takes on a host with the ISA.
     #[test]
-    fn detiled_rows_match_per_row_dots_and_the_tile_body() {
+    fn tiles_match_per_row_dots_in_every_variant() {
         let bits = |ys: &[f32]| ys.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
         for m in edge_matrices() {
             for b in [1usize, 2, 12] {
@@ -1656,27 +1622,14 @@ mod tests {
                             let rows = slots.len();
                             let tile = &m.values().unwrap()[base..base + cols.len() * rows];
                             let mut want = vec![f32::NAN; rows * b];
-                            for (i, w) in want.iter_mut().enumerate() {
+                            for (j, lanes) in want.chunks_exact_mut(b).enumerate() {
                                 let row: Vec<f32> =
-                                    (0..cols.len()).map(|k| tile[k * rows + i / b]).collect();
-                                let col: Vec<f32> =
-                                    (0..cols.len()).map(|k| gathered[k * b + i % b]).collect();
-                                *w = simd::dot_variant(v, &row, &col);
+                                    (0..cols.len()).map(|k| tile[k * rows + j]).collect();
+                                simd::dot_batch_variant(v, &row, &gathered, b, lanes);
                             }
                             let mut got = vec![f32::NAN; rows * b];
-                            scratch::with_kernel(|sc| {
-                                detiled_rows(v, tile, &gathered, b, &mut got, &mut sc.row);
-                            });
-                            if b == 1 || v == simd::Variant::Vector {
-                                // (The scalar batch lanes may differ in the
-                                // sign of a zero; `assert_rows_match` has it.)
-                                assert_eq!(bits(&got), bits(&want), "{v:?} b={b} tile {t}");
-                            }
-                            if simd::tile_dots_available(v) {
-                                let mut body = vec![f32::NAN; rows * b];
-                                simd::tile_dots_variant(v, tile, rows, &gathered, b, &mut body);
-                                assert_eq!(bits(&body), bits(&got), "tile body b={b} tile {t}");
-                            }
+                            simd::tile_dots_variant(v, tile, rows, &gathered, b, &mut got);
+                            assert_eq!(bits(&got), bits(&want), "{v:?} b={b} tile {t}");
                         }
                     }
                 }

@@ -65,14 +65,9 @@ pub(crate) fn gather_frames_f32<'s>(
 /// and f16 kernels of a format ever differed in. A format's float kernel is
 /// generic over this view, so each precision compiles to its own loop.
 pub(crate) trait FloatValues: Copy {
-    /// Elements `run` of the value plane as f32.
-    fn run<'s>(self, run: Range<usize>, conv: &'s mut AlignedF32) -> &'s [f32]
-    where
-        Self: 's;
-
     /// The lane-major `[len × m]` tile stored at `span` against the
-    /// lane-major `[len × b]` input `xs`, through the register-tile
-    /// primitive of this element type (`simd::tile_dots_available(v)`).
+    /// lane-major `[len × b]` input `xs`, through the tile primitive of this
+    /// element type.
     #[allow(clippy::too_many_arguments)]
     fn tile_dots(
         self,
@@ -106,14 +101,6 @@ pub(crate) trait FloatValues: Copy {
 /// The f32 value plane, streamed in place.
 impl FloatValues for &[f32] {
     #[inline]
-    fn run<'s>(self, run: Range<usize>, _conv: &'s mut AlignedF32) -> &'s [f32]
-    where
-        Self: 's,
-    {
-        &self[run]
-    }
-
-    #[inline]
     fn tile_dots(
         self,
         v: Variant,
@@ -143,22 +130,12 @@ impl FloatValues for &[f32] {
     }
 }
 
-/// The f16 store (raw bit patterns): decoded (exactly) run by run into
-/// the conversion scratch, or handed to the tile primitive as stored.
+/// The f16 store (raw bit patterns), handed to the tile primitive as
+/// stored.
 impl FloatValues for &[u16] {
-    #[inline]
-    fn run<'s>(self, run: Range<usize>, conv: &'s mut AlignedF32) -> &'s [f32]
-    where
-        Self: 's,
-    {
-        let out = conv.window(run.len());
-        rtm_tensor::f16::f16_bits_to_f32(&self[run], out);
-        out
-    }
-
     /// The primitive widens the bits in registers where the tile is the lane
     /// plane (one stream) and decodes them into `conv` only where they are
-    /// broadcast operands.
+    /// broadcast operands, or for the scalar realization.
     #[inline]
     fn tile_dots(
         self,
@@ -212,13 +189,11 @@ pub(crate) struct KernelScratch {
     /// lane-major).
     pub gf32: AlignedF32,
     /// f16 values decoded to f32: a BSPC tile whose values are broadcast
-    /// operands (`b ≥ 2` lanes, a lone row) or that is de-tiled row by row
-    /// (no register-tile body). A BSPC tile at one stream never passes
-    /// through here — its halves are widened in the registers they are
-    /// loaded into.
+    /// operands (`b ≥ 2` lanes, a lone row) or that runs in the scalar
+    /// realization. With the register tiles, a BSPC tile of eight or more
+    /// rows at one stream never passes through here — its halves are
+    /// widened in the registers they are loaded into.
     pub conv: AlignedF32,
-    /// One row de-tiled out of a BSPC row tile.
-    pub row: AlignedF32,
     /// Gathered int8 activation codes of the current column run.
     pub gi8: Vec<i8>,
     /// Per-block segment lengths of the current BSPC stripe.
@@ -230,7 +205,6 @@ thread_local! {
         RefCell::new(KernelScratch {
             gf32: AlignedF32::new(),
             conv: AlignedF32::new(),
-            row: AlignedF32::new(),
             gi8: Vec::new(),
             seg: Vec::new(),
         })

@@ -249,10 +249,6 @@ impl RowTiles {
     /// # Errors
     ///
     /// Returns [`ShapeError`] when `x.len() != cols` or `y.len() != rows`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`simd::tile_dots_available`](crate::simd::tile_dots_available)`(v)`.
     pub fn gemv_into(&self, v: Variant, x: &[f32], y: &mut [f32]) -> Result<(), ShapeError> {
         let (rows, cols) = (self.rows, self.cols);
         if x.len() != cols || y.len() != rows {
@@ -288,10 +284,6 @@ impl RowTiles {
     ///
     /// Returns [`ShapeError`] when `xs.len() != frames · cols` or
     /// `ys.len() != frames · rows`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`simd::tile_dots_available`](crate::simd::tile_dots_available)`(v)`.
     pub fn gemv_frames_into(
         &self,
         v: Variant,
@@ -498,7 +490,8 @@ mod tests {
             }
         }
         // A NaN / ±∞ weight or an all-`-0.0` row stays in its own row (whose
-        // zero is signed by the variant: `simd::tile_dots_available`).
+        // zero is signed by the variant: the scalar definition sums a row
+        // from `-0.0`, every batch lane from `+0.0`).
         let same = |x: f32, y: f32| {
             x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()) || (x == 0.0 && y == 0.0)
         };
@@ -533,10 +526,6 @@ mod tests {
     #[test]
     fn row_tiles_are_the_along_row_dot_on_every_tile_edge() {
         use crate::simd::{self, Variant};
-        let v = Variant::Vector;
-        if !simd::tile_dots_available(v) {
-            return;
-        }
         let same = |x: f32, y: f32| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
         let mut rng = crate::rng::StdRng::seed_from_u64(0x7E4D);
         for rows in [1usize, 7, 8, 9, 15, 16, 17, 31, 32, 33, 39, 48] {
@@ -563,19 +552,30 @@ mod tests {
                     }
                 }
                 let t = RowTiles::new(&a);
-                for x in [&plain, &special] {
+                for (v, x) in Variant::ALL
+                    .into_iter()
+                    .flat_map(|v| [(v, &plain), (v, &special)])
+                {
                     let mut y = vec![f32::NAN; rows];
                     t.gemv_into(v, x, &mut y).unwrap();
                     for (r, &got) in y.iter().enumerate() {
-                        let want = simd::dot_variant(v, a.row(r), x);
-                        assert!(same(got, want), "{rows}x{cols} row {r}: {got} vs {want}");
+                        let mut want = [f32::NAN];
+                        simd::dot_batch_variant(v, a.row(r), x, 1, &mut want);
+                        let want = want[0];
+                        assert!(
+                            same(got, want),
+                            "{} {rows}x{cols} row {r}: {got} vs {want}",
+                            v.name()
+                        );
                     }
                 }
             }
         }
         let t = RowTiles::new(&Matrix::zeros(3, 4));
-        assert!(t.gemv_into(v, &[0.0; 3], &mut [0.0; 3]).is_err());
-        assert!(t.gemv_into(v, &[0.0; 4], &mut [0.0; 2]).is_err());
+        for v in Variant::ALL {
+            assert!(t.gemv_into(v, &[0.0; 3], &mut [0.0; 3]).is_err());
+            assert!(t.gemv_into(v, &[0.0; 4], &mut [0.0; 2]).is_err());
+        }
     }
 
     #[test]

@@ -58,12 +58,17 @@
 //! The lanes need not be input streams. [`tile_dots_variant`] takes `m` rows
 //! that share one input, stored lane-major (`tile[k·m + j]`), and at one
 //! input stream makes the *rows* the lanes: the shared input plays the row,
-//! and up to eight short rows fill one register tile — no per-row call,
-//! horizontal sum or scalar tail. *A sparse row is never a call: rows that
-//! share a column stream are lanes of one register tile.* AVX2 body only
-//! ([`tile_dots_available`]); other variants de-tile a row and call
-//! [`dot_batch_variant`]. Two adjacent lane groups share each broadcast
-//! element of the input, so a sixteen-row tile walks it once.
+//! and a tile of up to [`TILE_ROWS`] short rows fills the lanes of the
+//! widest register — no per-row call, horizontal sum or scalar tail. *A
+//! sparse row is never a call: rows that share a column stream are lanes of
+//! one register tile.* In eight-lane registers two adjacent lane groups
+//! share each broadcast element of the input, so a sixteen-row tile walks it
+//! once either way.
+//!
+//! *A primitive is total in the variant: no caller asks which realization
+//! runs.* The tile entries have a scalar realization like every other entry
+//! — row `j` read through the stride `m`, with the scalar definition's bits
+//! — and choose the x86 register tiles themselves, where the ISA is there.
 //!
 //! The lane plane need not be `f32` either. [`tile_dots_f16_variant`] takes
 //! the tile as raw f16 bits, and *an f16 value is widened where it is loaded
@@ -574,14 +579,12 @@ pub fn dot_batch(a: &[f32], xs: &[f32], b: usize, out: &mut [f32]) {
     dot_batch_variant(active_variant(), a, xs, b, out)
 }
 
-/// Whether `v` runs the register-tile batch body here (`Vector` on
-/// AVX2+FMA) — the one realization [`tile_dots_variant`] has: its lanes and
-/// its along-row `dot` both accumulate from `+0.0` (the scalar definition
-/// sums from `-0.0`, its batch lanes from `+0.0`: rows as lanes there would
-/// flip the sign of a row whose products are all `-0.0`), and it takes a
-/// row's weights through a stride.
-pub fn tile_dots_available(v: Variant) -> bool {
-    cfg!(target_arch = "x86_64") && v == Variant::Vector && vector_available()
+/// Whether `v` runs the x86 register tiles here: `Vector` on AVX2+FMA.
+/// Everything else runs the scalar tile realization; the tile entries below
+/// make that choice, and nothing outside them asks which one runs.
+#[cfg(target_arch = "x86_64")]
+fn register_tiles(v: Variant) -> bool {
+    v == Variant::Vector && vector_available()
 }
 
 /// Most rows of one stored row tile (BSPC's, the dense head's): two AVX2
@@ -593,7 +596,8 @@ pub const TILE_ROWS: usize = 16;
 
 /// The `m` rows of one lane-major weight tile against a shared lane-major
 /// input: `out[j·b + l] = Σₖ tile[k·m + j] · xs[k·b + l]`, row `j` lane `l`
-/// **bit-identical** to [`dot_variant`]`(v, row_j, column_l)`. Rows that
+/// **bit-identical** to lane `l` of [`dot_batch_variant`]`(v, row_j, xs, b,
+/// ..)`. Rows that
 /// share their input — the kept rows of a BSPC stripe — are stored this way
 /// so that they can be the lanes: at `b == 1` this *is*
 /// [`dot_batch_variant`] with the operands exchanged (`xs` the row, `tile`
@@ -603,11 +607,16 @@ pub const TILE_ROWS: usize = 16;
 /// are read through the stride `m`, and four rows at a time share every
 /// loaded lane row.
 ///
+/// Total in the variant. The scalar realization walks row `j` through the
+/// stride `m`, lane by lane — no row copy —, and starts each sum where the
+/// scalar definition does: at `-0.0` at one lane, at `+0.0` per lane at
+/// `b ≥ 2` (the vector tiles start every lane at `+0.0`, as the vector `dot`
+/// does). `Vector` without the ISA runs it too.
+///
 /// # Panics
 ///
-/// Panics unless [`tile_dots_available`]`(v)`, or if `b == 0`,
-/// `out.len() != m * b`, or `tile` does not hold `m` rows of `xs.len() / b`
-/// elements.
+/// Panics if `b == 0`, `out.len() != m * b`, or `tile` does not hold `m`
+/// rows of `xs.len() / b` elements.
 pub fn tile_dots_variant(
     v: Variant,
     tile: &[f32],
@@ -616,27 +625,29 @@ pub fn tile_dots_variant(
     b: usize,
     out: &mut [f32],
 ) {
-    assert!(tile_dots_available(v), "tile_dots: no register-tile body");
     assert!(
         b != 0 && out.len() == m * b && tile.len() * b == xs.len() * m,
         "tile_dots: size mismatch"
     );
-    if b == 1 && m == 1 {
-        out[0] = dot_variant(v, xs, tile);
-        return;
-    }
-    // SAFETY: the feature set of `width()` — `vector_available`, and
-    // `wide_available` for sixteen lanes — and the sizes — `m` rows of
-    // `xs.len() / b` elements end at `tile.len()`, at one stream `m` lanes
-    // of `xs.len()` rows and `m` outputs — were checked just above.
     #[cfg(target_arch = "x86_64")]
-    unsafe {
-        if b == 1 {
-            x86::dot_batch::<f32>(width(), xs, tile, m, out)
-        } else {
-            x86::tile_dots(width(), tile, |k, j| k * m + j, xs, b, out)
+    if register_tiles(v) {
+        if b == 1 && m == 1 {
+            out[0] = dot_variant(v, xs, tile);
+            return;
         }
+        // SAFETY: the feature set of `width()` — `vector_available`, and
+        // `wide_available` for sixteen lanes — and the sizes — `m` rows of
+        // `xs.len() / b` elements end at `tile.len()`, at one stream `m`
+        // lanes of `xs.len()` rows and `m` outputs — were checked just above.
+        return unsafe {
+            if b == 1 {
+                x86::dot_batch::<f32>(width(), xs, tile, m, out)
+            } else {
+                x86::tile_dots(width(), tile, |k, j| k * m + j, xs, b, out)
+            }
+        };
     }
+    tile_dots_scalar(tile, m, xs, b, out)
 }
 
 /// [`tile_dots_variant`] over a tile stored as raw f16 bits, in the same
@@ -649,7 +660,8 @@ pub fn tile_dots_variant(
 /// operands, so the tile is decoded once into `decoded` — a cost the lanes
 /// amortise — and runs as [`tile_dots_variant`] does. (So does a tile of
 /// fewer than eight rows at one stream: it fills no lane group, and a decode
-/// converts eight stored values at a time where its lane rows hold `m`.)
+/// converts eight stored values at a time where its lane rows hold `m`. So
+/// does the scalar realization, at every `b`.)
 ///
 /// # Panics
 ///
@@ -663,10 +675,9 @@ pub fn tile_dots_f16_variant(
     out: &mut [f32],
     decoded: &mut [f32],
 ) {
-    assert!(tile_dots_available(v), "tile_dots: no register-tile body");
     assert!(decoded.len() == tile_bits.len(), "tile_dots: decode window");
     #[cfg(target_arch = "x86_64")]
-    if b == 1 && m >= 8 {
+    if b == 1 && m >= 8 && register_tiles(v) {
         assert!(
             out.len() == m && tile_bits.len() == xs.len() * m,
             "tile_dots: size mismatch"
@@ -686,14 +697,13 @@ pub fn tile_dots_f16_variant(
 /// [`tile_dots_variant`]`(v, tile, m, frame_t, 1, ..)`. *Rows stay the lanes
 /// and frames are the broadcast rows*: with sixteen-lane registers four
 /// frames at a time share every loaded lane row, so the output is frame-major
-/// as computed — no transpose. Eight-lane hosts run the one-frame body per
-/// frame (EXPERIMENTS.md B3).
+/// as computed — no transpose. Eight-lane hosts and the scalar realization
+/// run the one-frame body per frame (EXPERIMENTS.md B3).
 ///
 /// # Panics
 ///
-/// Panics unless [`tile_dots_available`]`(v)`, or if `tile` is not `m` lanes
-/// of `len` rows, `xs.len() != frames · len`, `stride < m` or `out` is
-/// shorter than `(frames - 1) · stride + m`.
+/// Panics if `tile` is not `m` lanes of `len` rows, `xs.len() != frames ·
+/// len`, `stride < m` or `out` is shorter than `(frames - 1) · stride + m`.
 pub fn tile_frames_variant(
     v: Variant,
     tile: &[f32],
@@ -703,13 +713,12 @@ pub fn tile_frames_variant(
     out: &mut [f32],
     stride: usize,
 ) {
-    assert!(tile_dots_available(v), "tile_frames: no register-tile body");
     if m == 0 || frames == 0 {
         return;
     }
     let len = frame_len(tile.len(), m, xs, frames, out, stride);
     #[cfg(target_arch = "x86_64")]
-    if wide_available() {
+    if register_tiles(v) && wide_available() {
         // SAFETY: the feature set of sixteen lanes verified by
         // `wide_available`, the sizes just above.
         return unsafe { x86::tile_frames_zmm::<f32>(xs, frames, tile, m, out, stride) };
@@ -747,7 +756,8 @@ fn frame_len(
 /// [`tile_frames_variant`] over a tile stored as raw f16 bits: bit-identical
 /// to it on the decoded tile. With sixteen-lane registers the bits are
 /// widened in the registers they are loaded into, once for four frames;
-/// eight-lane hosts run [`tile_dots_f16_variant`] per frame.
+/// eight-lane hosts run [`tile_dots_f16_variant`] per frame, and the scalar
+/// realization decodes the tile into `decoded` once for all of them.
 ///
 /// # Panics
 ///
@@ -763,7 +773,6 @@ pub fn tile_frames_f16_variant(
     stride: usize,
     decoded: &mut [f32],
 ) {
-    assert!(tile_dots_available(v), "tile_frames: no register-tile body");
     assert!(
         decoded.len() == tile_bits.len(),
         "tile_frames: decode window"
@@ -773,26 +782,30 @@ pub fn tile_frames_f16_variant(
     }
     let len = frame_len(tile_bits.len(), m, xs, frames, out, stride);
     #[cfg(target_arch = "x86_64")]
-    if wide_available() {
-        // SAFETY: the feature set of sixteen lanes verified by
-        // `wide_available`, the sizes just above.
-        return unsafe { x86::tile_frames_zmm::<u16>(xs, frames, tile_bits, m, out, stride) };
+    if register_tiles(v) {
+        if wide_available() {
+            // SAFETY: the feature set of sixteen lanes verified by
+            // `wide_available`, the sizes just above.
+            return unsafe { x86::tile_frames_zmm::<u16>(xs, frames, tile_bits, m, out, stride) };
+        }
+        for t in 0..frames {
+            let (x, o) = (
+                &xs[t * len..(t + 1) * len],
+                &mut out[t * stride..t * stride + m],
+            );
+            tile_dots_f16_variant(v, tile_bits, m, x, 1, o, decoded);
+        }
+        return;
     }
-    for t in 0..frames {
-        let (x, o) = (
-            &xs[t * len..(t + 1) * len],
-            &mut out[t * stride..t * stride + m],
-        );
-        tile_dots_f16_variant(v, tile_bits, m, x, 1, o, decoded);
-    }
+    crate::f16::f16_bits_to_f32(tile_bits, decoded);
+    tile_frames_variant(v, decoded, m, xs, frames, out, stride)
 }
 
 /// [`tile_dots_variant`] over `m` row-major rows (`rows[j·len + k]`) — a
 /// dense matrix's row range: `out[j·b + l]` is **bit-identical** to
-/// [`dot_batch_variant`]`(v, row_j, xs, b, ..)`, lane `l`. With the
-/// register-tile body ([`tile_dots_available`]) and `b ≥ 2` lanes, four rows
-/// at a time share every loaded lane row of the widest register; otherwise
-/// this is that call per row.
+/// [`dot_batch_variant`]`(v, row_j, xs, b, ..)`, lane `l`. With the x86
+/// register tiles and `b ≥ 2` lanes, four rows at a time share every loaded
+/// lane row of the widest register; otherwise this is that call per row.
 ///
 /// # Panics
 ///
@@ -812,7 +825,7 @@ pub fn row_major_dots_variant(
     );
     let len = xs.len() / b;
     #[cfg(target_arch = "x86_64")]
-    if b >= 2 && tile_dots_available(v) {
+    if b >= 2 && register_tiles(v) {
         // SAFETY: the feature set of `width()` and the sizes were checked
         // just above.
         return unsafe { x86::tile_dots(width(), rows, |k, j| j * len + k, xs, b, out) };
@@ -971,6 +984,16 @@ mod tests {
 
     fn rand_vec(n: usize, rng: &mut StdRng) -> Vec<f32> {
         (0..n).map(|_| rng.gen_f32() * 2.0 - 1.0).collect()
+    }
+
+    /// Each row `j` of the lane-major `[len × m]` `tile` against the `b`
+    /// lanes of `xs`, one [`dot_batch_variant`] per row into `out[j·b..]` —
+    /// what every tile entry's row `j`, lane `l` is held to, bit for bit.
+    fn per_row_dots(v: Variant, tile: &[f32], m: usize, xs: &[f32], b: usize, out: &mut [f32]) {
+        for (j, lanes) in out.chunks_exact_mut(b).enumerate() {
+            let row: Vec<f32> = tile.iter().skip(j).step_by(m).copied().collect();
+            dot_batch_variant(v, &row, xs, b, lanes);
+        }
     }
 
     /// The registers the x86 batched bodies and sweeps run in on this host —
@@ -1283,11 +1306,9 @@ mod tests {
         }
         // Across rows: one row of a tile carries the poison — a NaN / ±∞
         // weight, or nothing but `-0.0` — and every other row of its row
-        // block, like every lane, still carries its own serial result.
-        let v = Variant::Vector;
-        if !tile_dots_available(v) {
-            return;
-        }
+        // block, like every lane, still carries its own per-row result, in
+        // every variant: the all-`-0.0` row's zero keeps the sign that
+        // variant's own one-row product gives it, at one lane and at more.
         for (m, len) in [(5usize, 9usize), (8, 102)] {
             for bad in 0..m {
                 for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0] {
@@ -1306,46 +1327,56 @@ mod tests {
                                 *x = 0.5 + rng.gen_f32();
                             }
                         }
-                        let check = |out: &[f32], out_rm: &[f32], what: &str| {
-                            for l in 0..b {
-                                let col: Vec<f32> = (0..len).map(|k| xs[k * b + l]).collect();
-                                for (j, row) in rows.iter().enumerate() {
-                                    let (got, want) = (out[j * b + l], dot_variant(v, row, &col));
+                        for v in Variant::ALL {
+                            let mut want = vec![f32::NAN; m * b];
+                            per_row_dots(v, &tile, m, &xs, b, &mut want);
+                            let check = |out: &[f32], out_rm: &[f32], what: &str| {
+                                for (i, &w) in want.iter().enumerate() {
+                                    let (got, (j, l)) = (out[i], (i / b, i % b));
                                     assert!(
-                                        same(got, want) && same(out_rm[j * b + l], want),
-                                        "{what} m={m} bad row {bad} ({poison}) b={b} row {j} lane {l}: {got} vs {want}"
+                                        same(got, w) && same(out_rm[i], w),
+                                        "{what} m={m} bad row {bad} ({poison}) b={b} row {j} lane {l}: {got} vs {w}"
                                     );
                                 }
-                            }
-                            assert!(out[m * b..]
-                                .iter()
-                                .chain(&out_rm[m * b..])
-                                .all(|&s| s == 7.0));
-                        };
-                        let (mut out, mut out_rm) =
-                            (vec![7.0f32; m * b + 16], vec![7.0f32; m * b + 16]);
-                        tile_dots_variant(v, &tile, m, &xs, b, &mut out[..m * b]);
-                        row_major_dots_variant(v, &row_major, m, &xs, b, &mut out_rm[..m * b]);
-                        check(&out, &out_rm, "dispatched");
-                        #[cfg(target_arch = "x86_64")]
-                        for width in widths() {
+                                assert!(out[m * b..]
+                                    .iter()
+                                    .chain(&out_rm[m * b..])
+                                    .all(|&s| s == 7.0));
+                            };
                             let (mut out, mut out_rm) =
                                 (vec![7.0f32; m * b + 16], vec![7.0f32; m * b + 16]);
-                            // SAFETY: `widths` lists only registers this host
-                            // has; both planes hold `m` rows of `len`.
-                            unsafe {
-                                x86::tile_dots(
-                                    width,
-                                    &tile,
-                                    |k, j| k * m + j,
-                                    &xs,
-                                    b,
-                                    &mut out[..m * b],
-                                );
-                                let rm = |k, j| j * len + k;
-                                x86::tile_dots(width, &row_major, rm, &xs, b, &mut out_rm[..m * b]);
+                            tile_dots_variant(v, &tile, m, &xs, b, &mut out[..m * b]);
+                            row_major_dots_variant(v, &row_major, m, &xs, b, &mut out_rm[..m * b]);
+                            check(&out, &out_rm, v.name());
+                            #[cfg(target_arch = "x86_64")]
+                            if v == Variant::Vector {
+                                for width in widths() {
+                                    let (mut out, mut out_rm) =
+                                        (vec![7.0f32; m * b + 16], vec![7.0f32; m * b + 16]);
+                                    // SAFETY: `widths` lists only registers this
+                                    // host has; both planes hold `m` rows of `len`.
+                                    unsafe {
+                                        x86::tile_dots(
+                                            width,
+                                            &tile,
+                                            |k, j| k * m + j,
+                                            &xs,
+                                            b,
+                                            &mut out[..m * b],
+                                        );
+                                        let rm = |k, j| j * len + k;
+                                        x86::tile_dots(
+                                            width,
+                                            &row_major,
+                                            rm,
+                                            &xs,
+                                            b,
+                                            &mut out_rm[..m * b],
+                                        );
+                                    }
+                                    check(&out, &out_rm, &format!("{width:?}"));
+                                }
                             }
-                            check(&out, &out_rm, &format!("{width:?}"));
                         }
                     }
                 }
@@ -1358,13 +1389,10 @@ mod tests {
         // Row counts around the row blocks (one to two blocks of four, every
         // remainder, a full 16-row tile), row lengths around the eight
         // sublane chains, lane counts around the register tiles of eight and
-        // sixteen lanes, in either register. `tile` and `xs` are
+        // sixteen lanes, in either register, and the scalar realization
+        // against the scalar definition's lanes. `tile` and `xs` are
         // exact-length: the last row block and the last lane group end where
         // their allocation ends.
-        let v = Variant::Vector;
-        if !tile_dots_available(v) {
-            return;
-        }
         let mut rng = StdRng::seed_from_u64(0x7113);
         for m in (1usize..=9).chain([12, 15, 16]) {
             for len in [0usize, 1, 7, 8, 9, 16, 17, 102] {
@@ -1373,38 +1401,52 @@ mod tests {
                     let tile: Box<[f32]> = (0..len * m).map(|i| rows[i % m][i / m]).collect();
                     let xs = rand_vec(len * b, &mut rng).into_boxed_slice();
                     let row_major = rows.concat().into_boxed_slice();
-                    let check = |out: &[f32], out_rm: &[f32], what: &str| {
-                        for l in 0..b {
-                            let col: Vec<f32> = (0..len).map(|k| xs[k * b + l]).collect();
-                            for (j, row) in rows.iter().enumerate() {
-                                let want = dot_variant(v, row, &col).to_bits();
-                                let got = (out[j * b + l].to_bits(), out_rm[j * b + l].to_bits());
-                                let at = format!("{what} m={m} len={len} b={b} row {j} lane {l}");
-                                assert_eq!(got, (want, want), "{at}");
+                    for v in Variant::ALL {
+                        let mut want = vec![f32::NAN; m * b];
+                        per_row_dots(v, &tile, m, &xs, b, &mut want);
+                        let check = |out: &[f32], out_rm: &[f32], what: &str| {
+                            for (i, &w) in want.iter().enumerate() {
+                                assert_eq!(
+                                    (out[i].to_bits(), out_rm[i].to_bits()),
+                                    (w.to_bits(), w.to_bits()),
+                                    "{what} m={m} len={len} b={b} row {} lane {}",
+                                    i / b,
+                                    i % b
+                                );
+                            }
+                        };
+                        let (mut out, mut out_rm) = (vec![f32::NAN; m * b], vec![f32::NAN; m * b]);
+                        tile_dots_variant(v, &tile, m, &xs, b, &mut out);
+                        row_major_dots_variant(v, &row_major, m, &xs, b, &mut out_rm);
+                        check(&out, &out_rm, v.name());
+                        #[cfg(target_arch = "x86_64")]
+                        if v == Variant::Vector {
+                            for width in widths() {
+                                let (mut out, mut out_rm) =
+                                    (vec![f32::NAN; m * b], vec![f32::NAN; m * b]);
+                                // SAFETY: `widths` lists only registers this
+                                // host has; both planes hold `m` rows of `len`.
+                                unsafe {
+                                    x86::tile_dots(
+                                        width,
+                                        &tile,
+                                        |k, j| k * m + j,
+                                        &xs,
+                                        b,
+                                        &mut out,
+                                    );
+                                    x86::tile_dots(
+                                        width,
+                                        &row_major,
+                                        |k, j| j * len + k,
+                                        &xs,
+                                        b,
+                                        &mut out_rm,
+                                    );
+                                }
+                                check(&out, &out_rm, &format!("{width:?}"));
                             }
                         }
-                    };
-                    let (mut out, mut out_rm) = (vec![f32::NAN; m * b], vec![f32::NAN; m * b]);
-                    tile_dots_variant(v, &tile, m, &xs, b, &mut out);
-                    row_major_dots_variant(v, &row_major, m, &xs, b, &mut out_rm);
-                    check(&out, &out_rm, "dispatched");
-                    #[cfg(target_arch = "x86_64")]
-                    for width in widths() {
-                        let (mut out, mut out_rm) = (vec![f32::NAN; m * b], vec![f32::NAN; m * b]);
-                        // SAFETY: `widths` lists only registers this host
-                        // has; both planes hold `m` rows of `len`.
-                        unsafe {
-                            x86::tile_dots(width, &tile, |k, j| k * m + j, &xs, b, &mut out);
-                            x86::tile_dots(
-                                width,
-                                &row_major,
-                                |k, j| j * len + k,
-                                &xs,
-                                b,
-                                &mut out_rm,
-                            );
-                        }
-                        check(&out, &out_rm, &format!("{width:?}"));
                     }
                 }
             }
@@ -1419,69 +1461,82 @@ mod tests {
         // the bits are the lane plane, converted as they are loaded, from
         // eight rows up, and in the sixteen-lane register, which masks a
         // partial group of halves, from one — and several, where they are
-        // decoded first. The bit plane is exact-length: the tile that ends a
-        // partial group ends with the allocation. Then one row carries a
-        // NaN / ±∞ half: every other row keeps the clean run's bits.
-        let v = Variant::Vector;
-        if !tile_dots_available(v) {
-            return;
-        }
+        // decoded first — and the scalar realization, which decodes at every
+        // `b`: each holds every decoded row's own product. The bit plane is
+        // exact-length: the tile that ends a partial group ends with the
+        // allocation. Then one row carries a NaN / ±∞ half: every other row
+        // keeps the clean run's bits.
         let same = |x: f32, y: f32| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
         let mut rng = StdRng::seed_from_u64(0xF16C);
-        for m in (1usize..=17).chain([24, 31, 32, 33, 47, 48]) {
-            for len in [0usize, 1, 7, 8, 9, 16, 17, 102] {
-                for b in [1usize, 2, 8, 12] {
-                    let xs = rand_vec(len * b, &mut rng).into_boxed_slice();
-                    let clean = crate::f16::f32_to_f16_bits(&rand_vec(len * m, &mut rng));
-                    let run = |bits: Box<[u16]>| {
-                        let mut decoded = vec![f32::NAN; bits.len()];
-                        crate::f16::f16_bits_to_f32(&bits, &mut decoded);
-                        let mut want = vec![f32::NAN; m * b];
-                        tile_dots_variant(v, &decoded, m, &xs, b, &mut want);
-                        let mut got = vec![7.0f32; m * b + 16];
-                        decoded.fill(f32::NAN);
-                        tile_dots_f16_variant(v, &bits, m, &xs, b, &mut got[..m * b], &mut decoded);
-                        assert!(got[m * b..].iter().all(|&s| s == 7.0));
-                        for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
-                            assert!(same(g, w), "m={m} len={len} b={b} out[{i}]: {g} vs {w}");
-                        }
-                        // The rows as the lanes of each register that can
-                        // load the plane, its halves widened in place.
-                        #[cfg(target_arch = "x86_64")]
-                        for width in widths() {
-                            if b != 1 || (width == x86::Width::Ymm && m < 8) {
-                                continue;
-                            }
-                            let mut got = vec![7.0f32; m + 16];
-                            // SAFETY: `widths` lists only registers this host
-                            // has; `bits` holds `len` lane rows of `m` halves,
-                            // at least eight of them for the eight-lane one.
-                            unsafe { x86::dot_batch::<u16>(width, &xs, &bits, m, &mut got[..m]) };
-                            assert!(got[m..].iter().all(|&s| s == 7.0));
+        for v in Variant::ALL {
+            for m in (1usize..=17).chain([24, 31, 32, 33, 47, 48]) {
+                for len in [0usize, 1, 7, 8, 9, 16, 17, 102] {
+                    for b in [1usize, 2, 8, 12] {
+                        let xs = rand_vec(len * b, &mut rng).into_boxed_slice();
+                        let clean = crate::f16::f32_to_f16_bits(&rand_vec(len * m, &mut rng));
+                        let run = |bits: Box<[u16]>| {
+                            let mut decoded = vec![f32::NAN; bits.len()];
+                            crate::f16::f16_bits_to_f32(&bits, &mut decoded);
+                            let mut want = vec![f32::NAN; m * b];
+                            per_row_dots(v, &decoded, m, &xs, b, &mut want);
+                            let mut got = vec![7.0f32; m * b + 16];
+                            decoded.fill(f32::NAN);
+                            tile_dots_f16_variant(
+                                v,
+                                &bits,
+                                m,
+                                &xs,
+                                b,
+                                &mut got[..m * b],
+                                &mut decoded,
+                            );
+                            assert!(got[m * b..].iter().all(|&s| s == 7.0));
                             for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                                assert!(same(g, w), "m={m} len={len} b={b} out[{i}]: {g} vs {w}");
+                            }
+                            // The rows as the lanes of each register that can
+                            // load the plane, its halves widened in place.
+                            #[cfg(target_arch = "x86_64")]
+                            for width in widths() {
+                                if v != Variant::Vector
+                                    || b != 1
+                                    || (width == x86::Width::Ymm && m < 8)
+                                {
+                                    continue;
+                                }
+                                let mut got = vec![7.0f32; m + 16];
+                                // SAFETY: `widths` lists only registers this host
+                                // has; `bits` holds `len` lane rows of `m` halves,
+                                // at least eight of them for the eight-lane one.
+                                unsafe {
+                                    x86::dot_batch::<u16>(width, &xs, &bits, m, &mut got[..m])
+                                };
+                                assert!(got[m..].iter().all(|&s| s == 7.0));
+                                for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                                    assert!(
+                                        same(g, w),
+                                        "{width:?} m={m} len={len} out[{i}]: {g} vs {w}"
+                                    );
+                                }
+                            }
+                            want
+                        };
+                        let base = run(clean.clone().into_boxed_slice());
+                        if len == 0 {
+                            continue;
+                        }
+                        let bad = m / 2;
+                        for poison in [0x7E01u16, 0x7C00, 0xFC00] {
+                            let mut bits = clean.clone();
+                            bits[(len / 2) * m + bad] = poison;
+                            let poisoned = run(bits.into_boxed_slice());
+                            for (i, (&p, &c)) in poisoned.iter().zip(&base).enumerate() {
                                 assert!(
-                                    same(g, w),
-                                    "{width:?} m={m} len={len} out[{i}]: {g} vs {w}"
+                                    i / b == bad || p.to_bits() == c.to_bits(),
+                                    "m={m} len={len} b={b} row {} next to {poison:#06x}",
+                                    i / b
                                 );
                             }
-                        }
-                        want
-                    };
-                    let base = run(clean.clone().into_boxed_slice());
-                    if len == 0 {
-                        continue;
-                    }
-                    let bad = m / 2;
-                    for poison in [0x7E01u16, 0x7C00, 0xFC00] {
-                        let mut bits = clean.clone();
-                        bits[(len / 2) * m + bad] = poison;
-                        let poisoned = run(bits.into_boxed_slice());
-                        for (i, (&p, &c)) in poisoned.iter().zip(&base).enumerate() {
-                            assert!(
-                                i / b == bad || p.to_bits() == c.to_bits(),
-                                "m={m} len={len} b={b} row {} next to {poison:#06x}",
-                                i / b
-                            );
                         }
                     }
                 }
@@ -1494,105 +1549,111 @@ mod tests {
         // Frame counts through two groups of four and every remainder, tile
         // heights through a lane group of eight and a sixteen-lane register
         // (partial ones of halves too), row lengths around the eight sublane
-        // chains; f32 lanes and f16 bits, dispatched and — where the host
-        // has sixteen lanes — the register body itself. Each frame's
-        // outputs land in a plane whose stride leaves a gap the call must
-        // not touch, nor anything past the plane, and carry the one-frame
-        // body's bits. Then one frame carries a NaN / ±∞ input: it matches
-        // its own one-frame result, and every other frame keeps its clean
-        // bits.
-        let v = Variant::Vector;
-        if !tile_dots_available(v) {
-            return;
-        }
+        // chains; f32 lanes and f16 bits, dispatched in either variant and —
+        // where the host has sixteen lanes — the register body itself. Each
+        // frame's outputs land in a plane whose stride leaves a gap the call
+        // must not touch, nor anything past the plane, and carry the
+        // one-frame body's bits. Then one frame carries a NaN / ±∞ input: it
+        // matches its own one-frame result, and every other frame keeps its
+        // clean bits.
         let same = |x: f32, y: f32| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
         let mut rng = StdRng::seed_from_u64(0xF4A3);
-        for frames in 1usize..=9 {
-            for m in 1usize..=16 {
-                for len in [0usize, 1, 7, 8, 9, 102] {
-                    let (stride, bad) = (m + 3, frames / 2);
-                    let n = (frames - 1) * stride + m;
-                    let tile = rand_vec(len * m, &mut rng);
-                    let bits = crate::f16::f32_to_f16_bits(&tile);
-                    let mut halves = vec![0.0f32; bits.len()];
-                    crate::f16::f16_bits_to_f32(&bits, &mut halves);
-                    // The contract: the one-frame body, frame by frame.
-                    let one_frame = |half: bool, xs: &[f32]| {
-                        let plane = if half { &halves } else { &tile };
-                        let mut want = vec![7.0f32; n];
-                        for t in 0..frames {
-                            let o = &mut want[t * stride..t * stride + m];
-                            tile_dots_variant(v, plane, m, &xs[t * len..(t + 1) * len], 1, o);
-                        }
-                        want
-                    };
-                    // Every realization of the frame-major call: (name,
-                    // whether it runs the f16 bits, its output plane).
-                    let frame_major = |xs: &[f32]| {
-                        let mut runs: Vec<(&str, bool, Vec<f32>)> = Vec::new();
-                        let mut run = |name, half, call: &mut dyn FnMut(&mut [f32])| {
-                            let mut out = vec![7.0f32; n + 16];
-                            call(&mut out[..n]);
-                            assert!(out[n..].iter().all(|&s| s == 7.0), "{name}: past the plane");
-                            out.truncate(n);
-                            runs.push((name, half, out));
+        for v in Variant::ALL {
+            for frames in 1usize..=9 {
+                for m in 1usize..=16 {
+                    for len in [0usize, 1, 7, 8, 9, 102] {
+                        let (stride, bad) = (m + 3, frames / 2);
+                        let n = (frames - 1) * stride + m;
+                        let tile = rand_vec(len * m, &mut rng);
+                        let bits = crate::f16::f32_to_f16_bits(&tile);
+                        let mut halves = vec![0.0f32; bits.len()];
+                        crate::f16::f16_bits_to_f32(&bits, &mut halves);
+                        // The contract: the one-frame body, frame by frame —
+                        // each row's own one-lane product.
+                        let one_frame = |half: bool, xs: &[f32]| {
+                            let plane = if half { &halves } else { &tile };
+                            let mut want = vec![7.0f32; n];
+                            for t in 0..frames {
+                                let o = &mut want[t * stride..t * stride + m];
+                                per_row_dots(v, plane, m, &xs[t * len..(t + 1) * len], 1, o);
+                            }
+                            want
                         };
-                        run("f32", false, &mut |o| {
-                            tile_frames_variant(v, &tile, m, xs, frames, o, stride)
-                        });
-                        run("f16", true, &mut |o| {
-                            let mut decoded = vec![f32::NAN; bits.len()];
-                            tile_frames_f16_variant(
-                                v,
-                                &bits,
-                                m,
-                                xs,
-                                frames,
-                                o,
-                                stride,
-                                &mut decoded,
-                            )
-                        });
-                        #[cfg(target_arch = "x86_64")]
-                        if widths().contains(&x86::Width::Zmm) {
-                            // SAFETY: `widths` lists only registers this host
-                            // has; the sizes are those the dispatched calls
-                            // check.
-                            run("Zmm f32", false, &mut |o| unsafe {
-                                x86::tile_frames_zmm::<f32>(xs, frames, &tile, m, o, stride)
+                        // Every realization of the frame-major call: (name,
+                        // whether it runs the f16 bits, its output plane).
+                        let frame_major = |xs: &[f32]| {
+                            let mut runs: Vec<(&str, bool, Vec<f32>)> = Vec::new();
+                            let mut run = |name, half, call: &mut dyn FnMut(&mut [f32])| {
+                                let mut out = vec![7.0f32; n + 16];
+                                call(&mut out[..n]);
+                                assert!(
+                                    out[n..].iter().all(|&s| s == 7.0),
+                                    "{name}: past the plane"
+                                );
+                                out.truncate(n);
+                                runs.push((name, half, out));
+                            };
+                            run("f32", false, &mut |o| {
+                                tile_frames_variant(v, &tile, m, xs, frames, o, stride)
                             });
-                            run("Zmm f16", true, &mut |o| unsafe {
-                                x86::tile_frames_zmm::<u16>(xs, frames, &bits, m, o, stride)
+                            run("f16", true, &mut |o| {
+                                let mut decoded = vec![f32::NAN; bits.len()];
+                                tile_frames_f16_variant(
+                                    v,
+                                    &bits,
+                                    m,
+                                    xs,
+                                    frames,
+                                    o,
+                                    stride,
+                                    &mut decoded,
+                                )
                             });
-                        }
-                        runs
-                    };
-                    let clean = rand_vec(frames * len, &mut rng);
-                    let base = frame_major(&clean);
-                    for (name, half, got) in &base {
-                        let want = one_frame(*half, &clean);
-                        for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
-                            let (t, j) = (i / stride, i % stride);
-                            let at =
-                                format!("{name} frames={frames} m={m} len={len} frame {t} row {j}");
-                            assert_eq!(g.to_bits(), w.to_bits(), "{at}: {g:e} vs {w:e}");
-                        }
-                    }
-                    if len == 0 {
-                        continue;
-                    }
-                    for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-                        let mut xs = clean.clone();
-                        xs[bad * len + len / 2] = poison;
-                        for ((name, half, got), (_, _, clean_got)) in
-                            frame_major(&xs).iter().zip(&base)
-                        {
-                            let want = one_frame(*half, &xs);
+                            #[cfg(target_arch = "x86_64")]
+                            if v == Variant::Vector && widths().contains(&x86::Width::Zmm) {
+                                // SAFETY: `widths` lists only registers this host
+                                // has; the sizes are those the dispatched calls
+                                // check.
+                                run("Zmm f32", false, &mut |o| unsafe {
+                                    x86::tile_frames_zmm::<f32>(xs, frames, &tile, m, o, stride)
+                                });
+                                run("Zmm f16", true, &mut |o| unsafe {
+                                    x86::tile_frames_zmm::<u16>(xs, frames, &bits, m, o, stride)
+                                });
+                            }
+                            runs
+                        };
+                        let clean = rand_vec(frames * len, &mut rng);
+                        let base = frame_major(&clean);
+                        for (name, half, got) in &base {
+                            let want = one_frame(*half, &clean);
                             for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
-                                let t = i / stride;
-                                let at = format!("{name} frames={frames} m={m} len={len} frame {t} ({poison} in frame {bad})");
-                                assert!(same(g, w), "{at}: {g:e} vs {w:e}");
-                                assert!(t == bad || g.to_bits() == clean_got[i].to_bits(), "{at}");
+                                let (t, j) = (i / stride, i % stride);
+                                let at = format!(
+                                    "{name} frames={frames} m={m} len={len} frame {t} row {j}"
+                                );
+                                assert_eq!(g.to_bits(), w.to_bits(), "{at}: {g:e} vs {w:e}");
+                            }
+                        }
+                        if len == 0 {
+                            continue;
+                        }
+                        for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                            let mut xs = clean.clone();
+                            xs[bad * len + len / 2] = poison;
+                            for ((name, half, got), (_, _, clean_got)) in
+                                frame_major(&xs).iter().zip(&base)
+                            {
+                                let want = one_frame(*half, &xs);
+                                for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                                    let t = i / stride;
+                                    let at = format!("{name} frames={frames} m={m} len={len} frame {t} ({poison} in frame {bad})");
+                                    assert!(same(g, w), "{at}: {g:e} vs {w:e}");
+                                    assert!(
+                                        t == bad || g.to_bits() == clean_got[i].to_bits(),
+                                        "{at}"
+                                    );
+                                }
                             }
                         }
                     }

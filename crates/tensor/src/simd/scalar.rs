@@ -64,3 +64,20 @@ pub(super) fn indexed_dot_batch_scalar(
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Row tiles. `m` rows stored lane-major (`tile[k·m + j]`) against `b`
+// lane-major inputs: row `j`, lane `l` is the scalar definition's sum over
+// the row read through the stride `m` — `dot_u1` at one lane (from `-0.0`),
+// `dot_batch_scalar`'s lane at `b ≥ 2` (from `+0.0`) — so the tile needs no
+// row copy. A product commutes, so the operand order does not move a bit.
+// ---------------------------------------------------------------------------
+
+pub(super) fn tile_dots_scalar(tile: &[f32], m: usize, xs: &[f32], b: usize, out: &mut [f32]) {
+    let (len, zero) = (xs.len() / b, if b == 1 { -0.0 } else { 0.0 });
+    for (j, lanes) in out.chunks_exact_mut(b).enumerate() {
+        for (l, o) in lanes.iter_mut().enumerate() {
+            *o = (0..len).fold(zero, |acc, k| acc + tile[k * m + j] * xs[k * b + l]);
+        }
+    }
+}

@@ -126,13 +126,15 @@ RTM_DECODER=ctc-beam:4 cargo test -q "${knob_crates[@]}"
 # The same holds one level up: the one-utterance chunked loop (its
 # frame-major gate and head tiles), the one-lane head tiles, the f16 tiles
 # and the serve step's lane copies and batched tiles run here as they ship,
-# against the reference.
+# against the reference — and every format × precision × lane count against
+# the golden output CRCs (`kernel_golden`), which the passes above check on
+# the debug build only.
 if [[ "$quick" -eq 0 ]]; then
   echo "==> cargo test -q --release -p rtm-tensor -p rtm-sparse (the kernels as they ship)"
   cargo test -q --release -p rtm-tensor -p rtm-sparse
   echo "==> cargo test -q --release -p rtmobile (the production loops as they ship)"
   cargo test -q --release -p rtmobile --test forward_chunk_contract --test head_tile_contract \
-    --test f16_tile_contract --test batched_contracts
+    --test f16_tile_contract --test batched_contracts --test kernel_golden
   echo "==> cargo test --release -p rtm-tensor -- --ignored (f16 rounding + sigmoid/tanh sweeps, all 2^32 inputs)"
   cargo test --release -p rtm-tensor -- --ignored
   # The A/B script builds a parent and the working tree and alternates
